@@ -1658,28 +1658,12 @@ let bench_runtime () =
       let scale_wall = Unix.gettimeofday () -. t0 in
       Gc.full_major ();
       let final_live = (Gc.stat ()).Gc.live_words in
-      let stores = Runtime.state_stores rt_scale in
-      let occupancy =
-        let tbl = Hashtbl.create 8 in
-        Array.iter
-          (fun s ->
-            List.iter
-              (fun (name, occ, _) ->
-                let prev =
-                  Option.value ~default:0 (Hashtbl.find_opt tbl name)
-                in
-                Hashtbl.replace tbl name (prev + occ))
-              (State_store.per_table s))
-          stores;
-        List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
-      in
+      let totals = State_store.totals (Runtime.state_stores rt_scale) in
+      let occupancy = List.map (fun (name, occ, _) -> (name, occ)) totals in
       let evictions =
-        Array.fold_left
-          (fun acc s ->
-            List.fold_left
-              (fun acc (_, _, st) -> acc + st.State_store.evictions)
-              acc (State_store.per_table s))
-          0 stores
+        List.fold_left
+          (fun acc (_, _, st) -> acc + st.State_store.evictions)
+          0 totals
       in
       let expected = min scale_flows capacity in
       let occupancy_ok =

@@ -431,30 +431,15 @@ let print_state_stats rt =
   | [||] -> ()
   | stores ->
       let cap = (State_store.config stores.(0)).State_store.capacity in
-      (* Sum each table's occupancy and counters across the shard
-         stores (the same aggregation the telemetry gauges use). *)
-      let merged = Hashtbl.create 8 in
-      Array.iter
-        (fun store ->
-          List.iter
-            (fun (name, occ, (s : State_store.table_stats)) ->
-              let o, h, m, i, e, x =
-                Option.value ~default:(0, 0, 0, 0, 0, 0)
-                  (Hashtbl.find_opt merged name)
-              in
-              Hashtbl.replace merged name
-                ( o + occ, h + s.State_store.hits, m + s.State_store.misses,
-                  i + s.State_store.inserts, e + s.State_store.evictions,
-                  x + s.State_store.expirations ))
-            (State_store.per_table store))
-        stores;
-      Hashtbl.fold (fun name v acc -> (name, v) :: acc) merged []
-      |> List.sort compare
-      |> List.iter (fun (name, (occ, h, m, i, e, x)) ->
-             Format.printf
-               "state %-14s entries=%d/%d (x%d shards) hits=%d misses=%d \
-                inserts=%d evictions=%d expirations=%d@."
-               name occ cap (Array.length stores) h m i e x)
+      List.iter
+        (fun (name, occ, (s : State_store.table_stats)) ->
+          Format.printf
+            "state %-14s entries=%d/%d (x%d shards) hits=%d misses=%d \
+             inserts=%d evictions=%d expirations=%d@."
+            name occ cap (Array.length stores) s.State_store.hits
+            s.State_store.misses s.State_store.inserts s.State_store.evictions
+            s.State_store.expirations)
+        (State_store.totals stores)
 
 let print_batch_errors (stats : Runtime.batch_stats) =
   if stats.Runtime.error_log <> [] then begin
@@ -658,8 +643,8 @@ let stats_cmd =
       value & flag
       & info [ "postcards" ]
           ~doc:
-            "Also print the INT postcard sink's per-flow summaries \
-             (implies --level journeys).")
+            "Also print the INT per-flow summaries of every packet's hop \
+             records (implies --level journeys).")
   in
   let run strategy extended packets level json n_journeys entries engine
       prometheus jsonl postcards =

@@ -7,8 +7,8 @@ type t = {
   level : Telemetry.Level.t;
   reg : Telemetry.Registry.t;
   ring : Telemetry.Journey.t Telemetry.Ring.t;
-  (* INT postcard sink: per-flow aggregation of the per-hop records
-     journeys carry; sized like the flight recorder. *)
+  (* INT per-flow aggregate over every journey recorded here — unlike
+     the ring, it forgets no packet. *)
   sink : Telemetry.Int_report.t;
   mutable next_id : int;
 }
@@ -20,7 +20,7 @@ let create ?(ring_capacity = default_ring_capacity) level =
     level;
     reg = Telemetry.Registry.create ();
     ring = Telemetry.Ring.create ring_capacity;
-    sink = Telemetry.Int_report.create ~ring_capacity ();
+    sink = Telemetry.Int_report.create ();
     next_id = 0;
   }
 
@@ -126,8 +126,23 @@ let verdict_string = function
   | Asic.Chip.Dropped -> "dropped"
   | Asic.Chip.To_cpu _ -> "to_cpu"
 
-let record_journey t j = Telemetry.Ring.push t.ring j
+let record_journey t j =
+  Telemetry.Ring.push t.ring j;
+  Telemetry.Int_report.push t.sink j
+
 let journeys t = Telemetry.Ring.to_list t.ring
+
+(* A shard's journeys were already folded into its own INT aggregate,
+   so they re-enter only the ring here; the aggregates merge
+   field-wise. *)
+let merge ~into src =
+  Telemetry.Registry.merge ~into:into.reg src.reg;
+  List.iter
+    (fun j ->
+      Telemetry.Ring.push into.ring
+        { j with Telemetry.Journey.id = next_journey_id into })
+    (journeys src);
+  Telemetry.Int_report.merge ~into:into.sink src.sink
 
 (* Copy the live table tallies (kept in each table's entry store, where
    the lookup paths can bump them cheaply) into registry counters so a

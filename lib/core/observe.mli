@@ -18,9 +18,8 @@ val registry : t -> Telemetry.Registry.t
 val ring : t -> Telemetry.Journey.t Telemetry.Ring.t
 
 val int_sink : t -> Telemetry.Int_report.t
-(** The observer's INT postcard sink: at [Journeys], the runtime turns
-    every packet's per-hop records into a postcard here, keyed by the
-    packet's 5-tuple. Ring capacity matches the flight recorder's. *)
+(** The observer's INT per-flow aggregate: every journey
+    {!record_journey} takes is folded in here, keyed by its flow. *)
 
 val attach :
   registry:Telemetry.Registry.t -> level:Telemetry.Level.t -> Asic.Chip.t -> unit
@@ -51,8 +50,18 @@ val hops_of_result : Asic.Chip.result -> Telemetry.Journey.hop list
 val verdict_string : Asic.Chip.verdict -> string
 val next_journey_id : t -> int
 val record_journey : t -> Telemetry.Journey.t -> unit
+(** Push a journey into the flight recorder and fold it into the INT
+    aggregate ({!int_sink}). *)
+
 val journeys : t -> Telemetry.Journey.t list
 (** Flight-recorder contents, oldest first. *)
+
+val merge : into:t -> t -> unit
+(** Fold a shard observer into this one: registry counters and
+    histograms sum ({!Telemetry.Registry.merge}), the shard's retained
+    journeys re-enter this flight recorder with fresh ids, and the INT
+    aggregates merge ({!Telemetry.Int_report.merge}). [src] is not
+    modified. *)
 
 val sync_tables : t -> Asic.Chip.t -> unit
 (** Copy live per-table hit/miss tallies into registry counters

@@ -89,15 +89,18 @@ type obs_state = {
   h_alloc_w : Telemetry.Histogram.t;  (* words allocated per packet *)
 }
 
+type factory = Asic.Chip.t -> State_store.t option -> handler
+
 type t = {
   compiled : Compiler.t;
   (* The chip this runtime injects into: the compiled chip for the
      primary runtime, a [Chip.replicate] clone for a shard runtime. *)
   chip : Asic.Chip.t;
-  handlers : (string, handler) Hashtbl.t;
-  (* Chip-bound handler factories, kept so shard replicas can re-bind
-     each handler to their own chip's table handles. *)
-  chip_handlers : (string, Asic.Chip.t -> handler) Hashtbl.t;
+  (* The one handler registry, shared with shard replicas: each NF's
+     factory, applied to the chip and state store a handler serves. *)
+  handlers : (string, factory) Hashtbl.t;
+  (* [handlers] bound to this runtime's chip and shard-0 store. *)
+  bound : (string, handler) Hashtbl.t;
   nf_ids : (int, string) Hashtbl.t;
   (* (path_id, service_index) -> reinjection pipeline, precomputed from
      the branching plan and the layout so per-CPU-reinject dispatch is a
@@ -114,9 +117,6 @@ type t = {
      [No_state]. Shard d's replica runtime carries [stores.(d)] alone;
      the primary's handlers bind [stores.(0)]. *)
   mutable stores : State_store.t array;
-  (* Store-aware handler factories, re-bound (like [chip_handlers])
-     whenever the chip or the store a handler serves changes. *)
-  state_handlers : (string, Asic.Chip.t -> State_store.t option -> handler) Hashtbl.t;
   (* Control-plane update queue, drained onto the primary chip at batch
      boundaries. Shard replicas carry a fresh (never-submitted-to)
      queue — ops always target the primary. *)
@@ -273,43 +273,42 @@ let enable_obs t level ring_capacity =
 let primary_store t =
   if Array.length t.stores = 0 then None else Some t.stores.(0)
 
-(* Re-apply every store-aware factory against the primary chip and the
-   primary (shard-0) store — run after any store-array replacement so
-   sequential-path handlers never hold a dropped store. *)
-let rebind_state_handlers t =
-  Hashtbl.iter
-    (fun nf factory -> Hashtbl.replace t.handlers nf (factory t.chip (primary_store t)))
-    t.state_handlers
+let bind t nf factory =
+  Hashtbl.replace t.bound nf (factory t.chip (primary_store t))
+
+(* Re-bind every registered factory — run whenever the store array is
+   replaced (and once per replica), so no handler holds a dropped
+   store or another runtime's chip. *)
+let bind_handlers t = Hashtbl.iter (bind t) t.handlers
+
+(* The one shard lifecycle: bring the store array to [n] shards under
+   the engine's state knob. An unchanged layout keeps the stores
+   (entries, stats, clock) alive; a different shard count re-homes
+   every entry to its new owner shard. *)
+let reshard t n =
+  match Engine.store_config t.engine.Engine.state with
+  | Some cfg when Array.length t.stores <> n ->
+      let fresh = Array.init n (fun _ -> State_store.create cfg) in
+      State_store.migrate ~from:t.stores ~into:fresh;
+      t.stores <- fresh;
+      bind_handlers t
+  | Some _ | None -> ()
 
 let configure t (e : Engine.t) =
   let e = { e with Engine.domains = max 1 e.Engine.domains } in
   let prev = t.engine in
   t.engine <- e;
   Asic.Chip.set_exec_mode t.chip e.Engine.exec_mode;
-  (* State-store transitions: an unchanged knob at an unchanged shard
-     count keeps the stores (entries, stats, clock) alive; a shard
-     count change under an unchanged knob re-homes every entry to its
-     new owner shard ([State_store.migrate]); any knob change starts
-     fresh, mirroring the cache's semantics. *)
-  (match
-     ( Engine.store_config prev.Engine.state,
-       Engine.store_config e.Engine.state )
-   with
-  | None, None -> ()
-  | Some a, Some b when a = b && Array.length t.stores = e.Engine.domains -> ()
-  | _, None ->
-      if Array.length t.stores > 0 then begin
-        t.stores <- [||];
-        rebind_state_handlers t
-      end
-  | Some a, Some b when a = b && Array.length t.stores > 0 ->
-      let fresh = Array.init e.Engine.domains (fun _ -> State_store.create b) in
-      State_store.migrate ~from:t.stores ~into:fresh;
-      t.stores <- fresh;
-      rebind_state_handlers t
-  | _, Some b ->
-      t.stores <- Array.init e.Engine.domains (fun _ -> State_store.create b);
-      rebind_state_handlers t);
+  (* A changed state knob starts from empty stores, mirroring the
+     cache's semantics; [reshard] then builds the new layout. *)
+  if
+    Engine.store_config prev.Engine.state <> Engine.store_config e.Engine.state
+    && Array.length t.stores > 0
+  then begin
+    t.stores <- [||];
+    bind_handlers t
+  end;
+  reshard t e.Engine.domains;
   (* Re-attach only when an observation knob changed: reconfiguring
      exec_mode or domains must not wipe accumulated counters. *)
   let reattach =
@@ -340,25 +339,33 @@ let configure t (e : Engine.t) =
       Option.iter Flow_cache.detach t.cache;
       t.cache <- Some (Flow_cache.create ~capacity t.chip)
 
-let create ?(engine = Engine.default) compiled =
+(* The one constructor, behind [create] and [replica_of]: the engine
+   starts as [engine] itself, so [configure] only builds what is
+   missing — observer, cache and, when [stores] is empty, the stores. *)
+let make ~compiled ~chip ~handlers ~nf_ids ~reinject ~stores engine =
   let t =
     {
       compiled;
-      chip = compiled.Compiler.chip;
-      handlers = Hashtbl.create 8;
-      chip_handlers = Hashtbl.create 8;
-      nf_ids = Hashtbl.create 8;
-      reinject = build_reinject_map compiled;
-      engine = Engine.default;
+      chip;
+      handlers;
+      bound = Hashtbl.create 8;
+      nf_ids;
+      reinject;
+      engine;
       obs = None;
       cache = None;
-      stores = [||];
-      state_handlers = Hashtbl.create 8;
+      stores;
       ctrl = Ctrl.queue ();
     }
   in
   configure t engine;
+  bind_handlers t;
   t
+
+let create ?(engine = Engine.default) compiled =
+  make ~compiled ~chip:compiled.Compiler.chip ~handlers:(Hashtbl.create 8)
+    ~nf_ids:(Hashtbl.create 8) ~reinject:(build_reinject_map compiled)
+    ~stores:[||] engine
 
 let engine t = t.engine
 let flow_cache t = t.cache
@@ -368,15 +375,9 @@ let state_store t = primary_store t
 let advance_state_time t ns =
   Array.fold_left (fun acc s -> acc + State_store.advance s ns) 0 t.stores
 
-let on_to_cpu t nf handler = Hashtbl.replace t.handlers nf handler
-
-let on_to_cpu_chip t nf factory =
-  Hashtbl.replace t.chip_handlers nf factory;
-  Hashtbl.replace t.handlers nf (factory t.chip)
-
 let on_to_cpu_state t nf factory =
-  Hashtbl.replace t.state_handlers nf factory;
-  Hashtbl.replace t.handlers nf (factory t.chip (primary_store t))
+  Hashtbl.replace t.handlers nf factory;
+  bind t nf factory
 
 let register_nf_id t nf id = Hashtbl.replace t.nf_ids id nf
 
@@ -449,9 +450,9 @@ let find_handler t sfc =
       | Some nf_id -> (
           match Hashtbl.find_opt t.nf_ids nf_id with
           | None -> None
-          | Some nf -> Hashtbl.find_opt t.handlers nf))
+          | Some nf -> Hashtbl.find_opt t.bound nf))
 
-(* The INT postcard's flow key: the canonical 5-tuple rendering when the
+(* The journey's flow key: the canonical 5-tuple rendering when the
    frame parses, else the arrival port — same fallback the shard hash
    uses, so unparseable traffic aggregates per port. *)
 let flow_key ~in_port frame =
@@ -617,22 +618,13 @@ let process t ~in_port frame =
           Observe.record_journey os.o
             {
               Telemetry.Journey.id = Observe.next_journey_id os.o;
+              flow = flow_key ~in_port frame;
               in_port;
               verdict;
               cpu_round_trips = rounds;
               recircs;
               resubmits;
               latency_ns = latency;
-              wall_ns = wall;
-              hops;
-            };
-          (* The same hop records, reported INT-postcard-style: keyed by
-             flow and folded into the per-flow aggregate. *)
-          Telemetry.Int_report.push (Observe.int_sink os.o)
-            {
-              Telemetry.Int_report.flow = flow_key ~in_port frame;
-              in_port;
-              verdict;
               wall_ns = wall;
               hops;
             }));
@@ -690,6 +682,9 @@ let process_batch ?each t pkts =
      runtime's chip before any packet of this batch runs. Outcomes land
      in the queue's result log. *)
   ignore (sync t);
+  (* Sequential handlers serve every flow from the shard-0 store, so
+     the stores must be one shard here. *)
+  reshard t 1;
   (* Allocation accounting brackets the packet loop (after the ctrl
      drain, so control-plane work is not billed to packets). The
      per-packet figure includes whatever observation itself allocates —
@@ -790,56 +785,21 @@ let shard_of_packet ~domains in_port frame =
         | None -> (in_port land max_int) mod domains)
 
 (* A shard runtime: a share-nothing chip replica, the same compiled
-   metadata (read-only during a batch), chip-bound handlers re-bound to
-   the replica's table handles, and — when the parent observes — a
-   private observer whose registry merges back after the run. *)
+   metadata (read-only during a batch), the handler registry bound to
+   the replica's table handles, and — per the parent's engine — a
+   private observer and flow cache armed on the replica chip. Replica
+   chips die with the batch, but shard d's state store carries across
+   batches: a punt-installed session outlives the replica that
+   installed it, and its eviction callback (bound to this batch's
+   replica table) keeps the live chip in step. *)
 let replica_of t d =
   match Asic.Chip.replicate t.chip with
   | Error e -> failwith ("Runtime.process_batch_parallel: " ^ e)
-  | Ok rchip ->
-      (* The shard's persistent store: replica chips die with the
-         batch, but shard d's state store carries across batches — a
-         punt-installed session outlives the replica that installed
-         it, and its eviction callback (re-bound below to this batch's
-         replica table) keeps the live chip in step. *)
-      let store =
-        if Array.length t.stores = 0 then None
-        else Some t.stores.(d mod Array.length t.stores)
-      in
-      let rt =
-        {
-          compiled = t.compiled;
-          chip = rchip;
-          handlers = Hashtbl.copy t.handlers;
-          chip_handlers = t.chip_handlers;
-          nf_ids = t.nf_ids;
-          reinject = t.reinject;
-          engine = { t.engine with Engine.domains = 1 };
-          obs = None;
-          cache = None;
-          stores = (match store with None -> [||] | Some s -> [| s |]);
-          state_handlers = t.state_handlers;
-          ctrl = Ctrl.queue ();
-        }
-      in
-      Hashtbl.iter
-        (fun nf factory -> Hashtbl.replace rt.handlers nf (factory rchip))
-        t.chip_handlers;
-      Hashtbl.iter
-        (fun nf factory -> Hashtbl.replace rt.handlers nf (factory rchip store))
-        t.state_handlers;
-      (match t.engine.Engine.telemetry with
-      | Telemetry.Level.Off -> ()
-      | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
-          enable_obs rt level t.engine.Engine.ring_capacity);
-      (* Each shard gets a private cache armed on its own replica chip:
-         the recorder hooks and the entries both belong to exactly one
-         domain, so shards never observe each other's state. *)
-      (match t.engine.Engine.cache with
-      | Engine.Off -> ()
-      | Engine.Emc { capacity } ->
-          rt.cache <- Some (Flow_cache.create ~capacity rchip));
-      rt
+  | Ok chip ->
+      make ~compiled:t.compiled ~chip ~handlers:t.handlers ~nf_ids:t.nf_ids
+        ~reinject:t.reinject
+        ~stores:(if Array.length t.stores = 0 then [||] else [| t.stores.(d) |])
+        { t.engine with Engine.domains = 1 }
 
 (* Shard-major merge. The combined digest chains the per-shard digests
    in shard order through CRC-32: deterministic for a fixed [domains]
@@ -896,17 +856,9 @@ let process_batch_parallel ?domains ?each t pkts =
        every shard of this batch then clones the same post-update
        state — the replica-coherence point. *)
     ignore (sync t);
-    (* An explicit [?domains] that disagrees with the live store layout
-       is a re-shard: re-home the entries first so shard d's packets
-       meet shard d's state (and no two domains ever share a store). *)
-    (if Array.length t.stores > 0 && Array.length t.stores <> domains then
-       match Engine.store_config t.engine.Engine.state with
-       | None -> ()
-       | Some cfg ->
-           let fresh = Array.init domains (fun _ -> State_store.create cfg) in
-           State_store.migrate ~from:t.stores ~into:fresh;
-           t.stores <- fresh;
-           rebind_state_handlers t);
+    (* Re-home the entries first so shard d's packets meet shard d's
+       state (and no two domains ever share a store). *)
+    reshard t domains;
     let buckets = Array.make domains [] in
     List.iteri
       (fun i (in_port, frame) ->
@@ -931,37 +883,18 @@ let process_batch_parallel ?domains ?each t pkts =
             (Array.to_list (Array.map (fun (_, p, f) -> (p, f)) sh)))
     in
     let per_shard = Dpool.run ~domains tasks in
-    (match t.obs with
-    | None -> ()
-    | Some os ->
-        Array.iter
-          (fun rt ->
-            match rt.obs with
-            | None -> ()
-            | Some ros ->
-                (* Table tallies fold into the primary chip's live stats
-                   (so a later snapshot's sync_tables sees them); pure
-                   registry counters and histograms merge directly;
-                   journeys re-enter the primary ring with fresh ids. *)
-                Asic.Chip.merge_stats ~into:t.chip rt.chip;
-                Telemetry.Registry.merge
-                  ~into:(Observe.registry os.o)
-                  (Observe.registry ros.o);
-                List.iter
-                  (fun j ->
-                    Observe.record_journey os.o
-                      {
-                        j with
-                        Telemetry.Journey.id = Observe.next_journey_id os.o;
-                      })
-                  (Observe.journeys ros.o);
-                (* Per-flow INT aggregates fold field-wise; flow
-                   affinity means a flow's summary lives on exactly one
-                   shard, so the fold never double-counts a flow. *)
-                Telemetry.Int_report.merge
-                  ~into:(Observe.int_sink os.o)
-                  (Observe.int_sink ros.o))
-          replicas);
+    Array.iter
+      (fun rt ->
+        match (t.obs, rt.obs) with
+        | Some os, Some ros ->
+            (* Table tallies fold into the primary chip's live stats (so
+               a later snapshot's sync_tables sees them). Flow affinity
+               means a flow's INT summary lives on exactly one shard, so
+               the observer merge never double-counts a flow. *)
+            Asic.Chip.merge_stats ~into:t.chip rt.chip;
+            Observe.merge ~into:os.o ros.o
+        | _ -> ())
+      replicas;
     (match t.cache with
     | None -> ()
     | Some root ->
@@ -1006,34 +939,16 @@ let sync_gauges t =
       if Array.length t.stores > 0 then begin
         set "state.stores" (Array.length t.stores);
         set "state.capacity" (State_store.config t.stores.(0)).State_store.capacity;
-        let acc = Hashtbl.create 8 in
-        Array.iter
-          (fun store ->
-            List.iter
-              (fun (name, occupancy, (s : State_store.table_stats)) ->
-                let o, h, m, i, e, x =
-                  Option.value ~default:(0, 0, 0, 0, 0, 0)
-                    (Hashtbl.find_opt acc name)
-                in
-                Hashtbl.replace acc name
-                  ( o + occupancy,
-                    h + s.State_store.hits,
-                    m + s.State_store.misses,
-                    i + s.State_store.inserts,
-                    e + s.State_store.evictions,
-                    x + s.State_store.expirations ))
-              (State_store.per_table store))
-          t.stores;
-        Hashtbl.iter
-          (fun name (o, h, m, i, e, x) ->
+        List.iter
+          (fun (name, occupancy, (s : State_store.table_stats)) ->
             let g metric v = set (Printf.sprintf "state.%s.%s" name metric) v in
-            g "occupancy" o;
-            g "hits" h;
-            g "misses" m;
-            g "inserts" i;
-            g "evictions" e;
-            g "expirations" x)
-          acc
+            g "occupancy" occupancy;
+            g "hits" s.State_store.hits;
+            g "misses" s.State_store.misses;
+            g "inserts" s.State_store.inserts;
+            g "evictions" s.State_store.evictions;
+            g "expirations" s.State_store.expirations)
+          (State_store.totals t.stores)
       end;
       set "ctrl.pending" (Ctrl.pending t.ctrl);
       let sink = Observe.int_sink os.o in

@@ -106,28 +106,20 @@ val advance_state_time : t -> int64 -> int
     never advances implicitly, so runs that tick at the same points
     age identically — digests stay comparable. *)
 
-val on_to_cpu : t -> string -> handler -> unit
-(** Register the handler for an NF (keyed by the [ctx_key_cpu_reason]
-    context value carrying the NF's id). The handler is shared as-is
-    with shard replicas in parallel runs, so it must not capture chip
-    state (table handles, registers) — use {!on_to_cpu_chip} for
-    that. *)
-
-val on_to_cpu_chip : t -> string -> (Asic.Chip.t -> handler) -> unit
-(** Register a chip-bound handler factory: the factory is applied to
-    this runtime's chip now, and re-applied to each replica chip when a
-    parallel batch spins up shard runtimes — so a handler that installs
-    into a table (found via {!Asic.Chip.find_table}) always installs
-    into the chip that punted the packet. *)
-
 val on_to_cpu_state : t -> string -> (Asic.Chip.t -> State_store.t option -> handler) -> unit
-(** Like {!on_to_cpu_chip}, but the factory also receives the state
-    store serving the handler's shard ([None] when the engine's
-    [state] knob is [No_state]): the primary store now, shard [d]'s
-    store on shard [d]'s replica, and again whenever [configure]
-    replaces the store array — so an NF's punt handler can record
-    per-flow state in the store (and mirror the store's evictions
-    into its chip table) without ever holding a stale handle. *)
+(** Register the handler factory for an NF (keyed by the
+    [ctx_key_cpu_reason] context value carrying the NF's id). The
+    factory receives the chip that punted and the state store serving
+    that chip's shard ([None] when the engine's [state] knob is
+    [No_state]): this runtime's chip and primary store now, each
+    replica chip with shard [d]'s store when a parallel batch spins up
+    shard runtimes, and again whenever the store array is replaced —
+    so a handler that installs into a table (found via
+    {!Asic.Chip.find_table}) always installs into the chip that
+    punted the packet, and can record per-flow state in the store
+    (and mirror the store's evictions into its chip table) without
+    ever holding a stale handle. A handler that needs neither ignores
+    both arguments. *)
 
 val register_nf_id : t -> string -> int -> unit
 (** Associate an NF name with the id it writes into the CPU-reason
@@ -205,11 +197,12 @@ val telemetry : t -> Observe.t option
 val telemetry_level : t -> Telemetry.Level.t
 
 val int_sink : t -> Telemetry.Int_report.t option
-(** The INT postcard sink, when telemetry is on. Populated at
-    [Journeys]: every processed packet's per-hop records enter as one
-    postcard keyed by its 5-tuple (per-flow summaries, bounded ring of
-    recent postcards). Shard sinks merge back after parallel
-    batches. *)
+(** The INT per-flow aggregate, when telemetry is on. Populated at
+    [Journeys]: every processed packet's journey is folded into its
+    flow's summary (keyed by the 5-tuple) as it enters the flight
+    recorder. Shard aggregates merge back after parallel batches, so
+    its counts cover every packet — not only the journeys the flight
+    recorder still holds. *)
 
 val snapshot : t -> Telemetry.Registry.snapshot option
 (** The observability front door: sync the chip's live table tallies
@@ -255,7 +248,9 @@ val process_batch :
 (** Run [(in_port, frame)] packets through {!process} in order,
     aggregating counters. Per-packet errors are counted (and folded into
     the digest), not raised. [each] observes every packet's result with
-    its position in the input list. *)
+    its position in the input list. Under a [Bounded] state knob the
+    stores are first re-sharded to one ({!State_store.migrate}), since
+    the sequential handlers serve every flow from the primary store. *)
 
 val shard_of_packet : domains:int -> int -> Bytes.t -> int
 (** The flow-affinity shard of an [(in_port, frame)] packet: CRC-32 of
@@ -274,10 +269,13 @@ val process_batch_parallel :
 (** Shard the batch by {!shard_of_packet} and run every shard on its own
     OCaml domain against a private {!Asic.Chip.replicate} clone of the
     chip (share-nothing: table entries and register cells are deep
-    copies; chip-bound handlers from {!on_to_cpu_chip} re-bind to the
-    replica). [domains] defaults to the engine's; [domains:1] is exactly
-    {!process_batch} — same digest, same state persistence on the
-    primary chip.
+    copies; the factories from {!on_to_cpu_state} re-bind to the
+    replica and its shard's store). [domains] defaults to the engine's;
+    [domains:1] is exactly {!process_batch} — same digest, same state
+    persistence on the primary chip. Under a [Bounded] state knob the
+    stores are first re-sharded to [domains] — whether that count came
+    from the engine or from [?domains] — so each shard's packets meet
+    their own flows' state.
 
     Determinism contract: flow affinity gives every flow one owner
     domain processing its packets in arrival order, so per-packet
@@ -290,11 +288,12 @@ val process_batch_parallel :
     run — control-plane installs during a parallel batch do not persist
     on the primary chip, which is what keeps repeated runs identical.
 
-    With telemetry on, each shard gets a private observer; counters and
-    histograms merge back into this runtime's registry afterwards
-    ({!Telemetry.Registry.merge}), table tallies fold into the primary
-    chip's live stats, and shard journeys re-enter the primary flight
-    recorder with fresh ids.
+    With telemetry on, each shard gets a private observer, folded back
+    afterwards by {!Observe.merge}: counters and histograms merge into
+    this runtime's registry, shard journeys re-enter the primary flight
+    recorder with fresh ids, and the per-flow INT aggregates merge
+    (see {!int_sink}). Table tallies fold into the primary chip's live
+    stats.
 
     [each] runs on worker domains (for distinct packet indices,
     concurrently) — it must tolerate that, e.g. by writing to distinct

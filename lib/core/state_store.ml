@@ -319,10 +319,33 @@ let fold f tt acc =
 
 let stats tt = tt.tb.tstats
 
-let per_table t =
-  List.map
-    (fun tb -> (tb.tname, Hashtbl.length tb.h, tb.tstats))
-    (sorted_tbls t)
+let totals stores =
+  let acc = Hashtbl.create 8 in
+  Array.iter
+    (fun t ->
+      Hashtbl.iter
+        (fun name tb ->
+          let occ, (s : table_stats) =
+            Option.value (Hashtbl.find_opt acc name)
+              ~default:(0, { hits = 0; misses = 0; inserts = 0; evictions = 0; expirations = 0 })
+          in
+          let x = tb.tstats in
+          Hashtbl.replace acc name
+            ( occ + Hashtbl.length tb.h,
+              {
+                hits = s.hits + x.hits;
+                misses = s.misses + x.misses;
+                inserts = s.inserts + x.inserts;
+                evictions = s.evictions + x.evictions;
+                expirations = s.expirations + x.expirations;
+              } ))
+        t.tbls)
+    stores;
+  List.sort
+    (fun (a, _, _) (b, _, _) -> String.compare a b)
+    (Hashtbl.fold (fun name (occ, s) l -> (name, occ, s) :: l) acc [])
+
+let per_table t = totals [| t |]
 
 (* --- snapshot / restore --- *)
 

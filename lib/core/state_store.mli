@@ -114,10 +114,14 @@ type table_stats = {
 
 val stats : ('k, 'v) table -> table_stats
 
+val totals : t array -> (string * int * table_stats) list
+(** Every table's (name, occupancy, stats) summed across the given
+    shard stores, sorted by name — the fold-back behind the runtime's
+    [state.*] telemetry gauges and the CLI/bench ledger reports. The
+    stats are fresh records, not live ones. *)
+
 val per_table : t -> (string * int * table_stats) list
-(** Every table's (name, occupancy, stats), sorted by name — what the
-    runtime sums across shard stores into the [state.*] telemetry
-    gauges. *)
+(** {!totals} of one store. *)
 
 (** {2 Snapshot / restore (warm restart)} *)
 

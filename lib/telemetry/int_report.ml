@@ -1,15 +1,7 @@
-(* The postcard sink: a flight-recorder ring of full per-packet hop
-   reports plus a capped per-flow aggregation table. Everything is
-   plain data — the runtime owns one sink per observer and merges
-   shard sinks after a parallel batch, so no locking here. *)
-
-type postcard = {
-  flow : string;
-  in_port : int;
-  verdict : string;
-  wall_ns : int;
-  hops : Journey.hop list;
-}
+(* The INT per-flow aggregate: every journey pushed in folds into its
+   flow's summary, and the flow table is capped. Everything is plain
+   data — the runtime owns one aggregate per observer and merges shard
+   aggregates after a parallel batch, so no locking here. *)
 
 type summary = {
   flow : string;
@@ -23,29 +15,24 @@ type summary = {
 }
 
 type t = {
-  ring : postcard Ring.t;
   table : (string, summary) Hashtbl.t;
   max_flows : int;
   mutable dropped : int;
+  mutable pushed : int;
 }
 
 let default_max_flows = 1024
 
-let create ?(max_flows = default_max_flows) ~ring_capacity () =
-  {
-    ring = Ring.create (max 1 ring_capacity);
-    table = Hashtbl.create 64;
-    max_flows = max 1 max_flows;
-    dropped = 0;
-  }
+let create ?(max_flows = default_max_flows) () =
+  { table = Hashtbl.create 64; max_flows = max 1 max_flows; dropped = 0; pushed = 0 }
 
-let bump_verdict s v =
+let add_verdict verdicts v n =
   let rec go = function
-    | [] -> [ (v, 1) ]
-    | (k, n) :: rest when k = v -> (k, n + 1) :: rest
+    | [] -> [ (v, n) ]
+    | (k, m) :: rest when k = v -> (k, m + n) :: rest
     | kv :: rest -> kv :: go rest
   in
-  s.verdicts <- go s.verdicts
+  go verdicts
 
 (* The depth a walk reached is the last hop's depth counters; hop lists
    are short (pass_limit-bounded), so the List walk is fine here. *)
@@ -54,45 +41,48 @@ let depths hops =
   | [] -> (0, 0)
   | h :: _ -> (h.Journey.recirc_depth, h.Journey.resubmit_depth)
 
-let aggregate s (p : postcard) =
-  let nhops = List.length p.hops in
+let aggregate s (j : Journey.t) =
+  let nhops = List.length j.hops in
   let lat =
-    List.fold_left (fun a (h : Journey.hop) -> a +. h.Journey.latency_ns) 0.0 p.hops
+    List.fold_left (fun a (h : Journey.hop) -> a +. h.Journey.latency_ns) 0.0 j.hops
   in
-  let recircs, resubmits = depths p.hops in
+  let recircs, resubmits = depths j.hops in
   s.packets <- s.packets + 1;
   s.hops <- s.hops + nhops;
   s.latency_ns <- s.latency_ns +. lat;
   s.max_hops <- max s.max_hops nhops;
   s.recircs <- s.recircs + recircs;
   s.resubmits <- s.resubmits + resubmits;
-  bump_verdict s p.verdict
+  s.verdicts <- add_verdict s.verdicts j.verdict 1
 
-let push t p =
-  Ring.push t.ring p;
-  match Hashtbl.find_opt t.table p.flow with
-  | Some s -> aggregate s p
+(* Find-or-create [flow]'s summary; [None] once the table is full. *)
+let slot t flow =
+  match Hashtbl.find_opt t.table flow with
+  | Some s -> Some s
+  | None when Hashtbl.length t.table >= t.max_flows -> None
   | None ->
-      if Hashtbl.length t.table >= t.max_flows then t.dropped <- t.dropped + 1
-      else begin
-        let s =
-          {
-            flow = p.flow;
-            packets = 0;
-            hops = 0;
-            latency_ns = 0.0;
-            max_hops = 0;
-            recircs = 0;
-            resubmits = 0;
-            verdicts = [];
-          }
-        in
-        Hashtbl.replace t.table p.flow s;
-        aggregate s p
-      end
+      let s =
+        {
+          flow;
+          packets = 0;
+          hops = 0;
+          latency_ns = 0.0;
+          max_hops = 0;
+          recircs = 0;
+          resubmits = 0;
+          verdicts = [];
+        }
+      in
+      Hashtbl.replace t.table flow s;
+      Some s
 
-let pushed t = Ring.pushed t.ring
-let recent t = Ring.to_list t.ring
+let push t (j : Journey.t) =
+  t.pushed <- t.pushed + 1;
+  match slot t j.flow with
+  | Some s -> aggregate s j
+  | None -> t.dropped <- t.dropped + 1
+
+let pushed t = t.pushed
 
 let summaries t =
   let all = Hashtbl.fold (fun _ s acc -> s :: acc) t.table [] in
@@ -107,25 +97,10 @@ let flows t = Hashtbl.length t.table
 let dropped_flows t = t.dropped
 
 let merge ~into src =
-  (* Summaries fold field-wise; ring entries re-enter so "recent
-     postcards" spans all shards (ring capacity still bounds it). *)
   Hashtbl.iter
     (fun flow (s : summary) ->
-      match Hashtbl.find_opt into.table flow with
-      | None when Hashtbl.length into.table >= into.max_flows ->
-          into.dropped <- into.dropped + s.packets
-      | None ->
-          Hashtbl.replace into.table flow
-            {
-              flow;
-              packets = s.packets;
-              hops = s.hops;
-              latency_ns = s.latency_ns;
-              max_hops = s.max_hops;
-              recircs = s.recircs;
-              resubmits = s.resubmits;
-              verdicts = s.verdicts;
-            }
+      match slot into flow with
+      | None -> into.dropped <- into.dropped + s.packets
       | Some d ->
           d.packets <- d.packets + s.packets;
           d.hops <- d.hops + s.hops;
@@ -133,23 +108,16 @@ let merge ~into src =
           d.max_hops <- max d.max_hops s.max_hops;
           d.recircs <- d.recircs + s.recircs;
           d.resubmits <- d.resubmits + s.resubmits;
-          List.iter
-            (fun (v, n) ->
-              let rec go = function
-                | [] -> [ (v, n) ]
-                | (k, m) :: rest when k = v -> (k, m + n) :: rest
-                | kv :: rest -> kv :: go rest
-              in
-              d.verdicts <- go d.verdicts)
-            s.verdicts)
+          d.verdicts <-
+            List.fold_left (fun vs (v, n) -> add_verdict vs v n) d.verdicts s.verdicts)
     src.table;
   into.dropped <- into.dropped + src.dropped;
-  List.iter (Ring.push into.ring) (Ring.to_list src.ring)
+  into.pushed <- into.pushed + src.pushed
 
 let clear t =
-  Ring.clear t.ring;
   Hashtbl.reset t.table;
-  t.dropped <- 0
+  t.dropped <- 0;
+  t.pushed <- 0
 
 let summary_to_json s =
   let verdicts =
@@ -162,24 +130,6 @@ let summary_to_json s =
      \"verdicts\": {%s} }"
     (Json.str s.flow) s.packets s.hops s.max_hops s.latency_ns s.recircs
     s.resubmits verdicts
-
-let postcard_to_json (p : postcard) =
-  let hops =
-    String.concat ", "
-      (List.map
-         (fun (h : Journey.hop) ->
-           Printf.sprintf
-             "{ \"pipelet\": %s, \"latency_ns\": %.1f, \"tables\": %d, \
-              \"recirc_depth\": %d, \"resubmit_depth\": %d }"
-             (Json.str h.Journey.pipelet) h.Journey.latency_ns
-             (List.length h.Journey.tables)
-             h.Journey.recirc_depth h.Journey.resubmit_depth)
-         p.hops)
-  in
-  Printf.sprintf
-    "{ \"flow\": %s, \"in_port\": %d, \"verdict\": %s, \"wall_ns\": %d, \
-     \"hops\": [%s] }"
-    (Json.str p.flow) p.in_port (Json.str p.verdict) p.wall_ns hops
 
 let pp_summaries ppf t =
   let ss = summaries t in

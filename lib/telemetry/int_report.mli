@@ -1,23 +1,15 @@
-(** INT-style postcard reports: one bounded sink per runtime collecting
-    per-packet hop records (the {!Journey.hop} stamps each pipelet pass
-    leaves in the packet's probe metadata) and aggregating them into
-    per-flow summaries — the "postcard" model where every hop's
-    telemetry is reported out-of-band at the end of the packet's walk
-    instead of accumulating in the packet.
+(** INT-style per-flow reports: one bounded aggregate per runtime into
+    which every packet's {!Journey.t} is pushed, folding its per-hop
+    records (the {!Journey.hop} stamps each pipelet pass leaves in the
+    packet's probe metadata) into its flow's summary — the "postcard"
+    model where every hop's telemetry is reported out-of-band at the
+    end of the packet's walk instead of accumulating in the packet.
 
-    The sink is bounded twice: recent postcards live in a fixed ring
-    (old ones fall off), and per-flow aggregation stops accepting new
-    flows at [max_flows] (drops are counted, never silent). *)
+    Per-flow aggregation stops accepting new flows at [max_flows]
+    (drops are counted, never silent). The journeys themselves are
+    retained only by the flight recorder. *)
 
-type postcard = {
-  flow : string;  (** canonical flow key, e.g. the 5-tuple rendering *)
-  in_port : int;
-  verdict : string;
-  wall_ns : int;
-  hops : Journey.hop list;
-}
-
-(** Running aggregate of every postcard a flow produced. *)
+(** Running aggregate of every journey a flow produced. *)
 type summary = {
   flow : string;
   mutable packets : int;
@@ -31,32 +23,30 @@ type summary = {
 
 type t
 
-val create : ?max_flows:int -> ring_capacity:int -> unit -> t
+val create : ?max_flows:int -> unit -> t
 (** [max_flows] defaults to 1024. *)
 
-val push : t -> postcard -> unit
-val pushed : t -> int
-(** Total postcards ever pushed (ring overwrites included). *)
+val push : t -> Journey.t -> unit
+(** Fold one journey into its flow's summary (keyed by
+    [Journey.flow]). *)
 
-val recent : t -> postcard list
-(** Retained postcards, oldest first. *)
+val pushed : t -> int
+(** Total journeys ever pushed, dropped flows included. *)
 
 val summaries : t -> summary list
 (** Per-flow aggregates, most packets first. *)
 
 val flows : t -> int
 val dropped_flows : t -> int
-(** Postcards whose flow could not be aggregated because the flow table
-    was full ([max_flows] reached); their packets still enter the
-    ring. *)
+(** Journeys whose flow could not be aggregated because the flow table
+    was full ([max_flows] reached). *)
 
 val merge : into:t -> t -> unit
-(** Fold a shard replica's sink into the primary: summaries add
-    field-wise, retained postcards re-enter the ring, dropped-flow
-    counts sum. [src] is not modified. *)
+(** Fold a shard replica's aggregate into the primary: summaries add
+    field-wise; pushed and dropped-flow counts sum. [src] is not
+    modified. *)
 
 val clear : t -> unit
 
 val summary_to_json : summary -> string
-val postcard_to_json : postcard -> string
 val pp_summaries : Format.formatter -> t -> unit

@@ -18,6 +18,7 @@ type hop = {
 
 type t = {
   id : int;
+  flow : string;
   in_port : int;
   verdict : string;
   cpu_round_trips : int;
@@ -66,6 +67,7 @@ let to_json ?(indent = 2) t =
   Printf.sprintf
     "{\n\
      %s\"id\": %d,\n\
+     %s\"flow\": %s,\n\
      %s\"in_port\": %d,\n\
      %s\"verdict\": %s,\n\
      %s\"cpu_round_trips\": %d,\n\
@@ -75,17 +77,18 @@ let to_json ?(indent = 2) t =
      %s\"wall_ns\": %d,\n\
      %s\"hops\": [\n%s\n%s]\n\
      }"
-    pad t.id pad t.in_port pad (Json.str t.verdict) pad t.cpu_round_trips pad
-    t.recircs pad t.resubmits pad t.latency_ns pad t.wall_ns pad hops pad
+    pad t.id pad (Json.str t.flow) pad t.in_port pad (Json.str t.verdict) pad
+    t.cpu_round_trips pad t.recircs pad t.resubmits pad t.latency_ns pad
+    t.wall_ns pad hops pad
 
 let list_to_json l =
   "[\n" ^ String.concat ",\n" (List.map (to_json ~indent:2) l) ^ "\n]"
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v 2>journey #%d in_port=%d %s (cpu=%d recircs=%d resubmits=%d \
+    "@[<v 2>journey #%d %s in_port=%d %s (cpu=%d recircs=%d resubmits=%d \
      latency=%.0fns wall=%dns)@,"
-    t.id t.in_port t.verdict t.cpu_round_trips t.recircs t.resubmits
+    t.id t.flow t.in_port t.verdict t.cpu_round_trips t.recircs t.resubmits
     t.latency_ns t.wall_ns;
   List.iter
     (fun h ->

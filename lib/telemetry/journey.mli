@@ -1,6 +1,9 @@
-(** One packet's journey through the chip: the per-pass hops (pipelet,
-    tables applied with the action that ran, NF blocks entered, parsed
-    headers, SFC position), plus the end-to-end verdict and counters.
+(** One packet's journey through the chip — the one per-packet hop
+    record, feeding both the flight recorder and the INT per-flow
+    aggregate ({!Int_report}): the per-pass hops (pipelet, tables
+    applied with the action that ran, NF blocks entered, parsed
+    headers, SFC position), plus the flow key, end-to-end verdict and
+    counters.
     Everything is plain strings/ints so the data plane layers can fill
     it in without this library knowing their types. *)
 
@@ -30,6 +33,9 @@ type hop = {
 
 type t = {
   id : int;  (** recorder sequence number *)
+  flow : string;
+      (** canonical flow key — the 5-tuple rendering, or ["port:<n>"]
+          for frames without one; what {!Int_report} aggregates by *)
   in_port : int;
   verdict : string;
       (** "emitted:<port>", "dropped", "to_cpu" or "error:<msg>" *)

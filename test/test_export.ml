@@ -1,6 +1,6 @@
 (* Exporter and INT-report tests: Prometheus golden rendering and the
    parse round-trip, JSON-lines shape, windowed rate math, the INT
-   postcard sink's bounds/aggregation/merge, and the QCheck property
+   per-flow aggregate's bounds/aggregation/merge, and the QCheck property
    pinning fast-mode INT hop records to the reference interpreter's
    trace segmentation. *)
 
@@ -216,7 +216,7 @@ let test_window_rates () =
   check Alcotest.int "zero-span rates" 0
     (List.length (Telemetry.Export.Window.rates w0))
 
-(* --- INT postcard sink ------------------------------------------------ *)
+(* --- INT per-flow aggregate ------------------------------------------- *)
 
 let hop ?(recirc = 0) ?(resubmit = 0) lat =
   {
@@ -230,29 +230,30 @@ let hop ?(recirc = 0) ?(resubmit = 0) lat =
     meta = Telemetry.Journey.no_meta;
   }
 
-let postcard ?(verdict = "emitted:1") flow hops =
-  { Telemetry.Int_report.flow; in_port = 0; verdict; wall_ns = 10; hops }
+let journey ?(verdict = "emitted:1") flow hops =
+  {
+    Telemetry.Journey.id = 0;
+    flow;
+    in_port = 0;
+    verdict;
+    cpu_round_trips = 0;
+    recircs = 0;
+    resubmits = 0;
+    latency_ns = 0.0;
+    wall_ns = 10;
+    hops;
+  }
 
 let test_int_sink_bounds () =
-  let t = Telemetry.Int_report.create ~max_flows:2 ~ring_capacity:2 () in
-  Telemetry.Int_report.push t (postcard "A" [ hop 100.0; hop 50.0 ]);
-  Telemetry.Int_report.push t (postcard "A" [ hop 100.0; hop 50.0 ]);
-  Telemetry.Int_report.push t (postcard "B" [ hop 30.0 ]);
-  Telemetry.Int_report.push t (postcard "C" [ hop 7.0 ]);
+  let t = Telemetry.Int_report.create ~max_flows:2 () in
+  Telemetry.Int_report.push t (journey "A" [ hop 100.0; hop 50.0 ]);
+  Telemetry.Int_report.push t (journey "A" [ hop 100.0; hop 50.0 ]);
+  Telemetry.Int_report.push t (journey "B" [ hop 30.0 ]);
+  Telemetry.Int_report.push t (journey "C" [ hop 7.0 ]);
   check Alcotest.int "every push counted" 4 (Telemetry.Int_report.pushed t);
   check Alcotest.int "flow table capped" 2 (Telemetry.Int_report.flows t);
   check Alcotest.int "overflow flow counted, not silent" 1
     (Telemetry.Int_report.dropped_flows t);
-  (* The ring still kept C's postcard even though its flow was dropped
-     from aggregation. *)
-  let recent = Telemetry.Int_report.recent t in
-  check Alcotest.int "ring keeps the last 2" 2 (List.length recent);
-  check
-    (Alcotest.list Alcotest.string)
-    "oldest first" [ "B"; "C" ]
-    (List.map
-       (fun (p : Telemetry.Int_report.postcard) -> p.Telemetry.Int_report.flow)
-       recent);
   (match Telemetry.Int_report.summaries t with
   | (a : Telemetry.Int_report.summary) :: _ ->
       check Alcotest.string "most packets first" "A"
@@ -276,16 +277,16 @@ let test_int_sink_bounds () =
   check Alcotest.bool "summary json has the flow" true (has ~sub:"\"A\"" js);
   Telemetry.Int_report.clear t;
   check Alcotest.int "clear empties flows" 0 (Telemetry.Int_report.flows t);
-  check Alcotest.int "clear empties the ring" 0
-    (List.length (Telemetry.Int_report.recent t))
+  check Alcotest.int "clear resets the push count" 0
+    (Telemetry.Int_report.pushed t)
 
 let test_int_sink_merge () =
-  let a = Telemetry.Int_report.create ~max_flows:16 ~ring_capacity:8 () in
-  let b = Telemetry.Int_report.create ~max_flows:16 ~ring_capacity:8 () in
-  Telemetry.Int_report.push a (postcard "X" [ hop 10.0 ]);
-  Telemetry.Int_report.push a (postcard "Y" [ hop ~recirc:1 20.0 ]);
-  Telemetry.Int_report.push b (postcard "X" [ hop 30.0 ]);
-  Telemetry.Int_report.push b (postcard "Z" [ hop 40.0 ]);
+  let a = Telemetry.Int_report.create ~max_flows:16 () in
+  let b = Telemetry.Int_report.create ~max_flows:16 () in
+  Telemetry.Int_report.push a (journey "X" [ hop 10.0 ]);
+  Telemetry.Int_report.push a (journey "Y" [ hop ~recirc:1 20.0 ]);
+  Telemetry.Int_report.push b (journey "X" [ hop 30.0 ]);
+  Telemetry.Int_report.push b (journey "Z" [ hop 40.0 ]);
   Telemetry.Int_report.merge ~into:a b;
   check Alcotest.int "union of flows" 3 (Telemetry.Int_report.flows a);
   let x =
@@ -298,8 +299,7 @@ let test_int_sink_merge () =
     x.Telemetry.Int_report.packets;
   check (Alcotest.float 1e-9) "latency summed" 40.0
     x.Telemetry.Int_report.latency_ns;
-  check Alcotest.int "src ring re-pushed" 4
-    (List.length (Telemetry.Int_report.recent a));
+  check Alcotest.int "push counts sum" 4 (Telemetry.Int_report.pushed a);
   (* merge does not disturb the source. *)
   check Alcotest.int "src untouched" 2 (Telemetry.Int_report.flows b)
 
@@ -334,7 +334,7 @@ let frame_of_kind kind i =
       flow ~src:"203.0.113.9" ~dst:Nflib.Catalog.tenant1_vip
         ~src_port:(50000 + (i mod 61)) ~dst_port:80
 
-let runtime_with mode =
+let runtime_with ?(ring_capacity = 128) mode =
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
@@ -345,7 +345,7 @@ let runtime_with mode =
           Runtime.Engine.default with
           Runtime.Engine.exec_mode = mode;
           telemetry = Telemetry.Level.Journeys;
-          ring_capacity = 128;
+          ring_capacity;
         }
       compiled
   in
@@ -378,14 +378,25 @@ let test_int_sink_via_runtime () =
      whole registry round-trips through the Prometheus parser — the CI
      smoke step in miniature. *)
   let snap = Option.get (Runtime.snapshot rt) in
-  (match List.assoc_opt "int.postcards" snap with
-  | Some (Telemetry.Registry.Vcount c) ->
-      check Alcotest.int "int.postcards gauge" n c
-  | _ -> Alcotest.fail "int.postcards gauge missing");
-  match Telemetry.Export.parse_prometheus (Telemetry.Export.prometheus snap)
-  with
+  let postcards what rt n =
+    match List.assoc_opt "int.postcards" (Option.get (Runtime.snapshot rt)) with
+    | Some (Telemetry.Registry.Vcount c) -> check Alcotest.int what n c
+    | _ -> Alcotest.fail "int.postcards gauge missing"
+  in
+  postcards "int.postcards gauge" rt n;
+  (match Telemetry.Export.parse_prometheus (Telemetry.Export.prometheus snap)
+   with
   | Ok metrics -> check Alcotest.bool "exposition non-empty" true (metrics <> [])
-  | Error e -> Alcotest.fail ("runtime snapshot failed to round-trip: " ^ e)
+  | Error e -> Alcotest.fail ("runtime snapshot failed to round-trip: " ^ e));
+  (* Two shards, each with a flight recorder far smaller than its share
+     of the batch: the merged gauge still counts every packet, not only
+     the journeys the recorders retained. *)
+  let rt = runtime_with ~ring_capacity:4 Asic.Chip.Fast in
+  let n = 60 in
+  ignore
+    (Runtime.process_batch_parallel ~domains:2 rt
+       (List.init n (fun i -> (0, frame_of_kind (i mod 3) i))));
+  postcards "int.postcards after a 2-domain batch" rt n
 
 (* --- property: fast-mode hop records = reference segmentation --------- *)
 

@@ -126,7 +126,7 @@ let test_reinject_loop_bounded () =
   let rt = Runtime.create compiled in
   Runtime.register_nf_id rt "lb" (Runtime.default_nf_id "lb");
   let count = ref 0 in
-  Runtime.on_to_cpu rt "lb" (fun _ bytes ->
+  Runtime.on_to_cpu_state rt "lb" (fun _ _ _ bytes ->
       incr count;
       Runtime.Reinject (Runtime.clear_cpu_mark bytes));
   let contains s sub =

@@ -402,6 +402,14 @@ let test_live_reshard_digest_equals_cold () =
   ignore (Runtime.process_batch_parallel live w1);
   check Alcotest.int "two shard stores" 2
     (Array.length (Runtime.state_stores live));
+  (* An explicit [~domains:1] re-shards too: w1's flows meet their own
+     sessions in one store instead of being recorded a second time. *)
+  ignore (Runtime.process_batch_parallel ~domains:1 live w1);
+  let cold1 = mk 1 in
+  ignore (Runtime.process_batch_parallel cold1 w1);
+  check Alcotest.bool "~domains:1 digest = cold-built digest" true
+    (State_store.digest (Runtime.state_stores live)
+    = State_store.digest (Runtime.state_stores cold1));
   Runtime.configure live { (Runtime.engine live) with Runtime.Engine.domains = 4 };
   check Alcotest.int "migrated to four" 4
     (Array.length (Runtime.state_stores live));
