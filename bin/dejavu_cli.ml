@@ -148,9 +148,15 @@ let send_cmd =
         }
     in
     if trace then begin
-      match
-        Asic.Chip.inject compiled.Compiler.chip ~in_port (Netpkt.Pkt.encode pkt)
-      with
+      (* The chip records its control trace for the journey recorder
+         only. *)
+      let level = Runtime.telemetry_level rt in
+      Runtime.set_telemetry rt Telemetry.Level.Journeys;
+      let walk =
+        Asic.Chip.inject (Runtime.chip rt) ~in_port (Netpkt.Pkt.encode pkt)
+      in
+      Runtime.set_telemetry rt level;
+      match walk with
       | Error e -> Format.printf "error: %s@." e
       | Ok r ->
           List.iter

@@ -133,10 +133,10 @@ let set_telemetry ?label_counters t level =
   Array.iter each t.ingress;
   Array.iter each t.egress
 
-let run_pipelet t pl ~trace phv =
+let run_pipelet t pl ?trace phv =
   match t.mode with
-  | Fast -> Pipelet.process ~trace pl phv
-  | Reference -> Pipelet.process_reference ~trace pl phv
+  | Fast -> Pipelet.process ?trace pl phv
+  | Reference -> Pipelet.process_reference ?trace pl phv
 
 let parse_frame t pl frame =
   match t.mode with
@@ -186,23 +186,30 @@ type walk_state = {
   mutable visits : Pipelet.id list;  (* reversed *)
   mutable passes : int;
   mutable latency : float;
-  trace : P4ir.Control.trace_event list ref;
+  trace : P4ir.Control.trace_event list ref option;
+      (* [Journeys] mode only: nothing else reads the trace *)
   mutable mirrored : (int * Bytes.t) list;  (* reversed *)
   mutable marks : mark list;
       (* reversed; one per pipelet pass in Journeys mode *)
 }
 
-(* Standard-metadata accessors compiled once for the whole chip: every
-   PHV layout shares the same header names, so these cache slots across
-   pipelet templates instead of hashing field names per pass. *)
-let get_drop = P4ir.Phv.fast_get_int Stdmeta.drop_flag
-let get_to_cpu = P4ir.Phv.fast_get_int Stdmeta.to_cpu_flag
-let get_resubmit = P4ir.Phv.fast_get_int Stdmeta.resubmit_flag
-let get_mirror = P4ir.Phv.fast_get_int Stdmeta.mirror_flag
-let get_egress_spec = P4ir.Phv.fast_get_int Stdmeta.egress_spec
-let set_ingress_port = P4ir.Phv.fast_set_int Stdmeta.ingress_port
-let set_egress_port = P4ir.Phv.fast_set_int Stdmeta.egress_port
-let set_resubmit = P4ir.Phv.fast_set_int Stdmeta.resubmit_flag
+(* Standard-metadata accessors: every PHV a pipelet parses (in either
+   mode) leads with the standard-metadata header, so its fields sit at
+   the same fixed cells in every layout. *)
+let get_drop phv = P4ir.Phv.cell phv Stdmeta.drop_cell
+let get_to_cpu phv = P4ir.Phv.cell phv Stdmeta.to_cpu_cell
+let get_resubmit phv = P4ir.Phv.cell phv Stdmeta.resubmit_cell
+let get_mirror phv = P4ir.Phv.cell phv Stdmeta.mirror_cell
+let get_egress_spec phv = P4ir.Phv.cell phv Stdmeta.egress_spec_cell
+let port_mask = P4ir.Hdr.mask (P4ir.Hdr.field_width Stdmeta.decl "ingress_port")
+
+let set_ingress_port phv p =
+  P4ir.Phv.set_cell phv Stdmeta.ingress_port_cell (p land port_mask)
+
+let set_egress_port phv p =
+  P4ir.Phv.set_cell phv Stdmeta.egress_port_cell (p land port_mask)
+
+let set_resubmit phv v = P4ir.Phv.set_cell phv Stdmeta.resubmit_cell (v land 1)
 
 let finish st verdict =
   Ok
@@ -212,7 +219,7 @@ let finish st verdict =
       recircs = st.recircs;
       visits = List.rev st.visits;
       latency_ns = st.latency;
-      trace = List.rev !(st.trace);
+      trace = (match st.trace with Some r -> List.rev !r | None -> []);
       mirrored = List.rev st.mirrored;
       marks = List.rev st.marks;
     }
@@ -227,7 +234,7 @@ let mark_pass t st pl phv =
     st.marks <-
       {
         m_pipelet = Pipelet.id pl;
-        m_trace_end = List.length !(st.trace);
+        m_trace_end = (match st.trace with Some r -> List.length !r | None -> 0);
         m_latency_ns = st.latency;
         m_recircs = st.recircs;
         m_resubmits = st.resubmits;
@@ -249,7 +256,7 @@ let rec ingress_pass t st ~pipeline ~entry_port frame =
     | Error e -> Error e
     | Ok (phv, payload) ->
         set_ingress_port phv entry_port;
-        run_pipelet t pl ~trace:st.trace phv;
+        run_pipelet t pl ?trace:st.trace phv;
         mark_pass t st pl phv;
         (* Drop and punt-to-CPU decisions win over resubmission: an NF
            that punts mid-chain must not be replayed by the branching
@@ -295,7 +302,7 @@ and egress_pass t st ~pipeline ~out_port frame =
     | Error e -> Error e
     | Ok (phv, payload) ->
         set_egress_port phv out_port;
-        run_pipelet t pl ~trace:st.trace phv;
+        run_pipelet t pl ?trace:st.trace phv;
         mark_pass t st pl phv;
         if get_drop phv = 1 then finish st Dropped
         else if get_to_cpu phv = 1 then
@@ -318,15 +325,15 @@ and egress_pass t st ~pipeline ~out_port frame =
           else finish st (Emitted { port = out_port; frame = frame' })
   end
 
-let fresh_state spec =
-  ignore spec;
+let fresh_state t =
   {
     resubmits = 0;
     recircs = 0;
     visits = [];
     passes = 0;
     latency = 0.0;
-    trace = ref [];
+    trace =
+      (if Telemetry.Level.journeys_on t.telem then Some (ref []) else None);
     mirrored = [];
     marks = [];
   }
@@ -339,7 +346,7 @@ let inject t ~in_port frame =
       (Printf.sprintf "Chip.inject: port %d is in loopback mode and takes no external traffic"
          in_port)
   else begin
-    let st = fresh_state t.spec in
+    let st = fresh_state t in
     (* MAC/serdes in and out of the chip. *)
     st.latency <- 2.0 *. t.spec.Spec.lat.Spec.mac_serdes_ns;
     ingress_pass t st
@@ -351,7 +358,7 @@ let inject_cpu t ~pipeline frame =
   if pipeline < 0 || pipeline >= t.spec.Spec.n_pipelines then
     Error (Printf.sprintf "Chip.inject_cpu: bad pipeline %d" pipeline)
   else begin
-    let st = fresh_state t.spec in
+    let st = fresh_state t in
     st.latency <- t.spec.Spec.lat.Spec.mac_serdes_ns;
     ingress_pass t st ~pipeline ~entry_port:Spec.cpu_port frame
   end

@@ -75,7 +75,8 @@ val set_telemetry :
     counters (from [label_counters]); [Journeys] additionally records a
     per-pipelet-pass mark in each {!result}. [Off] disables everything
     and recompiles the uninstrumented fast path — Off costs nothing per
-    packet. Observable packet behavior is identical at every level.
+    packet. Observable packet behavior is identical at every level; only
+    [Journeys] fills a {!result}'s [trace] and [marks].
 
     This is chip-internal plumbing: application code configures
     telemetry through {!Runtime.set_telemetry} (or the runtime's engine
@@ -113,7 +114,10 @@ type result = {
   recircs : int;
   visits : Pipelet.id list;  (** pipelets traversed, in order *)
   latency_ns : float;
-  trace : P4ir.Control.trace_event list;  (** oldest first *)
+  trace : P4ir.Control.trace_event list;
+      (** oldest first; [Journeys] mode only (else []) — the control
+          trace costs a cons and an event per table and gateway, so it
+          is recorded only for the journey recorder *)
   mirrored : (int * Bytes.t) list;
       (** copies sent to the mirror port, oldest first *)
   marks : mark list;

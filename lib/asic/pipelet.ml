@@ -21,19 +21,23 @@ let all_ids spec =
 type t = {
   id : id;
   program : P4ir.Program.t;
+  (* The one PHV layout of this pipelet: standard metadata first, then
+     the parser's declarations. Parser, control, tables and deparser
+     are all compiled against it. *)
+  layout : P4ir.Phv.layout;
   (* Mutable so telemetry can swap in a control recompiled with label
      counters (and back): instrumentation is selected at compile time,
      not branched per packet. *)
   mutable compiled : P4ir.Control.compiled;
   mutable label_counters : (string -> int ref) option;
   pcompiled : P4ir.Parser_graph.compiled;
-  (* Pristine PHV with every parser declaration plus standard metadata
-     attached; [parse] copies it instead of re-declaring per packet. *)
+  (* Pristine PHV of [layout] with standard metadata valid; [parse]
+     copies its cells instead of re-declaring per packet. *)
   template : P4ir.Phv.t;
-  (* Cached-slot instance accessor + byte size + self-checksum byte
-     offset (-1 = none) per deparse-order header, so [deparse_fast]
-     walks an array instead of hashing names. *)
-  demit : ((P4ir.Phv.t -> P4ir.Hdr.inst) * int * int) array;
+  (* Declaration, validity cell, byte size and self-checksum byte offset
+     (-1 = none) per deparse-order header, so [deparse_fast] walks an
+     array of cells instead of hashing names. *)
+  demit : (P4ir.Hdr.decl * int * int * int) array;
   stage_alloc : (string * int) list;
 }
 
@@ -143,11 +147,10 @@ let load spec id program =
         match allocate_stages spec program with
         | Error e -> Error e
         | Ok stage_alloc ->
-            let template = P4ir.Phv.create [] in
-            List.iter
-              (fun d -> P4ir.Phv.add_decl template d)
-              program.P4ir.Program.parser.P4ir.Parser_graph.decls;
-            Stdmeta.attach template;
+            let parser = program.P4ir.Program.parser in
+            let layout = Stdmeta.layout parser.P4ir.Parser_graph.decls in
+            let template = P4ir.Phv.of_layout layout in
+            P4ir.Phv.set_valid template Stdmeta.name;
             let demit =
               Array.of_list
                 (List.filter_map
@@ -160,7 +163,8 @@ let load spec id program =
                      with
                      | Some d ->
                          Some
-                           ( P4ir.Phv.fast_inst name,
+                           ( d,
+                             P4ir.Phv.valid_cell layout name,
                              P4ir.Hdr.byte_size d,
                              Option.value ~default:(-1)
                                (P4ir.Hdr.self_checksum_byte d) )
@@ -183,10 +187,10 @@ let load spec id program =
               {
                 id;
                 program;
-                compiled = P4ir.Program.compile_control program;
+                layout;
+                compiled = P4ir.Program.compile_control ~layout program;
                 label_counters = None;
-                pcompiled =
-                  P4ir.Parser_graph.compile program.P4ir.Program.parser;
+                pcompiled = P4ir.Parser_graph.compile ~layout parser;
                 template;
                 demit;
                 stage_alloc;
@@ -203,7 +207,9 @@ let stages_used t =
 
 let set_label_counters t counters =
   t.label_counters <- counters;
-  t.compiled <- P4ir.Program.compile_control ?label_counters:counters t.program
+  t.compiled <-
+    P4ir.Program.compile_control ?label_counters:counters ~layout:t.layout
+      t.program
 
 let process ?trace t phv = P4ir.Control.run_compiled ?trace t.compiled phv
 
@@ -221,8 +227,10 @@ let parse t frame =
       in
       Ok (phv, payload)
 
+(* Standard metadata leads here too, so the chip's fixed cells hold in
+   both modes; the parser then adds its declarations one by one. *)
 let parse_reference t frame =
-  let phv = P4ir.Phv.create [] in
+  let phv = P4ir.Phv.create [ Stdmeta.decl ] in
   match P4ir.Parser_graph.parse t.program.P4ir.Program.parser frame phv with
   | Error e -> Error e
   | Ok consumed ->
@@ -237,25 +245,25 @@ let deparse t phv ~payload =
     ~order:t.program.P4ir.Program.deparse_order phv ~payload
 
 (* Fast-mode serialization over the precomputed emit plan: two array
-   walks (size, then emit) with no name hashing. Falls back to the
-   generic walk when no complete plan was precomputed at load. *)
+   walks over cells (size, then emit) with no name hashing. Falls back
+   to the generic walk when no complete plan was precomputed at load,
+   or for a PHV of another layout. *)
 let deparse_fast t phv ~payload =
   let n = Array.length t.demit in
-  if n = 0 then deparse t phv ~payload
+  if n = 0 || P4ir.Phv.layout phv != t.layout then deparse t phv ~payload
   else begin
     let total = ref 0 in
     for k = 0 to n - 1 do
-      let get, size, _ = t.demit.(k) in
-      if P4ir.Hdr.is_valid (get phv) then total := !total + size
+      let _, vc, size, _ = t.demit.(k) in
+      if P4ir.Phv.cell phv vc = 1 then total := !total + size
     done;
     let plen = Bytes.length payload in
     let out = Bytes.make (!total + plen) '\000' in
     let off = ref 0 in
     for k = 0 to n - 1 do
-      let get, size, csum_byte = t.demit.(k) in
-      let i = get phv in
-      if P4ir.Hdr.is_valid i then begin
-        P4ir.Hdr.emit i out ~bit_off:(8 * !off);
+      let d, vc, size, csum_byte = t.demit.(k) in
+      if P4ir.Phv.cell phv vc = 1 then begin
+        P4ir.Phv.emit_at phv d vc out ~bit_off:(8 * !off);
         if csum_byte >= 0 then
           P4ir.Parser_graph.fix_checksum out ~off:!off ~csum_byte ~size;
         off := !off + size

@@ -45,8 +45,10 @@ val set_label_counters : t -> (string -> int ref) option -> unit
 
 val process :
   ?trace:P4ir.Control.trace_event list ref -> t -> P4ir.Phv.t -> unit
-(** Run the control program precompiled at {!load} time (the fast
-    path). *)
+(** Run the control program precompiled at {!load} time against the
+    pipelet's layout (the fast path); on a PHV from {!parse}, an
+    untraced pass allocates only the option of each index-bucket hit
+    ({!P4ir.Table.apply_index}). *)
 
 val process_reference :
   ?trace:P4ir.Control.trace_event list ref -> t -> P4ir.Phv.t -> unit
@@ -56,18 +58,24 @@ val process_reference :
 val parse :
   t -> Bytes.t -> (P4ir.Phv.t * Bytes.t, string) result
 (** Run the pipelet's parser over a frame; returns the PHV (with standard
-    metadata attached) and the unparsed payload. Uses the parse graph
-    compiled at {!load} time and a copied template PHV. *)
+    metadata attached) and the unparsed payload. Copies the template PHV
+    of the pipelet's layout — built once at {!load}, standard metadata
+    first, then the parser's declarations — and extracts every field
+    straight into its cell as an immediate int, through the parse graph
+    compiled against that layout. *)
 
 val parse_reference :
   t -> Bytes.t -> (P4ir.Phv.t * Bytes.t, string) result
-(** {!parse} through the interpretive parse-graph walk — the oracle
-    counterpart, used by the chip's reference execution mode. *)
+(** {!parse} through the interpretive parse-graph walk on a
+    name-resolved PHV of its own layout (standard metadata first here
+    too) — the oracle counterpart, used by the chip's reference
+    execution mode. *)
 
 val deparse : t -> P4ir.Phv.t -> payload:Bytes.t -> Bytes.t
 (** Generic serialization: walks the deparse order resolving each header
     by name. The reference-mode path. *)
 
 val deparse_fast : t -> P4ir.Phv.t -> payload:Bytes.t -> Bytes.t
-(** [deparse] over an emit plan precomputed at {!load} (cached-slot
-    header accessors, per-header sizes); byte-identical output. *)
+(** [deparse] over an emit plan precomputed at {!load} against the
+    pipelet's layout (validity cell, declaration and size per header);
+    byte-identical output. A PHV of another layout takes {!deparse}. *)

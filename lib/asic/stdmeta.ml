@@ -23,7 +23,17 @@ let drop_flag = r "drop_flag"
 let mirror_flag = r "mirror_flag"
 let to_cpu_flag = r "to_cpu_flag"
 
-let fresh () = P4ir.Hdr.inst_valid decl
+let layout decls = P4ir.Phv.layout_of (decl :: decls)
+
+(* Header 0 of every [layout]: validity in cell 0, fields from cell 1. *)
+let cell f = 1 + P4ir.Hdr.field_index decl f.P4ir.Fieldref.field
+let ingress_port_cell = cell ingress_port
+let egress_spec_cell = cell egress_spec
+let egress_port_cell = cell egress_port
+let resubmit_cell = cell resubmit_flag
+let drop_cell = cell drop_flag
+let mirror_cell = cell mirror_flag
+let to_cpu_cell = cell to_cpu_flag
 
 let attach phv =
   P4ir.Phv.add_decl phv decl;

@@ -18,8 +18,21 @@ val drop_flag : P4ir.Fieldref.t
 val mirror_flag : P4ir.Fieldref.t
 val to_cpu_flag : P4ir.Fieldref.t
 
-val fresh : unit -> P4ir.Hdr.inst
-(** A valid instance with all fields zero. *)
-
 val attach : P4ir.Phv.t -> unit
 (** Ensure the PHV carries a valid standard-metadata instance. *)
+
+val layout : P4ir.Hdr.decl list -> P4ir.Phv.layout
+(** A PHV layout with standard metadata as its leading header, then
+    [decls] ({!P4ir.Phv.layout_of}). Every PHV a pipelet parses has
+    such a layout, so the cells below are fixed indices into it. *)
+
+(** Cells of the standard-metadata fields in any PHV whose layout leads
+    with {!decl} (see {!layout}). *)
+
+val ingress_port_cell : int
+val egress_spec_cell : int
+val egress_port_cell : int
+val resubmit_cell : int
+val drop_cell : int
+val mirror_cell : int
+val to_cpu_cell : int

@@ -78,8 +78,9 @@ let default =
     next_protocol = next_proto_ipv4;
   }
 
-let fill_inst t inst =
-  let set f v = P4ir.Hdr.set inst f (P4ir.Bitval.of_int ~width:64 v) in
+(* Field by field through a setter, so one routine fills a standalone
+   instance and a PHV alike. *)
+let fill t set =
   let setb f b = set f (if b then 1 else 0) in
   set "service_path_id" t.service_path_id;
   set "service_index" t.service_index;
@@ -95,7 +96,10 @@ let fill_inst t inst =
       set (Printf.sprintf "ctx_key%d" i) k;
       set (Printf.sprintf "ctx_val%d" i) v)
     t.context;
-  set "next_protocol" t.next_protocol;
+  set "next_protocol" t.next_protocol
+
+let fill_inst t inst =
+  fill t (fun f v -> P4ir.Hdr.set inst f (P4ir.Bitval.of_int ~width:64 v));
   P4ir.Hdr.set_valid inst
 
 let encode t =
@@ -105,8 +109,7 @@ let encode t =
   P4ir.Hdr.emit inst b ~bit_off:0;
   b
 
-let of_inst inst =
-  let get f = P4ir.Bitval.to_int (P4ir.Hdr.get inst f) in
+let of_getter get =
   let getb f = get f = 1 in
   {
     service_path_id = get "service_path_id";
@@ -124,6 +127,8 @@ let of_inst inst =
     next_protocol = get "next_protocol";
   }
 
+let of_inst inst = of_getter (fun f -> P4ir.Bitval.to_int (P4ir.Hdr.get inst f))
+
 let decode b ~off =
   if Bytes.length b < off + byte_size then Error "Sfc_header.decode: truncated"
   else begin
@@ -133,12 +138,14 @@ let decode b ~off =
   end
 
 let of_phv phv =
-  if P4ir.Phv.is_valid phv name then Some (of_inst (P4ir.Phv.inst phv name))
+  if P4ir.Phv.is_valid phv name then
+    Some (of_getter (fun f -> P4ir.Phv.get_int phv (P4ir.Fieldref.v name f)))
   else None
 
 let to_phv t phv =
   P4ir.Phv.add_decl phv decl;
-  fill_inst t (P4ir.Phv.inst phv name)
+  fill t (fun f v -> P4ir.Phv.set_int phv (P4ir.Fieldref.v name f) v);
+  P4ir.Phv.set_valid phv name
 
 let find_context t key =
   Array.fold_left

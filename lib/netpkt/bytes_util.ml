@@ -25,20 +25,51 @@ let get_bits_slow b ~bit_off ~width =
   done;
   !acc
 
+(* Byte-aligned reads of whole-byte fields up to 56 bits, as one or two
+   wide loads; callers check range, alignment and width first. MAC
+   addresses (48 bits) and 40-bit fields would otherwise walk the
+   generic loop a byte at a time. *)
+let get_aligned b off width =
+  match width with
+  | 8 -> Char.code (Bytes.unsafe_get b off)
+  | 16 -> Bytes.get_uint16_be b off
+  | 24 -> (Bytes.get_uint16_be b off lsl 8) lor Char.code (Bytes.unsafe_get b (off + 2))
+  | 32 -> Int32.to_int (Bytes.get_int32_be b off) land 0xFFFF_FFFF
+  | 40 ->
+      (Char.code (Bytes.unsafe_get b off) lsl 32)
+      lor (Int32.to_int (Bytes.get_int32_be b (off + 1)) land 0xFFFF_FFFF)
+  | 48 ->
+      (Bytes.get_uint16_be b off lsl 32)
+      lor (Int32.to_int (Bytes.get_int32_be b (off + 2)) land 0xFFFF_FFFF)
+  | _ ->
+      (* 56 *)
+      (((Bytes.get_uint16_be b off lsl 8) lor Char.code (Bytes.unsafe_get b (off + 2))) lsl 32)
+      lor (Int32.to_int (Bytes.get_int32_be b (off + 3)) land 0xFFFF_FFFF)
+
+let set_aligned b off width v =
+  match width with
+  | 8 -> Bytes.unsafe_set b off (Char.unsafe_chr (v land 0xff))
+  | 16 -> Bytes.set_uint16_be b off (v land 0xffff)
+  | 24 ->
+      Bytes.set_uint16_be b off ((v lsr 8) land 0xffff);
+      Bytes.unsafe_set b (off + 2) (Char.unsafe_chr (v land 0xff))
+  | 32 -> Bytes.set_int32_be b off (Int32.of_int v)
+  | 40 ->
+      Bytes.unsafe_set b off (Char.unsafe_chr ((v lsr 32) land 0xff));
+      Bytes.set_int32_be b (off + 1) (Int32.of_int v)
+  | 48 ->
+      Bytes.set_uint16_be b off ((v lsr 32) land 0xffff);
+      Bytes.set_int32_be b (off + 2) (Int32.of_int v)
+  | _ ->
+      (* 56 *)
+      Bytes.set_uint16_be b off ((v lsr 40) land 0xffff);
+      Bytes.unsafe_set b (off + 2) (Char.unsafe_chr ((v lsr 32) land 0xff));
+      Bytes.set_int32_be b (off + 3) (Int32.of_int v)
+
 let get_bits b ~bit_off ~width =
   check_range b ~bit_off ~width;
-  if bit_off land 7 = 0 && width land 7 = 0 && width <= 32 then
-    (* Byte-aligned 8/16/24/32-bit fields — most header fields — read
-       directly. *)
-    let off = bit_off lsr 3 in
-    match width with
-    | 8 -> Int64.of_int (Char.code (Bytes.unsafe_get b off))
-    | 16 -> Int64.of_int (Bytes.get_uint16_be b off)
-    | 24 ->
-        Int64.of_int
-          ((Bytes.get_uint16_be b off lsl 8)
-          lor Char.code (Bytes.unsafe_get b (off + 2)))
-    | _ -> Int64.logand (Int64.of_int32 (Bytes.get_int32_be b off)) 0xFFFFFFFFL
+  if bit_off land 7 = 0 && width land 7 = 0 && width <= 56 then
+    Int64.of_int (get_aligned b (bit_off lsr 3) width)
   else get_bits_slow b ~bit_off ~width
 
 let set_bits_slow b ~bit_off ~width v =
@@ -63,17 +94,64 @@ let set_bits_slow b ~bit_off ~width v =
 
 let set_bits b ~bit_off ~width v =
   check_range b ~bit_off ~width;
-  if bit_off land 7 = 0 && width land 7 = 0 && width <= 32 then
-    let off = bit_off lsr 3 in
-    match width with
-    | 8 -> Bytes.unsafe_set b off (Char.unsafe_chr (Int64.to_int v land 0xff))
-    | 16 -> Bytes.set_uint16_be b off (Int64.to_int v land 0xffff)
-    | 24 ->
-        let x = Int64.to_int v in
-        Bytes.set_uint16_be b off ((x lsr 8) land 0xffff);
-        Bytes.unsafe_set b (off + 2) (Char.unsafe_chr (x land 0xff))
-    | _ -> Bytes.set_int32_be b off (Int64.to_int32 v)
+  if bit_off land 7 = 0 && width land 7 = 0 && width <= 56 then
+    set_aligned b (bit_off lsr 3) width (Int64.to_int v)
   else set_bits_slow b ~bit_off ~width v
+
+(* --- Immediate-int accessors (widths up to 62 bits): the PHV keeps
+   field values as OCaml ints, so extract and emit never box. Same bit
+   order, same range errors as the [int64] pair. --- *)
+
+let max_int_width = 62
+
+let check_range_int b ~bit_off ~width =
+  if width < 1 || width > max_int_width then
+    invalid_arg
+      (Printf.sprintf "Bytes_util: width %d not in 1..%d" width max_int_width);
+  if bit_off < 0 || bit_off + width > 8 * Bytes.length b then
+    invalid_arg
+      (Printf.sprintf "Bytes_util: bit range [%d,%d) exceeds %d bytes" bit_off
+         (bit_off + width) (Bytes.length b))
+
+let get_bits_int_slow b ~bit_off ~width =
+  let acc = ref 0 in
+  let pos = ref bit_off in
+  let remaining = ref width in
+  while !remaining > 0 do
+    let bit_in_byte = !pos land 7 in
+    let take = min !remaining (8 - bit_in_byte) in
+    let byte = Char.code (Bytes.unsafe_get b (!pos lsr 3)) in
+    acc := (!acc lsl take) lor ((byte lsr (8 - bit_in_byte - take)) land ((1 lsl take) - 1));
+    pos := !pos + take;
+    remaining := !remaining - take
+  done;
+  !acc
+
+let get_bits_int b ~bit_off ~width =
+  check_range_int b ~bit_off ~width;
+  if bit_off land 7 = 0 && width land 7 = 0 then get_aligned b (bit_off lsr 3) width
+  else get_bits_int_slow b ~bit_off ~width
+
+let set_bits_int_slow b ~bit_off ~width v =
+  let pos = ref bit_off in
+  let remaining = ref width in
+  while !remaining > 0 do
+    let bit_in_byte = !pos land 7 in
+    let take = min !remaining (8 - bit_in_byte) in
+    let shift = 8 - bit_in_byte - take in
+    let keep = lnot (((1 lsl take) - 1) lsl shift) land 0xff in
+    let chunk = (v lsr (!remaining - take)) land ((1 lsl take) - 1) in
+    let idx = !pos lsr 3 in
+    let old = Char.code (Bytes.unsafe_get b idx) in
+    Bytes.unsafe_set b idx (Char.unsafe_chr ((old land keep) lor (chunk lsl shift)));
+    pos := !pos + take;
+    remaining := !remaining - take
+  done
+
+let set_bits_int b ~bit_off ~width v =
+  check_range_int b ~bit_off ~width;
+  if bit_off land 7 = 0 && width land 7 = 0 then set_aligned b (bit_off lsr 3) width v
+  else set_bits_int_slow b ~bit_off ~width v
 
 let get_uint8 b off = Char.code (Bytes.get b off)
 let set_uint8 b off v = Bytes.set b off (Char.chr (v land 0xff))
@@ -102,40 +180,38 @@ let internet_checksum b ~off ~len =
 
 let crc32_table =
   lazy
-    (let t = Array.make 256 0L in
+    (let t = Array.make 256 0 in
      for n = 0 to 255 do
-       let c = ref (Int64.of_int n) in
+       let c = ref n in
        for _ = 0 to 7 do
-         c :=
-           if Int64.(logand !c 1L) = 1L then
-             Int64.(logxor 0xEDB88320L (shift_right_logical !c 1))
-           else Int64.shift_right_logical !c 1
+         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
        done;
        t.(n) <- !c
      done;
      t)
 
-let crc32 ?(init = 0xFFFFFFFFL) b ~off ~len =
+let crc32_int ?(init = 0xFFFFFFFF) b ~off ~len =
   let table = Lazy.force crc32_table in
-  let c = ref init in
+  let c = ref (init land 0xFFFFFFFF) in
   for i = off to off + len - 1 do
-    let idx = Int64.(to_int (logand (logxor !c (of_int (get_uint8 b i))) 0xffL)) in
-    c := Int64.(logxor table.(idx) (shift_right_logical !c 8))
+    c := table.((!c lxor get_uint8 b i) land 0xff) lxor (!c lsr 8)
   done;
-  Int64.logand (Int64.logxor !c 0xFFFFFFFFL) 0xFFFFFFFFL
+  (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
 
-let crc16 b ~off ~len =
-  let c = ref 0L in
+let crc32 ?(init = 0xFFFFFFFFL) b ~off ~len =
+  Int64.of_int (crc32_int ~init:(Int64.to_int init) b ~off ~len)
+
+let crc16_int b ~off ~len =
+  let c = ref 0 in
   for i = off to off + len - 1 do
-    c := Int64.logxor !c (Int64.of_int (get_uint8 b i));
+    c := !c lxor get_uint8 b i;
     for _ = 0 to 7 do
-      c :=
-        if Int64.(logand !c 1L) = 1L then
-          Int64.(logxor 0xA001L (shift_right_logical !c 1))
-        else Int64.shift_right_logical !c 1
+      c := if !c land 1 = 1 then 0xA001 lxor (!c lsr 1) else !c lsr 1
     done
   done;
-  Int64.logand !c 0xFFFFL
+  !c land 0xFFFF
+
+let crc16 b ~off ~len = Int64.of_int (crc16_int b ~off ~len)
 
 let pp_hex ppf b =
   let n = Bytes.length b in

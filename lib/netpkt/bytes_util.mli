@@ -13,6 +13,19 @@ val set_bits : Bytes.t -> bit_off:int -> width:int -> int64 -> unit
 (** [set_bits b ~bit_off ~width v] writes the low [width] bits of [v]
     at [bit_off]. Bits of [v] above [width] are ignored. *)
 
+val max_int_width : int
+(** 62: the widest field the [int] accessors below handle. *)
+
+val get_bits_int : Bytes.t -> bit_off:int -> width:int -> int
+(** {!get_bits} for widths 1..62, as an immediate [int]: nothing is
+    allocated. Byte-aligned whole-byte fields (8 to 56 bits, MAC
+    addresses included) are read with wide loads. Raises
+    [Invalid_argument] like {!get_bits}, and for widths above 62. *)
+
+val set_bits_int : Bytes.t -> bit_off:int -> width:int -> int -> unit
+(** {!set_bits} for widths 1..62 from an immediate [int]; bits of the
+    value above [width] are ignored. *)
+
 val get_uint8 : Bytes.t -> int -> int
 val set_uint8 : Bytes.t -> int -> int -> unit
 val get_uint16 : Bytes.t -> int -> int
@@ -24,10 +37,18 @@ val internet_checksum : Bytes.t -> off:int -> len:int -> int
 (** RFC 1071 ones'-complement checksum of [len] bytes at [off]. *)
 
 val crc32 : ?init:int64 -> Bytes.t -> off:int -> len:int -> int64
-(** IEEE 802.3 CRC32 (reflected, polynomial 0xEDB88320) of the range. *)
+(** IEEE 802.3 CRC32 (reflected, polynomial 0xEDB88320) of the range.
+    [init] is the 32-bit CRC register's starting value (a previous
+    result chains a digest); bits above 32 are ignored. *)
+
+val crc32_int : ?init:int -> Bytes.t -> off:int -> len:int -> int
+(** {!crc32} as an immediate [int]. *)
 
 val crc16 : Bytes.t -> off:int -> len:int -> int64
 (** CRC-16/ARC (reflected, polynomial 0xA001) of the range. *)
+
+val crc16_int : Bytes.t -> off:int -> len:int -> int
+(** {!crc16} as an immediate [int]. *)
 
 val pp_hex : Format.formatter -> Bytes.t -> unit
 (** Hex dump, 16 bytes per line. *)

@@ -23,74 +23,129 @@ let find_reg regs name =
 let reg_index reg env idx_expr =
   Bitval.to_int (Expr.eval env idx_expr) land Register.index_mask reg
 
-let bind_args t args =
+let check_arity t args =
   if List.length args <> List.length t.params then
     invalid_arg
       (Printf.sprintf "Action.run %s: expected %d args, got %d" t.name
-         (List.length t.params) (List.length args));
+         (List.length t.params) (List.length args))
+
+let bind_args t args =
+  check_arity t args;
   List.map2
     (fun (name, width) v -> (name, Bitval.resize v width))
     t.params args
 
+(* Operands are evaluated in a fixed order (register, index, value)
+   shared with the compiled form below, so both raise the same
+   exception first. *)
 let run_bound ?(regs = no_regs) t ~params phv =
   let env = { Expr.phv; params } in
   List.iter
     (fun prim ->
       match prim with
-      | Assign (r, e) -> Phv.set phv r (Expr.eval env e)
+      | Assign (r, e) ->
+          let v = Expr.eval env e in
+          Phv.set phv r v
       | Set_valid h -> Phv.set_valid phv h
       | Set_invalid h -> Phv.set_invalid phv h
       | Reg_read (dst, rname, idx) ->
           let reg = find_reg regs rname in
-          Phv.set phv dst (Register.read reg (reg_index reg env idx))
+          let v = Register.read reg (reg_index reg env idx) in
+          Phv.set phv dst v
       | Reg_write (rname, idx, value) ->
           let reg = find_reg regs rname in
-          Register.write reg (reg_index reg env idx) (Expr.eval env value)
+          let i = reg_index reg env idx in
+          Register.write reg i (Expr.eval env value)
       | No_op -> ())
     t.body
 
 let run ?regs t ~args phv = run_bound ?regs t ~params:(bind_args t args) phv
 
-(* Compiled form: the prim list resolved once to an array of closures
-   with cached-slot field accessors and precompiled expressions.
-   Registers still resolve per call — the register environment arrives
-   with the packet, not at compile time. *)
-type compiled = reg_env -> (string * Bitval.t) list -> Phv.t -> unit
+(* Masking the raw value is [Bitval.resize] without its allocation;
+   other widths take the resize (and its errors; 63- and 64-bit values
+   keep their low 63 bits). *)
+let bind_ints t args =
+  check_arity t args;
+  Array.of_list
+    (List.map2
+       (fun (_, width) v ->
+         if 1 <= width && width <= Hdr.max_width then
+           Int64.to_int (Bitval.to_int64 v) land Hdr.mask width
+         else Int64.to_int (Bitval.to_int64 (Bitval.resize v width)))
+       t.params args)
 
-let compile t : compiled =
-  let prims =
-    Array.of_list
-      (List.map
-         (fun prim ->
-           match prim with
-           | Assign (r, e) ->
-               let set = Phv.fast_set r in
-               let f = Expr.compile_env e in
-               fun _regs env -> set env.Expr.phv (f env)
-           | Set_valid h -> fun _regs env -> Phv.set_valid env.Expr.phv h
-           | Set_invalid h -> fun _regs env -> Phv.set_invalid env.Expr.phv h
-           | Reg_read (dst, rname, idx) ->
-               let set = Phv.fast_set dst in
-               let fidx = Expr.compile_env idx in
-               fun regs env ->
-                 let reg = find_reg regs rname in
-                 set env.Expr.phv
-                   (Register.read reg
-                      (Bitval.to_int (fidx env) land Register.index_mask reg))
-           | Reg_write (rname, idx, value) ->
-               let fidx = Expr.compile_env idx in
-               let fv = Expr.compile_env value in
-               fun regs env ->
-                 let reg = find_reg regs rname in
-                 Register.write reg
-                   (Bitval.to_int (fidx env) land Register.index_mask reg)
-                   (fv env)
-           | No_op -> fun _regs _env -> ())
-         t.body)
+(* Compiled form: the prim list resolved once against a PHV layout to an
+   array of closures over cells — the int path, allocation-free. A PHV
+   of any other layout runs the body name-resolved instead, with the
+   int action data widened back to [Bitval.t]. Registers still resolve
+   per call: the register environment arrives with the packet. *)
+type compiled = reg_env -> int array -> Phv.t -> unit
+
+(* A closure that raises [Not_found] like the name-resolved write would,
+   after the operand it was given has been evaluated. *)
+let cell_or_missing lay resolve x =
+  match resolve lay x with c -> Some c | exception Not_found -> None
+
+let compile_prim lay params prim =
+  let expr = Expr.compile ~params lay in
+  match prim with
+  | Assign (r, e) -> (
+      let { Expr.run = f; _ } = expr e in
+      match cell_or_missing lay Phv.field_cell r with
+      | Some c ->
+          let m = Hdr.mask (Phv.field_width lay r) in
+          fun _ args phv -> Phv.set_cell phv c (f phv args land m)
+      | None ->
+          fun _ args phv ->
+            ignore (f phv args);
+            raise Not_found)
+  | Set_valid h -> (
+      match cell_or_missing lay Phv.valid_cell h with
+      | Some c -> fun _ _ phv -> Phv.set_cell phv c 1
+      | None -> fun _ _ _ -> raise Not_found)
+  | Set_invalid h -> (
+      match cell_or_missing lay Phv.valid_cell h with
+      | Some c -> fun _ _ phv -> Phv.set_cell phv c 0
+      | None -> fun _ _ _ -> raise Not_found)
+  | Reg_read (dst, rname, idx) -> (
+      let { Expr.run = fidx; _ } = expr idx in
+      match cell_or_missing lay Phv.field_cell dst with
+      | Some c ->
+          let width = Phv.field_width lay dst in
+          fun regs args phv ->
+            let reg = find_reg regs rname in
+            let i = fidx phv args land Register.index_mask reg in
+            Phv.set_cell phv c (Register.read_int reg i ~width)
+      | None ->
+          fun regs args phv ->
+            let reg = find_reg regs rname in
+            let i = fidx phv args land Register.index_mask reg in
+            ignore (Register.read_int reg i ~width:1);
+            raise Not_found)
+  | Reg_write (rname, idx, value) ->
+      let { Expr.run = fidx; _ } = expr idx in
+      let { Expr.run = fv; _ } = expr value in
+      fun regs args phv ->
+        let reg = find_reg regs rname in
+        let i = fidx phv args land Register.index_mask reg in
+        Register.write_int reg i (fv phv args)
+  | No_op -> fun _ _ _ -> ()
+
+let compile ?(layout = Phv.empty_layout) t : compiled =
+  let slow regs args phv =
+    let params =
+      List.mapi (fun i (name, w) -> (name, Bitval.of_int ~width:w args.(i))) t.params
+    in
+    run_bound ~regs t ~params phv
   in
-  fun regs params phv ->
-    let env = { Expr.phv; params } in
-    Array.iter (fun f -> f regs env) prims
+  let prims = Array.of_list (List.map (compile_prim layout t.params) t.body) in
+  let n = Array.length prims in
+  fun regs args phv ->
+    if Phv.layout phv == layout then
+      for i = 0 to n - 1 do
+        prims.(i) regs args phv
+      done
+    else slow regs args phv
 
 let reg_field name = Fieldref.v "$reg" name
 

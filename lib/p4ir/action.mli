@@ -39,12 +39,25 @@ val run_bound : ?regs:reg_env -> t -> params:(string * Bitval.t) list -> Phv.t -
 (** Execute the body against pre-bound parameters (from {!bind_args}),
     skipping the per-call arity check and resize. *)
 
-type compiled = reg_env -> (string * Bitval.t) list -> Phv.t -> unit
-(** A precompiled body: primitives resolved to closures with cached-slot
-    field accessors. Registers are still resolved per call (they arrive
-    with the packet), with the same errors as {!run_bound}. *)
+val bind_ints : t -> Bitval.t list -> int array
+(** {!bind_args} lowered to the compiled form's action data: each
+    argument resized to its parameter width, as an immediate int, by
+    position. Raises like {!bind_args}. *)
 
-val compile : t -> compiled
+type compiled = reg_env -> int array -> Phv.t -> unit
+(** A precompiled body, run against action data from {!bind_ints}.
+    Registers are still resolved per call (they arrive with the
+    packet), with the same errors as {!run_bound}. *)
+
+val compile : ?layout:Phv.layout -> t -> compiled
+(** Resolve the body against a PHV layout (default
+    {!Phv.empty_layout}): fields become cells, parameters positions in
+    the action data, expressions {!Expr.compile}d closures. On a PHV of
+    that layout the body runs on ints and allocates nothing; on any
+    other PHV it runs name-resolved ({!run_bound}) after one pointer
+    check. Same effects and errors as {!run_bound} either way. Raises
+    [Invalid_argument] when an expression is too wide for the int path
+    ({!Expr.compile}). *)
 
 val registers_used : t -> string list
 

@@ -63,86 +63,100 @@ let exec ?trace ?label_counters ?(regs = Action.no_regs) env t phv =
   run_block t.body
 
 (* --- Precompiled controls: resolve table names, action dispatch and
-   gateway expressions once, execute closures per packet. The structure
-   (and trace event order) mirrors [exec] statement for statement; the
-   QCheck equivalence property in test_p4ir pins that. --- *)
+   gateway expressions once against a PHV layout, execute closures per
+   packet. The structure (and trace event order) mirrors [exec]
+   statement for statement; the QCheck equivalence property in
+   test_p4ir pins that. Trace events are built only when a trace is
+   being collected, so an untraced run allocates nothing here. --- *)
 
 type compiled = (trace_event list ref option -> Phv.t -> unit) array
 
-let compile ?label_counters ?(regs = Action.no_regs) env t =
-  let record trace ev =
-    match trace with Some r -> r := ev :: !r | None -> ()
+let run_compiled_block (c : compiled) trace phv =
+  for i = 0 to Array.length c - 1 do
+    c.(i) trace phv
+  done
+
+let compile ?label_counters ?(regs = Action.no_regs) ?layout env t =
+  let apply name =
+    let table = find_table env name in
+    Option.iter (Table.bind table) layout;
+    fun trace phv ->
+      let code = Table.apply_index ~regs table phv in
+      (match trace with
+      | Some r ->
+          r := T_table (name, Table.action_name table (code lsr 1), code land 1 = 1) :: !r
+      | None -> ());
+      code
   in
   let rec compile_block block : compiled =
     Array.of_list (List.map compile_stmt block)
-  and run_block (c : compiled) trace phv =
-    Array.iter (fun f -> f trace phv) c
   and compile_stmt = function
     | Apply name ->
-        let table = find_table env name in
-        fun trace phv ->
-          let action_run, hit = Table.apply ~regs table phv in
-          record trace (T_table (name, action_run, hit))
+        let apply = apply name in
+        fun trace phv -> ignore (apply trace phv)
     | Apply_hit (name, then_, else_) ->
-        let table = find_table env name in
+        let apply = apply name in
         let cthen = compile_block then_ in
         let celse = compile_block else_ in
         fun trace phv ->
-          let action_run, hit = Table.apply ~regs table phv in
-          record trace (T_table (name, action_run, hit));
-          run_block (if hit then cthen else celse) trace phv
+          let code = apply trace phv in
+          run_compiled_block (if code land 1 = 1 then cthen else celse) trace phv
     | Apply_switch (name, branches, default) ->
         let table = find_table env name in
-        let dispatch = Hashtbl.create (List.length branches) in
-        List.iter
-          (fun (act, blk) ->
-            (* first branch wins, like [List.assoc_opt] in [exec] *)
-            if not (Hashtbl.mem dispatch act) then
-              Hashtbl.add dispatch act (compile_block blk))
-          branches;
+        let apply = apply name in
         let cdefault = compile_block default in
+        (* Branch per declared action, by position; the first branch
+           naming an action wins, like [List.assoc_opt] in [exec]. *)
+        let dispatch =
+          Array.of_list
+            (List.map
+               (fun (act : Action.t) ->
+                 match List.assoc_opt act.Action.name branches with
+                 | Some blk -> compile_block blk
+                 | None -> cdefault)
+               (Table.actions table))
+        in
         fun trace phv ->
-          let action_run, hit = Table.apply ~regs table phv in
-          record trace (T_table (name, action_run, hit));
-          let blk =
-            match Hashtbl.find_opt dispatch action_run with
-            | Some b -> b
-            | None -> cdefault
-          in
-          run_block blk trace phv
+          let code = apply trace phv in
+          run_compiled_block dispatch.(code lsr 1) trace phv
     | If (cond, then_, else_) ->
-        let test = Expr.compile_bool cond in
+        let test = Expr.compile_bool ?layout cond in
         let rendered = Format.asprintf "%a" Expr.pp cond in
         let cthen = compile_block then_ in
         let celse = compile_block else_ in
         fun trace phv ->
           let v = test phv in
-          record trace (T_gateway (rendered, v));
-          run_block (if v then cthen else celse) trace phv
+          (match trace with
+          | Some r -> r := T_gateway (rendered, v) :: !r
+          | None -> ());
+          run_compiled_block (if v then cthen else celse) trace phv
     | Run prims ->
-        let crun = Action.compile (Action.make "$inline" prims) in
-        fun _ phv -> crun regs [] phv
+        let crun = Action.compile ?layout (Action.make "$inline" prims) in
+        let no_args = [||] in
+        fun _ phv -> crun regs no_args phv
     | Label (name, blk) -> (
         let cblk = compile_block blk in
+        let enter trace =
+          match trace with Some r -> r := T_enter name :: !r | None -> ()
+        in
         (* The NF counter is resolved at compile time, so the per-packet
            cost of telemetry here is one [incr] — and recompiling
            without [label_counters] removes even that. *)
         match label_counters with
         | None ->
             fun trace phv ->
-              record trace (T_enter name);
-              run_block cblk trace phv
+              enter trace;
+              run_compiled_block cblk trace phv
         | Some f ->
             let c = f name in
             fun trace phv ->
               incr c;
-              record trace (T_enter name);
-              run_block cblk trace phv)
+              enter trace;
+              run_compiled_block cblk trace phv)
   in
   compile_block t.body
 
-let run_compiled ?trace (c : compiled) phv =
-  Array.iter (fun f -> f trace phv) c
+let run_compiled ?trace (c : compiled) phv = run_compiled_block c trace phv
 
 let tables_used t =
   let seen = Hashtbl.create 16 in

@@ -42,20 +42,29 @@ val exec :
 type compiled
 (** A control precompiled to closures: table names, action dispatch,
     gateway expressions and trace strings are resolved once; per-packet
-    execution touches no statement tree and allocates no trace strings.
-    Table entries added after compilation are seen — the closures hold
-    live table handles. *)
+    execution touches no statement tree, and builds trace events only
+    when a trace is collected. Table entries added after compilation
+    are seen — the closures hold live table handles. *)
 
 val compile :
   ?label_counters:(string -> int ref) ->
   ?regs:Action.reg_env ->
+  ?layout:Phv.layout ->
   table_env ->
   t ->
   compiled
 (** Raises [Invalid_argument] for a table name the environment does not
     know (including in unreached branches — [exec] would only raise on
     first use). [label_counters] is resolved once per [Label] at compile
-    time; each entry into the region then costs a single [incr]. *)
+    time; each entry into the region then costs a single [incr].
+
+    [layout] is the PHV layout the control will run on: inline
+    primitives and gateways are compiled against it, and every applied
+    table is {!Table.bind}ed to it, so a PHV of that layout runs on
+    immediate ints and an untraced run allocates only what its table
+    lookups do ({!Table.apply_index}). A PHV of any
+    other layout (and every PHV, without [layout]) takes the
+    name-resolved path with the same effects. *)
 
 val run_compiled : ?trace:trace_event list ref -> compiled -> Phv.t -> unit
 (** Same observable behavior as {!exec} with the environments captured

@@ -91,92 +91,6 @@ let rec eval env expr =
 
 let eval_bool env e = Bitval.to_bool (eval env e)
 
-(* Compile an expression to a closure over the environment, resolving
-   the tree walk once and every field reference to a cached-slot
-   accessor. A [Param] node looks its value up at run time and fails
-   exactly like [eval] when unbound. *)
-let rec compile_env expr =
-  match expr with
-  | Const v -> fun _ -> v
-  | Field r ->
-      let g = Phv.fast_get r in
-      fun env -> g env.phv
-  | Param name -> (
-      fun env ->
-        match List.assoc_opt name env.params with
-        | Some v -> v
-        | None -> invalid_arg (Printf.sprintf "Expr.eval: unbound param %s" name))
-  | Valid h ->
-      let v = Phv.fast_valid h in
-      fun env -> Bitval.of_bool (v env.phv)
-  | Un (BNot, e) ->
-      let f = compile_env e in
-      fun env -> Bitval.lognot (f env)
-  | Un (LNot, e) ->
-      let f = compile_env e in
-      fun env -> Bitval.of_bool (not (Bitval.to_bool (f env)))
-  | Hash (alg, out_width, inputs) ->
-      let fs = List.map compile_env inputs in
-      fun env ->
-        Bitval.make ~width:out_width (hash_bytes alg (List.map (fun f -> f env) fs))
-  | Bin (op, a, b) -> (
-      let fa = compile_env a in
-      let fb = compile_env b in
-      let lift2 g = fun env -> g (fa env) (fb env) in
-      match op with
-      | Add -> lift2 Bitval.add
-      | Sub -> lift2 Bitval.sub
-      | Mul -> lift2 Bitval.mul
-      | BAnd -> lift2 Bitval.logand
-      | BOr -> lift2 Bitval.logor
-      | BXor -> lift2 Bitval.logxor
-      | Shl -> lift2 (fun va vb -> Bitval.shift_left va (Bitval.to_int vb))
-      | Shr -> lift2 (fun va vb -> Bitval.shift_right va (Bitval.to_int vb))
-      | Eq ->
-          lift2 (fun va vb ->
-              Bitval.of_bool (Bitval.equal_value va (Bitval.resize vb (Bitval.width va))))
-      | Neq ->
-          lift2 (fun va vb ->
-              Bitval.of_bool
-                (not (Bitval.equal_value va (Bitval.resize vb (Bitval.width va)))))
-      | Lt ->
-          lift2 (fun va vb ->
-              Bitval.of_bool (Bitval.lt va (Bitval.resize vb (Bitval.width va))))
-      | Le ->
-          lift2 (fun va vb ->
-              Bitval.of_bool (Bitval.le va (Bitval.resize vb (Bitval.width va))))
-      | Gt ->
-          lift2 (fun va vb ->
-              Bitval.of_bool (Bitval.lt (Bitval.resize vb (Bitval.width va)) va))
-      | Ge ->
-          lift2 (fun va vb ->
-              Bitval.of_bool (Bitval.le (Bitval.resize vb (Bitval.width va)) va))
-      | LAnd ->
-          lift2 (fun va vb ->
-              Bitval.of_bool (Stdlib.( && ) (Bitval.to_bool va) (Bitval.to_bool vb)))
-      | LOr ->
-          lift2 (fun va vb ->
-              Bitval.of_bool (Stdlib.( || ) (Bitval.to_bool va) (Bitval.to_bool vb))))
-
-let compile e =
-  let f = compile_env e in
-  fun phv -> f { phv; params = [] }
-
-let compile_bool e =
-  let f = compile_env e in
-  fun phv -> Bitval.to_bool (f { phv; params = [] })
-
-let rec reads = function
-  | Const _ | Param _ -> Fieldref.Set.empty
-  | Field r -> Fieldref.Set.singleton r
-  | Valid h -> Fieldref.Set.singleton (Fieldref.v h "$valid")
-  | Un (_, e) -> reads e
-  | Bin (_, a, b) -> Fieldref.Set.union (reads a) (reads b)
-  | Hash (_, _, es) ->
-      List.fold_left
-        (fun acc e -> Fieldref.Set.union acc (reads e))
-        Fieldref.Set.empty es
-
 let binop_str = function
   | Add -> "+" | Sub -> "-" | Mul -> "*"
   | BAnd -> "&" | BOr -> "|" | BXor -> "^"
@@ -199,3 +113,217 @@ let rec pp ppf = function
       Format.fprintf ppf "hash_%s<bit<%d>>(%a)" name w
         (Format.pp_print_list ~pp_sep:(fun ppf () -> Format.pp_print_string ppf ", ") pp)
         es
+
+(* --- Static widths: a node's width is fixed by the tree and the
+   declarations it reads, as in P4. Field and parameter widths come
+   from the caller; an unknown field or parameter counts as 1 bit (its
+   evaluation raises before the width matters). --- *)
+
+let rec width_of ~field_width ~params = function
+  | Const v -> Bitval.width v
+  | Field r -> Option.value ~default:1 (field_width r)
+  | Param p -> Option.value ~default:1 (List.assoc_opt p params)
+  | Valid _ | Un (LNot, _) -> 1
+  | Un (BNot, e) -> width_of ~field_width ~params e
+  | Hash (_, w, _) -> w
+  | Bin ((Add | Sub | Mul | BAnd | BOr | BXor | Shl | Shr), a, _) ->
+      width_of ~field_width ~params a
+  | Bin ((Eq | Neq | Lt | Le | Gt | Ge | LAnd | LOr), _, _) -> 1
+
+let rec widest ~field_width ~params e =
+  let sub =
+    match e with
+    | Const _ | Field _ | Param _ | Valid _ -> 0
+    | Un (_, a) -> widest ~field_width ~params a
+    | Bin (_, a, b) ->
+        max (widest ~field_width ~params a) (widest ~field_width ~params b)
+    | Hash (_, _, es) ->
+        List.fold_left (fun acc a -> max acc (widest ~field_width ~params a)) 0 es
+  in
+  max sub (width_of ~field_width ~params e)
+
+(* --- Compiled int form: the tree resolved once against a PHV layout.
+   Every field read is a cell index, every parameter a position in the
+   bound action data, every value an immediate int masked to its static
+   width — nothing is allocated per evaluation. Operands are evaluated
+   left to right, like [eval], so the same node raises first. --- *)
+
+type compiled = { width : int; run : Phv.t -> int array -> int }
+
+let bool_int b = if b then 1 else 0
+
+let param_index params name =
+  let rec go i = function
+    | [] -> None
+    | (p, w) :: rest -> if String.equal p name then Some (i, w) else go (Stdlib.( + ) i 1) rest
+  in
+  go 0 params
+
+let rec compile_node lay params e =
+  let c = compile_node_unchecked lay params e in
+  if Stdlib.( > ) c.width Hdr.max_width then
+    invalid_arg
+      (Format.asprintf "Expr.compile: %a is bit<%d>, wider than %d" pp e c.width
+         Hdr.max_width);
+  c
+
+and compile_node_unchecked lay params e =
+  let sub = compile_node lay params in
+  match e with
+  | Const v ->
+      let x = Int64.to_int (Bitval.to_int64 v) in
+      { width = Bitval.width v; run = (fun _ _ -> x) }
+  | Field r -> (
+      match Phv.field_cell lay r with
+      | cell -> { width = Phv.field_width lay r; run = (fun phv _ -> Phv.cell phv cell) }
+      | exception Not_found -> { width = 1; run = (fun _ _ -> raise Not_found) })
+  | Param name -> (
+      match param_index params name with
+      | Some (i, w) -> { width = w; run = (fun _ args -> args.(i)) }
+      | None ->
+          {
+            width = 1;
+            run =
+              (fun _ _ ->
+                invalid_arg (Printf.sprintf "Expr.eval: unbound param %s" name));
+          })
+  | Valid h -> (
+      match Phv.valid_cell lay h with
+      | cell -> { width = 1; run = (fun phv _ -> Phv.cell phv cell) }
+      | exception Not_found -> { width = 1; run = (fun _ _ -> 0) })
+  | Un (BNot, a) ->
+      let { width; run = f } = sub a in
+      let m = Hdr.mask width in
+      { width; run = (fun phv args -> lnot (f phv args) land m) }
+  | Un (LNot, a) ->
+      let { run = f; _ } = sub a in
+      { width = 1; run = (fun phv args -> bool_int (Stdlib.( = ) (f phv args) 0)) }
+  | Hash (alg, out_width, inputs) -> compile_hash alg out_width (List.map sub inputs)
+  | Bin (op, a, b) -> (
+      let { width = wa; run = fa } = sub a in
+      let { run = fb; _ } = sub b in
+      let m = Hdr.mask wa in
+      let arith g =
+        {
+          width = wa;
+          run =
+            (fun phv args ->
+              let va = fa phv args in
+              let vb = fb phv args in
+              g va vb land m);
+        }
+      in
+      (* [vb] resized to the left operand's width, as [eval] does. *)
+      let cmp g =
+        {
+          width = 1;
+          run =
+            (fun phv args ->
+              let va = fa phv args in
+              let vb = fb phv args in
+              bool_int (g va (vb land m)));
+        }
+      in
+      (* Truth values, unresized: any nonzero operand is true. *)
+      let logic g =
+        {
+          width = 1;
+          run =
+            (fun phv args ->
+              let va = fa phv args in
+              let vb = fb phv args in
+              bool_int (g (Stdlib.( <> ) va 0) (Stdlib.( <> ) vb 0)));
+        }
+      in
+      let shift g =
+        {
+          width = wa;
+          run =
+            (fun phv args ->
+              let va = fa phv args in
+              let n = fb phv args in
+              if Stdlib.( >= ) n wa then 0 else g va n land m);
+        }
+      in
+      match op with
+      | Add -> arith Stdlib.( + )
+      | Sub -> arith Stdlib.( - )
+      | Mul -> arith Stdlib.( * )
+      | BAnd -> arith ( land )
+      | BOr -> arith ( lor )
+      | BXor -> arith ( lxor )
+      | Shl -> shift ( lsl )
+      | Shr -> shift ( lsr )
+      | Eq -> cmp Stdlib.( = )
+      | Neq -> cmp Stdlib.( <> )
+      | Lt -> cmp Stdlib.( < )
+      | Le -> cmp Stdlib.( <= )
+      | Gt -> cmp Stdlib.( > )
+      | Ge -> cmp Stdlib.( >= )
+      | LAnd -> logic Stdlib.( && )
+      | LOr -> logic Stdlib.( || ))
+
+(* A hash node serializes its inputs exactly like [hash_bytes], into a
+   scratch buffer sized at compile time. The buffer belongs to this
+   closure, which belongs to one pipelet (or one table store) and so to
+   one domain. *)
+and compile_hash alg out_width inputs =
+  let fs = Array.of_list (List.map (fun c -> c.run) inputs) in
+  let ws = Array.of_list (List.map (fun c -> c.width) inputs) in
+  let n = Array.length fs in
+  let m = Hdr.mask out_width in
+  match alg with
+  | Identity ->
+      {
+        width = out_width;
+        run =
+          (fun phv args ->
+            let acc = ref 0 in
+            for i = 0 to Stdlib.( - ) n 1 do
+              acc := (!acc lsl ws.(i)) lor fs.(i) phv args
+            done;
+            !acc land m);
+      }
+  | Crc32 | Crc16 ->
+      let total = Array.fold_left Stdlib.( + ) 0 ws in
+      let nbytes = max 1 (Stdlib.( / ) (Stdlib.( + ) total 7) 8) in
+      let buf = Bytes.make nbytes '\000' in
+      let crc =
+        match alg with
+        | Crc32 -> fun () -> Netpkt.Bytes_util.crc32_int buf ~off:0 ~len:nbytes
+        | Crc16 | Identity -> fun () -> Netpkt.Bytes_util.crc16_int buf ~off:0 ~len:nbytes
+      in
+      {
+        width = out_width;
+        run =
+          (fun phv args ->
+            Bytes.fill buf 0 nbytes '\000';
+            let off = ref 0 in
+            for i = 0 to Stdlib.( - ) n 1 do
+              Netpkt.Bytes_util.set_bits_int buf ~bit_off:!off ~width:ws.(i)
+                (fs.(i) phv args);
+              off := Stdlib.( + ) !off ws.(i)
+            done;
+            crc () land m);
+      }
+
+let compile ?(params = []) lay e = compile_node lay params e
+
+let compile_bool ?(layout = Phv.empty_layout) e =
+  let { run; _ } = compile layout e in
+  let no_args = [||] in
+  fun phv ->
+    if Phv.layout phv == layout then Stdlib.( <> ) (run phv no_args) 0
+    else eval_bool { phv; params = [] } e
+
+let rec reads = function
+  | Const _ | Param _ -> Fieldref.Set.empty
+  | Field r -> Fieldref.Set.singleton r
+  | Valid h -> Fieldref.Set.singleton (Fieldref.v h "$valid")
+  | Un (_, e) -> reads e
+  | Bin (_, a, b) -> Fieldref.Set.union (reads a) (reads b)
+  | Hash (_, _, es) ->
+      List.fold_left
+        (fun acc e -> Fieldref.Set.union acc (reads e))
+        Fieldref.Set.empty es
+

@@ -40,15 +40,36 @@ val eval : env -> t -> Bitval.t
 
 val eval_bool : env -> t -> bool
 
-val compile_env : t -> env -> Bitval.t
-(** Resolve the tree walk once — field references become cached-slot
-    accessors — returning a closure equivalent to [eval]. *)
+val widest :
+  field_width:(Fieldref.t -> int option) -> params:(string * int) list -> t -> int
+(** The largest static width over the expression and all its
+    subexpressions. A node's static width is a field's or parameter's
+    declared width, the left operand's width for arithmetic, bitwise
+    and shift nodes, 1 for comparisons, logic and validity tests, and
+    the output width of a hash; unknown fields and parameters count as
+    1 bit. The compiled int path requires it to be at most
+    {!Hdr.max_width}; {!Program.validate} enforces that. *)
 
-val compile : t -> Phv.t -> Bitval.t
-(** [compile_env] with no bound parameters — used for gateway
-    conditions, which never reference action parameters. *)
+type compiled = { width : int; run : Phv.t -> int array -> int }
+(** An expression compiled against one PHV layout: [run phv args] is
+    the value as an immediate int (always below [2^width]), with
+    parameters read from [args] by position. [run] must only be given
+    PHVs of that layout; it allocates nothing. *)
 
-val compile_bool : t -> Phv.t -> bool
+val compile : ?params:(string * int) list -> Phv.layout -> t -> compiled
+(** Resolve every field to a cell of the layout and every [Param] to
+    its position in [params] (the action's parameter list). Agrees with
+    {!eval} on every PHV of the layout: same value, same width, and the
+    same exception ([Not_found] for a field the layout lacks,
+    [Invalid_argument] for an unbound parameter), raised when the node
+    is evaluated. Raises [Invalid_argument] at compile time when any
+    node is wider than {!Hdr.max_width}. *)
+
+val compile_bool : ?layout:Phv.layout -> t -> Phv.t -> bool
+(** A gateway condition: the int path for PHVs of [layout] (default
+    {!Phv.empty_layout}), {!eval_bool} for any other PHV. Raises like
+    {!compile}. *)
+
 val reads : t -> Fieldref.Set.t
 (** Every field the expression reads (validity tests included, as a
     pseudo-field ["<hdr>.$valid"]). *)

@@ -1,16 +1,17 @@
 type field = { name : string; width : int }
 
+let max_width = Netpkt.Bytes_util.max_int_width
+
 (* Everything a per-packet operation needs is precomputed here, once per
    declaration: fields as an array, a name -> position table, per-field
-   bit offsets for extract/emit, and a pristine value array instances
-   copy instead of rebuilding. *)
+   bit offsets and widths for extract/emit. *)
 type decl = {
   name : string;
   fields : field list;
   farr : field array;
   findex : (string, int) Hashtbl.t;
   foffs : int array;
-  zeros : Bitval.t array;
+  fwidths : int array;
   nbits : int;
 }
 
@@ -19,10 +20,10 @@ let decl name fields =
   let fields =
     List.map
       (fun (fname, width) ->
-        if width < 1 || width > 64 then
+        if width < 1 || width > max_width then
           invalid_arg
-            (Printf.sprintf "Hdr.decl %s: field %s width %d not in 1..64" name
-               fname width);
+            (Printf.sprintf "Hdr.decl %s: field %s width %d not in 1..%d" name
+               fname width max_width);
         if Hashtbl.mem seen fname then
           invalid_arg
             (Printf.sprintf "Hdr.decl %s: duplicate field %s" name fname);
@@ -47,11 +48,12 @@ let decl name fields =
     farr;
     findex;
     foffs;
-    zeros = Array.map (fun (f : field) -> Bitval.zero f.width) farr;
+    fwidths = Array.map (fun (f : field) -> f.width) farr;
     nbits = !off;
   }
 
 let total_width d = d.nbits
+let n_fields d = Array.length d.farr
 
 let byte_size d =
   if d.nbits mod 8 <> 0 then
@@ -64,10 +66,16 @@ let field_index d fname = Hashtbl.find d.findex fname
 
 let field_width d fname =
   match Hashtbl.find_opt d.findex fname with
-  | Some i -> d.farr.(i).width
+  | Some i -> d.fwidths.(i)
   | None -> raise Not_found
 
 let has_field d fname = Hashtbl.mem d.findex fname
+let mask w = (1 lsl w) - 1
+
+let cell_of_int64 v =
+  if Int64.compare v 0L >= 0 && Int64.compare v (Int64.of_int (mask max_width)) <= 0
+  then Int64.to_int v
+  else -1
 
 (* Structural recognition of IPv4-style self-checksummed headers for
    the deparser's checksum engine: a 16-bit, byte-aligned "checksum"
@@ -76,7 +84,7 @@ let has_field d fname = Hashtbl.mem d.findex fname
    payload) don't qualify — they have no "ihl". *)
 let self_checksum_byte d =
   match (Hashtbl.find_opt d.findex "checksum", Hashtbl.mem d.findex "ihl") with
-  | Some k, true when d.farr.(k).width = 16 && d.foffs.(k) mod 8 = 0 ->
+  | Some k, true when d.fwidths.(k) = 16 && d.foffs.(k) mod 8 = 0 ->
       Some (d.foffs.(k) / 8)
   | _ -> None
 
@@ -92,66 +100,45 @@ let pp_decl ppf d =
   List.iter (fun (f : field) -> Format.fprintf ppf " bit<%d> %s;" f.width f.name) d.fields;
   Format.fprintf ppf " }"
 
-type inst = {
-  idecl : decl;
-  mutable valid : bool;
-  vals : Bitval.t array;
-}
+(* --- Wire access over a run of int cells: field k of the header lives
+   at [cells.(pos + k)]. Standalone instances and the PHV's flat cell
+   array share these two loops. --- *)
 
-let inst d = { idecl = d; valid = false; vals = Array.copy d.zeros }
+let read_fields d cells ~pos b ~bit_off =
+  for k = 0 to Array.length d.fwidths - 1 do
+    Array.unsafe_set cells (pos + k)
+      (Netpkt.Bytes_util.get_bits_int b
+         ~bit_off:(bit_off + Array.unsafe_get d.foffs k)
+         ~width:(Array.unsafe_get d.fwidths k))
+  done
 
-let inst_valid d =
-  let i = inst d in
-  i.valid <- true;
-  i
+let write_fields d cells ~pos b ~bit_off =
+  for k = 0 to Array.length d.fwidths - 1 do
+    Netpkt.Bytes_util.set_bits_int b
+      ~bit_off:(bit_off + Array.unsafe_get d.foffs k)
+      ~width:(Array.unsafe_get d.fwidths k)
+      (Array.unsafe_get cells (pos + k))
+  done
+
+type inst = { idecl : decl; mutable valid : bool; vals : int array }
+
+let inst d = { idecl = d; valid = false; vals = Array.make (n_fields d) 0 }
 
 let decl_of i = i.idecl
 let is_valid i = i.valid
 let set_valid i = i.valid <- true
 let set_invalid i = i.valid <- false
 
-let get i fname = i.vals.(Hashtbl.find i.idecl.findex fname)
+let get i fname =
+  let k = Hashtbl.find i.idecl.findex fname in
+  Bitval.of_int ~width:i.idecl.fwidths.(k) i.vals.(k)
 
-let get_at i k = i.vals.(k)
-
-let set_at i k v = i.vals.(k) <- Bitval.resize v i.idecl.farr.(k).width
-
-let set i fname v = set_at i (Hashtbl.find i.idecl.findex fname) v
-
-let copy i = { idecl = i.idecl; valid = i.valid; vals = Array.copy i.vals }
+let set i fname v =
+  let k = Hashtbl.find i.idecl.findex fname in
+  i.vals.(k) <- Int64.to_int (Bitval.to_int64 (Bitval.resize v i.idecl.fwidths.(k)))
 
 let extract i b ~bit_off =
-  let d = i.idecl in
-  let n = Array.length d.farr in
-  for k = 0 to n - 1 do
-    let w = d.farr.(k).width in
-    i.vals.(k) <-
-      Bitval.make ~width:w
-        (Netpkt.Bytes_util.get_bits b ~bit_off:(bit_off + d.foffs.(k)) ~width:w)
-  done;
+  read_fields i.idecl i.vals ~pos:0 b ~bit_off;
   i.valid <- true
 
-let emit i b ~bit_off =
-  let d = i.idecl in
-  let n = Array.length d.farr in
-  for k = 0 to n - 1 do
-    Netpkt.Bytes_util.set_bits b
-      ~bit_off:(bit_off + d.foffs.(k))
-      ~width:d.farr.(k).width
-      (Bitval.to_int64 i.vals.(k))
-  done
-
-let equal_inst a b =
-  equal_decl a.idecl b.idecl && a.valid = b.valid
-  &&
-  let n = Array.length a.vals in
-  let rec go k = k >= n || (Bitval.equal a.vals.(k) b.vals.(k) && go (k + 1)) in
-  go 0
-
-let pp_inst ppf i =
-  Format.fprintf ppf "%s%s{" i.idecl.name (if i.valid then "" else "(invalid)");
-  Array.iteri
-    (fun k (f : field) ->
-      Format.fprintf ppf " %s=%Lu" f.name (Bitval.to_int64 i.vals.(k)))
-    i.idecl.farr;
-  Format.fprintf ppf " }"
+let emit i b ~bit_off = write_fields i.idecl i.vals ~pos:0 b ~bit_off

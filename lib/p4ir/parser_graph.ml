@@ -94,7 +94,9 @@ let parse t bytes phv =
                 (Printf.sprintf "parser %s: truncated %s at offset %d" t.name
                    s.header off)
             else begin
-              Hdr.extract (Phv.inst phv s.header) bytes ~bit_off:(8 * off);
+              Phv.extract_at phv decl
+                (Phv.valid_cell (Phv.layout phv) s.header)
+                bytes ~bit_off:(8 * off);
               let off = off + size in
               match s.select with
               | None -> Ok off
@@ -117,9 +119,10 @@ let parse t bytes phv =
   step t.start 0
 
 (* --- Compiled form: state ids resolved to direct references, header
-   sizes and select fields precomputed, so the per-packet walk does no
-   list searching. The interpretive {!parse} above stays as the
-   reference-mode parser. --- *)
+   sizes, select fields and case values precomputed against a PHV
+   layout, so the per-packet walk does no list searching and extracts
+   straight into int cells. The interpretive {!parse} above stays as
+   the reference-mode parser. --- *)
 
 type cnext =
   | C_accept
@@ -129,21 +132,25 @@ type cnext =
 
 and cstate = {
   c_header : string;
-  c_inst : Phv.t -> Hdr.inst;  (* cached-slot accessor for [c_header] *)
+  c_decl : Hdr.decl;
+  c_vc : int;  (* validity cell in the compiled layout; -1 = absent *)
   c_size : int;
   c_select : cselect option;
 }
 
 and cselect = {
-  c_on : (Phv.t -> Bitval.t) array;
-  c_cases : (int64 array * cnext) array;
+  c_on : Fieldref.t array;
+  c_cells : int array;  (* -1 = absent from the layout *)
+  c_bound : bool;  (* every select field resolved *)
+  c_cases : (int array * cnext) array;
   c_default : cnext;
 }
 
-type compiled = { c_name : string; c_start : cnext }
+type compiled = { c_name : string; c_layout : Phv.layout; c_start : cnext }
 
-let compile t =
+let compile ?(layout = Phv.empty_layout) t =
   let memo = Hashtbl.create 16 in
+  let cell_of resolve x = match resolve layout x with c -> c | exception Not_found -> -1 in
   let rec next = function
     | Accept -> C_accept
     | Reject -> C_reject
@@ -160,17 +167,22 @@ let compile t =
         let c =
           {
             c_header = s.header;
-            c_inst = Phv.fast_inst s.header;
+            c_decl = decl;
+            c_vc = cell_of Phv.valid_cell s.header;
             c_size = Hdr.byte_size decl;
             c_select =
               Option.map
                 (fun sel ->
+                  let cells = Array.of_list (List.map (cell_of Phv.field_cell) sel.on) in
                   {
-                    c_on = Array.of_list (List.map Phv.fast_get sel.on);
+                    c_on = Array.of_list sel.on;
+                    c_cells = cells;
+                    c_bound = Array.for_all (fun c -> c >= 0) cells;
                     c_cases =
                       Array.of_list
                         (List.map
-                           (fun c -> (Array.of_list c.values, next c.next))
+                           (fun c ->
+                             (Array.of_list (List.map Hdr.cell_of_int64 c.values), next c.next))
                            sel.cases);
                     c_default = next sel.default;
                   })
@@ -180,49 +192,56 @@ let compile t =
         Hashtbl.add memo s.id c;
         c
   in
-  { c_name = t.name; c_start = next t.start }
+  { c_name = t.name; c_layout = layout; c_start = next t.start }
+
+(* One select field's value: a cell read on the bound path, a
+   name-resolved read (raising [Not_found] like {!parse}) otherwise. *)
+let select_value sel bound phv i =
+  if bound && sel.c_cells.(i) >= 0 then Phv.cell phv sel.c_cells.(i)
+  else Phv.get_int phv sel.c_on.(i)
+
+let rec case_matches sel bound phv cv i =
+  i >= Array.length cv
+  || (cv.(i) = select_value sel bound phv i && case_matches sel bound phv cv (i + 1))
+
+let rec find_case c bound bytes phv sel off i =
+  if i >= Array.length sel.c_cases then step c bound bytes phv sel.c_default off
+  else
+    let cv, nxt = sel.c_cases.(i) in
+    if Array.length cv = Array.length sel.c_on && case_matches sel bound phv cv 0
+    then step c bound bytes phv nxt off
+    else find_case c bound bytes phv sel off (i + 1)
+
+and step c bound bytes phv n off =
+  match n with
+  | C_accept -> Ok off
+  | C_reject -> Error (Printf.sprintf "parser %s: packet rejected" c.c_name)
+  | C_error e -> Error e
+  | C_state s -> (
+      if off + s.c_size > Bytes.length bytes then
+        Error
+          (Printf.sprintf "parser %s: truncated %s at offset %d" c.c_name
+             s.c_header off)
+      else
+        let vc =
+          if bound && s.c_vc >= 0 then s.c_vc
+          else Phv.valid_cell (Phv.layout phv) s.c_header
+        in
+        Phv.extract_at phv s.c_decl vc bytes ~bit_off:(8 * off);
+        let off = off + s.c_size in
+        match s.c_select with
+        | None -> Ok off
+        | Some sel ->
+            (* An unresolved select field raises before any case is
+               tried, as {!parse} reads every field first. *)
+            if not (bound && sel.c_bound) then
+              for i = 0 to Array.length sel.c_on - 1 do
+                ignore (select_value sel bound phv i)
+              done;
+            find_case c bound bytes phv sel off 0)
 
 let run_compiled c bytes phv =
-  let blen = Bytes.length bytes in
-  let rec step n off =
-    match n with
-    | C_accept -> Ok off
-    | C_reject -> Error (Printf.sprintf "parser %s: packet rejected" c.c_name)
-    | C_error e -> Error e
-    | C_state s ->
-        if off + s.c_size > blen then
-          Error
-            (Printf.sprintf "parser %s: truncated %s at offset %d" c.c_name
-               s.c_header off)
-        else begin
-          Hdr.extract (s.c_inst phv) bytes ~bit_off:(8 * off);
-          let off = off + s.c_size in
-          match s.c_select with
-          | None -> Ok off
-          | Some sel ->
-              let n_on = Array.length sel.c_on in
-              let vals =
-                Array.init n_on (fun i -> Bitval.to_int64 (sel.c_on.(i) phv))
-              in
-              let eq cv =
-                Array.length cv = n_on
-                &&
-                let rec go i =
-                  i >= n_on || (Int64.equal cv.(i) vals.(i) && go (i + 1))
-                in
-                go 0
-              in
-              let ncases = Array.length sel.c_cases in
-              let rec find i =
-                if i >= ncases then step sel.c_default off
-                else
-                  let cv, nxt = sel.c_cases.(i) in
-                  if eq cv then step nxt off else find (i + 1)
-              in
-              find 0
-        end
-  in
-  step c.c_start 0
+  step c (Phv.layout phv == c.c_layout) bytes phv c.c_start 0
 
 (* The deparser's checksum engine: recompute an IPv4-style header
    checksum in place over the just-emitted bytes. The PHV's checksum
@@ -236,24 +255,22 @@ let fix_checksum out ~off ~csum_byte ~size =
     (Netpkt.Bytes_util.internet_checksum out ~off ~len:size)
 
 let deparse ~order phv ~payload =
+  let lay = Phv.layout phv in
   let valid =
     List.filter_map
       (fun name ->
-        if Phv.is_valid phv name then
-          Some (Phv.inst phv name)
-        else None)
+        if Phv.is_valid phv name then Some (Phv.decl_in lay name) else None)
       order
   in
   let total =
-    List.fold_left (fun acc i -> acc + Hdr.byte_size (Hdr.decl_of i)) 0 valid
+    List.fold_left (fun acc d -> acc + Hdr.byte_size d) 0 valid
     + Bytes.length payload
   in
   let out = Bytes.make total '\000' in
   let off = ref 0 in
   List.iter
-    (fun i ->
-      Hdr.emit i out ~bit_off:(8 * !off);
-      let d = Hdr.decl_of i in
+    (fun (d : Hdr.decl) ->
+      Phv.emit_at phv d (Phv.valid_cell lay d.Hdr.name) out ~bit_off:(8 * !off);
       let size = Hdr.byte_size d in
       (match Hdr.self_checksum_byte d with
       | Some csum_byte -> fix_checksum out ~off:!off ~csum_byte ~size

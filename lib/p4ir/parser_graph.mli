@@ -45,15 +45,21 @@ val parse : t -> Bytes.t -> Phv.t -> (int, string) result
     declarations to the PHV first. *)
 
 type compiled
-(** The parse graph with state ids resolved to direct references and
-    header sizes precomputed — the per-packet fast path. *)
+(** The parse graph with state ids resolved to direct references, and
+    header sizes, select fields and case values precomputed against a
+    PHV layout — the per-packet fast path. *)
 
-val compile : t -> compiled
+val compile : ?layout:Phv.layout -> t -> compiled
+(** [layout] (default {!Phv.empty_layout}) is the layout of the PHVs
+    the parser will fill: on those, extraction writes field values
+    straight into cells as immediate ints and select reads cells. *)
 
 val run_compiled : compiled -> Bytes.t -> Phv.t -> (int, string) result
 (** Like {!parse}, but over the compiled graph, and the PHV must already
     hold every header declaration (copy a template PHV; unlike {!parse}
-    no declarations are added). Same results and errors as {!parse}. *)
+    no declarations are added). A PHV of another layout than the
+    compiled one is filled name-resolved. Same results and errors as
+    {!parse}. *)
 
 val fix_checksum : Bytes.t -> off:int -> csum_byte:int -> size:int -> unit
 (** The deparser's checksum engine: zero the 16-bit checksum at

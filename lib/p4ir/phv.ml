@@ -1,201 +1,149 @@
-(* Slot-indexed PHV: [names] maps header name -> slot in [insts]. Copies
-   share the (immutable-in-practice) [names] table — [add_decl] clones it
-   first when this PHV doesn't own it — so the compiled fast accessors
-   below can cache a slot per physically-distinct table and hit an array
-   read on every packet instead of hashing strings. *)
-type t = {
-  mutable names : (string, int) Hashtbl.t;
-  mutable owned : bool;
-  mutable insts : Hdr.inst array;
-  mutable rev_order : string list;
+(* The PHV is one flat [int array] of cells under an immutable layout.
+   Header k of the layout owns a validity cell at [bases.(k)] (0 or 1)
+   followed by one cell per field, in declaration order, each holding
+   the field's value as an immediate int (widths live in the decl). A
+   layout is never mutated: [add_decl] swaps in an extended copy, so a
+   closure compiled against a layout can trust every cell index it
+   resolved for as long as a PHV still points at that layout. *)
+
+type layout = {
+  decls : Hdr.decl array;
+  names : (string, int) Hashtbl.t;
+  bases : int array;
+  ncells : int;
 }
 
-let order t = List.rev t.rev_order
+type t = { mutable lay : layout; mutable cells : int array }
 
-let add_decl t (d : Hdr.decl) =
-  match Hashtbl.find_opt t.names d.Hdr.name with
-  | Some slot ->
-      if not (Hdr.equal_decl (Hdr.decl_of t.insts.(slot)) d) then
+let empty_layout =
+  { decls = [||]; names = Hashtbl.create 1; bases = [||]; ncells = 0 }
+
+(* [lay] plus [d] at the end; [lay] itself when an equal declaration is
+   already present. *)
+let extend lay (d : Hdr.decl) =
+  match Hashtbl.find_opt lay.names d.Hdr.name with
+  | Some k ->
+      if not (Hdr.equal_decl lay.decls.(k) d) then
         invalid_arg
           (Printf.sprintf "Phv.add_decl: conflicting declaration for %s"
-             d.Hdr.name)
+             d.Hdr.name);
+      lay
   | None ->
-      if not t.owned then begin
-        t.names <- Hashtbl.copy t.names;
-        t.owned <- true
-      end;
-      let slot = Array.length t.insts in
-      Hashtbl.replace t.names d.Hdr.name slot;
-      t.insts <- Array.append t.insts [| Hdr.inst d |];
-      t.rev_order <- d.Hdr.name :: t.rev_order
+      let names = Hashtbl.copy lay.names in
+      Hashtbl.replace names d.Hdr.name (Array.length lay.decls);
+      {
+        decls = Array.append lay.decls [| d |];
+        names;
+        bases = Array.append lay.bases [| lay.ncells |];
+        ncells = lay.ncells + 1 + Hdr.n_fields d;
+      }
+
+let layout_of decls = List.fold_left extend empty_layout decls
+let layout t = t.lay
+let of_layout lay = { lay; cells = Array.make lay.ncells 0 }
 
 let create decls =
-  let t =
-    { names = Hashtbl.create 16; owned = true; insts = [||]; rev_order = [] }
-  in
+  let seen = Hashtbl.create 16 in
   List.iter
     (fun (d : Hdr.decl) ->
-      if Hashtbl.mem t.names d.Hdr.name then
+      if Hashtbl.mem seen d.Hdr.name then
         invalid_arg
-          (Printf.sprintf "Phv.create: duplicate declaration %s" d.Hdr.name)
-      else add_decl t d)
+          (Printf.sprintf "Phv.create: duplicate declaration %s" d.Hdr.name);
+      Hashtbl.add seen d.Hdr.name ())
     decls;
-  t
+  of_layout (layout_of decls)
 
-let decls t =
-  List.map (fun n -> Hdr.decl_of t.insts.(Hashtbl.find t.names n)) (order t)
+let add_decl t d =
+  let lay = extend t.lay d in
+  if lay != t.lay then begin
+    let cells = Array.make lay.ncells 0 in
+    Array.blit t.cells 0 cells 0 (Array.length t.cells);
+    t.lay <- lay;
+    t.cells <- cells
+  end
 
-let inst t name = t.insts.(Hashtbl.find t.names name)
+let decls t = Array.to_list t.lay.decls
 
-let has t name = Hashtbl.mem t.names name
+(* --- Layout resolution (compile time) --- *)
+
+let valid_cell lay h = lay.bases.(Hashtbl.find lay.names h)
+
+let field_pos lay (r : Fieldref.t) =
+  let k = Hashtbl.find lay.names r.Fieldref.hdr in
+  let i = Hdr.field_index lay.decls.(k) r.Fieldref.field in
+  (lay.bases.(k) + 1 + i, lay.decls.(k).Hdr.fwidths.(i))
+
+let field_cell lay r = fst (field_pos lay r)
+let field_width lay r = snd (field_pos lay r)
+let decl_in lay h = lay.decls.(Hashtbl.find lay.names h)
+
+(* --- Cell access (run time, for code bound to [layout t]) --- *)
+
+let cell t i = t.cells.(i)
+let set_cell t i v = t.cells.(i) <- v
+
+let extract_at t (d : Hdr.decl) vc b ~bit_off =
+  Hdr.read_fields d t.cells ~pos:(vc + 1) b ~bit_off;
+  t.cells.(vc) <- 1
+
+let emit_at t (d : Hdr.decl) vc b ~bit_off =
+  Hdr.write_fields d t.cells ~pos:(vc + 1) b ~bit_off
+
+(* --- Name-resolved access --- *)
 
 let is_valid t name =
-  match Hashtbl.find_opt t.names name with
-  | Some slot -> Hdr.is_valid t.insts.(slot)
+  match Hashtbl.find_opt t.lay.names name with
+  | Some k -> t.cells.(t.lay.bases.(k)) = 1
   | None -> false
 
-let set_valid t name = Hdr.set_valid (inst t name)
-let set_invalid t name = Hdr.set_invalid (inst t name)
-let get t (r : Fieldref.t) = Hdr.get (inst t r.Fieldref.hdr) r.Fieldref.field
-let get_int t r = Bitval.to_int (get t r)
-let set t (r : Fieldref.t) v = Hdr.set (inst t r.Fieldref.hdr) r.Fieldref.field v
+let set_valid t name = t.cells.(valid_cell t.lay name) <- 1
+let set_invalid t name = t.cells.(valid_cell t.lay name) <- 0
+
+let get_int t r = t.cells.(field_cell t.lay r)
+
+let get t r =
+  let c, w = field_pos t.lay r in
+  Bitval.of_int ~width:w t.cells.(c)
 
 let set_int t r v =
-  let w = Hdr.field_width (Hdr.decl_of (inst t r.Fieldref.hdr)) r.Fieldref.field in
-  set t r (Bitval.of_int ~width:w v)
+  let c, w = field_pos t.lay r in
+  t.cells.(c) <- v land Hdr.mask w
 
-let copy t =
-  (* The source loses ownership too: once a copy shares [names], neither
-     side may mutate it in place. *)
-  t.owned <- false;
-  {
-    names = t.names;
-    owned = false;
-    insts = Array.map Hdr.copy t.insts;
-    rev_order = t.rev_order;
-  }
+let set t r v =
+  let c, w = field_pos t.lay r in
+  t.cells.(c) <- Int64.to_int (Bitval.to_int64 (Bitval.resize v w))
 
+let copy t = { lay = t.lay; cells = Array.copy t.cells }
+
+(* Header by header, by name: two PHVs of different layouts (a parsed
+   reference PHV and a template copy) are equal when they hold the same
+   headers with the same validity and values. *)
 let equal a b =
-  List.length a.rev_order = List.length b.rev_order
-  && List.for_all
-       (fun name ->
-         match Hashtbl.find_opt b.names name with
-         | Some slot -> Hdr.equal_inst (inst a name) b.insts.(slot)
-         | None -> false)
-       a.rev_order
-
-(* --- Compiled accessors: a closure per field reference with a small
-   cache of (names table identity -> slot, field position). A packet
-   pipeline alternates between a handful of template layouts (one per
-   pipelet), so 4 entries cover the working set; a miss falls back to
-   the hash lookups and refills round-robin. --- *)
-
-let cache_size = 8
-
-type slot_cache = {
-  ctbl : (string, int) Hashtbl.t option array;
-  cslot : int array;
-  cidx : int array;
-  mutable victim : int;
-}
-
-let fresh_cache () =
-  {
-    ctbl = Array.make cache_size None;
-    cslot = Array.make cache_size 0;
-    cidx = Array.make cache_size 0;
-    victim = 0;
-  }
-
-(* Returns [slot * 65536 + field_index]; raises [Not_found] like the
-   uncached path for an unknown header or field. *)
-let resolve cache (r : Fieldref.t) t =
-  let rec probe i =
-    if i >= cache_size then begin
-      let slot = Hashtbl.find t.names r.Fieldref.hdr in
-      let fidx =
-        Hdr.field_index (Hdr.decl_of t.insts.(slot)) r.Fieldref.field
-      in
-      let k = cache.victim in
-      cache.victim <- (k + 1) mod cache_size;
-      cache.ctbl.(k) <- Some t.names;
-      cache.cslot.(k) <- slot;
-      cache.cidx.(k) <- fidx;
-      (slot lsl 16) lor fidx
-    end
-    else
-      match cache.ctbl.(i) with
-      | Some tb when tb == t.names -> (cache.cslot.(i) lsl 16) lor cache.cidx.(i)
-      | _ -> probe (i + 1)
-  in
-  probe 0
-
-(* Header-validity accessor: caches name -> slot; an absent header is
-   not cached (and reports invalid, like {!is_valid}). *)
-let fast_valid h =
-  let cache = fresh_cache () in
-  fun t ->
-    let rec probe i =
-      if i >= cache_size then
-        match Hashtbl.find_opt t.names h with
-        | None -> false
-        | Some slot ->
-            let k = cache.victim in
-            cache.victim <- (k + 1) mod cache_size;
-            cache.ctbl.(k) <- Some t.names;
-            cache.cslot.(k) <- slot;
-            Hdr.is_valid t.insts.(slot)
-      else
-        match cache.ctbl.(i) with
-        | Some tb when tb == t.names -> Hdr.is_valid t.insts.(cache.cslot.(i))
-        | _ -> probe (i + 1)
-    in
-    probe 0
-
-(* Header-instance accessor: caches name -> slot; raises [Not_found]
-   for an unknown header like {!inst}. *)
-let fast_inst h =
-  let cache = fresh_cache () in
-  fun t ->
-    let rec probe i =
-      if i >= cache_size then begin
-        let slot = Hashtbl.find t.names h in
-        let k = cache.victim in
-        cache.victim <- (k + 1) mod cache_size;
-        cache.ctbl.(k) <- Some t.names;
-        cache.cslot.(k) <- slot;
-        t.insts.(slot)
-      end
-      else
-        match cache.ctbl.(i) with
-        | Some tb when tb == t.names -> t.insts.(cache.cslot.(i))
-        | _ -> probe (i + 1)
-    in
-    probe 0
-
-let fast_get r =
-  let cache = fresh_cache () in
-  fun t ->
-    let p = resolve cache r t in
-    Hdr.get_at t.insts.(p lsr 16) (p land 0xffff)
-
-let fast_set r =
-  let cache = fresh_cache () in
-  fun t v ->
-    let p = resolve cache r t in
-    Hdr.set_at t.insts.(p lsr 16) (p land 0xffff) v
-
-let fast_get_int r =
-  let g = fast_get r in
-  fun t -> Bitval.to_int (g t)
-
-let fast_set_int r =
-  let s = fast_set r in
-  fun t v -> s t (Bitval.of_int ~width:64 v)
+  Array.length a.lay.decls = Array.length b.lay.decls
+  && Array.for_all
+       (fun (d : Hdr.decl) ->
+         match Hashtbl.find_opt b.lay.names d.Hdr.name with
+         | None -> false
+         | Some kb ->
+             Hdr.equal_decl d b.lay.decls.(kb)
+             &&
+             let ba = valid_cell a.lay d.Hdr.name and bb = b.lay.bases.(kb) in
+             let rec go i =
+               i > Hdr.n_fields d || (a.cells.(ba + i) = b.cells.(bb + i) && go (i + 1))
+             in
+             go 0)
+       a.lay.decls
 
 let pp ppf t =
-  List.iter
-    (fun name ->
-      let i = inst t name in
-      if Hdr.is_valid i then Format.fprintf ppf "%a@\n" Hdr.pp_inst i)
-    (order t)
+  Array.iteri
+    (fun k (d : Hdr.decl) ->
+      let base = t.lay.bases.(k) in
+      if t.cells.(base) = 1 then begin
+        Format.fprintf ppf "%s{" d.Hdr.name;
+        List.iteri
+          (fun i (f : Hdr.field) ->
+            Format.fprintf ppf " %s=%d" f.Hdr.name t.cells.(base + 1 + i))
+          d.Hdr.fields;
+        Format.fprintf ppf " }@\n"
+      end)
+    t.lay.decls

@@ -1,55 +1,98 @@
 (** The packet header vector: every header instance (and metadata header)
-    a packet carries through a pipeline, addressed by {!Fieldref.t}. *)
+    a packet carries through a pipeline, addressed by {!Fieldref.t}.
+
+    A PHV is a {!layout} plus one flat [int array] of cells. Header [h]
+    owns a validity cell (0 or 1) followed by one cell per field, in
+    declaration order; a cell holds the field's value as an immediate
+    int (fields are at most {!Hdr.max_width} = 62 bits wide, and the
+    width lives in the declaration). Layouts are immutable and shared:
+    {!copy} keeps the source's layout, and a pipelet builds one layout
+    when it loads and copies a template of it per packet.
+
+    Two ways in:
+    - {b name-resolved} ({!get}, {!set}, {!get_int}, {!is_valid}, ...):
+      look the header and field up by name on every call and work on
+      any PHV. [get]/[set] speak {!Bitval.t}, the control-plane and
+      reference-interpreter value type.
+    - {b layout-bound} ({!field_cell}/{!valid_cell} resolved once at
+      compile time, then {!cell}/{!set_cell} per packet): what the
+      compiled fast path uses. A cell index is only meaningful for PHVs
+      whose {!layout} is physically the layout it was resolved against;
+      compiled code checks that pointer once and takes the name-resolved
+      path for a PHV of any other layout. *)
 
 type t
 
+type layout
+(** Immutable: header order, per-header validity cell, cell count. *)
+
 val create : Hdr.decl list -> t
-(** Fresh PHV with an invalid instance per declaration. Raises on
-    duplicate declaration names. *)
+(** Fresh PHV with an invalid instance per declaration, under a layout
+    of its own. Raises on duplicate declaration names. *)
+
+val layout_of : Hdr.decl list -> layout
+(** A layout holding the declarations in order; an equal declaration
+    repeated is kept once, a conflicting one raises like {!add_decl}. *)
+
+val empty_layout : layout
+(** The layout of [create []]; code compiled against it always takes
+    the name-resolved path. *)
+
+val of_layout : layout -> t
+(** A fresh PHV over a shared layout: every header invalid, every field
+    zero. *)
+
+val layout : t -> layout
 
 val add_decl : t -> Hdr.decl -> unit
 (** Add another (invalid) instance; no-op when the same declaration is
-    already present, raises when a different one with the same name is. *)
+    already present, raises when a different one with the same name is.
+    Adding a header moves the PHV to a new, extended layout. *)
 
 val decls : t -> Hdr.decl list
-val inst : t -> string -> Hdr.inst
-(** Raises [Not_found]. *)
 
-val has : t -> string -> bool
+(** {2 Name-resolved access} *)
+
 val is_valid : t -> string -> bool
 (** [false] when the header is absent entirely. *)
 
 val set_valid : t -> string -> unit
 val set_invalid : t -> string -> unit
 val get : t -> Fieldref.t -> Bitval.t
-(** Raises [Not_found] for unknown header or field. *)
+(** Raises [Not_found] for unknown header or field. The value carries
+    the declared field width. *)
 
 val get_int : t -> Fieldref.t -> int
 val set : t -> Fieldref.t -> Bitval.t -> unit
 val set_int : t -> Fieldref.t -> int -> unit
-(** Resizes to the declared width. *)
+(** Truncate to the declared width. *)
 
 val copy : t -> t
-(** Copies share the internal name -> slot layout with the source; both
-    sides clone it on a later [add_decl] (copy-on-write). *)
+(** Same layout, private cells. *)
 
 val equal : t -> t -> bool
+(** Same headers (by name), validity and values — layouts may differ. *)
+
 val pp : Format.formatter -> t -> unit
 
-(** {2 Compiled accessors}
+(** {2 Layout-bound access}
 
-    Each returns a closure that caches the slot resolution per PHV
-    layout, so repeated calls on PHVs copied from the same template cost
-    an identity check and two array reads — no string hashing. Raise
-    [Not_found] like their uncached counterparts. *)
+    Resolution raises [Not_found] for an unknown header or field. *)
 
-val fast_get : Fieldref.t -> t -> Bitval.t
-val fast_set : Fieldref.t -> t -> Bitval.t -> unit
-val fast_get_int : Fieldref.t -> t -> int
-val fast_set_int : Fieldref.t -> t -> int -> unit
+val valid_cell : layout -> string -> int
+(** The header's validity cell; its fields follow it. *)
 
-val fast_valid : string -> t -> bool
-(** Like {!is_valid} ([false] when the header is absent). *)
+val field_cell : layout -> Fieldref.t -> int
+val field_width : layout -> Fieldref.t -> int
+val decl_in : layout -> string -> Hdr.decl
 
-val fast_inst : string -> t -> Hdr.inst
-(** Like {!inst} (raises [Not_found] when the header is absent). *)
+val cell : t -> int -> int
+val set_cell : t -> int -> int -> unit
+(** The caller keeps the value within the field's width. *)
+
+val extract_at : t -> Hdr.decl -> int -> Bytes.t -> bit_off:int -> unit
+(** [extract_at t d vc b ~bit_off]: read header [d], whose validity cell
+    is [vc], from the wire and mark it valid. *)
+
+val emit_at : t -> Hdr.decl -> int -> Bytes.t -> bit_off:int -> unit
+(** Write header [d]'s fields (validity cell [vc]) to the wire. *)

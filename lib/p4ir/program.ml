@@ -56,10 +56,71 @@ let registers_referenced t =
   in
   List.sort_uniq String.compare (from_tables @ from_block t.control.Control.body)
 
+(* Every expression the program evaluates — gateway conditions, inline
+   primitives and table actions — must be at most [Hdr.max_width] bits
+   wide at every node, so the compiled int path and the [Bitval]
+   reference (64-bit) compute the same values. *)
+let check_widths t =
+  let decls = t.decls @ t.parser.Parser_graph.decls in
+  let field_width (r : Fieldref.t) =
+    List.find_map
+      (fun (d : Hdr.decl) ->
+        if String.equal d.Hdr.name r.Fieldref.hdr && Hdr.has_field d r.Fieldref.field
+        then Some (Hdr.field_width d r.Fieldref.field)
+        else None)
+      decls
+  in
+  let check where params e =
+    let w = Expr.widest ~field_width ~params e in
+    if w > Hdr.max_width then
+      Error
+        (Format.asprintf "program %s: %s: expression %a is bit<%d>, wider than %d"
+           t.name where Expr.pp e w Hdr.max_width)
+    else Ok ()
+  in
+  let prim_exprs = function
+    | Action.Assign (_, e) | Action.Reg_read (_, _, e) -> [ e ]
+    | Action.Reg_write (_, i, v) -> [ i; v ]
+    | Action.Set_valid _ | Action.Set_invalid _ | Action.No_op -> []
+  in
+  let check_all where params es =
+    List.fold_left (fun acc e -> Result.bind acc (fun () -> check where params e)) (Ok ()) es
+  in
+  let check_action where (a : Action.t) =
+    check_all where a.Action.params (List.concat_map prim_exprs a.Action.body)
+  in
+  let rec check_block block =
+    List.fold_left (fun acc s -> Result.bind acc (fun () -> check_stmt s)) (Ok ()) block
+  and check_stmt = function
+    | Control.Apply _ -> Ok ()
+    | Control.Apply_hit (_, a, b) ->
+        Result.bind (check_block a) (fun () -> check_block b)
+    | Control.Apply_switch (_, branches, default) ->
+        Result.bind (check_block (List.concat_map snd branches)) (fun () ->
+            check_block default)
+    | Control.If (cond, a, b) ->
+        Result.bind (check "gateway" [] cond) (fun () ->
+            Result.bind (check_block a) (fun () -> check_block b))
+    | Control.Run prims -> check_all "inline action" [] (List.concat_map prim_exprs prims)
+    | Control.Label (_, blk) -> check_block blk
+  in
+  List.fold_left
+    (fun acc tbl ->
+      List.fold_left
+        (fun acc (a : Action.t) ->
+          Result.bind acc (fun () ->
+              check_action
+                (Printf.sprintf "table %s action %s" (Table.name tbl) a.Action.name)
+                a))
+        acc (Table.actions tbl))
+    (check_block t.control.Control.body)
+    t.tables
+
 let validate t =
   let ( let* ) = Result.bind in
   let* () = Parser_graph.validate t.parser in
   let* () = Control.validate (table_env t) t.control in
+  let* () = check_widths t in
   let* () =
     List.fold_left
       (fun acc rname ->
@@ -87,8 +148,9 @@ let exec_control ?trace ?label_counters t phv =
   Control.exec ?trace ?label_counters ~regs:(reg_env t) (table_env t) t.control
     phv
 
-let compile_control ?label_counters t =
-  Control.compile ?label_counters ~regs:(reg_env t) (table_env t) t.control
+let compile_control ?label_counters ?layout t =
+  Control.compile ?label_counters ?layout ~regs:(reg_env t) (table_env t)
+    t.control
 
 let resources t =
   let base = Resources.of_control (table_env t) t.control in

@@ -37,7 +37,11 @@ val find_register : t -> string -> Register.t option
 val validate : t -> (unit, string) result
 (** Parser validity, control validity (all tables exist), deparse order
     covers only declared headers, every register primitive references a
-    declared register. *)
+    declared register, and every expression — gateway conditions,
+    inline primitives, table actions — is at most {!Hdr.max_width}
+    (62) bits wide at every node ({!Expr.widest}, with field widths
+    from the program's and parser's declarations), so the compiled int
+    path and the 64-bit [Bitval] reference cannot disagree. *)
 
 val exec_control :
   ?trace:Control.trace_event list ref ->
@@ -48,8 +52,10 @@ val exec_control :
 (** Interpret the control against the program's own table and register
     environments — the reference path. *)
 
-val compile_control : ?label_counters:(string -> int ref) -> t -> Control.compiled
-(** Precompile the control against the same environments; run with
+val compile_control :
+  ?label_counters:(string -> int ref) -> ?layout:Phv.layout -> t -> Control.compiled
+(** Precompile the control against the same environments and the PHV
+    layout it will run on ({!Control.compile}); run with
     {!Control.run_compiled}. [label_counters] (the per-NF telemetry
     hook) is resolved per label at compile time. *)
 

@@ -21,6 +21,15 @@ val write : t -> int -> Bitval.t -> unit
 (** Same wrap rule as {!read} — the two always address the same cell
     for the same index. The value is resized to the cell width. *)
 
+val read_int : t -> int -> width:int -> int
+(** The data-plane read: {!read}'s cell and recorder call, returning the
+    cell's low [width] bits (at most 62, the destination field's width)
+    as an immediate int. Allocates nothing unless a recorder is armed. *)
+
+val write_int : t -> int -> int -> unit
+(** The data-plane write: {!write} from an immediate int (a non-negative
+    value of at most 62 bits), resized to the cell width. *)
+
 val index_mask : t -> int
 (** Registers are sized to powers of two on the chip; indices are
     masked with [size' - 1] where [size'] is [size] rounded up. Both

@@ -15,50 +15,65 @@ type entry = {
   args : Bitval.t list;
 }
 
-(* A pattern lowered against the declared key width: masks (including
-   LPM prefix masks) folded to raw int64 pairs, so the linear partition
-   compares words instead of re-deriving masks per candidate. Only
-   sound when the looked-up value carries the declared width — the
-   width-mismatch fallback keeps the [Bitval.t]-level [matches]. *)
+(* A pattern lowered against the declared key width to immediate ints:
+   masks (including LPM prefix masks) folded to (value, mask) pairs, so
+   the linear partition compares words instead of re-deriving masks per
+   candidate. Only sound when the looked-up value carries the declared
+   width (at most 62 bits, so it is a non-negative int) — the
+   width-mismatch fallback keeps the [Bitval.t]-level [matches].
+   Pattern values beyond 62 bits can never equal such a key: they lower
+   to -1 ([Hdr.cell_of_int64]), which no key value is. *)
 type ipat =
   | I_any
-  | I_eq of int64
-  | I_masked of int64 * int64  (* pre-masked value, mask *)
-  | I_range of int64 * int64
+  | I_eq of int
+  | I_masked of int * int  (* pre-masked value, mask *)
+  | I_range of int * int
+
+let int_key v = Hdr.cell_of_int64 (Bitval.to_int64 v)
+
+(* Key bits above 62 are always zero, so only the mask's low bits
+   matter. *)
+let masked_pat v m =
+  I_masked (int_key (Bitval.logand v m), Int64.to_int (Bitval.to_int64 m) land Hdr.mask Hdr.max_width)
+
+(* The prefix mask of an LPM key of [w] bits, [w] at most 62; the key
+   value masked with it needs no resize first. *)
+let lpm_mask w plen = Hdr.mask w lxor Hdr.mask (w - plen)
+let lpm_fits kw plen = 0 <= plen && plen <= kw && kw <= Hdr.max_width
+let lpm_masked v m = Int64.to_int (Bitval.to_int64 v) land m
 
 let compile_pattern kw p =
   match p with
   | M_any -> I_any
-  | M_exact v -> I_eq (Bitval.to_int64 v)
-  | M_ternary { value; mask } ->
-      let m = Bitval.to_int64 mask in
-      I_masked (Int64.logand (Bitval.to_int64 value) m, m)
+  | M_exact v -> I_eq (int_key v)
+  | M_ternary { value; mask } -> masked_pat value mask
+  | M_lpm { value; prefix_len } when lpm_fits kw prefix_len ->
+      let m = lpm_mask kw prefix_len in
+      I_masked (lpm_masked value m, m)
   | M_lpm { value; prefix_len } ->
-      let m = Bitval.to_int64 (Bitval.mask_of_prefix ~width:kw prefix_len) in
-      I_masked (Int64.logand (Bitval.to_int64 (Bitval.resize value kw)) m, m)
-  | M_range { lo; hi } -> I_range (Bitval.to_int64 lo, Bitval.to_int64 hi)
+      masked_pat (Bitval.resize value kw) (Bitval.mask_of_prefix ~width:kw prefix_len)
+  | M_range { lo; hi } -> (
+      match (int_key lo, int_key hi) with
+      | -1, _ -> I_range (1, 0)
+      | lo, -1 -> I_range (lo, max_int)
+      | lo, hi -> I_range (lo, hi))
 
 let ipat_matches p v =
   match p with
   | I_any -> true
-  | I_eq pv -> Int64.equal v pv
-  | I_masked (pv, m) -> Int64.equal (Int64.logand v m) pv
-  | I_range (lo, hi) ->
-      Int64.unsigned_compare lo v <= 0 && Int64.unsigned_compare v hi <= 0
-
-(* A declared action compiled once per table store. As in P4, the
-   actions belong to the table and an entry carries only its action
-   data: every entry naming [act] runs the one [run] closure. [ai] is
-   the action's position in the store's array, so a {!copy} can point
-   an entry at its own store's closure without a name search. *)
-type cact = { act : Action.t; run : Action.compiled; ai : int }
+  | I_eq pv -> v = pv
+  | I_masked (pv, m) -> v land m = pv
+  | I_range (lo, hi) -> lo <= v && v <= hi
 
 (* An installed entry with everything a lookup needs precomputed:
    insertion sequence (tie-break), total prefix length (tie-break),
-   lowered patterns, compiled action and pre-bound action data. The
-   naive path recomputed all of this per candidate per packet.
+   lowered patterns, the action's position among the table's declared
+   actions and the action data lowered to ints. As in P4, the actions
+   belong to the table and an entry carries only its action data: every
+   entry naming action [ai] runs the binding's one compiled closure for
+   it. The naive path recomputed all of this per candidate per packet.
 
-   [e]/[ca]/[bound] are mutable for {!mod_entry}: a modify rebinds the
+   [e]/[ai]/[bound] are mutable for {!mod_entry}: a modify rebinds the
    action data in place — the match key (priority and patterns, the
    entry's identity) never changes after install, so the index
    partitions need no maintenance beyond the epoch bump. [e], [ipats]
@@ -69,8 +84,8 @@ type ientry = {
   seq : int;
   lpm : int;
   ipats : ipat array;
-  mutable ca : cact;
-  mutable bound : (string * Bitval.t) list;
+  mutable ai : int;
+  mutable bound : int array;
   (* Telemetry: hits attributed to this entry while stats are enabled.
      Lives on the installed entry so the hot path bumps a field it
      already holds — no side lookup. *)
@@ -87,34 +102,31 @@ let mix h =
   let h = h * 0x1E3779B97F4A7C15 in
   (h lxor (h lsr 32)) land max_int
 
-module H64 = Hashtbl.Make (struct
-  type t = int64 array
+module HA = Hashtbl.Make (struct
+  type t = int array
 
-  let equal a b =
-    Array.length a = Array.length b
-    &&
-    let rec go i = i < 0 || (Int64.equal a.(i) b.(i) && go (i - 1)) in
-    go (Array.length a - 1)
+  let rec equal_from a b i = i < 0 || (a.(i) = b.(i) && equal_from a b (i - 1))
+  let equal a b = Array.length a = Array.length b && equal_from a b (Array.length a - 1)
 
-  (* Direct word mixing — the polymorphic hash walks the boxed array. *)
+  (* Direct word mixing — the polymorphic hash stops after a few words. *)
   let hash a =
     let h = ref 0 in
     for i = 0 to Array.length a - 1 do
-      h := mix (!h lxor Int64.to_int a.(i))
+      h := mix (!h lxor a.(i))
     done;
     !h
 end)
 
-module HI64 = Hashtbl.Make (struct
-  type t = int64
+module HI = Hashtbl.Make (struct
+  type t = int
 
-  let equal = Int64.equal
-  let hash x = mix (Int64.to_int x)
+  let equal (a : int) b = a = b
+  let hash = mix
 end)
 
 (* One prefix length of the single-key LPM index. [gmask] is the prefix
    mask over the declared key width; buckets key on the masked value. *)
-type lpm_group = { plen : int; gmask : int64; buckets : ientry list ref HI64.t }
+type lpm_group = { plen : int; gmask : int; buckets : ientry list ref HI.t }
 
 (* Staged index, maintained incrementally on insert AND delete:
    - [exact1]: single-key [M_exact] entries hashed on the bare value —
@@ -129,13 +141,27 @@ type lpm_group = { plen : int; gmask : int64; buckets : ientry list ref HI64.t }
    Deletion unlinks one entry from its partition bucket (and drops
    emptied buckets / prefix-length groups); no bulk rebuild. *)
 type index = {
-  exact1 : ientry list ref HI64.t;
-  exact : ientry list ref H64.t;
+  exact1 : ientry list ref HI.t;
+  exact : ientry list ref HA.t;
   mutable lpm : lpm_group list; (* sorted by plen, longest first *)
   mutable linear : ientry list;
 }
 
 type stats = { mutable hits : int; mutable misses : int }
+
+(* The table's fast path bound to one PHV layout — the layout of the
+   pipelet that applies it ({!bind}). Key reads are cells of that
+   layout ([kbound] when every key resolves there with its declared
+   width), and each declared action is compiled once against it, by
+   position. A PHV of any other layout takes the name-resolved path
+   after one pointer check. *)
+type binding = {
+  blay : Phv.layout;
+  kcells : int array;
+  kbound : bool;
+  kscratch : int array;  (* probe key for the multi-key exact index *)
+  runs : Action.compiled array;
+}
 
 type store = {
   (* Source of truth: every installed entry keyed by its sequence
@@ -147,10 +173,10 @@ type store = {
   mutable count : int;
   mutable next_seq : int;
   index : index;
-  (* The declared actions, compiled once for this store, in declaration
-     order. A {!copy} compiles its own: the closures carry [Phv]
-     slot caches, which must not be shared across domains. *)
-  cacts : cact array;
+  (* Compiled lazily, on {!bind} or first use. A {!copy} starts
+     unbound and compiles its own: compiled closures own scratch
+     buffers, which must not be shared across domains. *)
+  mutable bnd : binding option;
   (* [None] = telemetry off: both lookup paths pay one immediate-field
      match and nothing else. Lives in the shared store so {!rename}d
      handles count into the same tallies. *)
@@ -170,53 +196,55 @@ type t = {
   name : string;
   keys : key list;
   kfields : Fieldref.t array;
-  kgets : (Phv.t -> Bitval.t) array;
   kwidths : int array;
   actions : Action.t list;
+  acts : Action.t array;
   default : string * Bitval.t list;
-  default_ca : cact;
-  default_bound : (string * Bitval.t) list;
+  default_ai : int;
+  default_bound : int array;
   max_size : int;
   store : store;
 }
 
 let fresh_index () =
-  { exact1 = HI64.create 16; exact = H64.create 16; lpm = []; linear = [] }
+  { exact1 = HI.create 16; exact = HA.create 16; lpm = []; linear = [] }
 
-let find_cact cacts aname =
-  Array.find_opt (fun ca -> String.equal ca.act.Action.name aname) cacts
+let find_ai acts aname =
+  let rec go i =
+    if i >= Array.length acts then None
+    else if String.equal acts.(i).Action.name aname then Some i
+    else go (i + 1)
+  in
+  go 0
 
 (* A table with an empty store over [by_seq]; [make] and [copy] differ
    only in where the seq map comes from. *)
 let build ~name ~keys ~actions ~default ~max_size by_seq =
   let dname, dargs = default in
-  let cacts =
-    Array.of_list
-      (List.mapi (fun ai act -> { act; run = Action.compile act; ai }) actions)
-  in
-  let default_ca =
-    match find_cact cacts dname with
+  let acts = Array.of_list actions in
+  let default_ai =
+    match find_ai acts dname with
     | None ->
         invalid_arg
           (Printf.sprintf "Table.make %s: default action %s not declared" name
              dname)
-    | Some ca ->
-        if List.length ca.act.Action.params <> List.length dargs then
+    | Some ai ->
+        if List.length acts.(ai).Action.params <> List.length dargs then
           invalid_arg
             (Printf.sprintf "Table.make %s: default action %s arity mismatch"
                name dname);
-        ca
+        ai
   in
   {
     name;
     keys;
     kfields = Array.of_list (List.map (fun k -> k.field) keys);
-    kgets = Array.of_list (List.map (fun k -> Phv.fast_get k.field) keys);
     kwidths = Array.of_list (List.map (fun k -> k.width) keys);
     actions;
+    acts;
     default;
-    default_ca;
-    default_bound = Action.bind_args default_ca.act dargs;
+    default_ai;
+    default_bound = Action.bind_ints acts.(default_ai) dargs;
     max_size;
     store =
       {
@@ -224,12 +252,44 @@ let build ~name ~keys ~actions ~default ~max_size by_seq =
         count = 0;
         next_seq = 0;
         index = fresh_index ();
-        cacts;
+        bnd = None;
         stats = None;
         epoch = 0;
         on_lookup = None;
       };
   }
+
+let bind t lay =
+  match t.store.bnd with
+  | Some b when b.blay == lay -> ()
+  | Some _ | None ->
+      let kcells =
+        Array.map
+          (fun r -> match Phv.field_cell lay r with c -> c | exception Not_found -> -1)
+          t.kfields
+      in
+      let kbound =
+        Array.for_all (fun c -> c >= 0) kcells
+        && Array.for_all2 (fun r w -> Phv.field_width lay r = w) t.kfields t.kwidths
+      in
+      t.store.bnd <-
+        Some
+          {
+            blay = lay;
+            kcells;
+            kbound;
+            kscratch = Array.make (Array.length kcells) 0;
+            runs = Array.map (fun act -> Action.compile ~layout:lay act) t.acts;
+          }
+
+(* An unbound table (one no pipelet loaded) binds to the empty layout on
+   first use: every PHV then takes the name-resolved path. *)
+let binding t =
+  match t.store.bnd with
+  | Some b -> b
+  | None ->
+      bind t Phv.empty_layout;
+      Option.get t.store.bnd
 
 let make ~name ~keys ~actions ~default ?(max_size = 1024) () =
   build ~name ~keys ~actions ~default ~max_size (Hashtbl.create 32)
@@ -248,7 +308,7 @@ let entries t = List.map (fun ie -> ie.e) (ientries_by_seq t)
 let size t = t.store.count
 let rename t name = { t with name }
 
-let find_action t aname = Option.map (fun ca -> ca.act) (find_cact t.store.cacts aname)
+let find_action t aname = Option.map (fun ai -> t.acts.(ai)) (find_ai t.acts aname)
 
 let pattern_kind_ok kind pattern =
   match (kind, pattern) with
@@ -312,9 +372,9 @@ let entry_key_equal a b =
    values) — width-insensitive like [pattern_equal]. *)
 
 type slot =
-  | S_exact1 of int64
-  | S_exact of int64 array
-  | S_lpm of int * int64 * int64  (* plen, gmask, masked value *)
+  | S_exact1 of int
+  | S_exact of int array
+  | S_lpm of int * int * int  (* plen, gmask, masked value *)
   | S_linear
 
 let slot_of t patterns =
@@ -323,21 +383,16 @@ let slot_of t patterns =
   in
   if all_exact then
     match patterns with
-    | [ M_exact v ] -> S_exact1 (Bitval.to_int64 v)
+    | [ M_exact v ] -> S_exact1 (int_key v)
     | _ ->
         S_exact
           (Array.of_list
-             (List.map
-                (function M_exact v -> Bitval.to_int64 v | _ -> assert false)
-                patterns))
+             (List.map (function M_exact v -> int_key v | _ -> assert false) patterns))
   else
     match (patterns, t.kwidths) with
-    | [ M_lpm { value; prefix_len } ], [| w |] when prefix_len <= w ->
-        let gmask = Bitval.to_int64 (Bitval.mask_of_prefix ~width:w prefix_len) in
-        let masked =
-          Int64.logand (Bitval.to_int64 (Bitval.resize value w)) gmask
-        in
-        S_lpm (prefix_len, gmask, masked)
+    | [ M_lpm { value; prefix_len } ], [| w |] when lpm_fits w prefix_len ->
+        let gmask = lpm_mask w prefix_len in
+        S_lpm (prefix_len, gmask, lpm_masked value gmask)
     | _ -> S_linear
 
 let bucket_push tbl find add key ie =
@@ -358,19 +413,19 @@ let bucket_drop tbl find remove key ie =
 let index_entry t ie =
   let idx = t.store.index in
   match slot_of t ie.e.patterns with
-  | S_exact1 k -> bucket_push idx.exact1 HI64.find_opt HI64.add k ie
-  | S_exact k -> bucket_push idx.exact H64.find_opt H64.add k ie
+  | S_exact1 k -> bucket_push idx.exact1 HI.find_opt HI.add k ie
+  | S_exact k -> bucket_push idx.exact HA.find_opt HA.add k ie
   | S_lpm (plen, gmask, masked) ->
       let group =
         match List.find_opt (fun g -> g.plen = plen) idx.lpm with
         | Some g -> g
         | None ->
-            let g = { plen; gmask; buckets = HI64.create 16 } in
+            let g = { plen; gmask; buckets = HI.create 16 } in
             idx.lpm <-
               List.sort (fun a b -> compare b.plen a.plen) (g :: idx.lpm);
             g
       in
-      bucket_push group.buckets HI64.find_opt HI64.add masked ie
+      bucket_push group.buckets HI.find_opt HI.add masked ie
   | S_linear -> idx.linear <- ie :: idx.linear
 
 (* Unlink one installed entry from its partition — the incremental
@@ -380,14 +435,14 @@ let index_entry t ie =
 let unindex_entry t ie =
   let idx = t.store.index in
   match slot_of t ie.e.patterns with
-  | S_exact1 k -> bucket_drop idx.exact1 HI64.find_opt HI64.remove k ie
-  | S_exact k -> bucket_drop idx.exact H64.find_opt H64.remove k ie
+  | S_exact1 k -> bucket_drop idx.exact1 HI.find_opt HI.remove k ie
+  | S_exact k -> bucket_drop idx.exact HA.find_opt HA.remove k ie
   | S_lpm (plen, _, masked) -> (
       match List.find_opt (fun g -> g.plen = plen) idx.lpm with
       | None -> ()
       | Some g ->
-          bucket_drop g.buckets HI64.find_opt HI64.remove masked ie;
-          if HI64.length g.buckets = 0 then
+          bucket_drop g.buckets HI.find_opt HI.remove masked ie;
+          if HI.length g.buckets = 0 then
             idx.lpm <- List.filter (fun g' -> not (g' == g)) idx.lpm)
   | S_linear -> idx.linear <- List.filter (fun x -> not (x == ie)) idx.linear
 
@@ -399,14 +454,14 @@ let find_ientry t entry =
   let idx = t.store.index in
   match slot_of t entry.patterns with
   | S_exact1 k -> (
-      match HI64.find_opt idx.exact1 k with Some l -> pick !l | None -> None)
+      match HI.find_opt idx.exact1 k with Some l -> pick !l | None -> None)
   | S_exact k -> (
-      match H64.find_opt idx.exact k with Some l -> pick !l | None -> None)
+      match HA.find_opt idx.exact k with Some l -> pick !l | None -> None)
   | S_lpm (plen, _, masked) -> (
       match List.find_opt (fun g -> g.plen = plen) idx.lpm with
       | None -> None
       | Some g -> (
-          match HI64.find_opt g.buckets masked with
+          match HI.find_opt g.buckets masked with
           | Some l -> pick !l
           | None -> None))
   | S_linear -> pick idx.linear
@@ -422,20 +477,20 @@ let validate_shape t entry =
   else Ok ()
 
 let validate_action t entry =
-  match find_cact t.store.cacts entry.action with
+  match find_ai t.acts entry.action with
   | None ->
       Error (Printf.sprintf "table %s: unknown action %s" t.name entry.action)
-  | Some ca ->
-      let params = ca.act.Action.params in
+  | Some ai ->
+      let params = t.acts.(ai).Action.params in
       if List.length params <> List.length entry.args then
         Error
           (Printf.sprintf "table %s: action %s expects %d args, got %d" t.name
              entry.action (List.length params) (List.length entry.args))
-      else Ok ca
+      else Ok ai
 
 (* Install a validated entry under the next sequence number. The entry
-   points at the store's compiled action: nothing is compiled here. *)
-let install t entry ca =
+   names its action by position: nothing is compiled here. *)
+let install t entry ai =
   let seq = t.store.next_seq in
   let ie =
     {
@@ -445,8 +500,8 @@ let install t entry ca =
       ipats =
         Array.of_list
           (List.map2 (fun k p -> compile_pattern k.width p) t.keys entry.patterns);
-      ca;
-      bound = Action.bind_args ca.act entry.args;
+      ai;
+      bound = Action.bind_ints t.acts.(ai) entry.args;
       ehits = 0;
     }
   in
@@ -465,8 +520,8 @@ let add_entry t entry =
     | Ok () -> (
         match validate_action t entry with
         | Error e -> Error e
-        | Ok ca ->
-            install t entry ca;
+        | Ok ai ->
+            install t entry ai;
             Ok ())
 
 let add_entries t entries =
@@ -497,7 +552,7 @@ let mod_entry t entry =
   | Ok () -> (
       match validate_action t entry with
       | Error e -> Error e
-      | Ok ca -> (
+      | Ok ai -> (
           match find_ientry t entry with
           | None ->
               Error
@@ -510,15 +565,16 @@ let mod_entry t entry =
                  the per-entry hit tally carry over — it is the same
                  logical entry. *)
               ie.e <- { ie.e with action = entry.action; args = entry.args };
-              ie.ca <- ca;
-              ie.bound <- Action.bind_args ca.act entry.args;
+              ie.ai <- ai;
+              ie.bound <- Action.bind_ints t.acts.(ai) entry.args;
               t.store.epoch <- t.store.epoch + 1;
               Ok ()))
 
 (* A structural copy: the seq map is copied bucket for bucket, and each
    entry becomes a fresh mutable record that shares the source's
    immutable data (entry, lowered patterns, bound arguments, prefix
-   length) and points at the copy's own compiled action. Seqs and
+   length); its action position needs no repointing, since the copy
+   compiles its own actions when it is bound. Seqs and
    [next_seq] are therefore reproduced exactly, so the copy resolves
    every lookup tie-break the way the original does AND stays pairable
    by seq ({!merge_stats_from}) even after either side churns. Only the
@@ -533,7 +589,7 @@ let copy t =
   in
   let dst = c.store in
   Hashtbl.filter_map_inplace
-    (fun _ ie -> Some { ie with ca = dst.cacts.(ie.ca.ai); ehits = 0 })
+    (fun _ ie -> Some { ie with ehits = 0 })
     dst.by_seq;
   Hashtbl.iter (fun _ ie -> index_entry c ie) dst.by_seq;
   dst.count <- src.count;
@@ -548,8 +604,8 @@ let clear t =
   t.store.count <- 0;
   t.store.epoch <- t.store.epoch + 1;
   let idx = t.store.index in
-  HI64.reset idx.exact1;
-  H64.reset idx.exact;
+  HI.reset idx.exact1;
+  HA.reset idx.exact;
   idx.lpm <- [];
   idx.linear <- []
 
@@ -618,135 +674,144 @@ let lookup_reference_values t values =
 let lookup_reference t phv =
   lookup_reference_values t (List.map (fun k -> Phv.get phv k.field) t.keys)
 
-(* --- Indexed lookup --- *)
+(* --- Indexed lookup ---
+
+   Candidates fold into [best], with [none] standing for "no match yet".
+   Buckets are probed with [find_opt], not [find]: most probes miss, and
+   a raised [Not_found] costs several times a hit's [Some]. *)
+
+let none =
+  {
+    e = { priority = min_int; patterns = []; action = ""; args = [] };
+    seq = -1;
+    lpm = 0;
+    ipats = [||];
+    ai = 0;
+    bound = [||];
+    ehits = 0;
+  }
 
 let ibetter a b =
   if a.e.priority <> b.e.priority then a.e.priority > b.e.priority
   else if a.lpm <> b.lpm then a.lpm > b.lpm
   else a.seq < b.seq
 
-let fold_best best l =
-  List.fold_left
-    (fun best ie ->
-      match best with
-      | None -> Some ie
-      | Some b -> if ibetter ie b then Some ie else best)
-    best l
-
-(* The LPM masks were precomputed over the declared key widths; a PHV
-   whose fields carry different widths (never the case for composed
-   programs, whose keys mirror the header declarations) falls back to a
-   [Bitval.t]-level scan over every installed entry. *)
-let widths_match t vals =
-  let n = Array.length vals in
-  let rec go i = i >= n || (Bitval.width vals.(i) = t.kwidths.(i) && go (i + 1)) in
-  go 0
+let pick best ie = if best == none || ibetter ie best then ie else best
+let fold_best best l = List.fold_left pick best l
 
 let fold_matching_all t values =
   Hashtbl.fold
-    (fun _ ie best ->
-      if matches ie.e values then
-        match best with
-        | None -> Some ie
-        | Some b -> if ibetter ie b then Some ie else best
-      else best)
-    t.store.by_seq None
+    (fun _ ie best -> if matches ie.e values then pick best ie else best)
+    t.store.by_seq none
 
-let imatch1 ie v = ipat_matches ie.ipats.(0) v
+let rec imatch_from ie raw i =
+  i >= Array.length ie.ipats
+  || (ipat_matches ie.ipats.(i) raw.(i) && imatch_from ie raw (i + 1))
 
-let imatch ie raw =
-  let n = Array.length ie.ipats in
-  let rec go i = i >= n || (ipat_matches ie.ipats.(i) raw.(i) && go (i + 1)) in
-  go 0
+let imatch ie raw = imatch_from ie raw 0
 
-let fold_imatch1 best v l =
-  List.fold_left
-    (fun best ie ->
-      if imatch1 ie v then
-        match best with
-        | None -> Some ie
-        | Some b -> if ibetter ie b then Some ie else best
-      else best)
-    best l
+let rec fold_imatch1 best v = function
+  | [] -> best
+  | ie :: rest ->
+      fold_imatch1 (if ipat_matches ie.ipats.(0) v then pick best ie else best) v rest
 
-let fold_imatch best raw l =
-  List.fold_left
-    (fun best ie ->
-      if imatch ie raw then
-        match best with
-        | None -> Some ie
-        | Some b -> if ibetter ie b then Some ie else best
-      else best)
-    best l
+let rec fold_imatch best raw = function
+  | [] -> best
+  | ie :: rest -> fold_imatch (if imatch ie raw then pick best ie else best) raw rest
 
-let probe_lpm idx best v0 =
-  List.fold_left
-    (fun best g ->
-      match HI64.find_opt g.buckets (Int64.logand v0 g.gmask) with
-      | Some l -> fold_best best !l
-      | None -> best)
-    best idx.lpm
+let rec probe_lpm groups best v0 =
+  match groups with
+  | [] -> best
+  | g :: rest ->
+      let best =
+        match HI.find_opt g.buckets (v0 land g.gmask) with
+        | Some l -> fold_best best !l
+        | None -> best
+      in
+      probe_lpm rest best v0
 
-let lookup_ientry_raw t phv =
-  let n = Array.length t.kgets in
+(* The index walk over int key values of the declared widths. *)
+let lookup1 t v0 =
   let idx = t.store.index in
-  if n = 1 then begin
-    (* Scalar path: no key arrays, value hashed directly. *)
-    let v = t.kgets.(0) phv in
-    if Bitval.width v <> t.kwidths.(0) then fold_matching_all t [ v ]
-    else begin
-      let v0 = Bitval.to_int64 v in
-      let best =
-        match HI64.find_opt idx.exact1 v0 with
-        | Some l -> fold_best None !l
-        | None -> None
-      in
-      let best = if idx.lpm == [] then best else probe_lpm idx best v0 in
-      if idx.linear == [] then best else fold_imatch1 best v0 idx.linear
-    end
-  end
-  else begin
-    let vals = Array.init n (fun i -> t.kgets.(i) phv) in
-    if not (widths_match t vals) then fold_matching_all t (Array.to_list vals)
-    else begin
-      let raw = Array.map Bitval.to_int64 vals in
-      let best =
-        match H64.find_opt idx.exact raw with
-        | Some l -> fold_best None !l
-        | None -> None
-      in
-      let best =
-        if idx.lpm == [] then best else probe_lpm idx best raw.(0)
-      in
-      if idx.linear == [] then best else fold_imatch best raw idx.linear
-    end
-  end
+  let best =
+    match HI.find_opt idx.exact1 v0 with
+    | Some l -> fold_best none !l
+    | None -> none
+  in
+  let best = probe_lpm idx.lpm best v0 in
+  if idx.linear == [] then best else fold_imatch1 best v0 idx.linear
 
-let lookup_ientry t phv =
+let lookupn t raw =
+  let idx = t.store.index in
+  let best =
+    match HA.find_opt idx.exact raw with
+    | Some l -> fold_best none !l
+    | None -> none
+  in
+  let best = if idx.lpm == [] then best else probe_lpm idx.lpm best raw.(0) in
+  if idx.linear == [] then best else fold_imatch best raw idx.linear
+
+(* A PHV the binding does not cover: read the keys by name as
+   [Bitval.t]s; keys of the declared widths take the index, any other
+   width falls back to a [Bitval.t]-level scan of every entry. *)
+let lookup_named t phv =
+  let vals = Array.map (fun r -> Phv.get phv r) t.kfields in
+  let n = Array.length vals in
+  let rec widths_ok i = i >= n || (Bitval.width vals.(i) = t.kwidths.(i) && widths_ok (i + 1)) in
+  if not (widths_ok 0) then fold_matching_all t (Array.to_list vals)
+  else
+    let raw = Array.map (fun v -> Int64.to_int (Bitval.to_int64 v)) vals in
+    if n = 1 then lookup1 t raw.(0) else lookupn t raw
+
+let lookup_raw t b phv =
+  if b.kbound && Phv.layout phv == b.blay then begin
+    let kc = b.kcells in
+    match Array.length kc with
+    | 1 -> lookup1 t (Phv.cell phv kc.(0))
+    | 0 -> lookupn t b.kscratch
+    | n ->
+        let raw = b.kscratch in
+        for i = 0 to n - 1 do
+          raw.(i) <- Phv.cell phv kc.(i)
+        done;
+        lookupn t raw
+  end
+  else lookup_named t phv
+
+let lookup_ientry t b phv =
   (match t.store.on_lookup with Some f -> f () | None -> ());
-  match lookup_ientry_raw t phv with
-  | Some ie as r ->
-      (match t.store.stats with
-      | None -> ()
-      | Some s ->
-          s.hits <- s.hits + 1;
-          ie.ehits <- ie.ehits + 1);
-      r
-  | None as r ->
-      stat_miss t;
-      r
+  let ie = lookup_raw t b phv in
+  if ie != none then begin
+    match t.store.stats with
+    | None -> ()
+    | Some s ->
+        s.hits <- s.hits + 1;
+        ie.ehits <- ie.ehits + 1
+  end
+  else stat_miss t;
+  ie
 
 let lookup t phv =
-  match lookup_ientry t phv with None -> `Miss | Some ie -> `Hit ie.e
+  let ie = lookup_ientry t (binding t) phv in
+  if ie == none then `Miss else `Hit ie.e
+
+let apply_index ~regs t phv =
+  let b = binding t in
+  let ie = lookup_ientry t b phv in
+  if ie != none then begin
+    b.runs.(ie.ai) regs ie.bound phv;
+    (ie.ai lsl 1) lor 1
+  end
+  else begin
+    b.runs.(t.default_ai) regs t.default_bound phv;
+    t.default_ai lsl 1
+  end
+
+let action_name t ai = t.acts.(ai).Action.name
 
 let apply ?(regs = Action.no_regs) t phv =
-  match lookup_ientry t phv with
-  | Some ie ->
-      ie.ca.run regs ie.bound phv;
-      (ie.e.action, true)
-  | None ->
-      t.default_ca.run regs t.default_bound phv;
-      (fst t.default, false)
+  let code = apply_index ~regs t phv in
+  if code land 1 = 1 then (action_name t (code lsr 1), true) else (fst t.default, false)
 
 (* The pre-index apply: linear candidate scan, action resolved by name
    and argument list re-validated on every invocation. The reference
@@ -767,7 +832,7 @@ let apply_reference ?(regs = Action.no_regs) t phv =
       (e.action, true)
   | `Miss ->
       let dname, dargs = t.default in
-      Action.run ~regs t.default_ca.act ~args:dargs phv;
+      Action.run ~regs t.acts.(t.default_ai) ~args:dargs phv;
       (dname, false)
 
 (* --- Telemetry --- *)
@@ -817,12 +882,12 @@ let max_bucket_length t =
   let idx = t.store.index in
   let longest (s : Hashtbl.statistics) = s.Hashtbl.max_bucket_length in
   List.fold_left
-    (fun acc g -> max acc (longest (HI64.stats g.buckets)))
-    (max (longest (HI64.stats idx.exact1)) (longest (H64.stats idx.exact)))
+    (fun acc g -> max acc (longest (HI.stats g.buckets)))
+    (max (longest (HI.stats idx.exact1)) (longest (HA.stats idx.exact)))
     idx.lpm
 
 let compiled_action t entry =
-  Option.map (fun ie -> ie.ca.run) (find_ientry t entry)
+  Option.map (fun ie -> (binding t).runs.(ie.ai)) (find_ientry t entry)
 
 let key_bits t = List.fold_left (fun acc k -> acc + k.width) 0 t.keys
 

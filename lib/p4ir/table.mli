@@ -70,10 +70,11 @@ val add_entry : t -> entry -> (unit, string) result
     action existence and argument arity, and capacity. Duplicate match
     keys are permitted (the earlier entry wins ties by sequence).
 
-    The table compiles each declared action once ({!make}, {!copy});
-    an installed entry stores only its lowered patterns and bound
-    action data and points at that shared compiled action, so an
-    install compiles nothing. *)
+    The table compiles each declared action once per binding ({!bind});
+    an installed entry stores only its lowered patterns, its action's
+    position and its action data as ints ({!Action.bind_ints}), and
+    runs that shared compiled action, so an install compiles
+    nothing. *)
 
 val add_entries : t -> entry list -> (unit, string) result
 (** {!add_entry} in order, stopping at the first error. *)
@@ -87,7 +88,7 @@ val mod_entry : t -> entry -> (unit, string) result
 (** Rebind the action and arguments of the installed entry whose match
     key equals [entry]'s, in place: the entry keeps its sequence number
     (lookup tie-break), its stored patterns and its per-entry hit
-    tally. The entry is repointed at the table's compiled closure for
+    tally. The entry is repointed at the table's compiled action for
     the new action; nothing is compiled. Errors when no such entry
     exists, the action is unknown, or the argument arity is wrong.
     Bumps the epoch. *)
@@ -122,14 +123,32 @@ val copy : t -> t
     either side churns.
 
     The copy shares each entry's immutable data (the entry, its lowered
-    patterns, bound arguments and prefix length) with the source, gets
-    fresh mutable entry records, rebuilds the index and compiles its own
-    actions — compiled closures hold [Phv] slot caches, so a copy used
-    on another domain shares none with the source. Mutating either side
+    patterns, int action data and prefix length) with the source, gets
+    fresh mutable entry records and rebuilds the index. It starts
+    unbound and compiles its own actions when bound — compiled closures
+    own scratch buffers, so a copy used on another domain shares none
+    with the source. Mutating either side
     afterwards leaves the other unchanged. The copy only reads the
     source, so several domains may copy one table at once. Stats start
     disabled, the epoch at 0 and no lookup recorder is armed. Used by
     {!Asic.Chip.replicate}. *)
+
+(** {2 Layout binding}
+
+    A table's fast path is compiled against the PHV layout of the
+    pipelet that applies it: key reads become cell reads and each
+    declared action is compiled once ({!Action.compile}) for that
+    layout. A lookup or apply on a PHV of the bound layout runs on
+    immediate ints; any other PHV takes the name-resolved path (keys
+    read as [Bitval.t] by name, actions run by {!Action.run_bound})
+    after one pointer check, with identical results. A table nobody
+    bound binds to {!Phv.empty_layout} on first use. *)
+
+val bind : t -> Phv.layout -> unit
+(** Compile the key reads and actions against a layout, replacing any
+    earlier binding of the store ({!rename}d handles share it); a no-op
+    when already bound to this layout. [Asic.Pipelet.load] binds every
+    table its control applies. *)
 
 val matches : entry -> Bitval.t list -> bool
 (** Does the entry match these key values? (Exposed for testing.) *)
@@ -154,6 +173,16 @@ val apply : ?regs:Action.reg_env -> t -> Phv.t -> string * bool
 (** Run the matching entry's action (or the default on miss) against the
     PHV. Returns [(action_run, hit)]. Lookup goes through the staged
     index; the action runs with its pre-bound data. *)
+
+val apply_index : regs:Action.reg_env -> t -> Phv.t -> int
+(** {!apply} without building a result: [2 * i + 1] on a hit that ran
+    declared action [i] (position in {!actions}), [2 * i] on a miss
+    that ran the default action [i]. On the bound path it allocates
+    only the [Some] of an index-bucket hit — what compiled controls
+    call. *)
+
+val action_name : t -> int -> string
+(** The name of declared action [i]. *)
 
 val apply_reference : ?regs:Action.reg_env -> t -> Phv.t -> string * bool
 (** {!apply} the pre-index way: linear {!lookup_reference} scan, action
@@ -196,7 +225,8 @@ val max_bucket_length : t -> int
 
 val compiled_action : t -> entry -> Action.compiled option
 (** The compiled action the installed entry with [entry]'s match key
-    runs, if one is installed. (Exposed for testing closure sharing.) *)
+    runs under the current binding, if one is installed. (Exposed for
+    testing closure sharing.) *)
 
 val key_bits : t -> int
 (** Total match key width in bits. *)

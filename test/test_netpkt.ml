@@ -55,6 +55,51 @@ let prop_bits_preserves_neighbors =
       done;
       !ok)
 
+(* The immediate-int accessors against the int64 pair: same value, same
+   bytes written, and the same range errors, over random (including
+   unaligned and out-of-range) offsets and widths. Widths 0 and 63..64
+   are out of the int accessors' range and must raise. *)
+let outcome f = match f () with v -> Some v | exception Invalid_argument _ -> None
+
+let prop_bits_int_matches =
+  QCheck.Test.make ~name:"get_bits_int/set_bits_int = get_bits/set_bits"
+    ~count:1000
+    QCheck.(quad (int_range (-2) 90) (int_range 0 64) int (string_of_size (Gen.return 10)))
+    (fun (bit_off, width, v, init) ->
+      let b = Bytes.of_string init in
+      let via_int64 =
+        if width > 62 then None
+        else
+          outcome (fun () ->
+              Int64.to_int (Netpkt.Bytes_util.get_bits b ~bit_off ~width))
+      in
+      let read_ok =
+        via_int64 = outcome (fun () -> Netpkt.Bytes_util.get_bits_int b ~bit_off ~width)
+      in
+      let b1 = Bytes.of_string init and b2 = Bytes.of_string init in
+      let w1 = outcome (fun () -> Netpkt.Bytes_util.set_bits_int b1 ~bit_off ~width v) in
+      let w2 =
+        if width > 62 then None
+        else
+          outcome (fun () ->
+              Netpkt.Bytes_util.set_bits b2 ~bit_off ~width (Int64.of_int v))
+      in
+      read_ok && w1 = w2 && Bytes.equal b1 b2)
+
+let test_bits_int_mac () =
+  (* A MAC address is byte-aligned and 48 bits wide: the wide-load path. *)
+  let b = Bytes.of_string "\x00\x02\x00\x0a\x00\x00\x01\xff" in
+  check Alcotest.int "48-bit read" 0x02000a000001
+    (Netpkt.Bytes_util.get_bits_int b ~bit_off:8 ~width:48);
+  check Alcotest.int "40-bit read" 0x02000a0000
+    (Netpkt.Bytes_util.get_bits_int b ~bit_off:8 ~width:40);
+  Netpkt.Bytes_util.set_bits_int b ~bit_off:8 ~width:48 0xfedcba987654;
+  check Alcotest.string "48-bit write" "\x00\xfe\xdc\xba\x98\x76\x54\xff"
+    (Bytes.to_string b);
+  Alcotest.check_raises "63 bits rejected"
+    (Invalid_argument "Bytes_util: width 63 not in 1..62") (fun () ->
+      ignore (Netpkt.Bytes_util.get_bits_int b ~bit_off:0 ~width:63))
+
 let test_checksum_rfc1071 () =
   (* The classic example from RFC 1071 §3. *)
   let b = Bytes.of_string "\x00\x01\xf2\x03\xf4\xf5\xf6\xf7" in
@@ -316,6 +361,8 @@ let () =
           Alcotest.test_case "range errors" `Quick test_bits_out_of_range;
           qtest prop_bits_roundtrip;
           qtest prop_bits_preserves_neighbors;
+          qtest prop_bits_int_matches;
+          Alcotest.test_case "int accessors on a MAC" `Quick test_bits_int_mac;
           Alcotest.test_case "rfc1071 checksum" `Quick test_checksum_rfc1071;
           Alcotest.test_case "ipv4 checksum verifies" `Quick test_checksum_verifies;
           Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;

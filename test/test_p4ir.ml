@@ -26,8 +26,13 @@ let test_decl_validation () =
     (Invalid_argument "Hdr.decl x: duplicate field a") (fun () ->
       ignore (Hdr.decl "x" [ ("a", 8); ("a", 4) ]));
   Alcotest.check_raises "bad width"
-    (Invalid_argument "Hdr.decl x: field f width 65 not in 1..64") (fun () ->
-      ignore (Hdr.decl "x" [ ("f", 65) ]))
+    (Invalid_argument "Hdr.decl x: field f width 65 not in 1..62") (fun () ->
+      ignore (Hdr.decl "x" [ ("f", 65) ]));
+  (* 63 and 64 bits would not fit a PHV cell's immediate int. *)
+  Alcotest.check_raises "wider than a PHV cell"
+    (Invalid_argument "Hdr.decl x: field f width 63 not in 1..62") (fun () ->
+      ignore (Hdr.decl "x" [ ("f", 63) ]));
+  check Alcotest.int "62 bits accepted" 62 (Hdr.total_width (Hdr.decl "x" [ ("f", 62) ]))
 
 let test_hdr_extract_emit_roundtrip () =
   let d = Hdr.decl "h" [ ("x", 4); ("y", 12); ("z", 16) ] in
@@ -122,6 +127,145 @@ let test_expr_reads () =
   check Alcotest.int "three reads" 3 (Fieldref.Set.cardinal reads);
   check Alcotest.bool "validity pseudo-field" true
     (Fieldref.Set.mem (fr "m" "$valid") reads)
+
+(* Differential property for the int path: an expression compiled
+   against a PHV layout computes what [Expr.eval] computes — same value,
+   same width, same exception — on random trees over fields of random
+   widths (1..62). The trees mix wrapping arithmetic, shifts by amounts
+   at or past the operand width, comparisons across widths, hashes,
+   validity tests and bound or unbound parameters; some leaves read a
+   field or header the layout lacks. *)
+let gen_expr ~nfields ~nparams =
+  let open QCheck.Gen in
+  let value = oneof [ int_bound 70; int ] in
+  let leaf =
+    frequency
+      [
+        ( 3,
+          map2
+            (fun w v -> Expr.Const (Bitval.make ~width:w (Int64.of_int v)))
+            (int_range 1 62) value );
+        (4, map (fun i -> Expr.Field (fr "h" (Printf.sprintf "f%d" i))) (int_bound (nfields - 1)));
+        (1, oneofl [ Expr.Field (fr "h" "missing"); Expr.Field (fr "nope" "f0") ]);
+        (2, map (fun i -> Expr.Param (Printf.sprintf "p%d" i)) (int_bound nparams));
+        (1, oneofl [ Expr.Valid "h"; Expr.Valid "nope" ]);
+      ]
+  in
+  let binop =
+    oneofl
+      Expr.[ Add; Sub; Mul; BAnd; BOr; BXor; Shl; Shr; Eq; Neq; Lt; Le; Gt; Ge; LAnd; LOr ]
+  in
+  sized_size (int_bound 12)
+  @@ fix (fun self n ->
+         if n = 0 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               (5, map3 (fun op a b -> Expr.Bin (op, a, b)) binop (self (n / 2)) (self (n / 2)));
+               (1, map2 (fun u a -> Expr.Un (u, a)) (oneofl Expr.[ BNot; LNot ]) (self (n - 1)));
+               ( 1,
+                 map3
+                   (fun alg w es -> Expr.Hash (alg, w, es))
+                   (oneofl Expr.[ Crc32; Crc16; Identity ])
+                   (int_range 1 62)
+                   (list_size (int_range 1 3) (self (n / 3))) );
+             ])
+
+let prop_compiled_expr_matches_eval =
+  let case =
+    QCheck.Gen.(
+      let* widths = list_size (int_range 1 4) (int_range 1 62) in
+      let* pwidths = list_size (int_range 0 2) (int_range 1 62) in
+      let* fvals = list_repeat (List.length widths) int in
+      let* pvals = list_repeat (List.length pwidths) int in
+      let* valid = bool in
+      let* e = gen_expr ~nfields:(List.length widths) ~nparams:(List.length pwidths) in
+      return (widths, pwidths, fvals, pvals, valid, e))
+  in
+  QCheck.Test.make ~name:"compiled int expr = eval" ~count:1000
+    (QCheck.make ~print:(fun (_, _, _, _, _, e) -> Format.asprintf "%a" Expr.pp e) case)
+    (fun (widths, pwidths, fvals, pvals, valid, e) ->
+      let d = Hdr.decl "h" (List.mapi (fun i w -> (Printf.sprintf "f%d" i, w)) widths) in
+      let lay = Phv.layout_of [ d ] in
+      let phv = Phv.of_layout lay in
+      if valid then Phv.set_valid phv "h";
+      List.iteri (fun i v -> Phv.set_int phv (fr "h" (Printf.sprintf "f%d" i)) v) fvals;
+      let params = List.mapi (fun i w -> (Printf.sprintf "p%d" i, w)) pwidths in
+      let bparams = List.map2 (fun (p, w) v -> (p, Bitval.of_int ~width:w v)) params pvals in
+      let args = Array.of_list (List.map (fun (_, v) -> Int64.to_int (Bitval.to_int64 v)) bparams) in
+      let outcome f =
+        match f () with
+        | r -> Ok r
+        | exception Not_found -> Error "Not_found"
+        | exception Invalid_argument m -> Error m
+      in
+      let compiled =
+        outcome (fun () ->
+            let c = Expr.compile ~params lay e in
+            let v = c.Expr.run phv args in
+            (c.Expr.width, v))
+      in
+      let reference =
+        outcome (fun () ->
+            let v = Expr.eval { Expr.phv; params = bparams } e in
+            (Bitval.width v, Int64.to_int (Bitval.to_int64 v)))
+      in
+      compiled = reference)
+
+(* Static widths are what validation gates: a 64-bit constant is too
+   wide for the int path, however it is used. *)
+let test_expr_widest () =
+  let field_width r = if r = fr "m" "c" then Some 32 else None in
+  let e = Expr.(Bin (Eq, Field (fr "m" "c"), const ~width:62 1)) in
+  check Alcotest.int "comparison result is 1 bit, operands up to 62" 62
+    (Expr.widest ~field_width ~params:[] e);
+  check Alcotest.int "param width" 48
+    (Expr.widest ~field_width ~params:[ ("p", 48) ] Expr.(Field (fr "m" "c") + Param "p"));
+  check Alcotest.int "64-bit constant" 64
+    (Expr.widest ~field_width ~params:[]
+       Expr.(Bin (Lt, Field (fr "m" "c"), Const (Bitval.make ~width:64 1L))));
+  Alcotest.check_raises "compile rejects bit<64>"
+    (Invalid_argument "Expr.compile: 1 is bit<64>, wider than 62") (fun () ->
+      ignore (Expr.compile Phv.empty_layout (Expr.Const (Bitval.make ~width:64 1L))))
+
+(* Validation keeps 63- and 64-bit arithmetic out of programs: the
+   64-bit Bitval reference and the int fast path would disagree there. *)
+let test_validate_rejects_wide_expressions () =
+  let parser =
+    { Parser_graph.name = "p"; decls = [ meta ]; start = Parser_graph.Accept; states = [] }
+  in
+  let program ?(tables = []) body =
+    Program.make ~name:"w" ~decls:[ meta ] ~parser ~tables
+      ~control:(Control.make "c" body) ~deparse_order:[ "m" ] ()
+  in
+  let wide = Expr.Const (Bitval.make ~width:64 1L) in
+  let contains s sub =
+    let n = String.length s and m = String.length sub in
+    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+    go 0
+  in
+  let rejected p =
+    match Program.validate p with
+    | Error m -> contains m "wider than 62"
+    | Ok () -> false
+  in
+  check Alcotest.bool "62-bit gateway accepted" true
+    (Program.validate
+       (program [ Control.If (Expr.(Field (fr "m" "c") < const ~width:62 5), [], []) ])
+    = Ok ());
+  check Alcotest.bool "64-bit gateway operand rejected" true
+    (rejected (program [ Control.If (Expr.(Bin (Lt, Field (fr "m" "c"), wide)), [], []) ]));
+  check Alcotest.bool "64-bit inline assignment rejected" true
+    (rejected (program [ Control.Run [ Action.Assign (fr "m" "a", wide) ] ]));
+  let t =
+    Table.make ~name:"t" ~keys:[]
+      ~actions:
+        [ Action.make "set" ~params:[ ("v", 64) ] [ Action.Assign (fr "m" "c", Expr.Param "v") ] ]
+      ~default:("set", [ Bitval.zero 64 ]) ()
+  in
+  check Alcotest.bool "64-bit action parameter read rejected" true
+    (rejected (program ~tables:[ t ] [ Control.Apply "t" ]))
 
 (* --- Action --- *)
 
@@ -1014,6 +1158,10 @@ let () =
           Alcotest.test_case "crc32 hash" `Quick test_expr_hash_matches_crc32;
           Alcotest.test_case "unbound param" `Quick test_expr_unbound_param;
           Alcotest.test_case "read sets" `Quick test_expr_reads;
+          Alcotest.test_case "static widths" `Quick test_expr_widest;
+          qtest prop_compiled_expr_matches_eval;
+          Alcotest.test_case "validate rejects wide expressions" `Quick
+            test_validate_rejects_wide_expressions;
         ] );
       ( "action",
         [

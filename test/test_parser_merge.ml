@@ -92,7 +92,7 @@ let test_global_id_table () =
   check Alcotest.bool "table is small" true (List.length table < 32)
 
 let test_decl_conflict_detected () =
-  let bogus_eth = Hdr.decl "eth" [ ("everything", 64) ] in
+  let bogus_eth = Hdr.decl "eth" [ ("everything", 48) ] in
   let bad =
     {
       Parser_graph.name = "bad";

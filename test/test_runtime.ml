@@ -198,6 +198,53 @@ let test_batch_fast_matches_reference () =
     (fast = reference);
   check Alcotest.int "no errors" 0 fast.Runtime.errors
 
+(* Differential property over arbitrary frames: the Fast chip walk
+   (template PHV, int cells, compiled parser/control/deparser) and the
+   Reference walk (name-resolved PHV, interpreted parser and control)
+   give the same result — verdict, emitted bytes (checksums included),
+   pass counts, latency, control trace and journey marks — or the same
+   error text. Frames start from the workload's templates and get
+   random truncation, byte flips and trailing bytes, so truncated
+   headers, unknown ethertypes and bad lengths all occur. *)
+let prop_random_frames_fast_matches_reference =
+  let templates = Array.of_list (List.map snd (mixed_workload 8)) in
+  let chip =
+    let compiled =
+      Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
+    in
+    (* Journeys: the trace and marks are compared too. *)
+    Asic.Chip.set_telemetry compiled.Compiler.chip Telemetry.Level.Journeys;
+    compiled.Compiler.chip
+  in
+  let frame_gen =
+    QCheck.Gen.(
+      let* base = int_bound (Array.length templates - 1) in
+      let* cut = int_bound 80 in
+      let* flips = list_size (int_bound 4) (pair (int_bound 79) (int_bound 255)) in
+      let* tail = string_size (int_bound 16) in
+      let* keep_length = bool in
+      return
+        (let b = Bytes.copy templates.(base) in
+         List.iter
+           (fun (i, v) -> if i < Bytes.length b then Bytes.set b i (Char.chr v))
+           flips;
+         if keep_length then Bytes.cat b (Bytes.of_string tail)
+         else Bytes.sub b 0 (min cut (Bytes.length b))))
+  in
+  QCheck.Test.make ~name:"random frames: fast chip walk = reference" ~count:300
+    (QCheck.make ~print:(fun b -> Format.asprintf "%a" Netpkt.Bytes_util.pp_hex b) frame_gen)
+    (fun frame ->
+      let walk mode =
+        Asic.Chip.set_exec_mode chip mode;
+        Asic.Chip.inject chip ~in_port:0 frame
+      in
+      let fast = walk Asic.Chip.Fast in
+      let reference = walk Asic.Chip.Reference in
+      match (fast, reference) with
+      | Ok f, Ok r -> f = r
+      | Error f, Error r -> String.equal f r
+      | Ok _, Error _ | Error _, Ok _ -> false)
+
 (* --- Emitted-frame IPv4 checksums ----------------------------------
    Regression: action rewrites (NAT, LB DNAT, TTL decrement) used to
    leave the IPv4 checksum stale because encode paths only recomputed
@@ -277,6 +324,7 @@ let () =
           Alcotest.test_case "deterministic" `Quick test_batch_deterministic;
           Alcotest.test_case "fast = reference" `Quick
             test_batch_fast_matches_reference;
+          QCheck_alcotest.to_alcotest prop_random_frames_fast_matches_reference;
         ] );
       ( "checksums",
         [
