@@ -691,7 +691,7 @@ let stats_cmd =
         (* Sync the snapshot-time gauges (cache occupancy, INT sink
            sizes) so the table shows them too. *)
         ignore (Runtime.snapshot rt);
-        if json then print_string (Observe.json ~indent:2 o chip ^ "\n")
+        if json then print_string (Observe.json o chip ^ "\n")
         else Format.printf "%t@." (fun ppf -> Observe.pp ppf o chip);
         if entries then begin
           Format.printf "@.per-entry hits (hit > 0):@.";
@@ -723,12 +723,7 @@ let stats_cmd =
            | None -> ()
            | Some sink ->
                if json then
-                 print_string
-                   ("[\n"
-                   ^ String.concat ",\n"
-                       (List.map Telemetry.Int_report.summary_to_json
-                          (Telemetry.Int_report.summaries sink))
-                   ^ "\n]\n")
+                 print_string (Telemetry.Int_report.to_json sink ^ "\n")
                else
                  Format.printf "@.INT postcards per flow:@.%a@."
                    Telemetry.Int_report.pp_summaries sink);

@@ -185,7 +185,6 @@ let table_entry_hits chip =
         (Asic.Pipelet.tables pl))
     (Asic.Chip.pipelets chip)
 
-let json ?indent t chip =
-  Telemetry.Registry.to_json ?indent (snapshot t chip)
+let json t chip = Telemetry.Registry.to_json (snapshot t chip)
 
 let pp ppf t chip = Telemetry.Registry.pp ppf (snapshot t chip)

@@ -75,5 +75,5 @@ val table_entry_hits :
 (** Per stats-enabled table ("<pipelet>/<table>"), the installed entries
     with hit counts in insertion order. *)
 
-val json : ?indent:int -> t -> Asic.Chip.t -> string
+val json : t -> Asic.Chip.t -> string
 val pp : Format.formatter -> t -> Asic.Chip.t -> unit

@@ -173,36 +173,26 @@ let parse_prometheus text =
 (* --- JSON lines --- *)
 
 let json_lines ?now_ns snap =
-  let buf = Buffer.create 4096 in
   let ts =
     match now_ns with
-    | None -> ""
-    | Some t -> Printf.sprintf "\"ts_ns\": %Ld, " t
+    | None -> []
+    | Some t -> [ ("ts_ns", Json.Int (Int64.to_int t)) ]
   in
-  List.iter
-    (fun (name, v) ->
-      (match v with
-      | Registry.Vcount n ->
-          Buffer.add_string buf
-            (Printf.sprintf "{%s\"name\": %s, \"type\": \"counter\", \"value\": %d}"
-               ts (Json.str name) n)
-      | Registry.Vhist h ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{%s\"name\": %s, \"type\": \"histogram\", \"count\": %d, \
-                \"sum\": %d, \"mean\": %.3f, \"p50\": %d, \"p99\": %d, \
-                \"buckets\": {"
-               ts (Json.str name) h.count h.sum h.mean h.p50 h.p99);
-          List.iteri
-            (fun j (b, n) ->
-              if j > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf
-                (Printf.sprintf "\"%d\": %d" (max 0 (fst (Histogram.bounds b))) n))
-            h.buckets;
-          Buffer.add_string buf "}}");
-      Buffer.add_char buf '\n')
-    snap;
-  Buffer.contents buf
+  String.concat ""
+    (List.map
+       (fun (name, v) ->
+         let kind =
+           match v with
+           | Registry.Vcount _ -> "counter"
+           | Registry.Vhist _ -> "histogram"
+         in
+         Json.to_string
+           (Json.Obj
+              (ts
+              @ (("name", Json.String name) :: ("type", Json.String kind)
+                :: Registry.value_fields v)))
+         ^ "\n")
+       snap)
 
 (* --- Windowed rates --- *)
 

@@ -119,17 +119,23 @@ let clear t =
   t.dropped <- 0;
   t.pushed <- 0
 
-let summary_to_json s =
-  let verdicts =
-    String.concat ", "
-      (List.map (fun (v, n) -> Printf.sprintf "%s: %d" (Json.str v) n) s.verdicts)
-  in
-  Printf.sprintf
-    "{ \"flow\": %s, \"packets\": %d, \"hops\": %d, \"max_hops\": %d, \
-     \"latency_ns\": %.1f, \"recircs\": %d, \"resubmits\": %d, \
-     \"verdicts\": {%s} }"
-    (Json.str s.flow) s.packets s.hops s.max_hops s.latency_ns s.recircs
-    s.resubmits verdicts
+let summary_json s =
+  Json.Obj
+    [
+      ("flow", Json.String s.flow);
+      ("packets", Json.Int s.packets);
+      ("hops", Json.Int s.hops);
+      ("max_hops", Json.Int s.max_hops);
+      ("latency_ns", Json.fixed 1 s.latency_ns);
+      ("recircs", Json.Int s.recircs);
+      ("resubmits", Json.Int s.resubmits);
+      ("verdicts", Json.Obj (List.map (fun (v, n) -> (v, Json.Int n)) s.verdicts));
+    ]
+
+let summary_to_json s = Json.to_string (summary_json s)
+
+let to_json t =
+  Json.to_string ~pretty:true (Json.List (List.map summary_json (summaries t)))
 
 let pp_summaries ppf t =
   let ss = summaries t in

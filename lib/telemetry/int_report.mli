@@ -49,4 +49,9 @@ val merge : into:t -> t -> unit
 val clear : t -> unit
 
 val summary_to_json : summary -> string
+(** One summary as a one-line JSON object. *)
+
+val to_json : t -> string
+(** Every summary, most packets first, as one JSON array. *)
+
 val pp_summaries : Format.formatter -> t -> unit

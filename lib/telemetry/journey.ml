@@ -29,60 +29,55 @@ type t = {
   hops : hop list;
 }
 
-let strings_json l =
-  "[" ^ String.concat ", " (List.map Json.str l) ^ "]"
+let strings l = Json.List (List.map (fun x -> Json.String x) l)
 
-let hop_to_json pad h =
-  let tables =
-    String.concat ", "
-      (List.map
-         (fun (t, a, hit) ->
-           Printf.sprintf "{ \"table\": %s, \"action\": %s, \"hit\": %b }"
-             (Json.str t) (Json.str a) hit)
-         h.tables)
-  in
-  let sfc =
-    match h.meta.sfc with
-    | None -> "null"
-    | Some (spid, si) ->
-        Printf.sprintf "{ \"service_path_id\": %d, \"service_index\": %d }" spid
-          si
-  in
-  Printf.sprintf
-    "%s{ \"pipelet\": %s, \"sfc\": %s,\n\
-     %s  \"latency_ns\": %.1f, \"recirc_depth\": %d, \"resubmit_depth\": %d,\n\
-     %s  \"nfs\": %s, \"gateways\": %d,\n\
-     %s  \"headers\": %s,\n\
-     %s  \"tables\": [%s] }"
-    pad (Json.str h.pipelet) sfc pad h.latency_ns h.recirc_depth
-    h.resubmit_depth pad (strings_json h.nfs) h.gateways pad
-    (strings_json h.meta.headers)
-    pad tables
+let hop_json h =
+  Json.Obj
+    [
+      ("pipelet", Json.String h.pipelet);
+      ( "sfc",
+        match h.meta.sfc with
+        | None -> Json.Null
+        | Some (spid, si) ->
+            Json.Obj
+              [ ("service_path_id", Json.Int spid); ("service_index", Json.Int si) ]
+      );
+      ("latency_ns", Json.fixed 1 h.latency_ns);
+      ("recirc_depth", Json.Int h.recirc_depth);
+      ("resubmit_depth", Json.Int h.resubmit_depth);
+      ("nfs", strings h.nfs);
+      ("gateways", Json.Int h.gateways);
+      ("headers", strings h.meta.headers);
+      ( "tables",
+        Json.List
+          (List.map
+             (fun (t, a, hit) ->
+               Json.Obj
+                 [
+                   ("table", Json.String t);
+                   ("action", Json.String a);
+                   ("hit", Json.Bool hit);
+                 ])
+             h.tables) );
+    ]
 
-let to_json ?(indent = 2) t =
-  let pad = String.make indent ' ' in
-  let hops =
-    String.concat ",\n" (List.map (hop_to_json (pad ^ pad)) t.hops)
-  in
-  Printf.sprintf
-    "{\n\
-     %s\"id\": %d,\n\
-     %s\"flow\": %s,\n\
-     %s\"in_port\": %d,\n\
-     %s\"verdict\": %s,\n\
-     %s\"cpu_round_trips\": %d,\n\
-     %s\"recircs\": %d,\n\
-     %s\"resubmits\": %d,\n\
-     %s\"latency_ns\": %.1f,\n\
-     %s\"wall_ns\": %d,\n\
-     %s\"hops\": [\n%s\n%s]\n\
-     }"
-    pad t.id pad (Json.str t.flow) pad t.in_port pad (Json.str t.verdict) pad
-    t.cpu_round_trips pad t.recircs pad t.resubmits pad t.latency_ns pad
-    t.wall_ns pad hops pad
+let json t =
+  Json.Obj
+    [
+      ("id", Json.Int t.id);
+      ("flow", Json.String t.flow);
+      ("in_port", Json.Int t.in_port);
+      ("verdict", Json.String t.verdict);
+      ("cpu_round_trips", Json.Int t.cpu_round_trips);
+      ("recircs", Json.Int t.recircs);
+      ("resubmits", Json.Int t.resubmits);
+      ("latency_ns", Json.fixed 1 t.latency_ns);
+      ("wall_ns", Json.Int t.wall_ns);
+      ("hops", Json.List (List.map hop_json t.hops));
+    ]
 
-let list_to_json l =
-  "[\n" ^ String.concat ",\n" (List.map (to_json ~indent:2) l) ^ "\n]"
+let to_json t = Json.to_string ~pretty:true (json t)
+let list_to_json l = Json.to_string ~pretty:true (Json.List (List.map json l))
 
 let pp ppf t =
   Format.fprintf ppf

@@ -47,6 +47,10 @@ type t = {
   hops : hop list;
 }
 
-val to_json : ?indent:int -> t -> string
+val json : t -> Json.t
+(** The journey as a JSON value: its fields, then [hops] as one object
+    per pass. *)
+
+val to_json : t -> string
 val list_to_json : t list -> string
 val pp : Format.formatter -> t -> unit

@@ -127,34 +127,32 @@ let delta ~since now =
           Some (name, vhist_of_buckets h.buckets h.sum))
     now
 
-let to_json ?(indent = 2) snap =
-  let pad = String.make indent ' ' in
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf "{\n";
-  List.iteri
-    (fun i (name, v) ->
-      if i > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf pad;
-      Buffer.add_string buf (Json.str name);
-      Buffer.add_string buf ": ";
-      match v with
-      | Vcount n -> Buffer.add_string buf (string_of_int n)
-      | Vhist h ->
-          Buffer.add_string buf
-            (Printf.sprintf
-               "{ \"count\": %d, \"sum\": %d, \"mean\": %.1f, \"p50\": %d, \
-                \"p99\": %d, \"buckets\": {"
-               h.count h.sum h.mean h.p50 h.p99);
-          List.iteri
-            (fun j (b, n) ->
-              if j > 0 then Buffer.add_string buf ", ";
-              Buffer.add_string buf
-                (Printf.sprintf "\"%d\": %d" (max 0 (fst (Histogram.bounds b))) n))
-            h.buckets;
-          Buffer.add_string buf "} }")
-    snap;
-  Buffer.add_string buf "\n}";
-  Buffer.contents buf
+let value_fields = function
+  | Vcount n -> [ ("value", Json.Int n) ]
+  | Vhist h ->
+      [
+        ("count", Json.Int h.count);
+        ("sum", Json.Int h.sum);
+        ("mean", Json.fixed 3 h.mean);
+        ("p50", Json.Int h.p50);
+        ("p99", Json.Int h.p99);
+        ( "buckets",
+          Json.Obj
+            (List.map
+               (fun (b, n) ->
+                 (string_of_int (max 0 (fst (Histogram.bounds b))), Json.Int n))
+               h.buckets) );
+      ]
+
+let to_json snap =
+  Json.to_string ~pretty:true
+    (Json.Obj
+       (List.map
+          (fun (name, v) ->
+            match v with
+            | Vcount n -> (name, Json.Int n)
+            | Vhist _ -> (name, Json.Obj (value_fields v)))
+          snap))
 
 let pp ppf snap =
   let width =

@@ -49,10 +49,16 @@ val delta : since:snapshot -> snapshot -> snapshot
     minus their values in [since] (absent in [since] = 0). Quantiles and
     means are recomputed over the difference. *)
 
-val to_json : ?indent:int -> snapshot -> string
-(** One JSON object: counters as numbers, histograms as
-    [{"count":..,"sum":..,"mean":..,"p50":..,"p99":..,"buckets":{"lo":count,..}}]
-    keyed by each bucket's lower bound. *)
+val value_fields : value -> (string * Json.t) list
+(** A value's JSON members: [value] for a counter; [count], [sum],
+    [mean], [p50], [p99] and [buckets] (each bucket's count keyed by its
+    lower bound) for a histogram. The one rendering of a histogram:
+    {!to_json} nests these members as its object and
+    {!Export.json_lines} puts them on its line. *)
+
+val to_json : snapshot -> string
+(** One JSON object: counters as numbers, histograms as the objects of
+    {!value_fields}. *)
 
 val pp : Format.formatter -> snapshot -> unit
 (** An aligned human-readable table. *)

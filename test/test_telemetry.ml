@@ -130,6 +130,73 @@ let test_registry_snapshot_delta () =
   check Alcotest.int "reset zeroes counters" 0 !a;
   check Alcotest.int "reset zeroes histograms" 0 (Telemetry.Histogram.count h)
 
+(* --- the JSON writer ------------------------------------------------- *)
+
+let contains s sub =
+  let n = String.length sub and m = String.length s in
+  let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
+  go 0
+
+let test_json_escapes () =
+  let open Telemetry.Json in
+  check Alcotest.string "quote, backslash, newline, 0x01"
+    {|"a\"b\\c\nd\u0001"|}
+    (to_string (String "a\"b\\c\nd\001"));
+  check Alcotest.string "str is the same literal" {|"a\"b\\c\nd\u0001"|}
+    (str "a\"b\\c\nd\001");
+  check Alcotest.string "keys escape too" {|{"k\"": 1}|}
+    (to_string (Obj [ ("k\"", Int 1) ]))
+
+let test_json_numbers () =
+  let open Telemetry.Json in
+  check Alcotest.string "non-finite floats are null" "[null, null, null]"
+    (to_string (List [ Float nan; Float infinity; Float neg_infinity ]));
+  check Alcotest.string "ints print without a fraction" "[42, -7, 0]"
+    (to_string (List [ Int 42; Int (-7); Int 0 ]));
+  check Alcotest.string "integral floats too" "3" (to_string (Float 3.0));
+  check Alcotest.string "shortest round-trip decimal" "0.1"
+    (to_string (Float 0.1));
+  check Alcotest.string "fixed rounds to its decimals" "[0.13, 14641, -2.5]"
+    (to_string (List [ fixed 2 0.125; fixed 1 14641.04; fixed 1 (-2.5) ]))
+
+let test_json_layout () =
+  let open Telemetry.Json in
+  check Alcotest.string "empty object" "{}" (to_string (Obj []));
+  check Alcotest.string "empty list" "[]" (to_string (List []));
+  check Alcotest.string "pretty empty object" "{}" (to_string ~pretty:true (Obj []));
+  check Alcotest.string "pretty empty list" "[]" (to_string ~pretty:true (List []));
+  let row i = Obj [ ("id", Int i); ("name", String (String.make 40 'x')); ("ok", Bool true) ] in
+  let v = Obj [ ("rows", List (List.init 5 row)); ("none", Null) ] in
+  check Alcotest.bool "compact output has no newline" false
+    (String.contains (to_string v) '\n');
+  let pretty = to_string ~pretty:true v in
+  check Alcotest.bool "pretty breaks what does not fit" true
+    (String.contains pretty '\n');
+  check Alcotest.bool "pretty keeps a row that fits on one line" true
+    (contains pretty
+       ("\n    " ^ to_string (row 3) ^ ",\n"));
+  check Alcotest.string "short values stay on one line" {|{"a": [1, 2], "b": null}|}
+    (to_string ~pretty:true (Obj [ ("a", List [ Int 1; Int 2 ]); ("b", Null) ]))
+
+(* One histogram object, one rendering: the registry's JSON nests it
+   and the JSON-lines export puts the same members on its line. *)
+let test_json_histogram_shared () =
+  let reg = Telemetry.Registry.create () in
+  let h = Telemetry.Registry.histogram reg "lat" in
+  List.iter (Telemetry.Histogram.observe h) [ 1; 2; 3; 100 ];
+  let snap = Telemetry.Registry.snapshot reg in
+  let obj =
+    Telemetry.Json.to_string
+      (Telemetry.Json.Obj (Telemetry.Registry.value_fields (List.assoc "lat" snap)))
+  in
+  check Alcotest.bool "to_json nests the histogram object" true
+    (contains (Telemetry.Registry.to_json snap) ("\"lat\": " ^ obj));
+  check Alcotest.string "json_lines carries the same members"
+    ("{\"name\": \"lat\", \"type\": \"histogram\", "
+    ^ String.sub obj 1 (String.length obj - 1)
+    ^ "\n")
+    (Telemetry.Export.json_lines snap)
+
 (* --- the data-plane workload ---------------------------------------- *)
 
 let ip = Netpkt.Ip4.of_string_exn
@@ -370,6 +437,14 @@ let () =
         [
           Alcotest.test_case "snapshot and delta" `Quick
             test_registry_snapshot_delta;
+        ] );
+      ( "json",
+        [
+          Alcotest.test_case "escapes" `Quick test_json_escapes;
+          Alcotest.test_case "numbers" `Quick test_json_numbers;
+          Alcotest.test_case "layout" `Quick test_json_layout;
+          Alcotest.test_case "one histogram object" `Quick
+            test_json_histogram_shared;
         ] );
       ( "observation_only",
         [
