@@ -22,6 +22,29 @@ type t = {
   mutable probe : P4ir.Phv.t -> Telemetry.Journey.hop_meta;
 }
 
+(* One PHV layout for the whole chip when every pipelet program parses
+   the same declarations and deparses in the same order — always so for
+   [Compose.build], which loads one generic parser everywhere. A PHV
+   one pass ends with is then a PHV of the next pass's layout. *)
+let chip_layout (config : config) =
+  match
+    Array.to_list config.ingress_programs @ Array.to_list config.egress_programs
+  with
+  | [] -> None
+  | p :: rest -> (
+      let decls (q : P4ir.Program.t) = q.P4ir.Program.parser.P4ir.Parser_graph.decls in
+      let same (q : P4ir.Program.t) =
+        List.equal P4ir.Hdr.equal_decl (decls p) (decls q)
+        && List.equal String.equal p.P4ir.Program.deparse_order
+             q.P4ir.Program.deparse_order
+      in
+      if not (List.for_all same rest) then None
+      else
+        (* Conflicting declarations: each pipelet's load reports them. *)
+        match Stdmeta.layout (decls p) with
+        | l -> Some l
+        | exception Invalid_argument _ -> None)
+
 let load (config : config) =
   let n = config.spec.Spec.n_pipelines in
   if
@@ -30,10 +53,11 @@ let load (config : config) =
   then Error (Printf.sprintf "Chip.load: expected %d programs per side" n)
   else
     let ( let* ) = Result.bind in
+    let layout = chip_layout config in
     let load_side kind programs =
       Array.to_list programs
       |> List.mapi (fun pipeline prog ->
-             Pipelet.load config.spec { Pipelet.pipeline; kind } prog)
+             Pipelet.load ?layout config.spec { Pipelet.pipeline; kind } prog)
       |> List.fold_left
            (fun acc r ->
              let* l = acc in
@@ -147,6 +171,17 @@ let deparse_frame t pl phv ~payload =
   match t.mode with
   | Fast -> Pipelet.deparse_fast pl phv ~payload
   | Reference -> Pipelet.deparse pl phv ~payload
+
+(* Across the traffic manager, from ingress [from] to egress [pl].
+   Reference mode, the oracle, deparses and re-parses. Fast mode hands
+   the PHV over when {!Pipelet.adopt} proves that indistinguishable
+   from those bytes, and goes through them otherwise. *)
+let cross_tm t ~from pl phv ~payload =
+  match t.mode with
+  | Reference -> Pipelet.parse_reference pl (Pipelet.deparse from phv ~payload)
+  | Fast ->
+      if Pipelet.adopt pl phv then Ok (phv, payload)
+      else Pipelet.parse pl (Pipelet.deparse_fast from phv ~payload)
 
 let pipelet t (id : Pipelet.id) =
   match id.Pipelet.kind with
@@ -282,13 +317,12 @@ let rec ingress_pass t st ~pipeline ~entry_port frame =
           else if out_port = Spec.cpu_port then
             finish st (To_cpu (deparse_frame t pl phv ~payload))
           else
-            let frame' = deparse_frame t pl phv ~payload in
             let egress_pipe = Option.get (Spec.pipeline_of_any_port t.spec out_port) in
             st.latency <- st.latency +. t.spec.Spec.lat.Spec.tm_ns;
-            egress_pass t st ~pipeline:egress_pipe ~out_port frame'
+            egress_pass t st ~pipeline:egress_pipe ~out_port ~from:pl phv ~payload
   end
 
-and egress_pass t st ~pipeline ~out_port frame =
+and egress_pass t st ~pipeline ~out_port ~from phv ~payload =
   if st.passes >= pass_limit then
     Error
       (Printf.sprintf "Chip.inject: pass limit %d exceeded (routing loop?)"
@@ -298,7 +332,7 @@ and egress_pass t st ~pipeline ~out_port frame =
     let pl = t.egress.(pipeline) in
     st.visits <- Pipelet.id pl :: st.visits;
     st.latency <- st.latency +. Latency.pipe_pass_ns t.spec;
-    match parse_frame t pl frame with
+    match cross_tm t ~from pl phv ~payload with
     | Error e -> Error e
     | Ok (phv, payload) ->
         set_egress_port phv out_port;

@@ -5,7 +5,24 @@
     The walk is faithful to the RMT architecture: the packet is deparsed
     at the end of every pipe and re-parsed at the next parser, so any
     state an NF wants to carry across pipes must ride in a header — which
-    is precisely why Dejavu's SFC header exists. *)
+    is precisely why Dejavu's SFC header exists.
+
+    [Reference] mode does exactly that, bytes at every pipe boundary.
+    [Fast] mode moves headers, not bytes, across the traffic manager,
+    where the difference cannot show: the egress pass starts from the
+    PHV the ingress pass ended with when {!Pipelet.adopt} proves that
+    PHV equal to parsing what the ingress pass would deparse — and
+    resets it to exactly that parse (standard metadata, headers the
+    deparser would drop and self-checksums). Any other PHV goes through
+    bytes: a rewritten ethertype or next-protocol field the parse graph
+    reads differently, a header it would not reach, a parser reject, or
+    pipelets of different layouts. A resubmission, a recirculation and
+    every frame that leaves the chip — emitted, punted to the CPU or
+    mirrored — go through bytes in both modes. The modelled clock
+    charges a parse and a deparse on every pass either way
+    ({!Latency.pipe_pass_ns}), so verdicts, frames, counters, traces
+    and latencies are identical in both modes; only host time
+    differs. *)
 
 type config = {
   spec : Spec.t;
@@ -20,15 +37,27 @@ type config = {
 type t
 
 val load : config -> (t, string) result
-(** Loads and stage-allocates all four (or 2n) pipelet programs. *)
+(** Loads and stage-allocates all four (or 2n) pipelet programs. When
+    every program's parser declares the same headers and every program
+    deparses in the same order — always so for programs from
+    [Compose.build], which loads one generic parser everywhere — all
+    pipelets are loaded against one PHV layout ({!Pipelet.load}'s
+    [?layout]), which is what lets a PHV cross the traffic manager in
+    [Fast] mode. Otherwise each pipelet has its own layout and every
+    pipe boundary goes through bytes. *)
 
 val spec : t -> Spec.t
 val ports : t -> Port.t
 val pipelet : t -> Pipelet.id -> Pipelet.t
 
 type exec_mode =
-  | Fast  (** precompiled controls + indexed table lookups (default) *)
-  | Reference  (** interpret the statement trees — the oracle *)
+  | Fast
+      (** precompiled parser, controls and deparser, indexed table
+          lookups, and the PHV handed across the traffic manager when
+          indistinguishable from bytes (default) *)
+  | Reference
+      (** interpret the parse graph and the statement trees, and deparse
+          and re-parse at every pipe boundary — the oracle *)
 
 val exec_mode : t -> exec_mode
 val set_exec_mode : t -> exec_mode -> unit
@@ -56,8 +85,11 @@ val replicate : t -> (t, string) result
     so the replica and the original can process packets from different
     domains concurrently without touching a shared cell. [replicate]
     only reads its argument, so several domains may replicate one chip
-    at once. The exec mode carries over; telemetry starts [Off] (attach
-    a per-domain observer explicitly). *)
+    at once. The replica builds its own chip-wide PHV layout the way
+    {!load} does, so handovers happen within it exactly as within the
+    original; a PHV never crosses from one chip to another. The exec
+    mode carries over; telemetry starts [Off] (attach a per-domain
+    observer explicitly). *)
 
 val merge_stats : into:t -> t -> unit
 (** [merge_stats ~into replica] adds the replica's per-table hit/miss

@@ -18,12 +18,24 @@ let all_ids spec =
     (fun pipe -> [ { pipeline = pipe; kind = Ingress }; { pipeline = pipe; kind = Egress } ])
     (List.init spec.Spec.n_pipelines Fun.id)
 
+(* One header of the deparse order resolved against the layout, so
+   [deparse_fast] and [adopt] walk cells instead of hashing names. *)
+type emit = {
+  decl : P4ir.Hdr.decl;
+  vc : int;  (* validity cell *)
+  ncells : int;  (* validity cell plus one per field *)
+  size : int;  (* bytes on the wire *)
+  csum_byte : int;  (* self-checksum byte offset in the header; -1 = none *)
+  csum_cell : int;  (* the self-checksum field's cell; -1 = none *)
+}
+
 type t = {
   id : id;
   program : P4ir.Program.t;
-  (* The one PHV layout of this pipelet: standard metadata first, then
-     the parser's declarations. Parser, control, tables and deparser
-     are all compiled against it. *)
+  (* The PHV layout of this pipelet: standard metadata first, then the
+     parser's declarations — on a chip whose pipelets all parse the
+     same declarations, one layout shared by all of them. Parser,
+     control, tables and deparser are all compiled against it. *)
   layout : P4ir.Phv.layout;
   (* Mutable so telemetry can swap in a control recompiled with label
      counters (and back): instrumentation is selected at compile time,
@@ -34,10 +46,18 @@ type t = {
   (* Pristine PHV of [layout] with standard metadata valid; [parse]
      copies its cells instead of re-declaring per packet. *)
   template : P4ir.Phv.t;
-  (* Declaration, validity cell, byte size and self-checksum byte offset
-     (-1 = none) per deparse-order header, so [deparse_fast] walks an
-     array of cells instead of hashing names. *)
-  demit : (P4ir.Hdr.decl * int * int * int) array;
+  (* The emit plan, one entry per deparse-order header; [None] when
+     some deparse-order header is not a parsed one. *)
+  demit : emit array option;
+  (* The plan's validity cells: the [order] of a parse-graph replay. *)
+  order : int array;
+  (* (validity cell, cell count) of every layout header outside the
+     deparse order, standard metadata included: [adopt] restores these
+     from the template. *)
+  unemitted : (int * int) array;
+  (* Where [adopt] re-emits a self-checksummed header to recompute its
+     checksum; per pipelet, so per chip and per domain. *)
+  scratch : Bytes.t;
   stage_alloc : (string * int) list;
 }
 
@@ -129,7 +149,33 @@ let allocate_stages spec program =
   in
   loop nodes
 
-let load spec id program =
+(* The emit plan over [layout]: one entry per deparse-order header, or
+   [None] when some deparse-order header is not among [decls] (a
+   metadata header, say: the generic walk resolves it per packet). *)
+let emit_plan layout decls deparse_order =
+  let emit name =
+    List.find_opt (fun (d : P4ir.Hdr.decl) -> String.equal d.P4ir.Hdr.name name) decls
+    |> Option.map (fun (d : P4ir.Hdr.decl) ->
+           let vc = P4ir.Phv.valid_cell layout name in
+           let csum_byte, csum_cell =
+             match P4ir.Hdr.self_checksum_byte d with
+             | Some b -> (b, vc + 1 + P4ir.Hdr.field_index d "checksum")
+             | None -> (-1, -1)
+           in
+           {
+             decl = d;
+             vc;
+             ncells = 1 + P4ir.Hdr.n_fields d;
+             size = P4ir.Hdr.byte_size d;
+             csum_byte;
+             csum_cell;
+           })
+  in
+  let plan = List.filter_map emit deparse_order in
+  if List.length plan = List.length deparse_order then Some (Array.of_list plan)
+  else None
+
+let load ?layout spec id program =
   match P4ir.Program.validate program with
   | Error e -> Error e
   | Ok () -> (
@@ -148,53 +194,58 @@ let load spec id program =
         | Error e -> Error e
         | Ok stage_alloc ->
             let parser = program.P4ir.Program.parser in
-            let layout = Stdmeta.layout parser.P4ir.Parser_graph.decls in
+            let decls = parser.P4ir.Parser_graph.decls in
+            let own = Stdmeta.layout decls in
+            let layout = Option.value layout ~default:own in
             let template = P4ir.Phv.of_layout layout in
-            P4ir.Phv.set_valid template Stdmeta.name;
-            let demit =
-              Array.of_list
-                (List.filter_map
-                   (fun name ->
-                     match
-                       List.find_opt
-                         (fun (d : P4ir.Hdr.decl) ->
-                           String.equal d.P4ir.Hdr.name name)
-                         program.P4ir.Program.parser.P4ir.Parser_graph.decls
-                     with
-                     | Some d ->
-                         Some
-                           ( d,
-                             P4ir.Phv.valid_cell layout name,
-                             P4ir.Hdr.byte_size d,
-                             Option.value ~default:(-1)
-                               (P4ir.Hdr.self_checksum_byte d) )
-                     | None ->
-                         (* Not a parsed header (e.g. metadata): resolve
-                            the size per packet on the generic path. *)
-                         None)
-                   program.P4ir.Program.deparse_order)
-            in
-            (* The compiled emit plan only stands in for the generic walk
-               when it covers the whole deparse order. *)
-            let demit =
-              if
-                Array.length demit
-                = List.length program.P4ir.Program.deparse_order
-              then demit
-              else [||]
-            in
-            Ok
-              {
-                id;
-                program;
-                layout;
-                compiled = P4ir.Program.compile_control ~layout program;
-                label_counters = None;
-                pcompiled = P4ir.Parser_graph.compile ~layout parser;
-                template;
-                demit;
-                stage_alloc;
-              })
+            if
+              not
+                (List.equal P4ir.Hdr.equal_decl (P4ir.Phv.decls template)
+                   (P4ir.Phv.decls (P4ir.Phv.of_layout own)))
+            then
+              Error
+                (Format.asprintf
+                   "pipelet %a: layout is not standard metadata then the \
+                    parser's declarations"
+                   pp_id id)
+            else begin
+              P4ir.Phv.set_valid template Stdmeta.name;
+              let demit =
+                emit_plan layout decls program.P4ir.Program.deparse_order
+              in
+              let order =
+                match demit with
+                | Some plan -> Array.map (fun e -> e.vc) plan
+                | None -> [||]
+              in
+              let unemitted =
+                P4ir.Phv.decls template
+                |> List.filter_map (fun (d : P4ir.Hdr.decl) ->
+                       let vc = P4ir.Phv.valid_cell layout d.P4ir.Hdr.name in
+                       if Array.mem vc order then None
+                       else Some (vc, 1 + P4ir.Hdr.n_fields d))
+                |> Array.of_list
+              in
+              let widest =
+                Array.fold_left (fun m e -> max m e.size) 0
+                  (Option.value demit ~default:[||])
+              in
+              Ok
+                {
+                  id;
+                  program;
+                  layout;
+                  compiled = P4ir.Program.compile_control ~layout program;
+                  label_counters = None;
+                  pcompiled = P4ir.Parser_graph.compile ~layout parser;
+                  template;
+                  demit;
+                  order;
+                  unemitted;
+                  scratch = Bytes.create widest;
+                  stage_alloc;
+                }
+            end)
 
 let id t = t.id
 let program t = t.program
@@ -249,26 +300,67 @@ let deparse t phv ~payload =
    to the generic walk when no complete plan was precomputed at load,
    or for a PHV of another layout. *)
 let deparse_fast t phv ~payload =
-  let n = Array.length t.demit in
-  if n = 0 || P4ir.Phv.layout phv != t.layout then deparse t phv ~payload
-  else begin
-    let total = ref 0 in
-    for k = 0 to n - 1 do
-      let _, vc, size, _ = t.demit.(k) in
-      if P4ir.Phv.cell phv vc = 1 then total := !total + size
-    done;
-    let plen = Bytes.length payload in
-    let out = Bytes.make (!total + plen) '\000' in
-    let off = ref 0 in
-    for k = 0 to n - 1 do
-      let d, vc, size, csum_byte = t.demit.(k) in
-      if P4ir.Phv.cell phv vc = 1 then begin
-        P4ir.Phv.emit_at phv d vc out ~bit_off:(8 * !off);
-        if csum_byte >= 0 then
-          P4ir.Parser_graph.fix_checksum out ~off:!off ~csum_byte ~size;
-        off := !off + size
-      end
-    done;
-    Bytes.blit payload 0 out !off plen;
-    out
-  end
+  match t.demit with
+  | Some plan when P4ir.Phv.layout phv == t.layout ->
+      let total = ref 0 in
+      for k = 0 to Array.length plan - 1 do
+        if P4ir.Phv.cell phv plan.(k).vc = 1 then total := !total + plan.(k).size
+      done;
+      let plen = Bytes.length payload in
+      let out = Bytes.make (!total + plen) '\000' in
+      let off = ref 0 in
+      for k = 0 to Array.length plan - 1 do
+        let e = plan.(k) in
+        if P4ir.Phv.cell phv e.vc = 1 then begin
+          P4ir.Phv.emit_at phv e.decl e.vc out ~bit_off:(8 * !off);
+          if e.csum_byte >= 0 then
+            P4ir.Parser_graph.fix_checksum out ~off:!off ~csum_byte:e.csum_byte
+              ~size:e.size;
+          off := !off + e.size
+        end
+      done;
+      Bytes.blit payload 0 out !off plen;
+      out
+  | Some _ | None -> deparse t phv ~payload
+
+(* Cells [vc .. vc + n - 1] back to the template's: a header invalid
+   and zeroed, or standard metadata valid and zeroed. *)
+let restore t phv vc n =
+  for i = vc to vc + n - 1 do
+    P4ir.Phv.set_cell phv i (P4ir.Phv.cell t.template i)
+  done
+
+(* The checksum the deparser's engine would write for an emitted
+   self-checksummed header, computed over the header re-emitted into
+   the scratch buffer. *)
+let refresh_checksum t phv e =
+  P4ir.Phv.emit_at phv e.decl e.vc t.scratch ~bit_off:0;
+  P4ir.Parser_graph.fix_checksum t.scratch ~off:0 ~csum_byte:e.csum_byte
+    ~size:e.size;
+  P4ir.Phv.set_cell phv e.csum_cell
+    (Netpkt.Bytes_util.get_uint16 t.scratch e.csum_byte)
+
+(* Start a pass from another pass's PHV. When the replay proves that
+   parsing the frame [deparse_fast] would emit extracts exactly the
+   emitted headers, the parsed PHV differs from this one only in what
+   the frame does not carry: standard metadata, headers left out of
+   the frame (invalid ones may still hold stale field values) and
+   self-checksums. Reset exactly those, in place. *)
+let adopt t phv =
+  match t.demit with
+  | None -> false
+  | Some plan ->
+      (* [replay] refuses a PHV of another layout than [t]'s. *)
+      P4ir.Parser_graph.replay t.pcompiled phv ~order:t.order
+      && begin
+           for k = 0 to Array.length plan - 1 do
+             let e = plan.(k) in
+             if P4ir.Phv.cell phv e.vc <> 1 then restore t phv e.vc e.ncells
+             else if e.csum_cell >= 0 then refresh_checksum t phv e
+           done;
+           for k = 0 to Array.length t.unemitted - 1 do
+             let vc, n = t.unemitted.(k) in
+             restore t phv vc n
+           done;
+           true
+         end

@@ -13,12 +13,21 @@ val all_ids : Spec.t -> id list
 
 type t
 
-val load : Spec.t -> id -> P4ir.Program.t -> (t, string) result
+val load :
+  ?layout:P4ir.Phv.layout -> Spec.t -> id -> P4ir.Program.t -> (t, string) result
 (** Validates the program and packs its tables into stages: each table is
     placed at the earliest stage satisfying its dependency lower bound
     (match/action dependencies need a later stage than their producer)
     with enough residual table IDs / SRAM / TCAM / crossbar / VLIW / hash
-    bits. Fails when the program does not fit. *)
+    bits. Fails when the program does not fit.
+
+    Parser, control, tables and deparser are compiled against [layout],
+    which must hold standard metadata and then exactly the parser's
+    declarations, in order ({!Stdmeta.layout}); it defaults to a fresh
+    layout of those. {!Chip.load} passes one layout to every pipelet of
+    a chip whose parsers all declare the same headers and deparse in
+    the same order, so a PHV one pass ends with is of the next pass's
+    layout and can be {!adopt}ed. *)
 
 val allocate_stages :
   Spec.t -> P4ir.Program.t -> ((string * int) list, string) result
@@ -62,7 +71,9 @@ val parse :
     of the pipelet's layout — built once at {!load}, standard metadata
     first, then the parser's declarations — and extracts every field
     straight into its cell as an immediate int, through the parse graph
-    compiled against that layout. *)
+    compiled against that layout. The chip's [Fast] mode calls it on
+    frames entering the chip, on resubmitted and recirculated frames,
+    and on every handover {!adopt} refuses. *)
 
 val parse_reference :
   t -> Bytes.t -> (P4ir.Phv.t * Bytes.t, string) result
@@ -79,3 +90,21 @@ val deparse_fast : t -> P4ir.Phv.t -> payload:Bytes.t -> Bytes.t
 (** [deparse] over an emit plan precomputed at {!load} against the
     pipelet's layout (validity cell, declaration and size per header);
     byte-identical output. A PHV of another layout takes {!deparse}. *)
+
+val adopt : t -> P4ir.Phv.t -> bool
+(** Start a pass from the PHV another pass ended with, instead of
+    parsing the frame that pass's {!deparse_fast} would emit — the
+    chip's Fast-mode handover across the traffic manager. [adopt t phv] is [true] only when [phv]
+    is of [t]'s layout, [t] has a complete emit plan, and replaying
+    [t]'s compiled parse graph on the PHV's own cells
+    ({!P4ir.Parser_graph.replay}) extracts exactly the headers
+    {!deparse_fast} would emit, in deparse order. Then [phv] is reset
+    in place to what [parse t (deparse_fast t phv ~payload)] returns,
+    and that parse's payload is [payload] itself: standard metadata
+    valid and zeroed, every header not emitted invalid and zeroed, and
+    each emitted self-checksum set to what the deparser's checksum
+    engine writes. Otherwise — a rewritten ethertype or next-protocol
+    field that sends the parse graph down another branch, a header
+    the graph does not reach, a rejecting graph, a PHV of another
+    layout — it is [false] and [phv] is untouched: the caller goes
+    through bytes. Allocates nothing. *)

@@ -142,6 +142,10 @@ and cselect = {
   c_on : Fieldref.t array;
   c_cells : int array;  (* -1 = absent from the layout *)
   c_bound : bool;  (* every select field resolved *)
+  c_replay : bool;
+      (* bound, and every select field belongs to the state's own
+         header and is not its self-checksum: a {!replay} may read it
+         off the PHV *)
   c_cases : (int array * cnext) array;
   c_default : cnext;
 }
@@ -174,10 +178,18 @@ let compile ?(layout = Phv.empty_layout) t =
               Option.map
                 (fun sel ->
                   let cells = Array.of_list (List.map (cell_of Phv.field_cell) sel.on) in
+                  let bound = Array.for_all (fun c -> c >= 0) cells in
+                  let own (r : Fieldref.t) =
+                    String.equal r.Fieldref.hdr s.header
+                    && not
+                         (String.equal r.Fieldref.field "checksum"
+                         && Hdr.self_checksum_byte decl <> None)
+                  in
                   {
                     c_on = Array.of_list sel.on;
                     c_cells = cells;
-                    c_bound = Array.for_all (fun c -> c >= 0) cells;
+                    c_bound = bound;
+                    c_replay = bound && List.for_all own sel.on;
                     c_cases =
                       Array.of_list
                         (List.map
@@ -204,15 +216,17 @@ let rec case_matches sel bound phv cv i =
   i >= Array.length cv
   || (cv.(i) = select_value sel bound phv i && case_matches sel bound phv cv (i + 1))
 
-let rec find_case c bound bytes phv sel off i =
-  if i >= Array.length sel.c_cases then step c bound bytes phv sel.c_default off
+(* The successor a select picks: the first case whose values all
+   match, else the default. *)
+let rec select_next sel bound phv i =
+  if i >= Array.length sel.c_cases then sel.c_default
   else
     let cv, nxt = sel.c_cases.(i) in
     if Array.length cv = Array.length sel.c_on && case_matches sel bound phv cv 0
-    then step c bound bytes phv nxt off
-    else find_case c bound bytes phv sel off (i + 1)
+    then nxt
+    else select_next sel bound phv (i + 1)
 
-and step c bound bytes phv n off =
+let rec step c bound bytes phv n off =
   match n with
   | C_accept -> Ok off
   | C_reject -> Error (Printf.sprintf "parser %s: packet rejected" c.c_name)
@@ -238,10 +252,45 @@ and step c bound bytes phv n off =
               for i = 0 to Array.length sel.c_on - 1 do
                 ignore (select_value sel bound phv i)
               done;
-            find_case c bound bytes phv sel off 0)
+            step c bound bytes phv (select_next sel bound phv 0) off)
 
 let run_compiled c bytes phv =
   step c (Phv.layout phv == c.c_layout) bytes phv c.c_start 0
+
+(* --- Replay: the compiled walk driven by a PHV's own cells instead of
+   bytes. The frame a deparser would emit from the PHV holds the valid
+   headers of [order], in order, each written from its own cells; a
+   parse of that frame that extracts exactly those headers, in that
+   order, reads every header back from the bytes its cells wrote (cell
+   values stay within their fields' widths). So the walk can be
+   predicted from the cells alone, provided each select reads only the
+   header just extracted (c_replay): its parsed value is surely its
+   cell's, while a header the walk has not extracted would read the
+   template's zero and a self-checksum the recomputed sum. --- *)
+
+(* Position in [order] of the first emitted header at or after [k]. *)
+let rec next_emitted phv order k =
+  if k < Array.length order && Phv.cell phv order.(k) <> 1 then
+    next_emitted phv order (k + 1)
+  else k
+
+let rec replay_from phv order n k =
+  match n with
+  | C_accept -> next_emitted phv order k = Array.length order
+  | C_reject | C_error _ -> false
+  | C_state s -> (
+      let k = next_emitted phv order k in
+      k < Array.length order
+      && order.(k) = s.c_vc
+      &&
+      match s.c_select with
+      | None -> replay_from phv order C_accept (k + 1)
+      | Some sel ->
+          sel.c_replay
+          && replay_from phv order (select_next sel true phv 0) (k + 1))
+
+let replay c phv ~order =
+  Phv.layout phv == c.c_layout && replay_from phv order c.c_start 0
 
 (* The deparser's checksum engine: recompute an IPv4-style header
    checksum in place over the just-emitted bytes. The PHV's checksum

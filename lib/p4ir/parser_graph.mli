@@ -61,6 +61,24 @@ val run_compiled : compiled -> Bytes.t -> Phv.t -> (int, string) result
     compiled one is filled name-resolved. Same results and errors as
     {!parse}. *)
 
+val replay : compiled -> Phv.t -> order:int array -> bool
+(** The compiled walk driven by the PHV's own cells instead of bytes.
+    [order] holds the validity cells of the deparse order: the frame a
+    deparser emits from [phv] is the headers valid among them, in that
+    order, then the payload. Each state "extracts" its header only if
+    it is the next of those emitted headers, and selects on the cells
+    of the header it just extracted. [true] when the walk accepts
+    after visiting exactly the emitted headers, in order: then
+    {!run_compiled} over that frame extracts the same headers with the
+    same values (cells hold values within their fields' widths;
+    self-checksum fields aside, which the deparser recomputes) and
+    consumes exactly the emitted header bytes, so the payload is
+    unchanged. [false] otherwise: a [Reject], a header the
+    walk would read that is not the next emitted one, emitted headers
+    left over at accept, a select on a field of another header or on a
+    self-checksum, or a PHV of another layout than the compiled one.
+    Reads cells only; writes nothing. *)
+
 val fix_checksum : Bytes.t -> off:int -> csum_byte:int -> size:int -> unit
 (** The deparser's checksum engine: zero the 16-bit checksum at
     [off + csum_byte] and recompute the internet checksum over the

@@ -3,8 +3,9 @@
    budget is a measured figure with headroom, counted with
    [Gc.minor_words] on one domain, so a change that brings back
    per-entry action compilation, an install-replaying table copy, a
-   capacity-sized cache bucket array or boxed field values fails here
-   before it shows up as benchmark time. *)
+   capacity-sized cache bucket array, boxed field values or a deparse
+   and re-parse at every pipe boundary fails here before it shows up as
+   benchmark time. *)
 
 open Dejavu_core
 
@@ -155,6 +156,38 @@ let test_process () =
   let (), w = words (fun () -> Asic.Pipelet.process pl phv) in
   under "Pipelet.process" ~budget:process_budget w
 
+(* One green walk through the chip: ingress, the traffic manager and
+   egress. Measured at 153 words with OCaml 5.1.1: the parse at
+   ingress, the emitted frame and the walk's records; the PHV crosses
+   the traffic manager in place. Deparsing at ingress and parsing again
+   at egress took 242. *)
+let inject_budget = 1.25 *. 153.
+
+let green_frame =
+  Netpkt.Pkt.encode
+    (Netpkt.Pkt.tcp_flow
+       ~src_mac:(Netpkt.Mac.of_string_exn "02:00:00:00:00:01")
+       ~dst_mac:(Netpkt.Mac.of_string_exn "02:00:00:00:00:02")
+       {
+         Netpkt.Flow.src = Netpkt.Ip4.of_string_exn "203.0.113.7";
+         dst = Netpkt.Ip4.of_string_exn "10.0.3.17";
+         proto = Netpkt.Ipv4.proto_tcp;
+         src_port = 40000;
+         dst_port = 443;
+       })
+
+let test_inject () =
+  let chip = fig2_chip () in
+  let inject () =
+    match Asic.Chip.inject chip ~in_port:0 green_frame with
+    | Ok r -> r
+    | Error e -> Alcotest.fail e
+  in
+  let r = inject () in
+  Alcotest.(check int) "ingress, TM, egress" 2 (List.length r.Asic.Chip.visits);
+  let _, w = words inject in
+  under "Chip.inject" ~budget:inject_budget w
+
 (* A compiled expression over int fields allocates nothing: no boxed
    value per node, no option, no closure per evaluation. *)
 let test_expr () =
@@ -186,6 +219,7 @@ let () =
           Alcotest.test_case "FIB add_entry" `Quick test_add_entry;
           Alcotest.test_case "Pipelet.parse" `Quick test_parse;
           Alcotest.test_case "Pipelet.process" `Quick test_process;
+          Alcotest.test_case "Chip.inject" `Quick test_inject;
           Alcotest.test_case "compiled Expr" `Quick test_expr;
         ] );
     ]

@@ -194,6 +194,58 @@ let test_deparse_skips_invalid () =
   in
   check Alcotest.int "only eth emitted" 14 (Bytes.length out)
 
+(* Replay predicts, from cells alone, what parsing the deparsed frame
+   extracts: it follows selects on the header just extracted, needs the
+   walk to visit exactly the emitted headers, and refuses a select that
+   reads another header (whose parsed value need not be its cell's). *)
+let test_replay () =
+  let a = Hdr.decl "a" [ ("kind", 8) ] and b = Hdr.decl "b" [ ("x", 8) ] in
+  let kind = Fieldref.v "a" "kind" in
+  let graph on =
+    {
+      Parser_graph.name = "ab";
+      decls = [ a; b ];
+      start = Parser_graph.Goto "a@0";
+      states =
+        [
+          {
+            Parser_graph.id = "a@0";
+            header = "a";
+            offset = 0;
+            select =
+              Some
+                {
+                  Parser_graph.on = [ kind ];
+                  cases = [ { Parser_graph.values = [ 1L ]; next = Parser_graph.Goto "b@1" } ];
+                  default = Parser_graph.Accept;
+                };
+          };
+          {
+            Parser_graph.id = "b@1";
+            header = "b";
+            offset = 1;
+            select = Some { Parser_graph.on = [ on ]; cases = []; default = Parser_graph.Accept };
+          };
+        ];
+    }
+  in
+  let lay = Phv.layout_of [ a; b ] in
+  let order = [| Phv.valid_cell lay "a"; Phv.valid_cell lay "b" |] in
+  let replay ?(on = Fieldref.v "b" "x") ?(phv = Phv.of_layout lay) ~k ~b_valid () =
+    Phv.set_valid phv "a";
+    Phv.set_int phv kind k;
+    if b_valid then Phv.set_valid phv "b";
+    Parser_graph.replay (Parser_graph.compile ~layout:lay (graph on)) phv ~order
+  in
+  check Alcotest.bool "a then b" true (replay ~k:1 ~b_valid:true ());
+  check Alcotest.bool "a alone" true (replay ~k:2 ~b_valid:false ());
+  check Alcotest.bool "b emitted, not reached" false (replay ~k:2 ~b_valid:true ());
+  check Alcotest.bool "b reached, not emitted" false (replay ~k:1 ~b_valid:false ());
+  check Alcotest.bool "select on another header" false
+    (replay ~on:kind ~k:1 ~b_valid:true ());
+  check Alcotest.bool "PHV of another layout" false
+    (replay ~phv:(Phv.create [ a; b ]) ~k:1 ~b_valid:true ())
+
 let () =
   Alcotest.run "parser_graph"
     [
@@ -218,4 +270,5 @@ let () =
           Alcotest.test_case "bad offset" `Quick test_validate_catches_bad_offset;
           Alcotest.test_case "reachable" `Quick test_reachable;
         ] );
+      ("replay", [ Alcotest.test_case "cells predict the parse" `Quick test_replay ]);
     ]

@@ -199,41 +199,98 @@ let test_batch_fast_matches_reference () =
   check Alcotest.int "no errors" 0 fast.Runtime.errors
 
 (* Differential property over arbitrary frames: the Fast chip walk
-   (template PHV, int cells, compiled parser/control/deparser) and the
-   Reference walk (name-resolved PHV, interpreted parser and control)
-   give the same result — verdict, emitted bytes (checksums included),
-   pass counts, latency, control trace and journey marks — or the same
-   error text. Frames start from the workload's templates and get
-   random truncation, byte flips and trailing bytes, so truncated
-   headers, unknown ethertypes and bad lengths all occur. *)
+   (template PHV, int cells, compiled parser/control/deparser, the PHV
+   handed across the traffic manager) and the Reference walk (name-resolved PHV,
+   interpreted parser and control, bytes at every pipe boundary) give
+   the same result — verdict, emitted bytes (checksums included), pass
+   counts, latency, control trace and journey marks — or the same error
+   text. Frames start from each chip's templates and get random
+   truncation, byte flips and trailing bytes, so truncated headers,
+   unknown ethertypes and bad lengths all occur. The chips:
+   - the Fig. 2 policy as placed for the paper (no recirculation);
+   - the same policy under [Placement.Naive], which recirculates 3/2/1
+     times on red/orange/green: a handover at every TM crossing, bytes
+     at every recirculation;
+   - the VXLAN gateway's tunnel chains, where encapsulation pushes
+     headers down the stack and decapsulation pops them;
+   - the one-header forwarder that resubmits once. *)
 let prop_random_frames_fast_matches_reference =
-  let templates = Array.of_list (List.map snd (mixed_workload 8)) in
-  let chip =
+  let fig2 = List.map snd (mixed_workload 8) in
+  let chip ?strategy () =
     let compiled =
-      Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
+      Result.get_ok
+        (Compiler.compile (Nflib.Catalog.edge_cloud_input ?strategy ()))
     in
-    (* Journeys: the trace and marks are compared too. *)
-    Asic.Chip.set_telemetry compiled.Compiler.chip Telemetry.Level.Journeys;
     compiled.Compiler.chip
   in
-  let frame_gen =
+  let tunnel_frames =
+    let open Fixtures in
+    let tcp dst =
+      Netpkt.Pkt.tcp_flow ~src_mac:(mac "02:00:00:00:00:01")
+        ~dst_mac:(mac "02:00:00:00:00:02")
+        {
+          Netpkt.Flow.src = ip "172.16.5.5";
+          dst;
+          proto = Netpkt.Ipv4.proto_tcp;
+          src_port = 33333;
+          dst_port = 443;
+        }
+    in
+    (* Outer Ethernet/IPv4/UDP:4789 to the local VTEP, then VXLAN and
+       the inner frame: terminated. *)
+    let encapsulated =
+      [
+        Netpkt.Pkt.Eth (Netpkt.Eth.make ~dst:(mac "02:00:00:00:00:02") Netpkt.Eth.ethertype_ipv4);
+        Netpkt.Pkt.Ipv4
+          (Netpkt.Ipv4.make ~protocol:Netpkt.Ipv4.proto_udp ~src:(ip "192.0.2.20")
+             ~dst:(ip "192.0.2.10") ());
+        Netpkt.Pkt.Udp (Netpkt.Udp.make ~src_port:50000 ~dst_port:Netpkt.Udp.port_vxlan ());
+        Netpkt.Pkt.Vxlan (Netpkt.Vxlan.make 8001);
+      ]
+      @ tcp (ip "10.8.3.3")
+    in
+    List.map Netpkt.Pkt.encode
+      [ encapsulated; tcp (ip "10.8.77.1"); tcp (ip "10.7.1.1") ]
+  in
+  let chips =
+    [|
+      ("fig2", chip (), fig2);
+      ("fig2 naive", chip ~strategy:Placement.Naive (), fig2);
+      ("tunnels", (Result.get_ok (Fixtures.tunnel_chains ())).Compiler.chip, tunnel_frames);
+      ( "resubmit once",
+        Fixtures.load_tiny_chip (Fixtures.forwarder ~out_port:1 ~resubmit_once:true),
+        [ Fixtures.eth_frame (); Fixtures.eth_frame ~src:7L () ] );
+    |]
+    |> Array.map (fun (name, chip, frames) ->
+           (* Journeys: the trace and marks are compared too. *)
+           Asic.Chip.set_telemetry chip Telemetry.Level.Journeys;
+           (name, chip, Array.of_list frames))
+  in
+  let case_gen =
     QCheck.Gen.(
+      let* c = int_bound (Array.length chips - 1) in
+      let _, _, templates = chips.(c) in
       let* base = int_bound (Array.length templates - 1) in
-      let* cut = int_bound 80 in
-      let* flips = list_size (int_bound 4) (pair (int_bound 79) (int_bound 255)) in
+      let len = Bytes.length templates.(base) in
+      let* cut = int_bound len in
+      let* flips = list_size (int_bound 4) (pair (int_bound (len - 1)) (int_bound 255)) in
       let* tail = string_size (int_bound 16) in
       let* keep_length = bool in
       return
-        (let b = Bytes.copy templates.(base) in
-         List.iter
-           (fun (i, v) -> if i < Bytes.length b then Bytes.set b i (Char.chr v))
-           flips;
-         if keep_length then Bytes.cat b (Bytes.of_string tail)
-         else Bytes.sub b 0 (min cut (Bytes.length b))))
+        ( c,
+          let b = Bytes.copy templates.(base) in
+          List.iter (fun (i, v) -> Bytes.set b i (Char.chr v)) flips;
+          if keep_length then Bytes.cat b (Bytes.of_string tail)
+          else Bytes.sub b 0 cut ))
   in
-  QCheck.Test.make ~name:"random frames: fast chip walk = reference" ~count:300
-    (QCheck.make ~print:(fun b -> Format.asprintf "%a" Netpkt.Bytes_util.pp_hex b) frame_gen)
-    (fun frame ->
+  let print (c, frame) =
+    let name, _, _ = chips.(c) in
+    Format.asprintf "%s: %a" name Netpkt.Bytes_util.pp_hex frame
+  in
+  QCheck.Test.make ~name:"random frames: fast chip walk = reference" ~count:1200
+    (QCheck.make ~print case_gen)
+    (fun (c, frame) ->
+      let _, chip, _ = chips.(c) in
       let walk mode =
         Asic.Chip.set_exec_mode chip mode;
         Asic.Chip.inject chip ~in_port:0 frame

@@ -7,18 +7,7 @@ open Dejavu_core
 let check = Alcotest.check
 
 let ip = Netpkt.Ip4.of_string_exn
-let pfx = Netpkt.Ip4.prefix_of_string_exn
 let mac = Netpkt.Mac.of_string_exn
-
-let tunnels =
-  [
-    {
-      Nflib.Vxlan_gw.dst_prefix = pfx "10.8.0.0/16";
-      vni = 8001;
-      local_vtep = ip "192.0.2.10";
-      remote_vtep = ip "192.0.2.20";
-    };
-  ]
 
 let inner_tuple =
   {
@@ -50,7 +39,7 @@ let encapsulated_pkt () =
          ~dst_port:inner_tuple.Netpkt.Flow.dst_port ());
   ]
 
-let nf () = Result.get_ok (Nflib.Vxlan_gw.create tunnels ())
+let nf () = Result.get_ok (Nflib.Vxlan_gw.create Fixtures.tunnels ())
 
 let run_nf nf_inst phv =
   P4ir.Control.exec (Nf.table_env nf_inst) (Nf.control nf_inst) phv
@@ -195,55 +184,8 @@ let test_encap_decap_roundtrip () =
 
 (* --- on the chip --- *)
 
-let compile_tunnel_chains () =
-  let rules =
-    [
-      (* Tunnel termination: traffic to the local VTEP. *)
-      {
-        Nflib.Classifier.dst_prefix = pfx "192.0.2.10/32";
-        proto = None;
-        path_id = 60;
-        tenant = 6;
-      };
-      (* Tunnel origination: traffic into the tunneled prefix. *)
-      {
-        Nflib.Classifier.dst_prefix = pfx "10.8.0.0/16";
-        proto = None;
-        path_id = 61;
-        tenant = 6;
-      };
-    ]
-  in
-  let registry : Nf.registry =
-    [
-      ("classifier", Nflib.Classifier.create rules);
-      ("vxlan_gw", Nflib.Vxlan_gw.create tunnels);
-      ( "router",
-        Nflib.Router.create
-          [
-            {
-              Nflib.Router.prefix = pfx "0.0.0.0/0";
-              next_hop_mac = mac "02:00:00:00:aa:01";
-              src_mac = mac "02:00:00:00:00:fe";
-            };
-          ] );
-    ]
-  in
-  let chains =
-    [
-      Chain.make ~path_id:60 ~name:"terminate"
-        ~nfs:[ "classifier"; "vxlan_gw"; "router" ]
-        ~weight:0.5 ~exit_port:1 ();
-      Chain.make ~path_id:61 ~name:"originate"
-        ~nfs:[ "classifier"; "vxlan_gw"; "router" ]
-        ~weight:0.5 ~exit_port:1 ();
-    ]
-  in
-  Compiler.compile
-    (Compiler.default_input ~registry ~chains ~strategy:Placement.Greedy ())
-
 let test_tunnel_termination_on_chip () =
-  match compile_tunnel_chains () with
+  match Fixtures.tunnel_chains () with
   | Error e -> Alcotest.fail e
   | Ok compiled -> (
       let rt = Runtime.create compiled in
@@ -275,7 +217,7 @@ let test_tunnel_termination_on_chip () =
       | Error e -> Alcotest.fail e)
 
 let test_tunnel_origination_on_chip () =
-  match compile_tunnel_chains () with
+  match Fixtures.tunnel_chains () with
   | Error e -> Alcotest.fail e
   | Ok compiled -> (
       let rt = Runtime.create compiled in
