@@ -46,9 +46,9 @@ type t = {
   (* Pristine PHV of [layout] with standard metadata valid; [parse]
      copies its cells instead of re-declaring per packet. *)
   template : P4ir.Phv.t;
-  (* The emit plan, one entry per deparse-order header; [None] when
-     some deparse-order header is not a parsed one. *)
-  demit : emit array option;
+  (* The emit plan, one entry per deparse-order header: total, since
+     [Program.validate] admits only parsed headers there. *)
+  demit : emit array;
   (* The plan's validity cells: the [order] of a parse-graph replay. *)
   order : int array;
   (* (validity cell, cell count) of every layout header outside the
@@ -149,31 +149,26 @@ let allocate_stages spec program =
   in
   loop nodes
 
-(* The emit plan over [layout]: one entry per deparse-order header, or
-   [None] when some deparse-order header is not among [decls] (a
-   metadata header, say: the generic walk resolves it per packet). *)
-let emit_plan layout decls deparse_order =
+(* The emit plan over [layout]: one entry per deparse-order header. *)
+let emit_plan layout deparse_order =
   let emit name =
-    List.find_opt (fun (d : P4ir.Hdr.decl) -> String.equal d.P4ir.Hdr.name name) decls
-    |> Option.map (fun (d : P4ir.Hdr.decl) ->
-           let vc = P4ir.Phv.valid_cell layout name in
-           let csum_byte, csum_cell =
-             match P4ir.Hdr.self_checksum_byte d with
-             | Some b -> (b, vc + 1 + P4ir.Hdr.field_index d "checksum")
-             | None -> (-1, -1)
-           in
-           {
-             decl = d;
-             vc;
-             ncells = 1 + P4ir.Hdr.n_fields d;
-             size = P4ir.Hdr.byte_size d;
-             csum_byte;
-             csum_cell;
-           })
+    let d = P4ir.Phv.decl_in layout name in
+    let vc = P4ir.Phv.valid_cell layout name in
+    let csum_byte, csum_cell =
+      match P4ir.Hdr.self_checksum_byte d with
+      | Some b -> (b, vc + 1 + P4ir.Hdr.field_index d "checksum")
+      | None -> (-1, -1)
+    in
+    {
+      decl = d;
+      vc;
+      ncells = 1 + P4ir.Hdr.n_fields d;
+      size = P4ir.Hdr.byte_size d;
+      csum_byte;
+      csum_cell;
+    }
   in
-  let plan = List.filter_map emit deparse_order in
-  if List.length plan = List.length deparse_order then Some (Array.of_list plan)
-  else None
+  Array.of_list (List.map emit deparse_order)
 
 let load ?layout spec id program =
   match P4ir.Program.validate program with
@@ -210,14 +205,8 @@ let load ?layout spec id program =
                    pp_id id)
             else begin
               P4ir.Phv.set_valid template Stdmeta.name;
-              let demit =
-                emit_plan layout decls program.P4ir.Program.deparse_order
-              in
-              let order =
-                match demit with
-                | Some plan -> Array.map (fun e -> e.vc) plan
-                | None -> [||]
-              in
+              let demit = emit_plan layout program.P4ir.Program.deparse_order in
+              let order = Array.map (fun e -> e.vc) demit in
               let unemitted =
                 P4ir.Phv.decls template
                 |> List.filter_map (fun (d : P4ir.Hdr.decl) ->
@@ -226,10 +215,7 @@ let load ?layout spec id program =
                        else Some (vc, 1 + P4ir.Hdr.n_fields d))
                 |> Array.of_list
               in
-              let widest =
-                Array.fold_left (fun m e -> max m e.size) 0
-                  (Option.value demit ~default:[||])
-              in
+              let widest = Array.fold_left (fun m e -> max m e.size) 0 demit in
               Ok
                 {
                   id;
@@ -262,7 +248,15 @@ let set_label_counters t counters =
     P4ir.Program.compile_control ?label_counters:counters ~layout:t.layout
       t.program
 
-let process ?trace t phv = P4ir.Control.run_compiled ?trace t.compiled phv
+(* Compiled code runs on PHVs of the pipelet's layout only: one pointer
+   check per call guards every cell index it resolved. *)
+let check_layout t fn phv =
+  if P4ir.Phv.layout phv != t.layout then
+    invalid_arg (Format.asprintf "Pipelet.%s %a: PHV of another layout" fn pp_id t.id)
+
+let process ?trace t phv =
+  check_layout t "process" phv;
+  P4ir.Control.run_compiled ?trace t.compiled phv
 
 let process_reference ?trace t phv =
   P4ir.Program.exec_control ?trace ?label_counters:t.label_counters t.program
@@ -296,32 +290,28 @@ let deparse t phv ~payload =
     ~order:t.program.P4ir.Program.deparse_order phv ~payload
 
 (* Fast-mode serialization over the precomputed emit plan: two array
-   walks over cells (size, then emit) with no name hashing. Falls back
-   to the generic walk when no complete plan was precomputed at load,
-   or for a PHV of another layout. *)
+   walks over cells (size, then emit) with no name hashing. *)
 let deparse_fast t phv ~payload =
-  match t.demit with
-  | Some plan when P4ir.Phv.layout phv == t.layout ->
-      let total = ref 0 in
-      for k = 0 to Array.length plan - 1 do
-        if P4ir.Phv.cell phv plan.(k).vc = 1 then total := !total + plan.(k).size
-      done;
-      let plen = Bytes.length payload in
-      let out = Bytes.make (!total + plen) '\000' in
-      let off = ref 0 in
-      for k = 0 to Array.length plan - 1 do
-        let e = plan.(k) in
-        if P4ir.Phv.cell phv e.vc = 1 then begin
-          P4ir.Phv.emit_at phv e.decl e.vc out ~bit_off:(8 * !off);
-          if e.csum_byte >= 0 then
-            P4ir.Parser_graph.fix_checksum out ~off:!off ~csum_byte:e.csum_byte
-              ~size:e.size;
-          off := !off + e.size
-        end
-      done;
-      Bytes.blit payload 0 out !off plen;
-      out
-  | Some _ | None -> deparse t phv ~payload
+  check_layout t "deparse_fast" phv;
+  let plan = t.demit in
+  let total = ref 0 in
+  for k = 0 to Array.length plan - 1 do
+    if P4ir.Phv.cell phv plan.(k).vc = 1 then total := !total + plan.(k).size
+  done;
+  let plen = Bytes.length payload in
+  let out = Bytes.make (!total + plen) '\000' in
+  let off = ref 0 in
+  for k = 0 to Array.length plan - 1 do
+    let e = plan.(k) in
+    if P4ir.Phv.cell phv e.vc = 1 then begin
+      P4ir.Phv.emit_at phv e.decl e.vc out ~bit_off:(8 * !off);
+      if e.csum_byte >= 0 then
+        P4ir.Parser_graph.fix_checksum out ~off:!off ~csum_byte:e.csum_byte ~size:e.size;
+      off := !off + e.size
+    end
+  done;
+  Bytes.blit payload 0 out !off plen;
+  out
 
 (* Cells [vc .. vc + n - 1] back to the template's: a header invalid
    and zeroed, or standard metadata valid and zeroed. *)
@@ -347,20 +337,17 @@ let refresh_checksum t phv e =
    the frame (invalid ones may still hold stale field values) and
    self-checksums. Reset exactly those, in place. *)
 let adopt t phv =
-  match t.demit with
-  | None -> false
-  | Some plan ->
-      (* [replay] refuses a PHV of another layout than [t]'s. *)
-      P4ir.Parser_graph.replay t.pcompiled phv ~order:t.order
-      && begin
-           for k = 0 to Array.length plan - 1 do
-             let e = plan.(k) in
-             if P4ir.Phv.cell phv e.vc <> 1 then restore t phv e.vc e.ncells
-             else if e.csum_cell >= 0 then refresh_checksum t phv e
-           done;
-           for k = 0 to Array.length t.unemitted - 1 do
-             let vc, n = t.unemitted.(k) in
-             restore t phv vc n
-           done;
-           true
-         end
+  (* [replay] refuses a PHV of another layout than [t]'s. *)
+  P4ir.Parser_graph.replay t.pcompiled phv ~order:t.order
+  && begin
+       for k = 0 to Array.length t.demit - 1 do
+         let e = t.demit.(k) in
+         if P4ir.Phv.cell phv e.vc <> 1 then restore t phv e.vc e.ncells
+         else if e.csum_cell >= 0 then refresh_checksum t phv e
+       done;
+       for k = 0 to Array.length t.unemitted - 1 do
+         let vc, n = t.unemitted.(k) in
+         restore t phv vc n
+       done;
+       true
+     end

@@ -15,7 +15,9 @@ type t
 
 val load :
   ?layout:P4ir.Phv.layout -> Spec.t -> id -> P4ir.Program.t -> (t, string) result
-(** Validates the program and packs its tables into stages: each table is
+(** Validates the program ({!P4ir.Program.validate}: anything the
+    compiled path could not resolve against the layout is refused
+    here) and packs its tables into stages: each table is
     placed at the earliest stage satisfying its dependency lower bound
     (match/action dependencies need a later stage than their producer)
     with enough residual table IDs / SRAM / TCAM / crossbar / VLIW / hash
@@ -55,9 +57,10 @@ val set_label_counters : t -> (string -> int ref) option -> unit
 val process :
   ?trace:P4ir.Control.trace_event list ref -> t -> P4ir.Phv.t -> unit
 (** Run the control program precompiled at {!load} time against the
-    pipelet's layout (the fast path); on a PHV from {!parse}, an
-    untraced pass allocates only the option of each index-bucket hit
-    ({!P4ir.Table.apply_index}). *)
+    pipelet's layout (the fast path); an untraced pass allocates only
+    the option of each index-bucket hit ({!P4ir.Table.apply_index}).
+    The PHV must be of the pipelet's layout — one from {!parse}, or
+    one {!adopt} accepted; raises [Invalid_argument] on any other. *)
 
 val process_reference :
   ?trace:P4ir.Control.trace_event list ref -> t -> P4ir.Phv.t -> unit
@@ -89,13 +92,15 @@ val deparse : t -> P4ir.Phv.t -> payload:Bytes.t -> Bytes.t
 val deparse_fast : t -> P4ir.Phv.t -> payload:Bytes.t -> Bytes.t
 (** [deparse] over an emit plan precomputed at {!load} against the
     pipelet's layout (validity cell, declaration and size per header);
-    byte-identical output. A PHV of another layout takes {!deparse}. *)
+    byte-identical output. The plan covers the whole deparse order,
+    which {!P4ir.Program.validate} restricts to the parser's headers.
+    Raises [Invalid_argument] on a PHV of another layout. *)
 
 val adopt : t -> P4ir.Phv.t -> bool
 (** Start a pass from the PHV another pass ended with, instead of
     parsing the frame that pass's {!deparse_fast} would emit — the
-    chip's Fast-mode handover across the traffic manager. [adopt t phv] is [true] only when [phv]
-    is of [t]'s layout, [t] has a complete emit plan, and replaying
+    chip's Fast-mode handover across the traffic manager. [adopt t phv]
+    is [true] only when [phv] is of [t]'s layout and replaying
     [t]'s compiled parse graph on the PHV's own cells
     ({!P4ir.Parser_graph.replay}) extracts exactly the headers
     {!deparse_fast} would emit, in deparse order. Then [phv] is reset

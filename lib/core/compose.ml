@@ -321,9 +321,7 @@ let build ~spec ~generic_parser ~id ~layout ~nf_of =
       Net_hdrs.deparse_order
   in
   let program =
-    P4ir.Program.make ~name ~registers:nf_registers
-      ~decls:generic_parser.P4ir.Parser_graph.decls
-      ~parser:generic_parser ~tables
+    P4ir.Program.make ~name ~registers:nf_registers ~parser:generic_parser ~tables
       ~control:(P4ir.Control.make (name ^ "_control") (group_blocks @ tail))
       ~deparse_order ()
   in

@@ -29,16 +29,14 @@ let check_arity t args =
       (Printf.sprintf "Action.run %s: expected %d args, got %d" t.name
          (List.length t.params) (List.length args))
 
-let bind_args t args =
-  check_arity t args;
-  List.map2
-    (fun (name, width) v -> (name, Bitval.resize v width))
-    t.params args
-
 (* Operands are evaluated in a fixed order (register, index, value)
    shared with the compiled form below, so both raise the same
    exception first. *)
-let run_bound ?(regs = no_regs) t ~params phv =
+let run ?(regs = no_regs) t ~args phv =
+  check_arity t args;
+  let params =
+    List.map2 (fun (name, width) v -> (name, Bitval.resize v width)) t.params args
+  in
   let env = { Expr.phv; params } in
   List.iter
     (fun prim ->
@@ -59,8 +57,6 @@ let run_bound ?(regs = no_regs) t ~params phv =
       | No_op -> ())
     t.body
 
-let run ?regs t ~args phv = run_bound ?regs t ~params:(bind_args t args) phv
-
 (* Masking the raw value is [Bitval.resize] without its allocation;
    other widths take the resize (and its errors; 63- and 64-bit values
    keep their low 63 bits). *)
@@ -75,10 +71,9 @@ let bind_ints t args =
        t.params args)
 
 (* Compiled form: the prim list resolved once against a PHV layout to an
-   array of closures over cells — the int path, allocation-free. A PHV
-   of any other layout runs the body name-resolved instead, with the
-   int action data widened back to [Bitval.t]. Registers still resolve
-   per call: the register environment arrives with the packet. *)
+   array of closures over cells — the int path, allocation-free, for
+   PHVs of that layout only. Registers still resolve per call: the
+   register environment arrives with the packet. *)
 type compiled = reg_env -> int array -> Phv.t -> unit
 
 (* A closure that raises [Not_found] like the name-resolved write would,
@@ -131,21 +126,13 @@ let compile_prim lay params prim =
         Register.write_int reg i (fv phv args)
   | No_op -> fun _ _ _ -> ()
 
-let compile ?(layout = Phv.empty_layout) t : compiled =
-  let slow regs args phv =
-    let params =
-      List.mapi (fun i (name, w) -> (name, Bitval.of_int ~width:w args.(i))) t.params
-    in
-    run_bound ~regs t ~params phv
-  in
+let compile ~layout t : compiled =
   let prims = Array.of_list (List.map (compile_prim layout t.params) t.body) in
   let n = Array.length prims in
   fun regs args phv ->
-    if Phv.layout phv == layout then
-      for i = 0 to n - 1 do
-        prims.(i) regs args phv
-      done
-    else slow regs args phv
+    for i = 0 to n - 1 do
+      prims.(i) regs args phv
+    done
 
 let reg_field name = Fieldref.v "$reg" name
 

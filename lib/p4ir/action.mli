@@ -26,37 +26,29 @@ val no_regs : reg_env
 
 val run : ?regs:reg_env -> t -> args:Bitval.t list -> Phv.t -> unit
 (** Binds [args] to [params] positionally (widths enforced) and executes
-    the body. Raises [Invalid_argument] on arity mismatch or on a
-    register primitive whose register [regs] does not know. *)
-
-val bind_args : t -> Bitval.t list -> (string * Bitval.t) list
-(** The binding step of {!run} alone: positional zip with widths
-    enforced. Raises [Invalid_argument] on arity mismatch. Table entries
-    bind their action data once at insert time and reuse the binding on
-    every packet. *)
-
-val run_bound : ?regs:reg_env -> t -> params:(string * Bitval.t) list -> Phv.t -> unit
-(** Execute the body against pre-bound parameters (from {!bind_args}),
-    skipping the per-call arity check and resize. *)
+    the body name-resolved — the reference interpreter's action. Raises
+    [Invalid_argument] on arity mismatch or on a register primitive
+    whose register [regs] does not know. *)
 
 val bind_ints : t -> Bitval.t list -> int array
-(** {!bind_args} lowered to the compiled form's action data: each
-    argument resized to its parameter width, as an immediate int, by
-    position. Raises like {!bind_args}. *)
+(** {!run}'s binding step lowered to the compiled form's action data:
+    each argument resized to its parameter width, as an immediate int,
+    by position. Table entries bind their action data once, at insert
+    time. Raises [Invalid_argument] on arity mismatch. *)
 
 type compiled = reg_env -> int array -> Phv.t -> unit
 (** A precompiled body, run against action data from {!bind_ints}.
     Registers are still resolved per call (they arrive with the
-    packet), with the same errors as {!run_bound}. *)
+    packet), with the same errors as {!run}. *)
 
-val compile : ?layout:Phv.layout -> t -> compiled
-(** Resolve the body against a PHV layout (default
-    {!Phv.empty_layout}): fields become cells, parameters positions in
-    the action data, expressions {!Expr.compile}d closures. On a PHV of
-    that layout the body runs on ints and allocates nothing; on any
-    other PHV it runs name-resolved ({!run_bound}) after one pointer
-    check. Same effects and errors as {!run_bound} either way. Raises
-    [Invalid_argument] when an expression is too wide for the int path
+val compile : layout:Phv.layout -> t -> compiled
+(** Resolve the body against a PHV layout: fields become cells,
+    parameters positions in the action data, expressions
+    {!Expr.compile}d closures. The body runs on ints, allocates nothing
+    and must only be given PHVs of [layout]; on those it has the same
+    effects and errors as {!run} (a field the layout lacks raises
+    [Not_found] when its primitive runs). Raises [Invalid_argument]
+    when an expression is too wide for the int path
     ({!Expr.compile}). *)
 
 val registers_used : t -> string list

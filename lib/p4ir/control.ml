@@ -76,10 +76,10 @@ let run_compiled_block (c : compiled) trace phv =
     c.(i) trace phv
   done
 
-let compile ?label_counters ?(regs = Action.no_regs) ?layout env t =
+let compile ?label_counters ?(regs = Action.no_regs) ~layout env t =
   let apply name =
     let table = find_table env name in
-    Option.iter (Table.bind table) layout;
+    Table.bind table layout;
     fun trace phv ->
       let code = Table.apply_index ~regs table phv in
       (match trace with
@@ -120,7 +120,7 @@ let compile ?label_counters ?(regs = Action.no_regs) ?layout env t =
           let code = apply trace phv in
           run_compiled_block dispatch.(code lsr 1) trace phv
     | If (cond, then_, else_) ->
-        let test = Expr.compile_bool ?layout cond in
+        let test = Expr.compile_bool ~layout cond in
         let rendered = Format.asprintf "%a" Expr.pp cond in
         let cthen = compile_block then_ in
         let celse = compile_block else_ in
@@ -131,7 +131,7 @@ let compile ?label_counters ?(regs = Action.no_regs) ?layout env t =
           | None -> ());
           run_compiled_block (if v then cthen else celse) trace phv
     | Run prims ->
-        let crun = Action.compile ?layout (Action.make "$inline" prims) in
+        let crun = Action.compile ~layout (Action.make "$inline" prims) in
         let no_args = [||] in
         fun _ phv -> crun regs no_args phv
     | Label (name, blk) -> (

@@ -49,7 +49,7 @@ type compiled
 val compile :
   ?label_counters:(string -> int ref) ->
   ?regs:Action.reg_env ->
-  ?layout:Phv.layout ->
+  layout:Phv.layout ->
   table_env ->
   t ->
   compiled
@@ -58,17 +58,17 @@ val compile :
     first use). [label_counters] is resolved once per [Label] at compile
     time; each entry into the region then costs a single [incr].
 
-    [layout] is the PHV layout the control will run on: inline
-    primitives and gateways are compiled against it, and every applied
-    table is {!Table.bind}ed to it, so a PHV of that layout runs on
-    immediate ints and an untraced run allocates only what its table
-    lookups do ({!Table.apply_index}). A PHV of any
-    other layout (and every PHV, without [layout]) takes the
-    name-resolved path with the same effects. *)
+    [layout] is the PHV layout the control runs on, and the only one:
+    inline primitives and gateways are compiled against it, and every
+    applied table is {!Table.bind}ed to it, so a run is on immediate
+    ints and, untraced, allocates only what its table lookups do
+    ({!Table.apply_index}). Binding raises like {!Table.bind} for a
+    table key the layout does not hold at its declared width. *)
 
 val run_compiled : ?trace:trace_event list ref -> compiled -> Phv.t -> unit
 (** Same observable behavior as {!exec} with the environments captured
-    at compile time: identical PHV effects and identical trace events. *)
+    at compile time: identical PHV effects and identical trace events,
+    on a PHV of the compiled layout (the caller's to check). *)
 
 val tables_used : t -> string list
 (** Every table name applied anywhere in the body, in first-use order. *)

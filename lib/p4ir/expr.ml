@@ -309,12 +309,10 @@ and compile_hash alg out_width inputs =
 
 let compile ?(params = []) lay e = compile_node lay params e
 
-let compile_bool ?(layout = Phv.empty_layout) e =
+let compile_bool ~layout e =
   let { run; _ } = compile layout e in
   let no_args = [||] in
-  fun phv ->
-    if Phv.layout phv == layout then Stdlib.( <> ) (run phv no_args) 0
-    else eval_bool { phv; params = [] } e
+  fun phv -> Stdlib.( <> ) (run phv no_args) 0
 
 let rec reads = function
   | Const _ | Param _ -> Fieldref.Set.empty

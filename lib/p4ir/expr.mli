@@ -65,10 +65,9 @@ val compile : ?params:(string * int) list -> Phv.layout -> t -> compiled
     is evaluated. Raises [Invalid_argument] at compile time when any
     node is wider than {!Hdr.max_width}. *)
 
-val compile_bool : ?layout:Phv.layout -> t -> Phv.t -> bool
-(** A gateway condition: the int path for PHVs of [layout] (default
-    {!Phv.empty_layout}), {!eval_bool} for any other PHV. Raises like
-    {!compile}. *)
+val compile_bool : layout:Phv.layout -> t -> Phv.t -> bool
+(** A gateway condition on the int path: nonzero is true. Only for
+    PHVs of [layout]; raises like {!compile}. *)
 
 val reads : t -> Fieldref.Set.t
 (** Every field the expression reads (validity tests included, as a

@@ -31,6 +31,11 @@ let successors s =
 
 let validate t =
   let ( let* ) = Result.bind in
+  let declared (r : Fieldref.t) =
+    match decl_for t r.Fieldref.hdr with
+    | Some d -> Hdr.has_field d r.Fieldref.field
+    | None -> false
+  in
   let check_target from = function
     | Accept | Reject -> Ok ()
     | Goto id ->
@@ -50,6 +55,15 @@ let validate t =
                 (Printf.sprintf "parser %s: state %s extracts undeclared %s"
                    t.name s.id s.header)
           | Some _ -> Ok ()
+        in
+        let* () =
+          let on = match s.select with None -> [] | Some sel -> sel.on in
+          match List.find_opt (fun r -> not (declared r)) on with
+          | None -> Ok ()
+          | Some r ->
+              Error
+                (Printf.sprintf "parser %s: state %s selects on undeclared field %s"
+                   t.name s.id (Fieldref.to_string r))
         in
         let size = Hdr.byte_size (Option.get (decl_for t s.header)) in
         List.fold_left
@@ -133,28 +147,24 @@ type cnext =
 and cstate = {
   c_header : string;
   c_decl : Hdr.decl;
-  c_vc : int;  (* validity cell in the compiled layout; -1 = absent *)
+  c_vc : int;  (* validity cell in the compiled layout *)
   c_size : int;
   c_select : cselect option;
 }
 
 and cselect = {
-  c_on : Fieldref.t array;
-  c_cells : int array;  (* -1 = absent from the layout *)
-  c_bound : bool;  (* every select field resolved *)
+  c_cells : int array;  (* the select fields' cells *)
   c_replay : bool;
-      (* bound, and every select field belongs to the state's own
-         header and is not its self-checksum: a {!replay} may read it
-         off the PHV *)
+      (* every select field belongs to the state's own header and is
+         not its self-checksum: a {!replay} may read it off the PHV *)
   c_cases : (int array * cnext) array;
   c_default : cnext;
 }
 
 type compiled = { c_name : string; c_layout : Phv.layout; c_start : cnext }
 
-let compile ?(layout = Phv.empty_layout) t =
+let compile ~layout t =
   let memo = Hashtbl.create 16 in
-  let cell_of resolve x = match resolve layout x with c -> c | exception Not_found -> -1 in
   let rec next = function
     | Accept -> C_accept
     | Reject -> C_reject
@@ -172,13 +182,11 @@ let compile ?(layout = Phv.empty_layout) t =
           {
             c_header = s.header;
             c_decl = decl;
-            c_vc = cell_of Phv.valid_cell s.header;
+            c_vc = Phv.valid_cell layout s.header;
             c_size = Hdr.byte_size decl;
             c_select =
               Option.map
                 (fun sel ->
-                  let cells = Array.of_list (List.map (cell_of Phv.field_cell) sel.on) in
-                  let bound = Array.for_all (fun c -> c >= 0) cells in
                   let own (r : Fieldref.t) =
                     String.equal r.Fieldref.hdr s.header
                     && not
@@ -186,10 +194,8 @@ let compile ?(layout = Phv.empty_layout) t =
                          && Hdr.self_checksum_byte decl <> None)
                   in
                   {
-                    c_on = Array.of_list sel.on;
-                    c_cells = cells;
-                    c_bound = bound;
-                    c_replay = bound && List.for_all own sel.on;
+                    c_cells = Array.of_list (List.map (Phv.field_cell layout) sel.on);
+                    c_replay = List.for_all own sel.on;
                     c_cases =
                       Array.of_list
                         (List.map
@@ -206,27 +212,20 @@ let compile ?(layout = Phv.empty_layout) t =
   in
   { c_name = t.name; c_layout = layout; c_start = next t.start }
 
-(* One select field's value: a cell read on the bound path, a
-   name-resolved read (raising [Not_found] like {!parse}) otherwise. *)
-let select_value sel bound phv i =
-  if bound && sel.c_cells.(i) >= 0 then Phv.cell phv sel.c_cells.(i)
-  else Phv.get_int phv sel.c_on.(i)
-
-let rec case_matches sel bound phv cv i =
+let rec case_matches sel phv cv i =
   i >= Array.length cv
-  || (cv.(i) = select_value sel bound phv i && case_matches sel bound phv cv (i + 1))
+  || (cv.(i) = Phv.cell phv sel.c_cells.(i) && case_matches sel phv cv (i + 1))
 
 (* The successor a select picks: the first case whose values all
    match, else the default. *)
-let rec select_next sel bound phv i =
+let rec select_next sel phv i =
   if i >= Array.length sel.c_cases then sel.c_default
   else
     let cv, nxt = sel.c_cases.(i) in
-    if Array.length cv = Array.length sel.c_on && case_matches sel bound phv cv 0
-    then nxt
-    else select_next sel bound phv (i + 1)
+    if Array.length cv = Array.length sel.c_cells && case_matches sel phv cv 0 then nxt
+    else select_next sel phv (i + 1)
 
-let rec step c bound bytes phv n off =
+let rec step c bytes phv n off =
   match n with
   | C_accept -> Ok off
   | C_reject -> Error (Printf.sprintf "parser %s: packet rejected" c.c_name)
@@ -236,26 +235,18 @@ let rec step c bound bytes phv n off =
         Error
           (Printf.sprintf "parser %s: truncated %s at offset %d" c.c_name
              s.c_header off)
-      else
-        let vc =
-          if bound && s.c_vc >= 0 then s.c_vc
-          else Phv.valid_cell (Phv.layout phv) s.c_header
-        in
-        Phv.extract_at phv s.c_decl vc bytes ~bit_off:(8 * off);
+      else begin
+        Phv.extract_at phv s.c_decl s.c_vc bytes ~bit_off:(8 * off);
         let off = off + s.c_size in
         match s.c_select with
         | None -> Ok off
-        | Some sel ->
-            (* An unresolved select field raises before any case is
-               tried, as {!parse} reads every field first. *)
-            if not (bound && sel.c_bound) then
-              for i = 0 to Array.length sel.c_on - 1 do
-                ignore (select_value sel bound phv i)
-              done;
-            step c bound bytes phv (select_next sel bound phv 0) off)
+        | Some sel -> step c bytes phv (select_next sel phv 0) off
+      end)
 
 let run_compiled c bytes phv =
-  step c (Phv.layout phv == c.c_layout) bytes phv c.c_start 0
+  if Phv.layout phv != c.c_layout then
+    invalid_arg (Printf.sprintf "Parser_graph.run_compiled %s: PHV of another layout" c.c_name);
+  step c bytes phv c.c_start 0
 
 (* --- Replay: the compiled walk driven by a PHV's own cells instead of
    bytes. The frame a deparser would emit from the PHV holds the valid
@@ -286,8 +277,7 @@ let rec replay_from phv order n k =
       match s.c_select with
       | None -> replay_from phv order C_accept (k + 1)
       | Some sel ->
-          sel.c_replay
-          && replay_from phv order (select_next sel true phv 0) (k + 1))
+          sel.c_replay && replay_from phv order (select_next sel phv 0) (k + 1))
 
 let replay c phv ~order =
   Phv.layout phv == c.c_layout && replay_from phv order c.c_start 0

@@ -34,7 +34,7 @@ val decl_for : t -> string -> Hdr.decl option
 
 val validate : t -> (unit, string) result
 (** Checks: every [Goto] target exists, every extracted header has a
-    declaration, select fields belong to already-extractable headers,
+    declaration, every select field is a field of a declared header,
     each successor's offset equals this vertex's offset + header size,
     and the graph is acyclic. *)
 
@@ -49,17 +49,19 @@ type compiled
     header sizes, select fields and case values precomputed against a
     PHV layout — the per-packet fast path. *)
 
-val compile : ?layout:Phv.layout -> t -> compiled
-(** [layout] (default {!Phv.empty_layout}) is the layout of the PHVs
-    the parser will fill: on those, extraction writes field values
-    straight into cells as immediate ints and select reads cells. *)
+val compile : layout:Phv.layout -> t -> compiled
+(** [layout] is the layout of the PHVs the parser will fill, and must
+    hold every header the graph extracts and every field it selects on
+    (raises [Not_found] otherwise; a graph that passes {!validate}
+    compiles against any layout holding its declarations). Extraction
+    writes field values straight into cells as immediate ints and
+    selects read cells. *)
 
 val run_compiled : compiled -> Bytes.t -> Phv.t -> (int, string) result
-(** Like {!parse}, but over the compiled graph, and the PHV must already
-    hold every header declaration (copy a template PHV; unlike {!parse}
-    no declarations are added). A PHV of another layout than the
-    compiled one is filled name-resolved. Same results and errors as
-    {!parse}. *)
+(** Like {!parse}, but over the compiled graph, into a PHV of the
+    compiled layout (copy a template PHV; unlike {!parse} no
+    declarations are added). Same results and errors as {!parse}.
+    Raises [Invalid_argument] on a PHV of another layout. *)
 
 val replay : compiled -> Phv.t -> order:int array -> bool
 (** The compiled walk driven by the PHV's own cells instead of bytes.

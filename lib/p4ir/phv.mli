@@ -13,13 +13,14 @@
     - {b name-resolved} ({!get}, {!set}, {!get_int}, {!is_valid}, ...):
       look the header and field up by name on every call and work on
       any PHV. [get]/[set] speak {!Bitval.t}, the control-plane and
-      reference-interpreter value type.
+      reference-interpreter value type. This is the reference
+      interpreter's and the control plane's way in, and only theirs.
     - {b layout-bound} ({!field_cell}/{!valid_cell} resolved once at
       compile time, then {!cell}/{!set_cell} per packet): what the
       compiled fast path uses. A cell index is only meaningful for PHVs
-      whose {!layout} is physically the layout it was resolved against;
-      compiled code checks that pointer once and takes the name-resolved
-      path for a PHV of any other layout. *)
+      whose {!layout} is physically the layout it was resolved against,
+      and compiled code runs on nothing else: a pipelet checks that
+      pointer once per call and refuses a PHV of another layout. *)
 
 type t
 
@@ -33,10 +34,6 @@ val create : Hdr.decl list -> t
 val layout_of : Hdr.decl list -> layout
 (** A layout holding the declarations in order; an equal declaration
     repeated is kept once, a conflicting one raises like {!add_decl}. *)
-
-val empty_layout : layout
-(** The layout of [create []]; code compiled against it always takes
-    the name-resolved path. *)
 
 val of_layout : layout -> t
 (** A fresh PHV over a shared layout: every header invalid, every field

@@ -1,6 +1,5 @@
 type t = {
   name : string;
-  decls : Hdr.decl list;
   parser : Parser_graph.t;
   tables : Table.t list;
   registers : Register.t list;
@@ -8,7 +7,7 @@ type t = {
   deparse_order : string list;
 }
 
-let make ?(registers = []) ~name ~decls ~parser ~tables ~control ~deparse_order () =
+let make ?(registers = []) ~name ~parser ~tables ~control ~deparse_order () =
   let names = List.map Table.name tables in
   if List.length (List.sort_uniq String.compare names) <> List.length names then
     invalid_arg (Printf.sprintf "Program.make %s: duplicate table names" name);
@@ -16,7 +15,7 @@ let make ?(registers = []) ~name ~decls ~parser ~tables ~control ~deparse_order 
   if List.length (List.sort_uniq String.compare rnames) <> List.length rnames
   then
     invalid_arg (Printf.sprintf "Program.make %s: duplicate register names" name);
-  { name; decls; parser; tables; registers; control; deparse_order }
+  { name; parser; tables; registers; control; deparse_order }
 
 (* Tables and registers are the only mutable state a program owns; the
    parser, control tree and declarations are shared structurally. A
@@ -56,20 +55,18 @@ let registers_referenced t =
   in
   List.sort_uniq String.compare (from_tables @ from_block t.control.Control.body)
 
+let field_width t (r : Fieldref.t) =
+  match Parser_graph.decl_for t.parser r.Fieldref.hdr with
+  | Some d when Hdr.has_field d r.Fieldref.field ->
+      Some (Hdr.field_width d r.Fieldref.field)
+  | Some _ | None -> None
+
 (* Every expression the program evaluates — gateway conditions, inline
    primitives and table actions — must be at most [Hdr.max_width] bits
    wide at every node, so the compiled int path and the [Bitval]
    reference (64-bit) compute the same values. *)
 let check_widths t =
-  let decls = t.decls @ t.parser.Parser_graph.decls in
-  let field_width (r : Fieldref.t) =
-    List.find_map
-      (fun (d : Hdr.decl) ->
-        if String.equal d.Hdr.name r.Fieldref.hdr && Hdr.has_field d r.Fieldref.field
-        then Some (Hdr.field_width d r.Fieldref.field)
-        else None)
-      decls
-  in
+  let field_width = field_width t in
   let check where params e =
     let w = Expr.widest ~field_width ~params e in
     if w > Hdr.max_width then
@@ -116,40 +113,50 @@ let check_widths t =
     (check_block t.control.Control.body)
     t.tables
 
+let first problem l =
+  match List.find_map problem l with Some m -> Error m | None -> Ok ()
+
+(* Every table key is a parsed field at its declared width, so a table
+   binds to any layout of the parser's declarations ({!Table.bind}). *)
+let check_keys t =
+  let problem tbl (k : Table.key) =
+    let bad what =
+      Some
+        (Printf.sprintf "program %s: table %s: key %s %s" t.name (Table.name tbl)
+           (Fieldref.to_string k.Table.field) what)
+    in
+    match field_width t k.Table.field with
+    | Some w when w = k.Table.width -> None
+    | Some w -> bad (Printf.sprintf "is bit<%d>, its field bit<%d>" k.Table.width w)
+    | None -> bad "is not a parsed field"
+  in
+  first (fun tbl -> List.find_map (problem tbl) (Table.keys tbl)) t.tables
+
 let validate t =
   let ( let* ) = Result.bind in
   let* () = Parser_graph.validate t.parser in
   let* () = Control.validate (table_env t) t.control in
   let* () = check_widths t in
+  let* () = check_keys t in
   let* () =
-    List.fold_left
-      (fun acc rname ->
-        let* () = acc in
-        if find_register t rname = None then
-          Error
-            (Printf.sprintf "program %s: unknown register %s" t.name rname)
-        else Ok ())
-      (Ok ()) (registers_referenced t)
+    first
+      (fun r ->
+        if find_register t r <> None then None
+        else Some (Printf.sprintf "program %s: unknown register %s" t.name r))
+      (registers_referenced t)
   in
-  let declared name =
-    List.exists (fun (d : Hdr.decl) -> String.equal d.Hdr.name name) t.decls
-  in
-  List.fold_left
-    (fun acc name ->
-      let* () = acc in
-      if declared name then Ok ()
-      else
-        Error
-          (Printf.sprintf "program %s: deparse order names unknown header %s"
-             t.name name))
-    (Ok ()) t.deparse_order
+  first
+    (fun h ->
+      if Parser_graph.decl_for t.parser h <> None then None
+      else Some (Printf.sprintf "program %s: deparse order names unknown header %s" t.name h))
+    t.deparse_order
 
 let exec_control ?trace ?label_counters t phv =
   Control.exec ?trace ?label_counters ~regs:(reg_env t) (table_env t) t.control
     phv
 
-let compile_control ?label_counters ?layout t =
-  Control.compile ?label_counters ?layout ~regs:(reg_env t) (table_env t)
+let compile_control ?label_counters ~layout t =
+  Control.compile ?label_counters ~layout ~regs:(reg_env t) (table_env t)
     t.control
 
 let resources t =
@@ -165,13 +172,12 @@ let pp ppf t =
   List.iter (fun tbl -> Format.fprintf ppf "%a@,@," Table.pp tbl) t.tables;
   Format.fprintf ppf "%a@]" Control.pp t.control
 
-let empty ~name ~decls ~parser =
+let empty ~name ~parser =
   {
     name;
-    decls;
     parser;
     tables = [];
     registers = [];
     control = Control.make (name ^ "_control") [];
-    deparse_order = List.map (fun (d : Hdr.decl) -> d.Hdr.name) decls;
+    deparse_order = List.map (fun (d : Hdr.decl) -> d.Hdr.name) parser.Parser_graph.decls;
   }

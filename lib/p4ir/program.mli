@@ -3,7 +3,6 @@
 
 type t = {
   name : string;
-  decls : Hdr.decl list;
   parser : Parser_graph.t;
   tables : Table.t list;
   registers : Register.t list;
@@ -14,7 +13,6 @@ type t = {
 val make :
   ?registers:Register.t list ->
   name:string ->
-  decls:Hdr.decl list ->
   parser:Parser_graph.t ->
   tables:Table.t list ->
   control:Control.t ->
@@ -35,13 +33,18 @@ val reg_env : t -> Action.reg_env
 val find_table : t -> string -> Table.t option
 val find_register : t -> string -> Register.t option
 val validate : t -> (unit, string) result
-(** Parser validity, control validity (all tables exist), deparse order
-    covers only declared headers, every register primitive references a
-    declared register, and every expression — gateway conditions,
-    inline primitives, table actions — is at most {!Hdr.max_width}
-    (62) bits wide at every node ({!Expr.widest}, with field widths
-    from the program's and parser's declarations), so the compiled int
-    path and the 64-bit [Bitval] reference cannot disagree. *)
+(** Refuses at load whatever the compiled path could not resolve
+    against the parser's declarations (the headers of a pipelet's PHV
+    layout): parser validity (every select field declared,
+    {!Parser_graph.validate}), control validity (all tables exist),
+    every table key a declared field of the key's width ({!Table.bind}),
+    every register primitive's register declared, the deparse order
+    naming only declared headers, and every expression — gateway
+    conditions, inline primitives, table actions — at most
+    {!Hdr.max_width} (62) bits wide at every node ({!Expr.widest}), so
+    the compiled int path and the 64-bit [Bitval] reference cannot
+    disagree. An [Error] names the parser state, table or header at
+    fault. *)
 
 val exec_control :
   ?trace:Control.trace_event list ref ->
@@ -53,9 +56,9 @@ val exec_control :
     environments — the reference path. *)
 
 val compile_control :
-  ?label_counters:(string -> int ref) -> ?layout:Phv.layout -> t -> Control.compiled
+  ?label_counters:(string -> int ref) -> layout:Phv.layout -> t -> Control.compiled
 (** Precompile the control against the same environments and the PHV
-    layout it will run on ({!Control.compile}); run with
+    layout it will run on, and only on ({!Control.compile}); run with
     {!Control.run_compiled}. [label_counters] (the per-NF telemetry
     hook) is resolved per label at compile time. *)
 
@@ -64,5 +67,6 @@ val resources : t -> Resources.t
 
 val pp : Format.formatter -> t -> unit
 
-val empty : name:string -> decls:Hdr.decl list -> parser:Parser_graph.t -> t
-(** A pass-through program: no tables, empty control. *)
+val empty : name:string -> parser:Parser_graph.t -> t
+(** A pass-through program: no tables, empty control, every header the
+    parser declares deparsed in declaration order. *)

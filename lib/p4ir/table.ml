@@ -18,9 +18,9 @@ type entry = {
 (* A pattern lowered against the declared key width to immediate ints:
    masks (including LPM prefix masks) folded to (value, mask) pairs, so
    the linear partition compares words instead of re-deriving masks per
-   candidate. Only sound when the looked-up value carries the declared
-   width (at most 62 bits, so it is a non-negative int) — the
-   width-mismatch fallback keeps the [Bitval.t]-level [matches].
+   candidate. Sound because the looked-up value carries the declared
+   width (at most 62 bits, so it is a non-negative int): a binding reads
+   each key from a cell of exactly that width ({!binding}).
    Pattern values beyond 62 bits can never equal such a key: they lower
    to -1 ([Hdr.cell_of_int64]), which no key value is. *)
 type ipat =
@@ -151,14 +151,11 @@ type stats = { mutable hits : int; mutable misses : int }
 
 (* The table's fast path bound to one PHV layout — the layout of the
    pipelet that applies it ({!bind}). Key reads are cells of that
-   layout ([kbound] when every key resolves there with its declared
-   width), and each declared action is compiled once against it, by
-   position. A PHV of any other layout takes the name-resolved path
-   after one pointer check. *)
+   layout, each of its key's declared width, and each declared action
+   is compiled once against it, by position. *)
 type binding = {
   blay : Phv.layout;
   kcells : int array;
-  kbound : bool;
   kscratch : int array;  (* probe key for the multi-key exact index *)
   runs : Action.compiled array;
 }
@@ -173,9 +170,10 @@ type store = {
   mutable count : int;
   mutable next_seq : int;
   index : index;
-  (* Compiled lazily, on {!bind} or first use. A {!copy} starts
-     unbound and compiles its own: compiled closures own scratch
-     buffers, which must not be shared across domains. *)
+  (* Compiled on {!bind}, or for the layout of the first PHV looked
+     up; a PHV of another layout recompiles it for that layout. A
+     {!copy} starts unbound and compiles its own: compiled closures own
+     scratch buffers, which must not be shared across domains. *)
   mutable bnd : binding option;
   (* [None] = telemetry off: both lookup paths pay one immediate-field
      match and nothing else. Lives in the shared store so {!rename}d
@@ -259,37 +257,33 @@ let build ~name ~keys ~actions ~default ~max_size by_seq =
       };
   }
 
-let bind t lay =
+(* The store's binding for [lay], compiled in place of the one it holds
+   when that was for another layout. *)
+let binding t lay =
   match t.store.bnd with
-  | Some b when b.blay == lay -> ()
+  | Some b when b.blay == lay -> b
   | Some _ | None ->
-      let kcells =
-        Array.map
-          (fun r -> match Phv.field_cell lay r with c -> c | exception Not_found -> -1)
-          t.kfields
+      let key_cell r w =
+        let c = Phv.field_cell lay r in
+        if Phv.field_width lay r <> w then
+          invalid_arg
+            (Printf.sprintf "Table %s: key %s is bit<%d>, its field bit<%d>" t.name
+               (Fieldref.to_string r) w (Phv.field_width lay r));
+        c
       in
-      let kbound =
-        Array.for_all (fun c -> c >= 0) kcells
-        && Array.for_all2 (fun r w -> Phv.field_width lay r = w) t.kfields t.kwidths
+      let kcells = Array.map2 key_cell t.kfields t.kwidths in
+      let b =
+        {
+          blay = lay;
+          kcells;
+          kscratch = Array.make (Array.length kcells) 0;
+          runs = Array.map (fun act -> Action.compile ~layout:lay act) t.acts;
+        }
       in
-      t.store.bnd <-
-        Some
-          {
-            blay = lay;
-            kcells;
-            kbound;
-            kscratch = Array.make (Array.length kcells) 0;
-            runs = Array.map (fun act -> Action.compile ~layout:lay act) t.acts;
-          }
+      t.store.bnd <- Some b;
+      b
 
-(* An unbound table (one no pipelet loaded) binds to the empty layout on
-   first use: every PHV then takes the name-resolved path. *)
-let binding t =
-  match t.store.bnd with
-  | Some b -> b
-  | None ->
-      bind t Phv.empty_layout;
-      Option.get t.store.bnd
+let bind t lay = ignore (binding t lay)
 
 let make ~name ~keys ~actions ~default ?(max_size = 1024) () =
   build ~name ~keys ~actions ~default ~max_size (Hashtbl.create 32)
@@ -699,11 +693,6 @@ let ibetter a b =
 let pick best ie = if best == none || ibetter ie best then ie else best
 let fold_best best l = List.fold_left pick best l
 
-let fold_matching_all t values =
-  Hashtbl.fold
-    (fun _ ie best -> if matches ie.e values then pick best ie else best)
-    t.store.by_seq none
-
 let rec imatch_from ie raw i =
   i >= Array.length ie.ipats
   || (ipat_matches ie.ipats.(i) raw.(i) && imatch_from ie raw (i + 1))
@@ -751,32 +740,17 @@ let lookupn t raw =
   let best = if idx.lpm == [] then best else probe_lpm idx.lpm best raw.(0) in
   if idx.linear == [] then best else fold_imatch best raw idx.linear
 
-(* A PHV the binding does not cover: read the keys by name as
-   [Bitval.t]s; keys of the declared widths take the index, any other
-   width falls back to a [Bitval.t]-level scan of every entry. *)
-let lookup_named t phv =
-  let vals = Array.map (fun r -> Phv.get phv r) t.kfields in
-  let n = Array.length vals in
-  let rec widths_ok i = i >= n || (Bitval.width vals.(i) = t.kwidths.(i) && widths_ok (i + 1)) in
-  if not (widths_ok 0) then fold_matching_all t (Array.to_list vals)
-  else
-    let raw = Array.map (fun v -> Int64.to_int (Bitval.to_int64 v)) vals in
-    if n = 1 then lookup1 t raw.(0) else lookupn t raw
-
 let lookup_raw t b phv =
-  if b.kbound && Phv.layout phv == b.blay then begin
-    let kc = b.kcells in
-    match Array.length kc with
-    | 1 -> lookup1 t (Phv.cell phv kc.(0))
-    | 0 -> lookupn t b.kscratch
-    | n ->
-        let raw = b.kscratch in
-        for i = 0 to n - 1 do
-          raw.(i) <- Phv.cell phv kc.(i)
-        done;
-        lookupn t raw
-  end
-  else lookup_named t phv
+  let kc = b.kcells in
+  match Array.length kc with
+  | 1 -> lookup1 t (Phv.cell phv kc.(0))
+  | 0 -> lookupn t b.kscratch
+  | n ->
+      let raw = b.kscratch in
+      for i = 0 to n - 1 do
+        raw.(i) <- Phv.cell phv kc.(i)
+      done;
+      lookupn t raw
 
 let lookup_ientry t b phv =
   (match t.store.on_lookup with Some f -> f () | None -> ());
@@ -792,11 +766,11 @@ let lookup_ientry t b phv =
   ie
 
 let lookup t phv =
-  let ie = lookup_ientry t (binding t) phv in
+  let ie = lookup_ientry t (binding t (Phv.layout phv)) phv in
   if ie == none then `Miss else `Hit ie.e
 
 let apply_index ~regs t phv =
-  let b = binding t in
+  let b = binding t (Phv.layout phv) in
   let ie = lookup_ientry t b phv in
   if ie != none then begin
     b.runs.(ie.ai) regs ie.bound phv;
@@ -887,7 +861,9 @@ let max_bucket_length t =
     idx.lpm
 
 let compiled_action t entry =
-  Option.map (fun ie -> (binding t).runs.(ie.ai)) (find_ientry t entry)
+  match t.store.bnd with
+  | None -> None
+  | Some b -> Option.map (fun ie -> b.runs.(ie.ai)) (find_ientry t entry)
 
 let key_bits t = List.fold_left (fun acc k -> acc + k.width) 0 t.keys
 

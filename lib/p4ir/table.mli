@@ -138,17 +138,20 @@ val copy : t -> t
     A table's fast path is compiled against the PHV layout of the
     pipelet that applies it: key reads become cell reads and each
     declared action is compiled once ({!Action.compile}) for that
-    layout. A lookup or apply on a PHV of the bound layout runs on
-    immediate ints; any other PHV takes the name-resolved path (keys
-    read as [Bitval.t] by name, actions run by {!Action.run_bound})
-    after one pointer check, with identical results. A table nobody
-    bound binds to {!Phv.empty_layout} on first use. *)
+    layout, so lookups and applies run on immediate ints. The store
+    holds one binding ({!rename}d handles share it). A lookup or apply
+    on a PHV of another layout compiles a binding for that layout in
+    place of the one held: an unbound table binds to the first PHV's
+    layout, and only a store shared by pipelets of different layouts
+    rebinds after load. *)
 
 val bind : t -> Phv.layout -> unit
-(** Compile the key reads and actions against a layout, replacing any
-    earlier binding of the store ({!rename}d handles share it); a no-op
-    when already bound to this layout. [Asic.Pipelet.load] binds every
-    table its control applies. *)
+(** Compile the key reads and actions against a layout, replacing the
+    store's binding unless it is for this layout already.
+    [Asic.Pipelet.load] binds every table its control applies. Raises
+    [Not_found] when the layout lacks a key field, as a name-resolved
+    read would, and [Invalid_argument] when the field's width is not
+    the key's; {!Program.validate} refuses both. *)
 
 val matches : entry -> Bitval.t list -> bool
 (** Does the entry match these key values? (Exposed for testing.) *)
@@ -225,8 +228,9 @@ val max_bucket_length : t -> int
 
 val compiled_action : t -> entry -> Action.compiled option
 (** The compiled action the installed entry with [entry]'s match key
-    runs under the current binding, if one is installed. (Exposed for
-    testing closure sharing.) *)
+    runs under the store's current binding; [None] when the table is
+    unbound or no such entry is installed. (Exposed for testing closure
+    sharing.) *)
 
 val key_bits : t -> int
 (** Total match key width in bits. *)

@@ -46,14 +46,12 @@ let forwarder ~out_port ~resubmit_once =
       ]
     else [ set_out ]
   in
-  Program.make ~name:"fwd" ~decls:tiny_parser.Parser_graph.decls
-    ~parser:tiny_parser ~tables:[]
+  Program.make ~name:"fwd" ~parser:tiny_parser ~tables:[]
     ~control:(Control.make "fwd_c" body)
     ~deparse_order:[ "eth" ] ()
 
 let passthrough name =
-  P4ir.Program.empty ~name ~decls:tiny_parser.P4ir.Parser_graph.decls
-    ~parser:tiny_parser
+  P4ir.Program.empty ~name ~parser:tiny_parser
 
 (* [ingress0] on ingress 0, passthroughs everywhere else. *)
 let load_tiny_chip ?(ports = Asic.Port.make spec) ingress0 =

@@ -88,12 +88,16 @@ let test_cache_create () =
 
 (* One more FIB route points at the table's compiled [route] action:
    the entry shares the closure the other routes run, and the install
-   allocates fewer words than compiling that action once would. *)
+   allocates fewer words than compiling that action once would — for
+   the Fig. 2 layout (standard metadata, then the generic parser's
+   declarations), as the bound table holds it. *)
 let test_add_entry () =
   let chip = fig2_chip () in
   let fib = Option.get (Asic.Chip.find_table chip Nflib.Catalog.routes_table_name) in
   let route = Option.get (P4ir.Table.find_action fib "route") in
-  let _, compile_w = words (fun () -> P4ir.Action.compile route) in
+  let parser = (Asic.Pipelet.program (List.hd (Asic.Chip.pipelets chip))).P4ir.Program.parser in
+  let layout = Asic.Stdmeta.layout parser.P4ir.Parser_graph.decls in
+  let _, compile_w = words (fun () -> P4ir.Action.compile ~layout route) in
   let e = fib_entry ~prefix_len:24 ((172 lsl 24) lor (31 lsl 16)) in
   let r, w = words (fun () -> P4ir.Table.add_entry fib e) in
   ignore (Result.get_ok r);

@@ -96,8 +96,7 @@ let test_loopback_port_recirculates () =
 
 let test_drop () =
   let dropper =
-    Program.make ~name:"drop" ~decls:Fixtures.tiny_parser.Parser_graph.decls
-      ~parser:Fixtures.tiny_parser ~tables:[]
+    Program.make ~name:"drop" ~parser:Fixtures.tiny_parser ~tables:[]
       ~control:
         (Control.make "c"
            [
@@ -136,8 +135,7 @@ let test_unset_egress_goes_port0 () =
 let test_routing_loop_detected () =
   (* Forward forever to the recirc port of pipeline 0. *)
   let looper =
-    Program.make ~name:"loop" ~decls:Fixtures.tiny_parser.Parser_graph.decls
-      ~parser:Fixtures.tiny_parser ~tables:[]
+    Program.make ~name:"loop" ~parser:Fixtures.tiny_parser ~tables:[]
       ~control:
         (Control.make "c"
            [
@@ -307,6 +305,21 @@ let test_fig2_handovers () =
       check Alcotest.bool name (name <> "vlan") (Asic.Pipelet.adopt egress phv))
     handover_frames
 
+(* Compiled code runs only on PHVs of its pipelet's layout: a PHV of
+   another layout, even one holding the same headers, is refused rather
+   than run by name. *)
+let test_other_layout_refused () =
+  let ingress, _ = fig2_pipelets () in
+  let phv, payload = parse_ok ingress (snd handover_frames.(0)) in
+  let other = Phv.create (Phv.decls phv) in
+  let refused what f =
+    match f () with
+    | () -> Alcotest.failf "%s ran on a PHV of another layout" what
+    | exception Invalid_argument _ -> ()
+  in
+  refused "process" (fun () -> Asic.Pipelet.process ingress other);
+  refused "deparse_fast" (fun () -> ignore (Asic.Pipelet.deparse_fast ingress other ~payload))
+
 (* An ingress action rewrites eth.ethertype to a value the parse graph
    does not know while the SFC header stays valid. Through bytes, the
    egress parser then extracts only Ethernet and carries the SFC header
@@ -319,7 +332,7 @@ let test_rewritten_ethertype_refused () =
     (Asic.Pipelet.program (fst (fig2_pipelets ()))).Program.deparse_order
   in
   let program name body =
-    Program.make ~name ~decls:gp.Parser_graph.decls ~parser:gp ~tables:[]
+    Program.make ~name ~parser:gp ~tables:[]
       ~control:(Control.make (name ^ "_c") body) ~deparse_order:order ()
   in
   let src = Core.Net_hdrs.eth_src in
@@ -383,8 +396,8 @@ let test_stage_allocation_packs_independent () =
   let tables = List.init 20 wide_table in
   let control = Control.make "c" (List.map (fun t -> Control.Apply (Table.name t)) tables) in
   let program =
-    Program.make ~name:"p" ~decls:Fixtures.tiny_parser.Parser_graph.decls
-      ~parser:Fixtures.tiny_parser ~tables ~control ~deparse_order:[ "eth" ] ()
+    Program.make ~name:"p" ~parser:Fixtures.tiny_parser ~tables ~control
+      ~deparse_order:[ "eth" ] ()
   in
   match Asic.Pipelet.allocate_stages spec program with
   | Error e -> Alcotest.fail e
@@ -416,8 +429,8 @@ let test_stage_allocation_overflow () =
   let tables = mk_chain (spec.Asic.Spec.stages_per_pipelet + 1) in
   let control = Control.make "c" (List.map (fun t -> Control.Apply (Table.name t)) tables) in
   let program =
-    Program.make ~name:"p" ~decls:Fixtures.tiny_parser.Parser_graph.decls
-      ~parser:Fixtures.tiny_parser ~tables ~control ~deparse_order:[ "eth" ] ()
+    Program.make ~name:"p" ~parser:Fixtures.tiny_parser ~tables ~control
+      ~deparse_order:[ "eth" ] ()
   in
   check Alcotest.bool "too-long chain rejected" true
     (Result.is_error (Asic.Pipelet.allocate_stages spec program))
@@ -483,6 +496,7 @@ let () =
           Alcotest.test_case "fig2 handovers" `Quick test_fig2_handovers;
           Alcotest.test_case "rewritten ethertype refused" `Quick
             test_rewritten_ethertype_refused;
+          Alcotest.test_case "other layout refused" `Quick test_other_layout_refused;
           QCheck_alcotest.to_alcotest prop_adopt_is_parse_of_deparse;
         ] );
       ( "stages",

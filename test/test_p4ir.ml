@@ -14,8 +14,17 @@ let meta = Hdr.decl "m" [ ("a", 8); ("b", 16); ("c", 32) ]
 let fr h f = Fieldref.v h f
 let bv w v = Bitval.of_int ~width:w v
 
+let contains s sub =
+  let n = String.length s and m = String.length sub in
+  let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
+  go 0
+
+(* The layout of the table and control tests: [fresh_phv]s share it
+   and [mk_table] binds to it, so lookups read key cells. *)
+let lay = Phv.layout_of [ meta ]
+
 let fresh_phv () =
-  let phv = Phv.create [ meta ] in
+  let phv = Phv.of_layout lay in
   Phv.set_valid phv "m";
   phv
 
@@ -227,7 +236,7 @@ let test_expr_widest () =
        Expr.(Bin (Lt, Field (fr "m" "c"), Const (Bitval.make ~width:64 1L))));
   Alcotest.check_raises "compile rejects bit<64>"
     (Invalid_argument "Expr.compile: 1 is bit<64>, wider than 62") (fun () ->
-      ignore (Expr.compile Phv.empty_layout (Expr.Const (Bitval.make ~width:64 1L))))
+      ignore (Expr.compile (Phv.layout_of []) (Expr.Const (Bitval.make ~width:64 1L))))
 
 (* Validation keeps 63- and 64-bit arithmetic out of programs: the
    64-bit Bitval reference and the int fast path would disagree there. *)
@@ -236,15 +245,10 @@ let test_validate_rejects_wide_expressions () =
     { Parser_graph.name = "p"; decls = [ meta ]; start = Parser_graph.Accept; states = [] }
   in
   let program ?(tables = []) body =
-    Program.make ~name:"w" ~decls:[ meta ] ~parser ~tables
+    Program.make ~name:"w" ~parser ~tables
       ~control:(Control.make "c" body) ~deparse_order:[ "m" ] ()
   in
   let wide = Expr.Const (Bitval.make ~width:64 1L) in
-  let contains s sub =
-    let n = String.length s and m = String.length sub in
-    let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
-    go 0
-  in
   let rejected p =
     match Program.validate p with
     | Error m -> contains m "wider than 62"
@@ -266,6 +270,62 @@ let test_validate_rejects_wide_expressions () =
   in
   check Alcotest.bool "64-bit action parameter read rejected" true
     (rejected (program ~tables:[ t ] [ Control.Apply "t" ]))
+
+(* What the compiled path would have to resolve by name per packet is
+   refused at load instead: a table key that is not a parsed field at
+   its declared width, a select on an undeclared field, a deparse order
+   naming an undeclared header. The error names the table, parser state
+   or header at fault, and a chip of such programs fails to load rather
+   than raising. *)
+let test_validate_refuses_unresolved_names () =
+  let key field width = { Table.field; kind = Table.Exact; width } in
+  let program ?(k = key (fr "m" "a") 8) ?(on = [ fr "m" "a" ]) ?(order = [ "m" ]) () =
+    let parser =
+      {
+        Parser_graph.name = "p";
+        decls = [ meta ];
+        start = Parser_graph.Goto "m@0";
+        states =
+          [
+            {
+              Parser_graph.id = "m@0";
+              header = "m";
+              offset = 0;
+              select = Some { Parser_graph.on; cases = []; default = Parser_graph.Accept };
+            };
+          ];
+      }
+    in
+    let t =
+      Table.make ~name:"t" ~keys:[ k ] ~actions:[ Action.no_op ] ~default:("NoAction", []) ()
+    in
+    Program.make ~name:"r" ~parser ~tables:[ t ]
+      ~control:(Control.make "c" [ Control.Apply "t" ])
+      ~deparse_order:order ()
+  in
+  let refused what expect = function
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error m -> if not (contains m expect) then Alcotest.failf "%s: %S names no %S" what m expect
+  in
+  check Alcotest.bool "resolvable program accepted" true (Program.validate (program ()) = Ok ());
+  let validate what expect p = refused what expect (Program.validate p) in
+  validate "key on an undeclared header" "table t" (program ~k:(key (fr "nope" "a") 8) ());
+  validate "key on an undeclared field" "table t" (program ~k:(key (fr "m" "zz") 8) ());
+  validate "key wider than its field" "table t" (program ~k:(key (fr "m" "a") 16) ());
+  validate "select on an undeclared field" "state m@0" (program ~on:[ fr "m" "zz" ] ());
+  validate "deparse of an undeclared header" "ghost" (program ~order:[ "m"; "ghost" ] ());
+  let bad = program ~k:(key (fr "m" "a") 16) () in
+  let spec = Asic.Spec.wedge_100b in
+  refused "chip with a mis-sized key" "table t"
+    (Result.map ignore
+       (Asic.Chip.load
+          {
+            Asic.Chip.spec;
+            ingress_programs = [| bad; bad |];
+            egress_programs = [| bad; bad |];
+            ports = Asic.Port.make spec;
+            mirror_port = None;
+          }))
 
 (* --- Action --- *)
 
@@ -302,9 +362,12 @@ let mk_table ?(keys = [ { Table.field = fr "m" "a"; kind = Table.Exact; width = 
     Action.make "set_b" ~params:[ ("v", 16) ]
       [ Action.Assign (fr "m" "b", Expr.Param "v") ]
   in
-  Table.make ~name:"t" ~keys
-    ~actions:[ set_b; Action.no_op ]
-    ~default:("NoAction", []) ~max_size ()
+  let t =
+    Table.make ~name:"t" ~keys ~actions:[ set_b; Action.no_op ] ~default:("NoAction", [])
+      ~max_size ()
+  in
+  Table.bind t lay;
+  t
 
 let test_table_exact_hit_miss () =
   let t = mk_table () in
@@ -503,20 +566,26 @@ let lookup_pattern_for (k : Table.key) ~v ~m =
       let lo = v land maxv in
       Table.M_range { lo = bv w lo; hi = bv w (min maxv (lo + (m land 0xff))) }
 
+(* A second layout with [m] at other cells. Probing on it and on [lay]
+   by turns makes the table rebind each time the layout changes. *)
+let pad = Hdr.decl "pad" [ ("x", 5) ]
+let lay2 = Phv.layout_of [ pad; meta ]
+
 let prop_indexed_lookup_matches_reference =
   QCheck.Test.make ~name:"indexed lookup = reference scan" ~count:500
     QCheck.(
-      pair
-        (pair (int_bound 5)
-           (list_of_size Gen.(int_bound 24)
-              (quad small_nat small_nat small_nat (int_bound 0xffffff))))
-        (triple small_nat small_nat small_nat))
-    (fun ((cfg, raw_entries), (pa, pb, pc)) ->
+      quad (int_bound 5)
+        (list_of_size Gen.(int_bound 24)
+           (quad small_nat small_nat small_nat (int_bound 0xffffff)))
+        (triple small_nat small_nat small_nat)
+        (list_of_size Gen.(int_range 1 4) bool))
+    (fun (cfg, raw_entries, (pa, pb, pc), on_lay2) ->
       let keys = lookup_key_configs.(cfg) in
       let t =
         Table.make ~name:"t" ~keys ~actions:[ Action.no_op ]
           ~default:("NoAction", []) ~max_size:64 ()
       in
+      Table.bind t lay;
       List.iter
         (fun (p, v1, v2, m) ->
           let patterns =
@@ -530,14 +599,18 @@ let prop_indexed_lookup_matches_reference =
           must_add t
             { Table.priority = p land 3; patterns; action = "NoAction"; args = [] })
         raw_entries;
-      let phv = fresh_phv () in
-      Phv.set_int phv (fr "m" "a") (pa land 0xff);
-      Phv.set_int phv (fr "m" "b") (pb land 0xffff);
-      Phv.set_int phv (fr "m" "c") pc;
-      match (Table.lookup t phv, Table.lookup_reference t phv) with
-      | `Miss, `Miss -> true
-      | `Hit e1, `Hit e2 -> e1 == e2
-      | `Hit _, `Miss | `Miss, `Hit _ -> false)
+      List.for_all
+        (fun second ->
+          let phv = Phv.of_layout (if second then lay2 else lay) in
+          Phv.set_valid phv "m";
+          Phv.set_int phv (fr "m" "a") (pa land 0xff);
+          Phv.set_int phv (fr "m" "b") (pb land 0xffff);
+          Phv.set_int phv (fr "m" "c") pc;
+          match (Table.lookup t phv, Table.lookup_reference t phv) with
+          | `Miss, `Miss -> true
+          | `Hit e1, `Hit e2 -> e1 == e2
+          | `Hit _, `Miss | `Miss, `Hit _ -> false)
+        on_lay2)
 
 (* --- del_entry / mod_entry --- *)
 
@@ -680,6 +753,7 @@ let prop_op_trace_matches_reference =
         Table.make ~name:"t" ~keys ~actions:[ Action.no_op ]
           ~default:("NoAction", []) ~max_size:64 ()
       in
+      Table.bind t lay;
       let agree () =
         let phv = fresh_phv () in
         Phv.set_int phv (fr "m" "a") (pa land 0xff);
@@ -843,6 +917,7 @@ let prop_copy_matches_source =
       let src = mk_table ~keys ~max_size:64 () in
       List.iter (fun o -> trace_op keys o src) trace;
       let cp = Table.copy src in
+      Table.bind cp lay;
       let phvs = List.map probe_phv probes in
       let agrees u =
         List.for_all
@@ -902,6 +977,8 @@ let test_compiled_actions_shared () =
   let run t v = Option.get (Table.compiled_action t (e v)) in
   check Alcotest.bool "one closure per action" true (run t 1 == run t 2);
   let c = Table.copy t in
+  check Alcotest.bool "a copy starts unbound" true (Option.is_none (Table.compiled_action c (e 1)));
+  Table.bind c lay;
   check Alcotest.bool "copy compiles its own" true (run c 1 != run t 1);
   check Alcotest.bool "shared within the copy" true (run c 1 == run c 2);
   (match Table.mod_entry t { (e 1) with Table.action = "NoAction"; args = [] } with
@@ -1042,7 +1119,9 @@ let prop_compiled_control_matches_exec =
       let phv2 = Phv.copy phv1 in
       let tr1 = ref [] and tr2 = ref [] in
       Control.exec ~trace:tr1 env control phv1;
-      Control.run_compiled ~trace:tr2 (Control.compile env control) phv2;
+      Control.run_compiled ~trace:tr2
+        (Control.compile ~layout:(Phv.layout phv2) env control)
+        phv2;
       Phv.equal phv1 phv2 && !tr1 = !tr2)
 
 (* --- Deps / Resources --- *)
@@ -1162,6 +1241,8 @@ let () =
           qtest prop_compiled_expr_matches_eval;
           Alcotest.test_case "validate rejects wide expressions" `Quick
             test_validate_rejects_wide_expressions;
+          Alcotest.test_case "validate refuses unresolved names" `Quick
+            test_validate_refuses_unresolved_names;
         ] );
       ( "action",
         [
