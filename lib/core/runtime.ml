@@ -410,39 +410,31 @@ type outcome = {
   mirrored : (int * Bytes.t) list;
 }
 
+(* A CPU round trip reads the SFC header once, to dispatch: the mark is
+   cleared in place and the resume point is read from two fields, each
+   by position. An SFC frame is one long enough for Ethernet and the
+   header, with the SFC ethertype at bytes 12-13. *)
+let sfc_off = Netpkt.Eth.size
+
+let is_sfc frame =
+  Bytes.length frame >= sfc_off + Sfc_header.byte_size
+  && Netpkt.Bytes_util.get_uint16 frame 12 = Netpkt.Eth.ethertype_sfc
+
 let decode_sfc frame =
-  match Netpkt.Eth.decode frame ~off:0 with
-  | Ok eth when eth.Netpkt.Eth.ethertype = Netpkt.Eth.ethertype_sfc ->
-      Result.to_option (Sfc_header.decode frame ~off:Netpkt.Eth.size)
-  | Ok _ | Error _ -> None
+  if is_sfc frame then Result.to_option (Sfc_header.decode frame ~off:sfc_off)
+  else None
 
 let clear_cpu_mark frame =
   let frame = Bytes.copy frame in
-  match decode_sfc frame with
-  | None -> frame
-  | Some hdr ->
-      let context =
-        Array.map
-          (fun (k, v) ->
-            if k = Sfc_header.ctx_key_cpu_reason then (0, 0) else (k, v))
-          hdr.Sfc_header.context
-      in
-      let hdr = { hdr with Sfc_header.to_cpu = false; context } in
-      Bytes.blit (Sfc_header.encode hdr) 0 frame Netpkt.Eth.size
-        Sfc_header.byte_size;
-      frame
+  if is_sfc frame then Sfc_header.clear_cpu_mark frame ~off:sfc_off;
+  frame
 
 let reinject_pipeline t frame =
   let default = t.compiled.Compiler.input.Compiler.entry_pipeline in
-  match decode_sfc frame with
-  | None -> default
-  | Some hdr -> (
-      let key =
-        (hdr.Sfc_header.service_path_id, hdr.Sfc_header.service_index)
-      in
-      match Hashtbl.find_opt t.reinject key with
-      | Some p -> p
-      | None -> default)
+  if not (is_sfc frame) then default
+  else
+    let key = Sfc_header.decode_path frame ~off:sfc_off in
+    match Hashtbl.find_opt t.reinject key with Some p -> p | None -> default
 
 let find_handler t sfc =
   match sfc with

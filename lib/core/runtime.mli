@@ -130,9 +130,14 @@ val default_nf_id : string -> int
     what the bundled NFs use. *)
 
 val clear_cpu_mark : Bytes.t -> Bytes.t
-(** Clear the to-CPU flag and the CPU-reason context slot in a frame's
-    SFC header — a handler must do this before reinjecting, or the
-    packet bounces straight back. Returns a fresh buffer. *)
+(** Clear the CPU mark in a frame's SFC header — a handler must do this
+    before reinjecting, or the packet bounces straight back. For a frame
+    of at least 34 bytes with the SFC ethertype, it clears the to-CPU
+    bit, the header's 9 pad bits and the key and value of every context
+    slot keyed {!Sfc_header.ctx_key_cpu_reason}, in place in a copy:
+    the bytes re-encoding the decoded header would give. Every other
+    frame comes back as an unchanged copy. Always a fresh buffer; the
+    argument is not modified. *)
 
 type outcome = {
   verdict : Asic.Chip.verdict;

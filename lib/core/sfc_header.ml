@@ -23,26 +23,57 @@ let decl =
         [ 0; 1; 2; 3 ]
     @ [ ("next_protocol", 8) ])
 
-let r field = P4ir.Fieldref.v name field
-let service_path_id = r "service_path_id"
-let service_index = r "service_index"
-let in_port = r "in_port"
-let out_port = r "out_port"
-let resubmit_flag = r "resubmit_flag"
-let recirc_flag = r "recirc_flag"
-let drop_flag = r "drop_flag"
-let mirror_flag = r "mirror_flag"
-let to_cpu_flag = r "to_cpu_flag"
+(* Each field resolved once, at module load: its reference for the PHV
+   view, and its bit offset and width for the wire, as a P4 target
+   fixes every header field's position when it compiles the program. *)
+type field = { fref : P4ir.Fieldref.t; bit : int; width : int }
+
+let field fname =
+  let k = P4ir.Hdr.field_index decl fname in
+  {
+    fref = P4ir.Fieldref.v name fname;
+    bit = decl.P4ir.Hdr.foffs.(k);
+    width = decl.P4ir.Hdr.fwidths.(k);
+  }
+
+let f_path = field "service_path_id"
+let f_index = field "service_index"
+let f_in_port = field "in_port"
+let f_out_port = field "out_port"
+let f_resubmit = field "resubmit_flag"
+let f_recirc = field "recirc_flag"
+let f_drop = field "drop_flag"
+let f_mirror = field "mirror_flag"
+let f_to_cpu = field "to_cpu_flag"
+let f_pad = field "_pad"
+
+let f_ctx_key =
+  Array.init n_ctx_slots (fun i -> field (Printf.sprintf "ctx_key%d" i))
+
+let f_ctx_val =
+  Array.init n_ctx_slots (fun i -> field (Printf.sprintf "ctx_val%d" i))
+
+let f_next = field "next_protocol"
+
+let service_path_id = f_path.fref
+let service_index = f_index.fref
+let in_port = f_in_port.fref
+let out_port = f_out_port.fref
+let resubmit_flag = f_resubmit.fref
+let recirc_flag = f_recirc.fref
+let drop_flag = f_drop.fref
+let mirror_flag = f_mirror.fref
+let to_cpu_flag = f_to_cpu.fref
 
 let ctx_key i =
   if i < 0 || i >= n_ctx_slots then invalid_arg "Sfc_header.ctx_key"
-  else r (Printf.sprintf "ctx_key%d" i)
+  else f_ctx_key.(i).fref
 
 let ctx_val i =
   if i < 0 || i >= n_ctx_slots then invalid_arg "Sfc_header.ctx_val"
-  else r (Printf.sprintf "ctx_val%d" i)
+  else f_ctx_val.(i).fref
 
-let next_protocol = r "next_protocol"
+let next_protocol = f_next.fref
 
 let ctx_key_tenant = 1
 let ctx_key_app = 2
@@ -78,73 +109,82 @@ let default =
     next_protocol = next_proto_ipv4;
   }
 
-(* Field by field through a setter, so one routine fills a standalone
-   instance and a PHV alike. *)
+(* Field by field through a setter, so one routine fills the wire and a
+   PHV alike. *)
 let fill t set =
   let setb f b = set f (if b then 1 else 0) in
-  set "service_path_id" t.service_path_id;
-  set "service_index" t.service_index;
-  set "in_port" t.in_port;
-  set "out_port" t.out_port;
-  setb "resubmit_flag" t.resubmit;
-  setb "recirc_flag" t.recirc;
-  setb "drop_flag" t.drop;
-  setb "mirror_flag" t.mirror;
-  setb "to_cpu_flag" t.to_cpu;
+  set f_path t.service_path_id;
+  set f_index t.service_index;
+  set f_in_port t.in_port;
+  set f_out_port t.out_port;
+  setb f_resubmit t.resubmit;
+  setb f_recirc t.recirc;
+  setb f_drop t.drop;
+  setb f_mirror t.mirror;
+  setb f_to_cpu t.to_cpu;
   Array.iteri
     (fun i (k, v) ->
-      set (Printf.sprintf "ctx_key%d" i) k;
-      set (Printf.sprintf "ctx_val%d" i) v)
+      set f_ctx_key.(i) k;
+      set f_ctx_val.(i) v)
     t.context;
-  set "next_protocol" t.next_protocol
+  set f_next t.next_protocol
 
-let fill_inst t inst =
-  fill t (fun f v -> P4ir.Hdr.set inst f (P4ir.Bitval.of_int ~width:64 v));
-  P4ir.Hdr.set_valid inst
+let get_wire b ~off f =
+  Netpkt.Bytes_util.get_bits_int b ~bit_off:((8 * off) + f.bit) ~width:f.width
 
+let set_wire b ~off f v =
+  Netpkt.Bytes_util.set_bits_int b ~bit_off:((8 * off) + f.bit) ~width:f.width v
+
+(* [_pad] is never written, so it stays zero. *)
 let encode t =
-  let inst = P4ir.Hdr.inst decl in
-  fill_inst t inst;
   let b = Bytes.make byte_size '\000' in
-  P4ir.Hdr.emit inst b ~bit_off:0;
+  fill t (set_wire b ~off:0);
   b
 
 let of_getter get =
   let getb f = get f = 1 in
   {
-    service_path_id = get "service_path_id";
-    service_index = get "service_index";
-    in_port = get "in_port";
-    out_port = get "out_port";
-    resubmit = getb "resubmit_flag";
-    recirc = getb "recirc_flag";
-    drop = getb "drop_flag";
-    mirror = getb "mirror_flag";
-    to_cpu = getb "to_cpu_flag";
+    service_path_id = get f_path;
+    service_index = get f_index;
+    in_port = get f_in_port;
+    out_port = get f_out_port;
+    resubmit = getb f_resubmit;
+    recirc = getb f_recirc;
+    drop = getb f_drop;
+    mirror = getb f_mirror;
+    to_cpu = getb f_to_cpu;
     context =
-      Array.init n_ctx_slots (fun i ->
-          (get (Printf.sprintf "ctx_key%d" i), get (Printf.sprintf "ctx_val%d" i)));
-    next_protocol = get "next_protocol";
+      Array.init n_ctx_slots (fun i -> (get f_ctx_key.(i), get f_ctx_val.(i)));
+    next_protocol = get f_next;
   }
 
-let of_inst inst = of_getter (fun f -> P4ir.Bitval.to_int (P4ir.Hdr.get inst f))
-
 let decode b ~off =
-  if Bytes.length b < off + byte_size then Error "Sfc_header.decode: truncated"
-  else begin
-    let inst = P4ir.Hdr.inst decl in
-    P4ir.Hdr.extract inst b ~bit_off:(8 * off);
-    Ok (of_inst inst)
-  end
+  if off < 0 then Error "Sfc_header.decode: negative offset"
+  else if Bytes.length b < off + byte_size then
+    Error "Sfc_header.decode: truncated"
+  else Ok (of_getter (get_wire b ~off))
+
+let decode_path b ~off =
+  (get_wire b ~off f_path, get_wire b ~off f_index)
+
+let clear_cpu_mark b ~off =
+  set_wire b ~off f_to_cpu 0;
+  set_wire b ~off f_pad 0;
+  for i = 0 to n_ctx_slots - 1 do
+    if get_wire b ~off f_ctx_key.(i) = ctx_key_cpu_reason then begin
+      set_wire b ~off f_ctx_key.(i) 0;
+      set_wire b ~off f_ctx_val.(i) 0
+    end
+  done
 
 let of_phv phv =
   if P4ir.Phv.is_valid phv name then
-    Some (of_getter (fun f -> P4ir.Phv.get_int phv (P4ir.Fieldref.v name f)))
+    Some (of_getter (fun f -> P4ir.Phv.get_int phv f.fref))
   else None
 
 let to_phv t phv =
   P4ir.Phv.add_decl phv decl;
-  fill t (fun f v -> P4ir.Phv.set_int phv (P4ir.Fieldref.v name f) v);
+  fill t (fun f v -> P4ir.Phv.set_int phv f.fref v);
   P4ir.Phv.set_valid phv name
 
 let find_context t key =

@@ -12,7 +12,14 @@
     It is pushed by the Classifier, carried along the whole service path
     (surviving deparse/re-parse at every pipe crossing, which is what
     lets Dejavu thread state through the chip), and stripped on the
-    final egress pass. *)
+    final egress pass.
+
+    Every field's bit offset and width is resolved from {!decl} once,
+    at module load, as a P4 target fixes header fields when it compiles
+    the program: {!encode}, {!decode} and the in-place wire accessors
+    read and write by position, and {!of_phv}/{!to_phv} go through
+    precomputed field references. Nothing here looks a field up by
+    name or formats one per header. *)
 
 val name : string
 (** ["sfc"]. *)
@@ -66,8 +73,30 @@ type t = {
 }
 
 val default : t
+
 val encode : t -> Bytes.t
+(** The 20 wire bytes. Each value is truncated to its field's width;
+    the 9 pad bits are zero. *)
+
 val decode : Bytes.t -> off:int -> (t, string) result
+(** The header at byte [off]. [Error] when [off] is negative or the
+    buffer ends before [off + byte_size]; never raises. *)
+
+(** {2 On the wire, in place}
+
+    For a header at byte [off] of a buffer holding at least
+    [off + byte_size] bytes; [Invalid_argument] otherwise. *)
+
+val decode_path : Bytes.t -> off:int -> int * int
+(** [(service_path_id, service_index)], and nothing else: where a
+    reinjected packet resumes its service path. *)
+
+val clear_cpu_mark : Bytes.t -> off:int -> unit
+(** Clear what {!encode} of the decoded header with [to_cpu = false]
+    and every slot keyed {!ctx_key_cpu_reason} set to [(0, 0)] would
+    change: the to-CPU bit, the pad bits and the key and value of each
+    such slot. Every other bit is left as it is. *)
+
 val of_phv : P4ir.Phv.t -> t option
 (** [None] when the PHV's SFC header is invalid/absent. *)
 

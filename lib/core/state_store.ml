@@ -283,10 +283,12 @@ let table t ~name ~key ~value ?shard_hint ?on_evict () =
   rehash tb.head;
   { tb; store = t; kc = key; vc = value }
 
+(* The shard hint decodes the encoded key, not [k]: encoding masks
+   ports and proto, and the hint must see what the store keeps. *)
 let insert tt k v =
-  insert_raw tt.store tt.tb ~key:(tt.kc.enc k) ~value:(tt.vc.enc v)
-    ~stamp:tt.store.now_ns
-    ~shard:(tt.tb.shard_of_raw (tt.kc.enc k))
+  let key = tt.kc.enc k in
+  insert_raw tt.store tt.tb ~key ~value:(tt.vc.enc v) ~stamp:tt.store.now_ns
+    ~shard:(tt.tb.shard_of_raw key)
 
 let find tt k =
   match find_raw tt.store tt.tb (tt.kc.enc k) with

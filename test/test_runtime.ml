@@ -61,6 +61,84 @@ let test_clear_cpu_mark_non_sfc () =
   let cleared = Runtime.clear_cpu_mark frame in
   check Alcotest.bytes "non-SFC frame untouched" frame cleared
 
+(* [clear_cpu_mark] against re-encoding: decode the SFC header, encode
+   it with [to_cpu] false and every CPU-reason slot (0, 0), blit that
+   into a copy. Three kinds of frame: SFC frames of random bytes with
+   non-zero pad bits and 0-4 CPU-reason slots, frames of other
+   ethertypes, and frames shorter than Ethernet plus the SFC header. *)
+let prop_clear_cpu_mark_matches_reencoding =
+  let sfc_min = Netpkt.Eth.size + Sfc_header.byte_size in
+  let reencoded frame =
+    let copy = Bytes.copy frame in
+    (match Netpkt.Eth.decode frame ~off:0 with
+    | Ok eth when eth.Netpkt.Eth.ethertype = Netpkt.Eth.ethertype_sfc -> (
+        match Sfc_header.decode frame ~off:Netpkt.Eth.size with
+        | Error _ -> ()
+        | Ok hdr ->
+            let context =
+              Array.map
+                (fun (k, v) ->
+                  if k = Sfc_header.ctx_key_cpu_reason then (0, 0) else (k, v))
+                hdr.Sfc_header.context
+            in
+            Bytes.blit
+              (Sfc_header.encode { hdr with Sfc_header.to_cpu = false; context })
+              0 copy Netpkt.Eth.size Sfc_header.byte_size)
+    | Ok _ | Error _ -> ());
+    copy
+  in
+  let gen =
+    QCheck.Gen.(
+      let* kind = int_bound 2 in
+      match kind with
+      | 0 ->
+          let* tail = int_bound 40 in
+          let* raw = string_size (return (sfc_min + tail)) in
+          let* pad = int_range 1 0x1ff in
+          let* reasons = array_size (return Sfc_header.n_ctx_slots) bool in
+          let b = Bytes.of_string raw in
+          Netpkt.Bytes_util.set_uint16 b 12 Netpkt.Eth.ethertype_sfc;
+          let inst = P4ir.Hdr.inst Sfc_header.decl in
+          let bit_off = 8 * Netpkt.Eth.size in
+          P4ir.Hdr.extract inst b ~bit_off;
+          P4ir.Hdr.set inst "_pad" (P4ir.Bitval.of_int ~width:9 pad);
+          Array.iteri
+            (fun i on ->
+              if on then
+                P4ir.Hdr.set inst
+                  (Printf.sprintf "ctx_key%d" i)
+                  (P4ir.Bitval.of_int ~width:8 Sfc_header.ctx_key_cpu_reason))
+            reasons;
+          P4ir.Hdr.emit inst b ~bit_off;
+          return b
+      | 1 ->
+          let* len = int_range Netpkt.Eth.size (sfc_min + 40) in
+          let* raw = string_size (return len) in
+          let* ethertype = int_bound 0xffff in
+          let b = Bytes.of_string raw in
+          Netpkt.Bytes_util.set_uint16 b 12
+            (if ethertype = Netpkt.Eth.ethertype_sfc then
+               Netpkt.Eth.ethertype_ipv4
+             else ethertype);
+          return b
+      | _ ->
+          let* len = int_bound (sfc_min - 1) in
+          let* raw = string_size (return len) in
+          let* sfc = bool in
+          let b = Bytes.of_string raw in
+          if sfc && len >= Netpkt.Eth.size then
+            Netpkt.Bytes_util.set_uint16 b 12 Netpkt.Eth.ethertype_sfc;
+          return b)
+  in
+  QCheck.Test.make ~name:"clear cpu mark = re-encoding" ~count:1000
+    (QCheck.make ~print:(Format.asprintf "%a" Netpkt.Bytes_util.pp_hex) gen)
+    (fun frame ->
+      let before = Bytes.copy frame in
+      let cleared = Runtime.clear_cpu_mark frame in
+      cleared != frame
+      && Bytes.equal frame before
+      && Bytes.equal cleared (reencoded before))
+
 (* End-to-end: LB sessions stick, and the CPU is consulted once per flow. *)
 let runtime () =
   let compiled =
@@ -366,6 +444,7 @@ let () =
           Alcotest.test_case "nf ids" `Quick test_default_nf_id_stable;
           Alcotest.test_case "clear cpu mark" `Quick test_clear_cpu_mark;
           Alcotest.test_case "clear non-sfc" `Quick test_clear_cpu_mark_non_sfc;
+          QCheck_alcotest.to_alcotest prop_clear_cpu_mark_matches_reencoding;
         ] );
       ( "lb_loop",
         [
