@@ -129,7 +129,12 @@ let send_cmd =
   in
   let trace_arg =
     Cmdliner.Arg.(
-      value & flag & info [ "trace" ] ~doc:"Print the MAU-level trace.")
+      value & flag
+      & info [ "trace" ]
+          ~doc:
+            "Print the MAU-level trace: each pipelet pass of the packet's \
+             journey, CPU round trips included, with its table, gateway \
+             and NF events.")
   in
   let run strategy extended dst src dport in_port trace =
     let compiled = or_die (compile ~strategy ~extended) in
@@ -147,29 +152,16 @@ let send_cmd =
           dst_port = dport;
         }
     in
-    if trace then begin
-      (* The chip records its control trace for the journey recorder
-         only. *)
-      let level = Runtime.telemetry_level rt in
-      Runtime.set_telemetry rt Telemetry.Level.Journeys;
-      let walk =
-        Asic.Chip.inject (Runtime.chip rt) ~in_port (Netpkt.Pkt.encode pkt)
-      in
-      Runtime.set_telemetry rt level;
-      match walk with
-      | Error e -> Format.printf "error: %s@." e
-      | Ok r ->
-          List.iter
-            (fun ev ->
-              match ev with
-              | P4ir.Control.T_table (t, a, hit) ->
-                  Format.printf "  %-30s -> %-14s %s@." t a
-                    (if hit then "(hit)" else "(miss)")
-              | P4ir.Control.T_gateway (c, v) -> Format.printf "  if %s -> %b@." c v
-              | P4ir.Control.T_enter l -> Format.printf "  >> %s@." l)
-            r.Asic.Chip.trace
-    end;
-    match Ptf.send rt ~in_port pkt with
+    (* The chip records each pass's control events for the journey
+       recorder only: the trace is the packet's journey, every walk of
+       it, CPU round trips included. *)
+    if trace then Runtime.set_telemetry rt Telemetry.Level.Journeys;
+    let sent = Ptf.send rt ~in_port pkt in
+    Option.iter
+      (fun o ->
+        List.iter (Format.printf "%a" Telemetry.Journey.pp_trace) (Observe.journeys o))
+      (Runtime.telemetry rt);
+    match sent with
     | Error e ->
         Format.eprintf "error: %s@." e;
         exit 1

@@ -1,6 +1,8 @@
 (* Trace every table application and gateway decision a packet sees on
    its way through the compiled service chain — the tool you want when a
-   chain misbehaves.
+   chain misbehaves. The runtime records the packet's journey: one hop
+   per pipelet pass, every chip walk of it, CPU round trips included.
+   Exits 1 when the journey records no table application.
 
    Run with: dune exec examples/trace_packet.exe -- [dst-ip] *)
 
@@ -16,6 +18,12 @@ let () =
   in
   let input = Nflib.Catalog.edge_cloud_input () in
   let compiled = Result.get_ok (Compiler.compile input) in
+  let rt =
+    Runtime.create
+      ~engine:{ Runtime.Engine.default with telemetry = Telemetry.Level.Journeys }
+      compiled
+  in
+  Nflib.Catalog.attach_handlers rt compiled;
   let flow =
     {
       Netpkt.Flow.src = ip "203.0.113.9";
@@ -30,27 +38,28 @@ let () =
       ~dst_mac:(mac "02:00:00:00:00:fe") flow
   in
   Format.printf "tracing %a@.@." Netpkt.Flow.pp_five_tuple flow;
-  let frame = Netpkt.Pkt.encode pkt in
-  match Asic.Chip.inject compiled.Compiler.chip ~in_port:0 frame with
+  let res = Runtime.process rt ~in_port:0 (Netpkt.Pkt.encode pkt) in
+  let journeys = Observe.journeys (Option.get (Runtime.telemetry rt)) in
+  List.iter (Format.printf "%a@." Telemetry.Journey.pp_trace) journeys;
+  (match res with
   | Error e -> Format.printf "error: %s@." e
-  | Ok r ->
-      List.iter
-        (fun ev ->
-          match ev with
-          | P4ir.Control.T_table (t, a, hit) ->
-              Format.printf "  table %-28s -> %-14s %s@." t a
-                (if hit then "(hit)" else "(miss)")
-          | P4ir.Control.T_gateway (c, v) -> Format.printf "  if %s -> %b@." c v
-          | P4ir.Control.T_enter l -> Format.printf "  >> NF %s@." l)
-        r.Asic.Chip.trace;
-      Format.printf "@.pipelets visited: %s@."
-        (String.concat " -> "
-           (List.map
-              (fun id -> Format.asprintf "%a" Asic.Pipelet.pp_id id)
-              r.Asic.Chip.visits));
-      Format.printf "verdict: %s  recircs=%d resubmits=%d latency=%.0f ns@."
-        (match r.Asic.Chip.verdict with
+  | Ok o ->
+      let c = o.Runtime.counters in
+      Format.printf
+        "verdict: %s  cpu-round-trips=%d recircs=%d resubmits=%d latency=%.0f ns@."
+        (match o.Runtime.verdict with
         | Asic.Chip.Emitted { port; _ } -> Printf.sprintf "emitted on port %d" port
         | Asic.Chip.Dropped -> "dropped"
         | Asic.Chip.To_cpu _ -> "sent to the control plane")
-        r.Asic.Chip.recircs r.Asic.Chip.resubmits r.Asic.Chip.latency_ns
+        c.Runtime.Counters.cpu_round_trips c.Runtime.Counters.recircs
+        c.Runtime.Counters.resubmits c.Runtime.Counters.latency_ns);
+  let tables =
+    List.concat_map
+      (fun (j : Telemetry.Journey.t) ->
+        List.concat_map Telemetry.Journey.tables j.Telemetry.Journey.hops)
+      journeys
+  in
+  if tables = [] then begin
+    Format.eprintf "trace_packet: the journey recorded no table application@.";
+    exit 1
+  end

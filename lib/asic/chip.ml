@@ -193,24 +193,13 @@ type verdict =
   | Dropped
   | To_cpu of Bytes.t
 
-type mark = {
-  m_pipelet : Pipelet.id;
-  m_trace_end : int;
-  m_latency_ns : float;
-  m_recircs : int;
-  m_resubmits : int;
-  m_meta : Telemetry.Journey.hop_meta;
-}
-
 type result = {
   verdict : verdict;
   resubmits : int;
   recircs : int;
-  visits : Pipelet.id list;
   latency_ns : float;
-  trace : P4ir.Control.trace_event list;
   mirrored : (int * Bytes.t) list;
-  marks : mark list;
+  hops : Telemetry.Journey.hop list;
 }
 
 let pass_limit = 64
@@ -218,14 +207,14 @@ let pass_limit = 64
 type walk_state = {
   mutable resubmits : int;
   mutable recircs : int;
-  mutable visits : Pipelet.id list;  (* reversed *)
   mutable passes : int;
   mutable latency : float;
   trace : P4ir.Control.trace_event list ref option;
-      (* [Journeys] mode only: nothing else reads the trace *)
+      (* [Journeys] mode only: the current pass's events, reversed —
+         nothing but the hops reads them *)
   mutable mirrored : (int * Bytes.t) list;  (* reversed *)
-  mutable marks : mark list;
-      (* reversed; one per pipelet pass in Journeys mode *)
+  mutable hops : Telemetry.Journey.hop list;  (* reversed *)
+  mutable hop_from : float;  (* [latency] when the last hop ended *)
 }
 
 (* Standard-metadata accessors: every PHV a pipelet parses (in either
@@ -252,30 +241,31 @@ let finish st verdict =
       verdict;
       resubmits = st.resubmits;
       recircs = st.recircs;
-      visits = List.rev st.visits;
       latency_ns = st.latency;
-      trace = (match st.trace with Some r -> List.rev !r | None -> []);
       mirrored = List.rev st.mirrored;
-      marks = List.rev st.marks;
+      hops = List.rev st.hops;
     }
 
-(* In Journeys mode, remember where this pipelet pass ends in the
-   trace, the cumulative modelled latency and recirc/resubmit depth at
-   that point, and what the PHV looked like — enough to segment the
-   flat trace into per-hop spans and attribute per-hop latency (the
-   delta between consecutive marks) after the fact. *)
-let mark_pass t st pl phv =
-  if Telemetry.Level.journeys_on t.telem then
-    st.marks <-
-      {
-        m_pipelet = Pipelet.id pl;
-        m_trace_end = (match st.trace with Some r -> List.length !r | None -> 0);
-        m_latency_ns = st.latency;
-        m_recircs = st.recircs;
-        m_resubmits = st.resubmits;
-        m_meta = t.probe phv;
-      }
-      :: st.marks
+(* In Journeys mode, close this pipelet pass as a hop: its own events,
+   the modelled latency since the last hop ended (so the hops' shares
+   sum to the walk's latency), the recirc/resubmit depth and the
+   probe's read of the PHV — the INT-style record each pass leaves. *)
+let record_hop t st pl phv =
+  match st.trace with
+  | None -> ()
+  | Some events ->
+      st.hops <-
+        {
+          Telemetry.Journey.pipelet = Pipelet.name pl;
+          events = List.rev !events;
+          latency_ns = st.latency -. st.hop_from;
+          recirc_depth = st.recircs;
+          resubmit_depth = st.resubmits;
+          meta = t.probe phv;
+        }
+        :: st.hops;
+      st.hop_from <- st.latency;
+      events := []
 
 let rec ingress_pass t st ~pipeline ~entry_port frame =
   if st.passes >= pass_limit then
@@ -285,14 +275,13 @@ let rec ingress_pass t st ~pipeline ~entry_port frame =
   else begin
     st.passes <- st.passes + 1;
     let pl = t.ingress.(pipeline) in
-    st.visits <- Pipelet.id pl :: st.visits;
     st.latency <- st.latency +. Latency.pipe_pass_ns t.spec;
     match parse_frame t pl frame with
     | Error e -> Error e
     | Ok (phv, payload) ->
         set_ingress_port phv entry_port;
         run_pipelet t pl ?trace:st.trace phv;
-        mark_pass t st pl phv;
+        record_hop t st pl phv;
         (* Drop and punt-to-CPU decisions win over resubmission: an NF
            that punts mid-chain must not be replayed by the branching
            table's pending resubmit. *)
@@ -330,14 +319,13 @@ and egress_pass t st ~pipeline ~out_port ~from phv ~payload =
   else begin
     st.passes <- st.passes + 1;
     let pl = t.egress.(pipeline) in
-    st.visits <- Pipelet.id pl :: st.visits;
     st.latency <- st.latency +. Latency.pipe_pass_ns t.spec;
     match cross_tm t ~from pl phv ~payload with
     | Error e -> Error e
     | Ok (phv, payload) ->
         set_egress_port phv out_port;
         run_pipelet t pl ?trace:st.trace phv;
-        mark_pass t st pl phv;
+        record_hop t st pl phv;
         if get_drop phv = 1 then finish st Dropped
         else if get_to_cpu phv = 1 then
           finish st (To_cpu (deparse_frame t pl phv ~payload))
@@ -363,13 +351,13 @@ let fresh_state t =
   {
     resubmits = 0;
     recircs = 0;
-    visits = [];
     passes = 0;
     latency = 0.0;
     trace =
       (if Telemetry.Level.journeys_on t.telem then Some (ref []) else None);
     mirrored = [];
-    marks = [];
+    hops = [];
+    hop_from = 0.0;
   }
 
 let inject t ~in_port frame =

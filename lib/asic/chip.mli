@@ -20,7 +20,7 @@
     every frame that leaves the chip — emitted, punted to the CPU or
     mirrored — go through bytes in both modes. The modelled clock
     charges a parse and a deparse on every pass either way
-    ({!Latency.pipe_pass_ns}), so verdicts, frames, counters, traces
+    ({!Latency.pipe_pass_ns}), so verdicts, frames, counters, hops
     and latencies are identical in both modes; only host time
     differs. *)
 
@@ -62,8 +62,8 @@ type exec_mode =
 val exec_mode : t -> exec_mode
 val set_exec_mode : t -> exec_mode -> unit
 (** Switch how {!inject} executes pipelet controls. Both modes produce
-    identical verdicts, counters and trace events; [Reference] exists
-    for equivalence tests and as the benchmark baseline. *)
+    identical verdicts, counters and hops; [Reference] exists for
+    equivalence tests and as the benchmark baseline. *)
 
 val pipelets : t -> Pipelet.t list
 (** All loaded pipelets, ingress then egress (for telemetry walks). *)
@@ -104,11 +104,11 @@ val set_telemetry :
   ?label_counters:(string -> int ref) -> t -> Telemetry.Level.t -> unit
 (** Select the instrumentation level. [Counters] and above enable table
     hit/miss + per-entry stats and recompile controls with per-NF label
-    counters (from [label_counters]); [Journeys] additionally records a
-    per-pipelet-pass mark in each {!result}. [Off] disables everything
-    and recompiles the uninstrumented fast path — Off costs nothing per
-    packet. Observable packet behavior is identical at every level; only
-    [Journeys] fills a {!result}'s [trace] and [marks].
+    counters (from [label_counters]); [Journeys] additionally records
+    each pipelet pass as a hop in each {!result}. [Off] disables
+    everything and recompiles the uninstrumented fast path — Off costs
+    nothing per packet. Observable packet behavior is identical at
+    every level; only [Journeys] fills a {!result}'s [hops].
 
     This is chip-internal plumbing: application code configures
     telemetry through {!Runtime.set_telemetry} (or the runtime's engine
@@ -125,36 +125,19 @@ type verdict =
   | Dropped
   | To_cpu of Bytes.t
 
-(** One per-pipelet-pass telemetry stamp, recorded in [Journeys] mode:
-    where the pass ends in [trace], the cumulative modelled latency
-    and recirculation/resubmission depth when it ended, and the probe's
-    read of the PHV. Consecutive marks segment [trace] into per-hop
-    spans and their latency deltas are the per-hop latencies — the
-    INT-style record each hop leaves in the packet's metadata. *)
-type mark = {
-  m_pipelet : Pipelet.id;
-  m_trace_end : int;  (** trace length when this pass ended *)
-  m_latency_ns : float;  (** cumulative modelled latency at that point *)
-  m_recircs : int;  (** recirculations completed before this pass *)
-  m_resubmits : int;  (** resubmissions completed before this pass *)
-  m_meta : Telemetry.Journey.hop_meta;
-}
-
 type result = {
   verdict : verdict;
   resubmits : int;
   recircs : int;
-  visits : Pipelet.id list;  (** pipelets traversed, in order *)
   latency_ns : float;
-  trace : P4ir.Control.trace_event list;
-      (** oldest first; [Journeys] mode only (else []) — the control
-          trace costs a cons and an event per table and gateway, so it
-          is recorded only for the journey recorder *)
   mirrored : (int * Bytes.t) list;
       (** copies sent to the mirror port, oldest first *)
-  marks : mark list;
-      (** [Journeys] mode only (else []): one mark per pipelet pass, in
-          order — enough to segment [trace] into per-hop spans *)
+  hops : Telemetry.Journey.hop list;
+      (** [Journeys] mode only (else []): one hop per pipelet pass, in
+          order, whose latency shares sum to [latency_ns]. A pass's
+          control events cost a cons and an event per table, gateway
+          and NF block, so they are recorded only for the journey
+          recorder. *)
 }
 
 val inject : t -> in_port:int -> Bytes.t -> (result, string) Stdlib.result

@@ -1,10 +1,13 @@
 type kind = Ingress | Egress
 type id = { pipeline : int; kind : kind }
 
-let pp_id ppf id =
-  Format.fprintf ppf "%s %d"
-    (match id.kind with Ingress -> "ingress" | Egress -> "egress")
-    id.pipeline
+(* By concatenation, not [Format]: a chip replica renders its four
+   names on every sharded batch. *)
+let id_name id =
+  (match id.kind with Ingress -> "ingress" | Egress -> "egress")
+  ^ " " ^ string_of_int id.pipeline
+
+let pp_id ppf id = Format.pp_print_string ppf (id_name id)
 
 let equal_id a b = a.pipeline = b.pipeline && a.kind = b.kind
 
@@ -31,6 +34,9 @@ type emit = {
 
 type t = {
   id : id;
+  (* [id] rendered once, at load: what journey hops and telemetry
+     counters name the pipelet by. *)
+  name : string;
   program : P4ir.Program.t;
   (* The PHV layout of this pipelet: standard metadata first, then the
      parser's declarations — on a chip whose pipelets all parse the
@@ -174,6 +180,7 @@ let load ?layout spec id program =
   match P4ir.Program.validate program with
   | Error e -> Error e
   | Ok () -> (
+      let name = id_name id in
       (* Whole-pipelet gateway budget check; gateways live beside stages. *)
       let gw = P4ir.Control.gateway_count program.P4ir.Program.control in
       let gw_cap =
@@ -182,8 +189,8 @@ let load ?layout spec id program =
       in
       if gw > gw_cap then
         Error
-          (Printf.sprintf "pipelet %s: %d gateways exceed capacity %d"
-             (Format.asprintf "%a" pp_id id) gw gw_cap)
+          (Printf.sprintf "pipelet %s: %d gateways exceed capacity %d" name gw
+             gw_cap)
       else
         match allocate_stages spec program with
         | Error e -> Error e
@@ -199,10 +206,10 @@ let load ?layout spec id program =
                    (P4ir.Phv.decls (P4ir.Phv.of_layout own)))
             then
               Error
-                (Format.asprintf
-                   "pipelet %a: layout is not standard metadata then the \
+                (Printf.sprintf
+                   "pipelet %s: layout is not standard metadata then the \
                     parser's declarations"
-                   pp_id id)
+                   name)
             else begin
               P4ir.Phv.set_valid template Stdmeta.name;
               let demit = emit_plan layout program.P4ir.Program.deparse_order in
@@ -219,6 +226,7 @@ let load ?layout spec id program =
               Ok
                 {
                   id;
+                  name;
                   program;
                   layout;
                   compiled = P4ir.Program.compile_control ~layout program;
@@ -234,6 +242,7 @@ let load ?layout spec id program =
             end)
 
 let id t = t.id
+let name t = t.name
 let program t = t.program
 let tables t = t.program.P4ir.Program.tables
 let stage_of_table t name = List.assoc_opt name t.stage_alloc
@@ -252,7 +261,7 @@ let set_label_counters t counters =
    check per call guards every cell index it resolved. *)
 let check_layout t fn phv =
   if P4ir.Phv.layout phv != t.layout then
-    invalid_arg (Format.asprintf "Pipelet.%s %a: PHV of another layout" fn pp_id t.id)
+    invalid_arg (Printf.sprintf "Pipelet.%s %s: PHV of another layout" fn t.name)
 
 let process ?trace t phv =
   check_layout t "process" phv;

@@ -36,6 +36,11 @@ val allocate_stages :
 (** The packing pass alone (exposed for resource reports and tests). *)
 
 val id : t -> id
+
+val name : t -> string
+(** The id as {!pp_id} renders it (["ingress 0"]), rendered once at
+    {!load}: the pipelet's name in journey hops and table counters. *)
+
 val program : t -> P4ir.Program.t
 val tables : t -> P4ir.Table.t list
 (** The loaded program's (live) table handles — what telemetry walks to

@@ -1,7 +1,7 @@
 (* The glue between the generic telemetry library and this data plane:
    owns the registry and the flight-recorder ring, installs the chip
    hooks (table stats, per-NF label counters, the SFC journey probe),
-   and turns raw chip results into journey spans and JSON. *)
+   and exports snapshots as JSON. *)
 
 type t = {
   level : Telemetry.Level.t;
@@ -82,45 +82,6 @@ let error_class msg =
   else if has "parse" then "parse"
   else "other"
 
-let pipelet_name (id : Asic.Pipelet.id) =
-  Format.asprintf "%a" Asic.Pipelet.pp_id id
-
-(* Segment one chip result's flat trace into per-pass hops using the
-   marks the chip recorded in Journeys mode: mark k says "this pass's
-   events end at trace position k". Each mark carries the cumulative
-   modelled latency when its pass ended, so a hop's own latency is the
-   delta from the previous mark — the deltas sum back to the result's
-   end-to-end latency. *)
-let hops_of_result (r : Asic.Chip.result) =
-  let trace = Array.of_list r.Asic.Chip.trace in
-  let hop_of (m : Asic.Chip.mark) start prev_lat =
-    let nfs = ref [] and tables = ref [] and gateways = ref 0 in
-    for i = m.Asic.Chip.m_trace_end - 1 downto start do
-      match trace.(i) with
-      | P4ir.Control.T_enter nf -> nfs := nf :: !nfs
-      | P4ir.Control.T_table (tbl, act, hit) ->
-          tables := (tbl, act, hit) :: !tables
-      | P4ir.Control.T_gateway _ -> incr gateways
-    done;
-    {
-      Telemetry.Journey.pipelet = pipelet_name m.Asic.Chip.m_pipelet;
-      nfs = !nfs;
-      tables = !tables;
-      gateways = !gateways;
-      latency_ns = m.Asic.Chip.m_latency_ns -. prev_lat;
-      recirc_depth = m.Asic.Chip.m_recircs;
-      resubmit_depth = m.Asic.Chip.m_resubmits;
-      meta = m.Asic.Chip.m_meta;
-    }
-  in
-  let rec go start prev_lat = function
-    | [] -> []
-    | (m : Asic.Chip.mark) :: rest ->
-        hop_of m start prev_lat
-        :: go m.Asic.Chip.m_trace_end m.Asic.Chip.m_latency_ns rest
-  in
-  go 0 0.0 r.Asic.Chip.marks
-
 let verdict_string = function
   | Asic.Chip.Emitted { port; _ } -> Printf.sprintf "emitted:%d" port
   | Asic.Chip.Dropped -> "dropped"
@@ -150,8 +111,9 @@ let merge ~into src =
 let sync_tables t chip =
   List.iter
     (fun pl ->
-      let where = pipelet_name (Asic.Pipelet.id pl) in
-      let where = String.map (fun c -> if c = ' ' then '_' else c) where in
+      let where =
+        String.map (fun c -> if c = ' ' then '_' else c) (Asic.Pipelet.name pl)
+      in
       List.iter
         (fun tbl ->
           match P4ir.Table.stats tbl with
@@ -173,7 +135,7 @@ let snapshot t chip =
 let table_entry_hits chip =
   List.concat_map
     (fun pl ->
-      let where = pipelet_name (Asic.Pipelet.id pl) in
+      let where = Asic.Pipelet.name pl in
       List.filter_map
         (fun tbl ->
           match P4ir.Table.stats tbl with

@@ -1,8 +1,9 @@
 (** Telemetry glue for the Dejavu data plane: one registry + flight
-    recorder per observer, chip hook installation, journey assembly from
-    chip trace marks, and snapshot/JSON export. The runtime owns an
-    observer when telemetry is on (see {!Runtime.set_telemetry}); the
-    hot-path counters it bumps live in this observer's registry. *)
+    recorder per observer, chip hook installation, and snapshot/JSON
+    export. The journeys it records carry the hops the chip built, one
+    per pipelet pass ({!Asic.Chip.result}'s [hops]). The runtime owns
+    an observer when telemetry is on (see {!Runtime.set_telemetry});
+    the hot-path counters it bumps live in this observer's registry. *)
 
 type t
 
@@ -43,10 +44,6 @@ val error_class : string -> string
     [bad_egress], [parse], [other]) — the error/drop-reason counter
     suffix. *)
 
-val hops_of_result : Asic.Chip.result -> Telemetry.Journey.hop list
-(** Segment a chip result's flat trace into per-pipelet-pass hops using
-    its Journeys-mode marks (empty when marks are empty). *)
-
 val verdict_string : Asic.Chip.verdict -> string
 val next_journey_id : t -> int
 val record_journey : t -> Telemetry.Journey.t -> unit
@@ -65,7 +62,8 @@ val merge : into:t -> t -> unit
 
 val sync_tables : t -> Asic.Chip.t -> unit
 (** Copy live per-table hit/miss tallies into registry counters
-    ([table.<pipelet>.<name>.hits/.misses]). *)
+    ([table.<pipelet>.<name>.hits/.misses], the pipelet's
+    {!Asic.Pipelet.name} with [_] for the space). *)
 
 val snapshot : t -> Asic.Chip.t -> Telemetry.Registry.snapshot
 (** {!sync_tables} then snapshot the registry. *)

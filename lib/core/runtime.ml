@@ -461,10 +461,13 @@ let flow_key ~in_port frame =
 let process t ~in_port frame =
   (* [mirrored_rev] accumulates reversed (rev_append per pass, one final
      [List.rev]) so an N-round flow costs O(total) instead of the
-     quadratic [acc @ round] append. [rounds] counts completed CPU
-     round trips; the handler runs at most [max_cpu_loops] times — the
-     bound is exact, checked before each dispatch. *)
-  let jr =
+     quadratic [acc @ round] append. [c] is the packet's one set of
+     totals: completed CPU round trips, and the recircs, resubmits and
+     latency of every completed chip walk — what the outcome reports,
+     and what the journey reports whether the packet succeeds or fails.
+     The handler runs at most [max_cpu_loops] times — the bound is
+     exact, checked before each dispatch. *)
+  let hops =
     match t.obs with
     | Some os when Telemetry.Level.journeys_on (Observe.level os.o) ->
         Some (ref [])
@@ -477,7 +480,7 @@ let process t ~in_port frame =
         if in_port >= 0 && in_port < Array.length os.rx then incr os.rx.(in_port);
         Telemetry.Tclock.now_ns ()
   in
-  let rec loop frame rounds recircs resubmits latency mirrored_rev first =
+  let rec loop frame (c : Counters.t) mirrored_rev first =
     let injected =
       if first then Asic.Chip.inject t.chip ~in_port frame
       else
@@ -486,24 +489,25 @@ let process t ~in_port frame =
           frame
     in
     match injected with
-    | Error e -> Error e
+    | Error e -> Error (e, c)
     | Ok r -> (
-        (match jr with Some l -> l := r :: !l | None -> ());
-        let recircs = recircs + r.Asic.Chip.recircs in
-        let resubmits = resubmits + r.Asic.Chip.resubmits in
-        let latency = latency +. r.Asic.Chip.latency_ns in
+        (match hops with
+        | Some l -> l := List.rev_append r.Asic.Chip.hops !l
+        | None -> ());
+        let c =
+          {
+            c with
+            Counters.recircs = c.Counters.recircs + r.Asic.Chip.recircs;
+            resubmits = c.Counters.resubmits + r.Asic.Chip.resubmits;
+            latency_ns = c.Counters.latency_ns +. r.Asic.Chip.latency_ns;
+          }
+        in
         let mirrored_rev = List.rev_append r.Asic.Chip.mirrored mirrored_rev in
         let finish () =
           Ok
             {
               verdict = r.Asic.Chip.verdict;
-              counters =
-                {
-                  Counters.cpu_round_trips = rounds;
-                  recircs;
-                  resubmits;
-                  latency_ns = latency;
-                };
+              counters = c;
               mirrored = List.rev mirrored_rev;
             }
         in
@@ -513,21 +517,26 @@ let process t ~in_port frame =
             let sfc = decode_sfc bytes in
             match find_handler t sfc with
             | None -> finish ()
-            | Some _ when rounds >= max_cpu_loops ->
+            | Some _ when c.Counters.cpu_round_trips >= max_cpu_loops ->
                 Error
-                  (Printf.sprintf "Runtime.process: exceeded %d CPU loops"
-                     max_cpu_loops)
+                  ( Printf.sprintf "Runtime.process: exceeded %d CPU loops"
+                      max_cpu_loops,
+                    c )
             | Some handler -> (
                 match handler sfc bytes with
                 | Consume -> finish ()
                 | Reinject bytes ->
-                    loop bytes (rounds + 1) recircs resubmits latency
+                    loop bytes
+                      {
+                        c with
+                        Counters.cpu_round_trips = c.Counters.cpu_round_trips + 1;
+                      }
                       mirrored_rev false))
         | Asic.Chip.Emitted _ | Asic.Chip.Dropped -> finish ())
   in
   let res =
     match t.cache with
-    | None -> loop frame 0 0 0 0.0 [] true
+    | None -> loop frame Counters.zero [] true
     | Some c -> (
         match Flow_cache.lookup c ~in_port frame with
         | Some h ->
@@ -548,7 +557,7 @@ let process t ~in_port frame =
               }
         | None ->
             (match t.obs with Some os -> incr os.c_cache_miss | None -> ());
-            let res = loop frame 0 0 0 0.0 [] true in
+            let res = loop frame Counters.zero [] true in
             (match res with
             | Ok o ->
                 Flow_cache.commit c ~frame ~verdict:o.verdict
@@ -566,7 +575,7 @@ let process t ~in_port frame =
       let wall = Int64.to_int (Int64.sub (Telemetry.Tclock.now_ns ()) t0) in
       Telemetry.Histogram.observe os.h_ns wall;
       (match res with
-      | Error e ->
+      | Error (e, _) ->
           incr os.c_errors;
           incr
             (Telemetry.Registry.counter (Observe.registry os.o)
@@ -584,31 +593,13 @@ let process t ~in_port frame =
               incr os.c_dropped;
               incr os.c_drop_dp
           | Asic.Chip.To_cpu _ -> incr os.c_to_cpu));
-      match jr with
+      match hops with
       | None -> ()
       | Some l ->
-          let results = List.rev !l in
-          let hops = List.concat_map Observe.hops_of_result results in
-          let verdict, rounds, recircs, resubmits, latency =
+          let verdict, (c : Counters.t) =
             match res with
-            | Ok o ->
-                ( Observe.verdict_string o.verdict,
-                  o.counters.Counters.cpu_round_trips,
-                  o.counters.Counters.recircs,
-                  o.counters.Counters.resubmits,
-                  o.counters.Counters.latency_ns )
-            | Error e ->
-                (* The failed injection produced no result — reconstruct
-                   what we can from the completed passes. *)
-                ( "error:" ^ e,
-                  max 0 (List.length results - 1),
-                  List.fold_left (fun a r -> a + r.Asic.Chip.recircs) 0 results,
-                  List.fold_left
-                    (fun a r -> a + r.Asic.Chip.resubmits)
-                    0 results,
-                  List.fold_left
-                    (fun a r -> a +. r.Asic.Chip.latency_ns)
-                    0.0 results )
+            | Ok o -> (Observe.verdict_string o.verdict, o.counters)
+            | Error (e, c) -> ("error:" ^ e, c)
           in
           Observe.record_journey os.o
             {
@@ -616,14 +607,14 @@ let process t ~in_port frame =
               flow = flow_key ~in_port frame;
               in_port;
               verdict;
-              cpu_round_trips = rounds;
-              recircs;
-              resubmits;
-              latency_ns = latency;
+              cpu_round_trips = c.Counters.cpu_round_trips;
+              recircs = c.Counters.recircs;
+              resubmits = c.Counters.resubmits;
+              latency_ns = c.Counters.latency_ns;
               wall_ns = wall;
-              hops;
+              hops = List.rev !l;
             }));
-  res
+  Result.map_error fst res
 
 type batch_stats = {
   packets : int;

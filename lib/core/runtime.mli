@@ -150,7 +150,10 @@ val process : t -> in_port:int -> Bytes.t -> (outcome, string) result
 (** Inject a frame and resolve any to-CPU round trips. Counters
     aggregate over all data-plane passes. The handler is dispatched at
     most {!max_cpu_loops} times — exactly; a packet still punting after
-    that is an error. *)
+    that is an error. At [Journeys] the packet's journey holds the hops
+    of every chip walk it made, in order, and the same totals as its
+    outcome; a failed packet's journey reads ["error:<msg>"] with the
+    totals and hops of the walks it completed. *)
 
 val max_cpu_loops : int
 val chip : t -> Asic.Chip.t

@@ -14,7 +14,7 @@ let make name body = { name; body }
 
 type table_env = string -> Table.t option
 
-type trace_event =
+type trace_event = Telemetry.Journey.event =
   | T_table of string * string * bool
   | T_gateway of string * bool
   | T_enter of string

@@ -20,7 +20,10 @@ val make : string -> block -> t
 
 type table_env = string -> Table.t option
 
-type trace_event =
+(** One control event — the journey recorder's {!Telemetry.Journey.event},
+    re-exported: the trace is only ever recorded for the per-pass hops
+    the chip builds in [Journeys] mode. *)
+type trace_event = Telemetry.Journey.event =
   | T_table of string * string * bool  (** table, action run, hit *)
   | T_gateway of string * bool  (** rendered condition, outcome *)
   | T_enter of string  (** entered a labeled region *)

@@ -1,3 +1,8 @@
+type event =
+  | T_table of string * string * bool
+  | T_gateway of string * bool
+  | T_enter of string
+
 type hop_meta = {
   sfc : (int * int) option;
   headers : string list;
@@ -7,14 +12,28 @@ let no_meta = { sfc = None; headers = [] }
 
 type hop = {
   pipelet : string;
-  nfs : string list;
-  tables : (string * string * bool) list;
-  gateways : int;
+  events : event list;
   latency_ns : float;
   recirc_depth : int;
   resubmit_depth : int;
   meta : hop_meta;
 }
+
+let nfs h = List.filter_map (function T_enter nf -> Some nf | _ -> None) h.events
+
+let tables h =
+  List.filter_map
+    (function T_table (t, a, hit) -> Some (t, a, hit) | _ -> None)
+    h.events
+
+let gateways h =
+  List.fold_left (fun n -> function T_gateway _ -> n + 1 | _ -> n) 0 h.events
+
+let pp_event ppf = function
+  | T_table (t, a, hit) ->
+      Format.fprintf ppf "%-30s -> %-14s %s" t a (if hit then "(hit)" else "(miss)")
+  | T_gateway (c, v) -> Format.fprintf ppf "if %s -> %b" c v
+  | T_enter nf -> Format.fprintf ppf ">> %s" nf
 
 type t = {
   id : int;
@@ -45,8 +64,8 @@ let hop_json h =
       ("latency_ns", Json.fixed 1 h.latency_ns);
       ("recirc_depth", Json.Int h.recirc_depth);
       ("resubmit_depth", Json.Int h.resubmit_depth);
-      ("nfs", strings h.nfs);
-      ("gateways", Json.Int h.gateways);
+      ("nfs", strings (nfs h));
+      ("gateways", Json.Int (gateways h));
       ("headers", strings h.meta.headers);
       ( "tables",
         Json.List
@@ -58,7 +77,7 @@ let hop_json h =
                    ("action", Json.String a);
                    ("hit", Json.Bool hit);
                  ])
-             h.tables) );
+             (tables h)) );
     ]
 
 let json t =
@@ -95,13 +114,21 @@ let pp ppf t =
       (match h.meta.sfc with
       | Some (spid, si) -> Format.fprintf ppf "  sfc=(%d,%d)" spid si
       | None -> ());
-      if h.nfs <> [] then
-        Format.fprintf ppf "  nfs=[%s]" (String.concat "," h.nfs);
+      (match nfs h with
+      | [] -> ()
+      | l -> Format.fprintf ppf "  nfs=[%s]" (String.concat "," l));
       List.iter
         (fun (t, a, hit) ->
           Format.fprintf ppf "@,%-30s -> %-16s %s" t a
             (if hit then "(hit)" else "(miss)"))
-        h.tables;
+        (tables h);
       Format.fprintf ppf "@]@,")
     t.hops;
   Format.fprintf ppf "@]"
+
+let pp_trace ppf t =
+  List.iter
+    (fun h ->
+      Format.fprintf ppf "%s@\n" h.pipelet;
+      List.iter (Format.fprintf ppf "  %a@\n" pp_event) h.events)
+    t.hops

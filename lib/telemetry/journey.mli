@@ -1,11 +1,21 @@
 (** One packet's journey through the chip — the one per-packet hop
     record, feeding both the flight recorder and the INT per-flow
-    aggregate ({!Int_report}): the per-pass hops (pipelet, tables
-    applied with the action that ran, NF blocks entered, parsed
-    headers, SFC position), plus the flow key, end-to-end verdict and
-    counters.
-    Everything is plain strings/ints so the data plane layers can fill
-    it in without this library knowing their types. *)
+    aggregate ({!Int_report}): one hop per pipelet pass, which the chip
+    builds as the pass ends (pipelet, the pass's control events, its
+    share of the modelled latency, its recirculation/resubmission depth
+    and the probe's read of the PHV), plus the flow key, end-to-end
+    verdict and counters.
+
+    The control events live here because the journey recorder is their
+    only consumer: [P4ir.Control.trace_event] re-exports {!event}, and
+    a control run builds events only when the chip records hops, at
+    [Journeys]. Everything is plain strings/ints so the data plane
+    layers can fill it in without this library knowing their types. *)
+
+type event =
+  | T_table of string * string * bool  (** table, action run, hit *)
+  | T_gateway of string * bool  (** rendered condition, outcome *)
+  | T_enter of string  (** entered a labeled region (an NF block) *)
 
 type hop_meta = {
   sfc : (int * int) option;
@@ -18,18 +28,21 @@ val no_meta : hop_meta
 
 type hop = {
   pipelet : string;  (** e.g. "ingress 0" *)
-  nfs : string list;  (** NF blocks entered during the pass, in order *)
-  tables : (string * string * bool) list;
-      (** (table, action run, hit) in application order *)
-  gateways : int;  (** gateway conditions evaluated during the pass *)
+  events : event list;  (** the pass's control events, oldest first *)
   latency_ns : float;
       (** modelled chip latency attributed to this pass: the pipelet
           walk plus any TM / recirculation cost paid to reach it —
-          per-hop latencies sum to the result's end-to-end latency *)
+          per-hop latencies sum to the walk's end-to-end latency *)
   recirc_depth : int;  (** recirculations completed before this pass *)
   resubmit_depth : int;  (** resubmissions completed before this pass *)
   meta : hop_meta;
 }
+
+val nfs : hop -> string list
+(** NF blocks entered during the pass, in order. *)
+
+val tables : hop -> (string * string * bool) list
+(** (table, action run, hit) in application order. *)
 
 type t = {
   id : int;  (** recorder sequence number *)
@@ -49,8 +62,15 @@ type t = {
 
 val json : t -> Json.t
 (** The journey as a JSON value: its fields, then [hops] as one object
-    per pass. *)
+    per pass, with its NFs, gateway count and tables read off the
+    pass's events. *)
 
 val to_json : t -> string
 val list_to_json : t list -> string
 val pp : Format.formatter -> t -> unit
+
+val pp_trace : Format.formatter -> t -> unit
+(** The journey's control trace: each hop's pipelet on a line of its
+    own, then the pass's events one per indented line —
+    [<table> -> <action> (hit)] or [(miss)], [if <condition> -> <outcome>],
+    or [>> <nf>]. *)

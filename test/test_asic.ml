@@ -35,9 +35,21 @@ let test_port_modes () =
 
 (* --- chip walk --- *)
 
+(* At [Journeys] the chip records one hop per pipelet pass: [visited]
+   reads the pipelets a walk passed through, in order, off its hops. *)
+let recording chip =
+  Asic.Chip.set_telemetry chip Telemetry.Level.Journeys;
+  chip
+
+let visited (r : Asic.Chip.result) =
+  List.map
+    (fun (h : Telemetry.Journey.hop) -> h.Telemetry.Journey.pipelet)
+    r.Asic.Chip.hops
+
 let test_forwarding () =
   let chip =
-    Fixtures.load_tiny_chip (Fixtures.forwarder ~out_port:17 ~resubmit_once:false)
+    recording
+      (Fixtures.load_tiny_chip (Fixtures.forwarder ~out_port:17 ~resubmit_once:false))
   in
   match Asic.Chip.inject chip ~in_port:0 (Fixtures.eth_frame ()) with
   | Error e -> Alcotest.fail e
@@ -47,8 +59,8 @@ let test_forwarding () =
           check Alcotest.int "out port" 17 port;
           check Alcotest.int "no recircs" 0 r.Asic.Chip.recircs;
           (* ingress 0 then egress 1 (port 17 is on pipeline 1) *)
-          check Alcotest.int "two pipelets visited" 2
-            (List.length r.Asic.Chip.visits)
+          check Alcotest.(list string) "two pipelets visited"
+            [ "ingress 0"; "egress 1" ] (visited r)
       | _ -> Alcotest.fail "expected emission")
 
 let test_resubmission () =
@@ -72,17 +84,15 @@ let test_recirculation_via_recirc_port () =
      0 -> emitted on port 0... to keep it simple, ingress 1 is a
      passthrough so the resulting egress_spec stays 0 (port 0). *)
   let chip =
-    Fixtures.load_tiny_chip (Fixtures.forwarder ~out_port:257 ~resubmit_once:false)
+    recording
+      (Fixtures.load_tiny_chip (Fixtures.forwarder ~out_port:257 ~resubmit_once:false))
   in
   match Asic.Chip.inject chip ~in_port:0 (Fixtures.eth_frame ()) with
   | Error e -> Alcotest.fail e
   | Ok r ->
       check Alcotest.int "one recirculation" 1 r.Asic.Chip.recircs;
       check Alcotest.bool "visited ingress 1 after recirc" true
-        (List.exists
-           (fun (id : Asic.Pipelet.id) ->
-             id.Asic.Pipelet.pipeline = 1 && id.Asic.Pipelet.kind = Asic.Pipelet.Ingress)
-           r.Asic.Chip.visits)
+        (List.mem "ingress 1" (visited r))
 
 let test_loopback_port_recirculates () =
   let ports = Asic.Port.make spec in

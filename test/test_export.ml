@@ -221,9 +221,7 @@ let test_window_rates () =
 let hop ?(recirc = 0) ?(resubmit = 0) lat =
   {
     Telemetry.Journey.pipelet = "ingress 0";
-    nfs = [];
-    tables = [];
-    gateways = 0;
+    events = [];
     latency_ns = lat;
     recirc_depth = recirc;
     resubmit_depth = resubmit;
@@ -404,9 +402,7 @@ let test_int_sink_via_runtime () =
    compared as sums below, where rounding is controlled). *)
 let hop_shape (h : Telemetry.Journey.hop) =
   ( h.Telemetry.Journey.pipelet,
-    h.Telemetry.Journey.nfs,
-    h.Telemetry.Journey.tables,
-    h.Telemetry.Journey.gateways,
+    h.Telemetry.Journey.events,
     h.Telemetry.Journey.recirc_depth,
     h.Telemetry.Journey.resubmit_depth,
     h.Telemetry.Journey.meta )

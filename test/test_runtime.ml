@@ -197,11 +197,14 @@ let test_reinject_loop_bounded () =
   (* A handler that always reinjects without installing anything: the
      packet punts forever and [process] must stop with an error after
      dispatching the handler exactly [max_cpu_loops] times (the old
-     guard allowed one extra round trip). *)
+     guard allowed one extra round trip). At [Journeys] the failed
+     packet still leaves a journey: every walk it completed, two passes
+     each, under the error verdict. *)
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
   let rt = Runtime.create compiled in
+  Runtime.set_telemetry rt Telemetry.Level.Journeys;
   Runtime.register_nf_id rt "lb" (Runtime.default_nf_id "lb");
   let count = ref 0 in
   Runtime.on_to_cpu_state rt "lb" (fun _ _ _ bytes ->
@@ -219,7 +222,50 @@ let test_reinject_loop_bounded () =
   | Error e ->
       check Alcotest.bool "error mentions CPU loops" true (contains e "CPU loops");
       check Alcotest.int "handler ran exactly max_cpu_loops times"
-        Runtime.max_cpu_loops !count
+        Runtime.max_cpu_loops !count;
+      let j =
+        match Observe.journeys (Option.get (Runtime.telemetry rt)) with
+        | [ j ] -> j
+        | js -> Alcotest.failf "expected one journey, got %d" (List.length js)
+      in
+      check Alcotest.string "error verdict"
+        "error:Runtime.process: exceeded 8 CPU loops" j.Telemetry.Journey.verdict;
+      check Alcotest.int "round trips" Runtime.max_cpu_loops
+        j.Telemetry.Journey.cpu_round_trips;
+      check Alcotest.int "two passes per walk"
+        (2 * (Runtime.max_cpu_loops + 1))
+        (List.length j.Telemetry.Journey.hops);
+      check (Alcotest.float 1e-6) "modelled latency" 5362.0
+        j.Telemetry.Journey.latency_ns;
+      check (Alcotest.float 1e-6) "latency is the sum of the hops"
+        j.Telemetry.Journey.latency_ns
+        (List.fold_left
+           (fun acc (h : Telemetry.Journey.hop) -> acc +. h.Telemetry.Journey.latency_ns)
+           0.0 j.Telemetry.Journey.hops)
+
+let test_reinject_error_journey () =
+  (* A handler that reinjects a frame the parser rejects: the packet
+     fails in the walk after its first round trip, and its journey
+     reads that round trip and the first walk's two passes. *)
+  let compiled =
+    Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
+  in
+  let rt = Runtime.create compiled in
+  Runtime.set_telemetry rt Telemetry.Level.Journeys;
+  Runtime.register_nf_id rt "lb" (Runtime.default_nf_id "lb");
+  Runtime.on_to_cpu_state rt "lb" (fun _ _ _ _ ->
+      Runtime.Reinject (Bytes.make 8 '\000'));
+  match
+    Runtime.process rt ~in_port:0 (Netpkt.Pkt.encode (vip_pkt ~src_port:4243))
+  with
+  | Ok _ -> Alcotest.fail "expected the reinjected walk to fail"
+  | Error e ->
+      let j = List.hd (Observe.journeys (Option.get (Runtime.telemetry rt))) in
+      check Alcotest.string "error verdict" ("error:" ^ e)
+        j.Telemetry.Journey.verdict;
+      check Alcotest.int "one round trip" 1 j.Telemetry.Journey.cpu_round_trips;
+      check Alcotest.int "the first walk's passes" 2
+        (List.length j.Telemetry.Journey.hops)
 
 (* --- Batch processing: determinism and Fast/Reference equivalence --- *)
 
@@ -281,8 +327,8 @@ let test_batch_fast_matches_reference () =
    handed across the traffic manager) and the Reference walk (name-resolved PHV,
    interpreted parser and control, bytes at every pipe boundary) give
    the same result — verdict, emitted bytes (checksums included), pass
-   counts, latency, control trace and journey marks — or the same error
-   text. Frames start from each chip's templates and get random
+   counts, latency and hops, control events included — or the same
+   error text. Frames start from each chip's templates and get random
    truncation, byte flips and trailing bytes, so truncated headers,
    unknown ethertypes and bad lengths all occur. The chips:
    - the Fig. 2 policy as placed for the paper (no recirculation);
@@ -340,7 +386,7 @@ let prop_random_frames_fast_matches_reference =
         [ Fixtures.eth_frame (); Fixtures.eth_frame ~src:7L () ] );
     |]
     |> Array.map (fun (name, chip, frames) ->
-           (* Journeys: the trace and marks are compared too. *)
+           (* Journeys: the hops are compared too. *)
            Asic.Chip.set_telemetry chip Telemetry.Level.Journeys;
            (name, chip, Array.of_list frames))
   in
@@ -454,6 +500,8 @@ let () =
             test_unhandled_cpu_packet_terminates;
           Alcotest.test_case "reinject loop bounded" `Quick
             test_reinject_loop_bounded;
+          Alcotest.test_case "reinject error journey" `Quick
+            test_reinject_error_journey;
         ] );
       ( "batch",
         [

@@ -264,8 +264,9 @@ let prop_observation_only =
       off = on)
 
 (* The control trace is a journey-recorder artifact: only [Journeys]
-   records it, and recording it changes nothing the packet sees — the
-   fast path's trace equals the reference interpreter's. *)
+   records hops, and recording them changes nothing the packet sees —
+   the fast path's hops, control events included, equal the reference
+   interpreter's. *)
 let test_traces_unchanged () =
   let frame = frame_of_kind 0 7 in
   let walk ?(mode = Asic.Chip.Fast) level =
@@ -273,11 +274,14 @@ let test_traces_unchanged () =
     Runtime.set_telemetry rt level;
     Asic.Chip.set_exec_mode (Runtime.chip rt) mode;
     match Asic.Chip.inject (Runtime.chip rt) ~in_port:0 frame with
-    | Ok r -> r.Asic.Chip.trace
+    | Ok r -> r.Asic.Chip.hops
     | Error e -> Alcotest.fail e
   in
   let traced = walk Telemetry.Level.Journeys in
-  check Alcotest.bool "Journeys records a trace" true (traced <> []);
+  check Alcotest.bool "Journeys records a trace" true
+    (List.exists
+       (fun (h : Telemetry.Journey.hop) -> h.Telemetry.Journey.events <> [])
+       traced);
   check Alcotest.bool "Off records none" true (walk Telemetry.Level.Off = []);
   check Alcotest.bool "Counters records none" true
     (walk Telemetry.Level.Counters = []);
@@ -366,11 +370,18 @@ let test_journey_capture () =
   check Alcotest.string "first hop is ingress 0" "ingress 0"
     hop.Telemetry.Journey.pipelet;
   check Alcotest.bool "hop saw the classifier" true
-    (List.mem "classifier" hop.Telemetry.Journey.nfs);
+    (List.mem "classifier" (Telemetry.Journey.nfs hop));
   check Alcotest.bool "hop records tables with actions" true
     (List.exists
        (fun (t, a, hit) -> t = "classifier__classify" && a = "set_path" && hit)
-       hop.Telemetry.Journey.tables);
+       (Telemetry.Journey.tables hop));
+  (* A hop holds its own pass's events only: the classifier runs once
+     per packet. *)
+  check Alcotest.int "classifier in one hop" 1
+    (List.length
+       (List.filter
+          (fun h -> List.mem "classifier" (Telemetry.Journey.nfs h))
+          j.Telemetry.Journey.hops));
   (* The parser path (valid headers) rides in hop meta. *)
   check Alcotest.bool "parser path includes eth" true
     (List.mem "eth" hop.Telemetry.Journey.meta.Telemetry.Journey.headers);
