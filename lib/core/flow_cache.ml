@@ -45,23 +45,22 @@ type rop =
 type tdep = { dtbl : P4ir.Table.t; tepoch : int }
 type rdep = { dreg : P4ir.Register.t; repoch : int }
 
+(* The tables and registers a verdict read, each with the epoch it was
+   read at. Flows down one path read the same ones at the same epochs,
+   so entries share their plan through the memo in [t]. *)
+type plan = { tdeps : tdep array; rdeps : rdep array }
+
 type cverdict = V_emit of { port : int; prefix : Bytes.t } | V_drop
 
 type entry = {
   verdict : cverdict;
   latency_ns : float;
-  tdeps : tdep array;
-  rdeps : rdep array;
+  plan : plan;
   ops : rop array;  (* register reads and writes, recorded order *)
 }
 
-(* Intrusive LRU list node; [head] is most recent. *)
-type node = {
-  nkey : string;
-  entry : entry;
-  mutable prev : node option;
-  mutable next : node option;
-}
+let no_plan = { tdeps = [||]; rdeps = [||] }
+let no_entry = { verdict = V_drop; latency_ns = 0.0; plan = no_plan; ops = [||] }
 
 type recording = {
   mutable r_tdeps : tdep list;  (* reversed *)
@@ -79,17 +78,47 @@ type stats = {
   mutable evictions : int;
 }
 
+(* Why [commit] refused a run, in the order it checks them: the first
+   that applies is the one counted. *)
+let reasons =
+  [| "punt"; "recirc"; "resubmit"; "mirror"; "to_cpu"; "payload_rewritten";
+     "dep_mutated" |]
+
+let r_punt = 0
+and r_recirc = 1
+and r_resubmit = 2
+and r_mirror = 3
+and r_to_cpu = 4
+and r_payload = 5
+and r_mutated = 6
+
+(* Plans kept for sharing: the most recently committed distinct ones. *)
+let plan_memo_size = 8
+
+(* An entry lives in a slot: its key, its entry and its LRU links sit
+   at one index of parallel arrays. The links are ints ([-1] ends a
+   list), so a hit's touch writes no pointer and allocates nothing.
+   Free slots are threaded through [next]. *)
 type t = {
   capacity : int;
-  tbl : (string, node) Hashtbl.t;
-  mutable head : node option;
-  mutable tail : node option;
+  tbl : (string, int) Hashtbl.t;  (* key -> slot *)
+  mutable keys : string array;
+  mutable entries : entry array;
+  mutable prev : int array;
+  mutable next : int array;
+  mutable head : int;  (* most recent *)
+  mutable tail : int;
+  mutable free : int;
+  mutable used : int;  (* slots [0, used) have been handed out *)
   mutable len : int;
   (* Armed between a miss and its commit/abort; the table/register
      hook closures route into it. [None] makes every hook a no-op. *)
   mutable recording : recording option;
   mutable pending_key : string option;
   stats : stats;
+  refused : int array;  (* uncacheable runs, by index into [reasons] *)
+  plans : plan array;
+  mutable plan_next : int;  (* the memo slot the next new plan takes *)
   tables : P4ir.Table.t list;
   registers : P4ir.Register.t list;
 }
@@ -116,50 +145,53 @@ let ethertype_ipv4 = Netpkt.Eth.ethertype_ipv4
 let ethertype_vlan = Netpkt.Eth.ethertype_vlan
 let udp_port_vxlan = 4789
 
+(* The walk's steps are top-level functions of the frame and its length,
+   not closures over them, so computing a key allocates only the key. *)
+
+(* IPv4 at [off]; [overlay] opens the VXLAN branch under UDP. *)
+let rec l3_len frame n ~overlay off =
+  let u8 = Netpkt.Bytes_util.get_uint8 and u16 = Netpkt.Bytes_util.get_uint16 in
+  if off + 20 > n then n
+  else
+    let proto = u8 frame (off + 9) in
+    let l4 = off + 20 in
+    if proto = Netpkt.Ipv4.proto_tcp then if l4 + 20 > n then n else l4 + 20
+    else if proto = Netpkt.Ipv4.proto_udp then
+      if l4 + 8 > n then n
+      else if overlay && u16 frame (l4 + 2) = udp_port_vxlan then begin
+        (* vxlan(8) + inner_eth(14), then the inner stack. *)
+        let ie = l4 + 8 + 8 in
+        if ie + 14 > n then n
+        else if u16 frame (ie + 12) = ethertype_ipv4 then
+          l3_len frame n ~overlay:false (ie + 14)
+        else ie + 14
+      end
+      else l4 + 8
+    else l4
+
+let vlan_len frame n off =
+  if off + 4 > n then n
+  else if Netpkt.Bytes_util.get_uint16 frame (off + 2) = ethertype_ipv4 then
+    l3_len frame n ~overlay:true (off + 4)
+  else off + 4
+
 let header_len frame =
   let n = Bytes.length frame in
-  let u8 = Netpkt.Bytes_util.get_uint8 in
-  let u16 = Netpkt.Bytes_util.get_uint16 in
-  (* IPv4 at [off]; [overlay] opens the VXLAN branch under UDP. *)
-  let rec l3 ~overlay off =
-    if off + 20 > n then n
-    else
-      let proto = u8 frame (off + 9) in
-      let l4 = off + 20 in
-      if proto = Netpkt.Ipv4.proto_tcp then if l4 + 20 > n then n else l4 + 20
-      else if proto = Netpkt.Ipv4.proto_udp then
-        if l4 + 8 > n then n
-        else if overlay && u16 frame (l4 + 2) = udp_port_vxlan then begin
-          (* vxlan(8) + inner_eth(14), then the inner stack. *)
-          let ie = l4 + 8 + 8 in
-          if ie + 14 > n then n
-          else if u16 frame (ie + 12) = ethertype_ipv4 then
-            l3 ~overlay:false (ie + 14)
-          else ie + 14
-        end
-        else l4 + 8
-      else l4
-  in
-  let vlan off =
-    if off + 4 > n then n
-    else if u16 frame (off + 2) = ethertype_ipv4 then l3 ~overlay:true (off + 4)
-    else off + 4
-  in
   if n < 14 then n
   else
-    let et = u16 frame 12 in
+    let et = Netpkt.Bytes_util.get_uint16 frame 12 in
     if et = ethertype_sfc then begin
       let sfc_end = 14 + Sfc_header.byte_size in
       if sfc_end > n then n
       else
         (* next_protocol is the SFC header's last byte. *)
-        let np = u8 frame (sfc_end - 1) in
-        if np = Sfc_header.next_proto_ipv4 then l3 ~overlay:true sfc_end
-        else if np = 2 then vlan sfc_end
+        let np = Netpkt.Bytes_util.get_uint8 frame (sfc_end - 1) in
+        if np = Sfc_header.next_proto_ipv4 then l3_len frame n ~overlay:true sfc_end
+        else if np = 2 then vlan_len frame n sfc_end
         else sfc_end
     end
-    else if et = ethertype_ipv4 then l3 ~overlay:true 14
-    else if et = ethertype_vlan then vlan 14
+    else if et = ethertype_ipv4 then l3_len frame n ~overlay:true 14
+    else if et = ethertype_vlan then vlan_len frame n 14
     else 14
 
 let key_of ~in_port frame =
@@ -219,6 +251,24 @@ let detach t =
       P4ir.Register.set_on_write reg None)
     t.registers
 
+(* Small at first and doubled as entries arrive, like [Hashtbl]'s
+   buckets: a shard replica's cache that sees a few hundred flows must
+   not pay for slot arrays sized for [capacity]. *)
+let initial_slots = 16
+
+let clear t =
+  Hashtbl.reset t.tbl;
+  let n = min t.capacity initial_slots in
+  t.keys <- Array.make n "";
+  t.entries <- Array.make n no_entry;
+  t.prev <- Array.make n (-1);
+  t.next <- Array.make n (-1);
+  t.head <- -1;
+  t.tail <- -1;
+  t.free <- -1;
+  t.used <- 0;
+  t.len <- 0
+
 let create ~capacity chip =
   let pipelets = Asic.Chip.pipelets chip in
   let tables = List.concat_map Asic.Pipelet.tables pipelets in
@@ -230,12 +280,16 @@ let create ~capacity chip =
   let t =
     {
       capacity = max 1 capacity;
-      (* Small at first, doubled by [Hashtbl] as entries arrive: a
-         shard replica's cache that sees a few hundred flows must not
-         pay for a bucket array sized for [capacity]. *)
-      tbl = Hashtbl.create 16;
-      head = None;
-      tail = None;
+      tbl = Hashtbl.create initial_slots;
+      (* [clear] sizes the slot arrays. *)
+      keys = [||];
+      entries = [||];
+      prev = [||];
+      next = [||];
+      head = -1;
+      tail = -1;
+      free = -1;
+      used = 0;
       len = 0;
       recording = None;
       pending_key = None;
@@ -249,51 +303,75 @@ let create ~capacity chip =
           inserts = 0;
           evictions = 0;
         };
+      refused = Array.make (Array.length reasons) 0;
+      plans = Array.make plan_memo_size no_plan;
+      plan_next = 0;
       tables;
       registers;
     }
   in
+  clear t;
   arm t;
   t
 
-(* --- LRU plumbing --- *)
+(* --- Slots and LRU plumbing --- *)
 
-let unlink t n =
-  (match n.prev with Some p -> p.next <- n.next | None -> t.head <- n.next);
-  (match n.next with Some s -> s.prev <- n.prev | None -> t.tail <- n.prev);
-  n.prev <- None;
-  n.next <- None
+let unlink t s =
+  let p = t.prev.(s) and n = t.next.(s) in
+  if p >= 0 then t.next.(p) <- n else t.head <- n;
+  if n >= 0 then t.prev.(n) <- p else t.tail <- p
 
-let push_front t n =
-  n.next <- t.head;
-  n.prev <- None;
-  (match t.head with Some h -> h.prev <- Some n | None -> t.tail <- Some n);
-  t.head <- Some n
+let push_front t s =
+  t.prev.(s) <- -1;
+  t.next.(s) <- t.head;
+  if t.head >= 0 then t.prev.(t.head) <- s else t.tail <- s;
+  t.head <- s
 
-let touch t n =
-  match t.head with
-  | Some h when h == n -> ()
-  | _ ->
-      unlink t n;
-      push_front t n
+let touch t s =
+  if t.head <> s then begin
+    unlink t s;
+    push_front t s
+  end
 
-let remove t n =
-  unlink t n;
-  Hashtbl.remove t.tbl n.nkey;
+(* A free slot, growing the arrays when every slot is taken. Only called
+   with [len < capacity], so they never grow past [capacity]. *)
+let take_slot t =
+  if t.free >= 0 then begin
+    let s = t.free in
+    t.free <- t.next.(s);
+    s
+  end
+  else begin
+    let n = Array.length t.keys in
+    if t.used = n then begin
+      let n' = min t.capacity (2 * n) in
+      let grow a fill =
+        let a' = Array.make n' fill in
+        Array.blit a 0 a' 0 n;
+        a'
+      in
+      t.keys <- grow t.keys "";
+      t.entries <- grow t.entries no_entry;
+      t.prev <- grow t.prev (-1);
+      t.next <- grow t.next (-1)
+    end;
+    let s = t.used in
+    t.used <- s + 1;
+    s
+  end
+
+let remove t s =
+  unlink t s;
+  Hashtbl.remove t.tbl t.keys.(s);
+  t.keys.(s) <- "";
+  t.entries.(s) <- no_entry;
+  t.next.(s) <- t.free;
+  t.free <- s;
   t.len <- t.len - 1
-
-let clear t =
-  Hashtbl.reset t.tbl;
-  t.head <- None;
-  t.tail <- None;
-  t.len <- 0
 
 (* Keys most-recent-first — the LRU order, for tests. *)
 let keys_mru t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (n.nkey :: acc) n.next
-  in
+  let rec go acc s = if s < 0 then List.rev acc else go (t.keys.(s) :: acc) t.next.(s) in
   go [] t.head
 
 (* --- Validation and replay --- *)
@@ -310,17 +388,18 @@ type validity = Valid | Epoch_changed | Read_mismatch
 
 let validate e =
   let ok = ref true in
-  let n = Array.length e.tdeps in
+  let { tdeps; rdeps } = e.plan in
+  let n = Array.length tdeps in
   let i = ref 0 in
   while !ok && !i < n do
-    let d = e.tdeps.(!i) in
+    let d = tdeps.(!i) in
     if P4ir.Table.epoch d.dtbl <> d.tepoch then ok := false;
     incr i
   done;
-  let n = Array.length e.rdeps in
+  let n = Array.length rdeps in
   let i = ref 0 in
   while !ok && !i < n do
-    let d = e.rdeps.(!i) in
+    let d = rdeps.(!i) in
     if P4ir.Register.epoch d.dreg <> d.repoch then ok := false;
     incr i
   done;
@@ -363,50 +442,49 @@ let replay_writes e =
 
 type hit = { verdict : Asic.Chip.verdict; latency_ns : float }
 
+let miss t key =
+  t.stats.misses <- t.stats.misses + 1;
+  (* Arm recording for the full-pipeline run that follows. *)
+  t.pending_key <- Some key;
+  t.recording <- Some { r_tdeps = []; r_rdeps = []; r_ops = [] };
+  None
+
 let lookup t ~in_port frame =
   let key = key_of ~in_port frame in
-  let served =
-    match Hashtbl.find_opt t.tbl key with
-    | None -> None
-    | Some node -> (
-        match validate node.entry with
-        | Valid ->
-            replay_writes node.entry;
-            touch t node;
-            Some node.entry
-        | Epoch_changed ->
-            (* A control-plane mutation bumped a dependency's epoch. *)
-            remove t node;
-            t.stats.invalidations <- t.stats.invalidations + 1;
-            None
-        | Read_mismatch ->
-            (* Packet-time staleness: shared register state moved. *)
-            remove t node;
-            t.stats.stale <- t.stats.stale + 1;
-            None)
-  in
-  match served with
-  | Some e ->
-      t.stats.hits <- t.stats.hits + 1;
-      let verdict =
-        match e.verdict with
-        | V_drop -> Asic.Chip.Dropped
-        | V_emit { port; prefix } ->
-            let hlen = String.length key - 2 in
-            let plen = Bytes.length frame - hlen in
-            let pxlen = Bytes.length prefix in
-            let out = Bytes.create (pxlen + plen) in
-            Bytes.blit prefix 0 out 0 pxlen;
-            Bytes.blit frame hlen out pxlen plen;
-            Asic.Chip.Emitted { port; frame = out }
-      in
-      Some { verdict; latency_ns = e.latency_ns }
-  | None ->
-      t.stats.misses <- t.stats.misses + 1;
-      (* Arm recording for the full-pipeline run that follows. *)
-      t.pending_key <- Some key;
-      t.recording <- Some { r_tdeps = []; r_rdeps = []; r_ops = [] };
-      None
+  (* [find], not [find_opt]: a hit allocates no [Some], and a miss's
+     raise is small beside the pipeline walk that follows it. *)
+  match Hashtbl.find t.tbl key with
+  | exception Not_found -> miss t key
+  | s -> (
+      let e = t.entries.(s) in
+      match validate e with
+      | Valid ->
+          replay_writes e;
+          touch t s;
+          t.stats.hits <- t.stats.hits + 1;
+          let verdict =
+            match e.verdict with
+            | V_drop -> Asic.Chip.Dropped
+            | V_emit { port; prefix } ->
+                let hlen = String.length key - 2 in
+                let plen = Bytes.length frame - hlen in
+                let pxlen = Bytes.length prefix in
+                let out = Bytes.create (pxlen + plen) in
+                Bytes.blit prefix 0 out 0 pxlen;
+                Bytes.blit frame hlen out pxlen plen;
+                Asic.Chip.Emitted { port; frame = out }
+          in
+          Some { verdict; latency_ns = e.latency_ns }
+      | Epoch_changed ->
+          (* A control-plane mutation bumped a dependency's epoch. *)
+          remove t s;
+          t.stats.invalidations <- t.stats.invalidations + 1;
+          miss t key
+      | Read_mismatch ->
+          (* Packet-time staleness: shared register state moved. *)
+          remove t s;
+          t.stats.stale <- t.stats.stale + 1;
+          miss t key)
 
 let abort t =
   t.recording <- None;
@@ -417,68 +495,104 @@ let abort t =
    on hits; a chain that consumed or rewrote payload bytes (meaning the
    chip parsed deeper than the walk estimated) fails this and stays
    uncacheable. *)
+(* Do [n] bytes of [a] from [ai] equal those of [b] from [bi]? Eight at
+   a time, then bytewise. *)
+let rec same_bytes a ai b bi n =
+  if n >= 8 then
+    Int64.equal (Bytes.get_int64_le a ai) (Bytes.get_int64_le b bi)
+    && same_bytes a (ai + 8) b (bi + 8) (n - 8)
+  else
+    n <= 0
+    || (Bytes.get a ai = Bytes.get b bi && same_bytes a (ai + 1) b (bi + 1) (n - 1))
+
 let payload_preserved ~frame ~hlen out =
   let plen = Bytes.length frame - hlen in
   let olen = Bytes.length out in
-  olen >= plen
-  &&
-  let rec go i =
-    i >= plen || (Bytes.get out (olen - plen + i) = Bytes.get frame (hlen + i) && go (i + 1))
-  in
-  go 0
+  olen >= plen && same_bytes out (olen - plen) frame hlen plen
+
+let same_tdep (a : tdep) b = a.dtbl == b.dtbl && a.tepoch = b.tepoch
+let same_rdep (a : rdep) b = a.dreg == b.dreg && a.repoch = b.repoch
+let tdep_current d = P4ir.Table.epoch d.dtbl = d.tepoch
+let rdep_current d = P4ir.Register.epoch d.dreg = d.repoch
+
+(* Does a recorded list (most recent dependency first) equal a plan's
+   array, element for element? [same] is a top-level function, so the
+   comparison allocates nothing. *)
+let rec same_deps same l a i =
+  match l with
+  | [] -> i = Array.length a
+  | d :: l -> i < Array.length a && same a.(i) d && same_deps same l a (i + 1)
+
+(* The memo's plan equal to [r]'s, else a new plan, which takes the
+   memo slot of the oldest. *)
+let rec intern t r k =
+  if k = plan_memo_size then begin
+    let p = { tdeps = Array.of_list r.r_tdeps; rdeps = Array.of_list r.r_rdeps } in
+    t.plans.(t.plan_next) <- p;
+    t.plan_next <- (t.plan_next + 1) mod plan_memo_size;
+    p
+  end
+  else
+    let p = t.plans.(k) in
+    if same_deps same_tdep r.r_tdeps p.tdeps 0 && same_deps same_rdep r.r_rdeps p.rdeps 0
+    then p
+    else intern t r (k + 1)
 
 let insert t key entry =
-  (match Hashtbl.find_opt t.tbl key with Some old -> remove t old | None -> ());
-  if t.len >= t.capacity then (
-    match t.tail with
-    | Some lru ->
-        remove t lru;
-        t.stats.evictions <- t.stats.evictions + 1
-    | None -> ());
-  let node = { nkey = key; entry; prev = None; next = None } in
-  Hashtbl.replace t.tbl key node;
-  push_front t node;
+  (match Hashtbl.find t.tbl key with
+  | old -> remove t old
+  | exception Not_found -> ());
+  if t.len >= t.capacity && t.tail >= 0 then begin
+    remove t t.tail;
+    t.stats.evictions <- t.stats.evictions + 1
+  end;
+  let s = take_slot t in
+  t.keys.(s) <- key;
+  t.entries.(s) <- entry;
+  Hashtbl.replace t.tbl key s;
+  push_front t s;
   t.len <- t.len + 1;
   t.stats.inserts <- t.stats.inserts + 1
+
+let refuse t reason =
+  t.stats.uncacheable <- t.stats.uncacheable + 1;
+  t.refused.(reason) <- t.refused.(reason) + 1
 
 let commit t ~frame ~(verdict : Asic.Chip.verdict) ~cpu_round_trips ~recircs
     ~resubmits ~mirrored ~latency_ns =
   match (t.pending_key, t.recording) with
   | None, _ | _, None -> abort t
-  | Some key, Some r ->
+  | Some key, Some r -> (
       abort t;
-      let clean =
-        cpu_round_trips = 0 && recircs = 0 && resubmits = 0 && not mirrored
-      in
       let hlen = String.length key - 2 in
-      let cv =
-        if not clean then None
-        else
-          match verdict with
-          | Asic.Chip.Emitted { port; frame = out }
-            when payload_preserved ~frame ~hlen out ->
-              let plen = Bytes.length frame - hlen in
-              Some (V_emit { port; prefix = Bytes.sub out 0 (Bytes.length out - plen) })
-          | Asic.Chip.Dropped -> Some V_drop
-          | Asic.Chip.Emitted _ | Asic.Chip.To_cpu _ -> None
-      in
-      let deps_current () =
-        List.for_all (fun d -> P4ir.Table.epoch d.dtbl = d.tepoch) r.r_tdeps
-        && List.for_all
-             (fun d -> P4ir.Register.epoch d.dreg = d.repoch)
-             r.r_rdeps
-      in
-      (match cv with
-      | Some v when deps_current () ->
+      let admit v =
+        if List.for_all tdep_current r.r_tdeps && List.for_all rdep_current r.r_rdeps
+        then
           insert t key
             {
               verdict = v;
               latency_ns;
-              tdeps = Array.of_list r.r_tdeps;
-              rdeps = Array.of_list r.r_rdeps;
+              plan = intern t r 0;
               ops = Array.of_list (List.rev r.r_ops);
             }
-      | Some _ | None -> t.stats.uncacheable <- t.stats.uncacheable + 1)
+        else refuse t r_mutated
+      in
+      if cpu_round_trips > 0 then refuse t r_punt
+      else if recircs > 0 then refuse t r_recirc
+      else if resubmits > 0 then refuse t r_resubmit
+      else if mirrored then refuse t r_mirror
+      else
+        match verdict with
+        | Asic.Chip.To_cpu _ -> refuse t r_to_cpu
+        | Asic.Chip.Dropped -> admit V_drop
+        | Asic.Chip.Emitted { port; frame = out } ->
+            if payload_preserved ~frame ~hlen out then
+              let plen = Bytes.length frame - hlen in
+              admit (V_emit { port; prefix = Bytes.sub out 0 (Bytes.length out - plen) })
+            else refuse t r_payload)
+
+let uncacheable_by_reason t =
+  Array.to_list (Array.mapi (fun i n -> (reasons.(i), n)) t.refused)
 
 (* Fold a replica cache's tallies into [into]'s stats. Entries stay
    where they are — per-shard caches share nothing — so this only
@@ -492,4 +606,5 @@ let merge_stats ~into src =
   a.invalidations <- a.invalidations + b.invalidations;
   a.uncacheable <- a.uncacheable + b.uncacheable;
   a.inserts <- a.inserts + b.inserts;
-  a.evictions <- a.evictions + b.evictions
+  a.evictions <- a.evictions + b.evictions;
+  Array.iteri (fun i n -> into.refused.(i) <- into.refused.(i) + n) src.refused

@@ -21,7 +21,19 @@
     epoch-based (a stale entry dies at its next lookup). One cache
     serves one chip: {!create} arms lookup/access recorders on every
     table and register of that chip, so per-domain shard replicas each
-    need their own cache over their own replica chip. *)
+    need their own cache over their own replica chip.
+
+    Memory: an entry lives in a slot of parallel arrays (key, entry,
+    and int LRU links), so a hit's LRU touch writes two ints and
+    allocates nothing. Its table and register dependencies are a plan
+    shared with every entry that recorded the same ones at the same
+    epochs, through a memo of the 8 most recent distinct plans; only
+    register read/write traces stay per entry. A full 65,536-entry
+    cache of TCP/IPv4 flows holds 35.5 words (284 bytes) per entry:
+    the key (9), the output prefix (8), the entry with its verdict and
+    latency (10), a hash-table bucket (4) and the slot (4), against
+    90.5 words with per-entry dependency arrays and boxed links. The
+    slot arrays start at 16 and double up to the capacity. *)
 
 type t
 
@@ -63,10 +75,11 @@ type hit = { verdict : Asic.Chip.verdict; latency_ns : float }
 
 val lookup : t -> in_port:int -> Bytes.t -> hit option
 (** On a validated hit: LRU-touch, replay the write plan and return the
-    reconstructed verdict. On a miss (or a failed revalidation, which
-    also drops the entry): start recording the side-effect plan for the
-    full-pipeline run the caller is about to perform, to be finished by
-    {!commit} or {!abort}. *)
+    reconstructed verdict, allocating only the key, the output frame
+    and the hit (25 words for a 54-byte TCP/IPv4 frame). On a miss (or
+    a failed revalidation, which also drops the entry): start recording
+    the side-effect plan for the full-pipeline run the caller is about
+    to perform, to be finished by {!commit} or {!abort}. *)
 
 val commit :
   t ->
@@ -86,11 +99,21 @@ val commit :
 val abort : t -> unit
 (** Discard a pending recording (error outcomes). *)
 
+val uncacheable_by_reason : t -> (string * int) list
+(** [stats.uncacheable] split by why {!commit} refused the run, in the
+    order it checks: ["punt"] (a CPU round trip), ["recirc"],
+    ["resubmit"], ["mirror"], ["to_cpu"] (a to-CPU verdict),
+    ["payload_rewritten"] (the output does not end with the input's
+    payload) and ["dep_mutated"] (a dependency's epoch moved during the
+    run, e.g. a CPU handler's install). A run counts under the first
+    that applies, so the counts sum to [stats.uncacheable]. Every
+    reason is listed, zeros included. *)
+
 val merge_stats : into:t -> t -> unit
-(** Fold [src]'s stats tallies into [into]'s. Entries are not moved —
-    per-shard caches share nothing; used when replica caches are
-    discarded after a parallel batch so runtime-wide accounting
-    survives. *)
+(** Fold [src]'s stats tallies, and its refusals by reason, into
+    [into]'s. Entries are not moved — per-shard caches share nothing;
+    used when replica caches are discarded after a parallel batch so
+    runtime-wide accounting survives. *)
 
 (** {2 Introspection for tests and benches} *)
 

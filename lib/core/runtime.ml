@@ -458,15 +458,71 @@ let flow_key ~in_port frame =
       | Some ft -> Format.asprintf "%a" Netpkt.Flow.pp_five_tuple ft
       | None -> Printf.sprintf "port:%d" in_port)
 
+(* A packet's chip walks and CPU round trips, from its first injection
+   to its verdict. [mirrored_rev] accumulates reversed (rev_append per
+   pass, one final [List.rev]) so an N-round flow costs O(total)
+   instead of the quadratic [acc @ round] append. [c] is the packet's
+   one set of totals: completed CPU round trips, and the recircs,
+   resubmits and latency of every completed chip walk — what the
+   outcome reports, and what the journey reports whether the packet
+   succeeds or fails. The handler runs at most [max_cpu_loops] times —
+   the bound is exact, checked before each dispatch. A top-level
+   function, so a cache hit, which never walks, builds no closure. *)
+let rec walk t ~in_port ~hops frame (c : Counters.t) mirrored_rev first =
+  let injected =
+    if first then Asic.Chip.inject t.chip ~in_port frame
+    else
+      Asic.Chip.inject_cpu t.chip
+        ~pipeline:(reinject_pipeline t frame)
+        frame
+  in
+  match injected with
+  | Error e -> Error (e, c)
+  | Ok r -> (
+      (match hops with
+      | Some l -> l := List.rev_append r.Asic.Chip.hops !l
+      | None -> ());
+      let c =
+        {
+          c with
+          Counters.recircs = c.Counters.recircs + r.Asic.Chip.recircs;
+          resubmits = c.Counters.resubmits + r.Asic.Chip.resubmits;
+          latency_ns = c.Counters.latency_ns +. r.Asic.Chip.latency_ns;
+        }
+      in
+      let mirrored_rev = List.rev_append r.Asic.Chip.mirrored mirrored_rev in
+      let finish () =
+        Ok
+          {
+            verdict = r.Asic.Chip.verdict;
+            counters = c;
+            mirrored = List.rev mirrored_rev;
+          }
+      in
+      match r.Asic.Chip.verdict with
+      | Asic.Chip.To_cpu bytes -> (
+          (match t.obs with Some os -> incr os.c_punts | None -> ());
+          let sfc = decode_sfc bytes in
+          match find_handler t sfc with
+          | None -> finish ()
+          | Some _ when c.Counters.cpu_round_trips >= max_cpu_loops ->
+              Error
+                ( Printf.sprintf "Runtime.process: exceeded %d CPU loops"
+                    max_cpu_loops,
+                  c )
+          | Some handler -> (
+              match handler sfc bytes with
+              | Consume -> finish ()
+              | Reinject bytes ->
+                  walk t ~in_port ~hops bytes
+                    {
+                      c with
+                      Counters.cpu_round_trips = c.Counters.cpu_round_trips + 1;
+                    }
+                    mirrored_rev false))
+      | Asic.Chip.Emitted _ | Asic.Chip.Dropped -> finish ())
+
 let process t ~in_port frame =
-  (* [mirrored_rev] accumulates reversed (rev_append per pass, one final
-     [List.rev]) so an N-round flow costs O(total) instead of the
-     quadratic [acc @ round] append. [c] is the packet's one set of
-     totals: completed CPU round trips, and the recircs, resubmits and
-     latency of every completed chip walk — what the outcome reports,
-     and what the journey reports whether the packet succeeds or fails.
-     The handler runs at most [max_cpu_loops] times — the bound is
-     exact, checked before each dispatch. *)
   let hops =
     match t.obs with
     | Some os when Telemetry.Level.journeys_on (Observe.level os.o) ->
@@ -480,63 +536,9 @@ let process t ~in_port frame =
         if in_port >= 0 && in_port < Array.length os.rx then incr os.rx.(in_port);
         Telemetry.Tclock.now_ns ()
   in
-  let rec loop frame (c : Counters.t) mirrored_rev first =
-    let injected =
-      if first then Asic.Chip.inject t.chip ~in_port frame
-      else
-        Asic.Chip.inject_cpu t.chip
-          ~pipeline:(reinject_pipeline t frame)
-          frame
-    in
-    match injected with
-    | Error e -> Error (e, c)
-    | Ok r -> (
-        (match hops with
-        | Some l -> l := List.rev_append r.Asic.Chip.hops !l
-        | None -> ());
-        let c =
-          {
-            c with
-            Counters.recircs = c.Counters.recircs + r.Asic.Chip.recircs;
-            resubmits = c.Counters.resubmits + r.Asic.Chip.resubmits;
-            latency_ns = c.Counters.latency_ns +. r.Asic.Chip.latency_ns;
-          }
-        in
-        let mirrored_rev = List.rev_append r.Asic.Chip.mirrored mirrored_rev in
-        let finish () =
-          Ok
-            {
-              verdict = r.Asic.Chip.verdict;
-              counters = c;
-              mirrored = List.rev mirrored_rev;
-            }
-        in
-        match r.Asic.Chip.verdict with
-        | Asic.Chip.To_cpu bytes -> (
-            (match t.obs with Some os -> incr os.c_punts | None -> ());
-            let sfc = decode_sfc bytes in
-            match find_handler t sfc with
-            | None -> finish ()
-            | Some _ when c.Counters.cpu_round_trips >= max_cpu_loops ->
-                Error
-                  ( Printf.sprintf "Runtime.process: exceeded %d CPU loops"
-                      max_cpu_loops,
-                    c )
-            | Some handler -> (
-                match handler sfc bytes with
-                | Consume -> finish ()
-                | Reinject bytes ->
-                    loop bytes
-                      {
-                        c with
-                        Counters.cpu_round_trips = c.Counters.cpu_round_trips + 1;
-                      }
-                      mirrored_rev false))
-        | Asic.Chip.Emitted _ | Asic.Chip.Dropped -> finish ())
-  in
   let res =
     match t.cache with
-    | None -> loop frame Counters.zero [] true
+    | None -> walk t ~in_port ~hops frame Counters.zero [] true
     | Some c -> (
         match Flow_cache.lookup c ~in_port frame with
         | Some h ->
@@ -557,7 +559,7 @@ let process t ~in_port frame =
               }
         | None ->
             (match t.obs with Some os -> incr os.c_cache_miss | None -> ());
-            let res = loop frame Counters.zero [] true in
+            let res = walk t ~in_port ~hops frame Counters.zero [] true in
             (match res with
             | Ok o ->
                 Flow_cache.commit c ~frame ~verdict:o.verdict
@@ -646,15 +648,13 @@ let empty_stats =
 (* The digest folds a verdict tag, the egress port and the full output
    frame of every packet — in batch order — through CRC-32, so two runs
    agree on the digest iff they produced byte-identical outputs in the
-   same order. *)
-let fold_digest acc tag port frame =
-  let head = Bytes.create 5 in
-  Bytes.set_uint8 head 0 tag;
-  Bytes.set_int32_be head 1 (Int32.of_int port);
-  let acc = Netpkt.Bytes_util.crc32 ~init:acc head ~off:0 ~len:5 in
-  match frame with
-  | None -> acc
-  | Some b -> Netpkt.Bytes_util.crc32 ~init:acc b ~off:0 ~len:(Bytes.length b)
+   same order. The head is the tag byte then the port as a big-endian
+   int32, folded from an int: no buffer, no boxed [Int64] per packet. *)
+let fold_head acc tag port =
+  Netpkt.Bytes_util.crc32_fold_be acc ~bytes:5
+    ((tag lsl 32) lor (port land 0xFFFFFFFF))
+
+let fold_frame acc b = Netpkt.Bytes_util.crc32_fold acc b ~off:0 ~len:(Bytes.length b)
 
 (* Minor and direct-major words allocated so far ([Gc.major_words]
    includes promotions, which [minor_words] already counted — subtract
@@ -677,54 +677,49 @@ let process_batch ?each t pkts =
      that is the point: it is the number the zero-alloc work must
      drive down at [Off], and the overhead it pays above it. *)
   let gc0 = match t.obs with None -> (0.0, 0.0) | Some _ -> gc_words () in
-  let stats = ref empty_stats in
-  List.iteri
-    (fun i (in_port, frame) ->
-      let s = !stats in
-      let s = { s with packets = s.packets + 1 } in
-      let res = process t ~in_port frame in
-      (match each with Some f -> f i res | None -> ());
-      match res with
-      | Error e ->
-          let msg = Bytes.of_string e in
-          (* Keep the first few messages (with the offending in_port)
-             instead of swallowing them into a bare count: a batch that
-             "just" reports errors=3 is undebuggable. *)
-          let error_log =
-            if s.errors < max_error_log then (in_port, e) :: s.error_log
-            else s.error_log
-          in
-          stats :=
-            {
-              s with
-              errors = s.errors + 1;
-              digest = fold_digest s.digest 4 0 (Some msg);
-              error_log;
-            }
-      | Ok o ->
-          let s = { s with counters = Counters.add s.counters o.counters } in
-          stats :=
-            (match o.verdict with
+  (* The tallies live in locals that no closure captures, so the
+     compiler keeps them out of the heap (the latency sum unboxed);
+     [batch_stats] is built once, after the loop. *)
+  let packets = ref 0 and emitted = ref 0 and dropped = ref 0 in
+  let to_cpu = ref 0 and errors = ref 0 and error_log = ref [] in
+  let round_trips = ref 0 and recircs = ref 0 and resubmits = ref 0 in
+  let latency_ns = ref 0.0 and digest = ref 0 in
+  let pending = ref pkts in
+  while !pending != [] do
+    match !pending with
+    | [] -> ()
+    | (in_port, frame) :: rest -> (
+        pending := rest;
+        let i = !packets in
+        incr packets;
+        let res = process t ~in_port frame in
+        (match each with Some f -> f i res | None -> ());
+        match res with
+        | Error e ->
+            (* Keep the first few messages (with the offending in_port)
+               instead of swallowing them into a bare count: a batch
+               that "just" reports errors=3 is undebuggable. *)
+            if !errors < max_error_log then error_log := (in_port, e) :: !error_log;
+            incr errors;
+            digest := fold_frame (fold_head !digest 4 0) (Bytes.unsafe_of_string e)
+        | Ok o -> (
+            let c = o.counters in
+            round_trips := !round_trips + c.Counters.cpu_round_trips;
+            recircs := !recircs + c.Counters.recircs;
+            resubmits := !resubmits + c.Counters.resubmits;
+            latency_ns := !latency_ns +. c.Counters.latency_ns;
+            match o.verdict with
             | Asic.Chip.Emitted { port; frame } ->
-                {
-                  s with
-                  emitted = s.emitted + 1;
-                  digest = fold_digest s.digest 1 port (Some frame);
-                }
+                incr emitted;
+                digest := fold_frame (fold_head !digest 1 port) frame
             | Asic.Chip.Dropped ->
-                {
-                  s with
-                  dropped = s.dropped + 1;
-                  digest = fold_digest s.digest 2 0 None;
-                }
+                incr dropped;
+                digest := fold_head !digest 2 0
             | Asic.Chip.To_cpu frame ->
-                {
-                  s with
-                  to_cpu = s.to_cpu + 1;
-                  digest = fold_digest s.digest 3 0 (Some frame);
-                }))
-    pkts;
-  let s = !stats in
+                incr to_cpu;
+                digest := fold_frame (fold_head !digest 3 0) frame))
+  done;
+  let suppressed = !errors - List.length !error_log in
   (match t.obs with
   | None -> ()
   | Some os ->
@@ -733,17 +728,28 @@ let process_batch ?each t pkts =
       let minor_d = minor1 -. minor0 and major_d = major1 -. major0 in
       os.c_gc_minor := !(os.c_gc_minor) + max 0 (int_of_float minor_d);
       os.c_gc_major := !(os.c_gc_major) + max 0 (int_of_float major_d);
-      if s.packets > 0 then
+      if !packets > 0 then
         Telemetry.Histogram.observe os.h_alloc_w
           (max 0
-             (int_of_float ((minor_d +. major_d) /. float_of_int s.packets)));
-      let suppressed = s.errors - List.length s.error_log in
+             (int_of_float ((minor_d +. major_d) /. float_of_int !packets)));
       if suppressed > 0 then
         os.c_suppressed := !(os.c_suppressed) + suppressed);
   {
-    s with
-    error_log = List.rev s.error_log;
-    suppressed = s.errors - List.length s.error_log;
+    packets = !packets;
+    emitted = !emitted;
+    dropped = !dropped;
+    to_cpu = !to_cpu;
+    errors = !errors;
+    counters =
+      {
+        Counters.cpu_round_trips = !round_trips;
+        recircs = !recircs;
+        resubmits = !resubmits;
+        latency_ns = !latency_ns;
+      };
+    digest = Int64.of_int !digest;
+    error_log = List.rev !error_log;
+    suppressed;
   }
 
 (* --- Sharded parallel execution --- *)
@@ -930,7 +936,10 @@ let sync_gauges t =
           set "cache.evictions" s.Flow_cache.evictions;
           set "cache.stale" s.Flow_cache.stale;
           set "cache.invalidations" s.Flow_cache.invalidations;
-          set "cache.uncacheable" s.Flow_cache.uncacheable);
+          set "cache.uncacheable" s.Flow_cache.uncacheable;
+          List.iter
+            (fun (reason, n) -> set ("cache.uncacheable." ^ reason) n)
+            (Flow_cache.uncacheable_by_reason c));
       (* State-store gauges: per-table tallies summed across the shard
          stores in shard order — the deterministic fold-back; written
          only here (primary, snapshot time), like every other gauge. *)

@@ -178,25 +178,69 @@ let internet_checksum b ~off ~len =
   done;
   lnot !sum land 0xffff
 
-let crc32_table =
-  lazy
-    (let t = Array.make 256 0 in
-     for n = 0 to 255 do
-       let c = ref n in
-       for _ = 0 to 7 do
-         c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
-       done;
-       t.(n) <- !c
-     done;
-     t)
+(* CRC-32 by slicing-by-8: eight 256-entry tables end to end, table k
+   at [k * 256]. Table 0 is the bytewise table; table k carries a byte's
+   contribution through k more zero bytes, so one step folds eight
+   input bytes with eight independent lookups. Built at module
+   initialisation, so no call pays a [Lazy.force] and the 16 KiB exist
+   before anything measures the heap. *)
+let crc32_tables =
+  let t = Array.make (8 * 256) 0 in
+  for n = 0 to 255 do
+    let c = ref n in
+    for _ = 0 to 7 do
+      c := if !c land 1 = 1 then 0xEDB88320 lxor (!c lsr 1) else !c lsr 1
+    done;
+    t.(n) <- !c
+  done;
+  for n = 256 to (8 * 256) - 1 do
+    let prev = t.(n - 256) in
+    t.(n) <- (prev lsr 8) lxor t.(prev land 0xff)
+  done;
+  t
 
-let crc32_int ?(init = 0xFFFFFFFF) b ~off ~len =
-  let table = Lazy.force crc32_table in
-  let c = ref (init land 0xFFFFFFFF) in
-  for i = off to off + len - 1 do
-    c := table.((!c lxor get_uint8 b i) land 0xff) lxor (!c lsr 8)
+let crc32_byte c x =
+  Array.unsafe_get crc32_tables ((c lxor x) land 0xff) lxor (c lsr 8)
+
+let crc32_fold acc b ~off ~len =
+  (* The one range check: the reads below cannot leave the buffer. *)
+  if len > 0 && (off < 0 || off > Bytes.length b - len) then
+    invalid_arg "index out of bounds";
+  let t = crc32_tables in
+  let c = ref (acc land 0xFFFFFFFF) in
+  let i = ref off in
+  let stop = off + len in
+  while !i <= stop - 8 do
+    (* Eight bytes, little-endian: [lo] is bytes 0-3 folded into the
+       register, [hi] bytes 4-7. The word stays unboxed. *)
+    let w = Bytes.get_int64_le b !i in
+    let lo = (Int64.to_int w land 0xFFFFFFFF) lxor !c in
+    let hi = Int64.to_int (Int64.shift_right_logical w 32) in
+    c :=
+      Array.unsafe_get t (0x700 lor (lo land 0xff))
+      lxor Array.unsafe_get t (0x600 lor ((lo lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x500 lor ((lo lsr 16) land 0xff))
+      lxor Array.unsafe_get t (0x400 lor (lo lsr 24))
+      lxor Array.unsafe_get t (0x300 lor (hi land 0xff))
+      lxor Array.unsafe_get t (0x200 lor ((hi lsr 8) land 0xff))
+      lxor Array.unsafe_get t (0x100 lor ((hi lsr 16) land 0xff))
+      lxor Array.unsafe_get t (hi lsr 24);
+    i := !i + 8
+  done;
+  while !i < stop do
+    c := crc32_byte !c (Char.code (Bytes.unsafe_get b !i));
+    incr i
   done;
   (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
+
+let crc32_fold_be acc ~bytes v =
+  let c = ref (acc land 0xFFFFFFFF) in
+  for k = bytes - 1 downto 0 do
+    c := crc32_byte !c (v lsr (8 * k))
+  done;
+  (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
+
+let crc32_int ?(init = 0xFFFFFFFF) b ~off ~len = crc32_fold init b ~off ~len
 
 let crc32 ?(init = 0xFFFFFFFFL) b ~off ~len =
   Int64.of_int (crc32_int ~init:(Int64.to_int init) b ~off ~len)

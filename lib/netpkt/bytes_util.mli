@@ -39,10 +39,27 @@ val internet_checksum : Bytes.t -> off:int -> len:int -> int
 val crc32 : ?init:int64 -> Bytes.t -> off:int -> len:int -> int64
 (** IEEE 802.3 CRC32 (reflected, polynomial 0xEDB88320) of the range.
     [init] is the 32-bit CRC register's starting value (a previous
-    result chains a digest); bits above 32 are ignored. *)
+    result chains a digest); bits above 32 are ignored.
+
+    The kernel folds eight bytes per step (slicing-by-8: one 64-bit
+    little-endian read and eight lookups into tables built at module
+    initialisation) and the remainder bytewise; its values equal the
+    bytewise definition's. The range is checked once: it raises
+    [Invalid_argument] exactly when [len > 0] and [off, off+len) leaves
+    the buffer, and any [len <= 0] returns [init] finalised. *)
 
 val crc32_int : ?init:int -> Bytes.t -> off:int -> len:int -> int
-(** {!crc32} as an immediate [int]. *)
+(** {!crc32} as an immediate [int]. It allocates nothing. *)
+
+val crc32_fold : int -> Bytes.t -> off:int -> len:int -> int
+(** [crc32_fold acc b ~off ~len] is [crc32_int ~init:acc b ~off ~len]
+    with the running value passed positionally, so a loop that threads
+    a digest through it allocates no [Some] per call. *)
+
+val crc32_fold_be : int -> bytes:int -> int -> int
+(** [crc32_fold_be acc ~bytes v] is {!crc32_fold} over the [bytes]
+    low-order bytes of [v], most significant first (its big-endian
+    encoding), without a buffer to hold them. [bytes] is at most 7. *)
 
 val crc16 : Bytes.t -> off:int -> len:int -> int64
 (** CRC-16/ARC (reflected, polynomial 0xA001) of the range. *)

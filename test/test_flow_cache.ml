@@ -314,6 +314,71 @@ let test_rate_limiter_budget_with_cache () =
   check Alcotest.int "stale register plans never hit" 0
     (Flow_cache.stats (cache crt)).Flow_cache.hits
 
+(* --- Refusals by reason --------------------------------------------- *)
+
+let refused rt reason =
+  List.assoc reason (Flow_cache.uncacheable_by_reason (cache rt))
+
+let refusals_sum rt =
+  let c = cache rt in
+  List.fold_left (fun acc (_, n) -> acc + n) 0 (Flow_cache.uncacheable_by_reason c)
+  = (Flow_cache.stats c).Flow_cache.uncacheable
+
+let test_uncacheable_punt () =
+  (* An LB flow's first packet makes a CPU round trip: counted under
+     punt, the first reason commit checks. *)
+  let crt = lb_runtime ~engine:(emc 64) () in
+  ignore (send crt (red ~src_octet:9 ~src_port:7000));
+  check Alcotest.int "punt" 1 (refused crt "punt");
+  check Alcotest.int "one refusal" 1
+    (Flow_cache.stats (cache crt)).Flow_cache.uncacheable;
+  check Alcotest.bool "reasons sum to uncacheable" true (refusals_sum crt)
+
+let test_uncacheable_recirc () =
+  (* Under naive placement a green packet recirculates once and never
+     punts: counted under recirc. *)
+  let compiled =
+    Result.get_ok
+      (Compiler.compile (Nflib.Catalog.edge_cloud_input ~strategy:Placement.Naive ()))
+  in
+  let crt = Runtime.create ~engine:(emc 64) compiled in
+  Nflib.Catalog.attach_handlers crt compiled;
+  let green =
+    tcp ~src:(ip "203.0.113.7") ~dst:(ip "10.0.3.17") ~src_port:40000 ~dst_port:443
+  in
+  (match send crt (0, green) with
+  | Error e -> Alcotest.fail e
+  | Ok o ->
+      check Alcotest.int "one recirculation" 1
+        o.Runtime.counters.Runtime.Counters.recircs;
+      check Alcotest.int "no punt" 0 o.Runtime.counters.Runtime.Counters.cpu_round_trips);
+  check Alcotest.int "recirc" 1 (refused crt "recirc");
+  check Alcotest.int "punt" 0 (refused crt "punt");
+  check Alcotest.bool "reasons sum to uncacheable" true (refusals_sum crt)
+
+let test_uncacheable_sum () =
+  (* A mixed stream over every chain: however the refusals fall, each
+     counts under exactly one reason, and the runtime exports each. *)
+  let engine =
+    { (emc 256) with Runtime.Engine.telemetry = Telemetry.Level.Counters }
+  in
+  let crt = runtime ~engine () in
+  List.iter
+    (fun p -> ignore (send crt p))
+    (random_workload (Random.State.make [| 5 |]) 80);
+  check Alcotest.bool "some refusals" true
+    ((Flow_cache.stats (cache crt)).Flow_cache.uncacheable > 0);
+  check Alcotest.bool "reasons sum to uncacheable" true (refusals_sum crt);
+  match Runtime.snapshot crt with
+  | None -> Alcotest.fail "telemetry not attached"
+  | Some _ ->
+      let reg = Observe.registry (Option.get (Runtime.telemetry crt)) in
+      List.iter
+        (fun (reason, n) ->
+          check Alcotest.int ("cache.uncacheable." ^ reason) n
+            !(Telemetry.Registry.counter reg ("cache.uncacheable." ^ reason)))
+        (Flow_cache.uncacheable_by_reason (cache crt))
+
 (* --- Invalidation: table updates kill exactly the affected verdicts - *)
 
 (* Add a NAT binding for a source the catalog leaves unbound. *)
@@ -405,6 +470,75 @@ let test_lru_eviction_tiny_capacity () =
         (signature_of (send crt p)))
     [ f1; f2; f3 ]
 
+(* The LRU against a list model: random sends of six natted flows at
+   capacity 1-4, with NAT and ACL updates in between. A NAT update
+   bumps the epoch of a table every natted walk reads, so every entry
+   recorded before it dies at its next lookup (an invalidation, then a
+   miss that re-inserts); an ACL update touches the firewall's table,
+   which no natted walk reads. The model is the key list, most recent
+   first, each key with the NAT generation it was recorded at. *)
+let prop_lru_model =
+  QCheck.Test.make ~name:"lru = list model (natted flows, NAT/ACL updates)"
+    ~count:40
+    QCheck.(pair (int_range 1 4) (list_of_size Gen.(int_range 1 40) (int_range 0 9)))
+    (fun (capacity, steps) ->
+      let crt = cached ~capacity () and urt = runtime () in
+      let c = cache crt in
+      let flows = Array.init 6 (fun i -> natted i ~src_port:(8000 + i)) in
+      let mru = ref [] and gen = ref 0 and updates = ref 0 in
+      let hits = ref 0 and misses = ref 0 and evictions = ref 0 in
+      let invalidations = ref 0 in
+      let step k =
+        if k >= 8 then begin
+          incr updates;
+          if k = 8 then begin
+            let internal = Netpkt.Ip4.of_octets 192 168 1 !updates in
+            let public = Netpkt.Ip4.of_octets 203 0 113 (100 + !updates) in
+            bind_nat crt ~internal ~public;
+            bind_nat urt ~internal ~public;
+            incr gen
+          end
+          else begin
+            let src = Netpkt.Ip4.of_octets 198 51 100 !updates in
+            deny_src crt src;
+            deny_src urt src
+          end;
+          true
+        end
+        else begin
+          let ((in_port, frame) as pkt) = flows.(k mod 6) in
+          let key = Flow_cache.key_of ~in_port frame in
+          (match List.assoc_opt key !mru with
+          | Some g when g = !gen ->
+              incr hits;
+              mru := (key, g) :: List.remove_assoc key !mru
+          | recorded ->
+              if Option.is_some recorded then begin
+                incr invalidations;
+                mru := List.remove_assoc key !mru
+              end;
+              incr misses;
+              if List.length !mru >= capacity then begin
+                mru := List.filteri (fun i _ -> i < capacity - 1) !mru;
+                incr evictions
+              end;
+              mru := (key, !gen) :: !mru);
+          signature_of (send crt pkt) = signature_of (send urt pkt)
+        end
+      in
+      List.for_all
+        (fun k ->
+          let same_output = step k in
+          let s = Flow_cache.stats c in
+          same_output
+          && Flow_cache.keys_mru c = List.map fst !mru
+          && Flow_cache.length c = List.length !mru
+          && s.Flow_cache.hits = !hits
+          && s.Flow_cache.misses = !misses
+          && s.Flow_cache.evictions = !evictions
+          && s.Flow_cache.invalidations = !invalidations)
+        steps)
+
 (* --- Cache-off runs are byte-identical to an engine with no knob --- *)
 
 let test_cache_off_identical () =
@@ -457,6 +591,12 @@ let () =
           Alcotest.test_case "registry counters" `Quick
             test_cache_counters_in_registry;
         ] );
+      ( "uncacheable",
+        [
+          Alcotest.test_case "lb first packet: punt" `Quick test_uncacheable_punt;
+          Alcotest.test_case "naive green: recirc" `Quick test_uncacheable_recirc;
+          Alcotest.test_case "reasons sum and export" `Quick test_uncacheable_sum;
+        ] );
       ( "differential",
         [
           qtest prop_cached_equals_uncached;
@@ -476,5 +616,6 @@ let () =
         [
           Alcotest.test_case "lru at capacity 2" `Quick
             test_lru_eviction_tiny_capacity;
+          qtest prop_lru_model;
         ] );
     ]

@@ -124,6 +124,50 @@ let test_crc32_check_value () =
   check Alcotest.int64 "crc32 check value" 0xCBF43926L
     (Netpkt.Bytes_util.crc32 b ~off:0 ~len:9)
 
+(* The bytewise CRC-32 the word-at-a-time kernel must equal: one table
+   step per byte, the table computed bit by bit on the spot, and
+   [Bytes.get]'s bounds check on every byte read. *)
+let crc32_bytewise ~init b ~off ~len =
+  let c = ref (init land 0xFFFFFFFF) in
+  for i = off to off + len - 1 do
+    let x = ref ((!c lxor Char.code (Bytes.get b i)) land 0xff) in
+    for _ = 0 to 7 do
+      x := if !x land 1 = 1 then 0xEDB88320 lxor (!x lsr 1) else !x lsr 1
+    done;
+    c := !x lxor (!c lsr 8)
+  done;
+  (!c lxor 0xFFFFFFFF) land 0xFFFFFFFF
+
+(* Lengths 0-2,000 at offsets 0-7 (every alignment of the 8-byte step)
+   and at arbitrary in-range offsets, under a random [init]. *)
+let prop_crc32_bytewise =
+  QCheck.Test.make ~name:"crc32_int = bytewise crc32" ~count:1000
+    QCheck.(
+      quad (int_range 0 2000) (int_range 0 7) (option (int_range 0 2000))
+        (pair int (int_range 0 max_int)))
+    (fun (len, small_off, any_off, (init, seed)) ->
+      let st = Random.State.make [| seed |] in
+      let off = match any_off with Some o -> o | None -> small_off in
+      let b =
+        Bytes.init (off + len + Random.State.int st 9) (fun _ ->
+            Char.chr (Random.State.int st 256))
+      in
+      Netpkt.Bytes_util.crc32_int ~init b ~off ~len = crc32_bytewise ~init b ~off ~len
+      && Netpkt.Bytes_util.crc32_int b ~off ~len
+         = crc32_bytewise ~init:0xFFFFFFFF b ~off ~len)
+
+(* The range contract: [Invalid_argument] exactly when a byte outside
+   the buffer would be read; any [len <= 0] reads nothing and returns
+   [init] finalised. *)
+let prop_crc32_range =
+  QCheck.Test.make ~name:"crc32_int range errors = bytewise" ~count:2000
+    QCheck.(triple (int_range 0 24) (int_range (-12) 36) (int_range (-12) 36))
+    (fun (n, off, len) ->
+      let b = Bytes.init n (fun i -> Char.chr ((i * 37) land 0xff)) in
+      let init = 0x1234567 in
+      outcome (fun () -> Netpkt.Bytes_util.crc32_int ~init b ~off ~len)
+      = outcome (fun () -> crc32_bytewise ~init b ~off ~len))
+
 let test_crc16_check_value () =
   (* CRC-16/ARC check value: 0xBB3D. *)
   let b = Bytes.of_string "123456789" in
@@ -366,6 +410,8 @@ let () =
           Alcotest.test_case "rfc1071 checksum" `Quick test_checksum_rfc1071;
           Alcotest.test_case "ipv4 checksum verifies" `Quick test_checksum_verifies;
           Alcotest.test_case "crc32 check value" `Quick test_crc32_check_value;
+          qtest prop_crc32_bytewise;
+          qtest prop_crc32_range;
           Alcotest.test_case "crc16 check value" `Quick test_crc16_check_value;
         ] );
       ( "addresses",
