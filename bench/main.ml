@@ -420,6 +420,50 @@ let related_work () =
      native programs; Dejavu merges at the code level and avoids this)@."
 
 (* ------------------------------------------------------------------ *)
+(* The deployment the micro and runtime benchmarks share              *)
+(* ------------------------------------------------------------------ *)
+
+(* A realistic FIB: 512 /24s + 32 /20s in 172.16.0.0/12, none covering
+   the workloads' destinations — outputs are unchanged, but the router
+   lookup runs at production table scale (the reference interpreter
+   scans every prefix per packet; the indexed path probes one bucket
+   per prefix length). *)
+let fib_ops =
+  let route len b c =
+    Ctrl.Table
+      ( Nflib.Catalog.routes_table_name,
+        Ctrl.Add
+          (Nflib.Router.route_entry
+             {
+               Nflib.Router.prefix =
+                 Netpkt.Ip4.prefix (Netpkt.Ip4.of_octets 172 b c 0) len;
+               next_hop_mac = mac "02:00:00:aa:00:01";
+               src_mac = mac "02:00:00:00:00:fe";
+             }) )
+  in
+  List.init 512 (fun i -> route 24 (16 + (i lsr 8)) (i land 0xff))
+  @ List.init 32 (fun i -> route 20 (24 + (i lsr 4)) ((i land 0xf) lsl 4))
+
+(* The policy's own two routes plus the FIB. *)
+let fib_prefixes = List.length fib_ops + 2
+
+(* The one deployment: compile [input] (the Fig. 2 policy by default),
+   start a runtime on [engine], attach the bundled NFs' handlers and
+   install the FIB through the typed-op front door, the path the churn
+   trace takes at runtime. *)
+let deploy ?(engine = Runtime.Engine.default)
+    ?(input = Nflib.Catalog.edge_cloud_input ()) () =
+  let compiled =
+    match Compiler.compile input with Ok c -> c | Error e -> failwith e
+  in
+  let rt = Runtime.create ~engine compiled in
+  Nflib.Catalog.attach_handlers rt compiled;
+  (match Ctrl.apply_all compiled.Compiler.chip fib_ops with
+  | Ok _ -> ()
+  | Error e -> failwith ("bench runtime: FIB install failed: " ^ e));
+  rt
+
+(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the library itself                       *)
 (* ------------------------------------------------------------------ *)
 
@@ -488,8 +532,14 @@ let microbench () =
            incr next;
            ignore (Flow_cache.lookup cache ~in_port:0 f)))
   in
+  (* The Fig. 2 chip with the 546-prefix FIB: what a parallel batch
+     replicates once per shard, and releases at the join. *)
+  let fib_chip = Runtime.chip (deploy ()) in
   let tests =
     [
+      Bechamel.Test.make ~name:"Chip.replicate (Fig. 2, 546-prefix FIB)"
+        (Bechamel.Staged.stage (fun () ->
+             Asic.Chip.release (Asic.Chip.replicate fib_chip)));
       Bechamel.Test.make ~name:"chip walk (green path)"
         (Bechamel.Staged.stage (fun () ->
              ignore (Asic.Chip.inject compiled.Compiler.chip ~in_port:0 frame)));
@@ -867,46 +917,6 @@ let mixed_workload n =
               ~src_port:(42000 + (i mod 127)) ~dst_port:8080
       in
       (0, frame))
-
-(* A realistic FIB: 512 /24s + 32 /20s in 172.16.0.0/12, none covering
-   the workloads' destinations — outputs are unchanged, but the router
-   lookup runs at production table scale (the reference interpreter
-   scans every prefix per packet; the indexed path probes one bucket
-   per prefix length). *)
-let fib_ops =
-  let route len b c =
-    Ctrl.Table
-      ( Nflib.Catalog.routes_table_name,
-        Ctrl.Add
-          (Nflib.Router.route_entry
-             {
-               Nflib.Router.prefix =
-                 Netpkt.Ip4.prefix (Netpkt.Ip4.of_octets 172 b c 0) len;
-               next_hop_mac = mac "02:00:00:aa:00:01";
-               src_mac = mac "02:00:00:00:00:fe";
-             }) )
-  in
-  List.init 512 (fun i -> route 24 (16 + (i lsr 8)) (i land 0xff))
-  @ List.init 32 (fun i -> route 20 (24 + (i lsr 4)) ((i land 0xf) lsl 4))
-
-(* The policy's own two routes plus the FIB. *)
-let fib_prefixes = List.length fib_ops + 2
-
-(* The one deployment: compile [input] (the Fig. 2 policy by default),
-   start a runtime on [engine], attach the bundled NFs' handlers and
-   install the FIB through the typed-op front door, the path the churn
-   trace takes at runtime. *)
-let deploy ?(engine = Runtime.Engine.default)
-    ?(input = Nflib.Catalog.edge_cloud_input ()) () =
-  let compiled =
-    match Compiler.compile input with Ok c -> c | Error e -> failwith e
-  in
-  let rt = Runtime.create ~engine compiled in
-  Nflib.Catalog.attach_handlers rt compiled;
-  (match Ctrl.apply_all compiled.Compiler.chip fib_ops with
-  | Ok _ -> ()
-  | Error e -> failwith ("bench runtime: FIB install failed: " ^ e));
-  rt
 
 let fast = Runtime.Engine.default
 let reference = { fast with Runtime.Engine.exec_mode = Asic.Chip.Reference }

@@ -45,6 +45,8 @@ let chip_layout (config : config) =
         | l -> Some l
         | exception Invalid_argument _ -> None)
 
+let no_probe _ = Telemetry.Journey.no_meta
+
 let load (config : config) =
   let n = config.spec.Spec.n_pipelines in
   if
@@ -81,7 +83,7 @@ let load (config : config) =
              mirror_port = config.mirror_port;
              mode = Fast;
              telem = Telemetry.Level.Off;
-             probe = (fun _ -> Telemetry.Journey.no_meta);
+             probe = no_probe;
            })
 
 let spec t = t.spec
@@ -102,28 +104,28 @@ let find_register t name =
     (fun pl -> P4ir.Program.find_register (Pipelet.program pl) name)
     (pipelets t)
 
-(* A clone for per-domain parallel execution that shares nothing
-   mutable: every pipelet program is copied ([Table.copy] gives fresh
-   entry records, indexes and compiled actions over the source's
-   immutable entry data; register cells are copied) and re-loaded,
-   which re-allocates stages and recompiles controls/parsers against
-   the copied state. It only reads [t], so several domains may
-   replicate one chip at once. Telemetry starts Off — the runtime
-   attaches a per-domain observer if it wants one — and the exec mode
-   carries over so a replica runs the same path as its original. *)
+(* A clone for per-domain parallel execution that shares nothing it
+   writes: each pipelet is replicated ([Pipelet.replicate]: its tables
+   share the source's bodies until written, its registers are copied,
+   its control is recompiled over them) and the port modes are copied.
+   It only reads [t], so several domains may replicate one chip at
+   once. Telemetry starts Off — the runtime attaches a per-domain
+   observer if it wants one — and the exec mode carries over so a
+   replica runs the same path as its original. *)
 let replicate t =
-  let side pls = Array.map (fun pl -> P4ir.Program.copy (Pipelet.program pl)) pls in
-  load
-    {
-      spec = t.spec;
-      ingress_programs = side t.ingress;
-      egress_programs = side t.egress;
-      ports = Port.copy t.ports;
-      mirror_port = t.mirror_port;
-    }
-  |> Result.map (fun r ->
-         r.mode <- t.mode;
-         r)
+  {
+    t with
+    ingress = Array.map Pipelet.replicate t.ingress;
+    egress = Array.map Pipelet.replicate t.egress;
+    ports = Port.copy t.ports;
+    telem = Telemetry.Level.Off;
+    probe = no_probe;
+  }
+
+(* Clearing a table that shares its body gives up the claim without
+   copying, so the source's next write to it is in place. *)
+let release t =
+  List.iter (fun pl -> List.iter P4ir.Table.clear (Pipelet.tables pl)) (pipelets t)
 
 (* Fold a replica's table tallies back into this chip's: pipelet arrays
    have identical shapes by construction, tables pair by name. The

@@ -77,19 +77,27 @@ val find_register : t -> string -> P4ir.Register.t option
 (** Same resolution for registers — how control-plane ops address
     stateful NF state by (composed) name. *)
 
-val replicate : t -> (t, string) result
-(** A clone that shares nothing mutable: every pipelet program is
-    copied ({!P4ir.Table.copy}: fresh entry records, indexes and
-    compiled actions; the immutable entry data — patterns, bound
-    arguments — stays shared; register cells are copied) and re-loaded,
-    so the replica and the original can process packets from different
-    domains concurrently without touching a shared cell. [replicate]
-    only reads its argument, so several domains may replicate one chip
-    at once. The replica builds its own chip-wide PHV layout the way
-    {!load} does, so handovers happen within it exactly as within the
-    original; a PHV never crosses from one chip to another. The exec
-    mode carries over; telemetry starts [Off] (attach a per-domain
-    observer explicitly). *)
+val replicate : t -> t
+(** A clone for another domain: every pipelet is replicated
+    ({!Pipelet.replicate}). Each replica table shares its source's
+    body — entries, lowered patterns and index — until either side
+    writes it, when the writer takes a private copy
+    ({!P4ir.Table.copy}); registers and port modes are copied; each
+    control is recompiled over the replica's tables. So the replica
+    and the original can process packets from different domains
+    concurrently, and a replica costs what it writes, not what the chip
+    holds. [replicate] only reads its argument, so several domains may
+    replicate one chip at once. The replica shares its source's PHV
+    layout and every other load-time product (stage allocation,
+    template, emit plan, compiled parsers): a PHV of one is a PHV of
+    the other's layout. The exec mode carries over; telemetry starts
+    [Off] (attach a per-domain observer explicitly). *)
+
+val release : t -> unit
+(** Give up a replica's tables: each is {!P4ir.Table.clear}ed, which
+    drops its claim on a body it still shares without copying it. A
+    released chip's tables read as empty, and its source's next write
+    to each table is in place instead of a copy. *)
 
 val merge_stats : into:t -> t -> unit
 (** [merge_stats ~into replica] adds the replica's per-table hit/miss

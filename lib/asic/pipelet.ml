@@ -241,6 +241,21 @@ let load ?layout spec id program =
                 }
             end)
 
+(* Everything [load] derives from a program — its validation, stage
+   allocation, layout, template, emit plan and compiled parser — is the
+   same for a {!P4ir.Program.copy} of it, so a replica pipelet reuses
+   them. Only the control is compiled again: its closures own scratch
+   and must apply the copy's tables. The adopt scratch is fresh. *)
+let replicate t =
+  let program = P4ir.Program.copy t.program in
+  {
+    t with
+    program;
+    compiled = P4ir.Program.compile_control ~layout:t.layout program;
+    label_counters = None;
+    scratch = Bytes.create (Bytes.length t.scratch);
+  }
+
 let id t = t.id
 let name t = t.name
 let program t = t.program

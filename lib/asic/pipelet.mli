@@ -31,6 +31,17 @@ val load :
     the same order, so a PHV one pass ends with is of the next pass's
     layout and can be {!adopt}ed. *)
 
+val replicate : t -> t
+(** A pipelet over a {!P4ir.Program.copy} of this one's program, for
+    {!Chip.replicate}: its tables share this pipelet's table bodies
+    until either side writes one, and its registers are copies. It
+    reuses every load-time product — the validated program's stage
+    allocation, the layout, the template PHV, the emit plan and the
+    compiled parser — and compiles only the control, whose closures own
+    scratch and apply the copy's tables; its {!adopt} scratch is fresh.
+    Label counters start off. Only reads [t], so several domains may
+    replicate one pipelet at once. *)
+
 val allocate_stages :
   Spec.t -> P4ir.Program.t -> ((string * int) list, string) result
 (** The packing pass alone (exposed for resource reports and tests). *)

@@ -776,24 +776,21 @@ let shard_of_packet ~domains in_port frame =
                  (Int64.of_int domains))
         | None -> (in_port land max_int) mod domains)
 
-(* A shard runtime: a share-nothing chip replica, the same compiled
-   metadata (read-only during a batch), the handler registry bound to
-   the replica's table handles, and — per the parent's engine — a
-   private observer and flow cache armed on the replica chip. Replica
-   chips die with the batch, but shard d's state store carries across
-   batches: a punt-installed session outlives the replica that
-   installed it, and its eviction callback (bound to this batch's
-   replica table) keeps the live chip in step. Building one only reads
-   [t] and writes shard d's store, so shard d builds its own replica on
-   its own domain. *)
+(* A shard runtime: a chip replica that shares nothing it writes, the
+   same compiled metadata (read-only during a batch), the handler
+   registry bound to the replica's table handles, and — per the
+   parent's engine — a private observer and flow cache armed on the
+   replica chip. Replica chips die with the batch (released at the
+   join), but shard d's state store carries across batches: a
+   punt-installed session outlives the replica that installed it, and
+   its eviction callback (bound to this batch's replica table) keeps
+   the live chip in step. Building one only reads [t] and writes shard
+   d's store, so shard d builds its own replica on its own domain. *)
 let replica_of t d =
-  match Asic.Chip.replicate t.chip with
-  | Error e -> failwith ("Runtime.process_batch_parallel: " ^ e)
-  | Ok chip ->
-      make ~compiled:t.compiled ~chip ~handlers:t.handlers ~nf_ids:t.nf_ids
-        ~reinject:t.reinject
-        ~stores:(if Array.length t.stores = 0 then [||] else [| t.stores.(d) |])
-        { t.engine with Engine.domains = 1 }
+  make ~compiled:t.compiled ~chip:(Asic.Chip.replicate t.chip)
+    ~handlers:t.handlers ~nf_ids:t.nf_ids ~reinject:t.reinject
+    ~stores:(if Array.length t.stores = 0 then [||] else [| t.stores.(d) |])
+    { t.engine with Engine.domains = 1 }
 
 (* Shard-major merge. The combined digest chains the per-shard digests
    in shard order through CRC-32: deterministic for a fixed [domains]
@@ -908,6 +905,9 @@ let process_batch_parallel ?domains ?each t pkts =
           (fun rt ->
             Option.iter (fun rc -> Flow_cache.merge_stats ~into:root rc) rt.cache)
           replicas);
+    (* Folded: the replicas give up the table bodies they still share,
+       so the primary's next control op writes in place, uncopied. *)
+    Array.iter (fun rt -> Asic.Chip.release rt.chip) replicas;
     merge_shards per_shard
   end
 

@@ -276,15 +276,19 @@ val process_batch_parallel :
   batch_stats
 (** Shard the batch by {!shard_of_packet} and run every shard on its own
     OCaml domain against a private {!Asic.Chip.replicate} clone of the
-    chip (share-nothing for everything mutable: table entry records,
-    indexes, compiled actions and register cells are the replica's own;
-    the factories from {!on_to_cpu_state} re-bind to the replica and
-    its shard's store). Shard [d] builds its replica on its own domain,
+    chip (it shares nothing it writes: a replica table reads its
+    primary's table body until its first write copies it, and compiled
+    actions and register cells are the replica's own; the factories
+    from {!on_to_cpu_state} re-bind to the replica and its shard's
+    store). Shard [d] builds its replica on its own domain,
     so the replicas are built in parallel, and then runs one minor
     collection so the replica is promoted before its first packet
     rather than in the middle of a shard's packets. Queued control ops
     are drained onto the primary before any shard starts, and the
-    primary is only read while the shards run.
+    primary is only read while the shards run. After the join, once
+    their tallies are folded back, the replicas are released
+    ({!Asic.Chip.release}): their writes die with them, and the
+    primary's next control op writes its tables in place.
 
     [domains] defaults to the engine's;
     [domains:1] is exactly {!process_batch} — same digest, same state

@@ -18,9 +18,9 @@ let make ?(registers = []) ~name ~parser ~tables ~control ~deparse_order () =
   { name; parser; tables; registers; control; deparse_order }
 
 (* Tables and registers are the only mutable state a program owns; the
-   parser, control tree and declarations are shared structurally. A
-   reload of the copy recompiles controls against the copied state,
-   because compilation resolves tables and registers by name through
+   parser, control tree and declarations are shared structurally.
+   Compiling the copy's control binds it to the copied state, because
+   compilation resolves tables and registers by name through
    [table_env]/[reg_env]. *)
 let copy t =
   {

@@ -22,11 +22,11 @@ val make :
 (** Raises [Invalid_argument] on duplicate table or register names. *)
 
 val copy : t -> t
-(** Deep-copy the program's mutable state — installed table entries
-    ({!Table.copy}) and register cells ({!Register.copy}) — sharing the
-    immutable parser/control structure. Loading the copy binds its
-    controls to the copied state, since compilation resolves tables and
-    registers by name. *)
+(** Copy the program's mutable state — its tables ({!Table.copy}: each
+    shares its source's entries until either side writes) and register
+    cells ({!Register.copy}) — sharing the immutable parser/control
+    structure. Compiling the copy's control binds it to the copied
+    state, since compilation resolves tables and registers by name. *)
 
 val table_env : t -> Control.table_env
 val reg_env : t -> Action.reg_env

@@ -76,20 +76,21 @@ let ipat_matches p v =
    [e]/[ai]/[bound] are mutable for {!mod_entry}: a modify rebinds the
    action data in place — the match key (priority and patterns, the
    entry's identity) never changes after install, so the index
-   partitions need no maintenance beyond the epoch bump. [e], [ipats]
-   and [bound] are never mutated in place, which is what lets a {!copy}
-   share them. *)
+   partitions need no maintenance beyond the epoch bump. Only a
+   body's sole holder writes them ({!own_body}). [e], [ipats] and
+   [bound] are never mutated in place, which is what lets a private
+   body copy share them. *)
 type ientry = {
   mutable e : entry;
   seq : int;
+  (* Dense, reused after a delete: the cell that counts this entry's
+     hits in each handle's hit array ([ehits]). A private body copy
+     keeps every entry's slot, so a handle's tallies survive it. *)
+  hit_slot : int;
   lpm : int;
   ipats : ipat array;
   mutable ai : int;
   mutable bound : int array;
-  (* Telemetry: hits attributed to this entry while stats are enabled.
-     Lives on the installed entry so the hot path bumps a field it
-     already holds — no side lookup. *)
-  mutable ehits : int;
 }
 
 (* Index hash finaliser: multiply by an odd 61-bit constant, then fold
@@ -160,36 +161,58 @@ type binding = {
   runs : Action.compiled array;
 }
 
-type store = {
-  (* Source of truth: every installed entry keyed by its sequence
-     number. Seqs are unique for the lifetime of the store — [clear]
-     and [del_entry] never reset [next_seq] — so a replica made with
-     {!copy} (which reproduces seqs exactly) can always be paired back
-     entry-for-entry by {!merge_stats_from}, even across churn. *)
-  by_seq : (int, ientry) Hashtbl.t;
+(* The entries and their index: what a {!copy} shares with its source
+   until one side writes. Seqs are unique for the lifetime of a table —
+   [clear] and [del_entry] never reset [next_seq], and a private copy
+   keeps it — so a replica made with {!copy} can always be paired back
+   entry-for-entry by {!merge_stats_from}, even across churn. *)
+type body = {
+  by_seq : (int, ientry) Hashtbl.t;  (* source of truth, keyed by seq *)
   mutable count : int;
   mutable next_seq : int;
   index : index;
+  (* Hit-slot allocator, a bitmap: slot [s] is taken while bit
+     [s land 31] of [used.(s lsr 5)] is set. [slots] is one past the
+     highest slot ever taken; every word below [low] is full. *)
+  mutable slots : int;
+  mutable used : int array;
+  mutable low : int;
+  (* How many handle states hold this body. Atomic because several
+     domains copy one table at once; a write through a state that is
+     not the only holder first takes a private copy ({!own_body}). *)
+  holders : int Atomic.t;
+}
+
+(* Per-handle state, shared by {!rename}d handles and fresh in a
+   {!copy}: the body it reads, its binding, its telemetry, its
+   invalidation epoch and its lookup recorder. *)
+type store = {
+  mutable body : body;
+  (* [body]'s index, held here too so a lookup reaches it in one
+     load; reassigned whenever [body] is. *)
+  mutable index : index;
   (* Compiled on {!bind}, or for the layout of the first PHV looked
      up; a PHV of another layout recompiles it for that layout. A
      {!copy} starts unbound and compiles its own: compiled closures own
      scratch buffers, which must not be shared across domains. *)
   mutable bnd : binding option;
   (* [None] = telemetry off: both lookup paths pay one immediate-field
-     match and nothing else. Lives in the shared store so {!rename}d
-     handles count into the same tallies. *)
+     match and nothing else. *)
   mutable stats : stats option;
+  (* Per-entry hits by slot, covering the body's slots while stats are
+     on; [||] while they are off. Here rather than in the entry, so
+     handles that share a body count apart. *)
+  mutable ehits : int array;
   (* Invalidation epoch (bumped on every successful mutation) and the
      lookup recorder a memoization layer arms to learn which tables a
-     packet's verdict depended on. Shared across {!rename}d handles,
-     fresh in a {!copy}. *)
+     packet's verdict depended on. *)
   mutable epoch : int;
   mutable on_lookup : (unit -> unit) option;
 }
 
-(* The index and entry store live behind [store], which {!rename}d
-   handles share: entries installed through any handle are visible — and
-   indexed — through all of them. *)
+(* The handle: the table's definition and its state. {!rename}d
+   handles share the state, so entries installed through any of them
+   are visible — and indexed — through all of them. *)
 type t = {
   name : string;
   keys : key list;
@@ -215,9 +238,30 @@ let find_ai acts aname =
   in
   go 0
 
-(* A table with an empty store over [by_seq]; [make] and [copy] differ
-   only in where the seq map comes from. *)
-let build ~name ~keys ~actions ~default ~max_size by_seq =
+let empty_body next_seq =
+  {
+    by_seq = Hashtbl.create 32;
+    count = 0;
+    next_seq;
+    index = fresh_index ();
+    slots = 0;
+    used = [||];
+    low = 0;
+    holders = Atomic.make 1;
+  }
+
+let fresh_store body =
+  {
+    body;
+    index = body.index;
+    bnd = None;
+    stats = None;
+    ehits = [||];
+    epoch = 0;
+    on_lookup = None;
+  }
+
+let make ~name ~keys ~actions ~default ?(max_size = 1024) () =
   let dname, dargs = default in
   let acts = Array.of_list actions in
   let default_ai =
@@ -244,20 +288,10 @@ let build ~name ~keys ~actions ~default ~max_size by_seq =
     default_ai;
     default_bound = Action.bind_ints acts.(default_ai) dargs;
     max_size;
-    store =
-      {
-        by_seq;
-        count = 0;
-        next_seq = 0;
-        index = fresh_index ();
-        bnd = None;
-        stats = None;
-        epoch = 0;
-        on_lookup = None;
-      };
+    store = fresh_store (empty_body 0);
   }
 
-(* The store's binding for [lay], compiled in place of the one it holds
+(* The handle's binding for [lay], compiled in place of the one it holds
    when that was for another layout. *)
 let binding t lay =
   match t.store.bnd with
@@ -285,21 +319,21 @@ let binding t lay =
 
 let bind t lay = ignore (binding t lay)
 
-let make ~name ~keys ~actions ~default ?(max_size = 1024) () =
-  build ~name ~keys ~actions ~default ~max_size (Hashtbl.create 32)
-
 let name t = t.name
 let keys t = t.keys
 let actions t = t.actions
 let default t = t.default
 let max_size t = t.max_size
 
+(* [to_seq_values], not [fold]: a body may be shared with handles on
+   other domains, and [Hashtbl.fold]/[iter] flip a traversal flag in
+   the table they walk. *)
 let ientries_by_seq t =
-  Hashtbl.fold (fun _ ie acc -> ie :: acc) t.store.by_seq []
+  List.of_seq (Hashtbl.to_seq_values t.store.body.by_seq)
   |> List.sort (fun a b -> compare a.seq b.seq)
 
 let entries t = List.map (fun ie -> ie.e) (ientries_by_seq t)
-let size t = t.store.count
+let size t = t.store.body.count
 let rename t name = { t with name }
 
 let find_action t aname = Option.map (fun ai -> t.acts.(ai)) (find_ai t.acts aname)
@@ -482,28 +516,143 @@ let validate_action t entry =
              entry.action (List.length params) (List.length entry.args))
       else Ok ai
 
+(* --- Copy on write ---
+
+   A {!copy} shares its source's body and counts itself as a holder.
+   The first write through a handle that is not its body's only holder
+   takes a private copy of the body first; an only holder writes in
+   place. The copy only reads the shared body — [Hashtbl.copy], never
+   [iter] or [fold], which flip a traversal flag in the table they
+   walk — because handles on other domains may be reading it, or
+   copying it, at the same time. *)
+
+(* A private copy of [b]: the seq map copied bucket for bucket, each
+   entry a fresh mutable record sharing the shared entry's immutable
+   data (entry, lowered patterns, bound arguments, prefix length) and
+   keeping its seq and hit slot, and the index copied partition by
+   partition over the fresh records, each bucket in its order — so a
+   del or mod of a duplicated match key picks the entry the source
+   would. *)
+let copy_body b =
+  let by_seq = Hashtbl.copy b.by_seq in
+  Hashtbl.filter_map_inplace (fun _ ie -> Some { ie with e = ie.e }) by_seq;
+  let fresh l = List.map (fun ie -> Hashtbl.find by_seq ie.seq) l in
+  let buckets copy map_inplace tbl =
+    let c = copy tbl in
+    map_inplace (fun _ l -> Some (ref (fresh !l))) c;
+    c
+  in
+  let idx = b.index in
+  {
+    by_seq;
+    count = b.count;
+    next_seq = b.next_seq;
+    index =
+      {
+        exact1 = buckets HI.copy HI.filter_map_inplace idx.exact1;
+        exact = buckets HA.copy HA.filter_map_inplace idx.exact;
+        lpm =
+          List.map
+            (fun g -> { g with buckets = buckets HI.copy HI.filter_map_inplace g.buckets })
+            idx.lpm;
+        linear = fresh idx.linear;
+      };
+    slots = b.slots;
+    used = Array.copy b.used;
+    low = b.low;
+    holders = Atomic.make 1;
+  }
+
+(* The body [t] may write: its own, made private first when another
+   handle still holds it. *)
+let own_body t =
+  let s = t.store in
+  let b = s.body in
+  if Atomic.get b.holders > 1 then begin
+    s.body <- copy_body b;
+    s.index <- s.body.index;
+    Atomic.decr b.holders
+  end;
+  s.body
+
+(* [own_body], then [ie] — found by the caller's probe of the body [t]
+   held before — as its record in the body [t] now writes. *)
+let own_entry t ie =
+  let b = t.store.body in
+  let b' = own_body t in
+  if b' == b then ie else Hashtbl.find b'.by_seq ie.seq
+
+(* The position of the lowest clear bit of a 32-bit word that has
+   one. *)
+let lowest_clear w =
+  let rec go k = if w land (1 lsl k) = 0 then k else go (k + 1) in
+  go 0
+
+(* The lowest free slot: one bit per slot keeps the allocator at a
+   thirty-second of a word per slot however far the table has shrunk
+   from its peak. *)
+let take_slot b =
+  let n = Array.length b.used in
+  let i = ref b.low in
+  while !i < n && b.used.(!i) = 0xFFFFFFFF do
+    incr i
+  done;
+  let i = !i in
+  b.low <- i;
+  if i = n then begin
+    let grown = Array.make (max 4 (2 * n)) 0 in
+    Array.blit b.used 0 grown 0 n;
+    b.used <- grown
+  end;
+  let w = b.used.(i) in
+  let slot = (i lsl 5) lor lowest_clear w in
+  b.used.(i) <- w lor (1 lsl (slot land 31));
+  if slot >= b.slots then b.slots <- slot + 1;
+  slot
+
+let free_slot b slot =
+  let i = slot lsr 5 in
+  b.used.(i) <- b.used.(i) land lnot (1 lsl (slot land 31));
+  if i < b.low then b.low <- i
+
+(* A fresh entry's tally starts at zero, in a hit array grown to cover
+   its slot when stats are on. *)
+let zero_hits s slot =
+  match s.stats with
+  | None -> ()
+  | Some _ ->
+      if slot >= Array.length s.ehits then begin
+        let grown = Array.make (max 16 (2 * slot)) 0 in
+        Array.blit s.ehits 0 grown 0 (Array.length s.ehits);
+        s.ehits <- grown
+      end
+      else s.ehits.(slot) <- 0
+
 (* Install a validated entry under the next sequence number. The entry
    names its action by position: nothing is compiled here. *)
 let install t entry ai =
-  let seq = t.store.next_seq in
+  let b = own_body t in
+  let seq = b.next_seq in
+  let hit_slot = take_slot b in
   let ie =
     {
       e = entry;
       seq;
+      hit_slot;
       lpm = lpm_len entry;
       ipats =
         Array.of_list
           (List.map2 (fun k p -> compile_pattern k.width p) t.keys entry.patterns);
       ai;
       bound = Action.bind_ints t.acts.(ai) entry.args;
-      ehits = 0;
     }
   in
-  Hashtbl.replace t.store.by_seq seq ie;
-  t.store.count <- t.store.count + 1;
-  t.store.next_seq <- seq + 1;
-  t.store.epoch <- t.store.epoch + 1;
-  index_entry t ie
+  Hashtbl.replace b.by_seq seq ie;
+  b.count <- b.count + 1;
+  b.next_seq <- seq + 1;
+  index_entry t ie;
+  zero_hits t.store hit_slot;
+  t.store.epoch <- t.store.epoch + 1
 
 let add_entry t entry =
   if size t >= t.max_size then
@@ -534,9 +683,12 @@ let del_entry t entry =
                "table %s: no entry with priority %d and these patterns" t.name
                entry.priority)
       | Some ie ->
+          let ie = own_entry t ie in
           unindex_entry t ie;
-          Hashtbl.remove t.store.by_seq ie.seq;
-          t.store.count <- t.store.count - 1;
+          let b = t.store.body in
+          Hashtbl.remove b.by_seq ie.seq;
+          free_slot b ie.hit_slot;
+          b.count <- b.count - 1;
           t.store.epoch <- t.store.epoch + 1;
           Ok ())
 
@@ -558,50 +710,34 @@ let mod_entry t entry =
                  installed); only the action binding changes. Seq and
                  the per-entry hit tally carry over — it is the same
                  logical entry. *)
+              let ie = own_entry t ie in
               ie.e <- { ie.e with action = entry.action; args = entry.args };
               ie.ai <- ai;
               ie.bound <- Action.bind_ints t.acts.(ai) entry.args;
               t.store.epoch <- t.store.epoch + 1;
               Ok ()))
 
-(* A structural copy: the seq map is copied bucket for bucket, and each
-   entry becomes a fresh mutable record that shares the source's
-   immutable data (entry, lowered patterns, bound arguments, prefix
-   length); its action position needs no repointing, since the copy
-   compiles its own actions when it is bound. Seqs and
-   [next_seq] are therefore reproduced exactly, so the copy resolves
-   every lookup tie-break the way the original does AND stays pairable
-   by seq ({!merge_stats_from}) even after either side churns. Only the
-   index is rebuilt. Nothing here writes to the source — not even a
-   [Hashtbl.iter] traversal flag — so replicas can be copied from one
-   source on several domains at once. *)
+(* O(1): the copy shares [t]'s body ({!own_body} makes it private on the
+   first write through either side) and gets fresh handle state. Seqs
+   and [next_seq] are the source's, so the copy resolves every lookup
+   tie-break the way the original does AND stays pairable by seq
+   ({!merge_stats_from}) even after either side churns. *)
 let copy t =
-  let src = t.store in
-  let c =
-    build ~name:t.name ~keys:t.keys ~actions:t.actions ~default:t.default
-      ~max_size:t.max_size (Hashtbl.copy src.by_seq)
-  in
-  let dst = c.store in
-  Hashtbl.filter_map_inplace
-    (fun _ ie -> Some { ie with ehits = 0 })
-    dst.by_seq;
-  Hashtbl.iter (fun _ ie -> index_entry c ie) dst.by_seq;
-  dst.count <- src.count;
-  dst.next_seq <- src.next_seq;
-  c
+  let b = t.store.body in
+  Atomic.incr b.holders;
+  { t with store = fresh_store b }
 
-(* [next_seq] is deliberately NOT reset: seqs must stay unique for the
-   store's lifetime so stats merged by seq never pair an old entry's
-   tally with an unrelated later entry. *)
+(* An empty body in place of the one held, which is left uncopied to
+   its other holders, if any. [next_seq] is deliberately NOT reset:
+   seqs must stay unique for the table's lifetime so stats merged by
+   seq never pair an old entry's tally with an unrelated later
+   entry. *)
 let clear t =
-  Hashtbl.reset t.store.by_seq;
-  t.store.count <- 0;
-  t.store.epoch <- t.store.epoch + 1;
-  let idx = t.store.index in
-  HI.reset idx.exact1;
-  HA.reset idx.exact;
-  idx.lpm <- [];
-  idx.linear <- []
+  let s = t.store in
+  Atomic.decr s.body.holders;
+  s.body <- empty_body s.body.next_seq;
+  s.index <- s.body.index;
+  s.epoch <- s.epoch + 1
 
 let epoch t = t.store.epoch
 let set_on_lookup t f = t.store.on_lookup <- f
@@ -622,7 +758,7 @@ let matches entry values =
 
 (* --- Reference lookup: the pre-index linear scan, kept verbatim as the
    oracle the indexed path is QCheck-equivalence-tested against. The
-   scan order differs (hash-table fold) but [better] is a strict total
+   scan order differs (hash-table order) but [better] is a strict total
    order — sequence numbers are distinct — so the winner is
    order-independent. --- *)
 
@@ -635,8 +771,10 @@ let stat_hit_seq t seq =
   | None -> ()
   | Some s -> (
       s.hits <- s.hits + 1;
-      match Hashtbl.find_opt t.store.by_seq seq with
-      | Some ie -> ie.ehits <- ie.ehits + 1
+      match Hashtbl.find_opt t.store.body.by_seq seq with
+      | Some ie ->
+          let h = t.store.ehits in
+          h.(ie.hit_slot) <- h.(ie.hit_slot) + 1
       | None -> ())
 
 let stat_miss t =
@@ -647,9 +785,9 @@ let stat_miss t =
 let lookup_reference_values t values =
   (match t.store.on_lookup with Some f -> f () | None -> ());
   let candidates =
-    Hashtbl.fold
-      (fun seq ie acc -> if matches ie.e values then (ie.e, seq) :: acc else acc)
-      t.store.by_seq []
+    Seq.fold_left
+      (fun acc ie -> if matches ie.e values then (ie.e, ie.seq) :: acc else acc)
+      [] (Hashtbl.to_seq_values t.store.body.by_seq)
   in
   let better (e1, s1) (e2, s2) =
     if e1.priority <> e2.priority then e1.priority > e2.priority
@@ -678,11 +816,11 @@ let none =
   {
     e = { priority = min_int; patterns = []; action = ""; args = [] };
     seq = -1;
+    hit_slot = -1;
     lpm = 0;
     ipats = [||];
     ai = 0;
     bound = [||];
-    ehits = 0;
   }
 
 let ibetter a b =
@@ -760,7 +898,8 @@ let lookup_ientry t b phv =
     | None -> ()
     | Some s ->
         s.hits <- s.hits + 1;
-        ie.ehits <- ie.ehits + 1
+        let h = t.store.ehits in
+        h.(ie.hit_slot) <- h.(ie.hit_slot) + 1
   end
   else stat_miss t;
   ie
@@ -811,15 +950,18 @@ let apply_reference ?(regs = Action.no_regs) t phv =
 
 (* --- Telemetry --- *)
 
-let iter_ientries t f = Hashtbl.iter (fun _ ie -> f ie) t.store.by_seq
-
+(* Enabling (re)starts every tally from zero; disabling discards
+   them, per-entry hits included. *)
 let set_stats_enabled t on =
+  let s = t.store in
   if on then begin
-    (* (Re)enabling starts a fresh tally. *)
-    iter_ientries t (fun ie -> ie.ehits <- 0);
-    t.store.stats <- Some { hits = 0; misses = 0 }
+    s.stats <- Some { hits = 0; misses = 0 };
+    s.ehits <- Array.make s.body.slots 0
   end
-  else t.store.stats <- None
+  else begin
+    s.stats <- None;
+    s.ehits <- [||]
+  end
 
 let stats t = t.store.stats
 
@@ -829,25 +971,33 @@ let reset_stats t =
   | Some s ->
       s.hits <- 0;
       s.misses <- 0;
-      iter_ientries t (fun ie -> ie.ehits <- 0)
+      Array.fill t.store.ehits 0 (Array.length t.store.ehits) 0
 
-let entry_hits t = List.map (fun ie -> (ie.e, ie.ehits)) (ientries_by_seq t)
+let hits_of t ie =
+  let h = t.store.ehits in
+  if ie.hit_slot < Array.length h then h.(ie.hit_slot) else 0
+
+let entry_hits t = List.map (fun ie -> (ie.e, hits_of t ie)) (ientries_by_seq t)
 
 (* Fold a replica's tallies into this table's (both must have stats
-   enabled, else no-op). Per-entry hits are matched by sequence number —
-   a replica made with {!copy} reproduces them, and seqs are never
-   reused within a store — so entries present only on one side (deleted
-   here, or installed on the replica after the copy) are skipped rather
-   than misattributed. *)
+   enabled, else no-op). Per-entry hits are matched by sequence number
+   — a replica made with {!copy} reproduces them, and seqs are never
+   reused within a table — so entries present only on one side
+   (deleted here, or installed on the replica after the copy) are
+   skipped rather than misattributed. Over one shared body both sides
+   resolve a seq to the same record, so to the same slot. *)
 let merge_stats_from t ~src =
   match (t.store.stats, src.store.stats) with
   | Some d, Some s ->
       d.hits <- d.hits + s.hits;
       d.misses <- d.misses + s.misses;
-      iter_ientries src (fun sie ->
-          match Hashtbl.find_opt t.store.by_seq sie.seq with
-          | Some ie -> ie.ehits <- ie.ehits + sie.ehits
+      let dh = t.store.ehits and body = t.store.body in
+      Seq.iter
+        (fun sie ->
+          match Hashtbl.find_opt body.by_seq sie.seq with
+          | Some ie -> dh.(ie.hit_slot) <- dh.(ie.hit_slot) + hits_of src sie
           | None -> ())
+        (Hashtbl.to_seq_values src.store.body.by_seq)
   | None, _ | _, None -> ()
 
 (* --- Diagnostics --- *)

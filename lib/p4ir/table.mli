@@ -39,8 +39,9 @@ val max_size : t -> int
 val entries : t -> entry list
 val size : t -> int
 val rename : t -> string -> t
-(** Same definition and shared entry store (and index) under a new name:
-    entries added through either handle are seen by both. *)
+(** The same table under a new name: both handles share one state —
+    entries, index, binding, stats, epoch and recorder — so entries
+    added through either are seen by both. *)
 
 val find_action : t -> string -> Action.t option
 
@@ -94,18 +95,21 @@ val mod_entry : t -> entry -> (unit, string) result
     Bumps the epoch. *)
 
 val clear : t -> unit
-(** Remove every entry. Sequence numbers are not reused afterwards —
-    [next_seq] survives a clear — so stats merged by seq
-    ({!merge_stats_from}) never pair entries across generations. *)
+(** Remove every entry: the handle takes an empty body, and gives up
+    its claim on the one it held without copying it — a clear never
+    copies, even when the entries are shared with a {!copy}, which
+    keeps them. Sequence numbers are not reused afterwards — [next_seq]
+    survives a clear — so stats merged by seq ({!merge_stats_from})
+    never pair entries across generations. *)
 
 (** {2 Invalidation epoch and lookup recorder}
 
     Support for memoization layers (the runtime flow cache): the epoch
     counts successful mutations and the recorder — when armed —
     observes every lookup, hit or miss, on both the indexed and the
-    reference path. Both live in the shared entry store ({!rename}d
-    handles report together); a {!copy} starts fresh. When no recorder
-    is armed the lookup paths pay a single option match. *)
+    reference path. Both live in the handle's state ({!rename}d handles
+    report together); a {!copy} starts fresh. When no recorder is armed
+    the lookup paths pay a single option match. *)
 
 val epoch : t -> int
 (** Incremented by every successful mutation: {!add_entry},
@@ -116,21 +120,27 @@ val set_on_lookup : t -> (unit -> unit) option -> unit
     is the dependency, so it fires on hits and misses alike. *)
 
 val copy : t -> t
-(** A structural copy: same definition, fresh store holding the
-    source's current entries with their sequence numbers — and the seq
-    allocator — reproduced exactly, so the copy resolves lookup
-    tie-breaks like the original and stays pairable by seq even after
-    either side churns.
+(** An independent copy in O(1): same definition, the source's current
+    entries with their sequence numbers — and the seq allocator — so
+    the copy resolves lookup tie-breaks like the original and stays
+    pairable by seq even after either side churns. Mutating either side
+    afterwards leaves the other unchanged.
 
-    The copy shares each entry's immutable data (the entry, its lowered
-    patterns, int action data and prefix length) with the source, gets
-    fresh mutable entry records and rebuilds the index. It starts
-    unbound and compiles its own actions when bound — compiled closures
-    own scratch buffers, so a copy used on another domain shares none
-    with the source. Mutating either side
-    afterwards leaves the other unchanged. The copy only reads the
-    source, so several domains may copy one table at once. Stats start
-    disabled, the epoch at 0 and no lookup recorder is armed. Used by
+    Copy on write: the copy shares the source's body — entries, lowered
+    patterns and index — and counts itself among its holders
+    (atomically, so several domains may copy one table at once; the
+    copy only reads the source otherwise). The first {!add_entry},
+    {!mod_entry} or {!del_entry} through a handle that is not its
+    body's only holder takes a private copy of the body first — fresh
+    mutable entry records over the shared immutable entry data, the
+    index copied bucket for bucket in order — and an only holder writes
+    in place; {!clear} just drops its claim. So a copy costs what it
+    writes, and a body only ever gets read while it is shared.
+
+    The copy starts unbound and compiles its own actions when bound —
+    compiled closures own scratch buffers, so a copy used on another
+    domain shares none with the source. Stats start disabled, the epoch
+    at 0 and no lookup recorder is armed. Used by
     {!Asic.Chip.replicate}. *)
 
 (** {2 Layout binding}
@@ -138,16 +148,16 @@ val copy : t -> t
     A table's fast path is compiled against the PHV layout of the
     pipelet that applies it: key reads become cell reads and each
     declared action is compiled once ({!Action.compile}) for that
-    layout, so lookups and applies run on immediate ints. The store
+    layout, so lookups and applies run on immediate ints. The handle
     holds one binding ({!rename}d handles share it). A lookup or apply
     on a PHV of another layout compiles a binding for that layout in
     place of the one held: an unbound table binds to the first PHV's
-    layout, and only a store shared by pipelets of different layouts
+    layout, and only a handle shared by pipelets of different layouts
     rebinds after load. *)
 
 val bind : t -> Phv.layout -> unit
 (** Compile the key reads and actions against a layout, replacing the
-    store's binding unless it is for this layout already.
+    handle's binding unless it is for this layout already.
     [Asic.Pipelet.load] binds every table its control applies. Raises
     [Not_found] when the layout lacks a key field, as a name-resolved
     read would, and [Invalid_argument] when the field's width is not
@@ -198,26 +208,32 @@ val apply_reference : ?regs:Action.reg_env -> t -> Phv.t -> string * bool
     Hit/miss tallies and per-entry hit counts, maintained by both
     {!lookup}/{!apply} and the reference pair when enabled. Off by
     default; when off the lookup paths pay a single immediate-field
-    match. Counters live in the shared entry store, so {!rename}d
-    handles tally together. *)
+    match. The counters live in the handle's state, not in the entries:
+    {!rename}d handles tally together, and a {!copy} counts its own hits
+    while it still shares its source's entries. A hit on an enabled
+    table is one increment of the handle's per-entry array, at the slot
+    the entry keeps for its lifetime. *)
 
 type stats = { mutable hits : int; mutable misses : int }
 
 val set_stats_enabled : t -> bool -> unit
 (** Enabling (re)starts all tallies from zero; disabling discards
-    them. *)
+    them, per-entry hits included. *)
 
 val stats : t -> stats option
 val reset_stats : t -> unit
 val entry_hits : t -> (entry * int) list
 (** Installed entries with their hit counts, insertion order. All zero
-    when stats were never enabled. *)
+    when stats are disabled. *)
 
 val merge_stats_from : t -> src:t -> unit
-(** Add [src]'s hit/miss tallies (and per-entry hits, matched by
-    sequence number) into this table's. No-op unless both tables have
-    stats enabled. Used to fold a {!copy}-based replica's telemetry back
-    into the original after a parallel run. *)
+(** Add [src]'s hit/miss tallies and per-entry hits into this table's,
+    matched by sequence number, so entries present on one side only are
+    skipped; over a body both still share, every entry pairs with
+    itself.
+    No-op unless both tables have stats enabled. Used to fold a
+    {!copy}-based replica's telemetry back into the original after a
+    parallel run. *)
 
 (** {2 Diagnostics} *)
 
@@ -228,7 +244,7 @@ val max_bucket_length : t -> int
 
 val compiled_action : t -> entry -> Action.compiled option
 (** The compiled action the installed entry with [entry]'s match key
-    runs under the store's current binding; [None] when the table is
+    runs under the handle's current binding; [None] when the table is
     unbound or no such entry is installed. (Exposed for testing closure
     sharing.) *)
 

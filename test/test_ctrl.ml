@@ -307,6 +307,179 @@ let prop_live_equals_cold =
           Int64.equal (Ctrl.state_digest (Runtime.chip rt)) want)
         [ 1; 2; 4 ])
 
+(* --- replicas: copy on write --- *)
+
+let acl = Nflib.Catalog.acl_table_name
+let lb_sessions = Compose.nf_table_name ~nf:Nflib.Lb.name Nflib.Lb.table_name
+
+let session_tuple k =
+  {
+    Netpkt.Flow.src = Netpkt.Ip4.of_octets 203 0 113 (1 + k);
+    dst = Nflib.Catalog.tenant1_vip;
+    proto = Netpkt.Ipv4.proto_tcp;
+    src_port = 5000 + k;
+    dst_port = 80;
+  }
+
+(* One op on the FIB, the ACL or the LB session table, keyed from a
+   small range so that Mods and Dels often find their entry and Adds
+   sometimes duplicate one; one op in eight clears its table. *)
+let cow_op (table, kind, key, arg) =
+  let k = key mod 6 and a = arg mod 4 in
+  let op e =
+    match kind mod 8 with
+    | 0 | 1 | 2 -> Ctrl.Add e
+    | 3 | 4 -> Ctrl.Mod e
+    | 5 | 6 -> Ctrl.Del e
+    | _ -> Ctrl.Clear
+  in
+  match table mod 3 with
+  | 0 ->
+      Ctrl.Table
+        ( routes,
+          op
+            (Nflib.Router.route_entry
+               (route
+                  ~nh:(Printf.sprintf "02:00:0a:00:00:%02x" (a + 1))
+                  (Printf.sprintf "172.20.%d.0/24" k))) )
+  | 1 ->
+      Ctrl.Table
+        ( acl,
+          op
+            (Nflib.Firewall.rule_entry
+               {
+                 Nflib.Firewall.src = Some (pfx (Printf.sprintf "198.18.%d.0/24" k));
+                 dst = None;
+                 proto = None;
+                 dst_port = None;
+                 action = (if a land 1 = 0 then Nflib.Firewall.Deny else Nflib.Firewall.Permit);
+                 priority = 100 + k;
+               }) )
+  | _ ->
+      Ctrl.Table
+        ( lb_sessions,
+          op
+            (Nflib.Lb.session_entry (session_tuple k)
+               (Netpkt.Ip4.of_octets 10 0 1 (10 + a))) )
+
+(* Random ops may fail (a Del of an absent entry): each applies alone. *)
+let apply_each chip ops = List.iter (fun o -> ignore (Ctrl.apply chip o)) ops
+
+let preload = List.init 9 (fun i -> cow_op (i, i mod 3, i, i))
+
+let preloaded_chip () =
+  let chip = (compile ()).Compiler.chip in
+  apply_each chip preload;
+  chip
+
+(* Each table's lookup of probe [k], on a PHV whose first key field
+   holds the probe's value. *)
+let probe_lookups chip =
+  let frame = tcp ~src:"203.0.113.7" ~dst:"10.0.3.50" ~src_port:1234 ~dst_port:443 in
+  let ingress = List.hd (Asic.Chip.pipelets chip) in
+  let key_value name k =
+    if String.equal name routes then
+      Netpkt.Ip4.to_int64 (Netpkt.Ip4.of_octets 172 20 k 9)
+    else if String.equal name acl then
+      Netpkt.Ip4.to_int64 (Netpkt.Ip4.of_octets 198 18 k 7)
+    else Int64.logand (Nflib.Lb.session_hash (session_tuple k)) 0xffffffffL
+  in
+  List.concat_map
+    (fun name ->
+      let tbl = Option.get (Asic.Chip.find_table chip name) in
+      List.init 6 (fun k ->
+          let phv =
+            match Asic.Pipelet.parse ingress frame with
+            | Ok (phv, _) -> phv
+            | Error e -> Alcotest.fail e
+          in
+          let key = List.hd (P4ir.Table.keys tbl) in
+          P4ir.Phv.set phv key.P4ir.Table.field
+            (P4ir.Bitval.make ~width:key.P4ir.Table.width (key_value name k));
+          P4ir.Table.lookup tbl phv))
+    [ routes; acl; lb_sessions ]
+
+(* Two replicas of one chip and the chip itself each apply their own
+   random op stream, all three at once on three domains. Every chip
+   must then hold exactly what a cold chip holds after applying only
+   that chip's ops: the replicas share their source's table bodies
+   until each writes, and no write — in place or into a private copy —
+   may reach another holder. *)
+let prop_replicas_copy_on_write =
+  let stream = QCheck.(list_of_size Gen.(int_bound 12) (quad small_nat small_nat small_nat small_nat)) in
+  QCheck.Test.make ~name:"source and replicas each = cold chip + own ops" ~count:12
+    QCheck.(triple stream stream stream)
+    (fun (s_raw, r1_raw, r2_raw) ->
+      let ops = List.map cow_op in
+      let s_ops = ops s_raw and r1_ops = ops r1_raw and r2_ops = ops r2_raw in
+      let src = preloaded_chip () in
+      let r1 = Asic.Chip.replicate src and r2 = Asic.Chip.replicate src in
+      ignore
+        (Dpool.run ~domains:3
+           [
+             (fun () -> apply_each src s_ops);
+             (fun () -> apply_each r1 r1_ops);
+             (fun () -> apply_each r2 r2_ops);
+           ]);
+      List.for_all
+        (fun (chip, ops) ->
+          let cold = preloaded_chip () in
+          apply_each cold ops;
+          Int64.equal (Ctrl.state_digest chip) (Ctrl.state_digest cold)
+          && probe_lookups chip = probe_lookups cold)
+        [ (src, s_ops); (r1, r1_ops); (r2, r2_ops) ])
+
+(* Minor words allocated by [f ()]: this domain's own counter. The
+   runtime-wide counters [Gc.quick_stat] reads also take in a joined
+   domain's allocations whenever its runtime termination completes,
+   which may be after [Dpool.run] returns. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  let r = f () in
+  (r, Gc.minor_words () -. w0)
+
+let test_release () =
+  let src = preloaded_chip () in
+  apply_each src
+    (List.init 64 (fun i ->
+         route_op (Printf.sprintf "172.21.%d.0/24" i) (fun e -> Ctrl.Add e)));
+  let fib chip = Option.get (Asic.Chip.find_table chip routes) in
+  let add chip prefix =
+    let e = Nflib.Router.route_entry (route prefix) in
+    snd (minor_words (fun () -> P4ir.Table.add_entry (fib chip) e))
+  in
+  let held = Asic.Chip.replicate src in
+  let n = P4ir.Table.size (fib src) in
+  check Alcotest.int "a replica starts from its source's routes" n
+    (P4ir.Table.size (fib held));
+  (* [held] still shares the FIB's body: the source's write copies it. *)
+  let copying = add src "172.22.0.0/24" in
+  check Alcotest.int "the source's write leaves the replica as it was" n
+    (P4ir.Table.size (fib held));
+  let released = Asic.Chip.replicate src in
+  let digest = Ctrl.state_digest src in
+  Asic.Chip.release released;
+  List.iter
+    (fun pl ->
+      List.iter
+        (fun tbl ->
+          check Alcotest.int
+            ("released " ^ P4ir.Table.name tbl ^ " reads as empty")
+            0 (P4ir.Table.size tbl))
+        (Asic.Pipelet.tables pl))
+    (Asic.Chip.pipelets released);
+  check Alcotest.bool "a released replica's lookups miss" true
+    (List.for_all (( = ) `Miss) (probe_lookups released));
+  check Alcotest.int64 "releasing leaves the source as it was" digest
+    (Ctrl.state_digest src);
+  let in_place = add src "172.22.1.0/24" in
+  check Alcotest.bool
+    (Printf.sprintf
+       "after release the source writes in place (%.0f words, %.0f copying)"
+       in_place copying)
+    true
+    (in_place < 1000. && in_place *. 10. < copying)
+
 let () =
   Alcotest.run "ctrl"
     [
@@ -331,4 +504,9 @@ let () =
             test_del_invalidates_cached_flow;
         ] );
       ("convergence", [ qtest prop_live_equals_cold ]);
+      ( "replicas",
+        [
+          qtest prop_replicas_copy_on_write;
+          Alcotest.test_case "release" `Quick test_release;
+        ] );
     ]

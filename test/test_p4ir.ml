@@ -733,6 +733,66 @@ let test_stats_merge_after_churn () =
   | [ (_, hits) ] -> check Alcotest.int "no cross-generation pairing" 0 hits
   | _ -> Alcotest.fail "expected 1 entry"
 
+(* Disabling stats discards every tally, the per-entry hits included:
+   afterwards the table reads as one that never counted. *)
+let test_stats_disable_discards_hits () =
+  let t = mk_table () in
+  must_add t
+    { Table.priority = 0; patterns = [ Table.M_exact (bv 8 1) ];
+      action = "set_b"; args = [ bv 16 10 ] };
+  Table.set_stats_enabled t true;
+  let phv = fresh_phv () in
+  Phv.set_int phv (fr "m" "a") 1;
+  ignore (Table.apply t phv);
+  ignore (Table.apply t phv);
+  check Alcotest.(list int) "two hits counted" [ 2 ]
+    (List.map snd (Table.entry_hits t));
+  Table.set_stats_enabled t false;
+  check Alcotest.bool "tallies gone" true (Table.stats t = None);
+  check Alcotest.(list int) "per-entry hits gone" [ 0 ]
+    (List.map snd (Table.entry_hits t))
+
+(* Per-entry hits against a model, under add/del churn with lookups in
+   between: every live entry counts exactly the lookups it won since it
+   was installed, so no two live entries share a hit slot and a reused
+   slot starts from zero. *)
+let prop_entry_hits_match_model =
+  QCheck.Test.make ~name:"per-entry hits under churn = model" ~count:300
+    QCheck.(list_of_size Gen.(int_bound 80) (pair bool (int_bound 40)))
+    (fun trace ->
+      let t = mk_table ~max_size:64 () in
+      Table.set_stats_enabled t true;
+      let e k =
+        { Table.priority = 0; patterns = [ Table.M_exact (bv 8 k) ];
+          action = "set_b"; args = [ bv 16 k ] }
+      in
+      let model = Hashtbl.create 16 in
+      let phv = fresh_phv () in
+      List.iter
+        (fun (write, k) ->
+          if write then
+            if Hashtbl.mem model k then begin
+              ignore (Table.del_entry t (e k));
+              Hashtbl.remove model k
+            end
+            else begin
+              must_add t (e k);
+              Hashtbl.replace model k 0
+            end
+          else begin
+            Phv.set_int phv (fr "m" "a") k;
+            if snd (Table.apply t phv) then
+              Hashtbl.replace model k (Hashtbl.find model k + 1)
+          end)
+        trace;
+      let key (entry : Table.entry) =
+        match entry.Table.patterns with
+        | [ Table.M_exact v ] -> Bitval.to_int v
+        | _ -> -1
+      in
+      List.sort compare (List.map (fun (en, n) -> (key en, n)) (Table.entry_hits t))
+      = List.sort compare (List.of_seq (Hashtbl.to_seq model)))
+
 (* Differential property: a random add/del/mod trace maintained
    incrementally must keep the staged index equivalent to the linear
    reference scan after every op — same physical hit entry, so
@@ -1264,6 +1324,9 @@ let () =
             test_table_mod_keeps_tiebreak;
           Alcotest.test_case "stats merge after churn" `Quick
             test_stats_merge_after_churn;
+          Alcotest.test_case "disabling stats discards hits" `Quick
+            test_stats_disable_discards_hits;
+          qtest prop_entry_hits_match_model;
           qtest prop_ternary_lookup_model;
           qtest prop_indexed_lookup_matches_reference;
           qtest prop_op_trace_matches_reference;

@@ -244,7 +244,25 @@ let test_telemetry_merges_across_shards () =
     (counters par_rt);
   (* The emitted counter really reflects the batch, not a default. *)
   check Alcotest.bool "emitted counter is live" true
-    (List.assoc "verdict.emitted" (counters par_rt) = par.Runtime.emitted)
+    (List.assoc "verdict.emitted" (counters par_rt) = par.Runtime.emitted);
+  (* Per-entry hits, counted by each replica over the primary's table
+     bodies, merge back entry by entry. The LB session table is left
+     out: the sessions a replica's handler installs die at the join,
+     with the hits they took, while the sequential run keeps both. *)
+  let lb_sessions = Compose.nf_table_name ~nf:Nflib.Lb.name Nflib.Lb.table_name in
+  let entry_hits rt =
+    List.filter_map
+      (fun (name, hits) ->
+        if String.ends_with ~suffix:("/" ^ lb_sessions) name then None
+        else Some (name, List.map snd hits))
+      (Observe.table_entry_hits (Runtime.chip rt))
+  in
+  check Alcotest.bool "some table entry was hit" true
+    (List.exists (fun (_, l) -> List.exists (fun n -> n > 0) l) (entry_hits seq_rt));
+  check
+    Alcotest.(list (pair string (list int)))
+    "merged per-entry hits equal sequential" (entry_hits seq_rt)
+    (entry_hits par_rt)
 
 (* Sharding is pure flow affinity: every packet of a 5-tuple flow lands
    on the same shard, whatever the in_port. *)
