@@ -677,9 +677,9 @@ let write_bench name members =
 
 (* ------------------------------------------------------------------ *)
 (* Placement solver benchmark: wall time and solution cost per solver   *)
-(* and spec size, the three-way anneal head-to-head (incremental        *)
-(* move-diff vs full rebuild vs reference oracle), and multi-domain     *)
-(* parallel restarts, in BENCH_placement.json.                          *)
+(* and spec size, the anneal head-to-head (move-diff vs the reference   *)
+(* oracle, gated identical), and multi-domain parallel restarts, in     *)
+(* BENCH_placement.json.                                                *)
 (* ------------------------------------------------------------------ *)
 
 let bench_placement () =
@@ -727,14 +727,25 @@ let bench_placement () =
       @ if spec.Asic.Spec.n_pipelines <= 2 then [ ("exhaustive", Placement.Exhaustive) ]
         else []
     in
+    (* Every row, and the anneal under the reference scorer, goes
+       through the one timing discipline: 3 rotated rounds, fastest
+       kept, so no row carries a first call's warm-up. *)
+    let timed =
+      List.combine
+        (List.map fst solvers @ [ "reference" ])
+        (time_rounds ~rounds:3
+           (List.map (fun (_, strategy) () () -> Placement.solve input strategy) solvers
+           @ [ (fun () () -> Placement.solve ~scorer:Placement.Reference input anneal) ]))
+    in
     let rows =
       List.filter_map
-        (fun (name, strategy) ->
-          match clock (fun () -> Placement.solve input strategy) with
+        (fun (name, _) ->
+          match List.assoc name timed with
           | _, Error e ->
               Format.printf "%-12s failed: %s@." name e;
               None
-          | dt, Ok (_, cost) ->
+          | secs, Ok (_, cost) ->
+              let dt = fastest secs in
               Format.printf "%-12s %12.2f %10.3f@." name (dt *. 1000.0) cost;
               Some
                 (J.Obj
@@ -745,50 +756,42 @@ let bench_placement () =
                    ]))
         solvers
     in
-    (* Three-way anneal head-to-head: incremental move-diff (the
-       production path), full rebuild with the memoized fast scorer and
-       full rebuild with the uncached reference scorer. All three are
-       deterministic, so the fastest of 3 rounds is the cleanest
-       estimate. *)
-    let incr_s, incremental, fast_s, fast, ref_s, reference =
-      match
-        time_rounds ~rounds:3
-          [
-            (fun () () -> Placement.solve input anneal);
-            (fun () () -> Placement.solve_rebuild input anneal);
-            (fun () () ->
-              Placement.solve_rebuild ~scorer:Placement.Reference input anneal);
-          ]
-      with
-      | [ (i, ir); (f, fr); (r, rr) ] -> (fastest i, ir, fastest f, fr, fastest r, rr)
-      | _ -> assert false
-    in
-    let same a b =
-      match (a, b) with
+    (* The anneal row against the oracle: both scorers walk the same
+       trajectory, so their layouts and costs must be equal. *)
+    let anneal_secs, fast = List.assoc "anneal" timed in
+    let ref_secs, reference = List.assoc "reference" timed in
+    let ref_s = fastest ref_secs in
+    let identical =
+      match (fast, reference) with
       | Ok (la, ca), Ok (lb, cb) -> la = lb && abs_float (ca -. cb) < 1e-9
       | Error _, Error _ -> true
       | _ -> false
     in
-    let costs_equal = same incremental fast && same incremental reference in
-    let speedup = ref_s /. fast_s and incr_speedup = fast_s /. incr_s in
-    Format.printf
-      "anneal incremental=%.2fms rebuild-fast=%.2fms reference=%.2fms \
-       incr-speedup=%.1fx fast-speedup=%.1fx identical=%b@."
-      (incr_s *. 1000.0) (fast_s *. 1000.0) (ref_s *. 1000.0) incr_speedup
-      speedup costs_equal;
+    let speedup = ref_s /. fastest anneal_secs in
+    Format.printf "anneal reference=%.2fms speedup=%.1fx identical=%b@."
+      (ref_s *. 1000.0) speedup identical;
+    gate
+      (Printf.sprintf "%s: anneal Fast = Reference" spec.Asic.Spec.name)
+      identical;
     (* Parallel restarts: the full seed sweep on a 4-domain pool. *)
     let restart_domains = 4 in
     let restart_seeds = [ 1; 2; 3; 4; 5; 6 ] in
     let restarts =
-      match
-        clock (fun () ->
-            Placement.solve_parallel ~iterations:anneal_iterations
-              ~domains:restart_domains ~seeds:restart_seeds input)
-      with
-      | _, Error e ->
+      let secs, r =
+        List.hd
+          (time_rounds ~rounds:3
+             [
+               (fun () () ->
+                 Placement.solve_parallel ~iterations:anneal_iterations
+                   ~domains:restart_domains ~seeds:restart_seeds input);
+             ])
+      in
+      match r with
+      | Error e ->
           Format.printf "restarts failed: %s@." e;
           [ ("domains", J.Int restart_domains); ("error", J.String e) ]
-      | par_s, Ok p ->
+      | Ok p ->
+          let par_s = fastest secs in
           Format.printf "restarts (%d seeds, %d domains): best=%.3f in %.2fms@."
             (List.length restart_seeds) restart_domains p.Placement.cost
             (par_s *. 1000.0);
@@ -816,12 +819,9 @@ let bench_placement () =
         ("spec", J.String spec.Asic.Spec.name);
         ("n_pipelines", J.Int spec.Asic.Spec.n_pipelines);
         ("solvers", J.List rows);
-        ("anneal_incremental_s", J.fixed 6 incr_s);
-        ("anneal_fast_s", J.fixed 6 fast_s);
         ("anneal_reference_s", J.fixed 6 ref_s);
         ("anneal_speedup", J.fixed 2 speedup);
-        ("anneal_incremental_speedup", J.fixed 2 incr_speedup);
-        ("anneal_results_identical", J.Bool costs_equal);
+        ("anneal_results_identical", J.Bool identical);
         ("restarts", J.Obj restarts);
       ]
   in

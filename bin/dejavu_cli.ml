@@ -205,34 +205,14 @@ let place_cmd =
       value & opt int 4000
       & info [ "iterations" ] ~docv:"N" ~doc:"Annealing iterations per restart.")
   in
-  let scorer_conv =
-    let parse = function
-      | "fast" -> Ok Placement.Fast
-      | "reference" -> Ok Placement.Reference
-      | s -> Error (`Msg (Printf.sprintf "unknown scorer %S" s))
-    in
-    let print ppf = function
-      | Placement.Fast -> Format.pp_print_string ppf "fast"
-      | Placement.Reference -> Format.pp_print_string ppf "reference"
-    in
-    Cmdliner.Arg.conv (parse, print)
-  in
-  let scorer_arg =
-    Cmdliner.Arg.(
-      value
-      & opt scorer_conv Placement.Fast
-      & info [ "scorer" ] ~docv:"SCORER"
-          ~doc:"Scoring backend: fast (memoized heap solver) or reference.")
-  in
-  let run extended domains seeds iterations scorer =
+  let run extended domains seeds iterations =
     let input =
       Nflib.Catalog.edge_cloud_input ~strategy:Placement.default_anneal
         ~extended ()
     in
     let pinput = or_die (Compiler.placement_input input) in
     let result =
-      or_die
-        (Placement.solve_parallel ~scorer ~iterations ~domains ~seeds pinput)
+      or_die (Placement.solve_parallel ~iterations ~domains ~seeds pinput)
     in
     Format.printf "restarts (%d domains):@." domains;
     List.iter
@@ -250,8 +230,7 @@ let place_cmd =
          "Anneal the deployment's placement with parallel seeded restarts \
           and print the per-seed costs and the best layout.")
     Cmdliner.Term.(
-      const run $ extended_arg $ domains_arg $ seeds_arg $ iterations_arg
-      $ scorer_arg)
+      const run $ extended_arg $ domains_arg $ seeds_arg $ iterations_arg)
 
 (* --- cluster -------------------------------------------------------- *)
 

@@ -40,8 +40,8 @@ val group_kind : pipelet_layout -> int -> [ `Seq | `Par ]
 val index : t -> (string, coord) Hashtbl.t
 (** Whole-layout hash index: NF -> {!coord}. One O(n) pass instead of
     repeated {!location}/{!position} list scans — the lookup structure
-    the traversal solver and its memo cache build per layout, and the
-    structure {!Placement}'s move-diff annealer maintains incrementally.
+    the traversal solver builds per layout, and the structure
+    {!Placement}'s move-diff annealer maintains incrementally.
     First occurrence wins, matching {!coord}. *)
 
 val validate : t -> (unit, string) result

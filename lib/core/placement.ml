@@ -79,8 +79,8 @@ let canonical_order chains nfs =
 
 (* The one fit rule for co-located NFs: chain-canonical order, [Seq]
    when the stage budget allows, [Par] fallback otherwise. Shared by
-   [build_layout] and the naive solver's fit check so no strategy can
-   disagree with the evaluator about what fits. *)
+   the layout builder and the naive solver's fit check so no strategy
+   can disagree with the evaluator about what fits. *)
 let fit_pipelet input nfs =
   let ordered = canonical_order input.chains nfs in
   let budget = input.spec.Asic.Spec.stages_per_pipelet in
@@ -92,23 +92,29 @@ let fit_pipelet input nfs =
   end
   else None
 
-let build_layout input assignment =
+(* The NFs an assignment puts on pipelet [id], in assignment order. *)
+let residents assignment id =
+  List.filter_map
+    (fun (nf, i) -> if Asic.Pipelet.equal_id i id then Some nf else None)
+    assignment
+
+(* The one layout builder: each pipelet's residents, fitted by [fit]
+   (the fit rule itself, or the scorer's memo of it). *)
+let build_layout_with fit assignment =
   let ids =
     List.sort_uniq Asic.Pipelet.compare_id (List.map snd assignment)
   in
   let rec build acc = function
     | [] -> Some (List.rev acc)
     | id :: rest -> (
-        let nfs =
-          List.filter_map
-            (fun (nf, i) -> if Asic.Pipelet.equal_id i id then Some nf else None)
-            assignment
-        in
-        match fit_pipelet input nfs with
+        match fit (residents assignment id) with
         | Some pl -> build ((id, pl) :: acc) rest
         | None -> None)
   in
   build [] ids
+
+let build_layout input assignment =
+  build_layout_with (fit_pipelet input) assignment
 
 let evaluate input layout =
   if not (feasible input layout) then None
@@ -119,79 +125,50 @@ let evaluate input layout =
 (* --- scorer ---------------------------------------------------------- *)
 
 (* The public backend selector: [Fast] is the production path (heap
-   solver, traversal memo cache, fit memo, move-diff annealing);
-   [Reference] is the uncached array-scan oracle every fast path is
-   proven against. *)
+   solver, fit memo, move-diff annealing); [Reference] is the
+   array-scan oracle every fast path is proven against. *)
 type scorer = Fast | Reference
 
 (* Per-solve scorer state. [fit] caches [fit_pipelet] results keyed by
    the co-located NF list — valid only while [input.chains] is fixed, so
    callers that rewrite chains (greedy's truncation) must drop it. *)
 type scorer_state = {
-  backend : [ `Fast of Traversal.cache | `Reference ];
+  scorer : scorer;
   fit : (string list, Layout.pipelet_layout option) Hashtbl.t option;
 }
 
-let make_scorer = function
-  | Reference -> { backend = `Reference; fit = None }
-  | Fast ->
-      {
-        backend = `Fast (Traversal.cache_create ());
-        fit = Some (Hashtbl.create 256);
-      }
-
-let score_layout scorer input layout =
-  match scorer.backend with
-  | `Fast cache ->
-      Traversal.cost_cached cache input.spec layout
-        ~entry_pipeline:input.entry_pipeline input.chains
-  | `Reference ->
-      Traversal.cost_reference input.spec layout
-        ~entry_pipeline:input.entry_pipeline input.chains
+let make_scorer scorer =
+  {
+    scorer;
+    fit = (match scorer with Fast -> Some (Hashtbl.create 256) | Reference -> None);
+  }
 
 let fit_pipelet_memo scorer input nfs =
-  match scorer with
-  | Some { fit = Some tbl; _ } -> (
+  match scorer.fit with
+  | None -> fit_pipelet input nfs
+  | Some tbl -> (
       match Hashtbl.find_opt tbl nfs with
       | Some r -> r
       | None ->
           let r = fit_pipelet input nfs in
           Hashtbl.add tbl nfs r;
           r)
-  | Some { fit = None; _ } | None -> fit_pipelet input nfs
 
-let build_layout_memo ?scorer input assignment =
-  let ids =
-    List.sort_uniq Asic.Pipelet.compare_id (List.map snd assignment)
-  in
-  let rec build acc = function
-    | [] -> Some (List.rev acc)
-    | id :: rest -> (
-        let nfs =
-          List.filter_map
-            (fun (nf, i) -> if Asic.Pipelet.equal_id i id then Some nf else None)
-            assignment
-        in
-        match fit_pipelet_memo scorer input nfs with
-        | Some pl -> build ((id, pl) :: acc) rest
-        | None -> None)
-  in
-  build [] ids
-
-(* [build_layout] already enforces the per-pipelet stage budget, so a
-   built layout needs no second [feasible] pass — score it directly. *)
-let evaluate_assignment ?scorer input assignment =
-  match build_layout_memo ?scorer input assignment with
+(* The layout builder already enforces the per-pipelet stage budget, so
+   a built layout needs no second [feasible] pass — score it directly. *)
+let evaluate_assignment ~scorer input assignment =
+  match build_layout_with (fit_pipelet_memo scorer input) assignment with
   | None -> None
   | Some layout ->
       let cost =
-        match scorer with
-        | Some s -> score_layout s input layout
-        | None ->
-            Traversal.cost input.spec layout
-              ~entry_pipeline:input.entry_pipeline input.chains
+        match scorer.scorer with
+        | Fast -> Traversal.cost
+        | Reference -> Traversal.cost_reference
       in
-      Option.map (fun c -> (layout, c)) cost
+      Option.map
+        (fun c -> (layout, c))
+        (cost input.spec layout ~entry_pipeline:input.entry_pipeline
+           input.chains)
 
 let all_nf_names input = Chain.all_nfs input.chains
 
@@ -224,9 +201,9 @@ end
    (QCheck-tested against exactly that oracle).
 
    NF lists are kept in global assignment order ([d_order]), matching
-   the [List.filter_map] order [build_layout] derives from the
-   assignment list, so the memoized [fit_pipelet] sees byte-identical
-   keys on both paths. *)
+   the [residents] order the layout builder derives from the assignment
+   list, so the memoized [fit_pipelet] sees byte-identical keys on both
+   paths. *)
 type diff = {
   d_input : input;
   d_scorer : scorer_state;
@@ -246,7 +223,7 @@ type diff = {
   mutable d_pending : (unit -> unit) option;  (** undo of the staged move *)
 }
 
-(* Exactly [Traversal.cost_cached]'s fold, over stored counts: same
+(* Exactly [Traversal.cost]'s fold, over stored counts: same
    left-to-right adds via [chain_transition_cost], so incremental and
    from-scratch scores are bit-identical. *)
 let cost_of_counts chains counts =
@@ -296,9 +273,6 @@ let diff_refresh d =
   d.d_cost <- cost_of_counts d.d_input.chains d.d_counts
 
 let diff_of_assignment ~scorer input assignment =
-  (* The diff owns a canonicalized-key counts memo ({!Traversal.kcache});
-     the scorer's string-fingerprint cache stays with the full-rebuild
-     scoring path ([evaluate_assignment]). *)
   let cache = Traversal.kcache_create () in
   let order = Hashtbl.create 32 in
   List.iteri (fun i (nf, _) -> Hashtbl.replace order nf i) assignment;
@@ -326,13 +300,8 @@ let diff_of_assignment ~scorer input assignment =
     (fun (_, id) ->
       let i = Hashtbl.find ord id in
       if slots.(i) = None then begin
-        let nfs =
-          List.filter_map
-            (fun (nf, id') ->
-              if Asic.Pipelet.equal_id id' id then Some nf else None)
-            assignment
-        in
-        slots.(i) <- Some (nfs, fit_pipelet_memo (Some scorer) input nfs)
+        let nfs = residents assignment id in
+        slots.(i) <- Some (nfs, fit_pipelet_memo scorer input nfs)
       end)
     assignment;
   let unfit =
@@ -444,9 +413,9 @@ let diff_try d (m : Move.t) =
         let src_slot' =
           match src_nfs' with
           | [] -> None (* pipelet emptied *)
-          | l -> Some (l, fit_pipelet_memo (Some d.d_scorer) input l)
+          | l -> Some (l, fit_pipelet_memo d.d_scorer input l)
         in
-        let dst_fit' = fit_pipelet_memo (Some d.d_scorer) input dst_nfs' in
+        let dst_fit' = fit_pipelet_memo d.d_scorer input dst_nfs' in
         let unfit' =
           d.d_unfit
           - (if src_fit_old = None then 1 else 0)
@@ -596,12 +565,7 @@ let solve_naive ~scorer input =
         else
           let id = List.nth order (cursor mod n) in
           let candidate = assignment @ [ (nf, id) ] in
-          let pl_nfs =
-            List.filter_map
-              (fun (f, i) -> if Asic.Pipelet.equal_id i id then Some f else None)
-              candidate
-          in
-          if Option.is_some (fit_pipelet input pl_nfs) then
+          if Option.is_some (fit_pipelet input (residents candidate id)) then
             place candidate (cursor + 1) 0 rest
           else place assignment (cursor + 1) (tried + 1) (nf :: rest)
   in
@@ -689,64 +653,92 @@ let solve_exhaustive ~scorer input =
   | Some (layout, _, cost) -> Ok (layout, cost)
   | None -> Error "exhaustive placement: no feasible assignment"
 
-(* The two annealer loops share their prelude: random initial
-   assignment (seeded), improved to greedy's when greedy succeeds. Both
-   consume the RNG identically and score candidates to bit-identical
-   values, so per seed they walk the same accept/reject trajectory and
-   return the same layout. *)
-let anneal_setup ~scorer input ~seed =
-  let free = Array.of_list (free_nfs input) in
-  let st = Random.State.make [| seed |] in
-  let choices = Array.of_list (pipelet_choices input) in
-  let current =
-    Array.map (fun _ -> choices.(Random.State.int st (Array.length choices))) free
-  in
-  (* Start from greedy if it succeeds; otherwise from random. *)
-  (match solve_greedy ~scorer input with
-  | Ok (layout, _) ->
-      Array.iteri
-        (fun i nf ->
-          match Layout.location layout nf with
-          | Some id -> current.(i) <- id
-          | None -> ())
-        free
-  | Error _ -> ());
-  (free, st, choices, current)
+(* How the annealing loop scores a candidate move: [try_move] stages it
+   and returns the staged state's cost ([None]: unusable), then the loop
+   either [keep]s or [drop]s it. *)
+type evaluator = {
+  try_move : Move.t -> float option;
+  keep : unit -> unit;
+  drop : unit -> unit;
+}
 
-let anneal_temp ~initial_temp ~iterations it =
-  initial_temp *. (1.0 -. (float_of_int it /. float_of_int iterations))
+(* [Fast]: a [diff] carries the layout, coordinate index and per-chain
+   counts across iterations; each move re-fits two pipelets and
+   re-solves only the chains it touched. *)
+let diff_evaluator ~scorer input assignment =
+  let d = diff_of_assignment ~scorer input assignment in
+  ( diff_cost d,
+    {
+      try_move = diff_try d;
+      keep = (fun () -> diff_commit d);
+      drop = (fun () -> diff_revert d);
+    } )
 
-(* The PR-1 path: every candidate re-groups the assignment and rebuilds
-   the layout, with only the fit memo and traversal cache (under [Fast])
-   to soften the cost. Kept verbatim as the oracle the move-diff
-   annealer is benchmarked and property-tested against, and as the only
-   annealing path for the [Reference] scorer. *)
-let solve_anneal_rebuild ~scorer input ~iterations ~seed ~initial_temp =
+(* [Reference]: the oracle — every candidate assignment is rebuilt and
+   scored whole. *)
+let rebuild_evaluator ~scorer input assignment =
+  let score a = Option.map snd (evaluate_assignment ~scorer input a) in
+  let current = ref assignment and staged = ref assignment in
+  ( score assignment,
+    {
+      try_move =
+        (fun m ->
+          staged :=
+            List.map
+              (fun (nf, id) ->
+                if String.equal nf m.Move.nf then (nf, m.Move.dst) else (nf, id))
+              !current;
+          score !staged);
+      keep = (fun () -> current := !staged);
+      drop = ignore;
+    } )
+
+(* Both evaluators score a move to bit-identical values and the loop
+   draws from the RNG the same way under either, so per seed [Fast] and
+   [Reference] walk the same accept/reject trajectory and return the
+   same layout. *)
+let solve_anneal ~scorer input ~iterations ~seed ~initial_temp =
   if free_nfs input = [] then
     match evaluate_assignment ~scorer input input.pinned with
     | Some (layout, cost) -> Ok (layout, cost)
     | None -> Error "anneal placement: pinned-only layout infeasible"
   else begin
-    let free, st, choices, current = anneal_setup ~scorer input ~seed in
+    let free = Array.of_list (free_nfs input) in
+    let st = Random.State.make [| seed |] in
+    let choices = Array.of_list (pipelet_choices input) in
+    let current =
+      Array.map (fun _ -> choices.(Random.State.int st (Array.length choices))) free
+    in
+    (* Start from greedy if it succeeds; otherwise from random. *)
+    (match solve_greedy ~scorer input with
+    | Ok (layout, _) ->
+        Array.iteri
+          (fun i nf ->
+            match Layout.location layout nf with
+            | Some id -> current.(i) <- id
+            | None -> ())
+          free
+    | Error _ -> ());
     let assignment_of arr =
       input.pinned @ Array.to_list (Array.mapi (fun i id -> (free.(i), id)) arr)
     in
-    (* With the [Fast] scorer a single-NF move re-solves only the chains
-       containing that NF; every other chain's fingerprint is unchanged
-       and hits the memo. *)
-    let score arr =
-      Option.map snd (evaluate_assignment ~scorer input (assignment_of arr))
+    let start, ev =
+      (match scorer.scorer with
+      | Fast -> diff_evaluator
+      | Reference -> rebuild_evaluator)
+        ~scorer input (assignment_of current)
     in
     let best_arr = ref (Array.copy current) in
-    let best_score = ref (score current) in
-    let cur_score = ref !best_score in
+    let best_score = ref start in
+    let cur_score = ref start in
     for it = 0 to iterations - 1 do
-      let temp = anneal_temp ~initial_temp ~iterations it in
+      let temp =
+        initial_temp *. (1.0 -. (float_of_int it /. float_of_int iterations))
+      in
       let i = Random.State.int st (Array.length free) in
       let old = current.(i) in
       let candidate = choices.(Random.State.int st (Array.length choices)) in
-      current.(i) <- candidate;
-      let s = score current in
+      let s = ev.try_move { Move.nf = free.(i); src = old; dst = candidate } in
       let accept =
         match (s, !cur_score) with
         | Some new_c, Some old_c ->
@@ -756,54 +748,7 @@ let solve_anneal_rebuild ~scorer input ~iterations ~seed ~initial_temp =
         | None, _ -> false
       in
       if accept then begin
-        cur_score := s;
-        if better s !best_score then begin
-          best_score := s;
-          best_arr := Array.copy current
-        end
-      end
-      else current.(i) <- old
-    done;
-    match evaluate_assignment ~scorer input (assignment_of !best_arr) with
-    | Some (layout, cost) -> Ok (layout, cost)
-    | None -> Error "anneal placement: no feasible assignment found"
-  end
-
-(* The production path: a [diff] carries the layout, coordinate index
-   and per-chain counts across iterations; each candidate move re-fits
-   two pipelets and re-solves only the chains it touched. *)
-let solve_anneal_incremental ~scorer input ~iterations ~seed ~initial_temp =
-  if free_nfs input = [] then
-    match evaluate_assignment ~scorer input input.pinned with
-    | Some (layout, cost) -> Ok (layout, cost)
-    | None -> Error "anneal placement: pinned-only layout infeasible"
-  else begin
-    let free, st, choices, current = anneal_setup ~scorer input ~seed in
-    let assignment_of arr =
-      input.pinned @ Array.to_list (Array.mapi (fun i id -> (free.(i), id)) arr)
-    in
-    let d = diff_of_assignment ~scorer input (assignment_of current) in
-    let best_arr = ref (Array.copy current) in
-    let best_score = ref (diff_cost d) in
-    let cur_score = ref !best_score in
-    for it = 0 to iterations - 1 do
-      let temp = anneal_temp ~initial_temp ~iterations it in
-      let i = Random.State.int st (Array.length free) in
-      let old = current.(i) in
-      let candidate = choices.(Random.State.int st (Array.length choices)) in
-      let s =
-        diff_try d { Move.nf = free.(i); src = old; dst = candidate }
-      in
-      let accept =
-        match (s, !cur_score) with
-        | Some new_c, Some old_c ->
-            new_c <= old_c
-            || Random.State.float st 1.0 < exp ((old_c -. new_c) /. max temp 1e-9)
-        | Some _, None -> true
-        | None, _ -> false
-      in
-      if accept then begin
-        diff_commit d;
+        ev.keep ();
         current.(i) <- candidate;
         cur_score := s;
         if better s !best_score then begin
@@ -811,32 +756,21 @@ let solve_anneal_incremental ~scorer input ~iterations ~seed ~initial_temp =
           best_arr := Array.copy current
         end
       end
-      else diff_revert d
+      else ev.drop ()
     done;
     match evaluate_assignment ~scorer input (assignment_of !best_arr) with
     | Some (layout, cost) -> Ok (layout, cost)
     | None -> Error "anneal placement: no feasible assignment found"
   end
 
-let dispatch ~anneal ~scorer input strategy =
-  let ss = make_scorer scorer in
-  match strategy with
-  | Naive -> solve_naive ~scorer:ss input
-  | Greedy -> solve_greedy ~scorer:ss input
-  | Exhaustive -> solve_exhaustive ~scorer:ss input
-  | Anneal { iterations; seed; initial_temp } ->
-      anneal ~scorer:ss input ~iterations ~seed ~initial_temp
-
 let solve ?(scorer = Fast) input strategy =
-  let anneal =
-    match scorer with
-    | Fast -> solve_anneal_incremental
-    | Reference -> solve_anneal_rebuild
-  in
-  dispatch ~anneal ~scorer input strategy
-
-let solve_rebuild ?(scorer = Fast) input strategy =
-  dispatch ~anneal:solve_anneal_rebuild ~scorer input strategy
+  let scorer = make_scorer scorer in
+  match strategy with
+  | Naive -> solve_naive ~scorer input
+  | Greedy -> solve_greedy ~scorer input
+  | Exhaustive -> solve_exhaustive ~scorer input
+  | Anneal { iterations; seed; initial_temp } ->
+      solve_anneal ~scorer input ~iterations ~seed ~initial_temp
 
 (* --- parallel restarts ----------------------------------------------- *)
 
@@ -848,8 +782,8 @@ type parallel = {
   restarts : restart list;
 }
 
-let solve_parallel ?(scorer = Fast) ?(iterations = 4000) ?(initial_temp = 2.0)
-    ~domains ~seeds input =
+let solve_parallel ?(iterations = 4000) ?(initial_temp = 2.0) ~domains ~seeds
+    input =
   match seeds with
   | [] -> Error "parallel placement: no seeds"
   | _ ->
@@ -862,9 +796,7 @@ let solve_parallel ?(scorer = Fast) ?(iterations = 4000) ?(initial_temp = 2.0)
         Dpool.run ~domains
           (List.map
              (fun seed () ->
-               ( seed,
-                 solve ~scorer input
-                   (Anneal { iterations; seed; initial_temp }) ))
+               (seed, solve input (Anneal { iterations; seed; initial_temp })))
              seeds)
       in
       let restarts =

@@ -4,12 +4,12 @@
 
     The paper leaves the general optimizer as ongoing work; we provide
     four strategies and cross-validate the heuristics against the
-    exhaustive optimum on small instances. The annealer comes in two
-    implementations with bit-identical per-seed trajectories: a
-    full-rebuild path ({!solve_rebuild}) and the production move-diff
-    path ({!solve}) that re-fits only the two pipelets a move touches.
-    {!solve_parallel} runs independent seeded restarts on a
-    {!Dpool.run} domain pool. *)
+    exhaustive optimum on small instances. The annealer is one loop over
+    a move evaluator: under [Fast] the move-diff ({!diff}) re-fits only
+    the two pipelets a move touches; under [Reference] every candidate
+    is rebuilt and scored whole. Both walk bit-identical per-seed
+    trajectories. {!solve_parallel} runs independent seeded restarts on
+    a {!Dpool.run} domain pool. *)
 
 type strategy =
   | Naive
@@ -56,11 +56,12 @@ val evaluate : input -> Layout.t -> float option
 
 type scorer =
   | Fast
-      (** heap Dijkstra + traversal memo cache + fit memo; under
-          [Anneal], the incremental move-diff loop *)
+      (** heap Dijkstra ({!Traversal.cost}) + fit memo; under [Anneal],
+          each move is staged on a {!diff} *)
   | Reference
-      (** the uncached array-scan oracle ({!Traversal.cost_reference});
-          under [Anneal], the full-rebuild loop *)
+      (** the array-scan oracle ({!Traversal.cost_reference}) with no
+          memo; under [Anneal], each candidate is rebuilt and scored
+          whole *)
 
 (** {1 Incremental move diffs}
 
@@ -109,7 +110,7 @@ val diff_cost : diff -> float option
 val diff_index : diff -> (string, Layout.coord) Hashtbl.t
 (** The live coordinate index (the incrementally-maintained
     {!Layout.index} of {!diff_layout}). Read-only; exposed so tests can
-    fingerprint it against a freshly built index. *)
+    compare it with a freshly built index. *)
 
 (** {1 Solvers} *)
 
@@ -118,14 +119,6 @@ val solve : ?scorer:scorer -> input -> strategy -> (Layout.t * float, string) re
     {!Fast}) selects the scoring backend; both backends return identical
     results — [Reference] exists for benchmarking and for proving the
     fast paths against the oracle. *)
-
-val solve_rebuild :
-  ?scorer:scorer -> input -> strategy -> (Layout.t * float, string) result
-(** Like {!solve}, but [Anneal] uses the full-rebuild loop (every
-    candidate rebuilt with {!build_layout} and scored whole) even under
-    [Fast]. Per seed this walks the exact trajectory of {!solve} and
-    returns the same layout; kept as the move-diff loop's oracle and
-    benchmark baseline. *)
 
 (** {1 Parallel restarts} *)
 
@@ -138,7 +131,6 @@ type parallel = {
 }
 
 val solve_parallel :
-  ?scorer:scorer ->
   ?iterations:int ->
   ?initial_temp:float ->
   domains:int ->
@@ -146,8 +138,9 @@ val solve_parallel :
   input ->
   (parallel, string) result
 (** Anneal once per seed on a domain pool of at most [domains] domains
-    ({!Dpool.run}) and keep the cheapest layout. Each restart owns its
-    scorer state, so nothing is shared across domains. Deterministic:
+    ({!Dpool.run}) and keep the cheapest layout, scoring with [Fast].
+    Each restart owns its scorer state, so nothing is shared across
+    domains. Deterministic:
     the result is independent of [domains] — restarts are reported in
     seed-list order and cost ties keep the earliest seed. [iterations]
     defaults to 4000 and [initial_temp] to 2.0 (the {!default_anneal}

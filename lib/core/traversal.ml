@@ -198,10 +198,11 @@ let solve_reference ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chai
 
    The solver core is parameterized by [lookup : nf -> (l, g, s, seq)
    option] — the NF's location id, (group, slot) there, and whether the
-   group runs sequentially — instead of the layout itself, so the memo
-   cache can reuse the index it already builds for fingerprints. This
-   assumes each NF is placed at most once, which holds for every layout
-   the placement solvers and compiler produce. *)
+   group runs sequentially — instead of the layout itself, so the
+   move-diff path can solve over the coordinate index it maintains
+   incrementally without materializing a layout. This assumes each NF is
+   placed at most once, which holds for every layout the placement
+   solvers and compiler produce. *)
 
 type core = {
   k : int;
@@ -386,7 +387,7 @@ let solve ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chain =
     Some { steps; recircs; resubmits }
   end
 
-(* (recircs, resubmits) only — the memoized scoring path needs no step
+(* (recircs, resubmits) only — the move-diff path needs no step
    records, just a walk over the predecessor codes. *)
 let solve_counts ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
   let c = solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr in
@@ -406,9 +407,8 @@ let solve_counts ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
 (* --- weighted objective --------------------------------------------- *)
 
 (* The single definition of a chain's contribution to the objective.
-   Every scoring path (reference, fast, memoized, incremental) adds
-   these left-to-right in chain order, so their floats are
-   bit-identical. *)
+   Every scoring path (reference, fast, incremental) adds these
+   left-to-right in chain order, so their floats are bit-identical. *)
 let chain_transition_cost (c : Chain.t) ~recircs ~resubmits =
   c.Chain.weight *. (float_of_int recircs +. (0.9 *. float_of_int resubmits))
 
@@ -439,77 +439,6 @@ let cost_reference spec layout ~entry_pipeline chains =
   cost_with (fun spec layout ~entry_pipeline ~exit_port chain ->
       solve_reference spec layout ~entry_pipeline ~exit_port chain)
     spec layout ~entry_pipeline chains
-
-(* --- memo cache ------------------------------------------------------ *)
-
-(* A chain's cheapest traversal depends on the layout only through the
-   coordinates of the chain's own NFs: which pipelet each sits on, its
-   (group, slot) there, and that group's kind — everything [advance]
-   ever consults. Serializing those coordinates gives a fingerprint that
-   is stable under moves of unrelated NFs, so an annealer move
-   invalidates only the chains containing the moved NF. *)
-
-type cache = {
-  tbl : (string, (int * int) option) Hashtbl.t;
-      (** key = path_id + entry pipeline + per-NF coordinates *)
-  buf : Buffer.t;  (** scratch for key construction, reused across calls *)
-  mutable hits : int;
-  mutable misses : int;
-}
-
-let cache_create () =
-  { tbl = Hashtbl.create 1024; buf = Buffer.create 64; hits = 0; misses = 0 }
-let cache_stats c = (c.hits, c.misses)
-
-(* Bound memory on pathological workloads; a reset just costs re-solves. *)
-let max_cache_entries = 65536
-
-let fingerprint_into buf index ~entry_pipeline (c : Chain.t) =
-  Buffer.clear buf;
-  Buffer.add_string buf (string_of_int c.Chain.path_id);
-  Buffer.add_char buf '@';
-  Buffer.add_string buf (string_of_int entry_pipeline);
-  List.iter
-    (fun nf ->
-      match Hashtbl.find_opt index nf with
-      | None -> Buffer.add_string buf "|-"
-      | Some (co : Layout.coord) ->
-          Buffer.add_char buf '|';
-          Buffer.add_string buf
-            (string_of_int co.Layout.pipelet.Asic.Pipelet.pipeline);
-          Buffer.add_char buf
-            (match co.Layout.pipelet.Asic.Pipelet.kind with
-            | Asic.Pipelet.Ingress -> 'i'
-            | Asic.Pipelet.Egress -> 'e');
-          Buffer.add_string buf (string_of_int co.Layout.group);
-          Buffer.add_char buf ':';
-          Buffer.add_string buf (string_of_int co.Layout.slot);
-          Buffer.add_char buf (match co.Layout.kind with `Seq -> 's' | `Par -> 'p'))
-    c.Chain.nfs;
-  Buffer.contents buf
-
-let chain_fingerprint index ~entry_pipeline c =
-  fingerprint_into (Buffer.create 64) index ~entry_pipeline c
-
-let chain_counts_cached cache spec ~index ~entry_pipeline (c : Chain.t) =
-  let n = spec.Asic.Spec.n_pipelines in
-  let key = fingerprint_into cache.buf index ~entry_pipeline c in
-  match Hashtbl.find_opt cache.tbl key with
-  | Some r ->
-      cache.hits <- cache.hits + 1;
-      r
-  | None ->
-      cache.misses <- cache.misses + 1;
-      let r =
-        solve_counts ~start_idx:0 ~n ~entry_pipeline
-          ~exit_pipe:(Asic.Spec.port_pipeline spec c.Chain.exit_port)
-          ~lookup:(lookup_of_index n index)
-          (Array.of_list c.Chain.nfs)
-      in
-      if Hashtbl.length cache.tbl >= max_cache_entries then
-        Hashtbl.reset cache.tbl;
-      Hashtbl.add cache.tbl key r;
-      r
 
 (* --- normalized keyed counts (the move-diff path) -------------------- *)
 
@@ -595,50 +524,28 @@ let chain_key index spec ~entry_pipeline (c : Chain.t) =
   key.(0) <- canon_of (Asic.Spec.port_pipeline spec c.Chain.exit_port);
   key
 
-type kcache = {
-  ktbl : (int array, (int * int) option) Hashtbl.t;
-  mutable khits : int;
-  mutable kmisses : int;
-}
+type kcache = (int array, (int * int) option) Hashtbl.t
 
-let kcache_create () = { ktbl = Hashtbl.create 1024; khits = 0; kmisses = 0 }
-let kcache_stats c = (c.khits, c.kmisses)
+let kcache_create () : kcache = Hashtbl.create 1024
+
+(* Bound memory on pathological workloads; a reset just costs re-solves. *)
+let max_cache_entries = 65536
 
 let chain_counts_keyed cache spec ~index ~entry_pipeline (c : Chain.t) =
   let n = spec.Asic.Spec.n_pipelines in
   let key = chain_key index spec ~entry_pipeline c in
-  match Hashtbl.find_opt cache.ktbl key with
-  | Some r ->
-      cache.khits <- cache.khits + 1;
-      r
+  match Hashtbl.find_opt cache key with
+  | Some r -> r
   | None ->
-      cache.kmisses <- cache.kmisses + 1;
       let r =
         solve_counts ~start_idx:0 ~n ~entry_pipeline
           ~exit_pipe:(Asic.Spec.port_pipeline spec c.Chain.exit_port)
           ~lookup:(lookup_of_index n index)
           (Array.of_list c.Chain.nfs)
       in
-      if Hashtbl.length cache.ktbl >= max_cache_entries then
-        Hashtbl.reset cache.ktbl;
-      Hashtbl.add cache.ktbl key r;
+      if Hashtbl.length cache >= max_cache_entries then Hashtbl.reset cache;
+      Hashtbl.add cache key r;
       r
-
-let cost_cached cache spec layout ~entry_pipeline chains =
-  (* Index the whole layout once: the same [Layout.index] serves both
-     the fingerprints and any cache-miss re-solves, so a miss never
-     walks the layout again. *)
-  let where = Layout.index layout in
-  List.fold_left
-    (fun acc (c : Chain.t) ->
-      match acc with
-      | None -> None
-      | Some total -> (
-          match chain_counts_cached cache spec ~index:where ~entry_pipeline c with
-          | None -> None
-          | Some (recircs, resubmits) ->
-              Some (total +. chain_transition_cost c ~recircs ~resubmits)))
-    (Some 0.0) chains
 
 let pp_step ppf = function
   | Ingress_step { pipeline; idx_in; idx_out; action } ->

@@ -82,73 +82,24 @@ val cost_reference :
   float option
 (** [cost] computed with {!solve_reference} — the oracle scoring path. *)
 
-type cache
-(** Memo table for {!cost_cached}. A chain's cheapest traversal depends
-    on the layout only through its own NFs' coordinates (pipelet, group,
-    slot, group kind), so entries are keyed by [(path_id, fingerprint of
-    those coordinates)]: moving an NF re-solves only the chains that
-    contain it. Bounded; a full table resets and refills. *)
-
-val cache_create : unit -> cache
-
-val cache_stats : cache -> int * int
-(** [(hits, misses)] since creation. *)
-
 val chain_transition_cost : Chain.t -> recircs:int -> resubmits:int -> float
 (** The chain's weighted contribution to the objective — the one
     definition shared by every scoring path, so incremental re-scoring
     (summing per-chain contributions left-to-right in chain order)
     stays bit-identical to a from-scratch {!cost}. *)
 
-val chain_fingerprint :
-  (string, Layout.coord) Hashtbl.t -> entry_pipeline:int -> Chain.t -> string
-(** The memo key for one chain over an NF-coordinate index: serializes
-    the chain's [path_id], the entry pipeline and each member NF's
-    {!Layout.coord}. Exposed so tests can prove an incrementally
-    maintained index fingerprints identically to a fresh
-    {!Layout.index}. *)
-
-val chain_counts_cached :
-  cache ->
-  Asic.Spec.t ->
-  index:(string, Layout.coord) Hashtbl.t ->
-  entry_pipeline:int ->
-  Chain.t ->
-  (int * int) option
-(** [(recircs, resubmits)] of one chain's cheapest traversal over the
-    given coordinate index, memoized by {!chain_fingerprint}. The
-    per-chain building block behind {!cost_cached}, called directly by
-    the move-diff annealer which re-scores only the chains a move
-    touched. *)
-
-val chain_key :
-  (string, Layout.coord) Hashtbl.t ->
-  Asic.Spec.t ->
-  entry_pipeline:int ->
-  Chain.t ->
-  int array
-(** The canonicalized memo key behind {!chain_counts_keyed}: one packed
-    int per chain NF recording its location and grouping {e up to the
-    symmetries the solver cannot observe}. Groups and slots are replaced
-    by their ranks among the chain's own NFs at that location (the
-    solver never compares them against anything else), so unrelated NFs
-    shifting a pipelet's absolute slots leave the key unchanged;
-    pipeline numbers are renamed to first-use order with the entry
-    pipeline fixed and the exit pipe recorded last (the transition graph
-    is symmetric across pipelines), so isomorphic placements on
-    different pipelines share one key. Equal keys imply equal counts. *)
-
 type kcache
-(** Memo table for {!chain_counts_keyed}, keyed by {!chain_key}. The
-    normalized keys make it strictly coarser (more hits) than {!cache}'s
-    absolute-coordinate fingerprints; it backs the move-diff annealer
-    while {!cache} remains the full-rebuild path's. Bounded; a full
-    table resets and refills. *)
+(** Memo table for {!chain_counts_keyed}, backing {!Placement}'s
+    move-diff annealer. Its key records each chain NF's location and
+    grouping up to the symmetries the solver cannot observe: groups and
+    slots become ranks among the chain's own NFs at that location, so
+    unrelated NFs shifting a pipelet's absolute slots leave the key
+    unchanged, and pipelines are renamed to first-use order with the
+    entry fixed and the exit recorded last, so isomorphic placements on
+    different pipelines share one entry. Equal keys imply equal counts.
+    Bounded; a full table resets and refills. *)
 
 val kcache_create : unit -> kcache
-
-val kcache_stats : kcache -> int * int
-(** [(hits, misses)] since creation. *)
 
 val chain_counts_keyed :
   kcache ->
@@ -157,18 +108,9 @@ val chain_counts_keyed :
   entry_pipeline:int ->
   Chain.t ->
   (int * int) option
-(** Same values as {!chain_counts_cached} (both memoize
-    [solve_counts]), memoized by {!chain_key} instead of the string
-    fingerprint. *)
-
-val cost_cached :
-  cache ->
-  Asic.Spec.t ->
-  Layout.t ->
-  entry_pipeline:int ->
-  Chain.t list ->
-  float option
-(** Same value as {!cost}, memoized per chain — the annealer's inner
-    loop. *)
+(** [(recircs, resubmits)] of one chain's cheapest traversal over the
+    given coordinate index, as {!solve} counts them, memoized in the
+    {!kcache}. The per-chain building block of the move-diff annealer,
+    which re-scores only the chains a move touched. *)
 
 val pp_path : Format.formatter -> path -> unit

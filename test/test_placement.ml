@@ -120,33 +120,29 @@ let test_naive_par_fallback () =
       check Alcotest.bool "layout feasible" true (Placement.feasible inp layout)
 
 let test_anneal_matches_reference_scorer () =
-  (* All three annealing paths — incremental move-diff ([solve] with
-     [Fast]), full rebuild with the memoized scorer ([solve_rebuild]
-     with [Fast]) and full rebuild with the uncached oracle
-     ([Reference]) — must score candidates bit-identically, so per seed
-     they walk the same accept/reject trajectory: same final layout,
-     same cost. *)
+  (* Both annealing evaluators — the incremental move-diff ([Fast]) and
+     the full rebuild with the oracle scorer ([Reference]) — must score
+     candidates bit-identically, so per seed they walk the same
+     accept/reject trajectory: same final layout, same cost. *)
   let inp = input ~chains:[ chain_af () ] () in
   let strategy =
     Placement.Anneal { iterations = 1000; seed = 7; initial_temp = 2.0 }
   in
   match
     ( Placement.solve inp strategy,
-      Placement.solve_rebuild inp strategy,
       Placement.solve ~scorer:Placement.Reference inp strategy )
   with
-  | Ok (l1, c1), Ok (l2, c2), Ok (l3, c3) ->
-      check Alcotest.(float 1e-12) "incremental = rebuild cost" c2 c1;
-      check Alcotest.(float 1e-12) "incremental = reference cost" c3 c1;
-      check Alcotest.bool "incremental = rebuild layout" true (l1 = l2);
-      check Alcotest.bool "incremental = reference layout" true (l1 = l3)
-  | Error e, _, _ | _, Error e, _ | _, _, Error e -> Alcotest.fail e
+  | Ok (l1, c1), Ok (l2, c2) ->
+      check Alcotest.(float 1e-12) "incremental = reference cost" c2 c1;
+      check Alcotest.bool "incremental = reference layout" true (l1 = l2)
+  | Error e, _ | _, Error e -> Alcotest.fail e
 
 (* Property: an incrementally maintained diff — random move sequence,
    including rejected moves — always agrees with a from-scratch
    [build_layout] + score of the same assignment: identical layout,
-   identical chain fingerprints, identical cost. Run on both a
-   2-pipeline and a 4-pipeline switch so moves cross pipelines. *)
+   identical coordinate of every NF, identical cost. Run on 2-, 4- and
+   8-pipeline switches so moves cross pipelines; 8 pipelines is where
+   the move-diff memo's pipeline renaming merges the most placements. *)
 let prop_move_diff_matches_rebuild (spec_name, spec) =
   let nfs = [ "A"; "B"; "C"; "D"; "E"; "F" ] in
   let chains =
@@ -179,15 +175,14 @@ let prop_move_diff_matches_rebuild (spec_name, spec) =
             expect "layout" (dl = rl);
             expect "cost" (Placement.diff_cost d = Placement.evaluate inp rl);
             let fresh = Layout.index rl in
+            expect "index size"
+              (Hashtbl.length (Placement.diff_index d) = Hashtbl.length fresh);
             List.iter
-              (fun c ->
-                expect "fingerprint"
-                  (String.equal
-                     (Traversal.chain_fingerprint (Placement.diff_index d)
-                        ~entry_pipeline:inp.Placement.entry_pipeline c)
-                     (Traversal.chain_fingerprint fresh
-                        ~entry_pipeline:inp.Placement.entry_pipeline c)))
-              chains
+              (fun nf ->
+                expect "coord"
+                  (Hashtbl.find_opt (Placement.diff_index d) nf
+                  = Hashtbl.find_opt fresh nf))
+              nfs
         | None, None -> ()
         | Some _, None | None, Some _ -> expect "feasibility" false
       in
@@ -375,10 +370,18 @@ let () =
         ] );
       ( "scorer",
         [
-          Alcotest.test_case "anneal incremental = rebuild = reference" `Quick
+          Alcotest.test_case "anneal incremental = reference" `Quick
             test_anneal_matches_reference_scorer;
           qtest (prop_move_diff_matches_rebuild ("wedge_100b", Asic.Spec.wedge_100b));
           qtest (prop_move_diff_matches_rebuild ("tofino_4pipe", Asic.Spec.tofino_4pipe));
+          qtest
+            (prop_move_diff_matches_rebuild
+               ( "tofino_8pipe",
+                 {
+                   Asic.Spec.tofino_4pipe with
+                   Asic.Spec.name = "tofino-8pipe";
+                   n_pipelines = 8;
+                 } ));
         ] );
       ( "parallel",
         [

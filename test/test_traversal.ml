@@ -266,35 +266,6 @@ let prop_fast_matches_reference =
           && f.Traversal.resubmits = o.Traversal.resubmits
       | Some _, None | None, Some _ -> false)
 
-let prop_cached_cost_coherent =
-  QCheck.Test.make ~name:"cost_cached = cost, second pass all hits" ~count:60
-    QCheck.(pair (int_range 1 5) (int_bound 1_000_000))
-    (fun (k, seed) ->
-      let st = Random.State.make [| seed |] in
-      let nfs = List.init k (fun i -> Printf.sprintf "N%d" i) in
-      let layout = random_layout st [ ing 0; eg 0; ing 1; eg 1 ] nfs in
-      let chains =
-        [
-          Chain.make ~path_id:1 ~name:"fwd" ~nfs ~weight:0.7 ~exit_port:1 ();
-          Chain.make ~path_id:2 ~name:"rev" ~nfs:(List.rev nfs) ~weight:0.3
-            ~exit_port:17 ();
-        ]
-      in
-      let cache = Traversal.cache_create () in
-      let plain = Traversal.cost spec layout ~entry_pipeline:0 chains in
-      let c1 = Traversal.cost_cached cache spec layout ~entry_pipeline:0 chains in
-      let c2 = Traversal.cost_cached cache spec layout ~entry_pipeline:0 chains in
-      let hits, misses = Traversal.cache_stats cache in
-      let same a b =
-        match (a, b) with
-        | None, None -> true
-        | Some x, Some y -> abs_float (x -. y) < 1e-9
-        | _ -> false
-      in
-      (* An unroutable first chain short-circuits the fold, so each pass
-         touches 1 or 2 chains — but hit/miss counts must mirror. *)
-      same plain c1 && same plain c2 && hits = misses && hits >= 1 && hits <= 2)
-
 (* --- coordinate index coherence --- *)
 
 (* Layout.index, Layout.coord and the location/position pair all go
@@ -362,6 +333,6 @@ let () =
           qtest prop_solver_is_optimal;
         ] );
       ( "oracle",
-        [ qtest prop_fast_matches_reference; qtest prop_cached_cost_coherent ] );
+        [ qtest prop_fast_matches_reference ] );
       ("coords", [ qtest prop_index_matches_lookups ]);
     ]
