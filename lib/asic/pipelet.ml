@@ -314,7 +314,8 @@ let deparse t phv ~payload =
     ~order:t.program.P4ir.Program.deparse_order phv ~payload
 
 (* Fast-mode serialization over the precomputed emit plan: two array
-   walks over cells (size, then emit) with no name hashing. *)
+   walks over cells (size, then emit through each header's wire codec)
+   with no name hashing. *)
 let deparse_fast t phv ~payload =
   check_layout t "deparse_fast" phv;
   let plan = t.demit in
@@ -328,7 +329,7 @@ let deparse_fast t phv ~payload =
   for k = 0 to Array.length plan - 1 do
     let e = plan.(k) in
     if P4ir.Phv.cell phv e.vc = 1 then begin
-      P4ir.Phv.emit_at phv e.decl e.vc out ~bit_off:(8 * !off);
+      P4ir.Phv.encode_at phv e.decl e.vc out ~off:!off;
       if e.csum_byte >= 0 then
         P4ir.Parser_graph.fix_checksum out ~off:!off ~csum_byte:e.csum_byte ~size:e.size;
       off := !off + e.size
@@ -348,7 +349,7 @@ let restore t phv vc n =
    self-checksummed header, computed over the header re-emitted into
    the scratch buffer. *)
 let refresh_checksum t phv e =
-  P4ir.Phv.emit_at phv e.decl e.vc t.scratch ~bit_off:0;
+  P4ir.Phv.encode_at phv e.decl e.vc t.scratch ~off:0;
   P4ir.Parser_graph.fix_checksum t.scratch ~off:0 ~csum_byte:e.csum_byte
     ~size:e.size;
   P4ir.Phv.set_cell phv e.csum_cell

@@ -90,7 +90,8 @@ val parse :
     of the pipelet's layout — built once at {!load}, standard metadata
     first, then the parser's declarations — and extracts every field
     straight into its cell as an immediate int, through the parse graph
-    compiled against that layout. The chip's [Fast] mode calls it on
+    compiled against that layout and each header's wire codec
+    ({!P4ir.Hdr.read_wire}). The chip's [Fast] mode calls it on
     frames entering the chip, on resubmitted and recirculated frames,
     and on every handover {!adopt} refuses. *)
 
@@ -107,8 +108,9 @@ val deparse : t -> P4ir.Phv.t -> payload:Bytes.t -> Bytes.t
 
 val deparse_fast : t -> P4ir.Phv.t -> payload:Bytes.t -> Bytes.t
 (** [deparse] over an emit plan precomputed at {!load} against the
-    pipelet's layout (validity cell, declaration and size per header);
-    byte-identical output. The plan covers the whole deparse order,
+    pipelet's layout (validity cell, declaration and size per header),
+    each header written through its wire codec
+    ({!P4ir.Hdr.write_wire}); byte-identical output. The plan covers the whole deparse order,
     which {!P4ir.Program.validate} restricts to the parser's headers.
     Raises [Invalid_argument] on a PHV of another layout. *)
 

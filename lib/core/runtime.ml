@@ -451,12 +451,9 @@ let find_handler t sfc =
    frame parses, else the arrival port — same fallback the shard hash
    uses, so unparseable traffic aggregates per port. *)
 let flow_key ~in_port frame =
-  match Netpkt.Pkt.decode frame with
-  | Error _ -> Printf.sprintf "port:%d" in_port
-  | Ok layers -> (
-      match Netpkt.Pkt.five_tuple_of layers with
-      | Some ft -> Format.asprintf "%a" Netpkt.Flow.pp_five_tuple ft
-      | None -> Printf.sprintf "port:%d" in_port)
+  match Netpkt.Pkt.five_tuple_of_frame frame with
+  | Some ft -> Format.asprintf "%a" Netpkt.Flow.pp_five_tuple ft
+  | None -> Printf.sprintf "port:%d" in_port
 
 (* A packet's chip walks and CPU round trips, from its first injection
    to its verdict. [mirrored_rev] accumulates reversed (rev_append per
@@ -765,16 +762,11 @@ let process_batch ?each t pkts =
 let shard_of_packet ~domains in_port frame =
   if domains <= 1 then 0
   else
-    match Netpkt.Pkt.decode frame with
-    | Error _ -> (in_port land max_int) mod domains
-    | Ok layers -> (
-        match Netpkt.Pkt.five_tuple_of layers with
-        | Some ft ->
-            Int64.to_int
-              (Int64.rem
-                 (Netpkt.Flow.hash_five_tuple_symmetric ft)
-                 (Int64.of_int domains))
-        | None -> (in_port land max_int) mod domains)
+    match Netpkt.Pkt.five_tuple_of_frame frame with
+    | Some ft ->
+        Int64.to_int
+          (Int64.rem (Netpkt.Flow.hash_five_tuple_symmetric ft) (Int64.of_int domains))
+    | None -> (in_port land max_int) mod domains
 
 (* A shard runtime: a chip replica that shares nothing it writes, the
    same compiled metadata (read-only during a batch), the handler

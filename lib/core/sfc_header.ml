@@ -24,17 +24,13 @@ let decl =
     @ [ ("next_protocol", 8) ])
 
 (* Each field resolved once, at module load: its reference for the PHV
-   view, and its bit offset and width for the wire, as a P4 target
-   fixes every header field's position when it compiles the program. *)
-type field = { fref : P4ir.Fieldref.t; bit : int; width : int }
+   view, and its position in [decl] for the wire, where the header's
+   codec holds its compiled place, as a P4 target fixes every header
+   field's position when it compiles the program. *)
+type field = { fref : P4ir.Fieldref.t; k : int }
 
 let field fname =
-  let k = P4ir.Hdr.field_index decl fname in
-  {
-    fref = P4ir.Fieldref.v name fname;
-    bit = decl.P4ir.Hdr.foffs.(k);
-    width = decl.P4ir.Hdr.fwidths.(k);
-  }
+  { fref = P4ir.Fieldref.v name fname; k = P4ir.Hdr.field_index decl fname }
 
 let f_path = field "service_path_id"
 let f_index = field "service_index"
@@ -129,11 +125,8 @@ let fill t set =
     t.context;
   set f_next t.next_protocol
 
-let get_wire b ~off f =
-  Netpkt.Bytes_util.get_bits_int b ~bit_off:((8 * off) + f.bit) ~width:f.width
-
-let set_wire b ~off f v =
-  Netpkt.Bytes_util.set_bits_int b ~bit_off:((8 * off) + f.bit) ~width:f.width v
+let get_wire b ~off f = P4ir.Hdr.get_wire decl f.k b ~off
+let set_wire b ~off f v = P4ir.Hdr.set_wire decl f.k b ~off v
 
 (* [_pad] is never written, so it stays zero. *)
 let encode t =

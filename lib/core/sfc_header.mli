@@ -14,12 +14,12 @@
     lets Dejavu thread state through the chip), and stripped on the
     final egress pass.
 
-    Every field's bit offset and width is resolved from {!decl} once,
-    at module load, as a P4 target fixes header fields when it compiles
-    the program: {!encode}, {!decode} and the in-place wire accessors
-    read and write by position, and {!of_phv}/{!to_phv} go through
-    precomputed field references. Nothing here looks a field up by
-    name or formats one per header. *)
+    Every field's position in {!decl} is resolved once, at module load,
+    as a P4 target fixes header fields when it compiles the program:
+    {!encode}, {!decode} and the in-place wire accessors read and write
+    by position through the header's wire codec ({!P4ir.Hdr.get_wire}),
+    and {!of_phv}/{!to_phv} go through precomputed field references.
+    Nothing here looks a field up by name or formats one per header. *)
 
 val name : string
 (** ["sfc"]. *)

@@ -412,33 +412,40 @@ let solve_counts ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
 let chain_transition_cost (c : Chain.t) ~recircs ~resubmits =
   c.Chain.weight *. (float_of_int recircs +. (0.9 *. float_of_int resubmits))
 
-let cost_with solver spec layout ~entry_pipeline chains =
+(* The objective over [chains], given each chain's (recircs,
+   resubmits): [None] as soon as one is unroutable. *)
+let sum_chains counts chains =
   List.fold_left
     (fun acc (c : Chain.t) ->
       match acc with
       | None -> None
       | Some total -> (
-          match
-            solver spec layout ~entry_pipeline ~exit_port:c.Chain.exit_port
-              c.Chain.nfs
-          with
+          match counts c with
           | None -> None
-          | Some path ->
-              Some
-                (total
-                +. chain_transition_cost c ~recircs:path.recircs
-                     ~resubmits:path.resubmits)))
+          | Some (recircs, resubmits) ->
+              Some (total +. chain_transition_cost c ~recircs ~resubmits)))
     (Some 0.0) chains
 
+(* The layout indexed once for every chain, and each chain's counts
+   walked off the solver's predecessors, with no step list. *)
 let cost spec layout ~entry_pipeline chains =
-  cost_with (fun spec layout ~entry_pipeline ~exit_port chain ->
-      solve spec layout ~entry_pipeline ~exit_port chain)
-    spec layout ~entry_pipeline chains
+  let n = spec.Asic.Spec.n_pipelines in
+  let lookup = lookup_of_index n (Layout.index layout) in
+  sum_chains
+    (fun c ->
+      solve_counts ~start_idx:0 ~n ~entry_pipeline
+        ~exit_pipe:(Asic.Spec.port_pipeline spec c.Chain.exit_port)
+        ~lookup (Array.of_list c.Chain.nfs))
+    chains
 
 let cost_reference spec layout ~entry_pipeline chains =
-  cost_with (fun spec layout ~entry_pipeline ~exit_port chain ->
-      solve_reference spec layout ~entry_pipeline ~exit_port chain)
-    spec layout ~entry_pipeline chains
+  sum_chains
+    (fun c ->
+      Option.map
+        (fun p -> (p.recircs, p.resubmits))
+        (solve_reference spec layout ~entry_pipeline ~exit_port:c.Chain.exit_port
+           c.Chain.nfs))
+    chains
 
 (* --- normalized keyed counts (the move-diff path) -------------------- *)
 

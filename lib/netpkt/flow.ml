@@ -27,14 +27,22 @@ let compare_five_tuple a b =
         let c = compare a.src_port b.src_port in
         if c <> 0 then c else compare a.dst_port b.dst_port
 
+(* The CRC-32 of the tuple's 13 network-order bytes (addresses,
+   protocol, ports), folded as two words without a buffer: the source
+   and the destination's top three bytes, then the rest. The protocol
+   and ports keep their low 8 and 16 bits, as their bytes would. *)
 let hash_five_tuple t =
-  let b = Bytes.create 13 in
-  Bytes_util.set_uint32 b 0 (Ip4.to_int64 t.src);
-  Bytes_util.set_uint32 b 4 (Ip4.to_int64 t.dst);
-  Bytes_util.set_uint8 b 8 t.proto;
-  Bytes_util.set_uint16 b 9 t.src_port;
-  Bytes_util.set_uint16 b 11 t.dst_port;
-  Bytes_util.crc32 b ~off:0 ~len:13
+  let src = Int64.to_int (Ip4.to_int64 t.src)
+  and dst = Int64.to_int (Ip4.to_int64 t.dst) in
+  let c = Bytes_util.crc32_fold_be 0xFFFFFFFF ~bytes:7 ((src lsl 24) lor (dst lsr 8)) in
+  let c =
+    Bytes_util.crc32_fold_be (c lxor 0xFFFFFFFF) ~bytes:6
+      (((dst land 0xff) lsl 40)
+      lor ((t.proto land 0xff) lsl 32)
+      lor ((t.src_port land 0xffff) lsl 16)
+      lor (t.dst_port land 0xffff))
+  in
+  Int64.of_int c
 
 (* Canonical (direction-free) form of a connection: the lower
    (address, port) endpoint goes first, so a packet and its reply map

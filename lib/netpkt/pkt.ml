@@ -119,6 +119,77 @@ and decode b ~off =
 
 let decode b = decode b ~off:0
 
+(* --- The 5-tuple off the frame itself: the walk [decode] takes, with
+   every one of its length and value checks, reading only what a
+   5-tuple needs and building no layer. --- *)
+
+(* Where [decode] meets the IPv4 header under [ethertype] at [off]: its
+   offset, [-1] when the frame decodes without one, [-2] when it does
+   not decode. *)
+let rec ipv4_at b off ethertype =
+  let len = Bytes.length b in
+  if ethertype = Eth.ethertype_vlan then
+    if len < off + Vlan.size then -2
+    else ipv4_at b (off + Vlan.size) (Bytes_util.get_uint16 b (off + 2))
+  else if ethertype = Eth.ethertype_sfc then
+    if len < off + sfc_size then -2
+    else
+      match Bytes_util.get_uint8 b (off + 19) with
+      | 1 -> ipv4_at b (off + sfc_size) Eth.ethertype_ipv4
+      | 2 -> ipv4_at b (off + sfc_size) Eth.ethertype_vlan
+      | _ -> -1
+  else if ethertype = Eth.ethertype_arp then
+    if len < off + Arp.size then -2
+    else match Bytes_util.get_uint16 b (off + 6) with 1 | 2 -> -1 | _ -> -2
+  else if ethertype = Eth.ethertype_ipv4 then
+    (* Version 4, IHL 5. *)
+    if len < off + Ipv4.size || Bytes_util.get_uint8 b off <> 0x45 then -2
+    else off
+  else -1
+
+(* [decode] of the frame at [off] succeeds. *)
+let rec decodes b off =
+  Bytes.length b >= off + Eth.size
+  &&
+  match ipv4_at b (off + Eth.size) (Bytes_util.get_uint16 b (off + 12)) with
+  | -2 -> false
+  | -1 -> true
+  | ip -> transport_decodes b (ip + Ipv4.size) (Bytes_util.get_uint8 b (ip + 9))
+
+(* The transport header [proto] at [off] decodes, and so does the inner
+   frame of a VXLAN datagram. *)
+and transport_decodes b off proto =
+  let len = Bytes.length b in
+  if proto = Ipv4.proto_tcp then len >= off + Tcp.size
+  else if proto = Ipv4.proto_udp then
+    len >= off + Udp.size
+    && (Bytes_util.get_uint16 b (off + 2) <> Udp.port_vxlan
+       || (len >= off + Udp.size + Vxlan.size
+          && decodes b (off + Udp.size + Vxlan.size)))
+  else if proto = Ipv4.proto_icmp then len >= off + Icmp.size
+  else true
+
+let five_tuple_of_frame b =
+  if Bytes.length b < Eth.size then None
+  else
+    let ip = ipv4_at b Eth.size (Bytes_util.get_uint16 b 12) in
+    if ip < 0 then None
+    else
+      let l4 = ip + Ipv4.size and proto = Bytes_util.get_uint8 b (ip + 9) in
+      if
+        (proto = Ipv4.proto_tcp || proto = Ipv4.proto_udp)
+        && transport_decodes b l4 proto
+      then
+        Some
+          {
+            Flow.src = Ip4.of_int64 (Bytes_util.get_uint32 b (ip + 12));
+            dst = Ip4.of_int64 (Bytes_util.get_uint32 b (ip + 16));
+            proto;
+            src_port = Bytes_util.get_uint16 b l4;
+            dst_port = Bytes_util.get_uint16 b (l4 + 2);
+          }
+      else None
+
 let tcp_flow ?(payload = "") ~src_mac ~dst_mac (ft : Flow.five_tuple) =
   let l4 =
     if ft.Flow.proto = Ipv4.proto_tcp then

@@ -32,6 +32,15 @@ val tcp_flow :
 (** A minimal Eth/IPv4/(TCP|UDP) frame for the given 5-tuple. *)
 
 val five_tuple_of : t -> Flow.five_tuple option
+(** The first IPv4 header's addresses and protocol with the first TCP or
+    UDP header's ports; [None] without both. *)
+
+val five_tuple_of_frame : Bytes.t -> Flow.five_tuple option
+(** [five_tuple_of] of the frame's {!decode}, [None] when it does not
+    decode, read in place: every check [decode] makes (lengths, IPv4
+    version 4 with IHL 5, ARP opcode 1 or 2, SFC next protocol, a VXLAN
+    inner frame that itself decodes) and no layer list or payload copy. *)
+
 val find_ipv4 : t -> Ipv4.t option
 val find_eth : t -> Eth.t option
 val equal : t -> t -> bool

@@ -123,37 +123,32 @@ let sessions store ~table =
 
 let handler ?sessions ~backends ~table () : Runtime.handler =
  fun _sfc frame ->
-  match Netpkt.Pkt.decode frame with
-  | Error _ -> Runtime.Consume
-  | Ok layers -> (
-      match Netpkt.Pkt.five_tuple_of layers with
-      | None -> Runtime.Consume
-      | Some tuple -> (
-          match
-            Option.bind sessions (fun st -> State_store.find st tuple)
-          with
-          | Some backend -> (
-              (* The ledger owns this session but the chip that punted
-                 missed it — the punt IS the miss (toCpu is the table's
-                 default action). That chip is a fresh shard replica or a
-                 warm-restarted primary: re-install the *stored* backend,
-                 never re-pick, so restarts and re-shards preserve every
-                 flow's assignment. No duplicate risk — the table missed. *)
-              match install_session table tuple backend with
-              | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
-              | Error _ -> Runtime.Consume)
-          | None -> (
-              let backend = pick_backend backends tuple in
-              (* Ledger first: inserting may evict the LRU session, whose
-                 on_evict deletes its chip entry — freeing the slot before
-                 we install, so the chip table never transiently exceeds
-                 the bound. *)
-              (match sessions with
-              | Some st -> State_store.insert st tuple backend
-              | None -> ());
-              match install_session table tuple backend with
-              | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
-              | Error _ -> Runtime.Consume)))
+  match Netpkt.Pkt.five_tuple_of_frame frame with
+  | None -> Runtime.Consume
+  | Some tuple -> (
+      match Option.bind sessions (fun st -> State_store.find st tuple) with
+      | Some backend -> (
+          (* The ledger owns this session but the chip that punted
+             missed it — the punt IS the miss (toCpu is the table's
+             default action). That chip is a fresh shard replica or a
+             warm-restarted primary: re-install the *stored* backend,
+             never re-pick, so restarts and re-shards preserve every
+             flow's assignment. No duplicate risk — the table missed. *)
+          match install_session table tuple backend with
+          | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
+          | Error _ -> Runtime.Consume)
+      | None -> (
+          let backend = pick_backend backends tuple in
+          (* Ledger first: inserting may evict the LRU session, whose
+             on_evict deletes its chip entry — freeing the slot before
+             we install, so the chip table never transiently exceeds
+             the bound. *)
+          (match sessions with
+          | Some st -> State_store.insert st tuple backend
+          | None -> ());
+          match install_session table tuple backend with
+          | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
+          | Error _ -> Runtime.Consume))
 
 let reference ~sessions tuple =
   match

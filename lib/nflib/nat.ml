@@ -104,32 +104,29 @@ let bindings_table store ~table =
 
 let handler ?bindings ~pool ~table () : Runtime.handler =
  fun _sfc frame ->
-  match Netpkt.Pkt.decode frame with
-  | Error _ -> Runtime.Consume
-  | Ok layers -> (
-      match Netpkt.Pkt.five_tuple_of layers with
-      | None -> Runtime.Consume
-      | Some tuple -> (
-          let src = tuple.Netpkt.Flow.src in
-          let install public =
-            match
-              Ctrl.apply_table table
-                (Ctrl.Add (binding_entry { internal = src; public }))
-            with
-            | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
-            | Error _ -> Runtime.Consume
-          in
-          match Option.bind bindings (fun bt -> State_store.find bt src) with
-          | Some public ->
-              (* Ledger hit but the punting chip missed (the punt is the
-                 table's default action): fresh replica or warm restart —
-                 re-install the stored public address. *)
-              install public
-          | None ->
-              let public = public_of ~pool src in
-              (* Ledger before chip: the insert may evict an LRU binding,
-                 whose hook deletes its chip entry first. *)
-              (match bindings with
-              | Some bt -> State_store.insert bt src public
-              | None -> ());
-              install public))
+  match Netpkt.Pkt.five_tuple_of_frame frame with
+  | None -> Runtime.Consume
+  | Some tuple -> (
+      let src = tuple.Netpkt.Flow.src in
+      let install public =
+        match
+          Ctrl.apply_table table
+            (Ctrl.Add (binding_entry { internal = src; public }))
+        with
+        | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
+        | Error _ -> Runtime.Consume
+      in
+      match Option.bind bindings (fun bt -> State_store.find bt src) with
+      | Some public ->
+          (* Ledger hit but the punting chip missed (the punt is the
+             table's default action): fresh replica or warm restart —
+             re-install the stored public address. *)
+          install public
+      | None ->
+          let public = public_of ~pool src in
+          (* Ledger before chip: the insert may evict an LRU binding,
+             whose hook deletes its chip entry first. *)
+          (match bindings with
+          | Some bt -> State_store.insert bt src public
+          | None -> ());
+          install public)

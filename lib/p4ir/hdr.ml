@@ -4,7 +4,8 @@ let max_width = Netpkt.Bytes_util.max_int_width
 
 (* Everything a per-packet operation needs is precomputed here, once per
    declaration: fields as an array, a name -> position table, per-field
-   bit offsets and widths for extract/emit. *)
+   bit offsets and widths for the bit loop, and the wire codec's field
+   places (below). *)
 type decl = {
   name : string;
   fields : field list;
@@ -13,7 +14,28 @@ type decl = {
   foffs : int array;
   fwidths : int array;
   nbits : int;
+  places : int array;
+  span : int;
+  lead : int;
 }
+
+(* --- The wire codec's compile step. A field's place is an 8-byte
+   big-endian window that holds all of its bits: the window's first
+   byte, the right shift that brings the field down to bit 0 and the
+   field's width, packed as [(byte lsl 12) lor (shift lsl 6) lor width].
+   The window starts at the field's first byte, or 8 bytes before the
+   header's end when that is earlier, so in a header of [span >= 8]
+   bytes every window lies inside the header. A shorter header's
+   windows end at its last byte and reach [lead = 8 - span] bytes
+   before its first; [byte] counts from there. Only a field whose bits
+   span 9 bytes (58-62 bits starting 3 or more bits into a byte) fits
+   no window: its place is [-1], and the bit loop reads it. --- *)
+
+let place ~span ~lead ~bit ~width =
+  let byte = min (bit lsr 3) (span - 8) in
+  let r = bit - (8 * byte) in
+  if r + width > 64 then -1
+  else ((byte + lead) lsl 12) lor ((64 - r - width) lsl 6) lor width
 
 let decl name fields =
   let seen = Hashtbl.create 8 in
@@ -42,14 +64,21 @@ let decl name fields =
       foffs.(i) <- !off;
       off := !off + f.width)
     farr;
+  let fwidths = Array.map (fun (f : field) -> f.width) farr in
+  let span = (!off + 7) / 8 in
+  let lead = max 0 (8 - span) in
   {
     name;
     fields;
     farr;
     findex;
     foffs;
-    fwidths = Array.map (fun (f : field) -> f.width) farr;
+    fwidths;
     nbits = !off;
+    places =
+      Array.mapi (fun k width -> place ~span ~lead ~bit:foffs.(k) ~width) fwidths;
+    span;
+    lead;
   }
 
 let total_width d = d.nbits
@@ -101,10 +130,20 @@ let pp_decl ppf d =
   Format.fprintf ppf " }"
 
 (* --- Wire access over a run of int cells: field k of the header lives
-   at [cells.(pos + k)]. Standalone instances and the PHV's flat cell
-   array share these two loops. --- *)
+   at [cells.(pos + k)]. The bit loop, one range-checked
+   [Bytes_util] access per field: the Reference parser and deparser,
+   and standalone instances, read and write through it. --- *)
+
+(* The one check that lets the loops below index [cells] unchecked. *)
+let check_cells d cells ~pos =
+  let n = Array.length d.fwidths in
+  if pos < 0 || pos + n > Array.length cells then
+    invalid_arg
+      (Printf.sprintf "Hdr: cells [%d,%d) of %s exceed %d" pos (pos + n) d.name
+         (Array.length cells))
 
 let read_fields d cells ~pos b ~bit_off =
+  check_cells d cells ~pos;
   for k = 0 to Array.length d.fwidths - 1 do
     Array.unsafe_set cells (pos + k)
       (Netpkt.Bytes_util.get_bits_int b
@@ -113,12 +152,94 @@ let read_fields d cells ~pos b ~bit_off =
   done
 
 let write_fields d cells ~pos b ~bit_off =
+  check_cells d cells ~pos;
   for k = 0 to Array.length d.fwidths - 1 do
     Netpkt.Bytes_util.set_bits_int b
       ~bit_off:(bit_off + Array.unsafe_get d.foffs k)
       ~width:(Array.unsafe_get d.fwidths k)
       (Array.unsafe_get cells (pos + k))
   done
+
+(* --- The wire codec: every Fast-mode read and write. One check per
+   header, [lead <= off <= length - span], proves every
+   window inside the buffer; each field is then a load of its window,
+   a shift and a mask, on unboxed [int64]s. A header that fails the
+   check (one shorter than 8 bytes near the buffer's start, or one out
+   of range) takes the bit loop, which raises the same
+   [Invalid_argument] for a range the buffer does not hold. --- *)
+
+external get64u : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set64u : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+external bswap64 : int64 -> int64 = "%bswap_int64"
+
+let[@inline] load b i = if Sys.big_endian then get64u b i else bswap64 (get64u b i)
+
+let[@inline] store b i w =
+  if Sys.big_endian then set64u b i w else set64u b i (bswap64 w)
+
+let[@inline] fits d b ~off = off >= d.lead && off <= Bytes.length b - d.span
+
+(* Field [p] of the windows based at byte [base]. *)
+let[@inline] get_place b base p =
+  Int64.to_int
+    (Int64.shift_right_logical (load b (base + (p lsr 12))) ((p lsr 6) land 63))
+  land mask (p land 63)
+
+(* Only the field's bits change: the window's other bits are written
+   back as they were read. *)
+let[@inline] set_place b base p v =
+  let i = base + (p lsr 12) and sh = (p lsr 6) land 63 in
+  let m = Int64.shift_left (Int64.of_int (mask (p land 63))) sh in
+  store b i
+    (Int64.logor
+       (Int64.logand (load b i) (Int64.lognot m))
+       (Int64.logand (Int64.shift_left (Int64.of_int v) sh) m))
+
+let read_wire d cells ~pos b ~off =
+  check_cells d cells ~pos;
+  if fits d b ~off then begin
+    let base = off - d.lead in
+    for k = 0 to Array.length d.places - 1 do
+      let p = Array.unsafe_get d.places k in
+      Array.unsafe_set cells (pos + k)
+        (if p >= 0 then get_place b base p
+         else
+           Netpkt.Bytes_util.get_bits_int b
+             ~bit_off:((8 * off) + Array.unsafe_get d.foffs k)
+             ~width:(Array.unsafe_get d.fwidths k))
+    done
+  end
+  else read_fields d cells ~pos b ~bit_off:(8 * off)
+
+let write_wire d cells ~pos b ~off =
+  check_cells d cells ~pos;
+  if fits d b ~off then begin
+    let base = off - d.lead in
+    for k = 0 to Array.length d.places - 1 do
+      let p = Array.unsafe_get d.places k in
+      let v = Array.unsafe_get cells (pos + k) in
+      if p >= 0 then set_place b base p v
+      else
+        Netpkt.Bytes_util.set_bits_int b
+          ~bit_off:((8 * off) + Array.unsafe_get d.foffs k)
+          ~width:(Array.unsafe_get d.fwidths k) v
+    done
+  end
+  else write_fields d cells ~pos b ~bit_off:(8 * off)
+
+let get_wire d k b ~off =
+  let p = d.places.(k) in
+  if p >= 0 && fits d b ~off then get_place b (off - d.lead) p
+  else
+    Netpkt.Bytes_util.get_bits_int b ~bit_off:((8 * off) + d.foffs.(k))
+      ~width:d.fwidths.(k)
+
+let set_wire d k b ~off v =
+  let p = d.places.(k) in
+  if p >= 0 && fits d b ~off then set_place b (off - d.lead) p v
+  else
+    Netpkt.Bytes_util.set_bits_int b ~bit_off:((8 * off) + d.foffs.(k))
+      ~width:d.fwidths.(k) v
 
 type inst = { idecl : decl; mutable valid : bool; vals : int array }
 

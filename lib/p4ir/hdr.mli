@@ -20,9 +20,16 @@ type decl = private {
   foffs : int array;  (** per-field bit offset within the header *)
   fwidths : int array;  (** per-field width *)
   nbits : int;  (** total width *)
+  places : int array;
+      (** per-field place in the wire codec's 8-byte window, [-1] when the
+          field has none *)
+  span : int;  (** bytes the header covers: [nbits] rounded up *)
+  lead : int;
+      (** bytes the codec's windows reach before the header: [8 - span]
+          for a header shorter than 8 bytes, else 0 *)
 }
 (** Built exclusively by {!decl}, which precomputes the indexed views the
-    per-packet operations rely on. *)
+    per-packet operations rely on, the wire codec included. *)
 
 val decl : string -> (string * int) list -> decl
 (** [decl name fields] builds a declaration; raises [Invalid_argument]
@@ -58,13 +65,47 @@ val self_checksum_byte : decl -> int option
     checksums (which span a pseudo-header and payload) don't qualify. *)
 
 val read_fields : decl -> int array -> pos:int -> Bytes.t -> bit_off:int -> unit
-(** Extract the header's fields from the wire into [cells.(pos)],
-    [cells.(pos+1)], ... as immediate ints. Raises [Invalid_argument]
-    when the bits fall outside the buffer. *)
+(** The bit loop: extract the header's fields from the wire into
+    [cells.(pos)], [cells.(pos+1)], ... as immediate ints, one
+    range-checked {!Netpkt.Bytes_util.get_bits_int} per field. Raises
+    [Invalid_argument] when those cells are not all in [cells], and at
+    the first field whose bits fall outside the buffer, with the fields
+    before it already read. The Reference parser's extract, and the
+    oracle of {!read_wire}. *)
 
 val write_fields : decl -> int array -> pos:int -> Bytes.t -> bit_off:int -> unit
-(** Emit [cells.(pos)], [cells.(pos+1)], ... to the wire; the inverse of
-    {!read_fields}. Values must already fit their field widths. *)
+(** The bit loop's emit of [cells.(pos)], [cells.(pos+1)], ...; the
+    inverse of {!read_fields}. A value's bits above its field's width
+    are ignored. *)
+
+(** {2 The wire codec}
+
+    What every Fast-mode parse, deparse and TM handover reads and writes
+    headers with. {!decl} compiles each field once to a place in an
+    8-byte big-endian window (a byte, a shift and a mask); a header at
+    byte [off] whose windows all lie in the buffer
+    ([lead <= off <= length - span]: for a header of 8 bytes or more,
+    exactly the check that it lies in the buffer) is read and written
+    with that one check and no allocation. Any other header, and a
+    field whose bits span 9 bytes (58-62 bits starting 3 or more bits
+    into a byte), go through the bit loop. Results, the bytes written
+    and the [Invalid_argument] raised equal the bit loop's at
+    [~bit_off:(8 * off)]. *)
+
+val read_wire : decl -> int array -> pos:int -> Bytes.t -> off:int -> unit
+(** {!read_fields} at byte [off], through the codec. *)
+
+val write_wire : decl -> int array -> pos:int -> Bytes.t -> off:int -> unit
+(** {!write_fields} at byte [off], through the codec. Each write
+    changes only its field's bits: bytes around the header, in the same
+    buffer, keep their values. *)
+
+val get_wire : decl -> int -> Bytes.t -> off:int -> int
+(** [get_wire d k b ~off]: field [k] of the header at byte [off]. *)
+
+val set_wire : decl -> int -> Bytes.t -> off:int -> int -> unit
+(** [set_wire d k b ~off v]: write the low bits of [v] to field [k] of
+    the header at byte [off], and nothing else. *)
 
 val equal_decl : decl -> decl -> bool
 val pp_decl : Format.formatter -> decl -> unit

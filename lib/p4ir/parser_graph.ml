@@ -135,7 +135,8 @@ let parse t bytes phv =
 (* --- Compiled form: state ids resolved to direct references, header
    sizes, select fields and case values precomputed against a PHV
    layout, so the per-packet walk does no list searching and extracts
-   straight into int cells. The interpretive {!parse} above stays as
+   straight into int cells through the header's wire codec. The
+   interpretive {!parse} above, with its per-field bit loop, stays as
    the reference-mode parser. --- *)
 
 type cnext =
@@ -236,7 +237,7 @@ let rec step c bytes phv n off =
           (Printf.sprintf "parser %s: truncated %s at offset %d" c.c_name
              s.c_header off)
       else begin
-        Phv.extract_at phv s.c_decl s.c_vc bytes ~bit_off:(8 * off);
+        Phv.decode_at phv s.c_decl s.c_vc bytes ~off;
         let off = off + s.c_size in
         match s.c_select with
         | None -> Ok off

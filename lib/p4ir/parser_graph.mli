@@ -60,7 +60,9 @@ val compile : layout:Phv.layout -> t -> compiled
 val run_compiled : compiled -> Bytes.t -> Phv.t -> (int, string) result
 (** Like {!parse}, but over the compiled graph, into a PHV of the
     compiled layout (copy a template PHV; unlike {!parse} no
-    declarations are added). Same results and errors as {!parse}.
+    declarations are added), each header read through its wire codec
+    ({!Hdr.read_wire}) where {!parse} runs the bit loop. Same results
+    and errors as {!parse}.
     Raises [Invalid_argument] on a PHV of another layout. *)
 
 val replay : compiled -> Phv.t -> order:int array -> bool

@@ -89,6 +89,13 @@ let extract_at t (d : Hdr.decl) vc b ~bit_off =
 let emit_at t (d : Hdr.decl) vc b ~bit_off =
   Hdr.write_fields d t.cells ~pos:(vc + 1) b ~bit_off
 
+let decode_at t (d : Hdr.decl) vc b ~off =
+  Hdr.read_wire d t.cells ~pos:(vc + 1) b ~off;
+  t.cells.(vc) <- 1
+
+let encode_at t (d : Hdr.decl) vc b ~off =
+  Hdr.write_wire d t.cells ~pos:(vc + 1) b ~off
+
 (* --- Name-resolved access --- *)
 
 let is_valid t name =

@@ -89,7 +89,17 @@ val set_cell : t -> int -> int -> unit
 
 val extract_at : t -> Hdr.decl -> int -> Bytes.t -> bit_off:int -> unit
 (** [extract_at t d vc b ~bit_off]: read header [d], whose validity cell
-    is [vc], from the wire and mark it valid. *)
+    is [vc], from the wire and mark it valid, through the bit loop
+    ({!Hdr.read_fields}): the Reference parser's extract. *)
 
 val emit_at : t -> Hdr.decl -> int -> Bytes.t -> bit_off:int -> unit
-(** Write header [d]'s fields (validity cell [vc]) to the wire. *)
+(** Write header [d]'s fields (validity cell [vc]) to the wire through
+    the bit loop ({!Hdr.write_fields}): the Reference deparser's emit. *)
+
+val decode_at : t -> Hdr.decl -> int -> Bytes.t -> off:int -> unit
+(** {!extract_at} at byte [off] through the wire codec
+    ({!Hdr.read_wire}): the Fast-mode parser's extract. *)
+
+val encode_at : t -> Hdr.decl -> int -> Bytes.t -> off:int -> unit
+(** {!emit_at} at byte [off] through the wire codec
+    ({!Hdr.write_wire}): the Fast-mode deparser's emit. *)

@@ -317,6 +317,150 @@ let test_udp_vxlan_stack () =
       check Alcotest.bool "vxlan stack roundtrip" true
         (Bytes.equal (Netpkt.Pkt.encode decoded) b)
 
+(* --- The 5-tuple read in place against decode: random frames of
+   every shape [decode] knows, intact, with bytes overwritten (often
+   with a value some discriminator tests for) and truncated. --- *)
+
+let rec frame_layers st ~depth =
+  let open Netpkt in
+  let et, rest = below_eth st ~depth ~tags:0 in
+  Pkt.Eth (Eth.make ~dst:(Mac.random st) ~src:(Mac.random st) et) :: rest
+
+(* The ethertype and the layers under it. *)
+and below_eth st ~depth ~tags =
+  let open Netpkt in
+  let payload () =
+    if Random.State.bool st then []
+    else [ Pkt.Payload (String.make (1 + Random.State.int st 12) 'p') ]
+  in
+  match Random.State.int st 12 with
+  | (0 | 1) when tags < 2 ->
+      let et, rest = below_eth st ~depth ~tags:(tags + 1) in
+      (Eth.ethertype_vlan, Pkt.Vlan (Vlan.make ~vid:(Random.State.int st 4096) et) :: rest)
+  | (2 | 3) when tags < 2 ->
+      (* Byte 19, the next protocol: 1 = IPv4, 2 = 802.1Q, else payload. *)
+      let next, rest =
+        match Random.State.int st 4 with
+        | 0 | 1 -> (1, ipv4_layers st ~depth)
+        | 2 ->
+            let et, rest = below_eth st ~depth ~tags:(tags + 1) in
+            (2, Pkt.Vlan (Vlan.make ~vid:7 et) :: rest)
+        | _ -> (3 + Random.State.int st 250, payload ())
+      in
+      let raw = Bytes.init 20 (fun _ -> Char.chr (Random.State.int st 256)) in
+      Bytes.set raw 19 (Char.chr next);
+      (Eth.ethertype_sfc, Pkt.Sfc_raw raw :: rest)
+  | 4 ->
+      ( Eth.ethertype_arp,
+        [
+          Pkt.Arp
+            {
+              Arp.op = (if Random.State.bool st then Arp.Request else Arp.Reply);
+              sender_mac = Mac.random st;
+              sender_ip = Ip4.random st;
+              target_mac = Mac.random st;
+              target_ip = Ip4.random st;
+            };
+        ] )
+  | 5 -> (0x86DD, payload ())
+  | _ -> (Eth.ethertype_ipv4, ipv4_layers st ~depth)
+
+and ipv4_layers st ~depth =
+  let open Netpkt in
+  let port () = Random.State.int st 65536 in
+  let proto = List.nth [ 6; 6; 17; 17; 1; 47 ] (Random.State.int st 6) in
+  let l4 =
+    match proto with
+    | 6 -> [ Pkt.Tcp (Tcp.make ~src_port:(port ()) ~dst_port:(port ()) ()) ]
+    | 17 when depth < 1 && Random.State.int st 3 = 0 ->
+        Pkt.Udp (Udp.make ~src_port:(port ()) ~dst_port:Udp.port_vxlan ())
+        :: Pkt.Vxlan (Vxlan.make (Random.State.int st 0xFFFFFF))
+        :: frame_layers st ~depth:(depth + 1)
+    | 17 -> [ Pkt.Udp (Udp.make ~src_port:(port ()) ~dst_port:(port ()) ()) ]
+    | 1 -> [ Pkt.Icmp { Icmp.typ = 8; code = 0; ident = port (); seq = port () } ]
+    | _ -> []
+  in
+  Pkt.Ipv4 (Ipv4.make ~protocol:proto ~src:(Ip4.random st) ~dst:(Ip4.random st) ())
+  :: l4
+  @ if Random.State.bool st then [] else [ Pkt.Payload "payload" ]
+
+(* Byte values the decoders test for: IPv4 version/IHL, ethertype
+   halves, protocols, the VXLAN port's bytes, SFC next protocols and
+   ARP opcodes. *)
+let discriminators =
+  [| 0x45; 0x46; 0x55; 0x08; 0x00; 0x06; 0x81; 0x89; 0x4F; 0x11; 0x01; 0x02; 0x12; 0xB5; 0x03 |]
+
+let gen_mutated_frame st =
+  let b = Netpkt.Pkt.encode (frame_layers st ~depth:0) in
+  let n = Bytes.length b in
+  if Random.State.int st 3 > 0 then
+    for _ = 1 to 1 + Random.State.int st 3 do
+      let v =
+        if Random.State.bool st then
+          discriminators.(Random.State.int st (Array.length discriminators))
+        else Random.State.int st 256
+      in
+      Bytes.set b (Random.State.int st n) (Char.chr v)
+    done;
+  if Random.State.int st 3 = 0 then Bytes.sub b 0 (Random.State.int st (n + 1)) else b
+
+let tuple_via_decode b =
+  match Netpkt.Pkt.decode b with
+  | Ok layers -> Netpkt.Pkt.five_tuple_of layers
+  | Error _ -> None
+
+let prop_five_tuple_of_frame =
+  QCheck.Test.make ~name:"five_tuple_of_frame = five_tuple_of (decode)" ~count:5000
+    (QCheck.make
+       ~print:(fun b -> Format.asprintf "%a" Netpkt.Bytes_util.pp_hex b)
+       gen_mutated_frame)
+    (fun b ->
+      Option.equal Netpkt.Flow.equal_five_tuple
+        (Netpkt.Pkt.five_tuple_of_frame b) (tuple_via_decode b))
+
+(* The generator reaches every outcome: a tuple, a frame that decodes
+   without one, and a frame that does not decode. *)
+let test_five_tuple_frames_cover () =
+  let st = Random.State.make [| 11 |] in
+  let tuple = ref 0 and none = ref 0 and bad = ref 0 in
+  for _ = 1 to 2000 do
+    let b = gen_mutated_frame st in
+    match Netpkt.Pkt.decode b with
+    | Error _ -> incr bad
+    | Ok l -> if Netpkt.Pkt.five_tuple_of l = None then incr none else incr tuple
+  done;
+  check Alcotest.bool
+    (Printf.sprintf "tuples %d, none %d, undecodable %d" !tuple !none !bad)
+    true
+    (!tuple > 200 && !none > 200 && !bad > 200)
+
+(* The buffer the hash was once folded over: 13 bytes, in order. *)
+let hash_via_buffer (t : Netpkt.Flow.five_tuple) =
+  let b = Bytes.create 13 in
+  Netpkt.Bytes_util.set_uint32 b 0 (Netpkt.Ip4.to_int64 t.Netpkt.Flow.src);
+  Netpkt.Bytes_util.set_uint32 b 4 (Netpkt.Ip4.to_int64 t.Netpkt.Flow.dst);
+  Netpkt.Bytes_util.set_uint8 b 8 t.Netpkt.Flow.proto;
+  Netpkt.Bytes_util.set_uint16 b 9 t.Netpkt.Flow.src_port;
+  Netpkt.Bytes_util.set_uint16 b 11 t.Netpkt.Flow.dst_port;
+  Netpkt.Bytes_util.crc32 b ~off:0 ~len:13
+
+let prop_hash_five_tuple =
+  QCheck.Test.make ~name:"hash_five_tuple = crc32 of its 13 bytes" ~count:2000
+    QCheck.(triple int int int)
+    (fun (proto, sp, dp) ->
+      let st = Random.State.make [| proto; sp; dp |] in
+      let small x = if x land 1 = 0 then x land 0x1FFFF else x in
+      let t =
+        {
+          Netpkt.Flow.src = Netpkt.Ip4.random st;
+          dst = Netpkt.Ip4.random st;
+          proto = small proto;
+          src_port = small sp;
+          dst_port = small dp;
+        }
+      in
+      Int64.equal (Netpkt.Flow.hash_five_tuple t) (hash_via_buffer t))
+
 (* --- pcap --- *)
 
 let test_pcap_roundtrip () =
@@ -434,6 +578,9 @@ let () =
           Alcotest.test_case "arp" `Quick test_arp_codec;
           Alcotest.test_case "truncated" `Quick test_decode_truncated;
           Alcotest.test_case "udp/vxlan stack" `Quick test_udp_vxlan_stack;
+          qtest prop_five_tuple_of_frame;
+          Alcotest.test_case "5-tuple frames reach every outcome" `Quick
+            test_five_tuple_frames_cover;
         ] );
       ( "pcap",
         [
@@ -447,5 +594,6 @@ let () =
           Alcotest.test_case "distinct" `Quick test_flow_distinct;
           Alcotest.test_case "subnet" `Quick test_flow_subnet;
           Alcotest.test_case "hash layout" `Quick test_hash_matches_layout;
+          qtest prop_hash_five_tuple;
         ] );
     ]

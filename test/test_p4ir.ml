@@ -55,6 +55,149 @@ let test_hdr_extract_emit_roundtrip () =
   Hdr.emit i out ~bit_off:0;
   check Alcotest.bytes "emit inverts extract" b out
 
+(* --- The wire codec against the bit loop: reads give the same cells
+   and the same errors, writes leave the same buffer, all of it. --- *)
+
+let outcome f =
+  match f () with v -> Ok v | exception Invalid_argument m -> Error m
+
+(* Header [d] at byte [off] of a buffer holding [init]: the codec's
+   whole-header and per-field reads and writes against the bit loop's,
+   with [vals] (any ints: a write keeps each one's low bits) as the
+   cells written. Cells start at -7, so a field one side reads and the
+   other does not (before an error) shows. *)
+let codec_agrees d ~off ~init ~vals =
+  let n = Hdr.n_fields d in
+  let b = Bytes.of_string init in
+  let c1 = Array.make (n + 2) (-7) and c2 = Array.make (n + 2) (-7) in
+  let read_ok =
+    outcome (fun () -> Hdr.read_wire d c1 ~pos:1 b ~off)
+    = outcome (fun () -> Hdr.read_fields d c2 ~pos:1 b ~bit_off:(8 * off))
+    && c1 = c2
+  in
+  let field k = ((8 * off) + d.Hdr.foffs.(k), d.Hdr.fwidths.(k)) in
+  let get_ok k =
+    let bit_off, width = field k in
+    outcome (fun () -> Hdr.get_wire d k b ~off)
+    = outcome (fun () -> Netpkt.Bytes_util.get_bits_int b ~bit_off ~width)
+  in
+  let b1 = Bytes.of_string init and b2 = Bytes.of_string init in
+  let write_ok =
+    outcome (fun () -> Hdr.write_wire d vals ~pos:0 b1 ~off)
+    = outcome (fun () -> Hdr.write_fields d vals ~pos:0 b2 ~bit_off:(8 * off))
+    && Bytes.equal b1 b2
+  in
+  let set_ok k =
+    let bit_off, width = field k in
+    let b3 = Bytes.of_string init and b4 = Bytes.of_string init in
+    outcome (fun () -> Hdr.set_wire d k b3 ~off vals.(k))
+    = outcome (fun () -> Netpkt.Bytes_util.set_bits_int b4 ~bit_off ~width vals.(k))
+    && Bytes.equal b3 b4
+  in
+  let ks = List.init n Fun.id in
+  read_ok && write_ok && List.for_all get_ok ks && List.for_all set_ok ks
+  && Bytes.to_string b = init
+
+(* Where a header of [span] bytes sits in a buffer: anywhere, ending at
+   the buffer's end, ending within its last 7 bytes, starting within
+   its first 8 (a short header's windows reach before it), or out of
+   range. *)
+let gen_place span =
+  let open QCheck.Gen in
+  let* len = int_range 0 (span + 24) in
+  let* off =
+    frequency
+      [
+        (3, int_range 0 (max 0 (len - span)));
+        (2, return (len - span));
+        (3, map (fun k -> len - span - k) (int_range 1 7));
+        (2, int_range 0 7);
+        (1, int_range (-3) (len + 3));
+      ]
+  in
+  let* init = string_size ~gen:char (return len) in
+  return (off, init)
+
+let gen_vals n =
+  QCheck.Gen.(
+    array_size (return n)
+      (frequency [ (4, int_bound 0xFFFF); (2, int); (1, map (fun x -> -x) small_nat) ]))
+
+let print_case (d, off, init, _) =
+  Printf.sprintf "%s off=%d len=%d" (Format.asprintf "%a" Hdr.pp_decl d) off
+    (String.length init)
+
+let prop_codec_random =
+  let width =
+    QCheck.Gen.(
+      frequency
+        [
+          (3, int_range 1 8);
+          (2, oneofl [ 8; 16; 24; 32; 48 ]);
+          (2, int_range 9 56);
+          (2, int_range 57 62);
+        ])
+  in
+  let gen =
+    QCheck.Gen.(
+      let* widths = list_size (int_range 1 10) width in
+      let d = Hdr.decl "r" (List.mapi (fun i w -> (Printf.sprintf "f%d" i, w)) widths) in
+      let* off, init = gen_place d.Hdr.span in
+      let* vals = gen_vals (Hdr.n_fields d) in
+      return (d, off, init, vals))
+  in
+  QCheck.Test.make ~name:"wire codec = bit loop (random declarations)" ~count:3000
+    (QCheck.make ~print:print_case gen)
+    (fun (d, off, init, vals) -> codec_agrees d ~off ~init ~vals)
+
+let prop_codec_declared =
+  let gen =
+    QCheck.Gen.(
+      let* d = oneofl Dejavu_core.Net_hdrs.all_decls in
+      let* off, init = gen_place d.Hdr.span in
+      let* vals = gen_vals (Hdr.n_fields d) in
+      return (d, off, init, vals))
+  in
+  QCheck.Test.make ~name:"wire codec = bit loop (Net_hdrs and SFC headers)"
+    ~count:2000
+    (QCheck.make ~print:print_case gen)
+    (fun (d, off, init, vals) -> codec_agrees d ~off ~init ~vals)
+
+(* The places the codec compiles: in a header of 8 bytes or more every
+   window lies inside it; a 4-byte header's one window ends at its last
+   byte; a 62-bit field 3 bits off a byte boundary fits no window. *)
+let test_codec_places () =
+  let byte p = p lsr 12 in
+  let ip = Dejavu_core.Net_hdrs.ipv4 in
+  check Alcotest.int "ipv4 lead" 0 ip.Hdr.lead;
+  Array.iter
+    (fun p ->
+      check Alcotest.bool "ipv4 window inside" true (p >= 0 && byte p + 8 <= ip.Hdr.span))
+    ip.Hdr.places;
+  let vlan = Dejavu_core.Net_hdrs.vlan in
+  check Alcotest.int "vlan lead" 4 vlan.Hdr.lead;
+  Array.iter (fun p -> check Alcotest.int "vlan window" 0 (byte p)) vlan.Hdr.places;
+  let wide = Hdr.decl "w" [ ("a", 3); ("b", 62); ("c", 7) ] in
+  check Alcotest.(array int) "62 bits at bit 3" [| 0; -1; 0 |]
+    (Array.map (fun p -> if p < 0 then -1 else 0) wide.Hdr.places)
+
+(* Both loops index the cells unchecked after one check per header. *)
+let test_codec_cells_range () =
+  let d = Dejavu_core.Net_hdrs.tcp in
+  let b = Bytes.make 40 '\001' in
+  let err = Invalid_argument "Hdr: cells [3,13) of tcp exceed 12" in
+  let short = Array.make 12 0 in
+  Alcotest.check_raises "read_wire" err (fun () -> Hdr.read_wire d short ~pos:3 b ~off:0);
+  Alcotest.check_raises "read_fields" err (fun () ->
+      Hdr.read_fields d short ~pos:3 b ~bit_off:0);
+  Alcotest.check_raises "write_wire" err (fun () -> Hdr.write_wire d short ~pos:3 b ~off:0);
+  Alcotest.check_raises "write_fields" err (fun () ->
+      Hdr.write_fields d short ~pos:3 b ~bit_off:0);
+  Alcotest.check_raises "negative position"
+    (Invalid_argument "Hdr: cells [-1,9) of tcp exceed 12") (fun () ->
+      Hdr.read_wire d short ~pos:(-1) b ~off:0);
+  check Alcotest.bool "buffer untouched" true (Bytes.equal b (Bytes.make 40 '\001'))
+
 let test_hdr_set_resizes () =
   let d = Hdr.decl "h" [ ("x", 4) ] in
   let i = Hdr.inst d in
@@ -1285,6 +1428,10 @@ let () =
           Alcotest.test_case "extract/emit roundtrip" `Quick
             test_hdr_extract_emit_roundtrip;
           Alcotest.test_case "set resizes" `Quick test_hdr_set_resizes;
+          Alcotest.test_case "wire codec places" `Quick test_codec_places;
+          Alcotest.test_case "wire codec cells range" `Quick test_codec_cells_range;
+          qtest prop_codec_random;
+          qtest prop_codec_declared;
           Alcotest.test_case "phv validity" `Quick test_phv_validity;
           Alcotest.test_case "phv copy isolation" `Quick test_phv_copy_isolated;
           Alcotest.test_case "phv decl conflict" `Quick test_phv_conflicting_decl;
