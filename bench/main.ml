@@ -5,6 +5,7 @@
      dune exec bench/main.exe            # everything
      dune exec bench/main.exe -- fig8a   # one experiment
      dune exec bench/main.exe -- runtime --smoke   # CI's scale, same gates
+     dune exec bench/main.exe -- micro "chip walk (green path)"   # one row
 
    Absolute numbers come from the calibrated chip model (DESIGN.md §2);
    the shapes are the claims under reproduction. *)
@@ -53,6 +54,14 @@ let time_rounds ~rounds sides =
 
 (* Reported wall times are the fastest round. *)
 let fastest = Array.fold_left min infinity
+
+(* --smoke (used by CI) shrinks every benchmark to a short run that
+   still takes every code path and every gate. *)
+let smoke = ref false
+
+(* [micro NAME...]: the rows of [bench micro] to run; all when none is
+   named. *)
+let micro_rows = ref []
 
 (* ------------------------------------------------------------------ *)
 (* E1 / Fig. 6: placement example, naive vs optimized                  *)
@@ -520,19 +529,24 @@ let microbench () =
   in
   let parser = compiled.Compiler.generic_parser in
   let registry = Nflib.Catalog.registry () in
+  (* A row: its name, whether bechamel compacts before each sample, and
+     the set-up that returns the function to time. Only the selected
+     rows are set up, each just before it runs. *)
+  let row name f = (name, true, fun () -> f) in
   (* CRC-32 at the IMIX sizes: the batch digest's per-byte cost. *)
   let crc32_row n =
     let b = Bytes.init n (fun i -> Char.chr (i land 0xff)) in
-    Bechamel.Test.make ~name:(Printf.sprintf "crc32 %d B" n)
-      (Bechamel.Staged.stage (fun () ->
-           ignore (Netpkt.Bytes_util.crc32_int b ~off:0 ~len:n)))
+    row (Printf.sprintf "crc32 %d B" n) (fun () ->
+        ignore (Netpkt.Bytes_util.crc32_int b ~off:0 ~len:n))
   in
   (* A full 65,536-entry cache, one green flow per entry, each cached on
      its first run; the row looks the resident flows up in turn, so
      every lookup is a validated hit that moves its entry to the front.
-     Built after the other rows have run, so the major-heap work its fill
-     leaves behind lands on no other row. *)
-  let cache_hit_row () =
+     Last in the list, so the major-heap work its fill leaves behind
+     lands on no other row; sampled without compaction, which on the
+     full cache's 18 MiB heap made the row read about six times what a
+     tight loop of the same lookups reads. *)
+  let cache_hit_setup () =
     let capacity = 65536 in
     let rt =
       Runtime.create
@@ -562,17 +576,18 @@ let microbench () =
     if Flow_cache.length cache <> capacity then
       failwith "micro: the flow cache did not fill";
     let next = ref 0 in
-    Bechamel.Test.make ~name:"flow cache hit (65,536 entries, full)"
-      (Bechamel.Staged.stage (fun () ->
-           let f = flows.(!next land (capacity - 1)) in
-           incr next;
-           ignore (Flow_cache.lookup cache ~in_port:0 f)))
+    fun () ->
+      let f = flows.(!next land (capacity - 1)) in
+      incr next;
+      ignore (Flow_cache.lookup cache ~in_port:0 f)
   in
   (* The Fast-mode stages of the walk below, on the same frame: the
-     ingress pipelet's parse, its deparse of the PHV its control left,
-     and the egress pipelet's adoption of that PHV at the traffic
-     manager. Adopting an adopted PHV redoes the same resets and
-     checksum, so the row reuses one. *)
+     ingress pipelet's parse, its compiled control pass, its deparse of
+     the PHV its control left, and the egress pipelet's adoption of
+     that PHV at the traffic manager. Adopting an adopted PHV redoes
+     the same resets and checksum, so the row reuses one. The control
+     row first resets the cells to the parsed packet's (one blit of the
+     PHV's cells), so every pass is the first. *)
   let chip = compiled.Compiler.chip in
   let pipelet kind =
     Asic.Chip.pipelet chip
@@ -580,63 +595,82 @@ let microbench () =
   in
   let ingress = pipelet Asic.Pipelet.Ingress and egress = pipelet Asic.Pipelet.Egress in
   let phv, payload = Result.get_ok (Asic.Pipelet.parse ingress frame) in
+  let parsed = P4ir.Phv.copy phv in
   Asic.Pipelet.process ingress phv;
   let adopted = P4ir.Phv.copy phv in
   if not (Asic.Pipelet.adopt egress adopted) then
     failwith "micro: the egress pipelet does not adopt the green PHV";
+  let pass = P4ir.Phv.copy parsed in
+  let ncells = Array.length parsed.P4ir.Phv.cells in
+  (* One of the framework's check_sfcFlags tables, which are keyless
+     and hold no entry: every apply runs the default translation. *)
+  let flags = Option.get (Asic.Chip.find_table chip (Compose.check_flags_name "fw")) in
+  if P4ir.Table.keys flags <> [] || P4ir.Table.size flags <> 0 then
+    failwith "micro: dv_check_flags__fw is not keyless and empty";
   (* The Fig. 2 chip with the 546-prefix FIB: what a parallel batch
      replicates once per shard, and releases at the join. *)
   let fib_chip = Runtime.chip (deploy ()) in
-  let tests =
+  let rows =
     [
-      Bechamel.Test.make ~name:"Chip.replicate (Fig. 2, 546-prefix FIB)"
-        (Bechamel.Staged.stage (fun () ->
-             Asic.Chip.release (Asic.Chip.replicate fib_chip)));
-      Bechamel.Test.make ~name:"chip walk (green path)"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (Asic.Chip.inject compiled.Compiler.chip ~in_port:0 frame)));
-      Bechamel.Test.make ~name:"Pipelet.parse (green frame)"
-        (Bechamel.Staged.stage (fun () -> ignore (Asic.Pipelet.parse ingress frame)));
-      Bechamel.Test.make ~name:"Pipelet.adopt (green PHV)"
-        (Bechamel.Staged.stage (fun () -> ignore (Asic.Pipelet.adopt egress adopted)));
-      Bechamel.Test.make ~name:"Pipelet.deparse_fast (green PHV)"
-        (Bechamel.Staged.stage (fun () ->
-             ignore (Asic.Pipelet.deparse_fast ingress phv ~payload)));
-      Bechamel.Test.make ~name:"generic parser parse"
-        (Bechamel.Staged.stage (fun () ->
-             let phv = P4ir.Phv.create [] in
-             ignore (P4ir.Parser_graph.parse parser frame phv)));
-      Bechamel.Test.make ~name:"parser merge (6 parsers)"
-        (Bechamel.Staged.stage (fun () ->
-             let nfs =
-               List.filter_map
-                 (fun (n, _) ->
-                   Result.to_option
-                     (Result.map
-                        (fun nf -> nf.Nf.parser)
-                        (Nf.instantiate registry n)))
-                 (List.filteri (fun i _ -> i < 5) registry)
-             in
-             ignore
-               (Parser_merge.merge ~name:"bench"
-                  (Net_hdrs.base_parser ~with_vlan:true ~name:"fw" () :: nfs))));
-      Bechamel.Test.make ~name:"end-to-end compile (Fig. 2 policy)"
-        (Bechamel.Staged.stage (fun () -> ignore (compile_prototype ())));
-      Bechamel.Test.make ~name:"sfc header encode+decode"
-        (Bechamel.Staged.stage (fun () ->
-             ignore
-               (Sfc_header.decode (Sfc_header.encode Sfc_header.default) ~off:0)));
+      row "Chip.replicate (Fig. 2, 546-prefix FIB)" (fun () ->
+          Asic.Chip.release (Asic.Chip.replicate fib_chip));
+      row "chip walk (green path)" (fun () ->
+          ignore (Asic.Chip.inject compiled.Compiler.chip ~in_port:0 frame));
+      row "Pipelet.parse (green frame)" (fun () ->
+          ignore (Asic.Pipelet.parse ingress frame));
+      row "ingress control pass (green PHV)" (fun () ->
+          Array.blit parsed.P4ir.Phv.cells 0 pass.P4ir.Phv.cells 0 ncells;
+          Asic.Pipelet.process ingress pass);
+      row "dv_check_flags apply (keyless, empty)" (fun () ->
+          ignore (P4ir.Table.apply_index ~regs:P4ir.Action.no_regs flags phv));
+      row "Pipelet.adopt (green PHV)" (fun () -> ignore (Asic.Pipelet.adopt egress adopted));
+      row "Pipelet.deparse_fast (green PHV)" (fun () ->
+          ignore (Asic.Pipelet.deparse_fast ingress phv ~payload));
+      row "generic parser parse" (fun () ->
+          let phv = P4ir.Phv.create [] in
+          ignore (P4ir.Parser_graph.parse parser frame phv));
+      row "parser merge (6 parsers)" (fun () ->
+          let nfs =
+            List.filter_map
+              (fun (n, _) ->
+                Result.to_option
+                  (Result.map (fun nf -> nf.Nf.parser) (Nf.instantiate registry n)))
+              (List.filteri (fun i _ -> i < 5) registry)
+          in
+          ignore
+            (Parser_merge.merge ~name:"bench"
+               (Net_hdrs.base_parser ~with_vlan:true ~name:"fw" () :: nfs)));
+      row "end-to-end compile (Fig. 2 policy)" (fun () -> ignore (compile_prototype ()));
+      row "sfc header encode+decode" (fun () ->
+          ignore (Sfc_header.decode (Sfc_header.encode Sfc_header.default) ~off:0));
       crc32_row 64;
       crc32_row 594;
       crc32_row 1518;
+      ("flow cache hit (65,536 entries, full)", false, cache_hit_setup);
     ]
   in
-  let run_one ?(stabilize = true) test =
+  let selected =
+    match !micro_rows with
+    | [] -> rows
+    | names ->
+        List.map
+          (fun n ->
+            match List.find_opt (fun (name, _, _) -> name = n) rows with
+            | Some r -> r
+            | None ->
+                Format.printf "unknown micro row %S (have: %s)@." n
+                  (String.concat "; " (List.map (fun (name, _, _) -> name) rows));
+                exit 2)
+          names
+  in
+  (* --smoke runs every row at a tenth of the quota: what CI needs to
+     take every set-up and its checks. *)
+  let quota = if !smoke then 0.05 else 0.5 in
+  let run_one ~stabilize test =
     let open Bechamel in
     let instance = Toolkit.Instance.monotonic_clock in
     let cfg =
-      Benchmark.cfg ~limit:200 ~quota:(Time.second 0.5) ~kde:(Some 100)
-        ~stabilize ()
+      Benchmark.cfg ~limit:200 ~quota:(Time.second quota) ~kde:(Some 100) ~stabilize ()
     in
     let raw = Benchmark.all cfg [ instance ] test in
     let ols =
@@ -652,11 +686,12 @@ let microbench () =
         | _ -> Format.printf "%-44s (no estimate)@." name)
       results
   in
-  List.iter (fun test -> report (run_one test)) tests;
-  (* No compaction before each sample: on the full cache's 18 MiB heap
-     it made the row read about six times what a tight loop of the same
-     lookups reads. *)
-  report (run_one ~stabilize:false (cache_hit_row ()))
+  List.iter
+    (fun (name, stabilize, setup) ->
+      let f = setup () in
+      report
+        (run_one ~stabilize (Bechamel.Test.make ~name (Bechamel.Staged.stage f))))
+    selected
 
 (* ------------------------------------------------------------------ *)
 (* The bench harness: one gate and one JSON writer, shared by the      *)
@@ -665,10 +700,6 @@ let microbench () =
 (* ------------------------------------------------------------------ *)
 
 module J = Telemetry.Json
-
-(* --smoke (used by CI) shrinks every benchmark to a short run that
-   still takes every code path and every gate. *)
-let smoke = ref false
 
 let time_pair ~rounds a b =
   match time_rounds ~rounds [ a; b ] with [ x; y ] -> (x, y) | _ -> assert false
@@ -1784,8 +1815,16 @@ let experiments =
 let () =
   let args = List.tl (Array.to_list Sys.argv) in
   smoke := List.mem "--smoke" args;
+  (* Every argument after [micro] names one of its rows. *)
+  let rec experiment_names = function
+    | "micro" :: rows ->
+        micro_rows := rows;
+        [ "micro" ]
+    | n :: rest -> n :: experiment_names rest
+    | [] -> []
+  in
   let to_run =
-    match List.filter (fun a -> a <> "--smoke") args with
+    match experiment_names (List.filter (fun a -> a <> "--smoke") args) with
     | [] -> List.map snd experiments
     | names ->
         List.map
@@ -1793,7 +1832,8 @@ let () =
             match List.assoc_opt n experiments with
             | Some f -> f
             | None ->
-                Format.printf "unknown experiment %S (have: %s; option: --smoke)@." n
+                Format.printf
+                  "unknown experiment %S (have: %s; micro takes row names; option: --smoke)@." n
                   (String.concat ", " (List.map fst experiments));
                 exit 2)
           names

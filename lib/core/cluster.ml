@@ -194,14 +194,11 @@ let cost t layout ~entry_pipeline ~exit_switch ~exit_pipeline chains =
 
 type strategy = Greedy_fill | Anneal of { iterations : int; seed : int }
 
-let framework_stages_per_nf = 2
-let framework_stages_fixed = 1
-
 let stages_needed resources_of pl_layout =
   let nf_count = List.length (Layout.nfs_of_pipelet pl_layout) in
   Layout.stage_demand resources_of pl_layout
-  + (nf_count * framework_stages_per_nf)
-  + if nf_count > 0 then framework_stages_fixed else 0
+  + (nf_count * Compiler.framework_stages_per_nf)
+  + if nf_count > 0 then Compiler.framework_stages_fixed else 0
 
 let all_pipelets t =
   List.concat_map

@@ -70,10 +70,10 @@ let bind_ints t args =
          else Int64.to_int (Bitval.to_int64 (Bitval.resize v width)))
        t.params args)
 
-(* Compiled form: the prim list resolved once against a PHV layout to an
-   array of closures over cells — the int path, allocation-free, for
-   PHVs of that layout only. Registers still resolve per call: the
-   register environment arrives with the packet. *)
+(* Compiled form: the prim list resolved once against a PHV layout to
+   closures over cells — the int path, allocation-free, for PHVs of
+   that layout only. Registers still resolve per call: the register
+   environment arrives with the packet. *)
 type compiled = reg_env -> int array -> Phv.t -> unit
 
 (* A closure that raises [Not_found] like the name-resolved write would,
@@ -81,36 +81,60 @@ type compiled = reg_env -> int array -> Phv.t -> unit
 let cell_or_missing lay resolve x =
   match resolve lay x with c -> Some c | exception Not_found -> None
 
-let compile_prim lay params prim =
-  let expr = Expr.compile ~params lay in
-  match prim with
-  | Assign (r, e) -> (
-      let { Expr.run = f; _ } = expr e in
-      match cell_or_missing lay Phv.field_cell r with
-      | Some c ->
-          let m = Hdr.mask (Phv.field_width lay r) in
-          fun _ args phv -> Phv.set_cell phv c (f phv args land m)
-      | None ->
+(* An assignment writes its destination cell from its source's operand
+   in one closure: a cell, an immediate, an action datum, a cell plus a
+   constant, or the source's code. *)
+let compile_assign lay params r e =
+  let width, src = Expr.lower ~params lay e in
+  match cell_or_missing lay Phv.field_cell r with
+  | Some c -> (
+      let m = Hdr.mask (Phv.field_width lay r) in
+      match src with
+      | Expr.Cell s ->
+          fun _ _ phv ->
+            let cells = phv.Phv.cells in
+            cells.(c) <- cells.(s) land m
+      | Expr.Imm k ->
+          let v = k land m in
+          fun _ _ phv -> phv.Phv.cells.(c) <- v
+      | Expr.Arg i -> fun _ args phv -> phv.Phv.cells.(c) <- args.(i) land m
+      | Expr.Cell_add (s, k) ->
+          let m = m land Hdr.mask width in
+          fun _ _ phv ->
+            let cells = phv.Phv.cells in
+            cells.(c) <- (cells.(s) + k) land m
+      | Expr.Code f ->
           fun _ args phv ->
-            ignore (f phv args);
-            raise Not_found)
-  | Set_valid h -> (
-      match cell_or_missing lay Phv.valid_cell h with
-      | Some c -> fun _ _ phv -> Phv.set_cell phv c 1
-      | None -> fun _ _ _ -> raise Not_found)
-  | Set_invalid h -> (
-      match cell_or_missing lay Phv.valid_cell h with
-      | Some c -> fun _ _ phv -> Phv.set_cell phv c 0
-      | None -> fun _ _ _ -> raise Not_found)
+            let v = f phv args in
+            phv.Phv.cells.(c) <- v land m)
+  | None ->
+      let f = Expr.closure ~width src in
+      fun _ args phv ->
+        ignore (f phv args);
+        raise Not_found
+
+(* For a header the layout lacks, the name-resolved write [by_name],
+   which raises [Not_found] as {!run}'s does. *)
+let compile_validity lay h v by_name =
+  match cell_or_missing lay Phv.valid_cell h with
+  | Some c -> fun _ _ phv -> phv.Phv.cells.(c) <- v
+  | None -> fun _ _ phv -> by_name phv h
+
+let compile_prim lay params prim =
+  let expr e = (Expr.compile ~params lay e).Expr.run in
+  match prim with
+  | Assign (r, e) -> compile_assign lay params r e
+  | Set_valid h -> compile_validity lay h 1 Phv.set_valid
+  | Set_invalid h -> compile_validity lay h 0 Phv.set_invalid
   | Reg_read (dst, rname, idx) -> (
-      let { Expr.run = fidx; _ } = expr idx in
+      let fidx = expr idx in
       match cell_or_missing lay Phv.field_cell dst with
       | Some c ->
           let width = Phv.field_width lay dst in
           fun regs args phv ->
             let reg = find_reg regs rname in
             let i = fidx phv args land Register.index_mask reg in
-            Phv.set_cell phv c (Register.read_int reg i ~width)
+            phv.Phv.cells.(c) <- Register.read_int reg i ~width
       | None ->
           fun regs args phv ->
             let reg = find_reg regs rname in
@@ -118,21 +142,41 @@ let compile_prim lay params prim =
             ignore (Register.read_int reg i ~width:1);
             raise Not_found)
   | Reg_write (rname, idx, value) ->
-      let { Expr.run = fidx; _ } = expr idx in
-      let { Expr.run = fv; _ } = expr value in
+      let fidx = expr idx in
+      let fv = expr value in
       fun regs args phv ->
         let reg = find_reg regs rname in
         let i = fidx phv args land Register.index_mask reg in
         Register.write_int reg i (fv phv args)
   | No_op -> fun _ _ _ -> ()
 
+(* A body of one to three primitives (no-ops dropped) is one closure
+   that calls them in order; another length loops over an array. Every
+   compile allocates its closure — the empty body's too, through the
+   loop — so a table's copy never shares one with its source. *)
 let compile ~layout t : compiled =
-  let prims = Array.of_list (List.map (compile_prim layout t.params) t.body) in
-  let n = Array.length prims in
-  fun regs args phv ->
-    for i = 0 to n - 1 do
-      prims.(i) regs args phv
-    done
+  let prims =
+    List.filter_map
+      (function No_op -> None | p -> Some (compile_prim layout t.params p))
+      t.body
+  in
+  match prims with
+  | [ a ] -> a
+  | [ a; b ] ->
+      fun regs args phv ->
+        a regs args phv;
+        b regs args phv
+  | [ a; b; c ] ->
+      fun regs args phv ->
+        a regs args phv;
+        b regs args phv;
+        c regs args phv
+  | prims ->
+      let prims = Array.of_list prims in
+      fun regs args phv ->
+        for i = 0 to Array.length prims - 1 do
+          prims.(i) regs args phv
+        done
 
 let reg_field name = Fieldref.v "$reg" name
 

@@ -44,11 +44,15 @@ type compiled = reg_env -> int array -> Phv.t -> unit
 val compile : layout:Phv.layout -> t -> compiled
 (** Resolve the body against a PHV layout: fields become cells,
     parameters positions in the action data, expressions
-    {!Expr.compile}d closures. The body runs on ints, allocates nothing
-    and must only be given PHVs of [layout]; on those it has the same
-    effects and errors as {!run} (a field the layout lacks raises
-    [Not_found] when its primitive runs). Raises [Invalid_argument]
-    when an expression is too wide for the int path
+    {!Expr.compile}d closures. An assignment from a field, a parameter,
+    a constant or a field plus a constant ({!Expr.lower}) is one closure
+    that writes its destination cell; a body of one to three primitives
+    (no-ops dropped) is one closure, another length a loop. Each call
+    returns a closure of its own. The body runs on ints, allocates
+    nothing and must only be given PHVs of [layout]; on those it has
+    the same effects and errors as {!run} (a field the layout lacks
+    raises [Not_found] when its primitive runs). Raises
+    [Invalid_argument] when an expression is too wide for the int path
     ({!Expr.compile}). *)
 
 val registers_used : t -> string list

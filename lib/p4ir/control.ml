@@ -66,44 +66,64 @@ let exec ?trace ?label_counters ?(regs = Action.no_regs) env t phv =
    gateway expressions once against a PHV layout, execute closures per
    packet. The structure (and trace event order) mirrors [exec]
    statement for statement; the QCheck equivalence property in
-   test_p4ir pins that. Trace events are built only when a trace is
-   being collected, so an untraced run allocates nothing here. --- *)
+   test_p4ir pins that. Each statement is one closure: a table apply
+   calls {!Table.apply_index} itself, a gateway its shape-lowered test
+   ({!Expr.lower}), and a block of up to three statements is one
+   closure that calls them in order. Trace events are built only when
+   a trace is being collected, so an untraced run allocates nothing
+   here. --- *)
 
-type compiled = (trace_event list ref option -> Phv.t -> unit) array
+type compiled = trace_event list ref option -> Phv.t -> unit
 
-let run_compiled_block (c : compiled) trace phv =
-  for i = 0 to Array.length c - 1 do
-    c.(i) trace phv
-  done
+let nop _ _ = ()
+
+let block_of = function
+  | [] -> nop
+  | [ a ] -> a
+  | [ a; b ] ->
+      fun trace phv ->
+        a trace phv;
+        b trace phv
+  | [ a; b; c ] ->
+      fun trace phv ->
+        a trace phv;
+        b trace phv;
+        c trace phv
+  | stmts ->
+      let stmts = Array.of_list stmts in
+      fun trace phv ->
+        for i = 0 to Array.length stmts - 1 do
+          stmts.(i) trace phv
+        done
+
+let note_table trace name table code =
+  match trace with
+  | Some r ->
+      r := T_table (name, Table.action_name table (code lsr 1), code land 1 = 1) :: !r
+  | None -> ()
 
 let compile ?label_counters ?(regs = Action.no_regs) ~layout env t =
-  let apply name =
+  let bound name =
     let table = find_table env name in
     Table.bind table layout;
-    fun trace phv ->
-      let code = Table.apply_index ~regs table phv in
-      (match trace with
-      | Some r ->
-          r := T_table (name, Table.action_name table (code lsr 1), code land 1 = 1) :: !r
-      | None -> ());
-      code
+    table
   in
-  let rec compile_block block : compiled =
-    Array.of_list (List.map compile_stmt block)
+  let no_args = [||] in
+  let rec compile_block block = block_of (List.map compile_stmt block)
   and compile_stmt = function
     | Apply name ->
-        let apply = apply name in
-        fun trace phv -> ignore (apply trace phv)
+        let table = bound name in
+        fun trace phv -> note_table trace name table (Table.apply_index ~regs table phv)
     | Apply_hit (name, then_, else_) ->
-        let apply = apply name in
+        let table = bound name in
         let cthen = compile_block then_ in
         let celse = compile_block else_ in
         fun trace phv ->
-          let code = apply trace phv in
-          run_compiled_block (if code land 1 = 1 then cthen else celse) trace phv
+          let code = Table.apply_index ~regs table phv in
+          note_table trace name table code;
+          if code land 1 = 1 then cthen trace phv else celse trace phv
     | Apply_switch (name, branches, default) ->
-        let table = find_table env name in
-        let apply = apply name in
+        let table = bound name in
         let cdefault = compile_block default in
         (* Branch per declared action, by position; the first branch
            naming an action wins, like [List.assoc_opt] in [exec]. *)
@@ -117,22 +137,22 @@ let compile ?label_counters ?(regs = Action.no_regs) ~layout env t =
                (Table.actions table))
         in
         fun trace phv ->
-          let code = apply trace phv in
-          run_compiled_block dispatch.(code lsr 1) trace phv
+          let code = Table.apply_index ~regs table phv in
+          note_table trace name table code;
+          dispatch.(code lsr 1) trace phv
     | If (cond, then_, else_) ->
-        let test = Expr.compile_bool ~layout cond in
+        let test = (Expr.compile layout cond).Expr.run in
         let rendered = Format.asprintf "%a" Expr.pp cond in
         let cthen = compile_block then_ in
         let celse = compile_block else_ in
         fun trace phv ->
-          let v = test phv in
+          let v = test phv no_args <> 0 in
           (match trace with
           | Some r -> r := T_gateway (rendered, v) :: !r
           | None -> ());
-          run_compiled_block (if v then cthen else celse) trace phv
+          if v then cthen trace phv else celse trace phv
     | Run prims ->
         let crun = Action.compile ~layout (Action.make "$inline" prims) in
-        let no_args = [||] in
         fun _ phv -> crun regs no_args phv
     | Label (name, blk) -> (
         let cblk = compile_block blk in
@@ -146,17 +166,17 @@ let compile ?label_counters ?(regs = Action.no_regs) ~layout env t =
         | None ->
             fun trace phv ->
               enter trace;
-              run_compiled_block cblk trace phv
+              cblk trace phv
         | Some f ->
             let c = f name in
             fun trace phv ->
               incr c;
               enter trace;
-              run_compiled_block cblk trace phv)
+              cblk trace phv)
   in
   compile_block t.body
 
-let run_compiled ?trace (c : compiled) phv = run_compiled_block c trace phv
+let run_compiled ?trace (c : compiled) phv = c trace phv
 
 let tables_used t =
   let seen = Hashtbl.create 16 in

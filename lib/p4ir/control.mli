@@ -46,8 +46,12 @@ type compiled
 (** A control precompiled to closures: table names, action dispatch,
     gateway expressions and trace strings are resolved once; per-packet
     execution touches no statement tree, and builds trace events only
-    when a trace is collected. Table entries added after compilation
-    are seen — the closures hold live table handles. *)
+    when a trace is collected. Each statement is one closure — a table
+    apply, a gateway over its shape-lowered test ({!Expr.lower}), an
+    inline action over its fused body ({!Action.compile}) — and a block
+    of up to three statements is one closure that calls them in order.
+    Table entries added after compilation are seen — the closures hold
+    live table handles. *)
 
 val compile :
   ?label_counters:(string -> int ref) ->

@@ -17,32 +17,22 @@ type t =
   | Hash of hash_alg * int * t list
   | Valid of string
 
-let const ~width v = Const (Bitval.of_int ~width v)
-let field h f = Field (Fieldref.v h f)
-let ( + ) a b = Bin (Add, a, b)
-let ( - ) a b = Bin (Sub, a, b)
-let ( = ) a b = Bin (Eq, a, b)
-let ( <> ) a b = Bin (Neq, a, b)
-let ( < ) a b = Bin (Lt, a, b)
-let ( && ) a b = Bin (LAnd, a, b)
-let ( || ) a b = Bin (LOr, a, b)
-
 type env = { phv : Phv.t; params : (string * Bitval.t) list }
 
 let hash_bytes alg inputs =
   (* Serialize each input value on a byte boundary, MSB first, the way a
      hash extern concatenates its field list. *)
   let total_bits =
-    List.fold_left (fun acc v -> Stdlib.( + ) acc (Bitval.width v)) 0 inputs
+    List.fold_left (fun acc v -> acc + Bitval.width v) 0 inputs
   in
-  let nbytes = Stdlib.( / ) (Stdlib.( + ) total_bits 7) 8 in
+  let nbytes = (total_bits + 7) / 8 in
   let b = Bytes.make (max nbytes 1) '\000' in
   let off = ref 0 in
   List.iter
     (fun v ->
       Netpkt.Bytes_util.set_bits b ~bit_off:!off ~width:(Bitval.width v)
         (Bitval.to_int64 v);
-      off := Stdlib.( + ) !off (Bitval.width v))
+      off := !off + Bitval.width v)
     inputs;
   match alg with
   | Crc32 -> Netpkt.Bytes_util.crc32 b ~off:0 ~len:(Bytes.length b)
@@ -86,8 +76,8 @@ let rec eval env expr =
       | Le -> Bitval.of_bool (Bitval.le va (Bitval.resize vb (Bitval.width va)))
       | Gt -> Bitval.of_bool (Bitval.lt (Bitval.resize vb (Bitval.width va)) va)
       | Ge -> Bitval.of_bool (Bitval.le (Bitval.resize vb (Bitval.width va)) va)
-      | LAnd -> Bitval.of_bool (Stdlib.( && ) (Bitval.to_bool va) (Bitval.to_bool vb))
-      | LOr -> Bitval.of_bool (Stdlib.( || ) (Bitval.to_bool va) (Bitval.to_bool vb)))
+      | LAnd -> Bitval.of_bool (Bitval.to_bool va && Bitval.to_bool vb)
+      | LOr -> Bitval.of_bool (Bitval.to_bool va || Bitval.to_bool vb))
 
 let eval_bool env e = Bitval.to_bool (eval env e)
 
@@ -146,173 +136,197 @@ let rec widest ~field_width ~params e =
    Every field read is a cell index, every parameter a position in the
    bound action data, every value an immediate int masked to its static
    width — nothing is allocated per evaluation. Operands are evaluated
-   left to right, like [eval], so the same node raises first. --- *)
+   left to right, like [eval], so the same node raises first.
+
+   Lowering goes by shape. A leaf stays an operand (a cell, a constant,
+   an action datum) until its parent reads it: a field or validity bit
+   compared with a constant, a negated validity bit and a field plus a
+   constant each become one closure over one cell, and a caller that
+   writes a cell ({!Action}) reads such an operand in place. Any other
+   node is one closure that calls its operands' closures, with its
+   operator written in place. --- *)
 
 type compiled = { width : int; run : Phv.t -> int array -> int }
 
+type operand =
+  | Cell of int
+  | Imm of int
+  | Arg of int
+  | Cell_add of int * int
+  | Code of (Phv.t -> int array -> int)
+
 let bool_int b = if b then 1 else 0
+
+let closure ~width = function
+  | Cell c -> fun phv _ -> phv.Phv.cells.(c)
+  | Imm k -> fun _ _ -> k
+  | Arg i -> fun _ args -> args.(i)
+  | Cell_add (c, k) ->
+      let m = Hdr.mask width in
+      fun phv _ -> (phv.Phv.cells.(c) + k) land m
+  | Code f -> f
 
 let param_index params name =
   let rec go i = function
     | [] -> None
-    | (p, w) :: rest -> if String.equal p name then Some (i, w) else go (Stdlib.( + ) i 1) rest
+    | (p, w) :: rest -> if String.equal p name then Some (i, w) else go (i + 1) rest
   in
   go 0 params
 
-let rec compile_node lay params e =
-  let c = compile_node_unchecked lay params e in
-  if Stdlib.( > ) c.width Hdr.max_width then
-    invalid_arg
-      (Format.asprintf "Expr.compile: %a is bit<%d>, wider than %d" pp e c.width
-         Hdr.max_width);
-  c
+(* The generic binary node over its operands' closures, both evaluated
+   before the operator, left first. [m] masks to the left operand's
+   width [wa]; comparisons resize [vb] to it, as [eval] does; logic
+   reads truth values, unresized. *)
+let binop op wa fa fb =
+  let m = Hdr.mask wa in
+  match op with
+  | Add -> fun phv args -> let va = fa phv args in (va + fb phv args) land m
+  | Sub -> fun phv args -> let va = fa phv args in (va - fb phv args) land m
+  | Mul -> fun phv args -> let va = fa phv args in va * fb phv args land m
+  | BAnd -> fun phv args -> let va = fa phv args in va land fb phv args land m
+  | BOr -> fun phv args -> let va = fa phv args in (va lor fb phv args) land m
+  | BXor -> fun phv args -> let va = fa phv args in (va lxor fb phv args) land m
+  | Shl ->
+      fun phv args ->
+        let va = fa phv args in
+        let n = fb phv args in
+        if n >= wa then 0 else (va lsl n) land m
+  | Shr ->
+      fun phv args ->
+        let va = fa phv args in
+        let n = fb phv args in
+        if n >= wa then 0 else (va lsr n) land m
+  | Eq -> fun phv args -> let va = fa phv args in bool_int (va = fb phv args land m)
+  | Neq -> fun phv args -> let va = fa phv args in bool_int (va <> fb phv args land m)
+  | Lt -> fun phv args -> let va = fa phv args in bool_int (va < fb phv args land m)
+  | Le -> fun phv args -> let va = fa phv args in bool_int (va <= fb phv args land m)
+  | Gt -> fun phv args -> let va = fa phv args in bool_int (va > fb phv args land m)
+  | Ge -> fun phv args -> let va = fa phv args in bool_int (va >= fb phv args land m)
+  | LAnd ->
+      fun phv args ->
+        let va = fa phv args in
+        let vb = fb phv args in
+        bool_int (va <> 0 && vb <> 0)
+  | LOr ->
+      fun phv args ->
+        let va = fa phv args in
+        let vb = fb phv args in
+        bool_int (va <> 0 || vb <> 0)
 
-and compile_node_unchecked lay params e =
-  let sub = compile_node lay params in
+(* Every node's static width is checked once, as it is lowered, before
+   its parent is. *)
+let rec lower_node lay params e =
+  let ((width, _) as node) = lower_shape lay params e in
+  if width > Hdr.max_width then
+    invalid_arg
+      (Format.asprintf "Expr.compile: %a is bit<%d>, wider than %d" pp e width
+         Hdr.max_width);
+  node
+
+and lower_shape lay params e =
+  let sub = lower_node lay params in
+  let code e =
+    let width, op = sub e in
+    (width, closure ~width op)
+  in
   match e with
-  | Const v ->
-      let x = Int64.to_int (Bitval.to_int64 v) in
-      { width = Bitval.width v; run = (fun _ _ -> x) }
+  | Const v -> (Bitval.width v, Imm (Int64.to_int (Bitval.to_int64 v)))
   | Field r -> (
       match Phv.field_cell lay r with
-      | cell -> { width = Phv.field_width lay r; run = (fun phv _ -> Phv.cell phv cell) }
-      | exception Not_found -> { width = 1; run = (fun _ _ -> raise Not_found) })
+      | c -> (Phv.field_width lay r, Cell c)
+      | exception Not_found -> (1, Code (fun _ _ -> raise Not_found)))
   | Param name -> (
       match param_index params name with
-      | Some (i, w) -> { width = w; run = (fun _ args -> args.(i)) }
+      | Some (i, w) -> (w, Arg i)
       | None ->
-          {
-            width = 1;
-            run =
-              (fun _ _ ->
-                invalid_arg (Printf.sprintf "Expr.eval: unbound param %s" name));
-          })
+          let msg = Printf.sprintf "Expr.eval: unbound param %s" name in
+          (1, Code (fun _ _ -> invalid_arg msg)))
   | Valid h -> (
       match Phv.valid_cell lay h with
-      | cell -> { width = 1; run = (fun phv _ -> Phv.cell phv cell) }
-      | exception Not_found -> { width = 1; run = (fun _ _ -> 0) })
+      | c -> (1, Cell c)
+      | exception Not_found -> (1, Imm 0))
   | Un (BNot, a) ->
-      let { width; run = f } = sub a in
+      let width, f = code a in
       let m = Hdr.mask width in
-      { width; run = (fun phv args -> lnot (f phv args) land m) }
-  | Un (LNot, a) ->
-      let { run = f; _ } = sub a in
-      { width = 1; run = (fun phv args -> bool_int (Stdlib.( = ) (f phv args) 0)) }
-  | Hash (alg, out_width, inputs) -> compile_hash alg out_width (List.map sub inputs)
+      (width, Code (fun phv args -> lnot (f phv args) land m))
+  | Un (LNot, a) -> (
+      match sub a with
+      | _, Cell c -> (1, Code (fun phv _ -> bool_int (phv.Phv.cells.(c) = 0)))
+      | width, op ->
+          let f = closure ~width op in
+          (1, Code (fun phv args -> bool_int (f phv args = 0))))
+  | Hash (alg, out_width, inputs) ->
+      (out_width, Code (compile_hash alg out_width (List.map code inputs)))
   | Bin (op, a, b) -> (
-      let { width = wa; run = fa } = sub a in
-      let { run = fb; _ } = sub b in
-      let m = Hdr.mask wa in
-      let arith g =
-        {
-          width = wa;
-          run =
-            (fun phv args ->
-              let va = fa phv args in
-              let vb = fb phv args in
-              g va vb land m);
-        }
-      in
-      (* [vb] resized to the left operand's width, as [eval] does. *)
-      let cmp g =
-        {
-          width = 1;
-          run =
-            (fun phv args ->
-              let va = fa phv args in
-              let vb = fb phv args in
-              bool_int (g va (vb land m)));
-        }
-      in
-      (* Truth values, unresized: any nonzero operand is true. *)
-      let logic g =
-        {
-          width = 1;
-          run =
-            (fun phv args ->
-              let va = fa phv args in
-              let vb = fb phv args in
-              bool_int (g (Stdlib.( <> ) va 0) (Stdlib.( <> ) vb 0)));
-        }
-      in
-      let shift g =
-        {
-          width = wa;
-          run =
-            (fun phv args ->
-              let va = fa phv args in
-              let n = fb phv args in
-              if Stdlib.( >= ) n wa then 0 else g va n land m);
-        }
-      in
-      match op with
-      | Add -> arith Stdlib.( + )
-      | Sub -> arith Stdlib.( - )
-      | Mul -> arith Stdlib.( * )
-      | BAnd -> arith ( land )
-      | BOr -> arith ( lor )
-      | BXor -> arith ( lxor )
-      | Shl -> shift ( lsl )
-      | Shr -> shift ( lsr )
-      | Eq -> cmp Stdlib.( = )
-      | Neq -> cmp Stdlib.( <> )
-      | Lt -> cmp Stdlib.( < )
-      | Le -> cmp Stdlib.( <= )
-      | Gt -> cmp Stdlib.( > )
-      | Ge -> cmp Stdlib.( >= )
-      | LAnd -> logic Stdlib.( && )
-      | LOr -> logic Stdlib.( || ))
+      let wa, a = sub a in
+      let wb, b = sub b in
+      (* A cell against a constant: the constant resized once, here. *)
+      let imm k = k land Hdr.mask wa in
+      match (op, a, b) with
+      | Eq, Cell c, Imm k ->
+          let k = imm k in
+          (1, Code (fun phv _ -> bool_int (phv.Phv.cells.(c) = k)))
+      | Neq, Cell c, Imm k ->
+          let k = imm k in
+          (1, Code (fun phv _ -> bool_int (phv.Phv.cells.(c) <> k)))
+      | Lt, Cell c, Imm k ->
+          let k = imm k in
+          (1, Code (fun phv _ -> bool_int (phv.Phv.cells.(c) < k)))
+      | Le, Cell c, Imm k ->
+          let k = imm k in
+          (1, Code (fun phv _ -> bool_int (phv.Phv.cells.(c) <= k)))
+      | Gt, Cell c, Imm k ->
+          let k = imm k in
+          (1, Code (fun phv _ -> bool_int (phv.Phv.cells.(c) > k)))
+      | Ge, Cell c, Imm k ->
+          let k = imm k in
+          (1, Code (fun phv _ -> bool_int (phv.Phv.cells.(c) >= k)))
+      | Add, Cell c, Imm k -> (wa, Cell_add (c, k))
+      | (Add | Sub | Mul | BAnd | BOr | BXor | Shl | Shr), _, _ ->
+          (wa, Code (binop op wa (closure ~width:wa a) (closure ~width:wb b)))
+      | (Eq | Neq | Lt | Le | Gt | Ge | LAnd | LOr), _, _ ->
+          (1, Code (binop op wa (closure ~width:wa a) (closure ~width:wb b))))
 
 (* A hash node serializes its inputs exactly like [hash_bytes], into a
    scratch buffer sized at compile time. The buffer belongs to this
    closure, which belongs to one pipelet (or one table store) and so to
    one domain. *)
 and compile_hash alg out_width inputs =
-  let fs = Array.of_list (List.map (fun c -> c.run) inputs) in
-  let ws = Array.of_list (List.map (fun c -> c.width) inputs) in
+  let fs = Array.of_list (List.map snd inputs) in
+  let ws = Array.of_list (List.map fst inputs) in
   let n = Array.length fs in
   let m = Hdr.mask out_width in
   match alg with
   | Identity ->
-      {
-        width = out_width;
-        run =
-          (fun phv args ->
-            let acc = ref 0 in
-            for i = 0 to Stdlib.( - ) n 1 do
-              acc := (!acc lsl ws.(i)) lor fs.(i) phv args
-            done;
-            !acc land m);
-      }
+      fun phv args ->
+        let acc = ref 0 in
+        for i = 0 to n - 1 do
+          acc := (!acc lsl ws.(i)) lor fs.(i) phv args
+        done;
+        !acc land m
   | Crc32 | Crc16 ->
-      let total = Array.fold_left Stdlib.( + ) 0 ws in
-      let nbytes = max 1 (Stdlib.( / ) (Stdlib.( + ) total 7) 8) in
+      let total = Array.fold_left ( + ) 0 ws in
+      let nbytes = max 1 ((total + 7) / 8) in
       let buf = Bytes.make nbytes '\000' in
       let crc =
         match alg with
         | Crc32 -> fun () -> Netpkt.Bytes_util.crc32_int buf ~off:0 ~len:nbytes
         | Crc16 | Identity -> fun () -> Netpkt.Bytes_util.crc16_int buf ~off:0 ~len:nbytes
       in
-      {
-        width = out_width;
-        run =
-          (fun phv args ->
-            Bytes.fill buf 0 nbytes '\000';
-            let off = ref 0 in
-            for i = 0 to Stdlib.( - ) n 1 do
-              Netpkt.Bytes_util.set_bits_int buf ~bit_off:!off ~width:ws.(i)
-                (fs.(i) phv args);
-              off := Stdlib.( + ) !off ws.(i)
-            done;
-            crc () land m);
-      }
+      fun phv args ->
+        Bytes.fill buf 0 nbytes '\000';
+        let off = ref 0 in
+        for i = 0 to n - 1 do
+          Netpkt.Bytes_util.set_bits_int buf ~bit_off:!off ~width:ws.(i) (fs.(i) phv args);
+          off := !off + ws.(i)
+        done;
+        crc () land m
 
-let compile ?(params = []) lay e = compile_node lay params e
+let lower ?(params = []) lay e = lower_node lay params e
 
-let compile_bool ~layout e =
-  let { run; _ } = compile layout e in
-  let no_args = [||] in
-  fun phv -> Stdlib.( <> ) (run phv no_args) 0
+let compile ?params lay e =
+  let width, op = lower ?params lay e in
+  { width; run = closure ~width op }
 
 let rec reads = function
   | Const _ | Param _ -> Fieldref.Set.empty
@@ -325,3 +339,15 @@ let rec reads = function
         (fun acc e -> Fieldref.Set.union acc (reads e))
         Fieldref.Set.empty es
 
+(* The constructors as operators, defined last so the code above
+   reads [+], [=] and the rest as the integer and boolean operators. *)
+
+let const ~width v = Const (Bitval.of_int ~width v)
+let field h f = Field (Fieldref.v h f)
+let ( + ) a b = Bin (Add, a, b)
+let ( - ) a b = Bin (Sub, a, b)
+let ( = ) a b = Bin (Eq, a, b)
+let ( <> ) a b = Bin (Neq, a, b)
+let ( < ) a b = Bin (Lt, a, b)
+let ( && ) a b = Bin (LAnd, a, b)
+let ( || ) a b = Bin (LOr, a, b)

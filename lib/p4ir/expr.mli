@@ -65,9 +65,29 @@ val compile : ?params:(string * int) list -> Phv.layout -> t -> compiled
     is evaluated. Raises [Invalid_argument] at compile time when any
     node is wider than {!Hdr.max_width}. *)
 
-val compile_bool : layout:Phv.layout -> t -> Phv.t -> bool
-(** A gateway condition on the int path: nonzero is true. Only for
-    PHVs of [layout]; raises like {!compile}. *)
+type operand =
+  | Cell of int  (** the value of this cell: a field, or a validity bit *)
+  | Imm of int  (** this constant *)
+  | Arg of int  (** the action datum at this position *)
+  | Cell_add of int * int
+      (** [Cell_add (c, k)]: cell [c] plus constant [k], unmasked *)
+  | Code of (Phv.t -> int array -> int)  (** any other node *)
+(** A node as {!lower} leaves it, by shape: a leaf, or a field plus a
+    constant, stays an operand its reader can fuse into its own closure
+    (an {!Action} assignment writes a cell from it in one closure);
+    anything else is code. *)
+
+val lower : ?params:(string * int) list -> Phv.layout -> t -> int * operand
+(** {!compile} before the node's own closure is built: its static width
+    and its operand. Same checks, raising at the same time. Every inner
+    node but a field plus a constant comes back as [Code]: a field or
+    validity bit compared with a constant, and a negated validity bit,
+    as one closure that reads its cell directly; any other as one
+    closure that calls its operands' closures. *)
+
+val closure : width:int -> operand -> Phv.t -> int array -> int
+(** The operand of a node of [width] bits as a closure: what {!compile}
+    returns as [run]. *)
 
 val reads : t -> Fieldref.Set.t
 (** Every field the expression reads (validity tests included, as a

@@ -16,16 +16,23 @@
       reference-interpreter value type. This is the reference
       interpreter's and the control plane's way in, and only theirs.
     - {b layout-bound} ({!field_cell}/{!valid_cell} resolved once at
-      compile time, then {!cell}/{!set_cell} per packet): what the
-      compiled fast path uses. A cell index is only meaningful for PHVs
-      whose {!layout} is physically the layout it was resolved against,
-      and compiled code runs on nothing else: a pipelet checks that
-      pointer once per call and refuses a PHV of another layout. *)
-
-type t
+      compile time, then {!cell}/{!set_cell}, or the [cells] array
+      itself, per packet): what the compiled fast path uses. A cell
+      index is only meaningful for PHVs whose {!layout} is physically
+      the layout it was resolved against, and compiled code runs on
+      nothing else: a pipelet checks that pointer once per call and
+      refuses a PHV of another layout. *)
 
 type layout
 (** Immutable: header order, per-header validity cell, cell count. *)
+
+type t = private { mutable lay : layout; mutable cells : int array }
+(** [lay] is {!layout}; [cells] holds the values. Both are replaced
+    only here ({!add_decl} moves a PHV to an extended layout and a
+    longer array), so code compiled against [lay] may read and write
+    [cells.(i)] for the indices it resolved — the compiled closures of
+    {!Expr}, {!Action} and {!Table} do, with no call per cell. A
+    written value must stay within its field's width. *)
 
 val create : Hdr.decl list -> t
 (** Fresh PHV with an invalid instance per declaration, under a layout

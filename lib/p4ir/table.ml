@@ -130,11 +130,14 @@ end)
 type lpm_group = { plen : int; gmask : int; buckets : ientry list ref HI.t }
 
 (* Staged index, maintained incrementally on insert AND delete:
-   - [exact1]: single-key [M_exact] entries hashed on the bare value —
-     the common case (FIB next-hop, session, flag tables) skips the
-     key-array allocation entirely.
-   - [exact]: multi-key all-[M_exact] entries, hashed on the
-     concatenated key values (numeric, like [Bitval.equal_value]).
+   - [exact1]: all-[M_exact] entries of a single-key table hashed on
+     the bare value, and those of a packed table ([packed]: no key,
+     or several whose widths sum to at most 62 bits) on their values
+     packed into one int — the common case (FIB next-hop, session,
+     Dejavu's framework tables) skips the key array entirely.
+   - [exact]: all-[M_exact] entries of wider multi-key tables, hashed
+     on the concatenated key values (numeric, like
+     [Bitval.equal_value]).
    - [lpm]: single-key [M_lpm] entries bucketed by prefix length,
      probed longest-first.
    - [linear]: everything else (ternary, range, wildcards, mixed
@@ -157,7 +160,7 @@ type stats = { mutable hits : int; mutable misses : int }
 type binding = {
   blay : Phv.layout;
   kcells : int array;
-  kscratch : int array;  (* probe key for the multi-key exact index *)
+  kscratch : int array;  (* key values: the multi-key exact probe, linear scans *)
   runs : Action.compiled array;
 }
 
@@ -218,6 +221,10 @@ type t = {
   keys : key list;
   kfields : Fieldref.t array;
   kwidths : int array;
+  (* No key, or two or more whose widths sum to at most 62 bits: an
+     all-exact entry, and a lookup's key, pack into one int, first key
+     in the highest bits. *)
+  packed : bool;
   actions : Action.t list;
   acts : Action.t array;
   default : string * Bitval.t list;
@@ -277,11 +284,15 @@ let make ~name ~keys ~actions ~default ?(max_size = 1024) () =
                name dname);
         ai
   in
+  let kwidths = Array.of_list (List.map (fun k -> k.width) keys) in
   {
     name;
     keys;
     kfields = Array.of_list (List.map (fun k -> k.field) keys);
-    kwidths = Array.of_list (List.map (fun k -> k.width) keys);
+    kwidths;
+    packed =
+      Array.length kwidths <> 1
+      && Array.fold_left ( + ) 0 kwidths <= Hdr.max_width;
     actions;
     acts;
     default;
@@ -405,12 +416,27 @@ type slot =
   | S_lpm of int * int * int  (* plen, gmask, masked value *)
   | S_linear
 
+(* The entry's exact values packed like a lookup's key, or [None] when
+   one is wider than its key: such a value never matches, and packed it
+   would alias another key's bits, so the entry stays in [linear]. *)
+let pack t patterns =
+  let rec go acc i = function
+    | [] -> Some acc
+    | M_exact v :: rest ->
+        let x = int_key v and w = t.kwidths.(i) in
+        if x < 0 || x > Hdr.mask w then None else go ((acc lsl w) lor x) (i + 1) rest
+    | (M_ternary _ | M_lpm _ | M_range _ | M_any) :: _ -> None
+  in
+  go 0 0 patterns
+
 let slot_of t patterns =
   let all_exact =
     List.for_all (function M_exact _ -> true | _ -> false) patterns
   in
   if all_exact then
     match patterns with
+    | _ when t.packed -> (
+        match pack t patterns with Some k -> S_exact1 k | None -> S_linear)
     | [ M_exact v ] -> S_exact1 (int_key v)
     | _ ->
         S_exact
@@ -878,17 +904,44 @@ let lookupn t raw =
   let best = if idx.lpm == [] then best else probe_lpm idx.lpm best raw.(0) in
   if idx.linear == [] then best else fold_imatch best raw idx.linear
 
+(* A packed table's key read into one int, as [pack] packs an entry's,
+   probes [exact1]; its other entries are in [linear] (it has no LPM
+   groups: those are single-key), which is scanned key by key. *)
+let lookup_packed t b cells =
+  let kc = b.kcells in
+  let k = ref 0 in
+  for i = 0 to Array.length kc - 1 do
+    k := (!k lsl t.kwidths.(i)) lor cells.(kc.(i))
+  done;
+  let idx = t.store.index in
+  let best =
+    match HI.find_opt idx.exact1 !k with
+    | Some l -> fold_best none !l
+    | None -> none
+  in
+  if idx.linear == [] then best
+  else begin
+    let raw = b.kscratch in
+    for i = 0 to Array.length kc - 1 do
+      raw.(i) <- cells.(kc.(i))
+    done;
+    fold_imatch best raw idx.linear
+  end
+
+(* An empty table probes nothing: every packet misses. *)
 let lookup_raw t b phv =
   let kc = b.kcells in
-  match Array.length kc with
-  | 1 -> lookup1 t (Phv.cell phv kc.(0))
-  | 0 -> lookupn t b.kscratch
-  | n ->
-      let raw = b.kscratch in
-      for i = 0 to n - 1 do
-        raw.(i) <- Phv.cell phv kc.(i)
-      done;
-      lookupn t raw
+  let cells = phv.Phv.cells in
+  if t.store.body.count = 0 then none
+  else if Array.length kc = 1 then lookup1 t cells.(kc.(0))
+  else if t.packed then lookup_packed t b cells
+  else begin
+    let raw = b.kscratch in
+    for i = 0 to Array.length kc - 1 do
+      raw.(i) <- cells.(kc.(i))
+    done;
+    lookupn t raw
+  end
 
 let lookup_ientry t b phv =
   (match t.store.on_lookup with Some f -> f () | None -> ());
@@ -905,11 +958,11 @@ let lookup_ientry t b phv =
   ie
 
 let lookup t phv =
-  let ie = lookup_ientry t (binding t (Phv.layout phv)) phv in
+  let ie = lookup_ientry t (binding t phv.Phv.lay) phv in
   if ie == none then `Miss else `Hit ie.e
 
 let apply_index ~regs t phv =
-  let b = binding t (Phv.layout phv) in
+  let b = binding t phv.Phv.lay in
   let ie = lookup_ientry t b phv in
   if ie != none then begin
     b.runs.(ie.ai) regs ie.bound phv;

@@ -172,11 +172,14 @@ val lookup : t -> Phv.t -> [ `Hit of entry | `Miss ]
 
     Served by a staged index maintained incrementally on
     {!add_entry}/{!clear}: all-exact entries are hash-indexed on their
-    concatenated key values, single-key LPM entries are bucketed by
-    prefix length (probed longest-first), and only ternary/range/
-    wildcard entries take a linear scan — with per-entry masks, prefix
-    lengths, resolved actions and bound action data precomputed at
-    insert time. *)
+    key values — packed into one int when the table has no key, or
+    several whose widths sum to at most 62 bits (an entry value wider
+    than its key never matches and is scanned instead) — single-key LPM
+    entries are bucketed by prefix length (probed longest-first), and
+    only ternary/range/wildcard entries take a linear scan — with
+    per-entry masks, prefix lengths, resolved actions and bound action
+    data precomputed at insert time. An empty table probes nothing; its
+    lookups still count as misses and fire the recorder. *)
 
 val lookup_reference : t -> Phv.t -> [ `Hit of entry | `Miss ]
 (** The pre-index linear scan over every entry, kept as the oracle the

@@ -259,6 +259,44 @@ let test_del_invalidates_cached_flow () =
   check Alcotest.bool "mod invalidated the re-cached verdict" true
     (not (Bytes.equal after_del after_mod))
 
+(* The framework's own tables are dependencies of a cached verdict
+   like any NF table, packed two-key and empty keyless ones included:
+   clearing the router's check_nextNF table (which skips the router)
+   must kill the memoized verdict, and installing an entry in an empty
+   check_sfcFlags table — which probes nothing, yet still records the
+   lookup — must invalidate it too, with the same output. *)
+let test_dv_op_invalidates_cached_flow () =
+  let rt = runtime ~cache:true () in
+  let oracle = runtime () in
+  let pkt =
+    tcp ~src:"203.0.113.7" ~dst:"10.0.3.77" ~src_port:40002 ~dst_port:443
+  in
+  let out rt =
+    match Runtime.process rt ~in_port:0 pkt with
+    | Ok { Runtime.verdict = Asic.Chip.Emitted { frame; _ }; _ } -> frame
+    | Ok _ -> Alcotest.fail "expected an emitted frame"
+    | Error e -> Alcotest.fail e
+  in
+  let stats () = Flow_cache.stats (Option.get (Runtime.flow_cache rt)) in
+  let apply rt ops =
+    match Runtime.apply_ops rt ops with Ok _ -> () | Error e -> Alcotest.fail e
+  in
+  let before = out rt in
+  check Alcotest.bytes "cached replay is byte-identical" before (out rt);
+  let invalidations = (stats ()).Flow_cache.invalidations in
+  let flags = Compose.check_flags_name "router" in
+  apply rt [ Ctrl.Table (flags, Ctrl.Add { P4ir.Table.priority = 0; patterns = [];
+                                          action = "dv_translate"; args = [] }) ];
+  check Alcotest.bytes "same verdict after the flags install" before (out rt);
+  check Alcotest.bool "the empty flags table was a dependency" true
+    ((stats ()).Flow_cache.invalidations > invalidations);
+  let skip_router = [ Ctrl.Table (Compose.check_next_name "router", Ctrl.Clear) ] in
+  apply rt skip_router;
+  apply oracle skip_router;
+  let after = out rt in
+  check Alcotest.bool "stale verdict not replayed" true (not (Bytes.equal before after));
+  check Alcotest.bytes "matches the uncached runtime" (out oracle) after
+
 (* --- live = cold convergence --- *)
 
 let chunk n l =
@@ -502,6 +540,8 @@ let () =
         [
           Alcotest.test_case "del/mod invalidate cached flows" `Quick
             test_del_invalidates_cached_flow;
+          Alcotest.test_case "dv_ table ops invalidate cached flows" `Quick
+            test_dv_op_invalidates_cached_flow;
         ] );
       ("convergence", [ qtest prop_live_equals_cold ]);
       ( "replicas",

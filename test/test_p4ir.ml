@@ -286,10 +286,22 @@ let test_expr_reads () =
    widths (1..62). The trees mix wrapping arithmetic, shifts by amounts
    at or past the operand width, comparisons across widths, hashes,
    validity tests and bound or unbound parameters; some leaves read a
-   field or header the layout lacks. *)
+   field or header the layout lacks. About a third of the nodes take
+   the shapes the compiler lowers to one closure over one cell: a field
+   or validity bit against a constant under every operator, a negated
+   validity bit, a field plus a constant. Their constants are sometimes
+   63 or 64 bits wide, which the compiler refuses up front, and often
+   carry bits above their field's width over low bits that equal a
+   small field value, so a comparison that does not resize the
+   constant shows. *)
 let gen_expr ~nfields ~nparams =
   let open QCheck.Gen in
   let value = oneof [ int_bound 70; int ] in
+  let field =
+    map (fun i -> Expr.Field (fr "h" (Printf.sprintf "f%d" i))) (int_bound (nfields - 1))
+  in
+  let missing = oneofl [ Expr.Field (fr "h" "missing"); Expr.Field (fr "nope" "f0") ] in
+  let valid = oneofl [ Expr.Valid "h"; Expr.Valid "nope" ] in
   let leaf =
     frequency
       [
@@ -297,23 +309,62 @@ let gen_expr ~nfields ~nparams =
           map2
             (fun w v -> Expr.Const (Bitval.make ~width:w (Int64.of_int v)))
             (int_range 1 62) value );
-        (4, map (fun i -> Expr.Field (fr "h" (Printf.sprintf "f%d" i))) (int_bound (nfields - 1)));
-        (1, oneofl [ Expr.Field (fr "h" "missing"); Expr.Field (fr "nope" "f0") ]);
+        (4, field);
+        (1, missing);
         (2, map (fun i -> Expr.Param (Printf.sprintf "p%d" i)) (int_bound nparams));
-        (1, oneofl [ Expr.Valid "h"; Expr.Valid "nope" ]);
+        (1, valid);
       ]
   in
   let binop =
     oneofl
       Expr.[ Add; Sub; Mul; BAnd; BOr; BXor; Shl; Shr; Eq; Neq; Lt; Le; Gt; Ge; LAnd; LOr ]
   in
+  (* A constant for a lowered shape: small, a small value under a high
+     bit (62 bits wide, so the bit survives), any value, or 63–64 bits. *)
+  let shape_const =
+    frequency
+      [
+        (2, map (fun v -> Expr.Const (Bitval.of_int ~width:8 v)) (int_bound 3));
+        ( 3,
+          map2
+            (fun lo hi -> Expr.Const (Bitval.of_int ~width:62 (lo lor (1 lsl hi))))
+            (int_bound 1) (int_range 30 61) );
+        ( 2,
+          map2
+            (fun w v -> Expr.Const (Bitval.make ~width:w (Int64.of_int v)))
+            (int_range 1 62) value );
+        ( 1,
+          map2
+            (fun w v -> Expr.Const (Bitval.make ~width:w (Int64.of_int v)))
+            (int_range 63 64) int );
+      ]
+  in
+  let shaped =
+    frequency
+      [
+        ( 6,
+          map3
+            (fun op a k -> Expr.Bin (op, a, k))
+            (frequency
+               [ (2, oneofl Expr.[ Eq; Neq ]); (2, oneofl Expr.[ Lt; Le; Gt; Ge ]); (1, binop) ])
+            (frequency [ (6, field); (1, missing); (2, valid) ])
+            shape_const );
+        (2, map (fun h -> Expr.Un (Expr.LNot, Expr.Valid h)) (oneofl [ "h"; "nope" ]));
+        ( 2,
+          map2
+            (fun a k -> Expr.Bin (Expr.Add, a, k))
+            (frequency [ (6, field); (1, missing) ])
+            shape_const );
+      ]
+  in
   sized_size (int_bound 12)
   @@ fix (fun self n ->
-         if n = 0 then leaf
+         if n = 0 then frequency [ (1, leaf); (1, shaped) ]
          else
            frequency
              [
                (1, leaf);
+               (3, shaped);
                (5, map3 (fun op a b -> Expr.Bin (op, a, b)) binop (self (n / 2)) (self (n / 2)));
                (1, map2 (fun u a -> Expr.Un (u, a)) (oneofl Expr.[ BNot; LNot ]) (self (n - 1)));
                ( 1,
@@ -324,12 +375,16 @@ let gen_expr ~nfields ~nparams =
                    (list_size (int_range 1 3) (self (n / 3))) );
              ])
 
+(* A tree with a node wider than 62 bits is refused when it is
+   compiled, with [Invalid_argument]; any other compiles and agrees with
+   [eval]. Field values are often 0 or 1, the low bits of the lowered
+   shapes' constants. *)
 let prop_compiled_expr_matches_eval =
   let case =
     QCheck.Gen.(
       let* widths = list_size (int_range 1 4) (int_range 1 62) in
       let* pwidths = list_size (int_range 0 2) (int_range 1 62) in
-      let* fvals = list_repeat (List.length widths) int in
+      let* fvals = list_repeat (List.length widths) (oneof [ int_bound 1; int ]) in
       let* pvals = list_repeat (List.length pwidths) int in
       let* valid = bool in
       let* e = gen_expr ~nfields:(List.length widths) ~nparams:(List.length pwidths) in
@@ -352,18 +407,30 @@ let prop_compiled_expr_matches_eval =
         | exception Not_found -> Error "Not_found"
         | exception Invalid_argument m -> Error m
       in
-      let compiled =
-        outcome (fun () ->
-            let c = Expr.compile ~params lay e in
-            let v = c.Expr.run phv args in
-            (c.Expr.width, v))
+      let field_width r =
+        if r.Fieldref.hdr <> "h" then None
+        else
+          List.find_map
+            (fun (i, w) -> if r.Fieldref.field = Printf.sprintf "f%d" i then Some w else None)
+            (List.mapi (fun i w -> (i, w)) widths)
       in
-      let reference =
-        outcome (fun () ->
-            let v = Expr.eval { Expr.phv; params = bparams } e in
-            (Bitval.width v, Int64.to_int (Bitval.to_int64 v)))
-      in
-      compiled = reference)
+      if Expr.widest ~field_width ~params e > Hdr.max_width then
+        match Expr.compile ~params lay e with
+        | _ -> false
+        | exception Invalid_argument _ -> true
+      else
+        let compiled =
+          outcome (fun () ->
+              let c = Expr.compile ~params lay e in
+              let v = c.Expr.run phv args in
+              (c.Expr.width, v))
+        in
+        let reference =
+          outcome (fun () ->
+              let v = Expr.eval { Expr.phv; params = bparams } e in
+              (Bitval.width v, Int64.to_int (Bitval.to_int64 v)))
+        in
+        compiled = reference)
 
 (* Static widths are what validation gates: a 64-bit constant is too
    wide for the int path, however it is used. *)
@@ -1169,6 +1236,105 @@ let prop_copy_matches_source =
       agrees cp && same && closures_private && stats_pair && src_untouched
       && cp_untouched)
 
+(* Packed keys: exact tables of no key or two to four keys, whose
+   widths sum to at most 62 bits (packed into one int) or past them,
+   under a stream of adds, mods, dels and clears, against the reference
+   scan after every op. Entry values are small, so probes hit; some are
+   wider than their key (a bit above it, or 64 bits), which must never
+   match, and some are [M_any], which must. A copy taken mid-stream
+   then takes every other op, and both sides must keep agreeing with
+   their own reference. *)
+let prop_packed_lookup_matches_reference =
+  let case =
+    QCheck.Gen.(
+      let* big = bool in
+      let* widths =
+        list_size (oneofl [ 0; 1; 2; 2; 3; 4 ]) (if big then int_range 20 40 else int_range 1 15)
+      in
+      let n = List.length widths in
+      let* ops =
+        list_size (int_bound 40)
+          (quad (int_bound 12)
+             (list_repeat n (pair (int_bound 9) (int_bound 3)))
+             (int_bound 3) bool)
+      in
+      let* copy_at = int_bound 40 in
+      let* probes = list_size (return 6) (list_repeat n (int_bound 3)) in
+      return (widths, ops, copy_at, probes))
+  in
+  QCheck.Test.make ~name:"packed keys: indexed lookup = reference scan, copy included"
+    ~count:400
+    (QCheck.make ~print:(fun (w, ops, c, _) ->
+         Printf.sprintf "widths [%s], %d ops, copy at %d"
+           (String.concat "; " (List.map string_of_int w)) (List.length ops) c)
+       case)
+    (fun (widths, ops, copy_at, probes) ->
+      let kname i = Printf.sprintf "k%d" i in
+      let kdecl = Hdr.decl "k" (("z", 5) :: List.mapi (fun i w -> (kname i, w)) widths) in
+      let klay = Phv.layout_of [ meta; kdecl ] in
+      let keys =
+        List.mapi
+          (fun i w -> { Table.field = fr "k" (kname i); kind = Table.Exact; width = w })
+          widths
+      in
+      let set_b =
+        Action.make "set_b" ~params:[ ("v", 16) ] [ Action.Assign (fr "m" "b", Expr.Param "v") ]
+      in
+      let t =
+        Table.make ~name:"t" ~keys ~actions:[ set_b; Action.no_op ] ~default:("NoAction", [])
+          ~max_size:64 ()
+      in
+      let pattern w (code, v) =
+        match code with
+        | 7 -> Table.M_exact (Bitval.make ~width:(w + 1) (Int64.of_int ((1 lsl w) lor v)))
+        | 8 -> Table.M_any
+        | 9 -> Table.M_exact (Bitval.make ~width:64 (Int64.logor Int64.min_int (Int64.of_int v)))
+        | _ -> Table.M_exact (bv w v)
+      in
+      let apply_op u (op, pats, prio, set) =
+        let entry =
+          { Table.priority = prio; patterns = List.map2 pattern widths pats;
+            action = (if set then "set_b" else "NoAction");
+            args = (if set then [ bv 16 prio ] else []) }
+        in
+        ignore
+          (match op with
+          | 0 | 1 | 2 | 3 | 4 | 5 -> Table.add_entry u entry
+          | 6 | 7 | 8 -> Table.del_entry u entry
+          | 12 -> Ok (Table.clear u)
+          | _ -> Table.mod_entry u entry)
+      in
+      let phvs =
+        List.map
+          (fun vals ->
+            let phv = Phv.of_layout klay in
+            Phv.set_valid phv "m";
+            Phv.set_valid phv "k";
+            List.iteri (fun i v -> Phv.set_int phv (fr "k" (kname i)) v) vals;
+            phv)
+          probes
+      in
+      let agrees u =
+        List.for_all
+          (fun phv ->
+            match (Table.lookup u phv, Table.lookup_reference u phv) with
+            | `Miss, `Miss -> true
+            | `Hit e1, `Hit e2 -> e1 == e2
+            | `Hit _, `Miss | `Miss, `Hit _ -> false)
+          phvs
+      in
+      let cp = ref None in
+      List.for_all
+        (fun x -> x)
+        (List.mapi
+           (fun i op ->
+             if i = copy_at then cp := Some (Table.copy t);
+             (match !cp with
+             | Some c when i land 1 = 1 -> apply_op c op
+             | Some _ | None -> apply_op t op);
+             agrees t && match !cp with Some c -> agrees c | None -> true)
+           ops))
+
 (* Entries naming one action share the table's compiled closure; a copy
    compiles its own. *)
 let test_compiled_actions_shared () =
@@ -1276,37 +1442,90 @@ let test_gateway_count () =
 
 (* Differential property: a precompiled control must have the same
    observable behavior as the statement-tree interpreter — identical
-   PHV effects and identical trace events (including rendered gateway
-   condition strings) on random programs and random packet state. *)
-let control_stmt_of_code code =
-  let set f w v = Control.Run [ Action.Assign (fr "m" f, Expr.const ~width:w v) ] in
-  match code mod 6 with
-  | 0 -> Control.Apply "t"
-  | 1 ->
-      Control.Run
-        [
-          Action.Assign
-            ( fr "m" "c",
-              Expr.(Field (fr "m" "c") + const ~width:32 (code land 0xff)) );
-        ]
-  | 2 ->
-      Control.If
-        ( Expr.(Field (fr "m" "a") < const ~width:8 ((code lsr 3) land 0xff)),
-          [ Control.Apply "t" ],
-          [ set "b" 16 (code land 0xffff) ] )
-  | 3 -> Control.Apply_hit ("t", [ set "c" 32 1 ], [ set "c" 32 2 ])
-  | 4 ->
-      Control.Apply_switch
-        ("t", [ ("set_b", [ set "c" 32 (code land 0xff) ]) ], [ set "c" 32 99 ])
-  | _ -> Control.Label ("nf", [ Control.Apply "t" ])
+   PHV effects, identical trace events (including rendered gateway
+   condition strings) and the same exception, if any — on random
+   programs and random packet state. Blocks hold 0–5 statements, nested
+   three deep, so the fused blocks of one, two and three statements and
+   the loop past them all run, over the shapes Dejavu composes: the
+   [!sfc.isValid()] and [to_cpu_flag == 0] gateways, an empty keyless
+   flags table whose default copies three fields, a [check_nextNF]
+   switch on a two-key (packed) table, and inline runs of one to four
+   assignments from a field, a constant, a field plus a constant or an
+   (unbound, so raising) parameter. *)
+let gen_control_body =
+  let open QCheck.Gen in
+  let field = oneofl [ ("a", 8); ("b", 16); ("c", 32) ] in
+  let src =
+    frequency
+      [
+        (10, map (fun (f, _) -> Expr.Field (fr "m" f)) field);
+        (10, map2 (fun w v -> Expr.const ~width:w v) (int_range 1 32) (int_bound 0xffff));
+        ( 10,
+          map2
+            (fun (f, w) v -> Expr.(Field (fr "m" f) + const ~width:w v))
+            field (int_bound 0xff) );
+        (1, return (Expr.Param "p"));
+      ]
+  in
+  let prim =
+    frequency
+      [
+        (8, map2 (fun (f, _) e -> Action.Assign (fr "m" f, e)) field src);
+        (1, oneofl [ Action.Set_valid "m"; Action.Set_invalid "m"; Action.No_op ]);
+      ]
+  in
+  let gateway =
+    frequency
+      [
+        (2, return (Expr.Un (Expr.LNot, Expr.Valid "m")));
+        (1, return (Expr.Valid "m"));
+        (3, map2 (fun (f, w) v -> Expr.(Field (fr "m" f) = const ~width:w v)) field (int_bound 2));
+        ( 2,
+          map3
+            (fun op (f, w) v -> Expr.Bin (op, Expr.Field (fr "m" f), Expr.const ~width:w v))
+            (oneofl Expr.[ Neq; Lt; Le; Gt; Ge ])
+            field (int_bound 0xff) );
+        ( 1,
+          map2
+            (fun (f, w) v ->
+              Expr.(Valid "m" && Un (LNot, Field (fr "m" f) = const ~width:w v)))
+            field (int_bound 2) );
+      ]
+  in
+  sized_size (int_bound 3)
+  @@ fix (fun self depth ->
+         let nested = if depth = 0 then return [] else self (depth - 1) in
+         let stmt =
+           frequency
+             ([
+                (4, map (fun prims -> Control.Run prims) (list_size (int_range 1 4) prim));
+                (2, oneofl [ Control.Apply "t"; Control.Apply "flags" ]);
+              ]
+             @
+             if depth = 0 then []
+             else
+               [
+                 (3, map3 (fun c a b -> Control.If (c, a, b)) gateway nested nested);
+                 (1, map2 (fun a b -> Control.Apply_hit ("t", a, b)) nested nested);
+                 ( 1,
+                   map2
+                     (fun a d -> Control.Apply_switch ("t", [ ("set_b", a) ], d))
+                     nested nested );
+                 ( 2,
+                   map (fun a -> Control.Apply_switch ("next", [ ("proceed", a) ], [])) nested
+                 );
+                 (1, map (fun b -> Control.Label ("nf", b)) nested);
+               ])
+         in
+         list_size (int_bound 5) stmt)
 
 let prop_compiled_control_matches_exec =
   QCheck.Test.make ~name:"compiled control = interpreter" ~count:300
     QCheck.(
-      pair
-        (list_of_size Gen.(int_bound 12) (int_bound 0xffff))
-        (pair small_nat small_nat))
-    (fun (codes, (pa, pb)) ->
+      make
+        ~print:(fun (body, _) -> Format.asprintf "%a" Control.pp (Control.make "c" body))
+        Gen.(pair gen_control_body (quad bool (int_bound 3) (int_bound 3) int)))
+    (fun (body, (valid, pa, pb, pc)) ->
       let t = mk_table () in
       List.iter
         (fun v ->
@@ -1314,18 +1533,54 @@ let prop_compiled_control_matches_exec =
             { Table.priority = 0; patterns = [ Table.M_exact (bv 8 v) ];
               action = "set_b"; args = [ bv 16 (100 + v) ] })
         [ 1; 2; 3 ];
-      let env = mk_env [ t ] in
-      let control = Control.make "c" (List.map control_stmt_of_code codes) in
-      let phv1 = fresh_phv () in
-      Phv.set_int phv1 (fr "m" "a") (pa land 0xff);
-      Phv.set_int phv1 (fr "m" "b") (pb land 0xffff);
+      let flags =
+        Table.make ~name:"flags" ~keys:[]
+          ~actions:
+            [
+              Action.make "translate"
+                [
+                  Action.Assign (fr "m" "c", Expr.Field (fr "m" "a"));
+                  Action.Assign (fr "m" "a", Expr.Field (fr "m" "b"));
+                  Action.Assign (fr "m" "b", Expr.const ~width:16 7);
+                ];
+            ]
+          ~default:("translate", []) ()
+      in
+      let next =
+        Table.make ~name:"next"
+          ~keys:
+            [
+              { Table.field = fr "m" "b"; kind = Table.Exact; width = 16 };
+              { Table.field = fr "m" "a"; kind = Table.Exact; width = 8 };
+            ]
+          ~actions:[ Action.make "proceed" [ Action.No_op ]; Action.make "skip" [] ]
+          ~default:("skip", []) ()
+      in
+      List.iter
+        (fun (b, a) ->
+          must_add next
+            { Table.priority = 0; patterns = [ Table.M_exact (bv 16 b); Table.M_exact (bv 8 a) ];
+              action = "proceed"; args = [] })
+        [ (0, 0); (1, 2); (7, 1); (101, 3) ];
+      let env = mk_env [ t; flags; next ] in
+      let control = Control.make "c" body in
+      let phv1 = Phv.of_layout lay in
+      if valid then Phv.set_valid phv1 "m";
+      Phv.set_int phv1 (fr "m" "a") pa;
+      Phv.set_int phv1 (fr "m" "b") pb;
+      Phv.set_int phv1 (fr "m" "c") pc;
       let phv2 = Phv.copy phv1 in
       let tr1 = ref [] and tr2 = ref [] in
-      Control.exec ~trace:tr1 env control phv1;
-      Control.run_compiled ~trace:tr2
-        (Control.compile ~layout:(Phv.layout phv2) env control)
-        phv2;
-      Phv.equal phv1 phv2 && !tr1 = !tr2)
+      let outcome f =
+        match f () with
+        | () -> Ok ()
+        | exception Invalid_argument m -> Error m
+        | exception Not_found -> Error "Not_found"
+      in
+      let o1 = outcome (fun () -> Control.exec ~trace:tr1 env control phv1) in
+      let compiled = Control.compile ~layout:(Phv.layout phv2) env control in
+      let o2 = outcome (fun () -> Control.run_compiled ~trace:tr2 compiled phv2) in
+      o1 = o2 && Phv.equal phv1 phv2 && !tr1 = !tr2)
 
 (* --- Deps / Resources --- *)
 
@@ -1482,6 +1737,7 @@ let () =
           Alcotest.test_case "compiled actions shared" `Quick
             test_compiled_actions_shared;
           qtest prop_copy_matches_source;
+          qtest prop_packed_lookup_matches_reference;
         ] );
       ( "control",
         [
