@@ -401,9 +401,6 @@ let set_telemetry ?ring_capacity t level =
 
 let telemetry t = Option.map (fun os -> os.o) t.obs
 
-let telemetry_level t =
-  match t.obs with None -> Telemetry.Level.Off | Some os -> Observe.level os.o
-
 type outcome = {
   verdict : Asic.Chip.verdict;
   counters : Counters.t;
@@ -653,12 +650,15 @@ let fold_head acc tag port =
 
 let fold_frame acc b = Netpkt.Bytes_util.crc32_fold acc b ~off:0 ~len:(Bytes.length b)
 
-(* Minor and direct-major words allocated so far ([Gc.major_words]
-   includes promotions, which [minor_words] already counted — subtract
-   them so the pair sums to total words allocated). *)
+(* Minor and direct-major words allocated so far on this domain
+   ([Gc.major_words] includes promotions, which the minor count already
+   holds — subtract them so the pair sums to total words allocated).
+   The minor count is [Gc.minor_words ()], which includes the current
+   minor heap: [quick_stat]'s moves only at a minor collection, so it
+   would read 0 for a batch that fits in the minor heap. *)
 let gc_words () =
   let s = Gc.quick_stat () in
-  (s.Gc.minor_words, s.Gc.major_words -. s.Gc.promoted_words)
+  (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
 
 let process_batch ?each t pkts =
   (* Batch boundary: drain queued control-plane batches onto this

@@ -24,9 +24,6 @@ module Counters : sig
     resubmits : int;
     latency_ns : float;  (** modelled data-plane latency (summed) *)
   }
-
-  val zero : t
-  val add : t -> t -> t
 end
 
 (** The runtime's whole configuration as one value — replaces scattered
@@ -61,8 +58,6 @@ module Engine : sig
   }
 
   val default : t
-
-  val store_config : state -> State_store.config option
 end
 
 type t
@@ -202,7 +197,6 @@ val set_telemetry : ?ring_capacity:int -> t -> Telemetry.Level.t -> unit
     use it directly.) *)
 
 val telemetry : t -> Observe.t option
-val telemetry_level : t -> Telemetry.Level.t
 
 val int_sink : t -> Telemetry.Int_report.t option
 (** The INT per-flow aggregate, when telemetry is on. Populated at

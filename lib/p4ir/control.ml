@@ -142,13 +142,26 @@ let compile ?label_counters ?(regs = Action.no_regs) ~layout env t =
           dispatch.(code lsr 1) trace phv
     | If (cond, then_, else_) ->
         let test = (Expr.compile layout cond).Expr.run in
-        let rendered = Format.asprintf "%a" Expr.pp cond in
+        (* The condition's text is read only by traces, so it is
+           rendered at the first traced evaluation and kept. A plain
+           cell, not [Lazy]: two domains racing on it both render the
+           same string, where forcing one [Lazy.t] from two domains at
+           once raises. *)
+        let rendered = ref None in
+        let render () =
+          match !rendered with
+          | Some s -> s
+          | None ->
+              let s = Format.asprintf "%a" Expr.pp cond in
+              rendered := Some s;
+              s
+        in
         let cthen = compile_block then_ in
         let celse = compile_block else_ in
         fun trace phv ->
           let v = test phv no_args <> 0 in
           (match trace with
-          | Some r -> r := T_gateway (rendered, v) :: !r
+          | Some r -> r := T_gateway (render (), v) :: !r
           | None -> ());
           if v then cthen trace phv else celse trace phv
     | Run prims ->

@@ -43,8 +43,9 @@ val exec :
     entered — the per-NF telemetry hook. *)
 
 type compiled
-(** A control precompiled to closures: table names, action dispatch,
-    gateway expressions and trace strings are resolved once; per-packet
+(** A control precompiled to closures: table names, action dispatch and
+    gateway expressions are resolved once, and a gateway's condition is
+    rendered at its first traced evaluation and kept; per-packet
     execution touches no statement tree, and builds trace events only
     when a trace is collected. Each statement is one closure — a table
     apply, a gateway over its shape-lowered test ({!Expr.lower}), an

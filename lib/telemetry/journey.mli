@@ -60,12 +60,11 @@ type t = {
   hops : hop list;
 }
 
-val json : t -> Json.t
-(** The journey as a JSON value: its fields, then [hops] as one object
-    per pass, with its NFs, gateway count and tables read off the
-    pass's events. *)
-
 val to_json : t -> string
+(** The journey as JSON: its fields, then [hops] as one object per
+    pass, with its NFs, gateway count and tables read off the pass's
+    events. *)
+
 val list_to_json : t list -> string
 val pp : Format.formatter -> t -> unit
 

@@ -1,6 +1,8 @@
-(* Deployments shared by several suites: the ASIC suite's one-header
-   forwarder and the VXLAN gateway's tunnel chains. Both also run in the
-   runtime suite's Fast ≡ Reference property. *)
+(* Deployments and traffic shared by several suites: the ASIC suite's
+   one-header forwarder and the VXLAN gateway's tunnel chains (both also
+   run in the runtime suite's Fast ≡ Reference property), the Fig. 2
+   deployment with a production-scale FIB, and the four-class Fig. 2
+   traffic mix. *)
 
 open Dejavu_core
 
@@ -136,3 +138,72 @@ let tunnel_chains () =
   in
   Compiler.compile
     (Compiler.default_input ~registry ~chains ~strategy:Placement.Greedy ())
+
+(* --- The Fig. 2 deployment with a 546-prefix FIB: 512 /24s and 32
+   /20s in 172.16.0.0/12, routed like the deployment's own two routes,
+   so no test packet hits them but every lookup runs at production
+   table scale. --- *)
+
+let fib_entry ~prefix_len addr =
+  {
+    P4ir.Table.priority = 0;
+    patterns =
+      [ P4ir.Table.M_lpm { value = P4ir.Bitval.of_int ~width:32 addr; prefix_len } ];
+    action = "route";
+    args =
+      [
+        P4ir.Bitval.of_int ~width:48 0x020000aa0001;
+        P4ir.Bitval.of_int ~width:48 0x0200000000fe;
+      ];
+  }
+
+let fib_entries =
+  List.init 512 (fun i ->
+      fib_entry ~prefix_len:24
+        ((172 lsl 24) lor ((16 + (i lsr 8)) lsl 16) lor ((i land 0xff) lsl 8)))
+  @ List.init 32 (fun i ->
+        fib_entry ~prefix_len:20
+          ((172 lsl 24) lor ((24 + (i lsr 4)) lsl 16) lor ((i land 0xf) lsl 12)))
+
+let fig2_compiled () =
+  let compiled =
+    Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
+  in
+  let ops =
+    List.map
+      (fun e -> Ctrl.Table (Nflib.Catalog.routes_table_name, Ctrl.Add e))
+      fib_entries
+  in
+  (match Ctrl.apply_all compiled.Compiler.chip ops with
+  | Ok _ -> ()
+  | Error e -> Alcotest.fail e);
+  compiled
+
+(* The four-class Fig. 2 mix: two pre-provisioned tenants (green and
+   orange), orange web traffic, and LB flows to the tenant-1 VIP that
+   punt to the CPU on their first packet. Every packet is a flow of its
+   own. *)
+let mixed_workload n =
+  List.init n (fun i ->
+      let ip = Netpkt.Ip4.of_string_exn in
+      let dst, dst_port =
+        match i mod 4 with
+        | 0 -> (ip "10.0.3.17", 443)
+        | 1 -> (ip "10.0.2.33", 80)
+        | 2 -> (Nflib.Catalog.tenant1_vip, 80)
+        | _ -> (ip "10.0.3.50", 8080)
+      in
+      let frame =
+        Netpkt.Pkt.encode
+          (Netpkt.Pkt.tcp_flow
+             ~src_mac:(Netpkt.Mac.of_string_exn "02:00:00:00:00:01")
+             ~dst_mac:(Netpkt.Mac.of_string_exn "02:00:00:00:00:02")
+             {
+               Netpkt.Flow.src = ip "203.0.113.7";
+               dst;
+               proto = Netpkt.Ipv4.proto_tcp;
+               src_port = 1024 + i;
+               dst_port;
+             })
+      in
+      (0, frame))

@@ -311,9 +311,11 @@ let chunk n l =
 (* A random churn trace applied live — interleaved with traffic, flow
    cache on, k ∈ {1, 2, 4} domains — must leave the chip in exactly the
    state a cold runtime reaches applying the same trace with no traffic
-   in flight. The trace gets a mid-stream Del (and later re-Add) of the
-   route the cached green flows match, so the invalidation path runs
-   while the flows are hot. *)
+   in flight, and the two must then forward a probe batch of the
+   four-class mix alike (one sequential batch each, equal digests). The
+   trace gets a mid-stream Del (and later re-Add) of the route the
+   cached green flows match, so the invalidation path runs while the
+   flows are hot. *)
 let prop_live_equals_cold =
   QCheck.Test.make ~name:"op trace applied live = applied cold (k in {1,2,4})"
     ~count:3 QCheck.small_nat (fun seed ->
@@ -334,6 +336,9 @@ let prop_live_equals_cold =
       | Ok _ -> ()
       | Error e -> failwith e);
       let want = Ctrl.state_digest (Runtime.chip cold) in
+      let probe = Fixtures.mixed_workload 48 in
+      let probed rt = (Runtime.process_batch rt probe).Runtime.digest in
+      let cold_probe = probed cold in
       List.for_all
         (fun domains ->
           let rt = runtime ~domains ~cache:true () in
@@ -342,7 +347,8 @@ let prop_live_equals_cold =
               ignore (Ctrl.submit (Runtime.control rt) ops);
               ignore (Runtime.process_batch_parallel rt (quiet_traffic i 8)))
             (chunk 25 trace);
-          Int64.equal (Ctrl.state_digest (Runtime.chip rt)) want)
+          Int64.equal (Ctrl.state_digest (Runtime.chip rt)) want
+          && Int64.equal (probed rt) cold_probe)
         [ 1; 2; 4 ])
 
 (* --- replicas: copy on write --- *)

@@ -269,39 +269,11 @@ let test_reinject_error_journey () =
 
 (* --- Batch processing: determinism and Fast/Reference equivalence --- *)
 
-(* Same 4-class mix the runtime benchmark drives: two pre-provisioned
-   tenants, orange web traffic, and LB flows that punt to the CPU on
-   first packet. *)
-let mixed_workload n =
-  List.init n (fun i ->
-      let ip = Netpkt.Ip4.of_string_exn in
-      let dst, dst_port =
-        match i mod 4 with
-        | 0 -> (ip "10.0.3.17", 443)
-        | 1 -> (ip "10.0.2.33", 80)
-        | 2 -> (Nflib.Catalog.tenant1_vip, 80)
-        | _ -> (ip "10.0.3.50", 8080)
-      in
-      let frame =
-        Netpkt.Pkt.encode
-          (Netpkt.Pkt.tcp_flow
-             ~src_mac:(Netpkt.Mac.of_string_exn "02:00:00:00:00:01")
-             ~dst_mac:(Netpkt.Mac.of_string_exn "02:00:00:00:00:02")
-             {
-               Netpkt.Flow.src = ip "203.0.113.7";
-               dst;
-               proto = Netpkt.Ipv4.proto_tcp;
-               src_port = 1024 + i;
-               dst_port;
-             })
-      in
-      (0, frame))
-
 let test_batch_deterministic () =
   (* Two fresh runtimes over the same workload must agree on every
      counter and on the output digest (an order-sensitive CRC over each
      packet's verdict, port and frame bytes). *)
-  let run () = Runtime.process_batch (runtime ()) (mixed_workload 48) in
+  let run () = Runtime.process_batch (runtime ()) (Fixtures.mixed_workload 48) in
   let s1 = run () and s2 = run () in
   check Alcotest.bool "batch stats identical across runs" true (s1 = s2);
   check Alcotest.int "all packets emitted" 48 s1.Runtime.emitted;
@@ -315,7 +287,7 @@ let test_batch_fast_matches_reference () =
     let rt = runtime () in
     Runtime.configure rt
       { (Runtime.engine rt) with Runtime.Engine.exec_mode = mode };
-    Runtime.process_batch rt (mixed_workload 48)
+    Runtime.process_batch rt (Fixtures.mixed_workload 48)
   in
   let fast = run Asic.Chip.Fast and reference = run Asic.Chip.Reference in
   check Alcotest.bool "fast = reference (digest and counters)" true
@@ -339,7 +311,7 @@ let test_batch_fast_matches_reference () =
      headers down the stack and decapsulation pops them;
    - the one-header forwarder that resubmits once. *)
 let prop_random_frames_fast_matches_reference =
-  let fig2 = List.map snd (mixed_workload 8) in
+  let fig2 = List.map snd (Fixtures.mixed_workload 8) in
   let chip ?strategy () =
     let compiled =
       Result.get_ok
@@ -463,7 +435,7 @@ let test_emitted_checksums_valid () =
                       (Netpkt.Ipv4.checksum_valid out ~off)
                 | None -> ())
             | _ -> ()))
-      (mixed_workload 48);
+      (Fixtures.mixed_workload 48);
     check Alcotest.bool "some emitted frames carried IPv4" true (!checked > 0)
   in
   run Asic.Chip.Fast;

@@ -514,6 +514,89 @@ let test_state_off_identical () =
     && off.Runtime.to_cpu = on.Runtime.to_cpu
     && off.Runtime.errors = on.Runtime.errors)
 
+(* The store at scale: 20,000 distinct-source flows to the tenant-1 VIP
+   through classifier -> lb -> nat -> router, whose LB sessions (by
+   5-tuple) and NAT bindings (by source address) both live on the
+   store, at capacity 4,096, in batches of 2,048. Each ledger grows one
+   entry per flow up to the bound, then evicts its LRU entry per new
+   flow, and each eviction deletes its chip entry: both ledgers and both
+   chip tables end holding exactly [capacity] entries. Once the store is
+   well saturated (3 x capacity flows seen) the live heap must stay
+   flat: at the end it may exceed the checkpoint by max(10%, 1M words)
+   at most. *)
+let test_scale () =
+  let capacity = 4096 and flows = 20_000 and batch = 2_048 in
+  let registry =
+    ( "classifier",
+      Nflib.Classifier.create
+        [ { Nflib.Classifier.dst_prefix = pfx "10.0.1.0/24"; proto = None; path_id = 10; tenant = 1 } ] )
+    :: (Nflib.Nat.name, Nflib.Nat.create_dynamic ~max_size:(max 8192 capacity))
+    :: List.filter
+         (fun (n, _) -> n <> "classifier" && n <> Nflib.Nat.name)
+         (Nflib.Catalog.registry ())
+  in
+  let chains =
+    [
+      Chain.make ~path_id:10 ~name:"stateful"
+        ~nfs:[ "classifier"; "lb"; "nat"; "router" ]
+        ~weight:1.0 ~exit_port:1 ();
+    ]
+  in
+  let compiled =
+    Result.get_ok
+      (Compiler.compile
+         (Compiler.default_input ~registry ~chains ~strategy:Placement.Greedy ()))
+  in
+  let rt = Runtime.create ~engine:(engine ~capacity ()) compiled in
+  Nflib.Catalog.attach_handlers rt compiled;
+  (* f's 22 low bits spread over the last three source octets: every
+     flow a distinct source. *)
+  let frame f =
+    ( 0,
+      tcp
+        ~src:
+          (Netpkt.Ip4.of_octets 10
+             (64 + ((f lsr 16) land 0x3f))
+             ((f lsr 8) land 0xff) (f land 0xff))
+        ~dst:Nflib.Catalog.tenant1_vip ~src_port:(40000 + (f mod 16384))
+        ~dst_port:80 )
+  in
+  let live_words () =
+    Gc.full_major ();
+    (Gc.stat ()).Gc.live_words
+  in
+  let checkpoint = ref None and errors = ref 0 and seen = ref 0 in
+  while !seen < flows do
+    let n = min batch (flows - !seen) in
+    let stats = Runtime.process_batch rt (List.init n (fun i -> frame (!seen + i))) in
+    errors := !errors + stats.Runtime.errors;
+    seen := !seen + n;
+    if !checkpoint = None && !seen >= 3 * capacity then
+      checkpoint := Some (live_words (), !seen)
+  done;
+  check Alcotest.int "no packet errors" 0 !errors;
+  let ledgers = State_store.totals (Runtime.state_stores rt) in
+  let ledger name =
+    match List.find_opt (fun (n, _, _) -> n = name) ledgers with
+    | Some (_, occupancy, _) -> occupancy
+    | None -> Alcotest.fail ("no ledger " ^ name)
+  in
+  check Alcotest.bool "every ledger within capacity" true
+    (List.for_all (fun (_, occupancy, _) -> occupancy <= capacity) ledgers);
+  let chip nf tbl =
+    match Asic.Chip.find_table (Runtime.chip rt) (Compose.nf_table_name ~nf tbl) with
+    | Some t -> P4ir.Table.size t
+    | None -> Alcotest.fail ("no chip table for " ^ nf)
+  in
+  check Alcotest.int "LB session ledger" capacity (ledger Nflib.Lb.state_table_name);
+  check Alcotest.int "NAT binding ledger" capacity (ledger Nflib.Nat.state_table_name);
+  check Alcotest.int "LB session table" capacity (chip Nflib.Lb.name Nflib.Lb.table_name);
+  check Alcotest.int "NAT binding table" capacity (chip Nflib.Nat.name Nflib.Nat.table_name);
+  let saturated, at = Option.get !checkpoint and final = live_words () in
+  if final > saturated + max (saturated / 10) 1_000_000 then
+    Alcotest.failf "live heap grew from %d words at %d flows to %d at %d" saturated at
+      final flows
+
 let () =
   Alcotest.run "state_store"
     [
@@ -549,5 +632,6 @@ let () =
             test_state_gauges_in_snapshot;
           Alcotest.test_case "state off identical" `Quick
             test_state_off_identical;
+          Alcotest.test_case "scale" `Quick test_scale;
         ] );
     ]
