@@ -98,12 +98,11 @@ let fig6 () =
   let input =
     {
       Placement.spec;
+      switches = 1;
       resources_of = (fun _ -> { P4ir.Resources.zero with P4ir.Resources.stages = 1 });
       chains = [ Chain.make ~path_id:1 ~name:"af" ~nfs:chain ~exit_port:1 () ];
       entry_pipeline = 0;
       pinned = [];
-      framework_stages_per_nf = 2;
-      framework_stages_fixed = 1;
     }
   in
   match Placement.solve input Placement.Exhaustive with
@@ -401,7 +400,6 @@ let ablation_loopback () =
 let ablation_cluster () =
   section "Sec. 7 extension - clusters of switch data planes";
   let chain = List.init 16 (fun i -> Printf.sprintf "N%02d" i) in
-  let chains = [ Chain.make ~path_id:1 ~name:"big" ~nfs:chain ~exit_port:1 () ] in
   let resources_of _ = { P4ir.Resources.zero with P4ir.Resources.stages = 2 } in
   Format.printf "a 16-NF chain (2 MAU stages per NF) across cluster sizes:@.@.";
   Format.printf "%10s %10s %8s %8s %12s@." "switches" "placed?" "recircs"
@@ -409,21 +407,23 @@ let ablation_cluster () =
   List.iter
     (fun n ->
       let c = Cluster.make ~spec ~n_switches:n () in
+      let exit_port = Cluster.port c ~switch:(n - 1) ~port:1 in
+      let chains = [ Chain.make ~path_id:1 ~name:"big" ~nfs:chain ~exit_port () ] in
       match
-        Cluster.place c ~resources_of ~chains ~exit_switch:(n - 1)
-          ~exit_pipeline:0 ~pinned:[]
+        Cluster.place c ~resources_of ~chains ~pinned:[]
           (Cluster.Anneal { iterations = 1500; seed = 7 })
       with
       | Error _ -> Format.printf "%10d %10s %8s %8s %12s@." n "no" "-" "-" "-"
       | Ok (layout, _) -> (
           match
-            Cluster.solve c layout ~entry_pipeline:0 ~exit_switch:(n - 1)
-              ~exit_pipeline:0 chain
+            Traversal.solve ~switches:n (Cluster.chip c) layout ~entry_pipeline:0
+              ~exit_port chain
           with
           | None -> Format.printf "%10d %10s (unroutable)@." n "yes"
           | Some p ->
               Format.printf "%10d %10s %8d %8d %9.0f ns@." n "yes"
-                p.Cluster.recircs p.Cluster.hops (Cluster.latency_ns c p)))
+                p.Traversal.recircs p.Traversal.hops
+                (Model.chain_latency_ns ~cable_m:c.Cluster.cable_m (Cluster.chip c) p)))
     [ 1; 2; 3; 4 ];
   Format.printf
     "@.(the paper's Sec. 7: chaining switches back-to-back multiplies MAU \
@@ -764,13 +764,12 @@ let bench_placement () =
   let input_of spec =
     {
       Placement.spec;
+      switches = 1;
       resources_of =
         (fun _ -> { P4ir.Resources.zero with P4ir.Resources.stages = 1 });
       chains;
       entry_pipeline = 0;
       pinned = [];
-      framework_stages_per_nf = 2;
-      framework_stages_fixed = 1;
     }
   in
   let anneal =

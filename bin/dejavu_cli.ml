@@ -254,13 +254,13 @@ let cluster_cmd =
     let spec = Asic.Spec.wedge_100b in
     let c = Cluster.make ~spec ~n_switches () in
     let chain = List.init n_nfs (fun i -> Printf.sprintf "nf%02d" i) in
+    let exit_port = Cluster.port c ~switch:(n_switches - 1) ~port:1 in
     let chains =
-      [ Chain.make ~path_id:1 ~name:"chain" ~nfs:chain ~exit_port:1 () ]
+      [ Chain.make ~path_id:1 ~name:"chain" ~nfs:chain ~exit_port () ]
     in
     let resources_of _ = { P4ir.Resources.zero with P4ir.Resources.stages } in
     match
-      Cluster.place c ~resources_of ~chains ~exit_switch:(n_switches - 1)
-        ~exit_pipeline:0 ~pinned:[]
+      Cluster.place c ~resources_of ~chains ~pinned:[]
         (Cluster.Anneal { iterations = 2000; seed = 1 })
     with
     | Error e ->
@@ -269,13 +269,13 @@ let cluster_cmd =
     | Ok (layout, cost) -> (
         Format.printf "placement (cost %.2f):@.%a@." cost Layout.pp layout;
         match
-          Cluster.solve c layout ~entry_pipeline:0 ~exit_switch:(n_switches - 1)
-            ~exit_pipeline:0 chain
+          Traversal.solve ~switches:n_switches (Cluster.chip c) layout
+            ~entry_pipeline:0 ~exit_port chain
         with
         | None -> Format.printf "unroutable@."
         | Some p ->
-            Format.printf "%a@.latency: %.0f ns@." Cluster.pp_path p
-              (Cluster.latency_ns c p))
+            Format.printf "%a@.latency: %.0f ns@." Traversal.pp_path p
+              (Model.chain_latency_ns ~cable_m:c.Cluster.cable_m (Cluster.chip c) p))
   in
   Cmdliner.Cmd.v
     (Cmdliner.Cmd.info "cluster"

@@ -12,13 +12,12 @@ let eg p = { Asic.Pipelet.pipeline = p; kind = Asic.Pipelet.Egress }
 let synthetic_input spec chains =
   {
     Placement.spec;
+    switches = 1;
     resources_of =
       (fun _ -> { P4ir.Resources.zero with P4ir.Resources.stages = 2 });
     chains;
     entry_pipeline = 0;
     pinned = [];
-    framework_stages_per_nf = 2;
-    framework_stages_fixed = 1;
   }
 
 let () =

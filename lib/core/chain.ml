@@ -51,8 +51,3 @@ let normalize_weights chains =
   let total = List.fold_left (fun acc c -> acc +. c.weight) 0.0 chains in
   if total <= 0.0 then chains
   else List.map (fun c -> { c with weight = c.weight /. total }) chains
-
-let pp ppf t =
-  Format.fprintf ppf "chain %s (path %d, w=%.2f, exit %d): %s" t.name t.path_id
-    t.weight t.exit_port
-    (String.concat " -> " t.nfs)

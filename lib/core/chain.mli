@@ -33,5 +33,3 @@ val validate_against : Nf.registry -> t list -> (unit, string) result
 
 val normalize_weights : t list -> t list
 (** Scale weights to sum to 1. *)
-
-val pp : Format.formatter -> t -> unit

@@ -5,61 +5,35 @@
     Topology: a unidirectional linear chain. Each switch's uplink ports
     feed the next switch's ingress (pipeline 0 by convention); within a
     switch, the usual rules apply (TM between any ingress/egress pair,
-    recirculation within a pipeline). The traversal solver therefore
-    has three transition prices: resubmission, recirculation, and the
-    inter-switch hop — the hop costs no recirculation bandwidth
-    (dedicated cables) but pays the §4 off-chip latency.
-
-    Pipelets are addressed with global pipeline ids: switch [s],
-    pipeline [p] lives at global pipeline [s * per_switch + p], so the
-    ordinary {!Layout.t} describes cluster placements too. *)
+    recirculation within a pipeline). A cluster is one {!chip} whose
+    pipelines are every switch's, numbered switch by switch: switch
+    [s], pipeline [p] is global pipeline [s * per_switch + p], and
+    switch [s]'s Ethernet port [e] is global port [s * ports + e]. So
+    the ordinary {!Layout.t} describes cluster placements, and
+    {!Traversal.solve} with [~switches] routes them: the cable [Hop]
+    costs no recirculation bandwidth (0.1 in the objective) but pays the
+    §4 off-chip latency ({!Model.chain_latency_ns} at [cable_m]). *)
 
 type t = {
-  spec : Asic.Spec.t;  (** every switch is identical *)
+  spec : Asic.Spec.t;  (** one switch; every switch is identical *)
   n_switches : int;
   cable_m : float;  (** inter-switch DAC length *)
 }
 
 val make : ?cable_m:float -> spec:Asic.Spec.t -> n_switches:int -> unit -> t
+
+val chip : t -> Asic.Spec.t
+(** [spec] widened to every switch's pipelines — the spec to hand
+    {!Traversal} and {!Model} with [~switches:n_switches]. *)
+
 val n_global_pipelines : t -> int
 val switch_of_pipeline : t -> int -> int
 val global_pipeline : t -> switch:int -> pipeline:int -> int
 val pipelet : t -> switch:int -> pipeline:int -> kind:Asic.Pipelet.kind -> Asic.Pipelet.id
 
-type step =
-  | Ingress_pass of { global_pipeline : int; idx_out : int }
-  | To_egress of { global_pipeline : int; idx_out : int }
-  | Resubmit
-  | Recirc
-  | Hop of { to_switch : int }  (** cable to the next switch *)
-  | Emit
-
-type path = {
-  steps : step list;
-  recircs : int;
-  resubmits : int;
-  hops : int;
-}
-
-val solve :
-  t ->
-  Layout.t ->
-  entry_pipeline:int ->
-  exit_switch:int ->
-  exit_pipeline:int ->
-  string list ->
-  path option
-(** Cheapest traversal (recirc 1.0, resubmit 0.9, hop 0.1 — hops are
-    latency, not lost bandwidth). The chain enters at switch 0. [None]
-    when unroutable (e.g. an NF placed on a switch behind the packet). *)
-
-val latency_ns : t -> path -> float
-(** Both MAC crossings, a pipe pass per pipelet visit, TM crossings,
-    on-chip recirculations, and the off-chip hop cost per cable. *)
-
-val cost :
-  t -> Layout.t -> entry_pipeline:int -> exit_switch:int -> exit_pipeline:int ->
-  Chain.t list -> float option
+val port : t -> switch:int -> port:int -> int
+(** The global number of switch [switch]'s Ethernet port [port] — how a
+    chain names the switch it exits on. *)
 
 type strategy = Greedy_fill | Anneal of { iterations : int; seed : int }
 
@@ -67,12 +41,12 @@ val place :
   t ->
   resources_of:(string -> P4ir.Resources.t) ->
   chains:Chain.t list ->
-  exit_switch:int ->
-  exit_pipeline:int ->
   pinned:(string * Asic.Pipelet.id) list ->
   strategy ->
   (Layout.t * float, string) result
 (** Assign NFs to the cluster's pipelets under per-pipelet stage budgets
-    (2 framework stages per NF + 1 fixed, as on a single switch). *)
-
-val pp_path : Format.formatter -> path -> unit
+    ({!Placement.stages_needed}), entering at switch 0's pipeline 0 and
+    leaving on each chain's exit port. [Greedy_fill] fills pipelets in
+    forward order, packing chain-consecutive NFs sequentially, and fails
+    when they run out. [Anneal] runs {!Placement.anneal} from that fill
+    (from random when it fails), at initial temperature 2.0. *)

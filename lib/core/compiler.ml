@@ -35,9 +35,6 @@ type t = {
 
 let ( let* ) = Result.bind
 
-let framework_stages_per_nf = 2
-let framework_stages_fixed = 1
-
 (* Validate the chains and instantiate fresh NF instances for this
    deployment — the shared prefix of [placement_input] and [compile]. *)
 let instantiate_chains input =
@@ -56,8 +53,8 @@ let instantiate_chains input =
 
 (* The placement problem induced by a deployment: per-NF resource
    demands (memoized — the solvers call [resources_of] in their inner
-   loops), classifier-style NFs auto-pinned to the entry ingress, and
-   the framework's per-pipelet stage overheads. *)
+   loops) and classifier-style NFs auto-pinned to the entry ingress, on
+   one switch. *)
 let placement_input_of input chains nfs =
   let resource_cache = Hashtbl.create 16 in
   let resources_of name =
@@ -96,8 +93,7 @@ let placement_input_of input chains nfs =
     chains;
     entry_pipeline = input.entry_pipeline;
     pinned;
-    framework_stages_per_nf;
-    framework_stages_fixed;
+    switches = 1;
   }
 
 let placement_input input =
@@ -191,12 +187,6 @@ let compile input =
   in
   let* chip = Asic.Chip.load config in
   Ok { input; chip; layout; objective; plan; generic_parser; built }
-
-let path_of_chain t chain =
-  List.find_map
-    (fun ((c : Chain.t), p) ->
-      if c.Chain.path_id = chain.Chain.path_id then Some p else None)
-    t.plan.Branching.paths
 
 let find_nf_table t ~nf ~table =
   let name = Compose.nf_table_name ~nf table in

@@ -48,17 +48,7 @@ val placement_input : input -> (Placement.input, string) result
     [Placement.solve_parallel] from the CLI) without building programs
     or loading the chip. *)
 
-val framework_stages_per_nf : int
-(** Stages the framework adds to a pipelet per NF placed on it: the
-    [check_nextNF] gate and the [check_sfcFlags] translation (§3.2). *)
-
-val framework_stages_fixed : int
-(** Stages the framework adds once to a pipelet that hosts any NF: the
-    branching table (§3.4). *)
-
 val compile : input -> (t, string) result
-
-val path_of_chain : t -> Chain.t -> Traversal.path option
 
 val find_nf_table : t -> nf:string -> table:string -> P4ir.Table.t option
 (** Locate an NF's (renamed) table in the loaded programs — how the

@@ -71,7 +71,7 @@ let software_cores_needed ~target_gbps ~gbps_per_core =
   if gbps_per_core <= 0.0 then invalid_arg "Model.software_cores_needed";
   int_of_float (ceil (target_gbps /. gbps_per_core))
 
-let chain_latency_ns spec (path : Traversal.path) =
+let chain_latency_ns ?(cable_m = 1.0) spec (path : Traversal.path) =
   let ingress_passes =
     List.length
       (List.filter
@@ -94,3 +94,5 @@ let chain_latency_ns spec (path : Traversal.path) =
   in
   Asic.Latency.path_ns spec ~ingress_passes ~egress_passes ~tm_crossings
     ~on_chip_recircs:path.Traversal.recircs
+  +. float_of_int path.Traversal.hops
+     *. Asic.Latency.recirc_off_chip_ns spec ~cable_m

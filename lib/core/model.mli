@@ -38,8 +38,9 @@ val software_cores_needed :
 (** The §1 motivation arithmetic: server cores a software SFC needs to
     match a target rate. *)
 
-val chain_latency_ns : Asic.Spec.t -> Traversal.path -> float
+val chain_latency_ns : ?cable_m:float -> Asic.Spec.t -> Traversal.path -> float
 (** Predicted latency of a solved traversal: both MAC crossings, one
     pipe pass per step, one TM crossing per ingress->egress move, the
     on-chip recirculation hop per recirculation (resubmissions re-run
-    the ingress pipe only). *)
+    the ingress pipe only), and the off-chip hop over [cable_m] metres
+    of cable (default 1) per cable hop between switches. *)

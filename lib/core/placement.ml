@@ -8,19 +8,21 @@ let default_anneal = Anneal { iterations = 4000; seed = 1; initial_temp = 2.0 }
 
 type input = {
   spec : Asic.Spec.t;
+  switches : int;
   resources_of : string -> P4ir.Resources.t;
   chains : Chain.t list;
   entry_pipeline : int;
   pinned : (string * Asic.Pipelet.id) list;
-  framework_stages_per_nf : int;
-  framework_stages_fixed : int;
 }
+
+let framework_stages_per_nf = 2
+let framework_stages_fixed = 1
 
 let stages_needed input layout =
   let nf_count = List.length (Layout.nfs_of_pipelet layout) in
   Layout.stage_demand input.resources_of layout
-  + (nf_count * input.framework_stages_per_nf)
-  + if nf_count > 0 then input.framework_stages_fixed else 0
+  + (nf_count * framework_stages_per_nf)
+  + if nf_count > 0 then framework_stages_fixed else 0
 
 let feasible input layout =
   List.for_all
@@ -119,8 +121,8 @@ let build_layout input assignment =
 let evaluate input layout =
   if not (feasible input layout) then None
   else
-    Traversal.cost input.spec layout ~entry_pipeline:input.entry_pipeline
-      input.chains
+    Traversal.cost ~switches:input.switches input.spec layout
+      ~entry_pipeline:input.entry_pipeline input.chains
 
 (* --- scorer ---------------------------------------------------------- *)
 
@@ -167,8 +169,8 @@ let evaluate_assignment ~scorer input assignment =
       in
       Option.map
         (fun c -> (layout, c))
-        (cost input.spec layout ~entry_pipeline:input.entry_pipeline
-           input.chains)
+        (cost ~switches:input.switches input.spec layout
+           ~entry_pipeline:input.entry_pipeline input.chains)
 
 let all_nf_names input = Chain.all_nfs input.chains
 
@@ -183,10 +185,6 @@ let free_nfs input =
 
 module Move = struct
   type t = { nf : string; src : Asic.Pipelet.id; dst : Asic.Pipelet.id }
-
-  let pp ppf t =
-    Format.fprintf ppf "%s: %a -> %a" t.nf Asic.Pipelet.pp_id t.src
-      Asic.Pipelet.pp_id t.dst
 end
 
 (* Incremental layout/scoring state for the annealer: the layout is held
@@ -218,7 +216,8 @@ type diff = {
   mutable d_unfit : int;  (** pipelets whose fit failed *)
   d_index : (string, Layout.coord) Hashtbl.t;
       (** valid only while [d_unfit = 0] *)
-  d_counts : (int * int) option array;  (** per-chain, while [d_unfit = 0] *)
+  d_counts : (int * int * int) option array;
+      (** per-chain, while [d_unfit = 0] *)
   mutable d_cost : float option;
   mutable d_pending : (unit -> unit) option;  (** undo of the staged move *)
 }
@@ -232,9 +231,9 @@ let cost_of_counts chains counts =
     | (c : Chain.t) :: rest -> (
         match counts.(i) with
         | None -> None
-        | Some (recircs, resubmits) ->
+        | Some (recircs, resubmits, hops) ->
             go (i + 1)
-              (total +. Traversal.chain_transition_cost c ~recircs ~resubmits)
+              (total +. Traversal.chain_transition_cost c ~recircs ~resubmits ~hops)
               rest)
   in
   go 0 0.0 chains
@@ -267,7 +266,8 @@ let diff_refresh d =
   Array.iteri
     (fun i c ->
       d.d_counts.(i) <-
-        Traversal.chain_counts_keyed d.d_cache d.d_input.spec ~index:d.d_index
+        Traversal.chain_counts_keyed d.d_cache d.d_input.spec
+          ~switches:d.d_input.switches ~index:d.d_index
           ~entry_pipeline:d.d_input.entry_pipeline c)
     d.d_chain_arr;
   d.d_cost <- cost_of_counts d.d_input.chains d.d_counts
@@ -508,8 +508,8 @@ let diff_try d (m : Move.t) =
               (fun i ->
                 d.d_counts.(i) <-
                   Traversal.chain_counts_keyed d.d_cache input.spec
-                    ~index:d.d_index ~entry_pipeline:input.entry_pipeline
-                    d.d_chain_arr.(i))
+                    ~switches:input.switches ~index:d.d_index
+                    ~entry_pipeline:input.entry_pipeline d.d_chain_arr.(i))
               affected;
             d.d_slots.(so) <- src_slot';
             d.d_slots.(dst_o) <- dst_slot';
@@ -693,11 +693,12 @@ let rebuild_evaluator ~scorer input assignment =
       drop = ignore;
     } )
 
-(* Both evaluators score a move to bit-identical values and the loop
-   draws from the RNG the same way under either, so per seed [Fast] and
-   [Reference] walk the same accept/reject trajectory and return the
-   same layout. *)
-let solve_anneal ~scorer input ~iterations ~seed ~initial_temp =
+(* The one annealing loop. It starts from [start]'s locations (random
+   where [start] is [None] or leaves an NF out). Both evaluators score a
+   move to bit-identical values and the loop draws from the RNG the same
+   way under either, so per seed [Fast] and [Reference] walk the same
+   accept/reject trajectory and return the same layout. *)
+let solve_anneal ~scorer input ~start ~iterations ~seed ~initial_temp =
   if free_nfs input = [] then
     match evaluate_assignment ~scorer input input.pinned with
     | Some (layout, cost) -> Ok (layout, cost)
@@ -709,16 +710,15 @@ let solve_anneal ~scorer input ~iterations ~seed ~initial_temp =
     let current =
       Array.map (fun _ -> choices.(Random.State.int st (Array.length choices))) free
     in
-    (* Start from greedy if it succeeds; otherwise from random. *)
-    (match solve_greedy ~scorer input with
-    | Ok (layout, _) ->
+    Option.iter
+      (fun layout ->
         Array.iteri
           (fun i nf ->
             match Layout.location layout nf with
             | Some id -> current.(i) <- id
             | None -> ())
-          free
-    | Error _ -> ());
+          free)
+      start;
     let assignment_of arr =
       input.pinned @ Array.to_list (Array.mapi (fun i id -> (free.(i), id)) arr)
     in
@@ -763,6 +763,10 @@ let solve_anneal ~scorer input ~iterations ~seed ~initial_temp =
     | None -> Error "anneal placement: no feasible assignment found"
   end
 
+let anneal input ~start ~iterations ~seed ~initial_temp =
+  solve_anneal ~scorer:(make_scorer Fast) input ~start ~iterations ~seed
+    ~initial_temp
+
 let solve ?(scorer = Fast) input strategy =
   let scorer = make_scorer scorer in
   match strategy with
@@ -770,7 +774,9 @@ let solve ?(scorer = Fast) input strategy =
   | Greedy -> solve_greedy ~scorer input
   | Exhaustive -> solve_exhaustive ~scorer input
   | Anneal { iterations; seed; initial_temp } ->
-      solve_anneal ~scorer input ~iterations ~seed ~initial_temp
+      (* Start from greedy if it succeeds; otherwise from random. *)
+      let start = Result.to_option (Result.map fst (solve_greedy ~scorer input)) in
+      solve_anneal ~scorer input ~start ~iterations ~seed ~initial_temp
 
 (* --- parallel restarts ----------------------------------------------- *)
 

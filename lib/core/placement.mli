@@ -26,19 +26,28 @@ val default_anneal : strategy
 
 type input = {
   spec : Asic.Spec.t;
+  switches : int;
+      (** switches chained back to back, sharing [spec]'s pipelines
+          switch by switch (1 for one chip; see {!Traversal}) *)
   resources_of : string -> P4ir.Resources.t;  (** per-NF compiler report *)
   chains : Chain.t list;
   entry_pipeline : int;
   pinned : (string * Asic.Pipelet.id) list;
       (** NFs with a fixed location (e.g. the classifier on the entry
           ingress) *)
-  framework_stages_per_nf : int;
-      (** stage overhead of the check_nextNF/check_sfcFlags wrapping *)
-  framework_stages_fixed : int;  (** branching table etc., per pipelet *)
 }
 
+val framework_stages_per_nf : int
+(** Stages the framework adds to a pipelet per NF placed on it: the
+    [check_nextNF] gate and the [check_sfcFlags] translation (§3.2). *)
+
+val framework_stages_fixed : int
+(** Stages the framework adds once to a pipelet that hosts any NF: the
+    branching table (§3.4). *)
+
 val stages_needed : input -> Layout.pipelet_layout -> int
-(** NF stages plus framework overhead for one pipelet. *)
+(** NF stages plus framework overhead for one pipelet — the one stage
+    formula. *)
 
 val feasible : input -> Layout.t -> bool
 (** Every pipelet's layout fits its stage budget. *)
@@ -80,8 +89,6 @@ module Move : sig
     src : Asic.Pipelet.id;  (** where [nf] currently sits *)
     dst : Asic.Pipelet.id;  (** where to put it; [src = dst] is a no-op *)
   }
-
-  val pp : Format.formatter -> t -> unit
 end
 
 type diff
@@ -118,7 +125,19 @@ val solve : ?scorer:scorer -> input -> strategy -> (Layout.t * float, string) re
 (** Returns the layout and its objective value. [scorer] (default
     {!Fast}) selects the scoring backend; both backends return identical
     results — [Reference] exists for benchmarking and for proving the
-    fast paths against the oracle. *)
+    fast paths against the oracle. [Anneal] runs {!anneal} from
+    [Greedy]'s layout when greedy succeeds. *)
+
+val anneal :
+  input ->
+  start:Layout.t option ->
+  iterations:int ->
+  seed:int ->
+  initial_temp:float ->
+  (Layout.t * float, string) result
+(** The one annealing loop, scoring with [Fast]. Each free NF starts
+    where [start] places it, at random otherwise ([start = None]: all at
+    random). *)
 
 (** {1 Parallel restarts} *)
 

@@ -8,10 +8,6 @@ let create hint =
   let cap = max 16 hint in
   { prio = Array.make cap 0; data = Array.make cap 0; size = 0 }
 
-let length t = t.size
-let is_empty t = t.size = 0
-let clear t = t.size <- 0
-
 let grow t =
   let cap = 2 * Array.length t.prio in
   let prio = Array.make cap 0 and data = Array.make cap 0 in

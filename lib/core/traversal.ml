@@ -1,5 +1,5 @@
 type ingress_action = To_egress of int | Resubmit
-type egress_action = Emit | Recirc
+type egress_action = Emit | Recirc | Hop
 
 type step =
   | Ingress_step of {
@@ -15,7 +15,7 @@ type step =
       action : egress_action;
     }
 
-type path = { steps : step list; recircs : int; resubmits : int }
+type path = { steps : step list; recircs : int; resubmits : int; hops : int }
 
 let advance layout chain idx =
   let chain = Array.of_list chain in
@@ -35,38 +35,46 @@ let advance layout chain idx =
   go idx (-1) (-1)
 
 (* Dijkstra over (location, chain position) with recirculations as the
-   dominant cost and resubmissions as tie-break. *)
+   dominant cost, resubmissions as tie-break, and cable hops cheapest:
+   they cost latency, not loopback bandwidth. *)
 
 type loc = I of int | E of int
 
 let recirc_cost = 1000
 let resubmit_cost = 900
+let hop_cost = 100
+
+(* [switches] identical chips chained back to back, their [n] pipelines
+   numbered switch by switch: each switch owns [n / switches] of them,
+   and an egress's cable lands on the next switch's first pipeline. *)
+let per_switch n ~switches =
+  if switches < 1 || n mod switches <> 0 then
+    invalid_arg "Traversal: switches must divide the pipelines";
+  n / switches
 
 let count_steps steps =
-  let recircs =
-    List.length
-      (List.filter
-         (function Egress_step { action = Recirc; _ } -> true | _ -> false)
-         steps)
-  in
-  let resubmits =
-    List.length
-      (List.filter
-         (function Ingress_step { action = Resubmit; _ } -> true | _ -> false)
-         steps)
-  in
-  (recircs, resubmits)
+  List.fold_left
+    (fun (recircs, resubmits, hops) -> function
+      | Egress_step { action = Recirc; _ } -> (recircs + 1, resubmits, hops)
+      | Egress_step { action = Hop; _ } -> (recircs, resubmits, hops + 1)
+      | Ingress_step { action = Resubmit; _ } -> (recircs, resubmits + 1, hops)
+      | Egress_step { action = Emit; _ } | Ingress_step { action = To_egress _; _ }
+        ->
+          (recircs, resubmits, hops))
+    (0, 0, 0) steps
 
 (* --- reference solver ---------------------------------------------- *)
 
 (* The original array-scan Dijkstra: O(V^2) min-extraction, per-call
-   [Layout.position] list walks. Kept verbatim as the oracle the
-   heap-based [solve] is property-tested against. *)
+   [Layout.position] list walks, every edge generated, nothing pruned.
+   Kept as the oracle the heap-based [solve] is property-tested
+   against. *)
 
-let solve_reference ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chain
-    =
+let solve_reference ?(start_idx = 0) ?(switches = 1) spec layout ~entry_pipeline
+    ~exit_port chain =
   let k = List.length chain in
   let n = spec.Asic.Spec.n_pipelines in
+  let per = per_switch n ~switches in
   let exit_pipe = Asic.Spec.port_pipeline spec exit_port in
   let layout_at loc =
     match loc with
@@ -87,7 +95,8 @@ let solve_reference ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chai
     match loc with
     | I p ->
         let egress_moves =
-          List.init n (fun q ->
+          List.init per (fun i ->
+              let q = (p / per * per) + i in
               ( 0,
                 (E q, idx'),
                 Ingress_step
@@ -113,7 +122,18 @@ let solve_reference ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chai
                 { pipeline = q; idx_in = idx; idx_out = idx'; action = Recirc } );
           ]
         in
-        recirc
+        let next = ((q / per) + 1) * per in
+        let hop =
+          if next < n then
+            [
+              ( hop_cost,
+                (I next, idx'),
+                Egress_step
+                  { pipeline = q; idx_in = idx; idx_out = idx'; action = Hop } );
+            ]
+          else []
+        in
+        recirc @ hop
   in
   let decode s =
     let base = s / (k + 1) and idx = s mod (k + 1) in
@@ -183,8 +203,8 @@ let solve_reference ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chai
         | Some (s', step) -> unwind s' (step :: acc)
       in
       let steps = unwind s [] @ [ final_step ] in
-      let recircs, resubmits = count_steps steps in
-      Some { steps; recircs; resubmits }
+      let recircs, resubmits, hops = count_steps steps in
+      Some { steps; recircs; resubmits; hops }
 
 (* --- fast solver ---------------------------------------------------- *)
 
@@ -193,8 +213,8 @@ let solve_reference ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chai
    touches only ints: [adv.(l).(i)] is the chain position after one
    pass through location [l] (ingress p = l, egress p = n + p) starting
    at position [i]. Predecessors are stored as int codes (To_egress q =
-   q, Resubmit = n, Recirc = n + 1) so a solve allocates no step records
-   until a caller asks for the step list.
+   q, Resubmit = n, Recirc = n + 1, Hop = n + 2) so a solve allocates no
+   step records until a caller asks for the step list.
 
    The solver core is parameterized by [lookup : nf -> (l, g, s, seq)
    option] — the NF's location id, (group, slot) there, and whether the
@@ -228,7 +248,8 @@ let lookup_of_index n idx nf =
       in
       Some (l, c.Layout.group, c.Layout.slot, c.Layout.kind = `Seq)
 
-let solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
+let solve_core ~start_idx ~n ~switches ~entry_pipeline ~exit_pipe ~lookup
+    chain_arr =
   let k = Array.length chain_arr in
   let n_locs = 2 * n in
   let sz = max k 1 in
@@ -270,13 +291,30 @@ let solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
       adv.(l) <- row
     end
   done;
+  (* Switch geometry, once per solve: an ingress reaches the egresses
+     [first.(p)] to [first.(p) + per - 1] of its own switch, and an
+     egress's cable lands on ingress [first.(q) + per], if that is a
+     pipeline. *)
+  let per = per_switch n ~switches in
+  let first = Array.init n (fun p -> p / per * per) in
   (* A detour through pipeline q hosting none of the chain's NFs (and
      which is not the exit) never helps: an ingress can already reach
-     any egress directly. Prune those egress targets. *)
+     any egress of its switch directly, and every egress of a switch
+     cables to the same next ingress. Prune those egress targets, but
+     keep one egress on each switch that has none left, so the packet
+     can still cross it. *)
   let useful = Array.make n false in
   useful.(exit_pipe) <- true;
   for q = 0 to n - 1 do
     if used.(q) || used.(n + q) then useful.(q) <- true
+  done;
+  for sw = 0 to switches - 1 do
+    let lo = sw * per in
+    let kept = ref false in
+    for q = lo to lo + per - 1 do
+      if useful.(q) then kept := true
+    done;
+    if not !kept then useful.(lo) <- true
   done;
   let n_states = n_locs * (k + 1) in
   let state_id base idx = (base * (k + 1)) + idx in
@@ -298,7 +336,7 @@ let solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
           let idx' = adv.(base).(idx) in
           if base < n then begin
             let p = base in
-            for q = 0 to n - 1 do
+            for q = first.(p) to first.(p) + per - 1 do
               if useful.(q) then begin
                 let s' = state_id (n + q) idx' in
                 if d < dist.(s') then begin
@@ -327,6 +365,16 @@ let solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
               pred_state.(s') <- s;
               pred_code.(s') <- n + 1;
               Pqueue.push pq ~prio:(d + recirc_cost) s'
+            end;
+            let h = first.(q) + per in
+            if h < n then begin
+              let s' = state_id h idx' in
+              if d + hop_cost < dist.(s') then begin
+                dist.(s') <- d + hop_cost;
+                pred_state.(s') <- s;
+                pred_code.(s') <- n + 2;
+                Pqueue.push pq ~prio:(d + hop_cost) s'
+              end
             end
           end
         end;
@@ -344,13 +392,14 @@ let solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
   done;
   { k; n; exit_pipe; adv; dist; pred_state; pred_code; terminal = !terminal }
 
-let solve ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chain =
+let solve ?(start_idx = 0) ?(switches = 1) spec layout ~entry_pipeline
+    ~exit_port chain =
   let n = spec.Asic.Spec.n_pipelines in
   let exit_pipe = Asic.Spec.port_pipeline spec exit_port in
   let idx = Layout.index layout in
   let chain_arr = Array.of_list chain in
   let c =
-    solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe
+    solve_core ~start_idx ~n ~switches ~entry_pipeline ~exit_pipe
       ~lookup:(lookup_of_index n idx) chain_arr
   in
   if c.terminal < 0 then None
@@ -373,7 +422,12 @@ let solve ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chain =
               }
           else
             Egress_step
-              { pipeline = base - c.n; idx_in = idx; idx_out = idx'; action = Recirc }
+              {
+                pipeline = base - c.n;
+                idx_in = idx;
+                idx_out = idx';
+                action = (if code = c.n + 1 then Recirc else Hop);
+              }
         in
         unwind p (step :: acc)
     in
@@ -383,25 +437,30 @@ let solve ?(start_idx = 0) spec layout ~entry_pipeline ~exit_port chain =
         { pipeline = c.exit_pipe; idx_in = term_idx; idx_out = c.k; action = Emit }
     in
     let steps = unwind c.terminal [] @ [ final_step ] in
-    let recircs, resubmits = count_steps steps in
-    Some { steps; recircs; resubmits }
+    let recircs, resubmits, hops = count_steps steps in
+    Some { steps; recircs; resubmits; hops }
   end
 
-(* (recircs, resubmits) only — the move-diff path needs no step
+(* (recircs, resubmits, hops) only — the move-diff path needs no step
    records, just a walk over the predecessor codes. *)
-let solve_counts ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
-  let c = solve_core ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr in
+let solve_counts ~start_idx ~n ~switches ~entry_pipeline ~exit_pipe ~lookup
+    chain_arr =
+  let c =
+    solve_core ~start_idx ~n ~switches ~entry_pipeline ~exit_pipe ~lookup
+      chain_arr
+  in
   if c.terminal < 0 then None
   else begin
-    let recircs = ref 0 and resubmits = ref 0 in
+    let recircs = ref 0 and resubmits = ref 0 and hops = ref 0 in
     let s = ref c.terminal in
     while c.pred_state.(!s) >= 0 do
       let code = c.pred_code.(!s) in
       if code = c.n then incr resubmits
-      else if code = c.n + 1 then incr recircs;
+      else if code = c.n + 1 then incr recircs
+      else if code = c.n + 2 then incr hops;
       s := c.pred_state.(!s)
     done;
-    Some (!recircs, !resubmits)
+    Some (!recircs, !resubmits, !hops)
   end
 
 (* --- weighted objective --------------------------------------------- *)
@@ -409,11 +468,14 @@ let solve_counts ~start_idx ~n ~entry_pipeline ~exit_pipe ~lookup chain_arr =
 (* The single definition of a chain's contribution to the objective.
    Every scoring path (reference, fast, incremental) adds these
    left-to-right in chain order, so their floats are bit-identical. *)
-let chain_transition_cost (c : Chain.t) ~recircs ~resubmits =
-  c.Chain.weight *. (float_of_int recircs +. (0.9 *. float_of_int resubmits))
+let chain_transition_cost (c : Chain.t) ~recircs ~resubmits ~hops =
+  c.Chain.weight
+  *. (float_of_int recircs
+     +. (0.9 *. float_of_int resubmits)
+     +. (0.1 *. float_of_int hops))
 
 (* The objective over [chains], given each chain's (recircs,
-   resubmits): [None] as soon as one is unroutable. *)
+   resubmits, hops): [None] as soon as one is unroutable. *)
 let sum_chains counts chains =
   List.fold_left
     (fun acc (c : Chain.t) ->
@@ -422,29 +484,29 @@ let sum_chains counts chains =
       | Some total -> (
           match counts c with
           | None -> None
-          | Some (recircs, resubmits) ->
-              Some (total +. chain_transition_cost c ~recircs ~resubmits)))
+          | Some (recircs, resubmits, hops) ->
+              Some (total +. chain_transition_cost c ~recircs ~resubmits ~hops)))
     (Some 0.0) chains
 
 (* The layout indexed once for every chain, and each chain's counts
    walked off the solver's predecessors, with no step list. *)
-let cost spec layout ~entry_pipeline chains =
+let cost ?(switches = 1) spec layout ~entry_pipeline chains =
   let n = spec.Asic.Spec.n_pipelines in
   let lookup = lookup_of_index n (Layout.index layout) in
   sum_chains
     (fun c ->
-      solve_counts ~start_idx:0 ~n ~entry_pipeline
+      solve_counts ~start_idx:0 ~n ~switches ~entry_pipeline
         ~exit_pipe:(Asic.Spec.port_pipeline spec c.Chain.exit_port)
         ~lookup (Array.of_list c.Chain.nfs))
     chains
 
-let cost_reference spec layout ~entry_pipeline chains =
+let cost_reference ?switches spec layout ~entry_pipeline chains =
   sum_chains
     (fun c ->
       Option.map
-        (fun p -> (p.recircs, p.resubmits))
-        (solve_reference spec layout ~entry_pipeline ~exit_port:c.Chain.exit_port
-           c.Chain.nfs))
+        (fun p -> (p.recircs, p.resubmits, p.hops))
+        (solve_reference ?switches spec layout ~entry_pipeline
+           ~exit_port:c.Chain.exit_port c.Chain.nfs))
     chains
 
 (* --- normalized keyed counts (the move-diff path) -------------------- *)
@@ -473,12 +535,18 @@ let cost_reference spec layout ~entry_pipeline chains =
      Isomorphic placements on different pipelines — the bulk of a
      many-pipeline switch's move space — share one entry.
 
+     Across switches the graph is not symmetric: an ingress reaches
+     only its own switch's egresses, and cables run forward and land on
+     each switch's first pipeline, so a first-use renaming would give
+     placements on different switches one key. With [switches > 1] the
+     key keeps the pipeline numbers as they are.
+
    Counting NFs (not distinct values) as the rank is valid: it is
    monotone in the ranked value and equal exactly when the values are.
    The canonical instance a key describes determines the counts
    outright, so equal keys imply equal counts. *)
 
-let chain_key index spec ~entry_pipeline (c : Chain.t) =
+let chain_key index spec ~switches ~entry_pipeline (c : Chain.t) =
   let n = spec.Asic.Spec.n_pipelines in
   let nfs = Array.of_list c.Chain.nfs in
   let k = Array.length nfs in
@@ -498,15 +566,19 @@ let chain_key index spec ~entry_pipeline (c : Chain.t) =
         s.(i) <- co.Layout.slot;
         sq.(i) <- co.Layout.kind = `Seq
   done;
-  (* Canonical pipeline numbers, assigned in first-use order. *)
+  (* Canonical pipeline numbers, assigned in first-use order on one
+     switch. *)
   let canon = Array.make n (-1) in
   let next = ref 0 in
   let canon_of p =
-    if canon.(p) < 0 then begin
-      canon.(p) <- !next;
-      incr next
-    end;
-    canon.(p)
+    if switches > 1 then p
+    else begin
+      if canon.(p) < 0 then begin
+        canon.(p) <- !next;
+        incr next
+      end;
+      canon.(p)
+    end
   in
   ignore (canon_of entry_pipeline);
   let key = Array.make (k + 1) 0 in
@@ -531,21 +603,22 @@ let chain_key index spec ~entry_pipeline (c : Chain.t) =
   key.(0) <- canon_of (Asic.Spec.port_pipeline spec c.Chain.exit_port);
   key
 
-type kcache = (int array, (int * int) option) Hashtbl.t
+type kcache = (int array, (int * int * int) option) Hashtbl.t
 
 let kcache_create () : kcache = Hashtbl.create 1024
 
 (* Bound memory on pathological workloads; a reset just costs re-solves. *)
 let max_cache_entries = 65536
 
-let chain_counts_keyed cache spec ~index ~entry_pipeline (c : Chain.t) =
+let chain_counts_keyed cache spec ~switches ~index ~entry_pipeline
+    (c : Chain.t) =
   let n = spec.Asic.Spec.n_pipelines in
-  let key = chain_key index spec ~entry_pipeline c in
+  let key = chain_key index spec ~switches ~entry_pipeline c in
   match Hashtbl.find_opt cache key with
   | Some r -> r
   | None ->
       let r =
-        solve_counts ~start_idx:0 ~n ~entry_pipeline
+        solve_counts ~start_idx:0 ~n ~switches ~entry_pipeline
           ~exit_pipe:(Asic.Spec.port_pipeline spec c.Chain.exit_port)
           ~lookup:(lookup_of_index n index)
           (Array.of_list c.Chain.nfs)
@@ -562,11 +635,12 @@ let pp_step ppf = function
         | Resubmit -> " resubmit")
   | Egress_step { pipeline; idx_in; idx_out; action } ->
       Format.fprintf ppf "E%d[%d->%d]%s" pipeline idx_in idx_out
-        (match action with Emit -> " emit" | Recirc -> " recirc")
+        (match action with Emit -> " emit" | Recirc -> " recirc" | Hop -> " hop")
 
 let pp_path ppf t =
-  Format.fprintf ppf "%a (recircs=%d resubmits=%d)"
+  Format.fprintf ppf "%a (recircs=%d resubmits=%d%s)"
     (Format.pp_print_list
        ~pp_sep:(fun ppf () -> Format.pp_print_string ppf "; ")
        pp_step)
     t.steps t.recircs t.resubmits
+    (if t.hops > 0 then Printf.sprintf " hops=%d" t.hops else "")

@@ -6,11 +6,19 @@
     happen only at pipe boundaries; an ingress can reach any egress
     through the traffic manager; recirculation returns a packet from an
     egress pipe to the ingress pipe of the same pipeline; resubmission
-    replays the same ingress pipe. *)
+    replays the same ingress pipe.
+
+    The same graph covers §7's clusters: [switches] identical chips
+    chained back to back, given as one spec whose pipelines are
+    numbered switch by switch (each switch owns [n_pipelines /
+    switches] of them). The traffic manager then reaches only the
+    egresses of the ingress's own switch, and a cable [Hop] from any
+    egress reaches the next switch's first pipeline. Cables run forward
+    only, so every route crosses the same number of them. *)
 
 type ingress_action = To_egress of int | Resubmit
 
-type egress_action = Emit | Recirc
+type egress_action = Emit | Recirc | Hop  (** [Hop]: cable to the next switch *)
 
 type step =
   | Ingress_step of {
@@ -26,7 +34,7 @@ type step =
       action : egress_action;
     }
 
-type path = { steps : step list; recircs : int; resubmits : int }
+type path = { steps : step list; recircs : int; resubmits : int; hops : int }
 
 val advance : Layout.pipelet_layout -> string list -> int -> int
 (** [advance layout chain idx]: the chain position after one pass
@@ -36,6 +44,7 @@ val advance : Layout.pipelet_layout -> string list -> int -> int
 
 val solve :
   ?start_idx:int ->
+  ?switches:int ->
   Asic.Spec.t ->
   Layout.t ->
   entry_pipeline:int ->
@@ -47,13 +56,17 @@ val solve :
     at [entry_pipeline]'s ingress — how routing entries for packets
     resuming after a control-plane round trip are derived. A resubmission costs 0.9 of a recirculation:
     both replay a pipe pass and cut effective throughput, but
-    recirculation additionally consumes loopback-port bandwidth.
+    recirculation additionally consumes loopback-port bandwidth. A
+    cable hop costs 0.1: latency, not loopback bandwidth. [switches]
+    (default 1) must divide the spec's pipelines; raises
+    [Invalid_argument] otherwise.
 
     Assumes each NF appears in at most one pipelet's layout — true of
     every layout the placement strategies and compiler produce. *)
 
 val solve_reference :
   ?start_idx:int ->
+  ?switches:int ->
   Asic.Spec.t ->
   Layout.t ->
   entry_pipeline:int ->
@@ -65,16 +78,18 @@ val solve_reference :
     [solve]. Same contract; identical optimal costs. *)
 
 val cost :
+  ?switches:int ->
   Asic.Spec.t ->
   Layout.t ->
   entry_pipeline:int ->
   Chain.t list ->
   float option
 (** Weighted transition cost over all chains — the §3.3 objective
-    (recirculations) extended with resubmissions at 0.9 weight; [None]
-    if any chain is infeasible. *)
+    (recirculations) extended with resubmissions at 0.9 weight and
+    cable hops at 0.1; [None] if any chain is infeasible. *)
 
 val cost_reference :
+  ?switches:int ->
   Asic.Spec.t ->
   Layout.t ->
   entry_pipeline:int ->
@@ -82,7 +97,8 @@ val cost_reference :
   float option
 (** [cost] computed with {!solve_reference} — the oracle scoring path. *)
 
-val chain_transition_cost : Chain.t -> recircs:int -> resubmits:int -> float
+val chain_transition_cost :
+  Chain.t -> recircs:int -> resubmits:int -> hops:int -> float
 (** The chain's weighted contribution to the objective — the one
     definition shared by every scoring path, so incremental re-scoring
     (summing per-chain contributions left-to-right in chain order)
@@ -94,9 +110,10 @@ type kcache
     grouping up to the symmetries the solver cannot observe: groups and
     slots become ranks among the chain's own NFs at that location, so
     unrelated NFs shifting a pipelet's absolute slots leave the key
-    unchanged, and pipelines are renamed to first-use order with the
-    entry fixed and the exit recorded last, so isomorphic placements on
-    different pipelines share one entry. Equal keys imply equal counts.
+    unchanged, and on one switch pipelines are renamed to first-use
+    order with the entry fixed and the exit recorded last, so
+    isomorphic placements on different pipelines share one entry. On a
+    cluster pipelines keep their numbers. Equal keys imply equal counts.
     Bounded; a full table resets and refills. *)
 
 val kcache_create : unit -> kcache
@@ -104,13 +121,15 @@ val kcache_create : unit -> kcache
 val chain_counts_keyed :
   kcache ->
   Asic.Spec.t ->
+  switches:int ->
   index:(string, Layout.coord) Hashtbl.t ->
   entry_pipeline:int ->
   Chain.t ->
-  (int * int) option
-(** [(recircs, resubmits)] of one chain's cheapest traversal over the
+  (int * int * int) option
+(** [(recircs, resubmits, hops)] of one chain's cheapest traversal over the
     given coordinate index, as {!solve} counts them, memoized in the
     {!kcache}. The per-chain building block of the move-diff annealer,
     which re-scores only the chains a move touched. *)
 
 val pp_path : Format.formatter -> path -> unit
+(** Steps, then the counts; [hops=] only when the path has any. *)

@@ -85,6 +85,7 @@ let test_chain_latency_model () =
         ];
       recircs = 0;
       resubmits = 0;
+      hops = 0;
     }
   in
   check Alcotest.(float 1e-6) "0-recirc path = port-to-port"
@@ -105,6 +106,7 @@ let test_chain_latency_model () =
         ];
       recircs = 1;
       resubmits = 0;
+      hops = 0;
     }
   in
   let extra =

@@ -10,16 +10,16 @@ let qtest = QCheck_alcotest.to_alcotest
 let spec = Asic.Spec.wedge_100b
 
 (* Synthetic NFs with a controllable stage footprint. *)
-let input ?(spec = spec) ?(stages_per_nf = fun _ -> 1) ?(chains = []) ?(pinned = []) () =
+let input ?(spec = spec) ?(switches = 1) ?(stages_per_nf = fun _ -> 1) ?(chains = [])
+    ?(pinned = []) () =
   {
     Placement.spec;
+    switches;
     resources_of =
       (fun nf -> { P4ir.Resources.zero with P4ir.Resources.stages = stages_per_nf nf });
     chains;
     entry_pipeline = 0;
     pinned;
-    framework_stages_per_nf = 2;
-    framework_stages_fixed = 1;
   }
 
 let chain_af ?(weight = 1.0) () =
@@ -142,16 +142,20 @@ let test_anneal_matches_reference_scorer () =
    [build_layout] + score of the same assignment: identical layout,
    identical coordinate of every NF, identical cost. Run on 2-, 4- and
    8-pipeline switches so moves cross pipelines; 8 pipelines is where
-   the move-diff memo's pipeline renaming merges the most placements. *)
-let prop_move_diff_matches_rebuild (spec_name, spec) =
+   the move-diff memo's pipeline renaming merges the most placements.
+   On two chained Wedge-100Bs, moves also cross the cable, and the
+   chains leave on the second switch. *)
+let prop_move_diff_matches_rebuild ?(switches = 1) (spec_name, spec) =
   let nfs = [ "A"; "B"; "C"; "D"; "E"; "F" ] in
+  (* Ports 1 and 17 of the last switch. *)
+  let last = (switches - 1) * (Asic.Spec.n_eth_ports spec / switches) in
   let chains =
     [
-      Chain.make ~path_id:1 ~name:"full" ~nfs ~weight:0.5 ~exit_port:1 ();
+      Chain.make ~path_id:1 ~name:"full" ~nfs ~weight:0.5 ~exit_port:(last + 1) ();
       Chain.make ~path_id:2 ~name:"odd" ~nfs:[ "A"; "C"; "E" ] ~weight:0.3
-        ~exit_port:17 ();
+        ~exit_port:(last + 17) ();
       Chain.make ~path_id:3 ~name:"even" ~nfs:[ "B"; "D"; "F" ] ~weight:0.2
-        ~exit_port:1 ();
+        ~exit_port:(last + 1) ();
     ]
   in
   QCheck.Test.make
@@ -160,7 +164,7 @@ let prop_move_diff_matches_rebuild (spec_name, spec) =
     QCheck.(int_range 0 10_000)
     (fun seed ->
       let st = Random.State.make [| seed |] in
-      let inp = input ~spec ~chains () in
+      let inp = input ~spec ~switches ~chains () in
       let ids = Array.of_list (Asic.Pipelet.all_ids spec) in
       let assignment =
         ref (List.mapi (fun i nf -> (nf, ids.(i mod Array.length ids))) nfs)
@@ -382,6 +386,10 @@ let () =
                    Asic.Spec.name = "tofino-8pipe";
                    n_pipelines = 8;
                  } ));
+          qtest
+            (prop_move_diff_matches_rebuild ~switches:2
+               ( "2 x wedge_100b",
+                 { Asic.Spec.wedge_100b with Asic.Spec.n_pipelines = 4 } ));
         ] );
       ( "parallel",
         [

@@ -146,45 +146,68 @@ let test_cost_weights_chains () =
 
 (* --- brute-force optimality --- *)
 
+(* [switches] Wedge-100Bs chained back to back: one chip with every
+   switch's pipelines, as [Cluster.chip] builds it. *)
+let chip ~switches =
+  { spec with Asic.Spec.n_pipelines = switches * spec.Asic.Spec.n_pipelines }
+
 (* Enumerate every simple traversal by DFS (bounded depth) and confirm
-   Dijkstra's answer is the minimum cost, on random small layouts. *)
-let brute_force_best layout chain ~exit_pipe =
-  let n = spec.Asic.Spec.n_pipelines in
+   Dijkstra's answer is the minimum cost, on random small layouts over
+   1-3 switches: the traffic manager reaches the egresses of the
+   ingress's own switch, and an egress cables to the next switch's
+   first pipeline at cost 100. *)
+let brute_force_best ~switches layout chain ~exit_pipe =
+  let n = (chip ~switches).Asic.Spec.n_pipelines in
+  let per = n / switches in
   let k = List.length chain in
   let layout_of_loc = function
     | `I p -> Layout.layout_of layout (ing p)
     | `E p -> Layout.layout_of layout (eg p)
   in
+  (* Every route crosses exit_pipe / per cables, two steps each, so the
+     bound grows by those steps: a route the DFS misses then has
+     2 * recircs + resubmits >= 12, so it costs at least 6000. *)
+  let max_depth = 12 + (2 * (exit_pipe / per)) in
   let best = ref None in
   let update c = match !best with Some b when b <= c -> () | _ -> best := Some c in
   let rec dfs loc idx cost depth =
-    if depth > 12 then ()
+    if depth > max_depth then ()
     else
       let idx' = Traversal.advance (layout_of_loc loc) chain idx in
       match loc with
       | `I p ->
-          for q = 0 to n - 1 do
+          let first = p / per * per in
+          for q = first to first + per - 1 do
             dfs (`E q) idx' cost (depth + 1)
           done;
           if Traversal.advance (layout_of_loc (`I p)) chain idx' > idx' then
             dfs (`I p) idx' (cost + 900) (depth + 1)
       | `E q ->
           if q = exit_pipe && idx' = k then update cost;
-          dfs (`I q) idx' (cost + 1000) (depth + 1)
+          dfs (`I q) idx' (cost + 1000) (depth + 1);
+          let next = ((q / per) + 1) * per in
+          if next < n then dfs (`I next) idx' (cost + 100) (depth + 1)
   in
   dfs (`I 0) 0 0 0;
   !best
 
+let path_cost p =
+  (1000 * p.Traversal.recircs) + (900 * p.Traversal.resubmits)
+  + (100 * p.Traversal.hops)
+
 let prop_solver_is_optimal =
   QCheck.Test.make ~name:"dijkstra = brute force on random layouts" ~count:60
-    QCheck.(pair (int_range 1 4) (int_bound 10000))
-    (fun (k, seed) ->
+    QCheck.(triple (int_range 1 4) (int_bound 10000) (int_range 1 3))
+    (fun (k, seed, switches) ->
       let st = Random.State.make [| seed |] in
+      let chip = chip ~switches in
       let chain = List.init k (fun i -> Printf.sprintf "N%d" i) in
-      (* Random placement over the 4 pipelets, random group kinds. *)
-      let pipelets = [ ing 0; eg 0; ing 1; eg 1 ] in
+      (* Random placement over every pipelet, random group kinds. *)
+      let pipelets = Array.of_list (Asic.Pipelet.all_ids chip) in
       let assignment =
-        List.map (fun nf -> (nf, List.nth pipelets (Random.State.int st 4))) chain
+        List.map
+          (fun nf -> (nf, pipelets.(Random.State.int st (Array.length pipelets))))
+          chain
       in
       let layout =
         List.filter_map
@@ -197,20 +220,23 @@ let prop_solver_is_optimal =
             if members = [] then None
             else if Random.State.bool st then Some (id, [ Layout.Seq members ])
             else Some (id, [ Layout.Par members ]))
-          pipelets
+          (Array.to_list pipelets)
       in
+      let exit_port = Random.State.int st (Asic.Spec.n_eth_ports chip) in
       let solver =
-        Traversal.solve spec layout ~entry_pipeline:0 ~exit_port:1 chain
+        Traversal.solve ~switches chip layout ~entry_pipeline:0 ~exit_port chain
       in
-      let brute = brute_force_best layout chain ~exit_pipe:0 in
+      let brute =
+        brute_force_best ~switches layout chain
+          ~exit_pipe:(Asic.Spec.port_pipeline chip exit_port)
+      in
       match (solver, brute) with
       | None, None -> true
-      | Some p, Some b ->
-          (1000 * p.Traversal.recircs) + (900 * p.Traversal.resubmits) = b
+      | Some p, Some b -> path_cost p = b
       | Some p, None ->
           (* The DFS depth bound can miss very expensive routes the
              solver still finds; accept only such costly paths. *)
-          (1000 * p.Traversal.recircs) + (900 * p.Traversal.resubmits) >= 6000
+          path_cost p >= 6000
       | None, Some _ -> false)
 
 (* --- heap solver vs reference oracle --- *)
@@ -239,31 +265,35 @@ let random_layout st pipelets chain =
       else Some (id, [ Layout.Par members ]))
     pipelets
 
+(* On 1-3 switches of 2 or 4 pipelines each, entering and leaving
+   anywhere. *)
 let prop_fast_matches_reference =
   QCheck.Test.make ~name:"heap solve = reference solve (2 and 4 pipelines)"
     ~count:150
-    QCheck.(triple (int_range 0 6) (int_bound 1_000_000) bool)
-    (fun (k, seed, big) ->
-      let spec = if big then Asic.Spec.tofino_4pipe else spec in
+    QCheck.(quad (int_range 0 6) (int_bound 1_000_000) bool (int_range 1 3))
+    (fun (k, seed, big, switches) ->
+      let one = if big then Asic.Spec.tofino_4pipe else spec in
+      let spec =
+        { one with Asic.Spec.n_pipelines = switches * one.Asic.Spec.n_pipelines }
+      in
       let st = Random.State.make [| seed |] in
       let chain = List.init k (fun i -> Printf.sprintf "N%d" i) in
-      let pipelets =
-        List.concat_map
-          (fun p -> [ ing p; eg p ])
-          (List.init spec.Asic.Spec.n_pipelines (fun p -> p))
-      in
-      let layout = random_layout st pipelets chain in
+      let layout = random_layout st (Asic.Pipelet.all_ids spec) chain in
       let entry_pipeline = Random.State.int st spec.Asic.Spec.n_pipelines in
-      let exit_port = if Random.State.bool st then 1 else 17 in
-      let fast = Traversal.solve spec layout ~entry_pipeline ~exit_port chain in
+      let exit_port = Random.State.int st (Asic.Spec.n_eth_ports spec) in
+      let fast =
+        Traversal.solve ~switches spec layout ~entry_pipeline ~exit_port chain
+      in
       let oracle =
-        Traversal.solve_reference spec layout ~entry_pipeline ~exit_port chain
+        Traversal.solve_reference ~switches spec layout ~entry_pipeline
+          ~exit_port chain
       in
       match (fast, oracle) with
       | None, None -> true
       | Some f, Some o ->
           f.Traversal.recircs = o.Traversal.recircs
           && f.Traversal.resubmits = o.Traversal.resubmits
+          && f.Traversal.hops = o.Traversal.hops
       | Some _, None | None, Some _ -> false)
 
 (* --- coordinate index coherence --- *)
