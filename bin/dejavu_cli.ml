@@ -325,7 +325,7 @@ let packets_arg =
 
 (* One engine-knob vocabulary for every traffic-driving command
    (run/churn/stats/top): --domains, --cache/--cache-capacity,
-   --state/--state-capacity/--ttl all parse here, into one
+   --state/--state-capacity all parse here, into one
    [Runtime.Engine.t]. Only the domains default differs per command. *)
 let engine_term ?(default_domains = 1) () =
   let domains_arg =
@@ -356,8 +356,8 @@ let engine_term ?(default_domains = 1) () =
       & info [ "state" ]
           ~doc:
             "Enable the bounded per-shard state store behind the stateful \
-             NFs (LRU eviction, optional TTL aging; evictions delete the \
-             matching chip entries).")
+             NFs (LRU eviction; evictions delete the matching chip \
+             entries).")
   in
   let state_capacity_arg =
     Cmdliner.Arg.(
@@ -365,15 +365,7 @@ let engine_term ?(default_domains = 1) () =
       & info [ "state-capacity" ] ~docv:"N"
           ~doc:"State-store capacity per table, in entries (with --state).")
   in
-  let ttl_arg =
-    Cmdliner.Arg.(
-      value & opt int64 0L
-      & info [ "ttl" ] ~docv:"NS"
-          ~doc:
-            "State TTL on the runtime's logical clock, in nanoseconds (with \
-             --state; 0 = no aging).")
-  in
-  let mk domains cache cache_capacity state state_capacity ttl_ns =
+  let mk domains cache cache_capacity state state_capacity =
     {
       Runtime.Engine.default with
       Runtime.Engine.domains;
@@ -381,13 +373,14 @@ let engine_term ?(default_domains = 1) () =
         (if cache then Runtime.Engine.Emc { capacity = cache_capacity }
          else Runtime.Engine.Off);
       state =
-        (if state then Runtime.Engine.Bounded { capacity = state_capacity; ttl_ns }
+        (if state then
+           Runtime.Engine.Bounded { capacity = state_capacity; ttl_ns = 0L }
          else Runtime.Engine.No_state);
     }
   in
   Cmdliner.Term.(
     const mk $ domains_arg $ cache_arg $ cache_capacity_arg $ state_arg
-    $ state_capacity_arg $ ttl_arg)
+    $ state_capacity_arg)
 
 let print_cache_stats rt =
   match Runtime.flow_cache rt with

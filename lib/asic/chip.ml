@@ -91,7 +91,6 @@ let ports t = t.ports
 let exec_mode t = t.mode
 let set_exec_mode t mode = t.mode <- mode
 let pipelets t = Array.to_list t.ingress @ Array.to_list t.egress
-let telemetry t = t.telem
 let set_sfc_probe t probe = t.probe <- probe
 
 let find_table t name =

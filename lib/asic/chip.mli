@@ -106,8 +106,6 @@ val merge_stats : into:t -> t -> unit
     Used after a parallel run so one telemetry snapshot covers all
     domains. *)
 
-val telemetry : t -> Telemetry.Level.t
-
 val set_telemetry :
   ?label_counters:(string -> int ref) -> t -> Telemetry.Level.t -> unit
 (** Select the instrumentation level. [Counters] and above enable table
@@ -156,5 +154,3 @@ val inject : t -> in_port:int -> Bytes.t -> (result, string) Stdlib.result
 val inject_cpu : t -> pipeline:int -> Bytes.t -> (result, string) Stdlib.result
 (** Reinject a frame from the control plane into a pipeline's ingress
     (the runtime uses this after handling a to-CPU packet). *)
-
-val pass_limit : int

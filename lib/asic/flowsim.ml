@@ -83,5 +83,4 @@ let run config =
     throughput_fraction = float_of_int !delivered /. line;
   }
 
-let sweep ?(config = fun n_recircs -> default ~n_recircs) ns =
-  List.map (fun n -> (n, run (config n))) ns
+let sweep ns = List.map (fun n -> (n, run (default ~n_recircs:n))) ns

@@ -28,5 +28,6 @@ type stats = {
 
 val run : config -> stats
 
-val sweep : ?config:(int -> config) -> int list -> (int * stats) list
-(** [sweep [1;2;3;4;5]] runs one simulation per recirculation count. *)
+val sweep : int list -> (int * stats) list
+(** [sweep [1;2;3;4;5]] runs one {!default} simulation per recirculation
+    count. *)

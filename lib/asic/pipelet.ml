@@ -261,7 +261,6 @@ let name t = t.name
 let program t = t.program
 let tables t = t.program.P4ir.Program.tables
 let stage_of_table t name = List.assoc_opt name t.stage_alloc
-let stage_allocation t = t.stage_alloc
 
 let stages_used t =
   List.fold_left (fun acc (_, s) -> max acc (s + 1)) 0 t.stage_alloc

@@ -58,8 +58,6 @@ val tables : t -> P4ir.Table.t list
     enable stats and read hit/miss tallies. *)
 
 val stage_of_table : t -> string -> int option
-val stage_allocation : t -> (string * int) list
-(** Every (table, stage) pair — the pipelet's stage occupancy. *)
 
 val stages_used : t -> int
 (** Highest occupied stage + 1 (0 when the program has no tables). *)

@@ -1,8 +1,8 @@
 type mode = Normal | Loopback
 
-type t = { spec : Spec.t; modes : mode array }
+type t = { modes : mode array }
 
-let make spec = { spec; modes = Array.make (Spec.n_eth_ports spec) Normal }
+let make spec = { modes = Array.make (Spec.n_eth_ports spec) Normal }
 
 let set_mode t port mode =
   if port < 0 || port >= Array.length t.modes then
@@ -26,5 +26,4 @@ let external_capacity_fraction t =
   let n = Array.length t.modes in
   if n = 0 then 0.0 else float_of_int (normal_count t) /. float_of_int n
 
-let copy t = { t with modes = Array.copy t.modes }
-let spec t = t.spec
+let copy t = { modes = Array.copy t.modes }

@@ -16,14 +16,11 @@ val set_pipeline_loopback : t -> Spec.t -> int -> unit
 (** Put every Ethernet port of a pipeline in loopback mode — the §5
     prototype configuration. *)
 
-val mode : t -> int -> mode
 val is_loopback : t -> int -> bool
 val loopback_count : t -> int
-val normal_count : t -> int
 
 val external_capacity_fraction : t -> float
 (** [(n - m) / n] where [m] of [n] Ethernet ports are loopback — the
     paper's linear capacity model. *)
 
 val copy : t -> t
-val spec : t -> Spec.t

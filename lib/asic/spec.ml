@@ -76,24 +76,6 @@ let pipeline_of_any_port t port =
   else if is_recirc_port port then Some (pipeline_of_recirc_port port)
   else Some (port_pipeline t port)
 
-let stage_resources t =
-  let c = t.stage_caps in
-  {
-    P4ir.Resources.stages = 1;
-    table_ids = c.P4ir.Resources.cap_table_ids;
-    srams = c.P4ir.Resources.cap_srams;
-    tcams = c.P4ir.Resources.cap_tcams;
-    crossbar_bytes = c.P4ir.Resources.cap_crossbar_bytes;
-    vliws = c.P4ir.Resources.cap_vliws;
-    gateways = c.P4ir.Resources.cap_gateways;
-    hash_bits = c.P4ir.Resources.cap_hash_bits;
-  }
-
-let pipelet_resources t =
-  P4ir.Resources.scale t.stages_per_pipelet (stage_resources t)
-
-let chip_resources t = P4ir.Resources.scale (n_pipelets t) (pipelet_resources t)
-
 let total_capacity_gbps t = float_of_int (n_eth_ports t) *. t.port_gbps
 
 let pp ppf t =

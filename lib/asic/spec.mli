@@ -40,22 +40,12 @@ val recirc_port : int -> int
 (** The dedicated recirculation port id of a pipeline (256 + pipe). *)
 
 val is_recirc_port : int -> bool
-val pipeline_of_recirc_port : int -> int
 val cpu_port : int
 val valid_port : t -> int -> bool
 (** Ethernet, recirculation or CPU port of this chip. *)
 
 val pipeline_of_any_port : t -> int -> int option
 (** Pipeline for Ethernet/recirc ports; [None] for the CPU port. *)
-
-val stage_resources : t -> P4ir.Resources.t
-(** Capacity vector of one MAU stage (stages = 1). *)
-
-val pipelet_resources : t -> P4ir.Resources.t
-(** Capacity of one pipelet (all its stages). *)
-
-val chip_resources : t -> P4ir.Resources.t
-(** Capacity of the whole chip (all pipelets). *)
 
 val total_capacity_gbps : t -> float
 val pp : Format.formatter -> t -> unit

@@ -18,7 +18,6 @@ let ingress_port = r "ingress_port"
 let egress_spec = r "egress_spec"
 let egress_port = r "egress_port"
 let resubmit_flag = r "resubmit_flag"
-let recirc_flag = r "recirc_flag"
 let drop_flag = r "drop_flag"
 let mirror_flag = r "mirror_flag"
 let to_cpu_flag = r "to_cpu_flag"

@@ -13,7 +13,6 @@ val ingress_port : P4ir.Fieldref.t
 val egress_spec : P4ir.Fieldref.t
 val egress_port : P4ir.Fieldref.t
 val resubmit_flag : P4ir.Fieldref.t
-val recirc_flag : P4ir.Fieldref.t
 val drop_flag : P4ir.Fieldref.t
 val mirror_flag : P4ir.Fieldref.t
 val to_cpu_flag : P4ir.Fieldref.t

@@ -17,16 +17,9 @@ type comparison = {
   emulated : P4ir.Resources.t;  (** the NF interpreted Hyper4-style *)
 }
 
-val key_slot_bits : int
-(** The interpreter's fixed match-slot width (keys are padded up to it). *)
-
-val vm_id_bits : int
-(** Virtual program + virtual stage identifier prepended to every key. *)
-
 val emulated_table : P4ir.Table.t -> P4ir.Resources.t
 (** Emulation cost of one logical table. *)
 
-val emulated_resources : Nf.t -> P4ir.Resources.t
 val compare_nf : Nf.t -> comparison
 
 val overhead_factor : comparison -> (string * float) list

@@ -26,7 +26,6 @@ val nf_table_name : nf:string -> string -> string
 
 val check_next_name : string -> string
 val check_flags_name : string -> string
-val branching_name : string
 
 val proceed_action : string
 (** The action name [check_nextNF] runs when the NF is next. *)
@@ -36,7 +35,6 @@ val proceed_action : string
 val act_to_out : string
 val act_to_port : string
 val act_resubmit : string
-val act_to_cpu : string
 
 val build :
   spec:Asic.Spec.t ->

@@ -139,11 +139,6 @@ let crc_of_buffer buf =
   let b = Buffer.to_bytes buf in
   Netpkt.Bytes_util.crc32 b ~off:0 ~len:(Bytes.length b)
 
-let table_digest tbl =
-  let buf = Buffer.create 256 in
-  add_table_ser buf tbl;
-  crc_of_buffer buf
-
 let state_digest chip =
   let buf = Buffer.create 4096 in
   List.iter
@@ -153,15 +148,3 @@ let state_digest chip =
       List.iter (add_register_ser buf) prog.P4ir.Program.registers)
     (Asic.Chip.pipelets chip);
   crc_of_buffer buf
-
-let pp_op ppf = function
-  | Table (name, Add e) ->
-      Format.fprintf ppf "add %s prio=%d %s" name e.P4ir.Table.priority
-        e.P4ir.Table.action
-  | Table (name, Mod e) ->
-      Format.fprintf ppf "mod %s prio=%d %s" name e.P4ir.Table.priority
-        e.P4ir.Table.action
-  | Table (name, Del e) ->
-      Format.fprintf ppf "del %s prio=%d" name e.P4ir.Table.priority
-  | Table (name, Clear) -> Format.fprintf ppf "clear %s" name
-  | Reg_reset name -> Format.fprintf ppf "reg-reset %s" name

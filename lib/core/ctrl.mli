@@ -98,7 +98,4 @@ val results : queue -> (int * (int, string) result) list
     compare either before traffic or across runs with identical
     traffic. *)
 
-val table_digest : P4ir.Table.t -> int64
 val state_digest : Asic.Chip.t -> int64
-
-val pp_op : Format.formatter -> op -> unit

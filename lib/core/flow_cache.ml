@@ -175,6 +175,9 @@ let vlan_len frame n off =
     l3_len frame n ~overlay:true (off + 4)
   else off + 4
 
+(* Length of the keyed header region: a structural walk mirroring the
+   deepest parser [Net_hdrs.base_parser] can build, falling back to the
+   whole frame for truncated or foreign frames. *)
 let header_len frame =
   let n = Bytes.length frame in
   if n < 14 then n

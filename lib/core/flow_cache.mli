@@ -68,9 +68,6 @@ val stats : t -> stats
 val hit_rate : t -> float
 (** hits / (hits + misses), 0 when idle. *)
 
-val clear : t -> unit
-(** Drop every entry (stats are kept). *)
-
 type hit = { verdict : Asic.Chip.verdict; latency_ns : float }
 
 val lookup : t -> in_port:int -> Bytes.t -> hit option
@@ -116,11 +113,6 @@ val merge_stats : into:t -> t -> unit
     runtime-wide accounting survives. *)
 
 (** {2 Introspection for tests and benches} *)
-
-val header_len : Bytes.t -> int
-(** Length of the keyed header region: a structural walk mirroring the
-    deepest parser [Net_hdrs.base_parser] can build, falling back to
-    the whole frame for truncated or foreign frames. *)
 
 val key_of : in_port:int -> Bytes.t -> string
 (** The cache key: 2 bytes of arrival port + the header region. *)

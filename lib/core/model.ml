@@ -35,6 +35,8 @@ let feedback_arrival_rates_capacity ~capacity k =
 
 let feedback_arrival_rates = feedback_arrival_rates_capacity ~capacity:1.0
 
+(* The loopback group drains at [capacity] x the fresh arrival rate
+   ([capacity] = m/(n-m) for m loopback ports of n). *)
 let feedback_throughput_capacity ~capacity k =
   if k < 0 then invalid_arg "Model.feedback_throughput";
   if k = 0 then 1.0

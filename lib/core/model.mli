@@ -15,10 +15,6 @@ val feedback_throughput : int -> float
     port of equal rate T — the fixed point of the §4 feedback queue.
     k=0,1 -> 1.0; k=2 -> 0.382 (after x = 0.618T); k=3 -> ~0.16. *)
 
-val feedback_throughput_capacity : capacity:float -> int -> float
-(** Generalization: the loopback group drains at [capacity] x the fresh
-    arrival rate ([capacity] = m/(n-m) for m loopback ports of n). *)
-
 val feedback_arrival_rates : int -> float array
 (** The per-pass arrival rates a_1..a_k at the loopback port at the fixed
     point (a_1 = 1.0); exposed so the x = 0.618T step of the paper's

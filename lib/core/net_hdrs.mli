@@ -12,19 +12,10 @@ val vlan : P4ir.Hdr.decl
 val ipv4 : P4ir.Hdr.decl
 val tcp : P4ir.Hdr.decl
 val udp : P4ir.Hdr.decl
-val vxlan : P4ir.Hdr.decl
-
-(** Overlay inner headers (after a VXLAN header). Same layouts as their
-    outer counterparts under distinct names, so one PHV can hold both
-    sides of an encapsulation. *)
-
-val inner_eth : P4ir.Hdr.decl
-val inner_ipv4 : P4ir.Hdr.decl
-val inner_tcp : P4ir.Hdr.decl
-val inner_udp : P4ir.Hdr.decl
 
 val all_decls : P4ir.Hdr.decl list
-(** The protocol declarations above plus the SFC header. *)
+(** The protocol declarations above, the VXLAN header and its overlay
+    inner headers, plus the SFC header. *)
 
 val ethertype_ipv4 : int
 val ethertype_vlan : int

@@ -60,10 +60,6 @@ let resources t =
   in
   { base with P4ir.Resources.srams = base.P4ir.Resources.srams + reg_srams }
 
-let pp ppf t =
-  Format.fprintf ppf "@[<v>// NF %s: %s@,%a@,%a@]" t.name t.description
-    P4ir.Parser_graph.pp t.parser P4ir.Control.pp (control t)
-
 type registry = (string * (unit -> (t, string) result)) list
 
 let instantiate registry name =

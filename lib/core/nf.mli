@@ -58,7 +58,6 @@ val resources : t -> P4ir.Resources.t
     crossbar, VLIW demand. *)
 
 val find_table : t -> string -> P4ir.Table.t option
-val pp : Format.formatter -> t -> unit
 
 type registry = (string * (unit -> (t, string) result)) list
 (** NF constructors by name; a fresh instance per compile so table state

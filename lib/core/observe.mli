@@ -22,22 +22,14 @@ val int_sink : t -> Telemetry.Int_report.t
 (** The observer's INT per-flow aggregate: every journey
     {!record_journey} takes is folded in here, keyed by its flow. *)
 
-val attach :
-  registry:Telemetry.Registry.t -> level:Telemetry.Level.t -> Asic.Chip.t -> unit
-(** Enable chip-level instrumentation at [level]: table stats, per-NF
-    label counters backed by the given registry ([nf.<name>.applies]),
-    and the SFC journey probe. The registry is explicit — no global
-    state — so per-domain observers each wire their own. *)
-
 val attach_observer : t -> Asic.Chip.t -> unit
-(** {!attach} with this observer's own registry and level. *)
+(** Enable chip-level instrumentation at this observer's level, backed
+    by its own registry: table stats, per-NF label counters
+    ([nf.<name>.applies]) and the SFC journey probe. No state is global,
+    so per-domain observers each wire their own. *)
 
 val detach : Asic.Chip.t -> unit
 (** Back to [Off]: stats discarded, uninstrumented controls recompiled. *)
-
-val sfc_probe : P4ir.Phv.t -> Telemetry.Journey.hop_meta
-(** Reads (service_path_id, service_index) and the valid-header list off
-    a PHV — what {!attach} installs into the chip. *)
 
 val error_class : string -> string
 (** Coarse class of a runtime error message ([cpu_loop], [pass_limit],
@@ -60,13 +52,11 @@ val merge : into:t -> t -> unit
     aggregates merge ({!Telemetry.Int_report.merge}). [src] is not
     modified. *)
 
-val sync_tables : t -> Asic.Chip.t -> unit
+val snapshot : t -> Asic.Chip.t -> Telemetry.Registry.snapshot
 (** Copy live per-table hit/miss tallies into registry counters
     ([table.<pipelet>.<name>.hits/.misses], the pipelet's
-    {!Asic.Pipelet.name} with [_] for the space). *)
-
-val snapshot : t -> Asic.Chip.t -> Telemetry.Registry.snapshot
-(** {!sync_tables} then snapshot the registry. *)
+    {!Asic.Pipelet.name} with [_] for the space), then snapshot the
+    registry. *)
 
 val table_entry_hits :
   Asic.Chip.t -> (string * (P4ir.Table.entry * int) list) list

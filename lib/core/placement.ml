@@ -15,6 +15,9 @@ type input = {
   pinned : (string * Asic.Pipelet.id) list;
 }
 
+(* Stages the framework adds to a pipelet per NF placed on it (the
+   [check_nextNF] gate and the [check_sfcFlags] translation, §3.2), and
+   once to a pipelet that hosts any NF (the branching table, §3.4). *)
 let framework_stages_per_nf = 2
 let framework_stages_fixed = 1
 

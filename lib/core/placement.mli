@@ -37,14 +37,6 @@ type input = {
           ingress) *)
 }
 
-val framework_stages_per_nf : int
-(** Stages the framework adds to a pipelet per NF placed on it: the
-    [check_nextNF] gate and the [check_sfcFlags] translation (§3.2). *)
-
-val framework_stages_fixed : int
-(** Stages the framework adds once to a pipelet that hosts any NF: the
-    branching table (§3.4). *)
-
 val stages_needed : input -> Layout.pipelet_layout -> int
 (** NF stages plus framework overhead for one pipelet — the one stage
     formula. *)

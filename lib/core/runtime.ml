@@ -75,7 +75,6 @@ type obs_state = {
   c_round_trips : int ref;
   c_recircs : int ref;
   c_resubmits : int ref;
-  c_drop_dp : int ref;
   c_cache_hit : int ref;
   c_cache_miss : int ref;
   c_ctrl_applied : int ref;
@@ -226,7 +225,6 @@ let enable_obs t level ring_capacity =
   let c_round_trips = c "path.cpu_round_trips" in
   let c_recircs = c "path.recircs" in
   let c_resubmits = c "path.resubmits" in
-  let c_drop_dp = c "drop.data_plane" in
   let c_cache_hit = c "cache.hit" in
   let c_cache_miss = c "cache.miss" in
   let c_ctrl_applied = c "ctrl.ops_applied" in
@@ -256,7 +254,6 @@ let enable_obs t level ring_capacity =
         c_round_trips;
         c_recircs;
         c_resubmits;
-        c_drop_dp;
         c_cache_hit;
         c_cache_miss;
         c_ctrl_applied;
@@ -585,9 +582,7 @@ let process t ~in_port frame =
           | Asic.Chip.Emitted { port; _ } ->
               incr os.c_emitted;
               if port >= 0 && port < Array.length os.tx then incr os.tx.(port)
-          | Asic.Chip.Dropped ->
-              incr os.c_dropped;
-              incr os.c_drop_dp
+          | Asic.Chip.Dropped -> incr os.c_dropped
           | Asic.Chip.To_cpu _ -> incr os.c_to_cpu));
       match hops with
       | None -> ()

@@ -96,8 +96,9 @@ val state_stores : t -> State_store.t array
 
 val advance_state_time : t -> int64 -> int
 (** Advance every shard store's logical clock by [ns] and sweep TTL
-    expirations (the control plane's aging tick — e.g. the rate
-    limiter's window). Returns the number of entries expired. Time
+    expirations (the control plane's aging tick). An expired entry's
+    eviction callback deletes its chip entry, as a capacity eviction
+    does. Returns the number of entries expired. Time
     never advances implicitly, so runs that tick at the same points
     age identically — digests stay comparable. *)
 

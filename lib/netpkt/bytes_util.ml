@@ -263,12 +263,3 @@ let pp_hex ppf b =
     if i > 0 && i mod 16 = 0 then Format.fprintf ppf "@\n";
     Format.fprintf ppf "%02x " (get_uint8 b i)
   done
-
-let equal_range a b ~off ~len =
-  Bytes.length a >= off + len
-  && Bytes.length b >= off + len
-  &&
-  let rec loop i =
-    i = len || (Bytes.get a (off + i) = Bytes.get b (off + i) && loop (i + 1))
-  in
-  loop 0

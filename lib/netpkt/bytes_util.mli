@@ -69,6 +69,3 @@ val crc16_int : Bytes.t -> off:int -> len:int -> int
 
 val pp_hex : Format.formatter -> Bytes.t -> unit
 (** Hex dump, 16 bytes per line. *)
-
-val equal_range : Bytes.t -> Bytes.t -> off:int -> len:int -> bool
-(** Compare the same [off, off+len) range of two buffers. *)

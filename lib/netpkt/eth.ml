@@ -24,9 +24,6 @@ let decode b ~off =
         ethertype = Bytes_util.get_uint16 b (off + 12);
       }
 
-let equal a b =
-  Mac.equal a.dst b.dst && Mac.equal a.src b.src && a.ethertype = b.ethertype
-
 let pp ppf t =
   Format.fprintf ppf "eth{dst=%a src=%a type=0x%04x}" Mac.pp t.dst Mac.pp t.src
     t.ethertype

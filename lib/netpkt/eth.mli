@@ -16,5 +16,4 @@ val ethertype_sfc : int
 val make : ?dst:Mac.t -> ?src:Mac.t -> int -> t
 val encode_into : t -> Bytes.t -> off:int -> unit
 val decode : Bytes.t -> off:int -> (t, string) result
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

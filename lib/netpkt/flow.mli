@@ -16,14 +16,9 @@ val hash_five_tuple : five_tuple -> int64
 (** CRC32 over the tuple serialized in header order (src, dst, proto,
     sport, dport) — the same hash the L4 load balancer computes. *)
 
-val canonicalize : five_tuple -> five_tuple
-(** The direction-free form of a connection: endpoints ordered by
-    (address, port), so a tuple and its reply canonicalize to the same
-    value. Idempotent. *)
-
 val hash_five_tuple_symmetric : five_tuple -> int64
-(** [hash_five_tuple] of the {!canonicalize}d tuple: both directions of
-    a connection hash alike. Shard assignment uses this so NAT/LB reply
+(** [hash_five_tuple] of the tuple with its endpoints ordered by
+    (address, port): both directions of a connection hash alike. Shard assignment uses this so NAT/LB reply
     traffic lands on the shard that owns the forward flow's bindings;
     note it is {e not} the data-plane hash ({!hash_five_tuple}), which
     stays directed to mirror the chip's CRC unit. *)

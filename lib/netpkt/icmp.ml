@@ -1,8 +1,6 @@
 type t = { typ : int; code : int; ident : int; seq : int }
 
 let size = 8
-let echo_request ~ident ~seq = { typ = 8; code = 0; ident; seq }
-let echo_reply ~ident ~seq = { typ = 0; code = 0; ident; seq }
 
 let encode_into t b ~off =
   Bytes_util.set_uint8 b off t.typ;
@@ -24,5 +22,4 @@ let decode b ~off =
         seq = Bytes_util.get_uint16 b (off + 6);
       }
 
-let equal a b = a.typ = b.typ && a.code = b.code && a.ident = b.ident && a.seq = b.seq
 let pp ppf t = Format.fprintf ppf "icmp{type=%d code=%d seq=%d}" t.typ t.code t.seq

@@ -5,9 +5,6 @@ type t = { typ : int; code : int; ident : int; seq : int }
 val size : int
 (** 8 bytes. *)
 
-val echo_request : ident:int -> seq:int -> t
-val echo_reply : ident:int -> seq:int -> t
 val encode_into : t -> Bytes.t -> off:int -> unit
 val decode : Bytes.t -> off:int -> (t, string) result
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -61,4 +61,3 @@ let prefix_of_string_exn s =
 
 let prefix_to_string p = Printf.sprintf "%s/%d" (to_string p.addr) p.len
 let matches p t = Int64.equal (Int64.logand t (prefix_mask p.len)) p.addr
-let pp_prefix ppf p = Format.pp_print_string ppf (prefix_to_string p)

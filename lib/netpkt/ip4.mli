@@ -18,9 +18,7 @@ type prefix = { addr : t; len : int }
 (** A CIDR prefix; [len] in 0..32. Host bits of [addr] are cleared. *)
 
 val prefix : t -> int -> prefix
-val prefix_of_string : string -> (prefix, string) result
 val prefix_of_string_exn : string -> prefix
 val prefix_to_string : prefix -> string
 val matches : prefix -> t -> bool
 val prefix_mask : int -> int64
-val pp_prefix : Format.formatter -> prefix -> unit

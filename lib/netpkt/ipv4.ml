@@ -17,15 +17,14 @@ let proto_icmp = 1
 let proto_tcp = 6
 let proto_udp = 17
 
-let make ?(dscp = 0) ?(ecn = 0) ?(ident = 0) ?(flags = 2) ?(frag_offset = 0)
-    ?(ttl = 64) ?(total_length = size) ~protocol ~src ~dst () =
+let make ?(dscp = 0) ?(ident = 0) ?(ttl = 64) ~protocol ~src ~dst () =
   {
     dscp;
-    ecn;
-    total_length;
+    ecn = 0;
+    total_length = size;
     ident;
-    flags;
-    frag_offset;
+    flags = 2;
+    frag_offset = 0;
     ttl;
     protocol;
     checksum = 0;
@@ -77,12 +76,6 @@ let decode b ~off =
         }
 
 let checksum_valid b ~off = Bytes_util.internet_checksum b ~off ~len:size = 0
-
-let equal a b =
-  a.dscp = b.dscp && a.ecn = b.ecn && a.total_length = b.total_length
-  && a.ident = b.ident && a.flags = b.flags && a.frag_offset = b.frag_offset
-  && a.ttl = b.ttl && a.protocol = b.protocol && Ip4.equal a.src b.src
-  && Ip4.equal a.dst b.dst
 
 let pp ppf t =
   Format.fprintf ppf "ipv4{%a -> %a proto=%d ttl=%d len=%d}" Ip4.pp t.src

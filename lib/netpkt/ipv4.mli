@@ -24,12 +24,8 @@ val proto_udp : int
 
 val make :
   ?dscp:int ->
-  ?ecn:int ->
   ?ident:int ->
-  ?flags:int ->
-  ?frag_offset:int ->
   ?ttl:int ->
-  ?total_length:int ->
   protocol:int ->
   src:Ip4.t ->
   dst:Ip4.t ->
@@ -42,5 +38,4 @@ val encode_into : t -> Bytes.t -> off:int -> unit
 
 val decode : Bytes.t -> off:int -> (t, string) result
 val checksum_valid : Bytes.t -> off:int -> bool
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -33,7 +33,6 @@ let broadcast = mask48
 let zero = 0L
 let is_multicast t = Int64.(logand (shift_right_logical t 40) 1L) = 1L
 let equal = Int64.equal
-let compare = Int64.compare
 let pp ppf t = Format.pp_print_string ppf (to_string t)
 
 let random st =

@@ -17,7 +17,6 @@ val broadcast : t
 val zero : t
 val is_multicast : t -> bool
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 val random : Random.State.t -> t

@@ -2,6 +2,8 @@ type packet = { ts_sec : int; ts_usec : int; frame : Bytes.t }
 
 let packet ?(ts_sec = 0) ?(ts_usec = 0) frame = { ts_sec; ts_usec; frame }
 
+(* Frames longer than this are truncated on write, with the original
+   length recorded, as pcap specifies. *)
 let snaplen = 65535
 let magic = 0xA1B2C3D4
 let linktype_ethernet = 1

@@ -16,7 +16,3 @@ val of_bytes : Bytes.t -> (packet list, string) result
 
 val write_file : string -> packet list -> unit
 val read_file : string -> (packet list, string) result
-
-val snaplen : int
-(** 65535. Frames longer than this are truncated on write (with the
-    original length recorded, as pcap specifies). *)

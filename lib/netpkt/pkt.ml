@@ -231,25 +231,6 @@ let five_tuple_of t =
           })
         ports
 
-let equal_layer a b =
-  match (a, b) with
-  | Eth x, Eth y -> Eth.equal x y
-  | Vlan x, Vlan y -> Vlan.equal x y
-  | Sfc_raw x, Sfc_raw y -> Bytes.equal x y
-  | Arp x, Arp y -> Arp.equal x y
-  | Ipv4 x, Ipv4 y -> Ipv4.equal x y
-  | Tcp x, Tcp y -> Tcp.equal x y
-  | Udp x, Udp y -> Udp.equal x y
-  | Icmp x, Icmp y -> Icmp.equal x y
-  | Vxlan x, Vxlan y -> Vxlan.equal x y
-  | Payload x, Payload y -> String.equal x y
-  | ( (Eth _ | Vlan _ | Sfc_raw _ | Arp _ | Ipv4 _ | Tcp _ | Udp _ | Icmp _
-      | Vxlan _ | Payload _),
-      _ ) ->
-      false
-
-let equal a b = List.length a = List.length b && List.for_all2 equal_layer a b
-
 let pp_layer ppf = function
   | Eth h -> Eth.pp ppf h
   | Vlan h -> Vlan.pp ppf h

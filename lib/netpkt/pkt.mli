@@ -43,6 +43,4 @@ val five_tuple_of_frame : Bytes.t -> Flow.five_tuple option
 
 val find_ipv4 : t -> Ipv4.t option
 val find_eth : t -> Eth.t option
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit
-val pp_layer : Format.formatter -> layer -> unit

@@ -10,15 +10,19 @@ type t = {
 }
 
 let size = 20
-let flag_fin = 0x01
-let flag_syn = 0x02
-let flag_rst = 0x04
-let flag_psh = 0x08
 let flag_ack = 0x10
 
-let make ?(seq = 0L) ?(ack = 0L) ?(flags = flag_ack) ?(window = 65535)
-    ~src_port ~dst_port () =
-  { src_port; dst_port; seq; ack; flags; window; checksum = 0; urgent = 0 }
+let make ?(seq = 0L) ?(window = 65535) ~src_port ~dst_port () =
+  {
+    src_port;
+    dst_port;
+    seq;
+    ack = 0L;
+    flags = flag_ack;
+    window;
+    checksum = 0;
+    urgent = 0;
+  }
 
 let encode_into t b ~off =
   Bytes_util.set_uint16 b off t.src_port;
@@ -46,11 +50,6 @@ let decode b ~off =
         checksum = Bytes_util.get_uint16 b (off + 16);
         urgent = Bytes_util.get_uint16 b (off + 18);
       }
-
-let equal a b =
-  a.src_port = b.src_port && a.dst_port = b.dst_port && a.seq = b.seq
-  && a.ack = b.ack && a.flags = b.flags && a.window = b.window
-  && a.urgent = b.urgent
 
 let pp ppf t =
   Format.fprintf ppf "tcp{%d -> %d seq=%Ld flags=0x%x}" t.src_port t.dst_port

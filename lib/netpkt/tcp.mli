@@ -12,16 +12,9 @@ type t = {
 }
 
 val size : int
-val flag_fin : int
-val flag_syn : int
-val flag_rst : int
-val flag_psh : int
-val flag_ack : int
 
 val make :
   ?seq:int64 ->
-  ?ack:int64 ->
-  ?flags:int ->
   ?window:int ->
   src_port:int ->
   dst_port:int ->
@@ -30,5 +23,4 @@ val make :
 
 val encode_into : t -> Bytes.t -> off:int -> unit
 val decode : Bytes.t -> off:int -> (t, string) result
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

@@ -3,8 +3,8 @@ type t = { src_port : int; dst_port : int; length : int; checksum : int }
 let size = 8
 let port_vxlan = 4789
 
-let make ?(length = size) ~src_port ~dst_port () =
-  { src_port; dst_port; length; checksum = 0 }
+let make ~src_port ~dst_port () =
+  { src_port; dst_port; length = size; checksum = 0 }
 
 let encode_into t b ~off =
   Bytes_util.set_uint16 b off t.src_port;
@@ -22,9 +22,6 @@ let decode b ~off =
         length = Bytes_util.get_uint16 b (off + 4);
         checksum = Bytes_util.get_uint16 b (off + 6);
       }
-
-let equal a b =
-  a.src_port = b.src_port && a.dst_port = b.dst_port && a.length = b.length
 
 let pp ppf t =
   Format.fprintf ppf "udp{%d -> %d len=%d}" t.src_port t.dst_port t.length

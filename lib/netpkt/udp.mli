@@ -4,8 +4,7 @@ type t = { src_port : int; dst_port : int; length : int; checksum : int }
 
 val size : int
 val port_vxlan : int
-val make : ?length:int -> src_port:int -> dst_port:int -> unit -> t
+val make : src_port:int -> dst_port:int -> unit -> t
 val encode_into : t -> Bytes.t -> off:int -> unit
 val decode : Bytes.t -> off:int -> (t, string) result
-val equal : t -> t -> bool
 val pp : Format.formatter -> t -> unit

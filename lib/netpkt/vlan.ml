@@ -2,9 +2,9 @@ type t = { pcp : int; dei : int; vid : int; ethertype : int }
 
 let size = 4
 
-let make ?(pcp = 0) ?(dei = 0) ~vid ethertype =
+let make ?(pcp = 0) ~vid ethertype =
   if vid < 0 || vid > 4095 then invalid_arg "Vlan.make: vid not in 0..4095";
-  { pcp = pcp land 7; dei = dei land 1; vid; ethertype }
+  { pcp = pcp land 7; dei = 0; vid; ethertype }
 
 let encode_into t b ~off =
   let tci = (t.pcp lsl 13) lor (t.dei lsl 12) lor t.vid in

@@ -5,7 +5,7 @@ type t = { pcp : int; dei : int; vid : int; ethertype : int }
 val size : int
 (** 4 bytes. *)
 
-val make : ?pcp:int -> ?dei:int -> vid:int -> int -> t
+val make : ?pcp:int -> vid:int -> int -> t
 val encode_into : t -> Bytes.t -> off:int -> unit
 val decode : Bytes.t -> off:int -> (t, string) result
 val equal : t -> t -> bool

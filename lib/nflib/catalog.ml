@@ -8,7 +8,7 @@ let tenant1_vip = ip "10.0.1.10"
 let tenant1_backends = [ ip "10.0.1.101"; ip "10.0.1.102"; ip "10.0.1.103" ]
 let tenant2_service = pfx "10.0.2.0/24"
 let tenant3_service = pfx "10.0.3.0/24"
-let blocked_subnet = pfx "198.51.100.0/24"
+let blocked_subnet = pfx "198.51.100.0/24" (* the firewall denies these *)
 
 let path_red = 10
 let path_orange = 20
@@ -150,6 +150,7 @@ let chains ~exit_port =
       ~weight:0.2 ~exit_port ();
   ]
 
+(* The three paths plus a monitoring chain exercising the extension NFs. *)
 let extended_chains ~exit_port =
   chains ~exit_port
   @ [

@@ -6,15 +6,8 @@ val tenant1_vip : Netpkt.Ip4.t
 (** The load-balanced service address (tenant 1, the "red" chain). *)
 
 val tenant1_backends : Netpkt.Ip4.t list
-val tenant2_service : Netpkt.Ip4.prefix
-val tenant3_service : Netpkt.Ip4.prefix
-val blocked_subnet : Netpkt.Ip4.prefix
-(** Sources the firewall denies. *)
 
 val path_red : int
-val path_orange : int
-val path_green : int
-val path_protected : int
 
 val registry : unit -> Dejavu_core.Nf.registry
 (** classifier, fw, vgw, lb, router plus the extension NFs (nat,
@@ -25,19 +18,10 @@ val chains : exit_port:int -> Dejavu_core.Chain.t list
     traffic), orange = classifier-vgw-router (30%), green =
     classifier-router (20%). *)
 
-val extended_chains : exit_port:int -> Dejavu_core.Chain.t list
-(** The three paths plus a monitoring chain exercising the extension
-    NFs. *)
-
 val protected_chains : exit_port:int -> Dejavu_core.Chain.t list
 (** The three paths plus a DDoS-protected, rate-limited chain
     exercising the stateful NFs (tenant 5, 10.0.5.0/24, per-window
     budget of 8 packets, sketch threshold 6). *)
-
-val rate_budgets : Rate_limiter.budget list
-val sketch_threshold : int
-val local_vtep : Netpkt.Ip4.t
-val vxlan_tunnels : Vxlan_gw.tunnel list
 
 val edge_cloud_input :
   ?spec:Asic.Spec.t ->

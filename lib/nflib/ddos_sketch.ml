@@ -87,8 +87,7 @@ let create ?(block = false) ~threshold () =
            (List.init rows (fun i ->
                 P4ir.Register.make ~name:(row_register i) ~size:row_size
                   ~width:32))
-         ~body:(body ~block ~threshold)
-         ~state_tables:[ "ddos.offenders" ] ())
+         ~body:(body ~block ~threshold) ())
 
 let reset compiled =
   List.iter
@@ -118,21 +117,3 @@ let estimate compiled src =
   if !est = max_int then 0 else !est
 
 let reference_estimate_lower_bound ~true_count ~estimate = estimate >= true_count
-
-(* --- offender ledger ---
-
-   The sketch itself is data-plane state (register rows, reset by
-   [reset]); what the control plane keeps is the set of sources that
-   crossed the threshold — previously an unbounded concern left to
-   callers, now a bounded TTL-aged store table: quiet offenders age
-   out with the attack. *)
-
-let state_table_name = "ddos.offenders"
-
-let offenders store =
-  State_store.table store ~name:state_table_name ~key:State_store.Conv.ip4
-    ~value:State_store.Conv.int ()
-
-let record offenders src ~estimate =
-  let prev = Option.value ~default:0 (State_store.find offenders src) in
-  State_store.insert offenders src (max prev estimate)

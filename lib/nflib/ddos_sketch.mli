@@ -5,9 +5,7 @@
     with [~block:true]. *)
 
 val name : string
-val rows : int
 val row_register : int -> string
-val meta_decl : P4ir.Hdr.decl
 val create : ?block:bool -> threshold:int -> unit -> (Dejavu_core.Nf.t, string) result
 
 val reset : Dejavu_core.Compiler.t -> unit
@@ -16,25 +14,6 @@ val reset : Dejavu_core.Compiler.t -> unit
 val estimate : Dejavu_core.Compiler.t -> Netpkt.Ip4.t -> int
 (** The sketch's current estimate for a source, computed with the same
     hash functions the data plane uses. *)
-
-(** {2 Offender ledger} *)
-
-val state_table_name : string
-(** ["ddos.offenders"] *)
-
-val offenders :
-  Dejavu_core.State_store.t ->
-  (Netpkt.Ip4.t, int) Dejavu_core.State_store.table
-(** Register (or adopt) the bounded ledger of sources that crossed the
-    threshold, valued by their peak estimate — TTL aging retires quiet
-    offenders with the attack. *)
-
-val record :
-  (Netpkt.Ip4.t, int) Dejavu_core.State_store.table ->
-  Netpkt.Ip4.t ->
-  estimate:int ->
-  unit
-(** Note a detection: keeps the max estimate seen for the source. *)
 
 (** {2 Reference invariants} *)
 

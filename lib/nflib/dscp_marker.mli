@@ -4,7 +4,6 @@
     data for (§3). *)
 
 val name : string
-val table_name : string
 val create : (int * int) list -> unit -> (Dejavu_core.Nf.t, string) result
 (** [(tenant, dscp)] assignments; unknown tenants keep their marking. *)
 

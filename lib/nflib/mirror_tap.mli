@@ -8,6 +8,5 @@ type selector = {
 }
 
 val name : string
-val table_name : string
 val create : selector list -> unit -> (Dejavu_core.Nf.t, string) result
 val reference : selector list -> src:Netpkt.Ip4.t -> dst:Netpkt.Ip4.t -> bool

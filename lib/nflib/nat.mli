@@ -6,11 +6,6 @@ type binding = { internal : Netpkt.Ip4.t; public : Netpkt.Ip4.t }
 val name : string
 val table_name : string
 
-val binding_entry : binding -> P4ir.Table.entry
-(** The typed table entry for one binding — what construction-time
-    population installs and what control-plane ops ([Ctrl.Add/Mod/Del])
-    are built around. *)
-
 val create : binding list -> unit -> (Dejavu_core.Nf.t, string) result
 val reference : binding list -> Netpkt.Ip4.t -> Netpkt.Ip4.t
 (** Identity for unbound sources. *)
@@ -35,12 +30,6 @@ val create_dynamic : ?max_size:int -> unit -> (Dejavu_core.Nf.t, string) result
     whose default action punts with {!nf_id} as the CPU reason.
     [max_size] defaults to 8192. *)
 
-val public_of : pool:Netpkt.Ip4.t list -> Netpkt.Ip4.t -> Netpkt.Ip4.t
-(** Deterministic allocation — a pure function of the internal address
-    and the pool (address mod pool size), independent of arrival order,
-    shard count and restart history. Raises [Invalid_argument] on an
-    empty pool. *)
-
 val bindings_table :
   Dejavu_core.State_store.t ->
   table:P4ir.Table.t ->
@@ -55,8 +44,10 @@ val handler :
   table:P4ir.Table.t ->
   unit ->
   Dejavu_core.Runtime.handler
-(** The miss handler: allocate {!public_of} for the punted packet's
-    source, record it in the ledger (when given) before installing the
-    chip entry, and reinject. A ledger hit re-installs the stored
+(** The miss handler: allocate a public address for the punted
+    packet's source, record it in the ledger (when given) before
+    installing the chip entry, and reinject. The allocation is a pure
+    function of the source and the pool (address mod pool size),
+    independent of arrival order, shard count and restart history. A ledger hit re-installs the stored
     public address (the punting chip missed: fresh shard replica or
     warm restart). *)

@@ -8,9 +8,7 @@
 type budget = { tenant : int; limit : int }
 
 val name : string
-val table_name : string
 val register_name : string
-val meta_decl : P4ir.Hdr.decl
 val create : budget list -> unit -> (Dejavu_core.Nf.t, string) result
 (** Tenants without a budget are unlimited. *)
 
@@ -19,9 +17,6 @@ val reset_window : Dejavu_core.Compiler.t -> unit
 
 val count_of : Dejavu_core.Compiler.t -> tenant:int -> int
 (** Packets this window, as the data plane sees them. *)
-
-val state_table_name : string
-(** ["rl.counts"] *)
 
 val counts :
   Dejavu_core.State_store.t -> (int, int) Dejavu_core.State_store.table

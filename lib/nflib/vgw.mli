@@ -15,8 +15,6 @@ type mapping = {
 }
 
 val name : string
-val encap_table : string
-val decap_table : string
 val create : mapping list -> unit -> (Dejavu_core.Nf.t, string) result
 
 type ref_effect = Encap of { vid : int; tenant : int } | Decap | Pass

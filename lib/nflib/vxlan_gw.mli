@@ -17,7 +17,6 @@ type tunnel = {
 }
 
 val name : string
-val encap_table : string
 val create : tunnel list -> unit -> (Dejavu_core.Nf.t, string) result
 
 val reference_decap : Netpkt.Pkt.t -> Netpkt.Pkt.t

@@ -225,10 +225,3 @@ let pp_prim ppf = function
   | Reg_write (r, idx, v) ->
       Format.fprintf ppf "%s.write(%a, %a);" r Expr.pp idx Expr.pp v
   | No_op -> Format.fprintf ppf "/* no-op */"
-
-let pp ppf t =
-  Format.fprintf ppf "@[<v 2>action %s(%s) {@," t.name
-    (String.concat ", "
-       (List.map (fun (n, w) -> Printf.sprintf "bit<%d> %s" w n) t.params));
-  List.iter (fun p -> Format.fprintf ppf "%a@," pp_prim p) t.body;
-  Format.fprintf ppf "}@]"

@@ -67,5 +67,4 @@ val writes : t -> Fieldref.Set.t
     conservatively serializing tables that share a register — on the
     hardware they would have to share its stage). *)
 
-val pp : Format.formatter -> t -> unit
 val pp_prim : Format.formatter -> prim -> unit

@@ -62,6 +62,3 @@ let mask_of_prefix ~width n =
   if n < 0 || n > width then invalid_arg "Bitval.mask_of_prefix";
   if n = 0 then zero width
   else make ~width Int64.(shift_left (mask n) (width - n))
-
-let to_string t = Printf.sprintf "%Lu/w%d" t.v t.w
-let pp ppf t = Format.pp_print_string ppf (to_string t)

@@ -47,7 +47,6 @@ val equal : t -> t -> bool
 val equal_value : t -> t -> bool
 (** Compares just the numeric values. *)
 
-val compare_unsigned : t -> t -> int
 val lt : t -> t -> bool
 val le : t -> t -> bool
 val slice : t -> hi:int -> lo:int -> t
@@ -58,6 +57,3 @@ val concat : t -> t -> t
 
 val mask_of_prefix : width:int -> int -> t
 (** [mask_of_prefix ~width n]: the n-bit-long prefix mask, MSB-aligned. *)
-
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string

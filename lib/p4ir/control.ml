@@ -220,24 +220,6 @@ let tables_used t =
   walk_block t.body;
   List.rev !out
 
-let labels t =
-  let out = ref [] in
-  let rec walk_block block = List.iter walk block
-  and walk = function
-    | Label (name, blk) ->
-        out := name :: !out;
-        walk_block blk
-    | Apply_hit (_, a, b) | If (_, a, b) ->
-        walk_block a;
-        walk_block b
-    | Apply_switch (_, branches, default) ->
-        List.iter (fun (_, blk) -> walk_block blk) branches;
-        walk_block default
-    | Apply _ | Run _ -> ()
-  in
-  walk_block t.body;
-  List.rev !out
-
 let map_tables f t =
   let rec map_block block = List.map map_stmt block
   and map_stmt = function

@@ -81,7 +81,6 @@ val run_compiled : ?trace:trace_event list ref -> compiled -> Phv.t -> unit
 val tables_used : t -> string list
 (** Every table name applied anywhere in the body, in first-use order. *)
 
-val labels : t -> string list
 val map_tables : (string -> string) -> t -> t
 (** Rename every table reference (used when composing NFs). *)
 

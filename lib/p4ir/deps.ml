@@ -96,10 +96,3 @@ let min_stages env control =
     List.fold_left (fun acc (_, s) -> max acc (s + 1)) 0 assigned
   in
   (assigned, total)
-
-let pp_kind ppf k =
-  Format.pp_print_string ppf
-    (match k with
-    | Match_dep -> "match"
-    | Action_dep -> "action"
-    | Successor_dep -> "successor")

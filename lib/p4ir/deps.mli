@@ -26,5 +26,3 @@ val stage_gap : kind -> int
 val min_stages : Control.table_env -> Control.t -> (string * int) list * int
 (** Longest-path stage lower bound per table (ignoring capacity), and the
     total stage count (max + 1; 0 for a control with no tables). *)
-
-val pp_kind : Format.formatter -> kind -> unit

@@ -2,15 +2,6 @@ type t = { hdr : string; field : string }
 
 let v hdr field = { hdr; field }
 
-let of_string s =
-  match String.index_opt s '.' with
-  | Some i when i > 0 && i < String.length s - 1 ->
-      {
-        hdr = String.sub s 0 i;
-        field = String.sub s (i + 1) (String.length s - i - 1);
-      }
-  | _ -> invalid_arg (Printf.sprintf "Fieldref.of_string: %S" s)
-
 let to_string t = t.hdr ^ "." ^ t.field
 let equal a b = String.equal a.hdr b.hdr && String.equal a.field b.field
 

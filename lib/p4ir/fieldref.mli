@@ -3,12 +3,9 @@
 type t = { hdr : string; field : string }
 
 val v : string -> string -> t
-val of_string : string -> t
-(** Parses ["hdr.field"]. Raises [Invalid_argument] otherwise. *)
 
 val to_string : t -> string
 val equal : t -> t -> bool
-val compare : t -> t -> int
 val pp : Format.formatter -> t -> unit
 
 module Set : Set.S with type elt = t

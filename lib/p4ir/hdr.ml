@@ -241,14 +241,9 @@ let set_wire d k b ~off v =
     Netpkt.Bytes_util.set_bits_int b ~bit_off:((8 * off) + d.foffs.(k))
       ~width:d.fwidths.(k) v
 
-type inst = { idecl : decl; mutable valid : bool; vals : int array }
+type inst = { idecl : decl; vals : int array }
 
-let inst d = { idecl = d; valid = false; vals = Array.make (n_fields d) 0 }
-
-let decl_of i = i.idecl
-let is_valid i = i.valid
-let set_valid i = i.valid <- true
-let set_invalid i = i.valid <- false
+let inst d = { idecl = d; vals = Array.make (n_fields d) 0 }
 
 let get i fname =
   let k = Hashtbl.find i.idecl.findex fname in
@@ -258,8 +253,6 @@ let set i fname v =
   let k = Hashtbl.find i.idecl.findex fname in
   i.vals.(k) <- Int64.to_int (Bitval.to_int64 (Bitval.resize v i.idecl.fwidths.(k)))
 
-let extract i b ~bit_off =
-  read_fields i.idecl i.vals ~pos:0 b ~bit_off;
-  i.valid <- true
+let extract i b ~bit_off = read_fields i.idecl i.vals ~pos:0 b ~bit_off
 
 let emit i b ~bit_off = write_fields i.idecl i.vals ~pos:0 b ~bit_off

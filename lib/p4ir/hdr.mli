@@ -116,16 +116,10 @@ type inst
     cells). *)
 
 val inst : decl -> inst
-(** A fresh, invalid instance with all-zero fields. *)
+(** A fresh instance with all-zero fields. *)
 
-val decl_of : inst -> decl
-val is_valid : inst -> bool
-val set_valid : inst -> unit
-val set_invalid : inst -> unit
 val get : inst -> string -> Bitval.t
-(** Raises [Not_found] for an unknown field. Reading an invalid header
-    returns the stored value (all-zero unless written), matching the
-    "undefined but harmless" hardware behaviour. *)
+(** Raises [Not_found] for an unknown field. *)
 
 val set : inst -> string -> Bitval.t -> unit
 (** The value is resized to the declared field width. *)
@@ -134,7 +128,7 @@ val field_index : decl -> string -> int
 (** Position of a field in the declaration; raises [Not_found]. *)
 
 val extract : inst -> Bytes.t -> bit_off:int -> unit
-(** Fill fields from the wire and mark the instance valid. *)
+(** Fill fields from the wire. *)
 
 val emit : inst -> Bytes.t -> bit_off:int -> unit
-(** Serialize the fields to the wire (caller checks validity). *)
+(** Serialize the fields to the wire. *)

@@ -140,17 +140,3 @@ let equal a b =
              in
              go 0)
        a.lay.decls
-
-let pp ppf t =
-  Array.iteri
-    (fun k (d : Hdr.decl) ->
-      let base = t.lay.bases.(k) in
-      if t.cells.(base) = 1 then begin
-        Format.fprintf ppf "%s{" d.Hdr.name;
-        List.iteri
-          (fun i (f : Hdr.field) ->
-            Format.fprintf ppf " %s=%d" f.Hdr.name t.cells.(base + 1 + i))
-          d.Hdr.fields;
-        Format.fprintf ppf " }@\n"
-      end)
-    t.lay.decls

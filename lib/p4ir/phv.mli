@@ -77,8 +77,6 @@ val copy : t -> t
 val equal : t -> t -> bool
 (** Same headers (by name), validity and values — layouts may differ. *)
 
-val pp : Format.formatter -> t -> unit
-
 (** {2 Layout-bound access}
 
     Resolution raises [Not_found] for an unknown header or field. *)

@@ -159,13 +159,6 @@ let compile_control ?label_counters ~layout t =
   Control.compile ?label_counters ~layout ~regs:(reg_env t) (table_env t)
     t.control
 
-let resources t =
-  let base = Resources.of_control (table_env t) t.control in
-  let reg_srams =
-    List.fold_left (fun acc r -> acc + Register.sram_blocks r) 0 t.registers
-  in
-  { base with Resources.srams = base.Resources.srams + reg_srams }
-
 let pp ppf t =
   Format.fprintf ppf "@[<v>// program %s@,%a@,@," t.name Parser_graph.pp t.parser;
   List.iter (fun r -> Format.fprintf ppf "%a@," Register.pp r) t.registers;

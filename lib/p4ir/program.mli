@@ -29,7 +29,6 @@ val copy : t -> t
     state, since compilation resolves tables and registers by name. *)
 
 val table_env : t -> Control.table_env
-val reg_env : t -> Action.reg_env
 val find_table : t -> string -> Table.t option
 val find_register : t -> string -> Register.t option
 val validate : t -> (unit, string) result
@@ -61,9 +60,6 @@ val compile_control :
     layout it will run on, and only on ({!Control.compile}); run with
     {!Control.run_compiled}. [label_counters] (the per-NF telemetry
     hook) is resolved per label at compile time. *)
-
-val resources : t -> Resources.t
-(** Control demand plus register SRAM. *)
 
 val pp : Format.formatter -> t -> unit
 

@@ -1,8 +1,7 @@
 (* Shared mutable side-state: the epoch counts control-plane resets (a
    flow cache invalidates memoized verdicts against it) and the
    recorders, when armed, observe every data-plane cell access. Lives
-   behind its own record so {!rename}d handles — which share the cell
-   array — share it too, while {!copy} gets a fresh one. *)
+   in its own mutable record; {!copy} gets a fresh one. *)
 type state = {
   mutable epoch : int;
   mutable on_read : (int -> int64 -> unit) option;
@@ -80,8 +79,6 @@ let fold f t init =
     if c <> 0L then acc := f i (Bitval.make ~width:t.width c) !acc
   done;
   !acc
-
-let rename t name = { t with name }
 
 (* A copy is a fresh register: private cells, epoch restarted, no
    recorders — a {!Asic.Chip.replicate} replica must not fire the

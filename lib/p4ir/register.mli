@@ -47,10 +47,8 @@ val fold : (int -> Bitval.t -> 'a -> 'a) -> t -> 'a -> 'a
     Support for memoization layers (the runtime flow cache): the epoch
     counts control-plane resets, and the recorders — when armed —
     observe every data-plane access with the masked index and the raw
-    cell value. Both live in shared state: {!rename}d handles (the
-    composed-program views of one register) report through the same
-    hooks; {!copy} starts fresh. When no recorder is armed the access
-    paths pay a single option match. *)
+    cell value. {!copy} starts both fresh. When no recorder is armed
+    the access paths pay a single option match. *)
 
 val epoch : t -> int
 (** Incremented by {!clear}. *)
@@ -67,9 +65,6 @@ val read_raw : t -> int -> int64
 (** The raw cell value at the masked index, without constructing a
     {!Bitval.t} and without firing the read recorder — for validating
     memoized reads against live state. *)
-
-val rename : t -> string -> t
-(** Same backing cells under a new name (used by composition). *)
 
 val copy : t -> t
 (** A deep copy: same name and width, private cell array initialized to

@@ -66,20 +66,6 @@ let scale k r =
     hash_bits = k * r.hash_bits;
   }
 
-let pct used total =
-  if total = 0 then 0.0 else 100.0 *. float_of_int used /. float_of_int total
-
-let utilization r ~total =
-  [
-    ("Stages", pct r.stages total.stages);
-    ("Table IDs", pct r.table_ids total.table_ids);
-    ("Gateways", pct r.gateways total.gateways);
-    ("Crossbars", pct r.crossbar_bytes total.crossbar_bytes);
-    ("VLIWs", pct r.vliws total.vliws);
-    ("SRAM", pct r.srams total.srams);
-    ("TCAM", pct r.tcams total.tcams);
-  ]
-
 type stage_caps = {
   cap_table_ids : int;
   cap_srams : int;
@@ -168,7 +154,3 @@ let pp ppf r =
     "{stages=%d; tables=%d; srams=%d; tcams=%d; xbar=%dB; vliw=%d; gw=%d; hash=%db}"
     r.stages r.table_ids r.srams r.tcams r.crossbar_bytes r.vliws r.gateways
     r.hash_bits
-
-let pp_row ppf r =
-  Format.fprintf ppf "%6d %6d %6d %6d %6d %6d %6d %6d" r.stages r.table_ids
-    r.srams r.tcams r.crossbar_bytes r.vliws r.gateways r.hash_bits

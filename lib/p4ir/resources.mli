@@ -22,8 +22,6 @@ val max_merge : t -> t -> t
 val sum : t list -> t
 val fits : t -> cap:t -> bool
 val scale : int -> t -> t
-val utilization : t -> total:t -> (string * float) list
-(** Percentage per resource class (stages, table IDs, ...). *)
 
 (** Per-stage capacities of the modeled switch. *)
 type stage_caps = {
@@ -56,5 +54,3 @@ val of_control : Control.table_env -> Control.t -> t
     gateways from the control structure. *)
 
 val pp : Format.formatter -> t -> unit
-val pp_row : Format.formatter -> t -> unit
-(** One-line rendering for report tables. *)

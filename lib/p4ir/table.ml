@@ -333,7 +333,6 @@ let bind t lay = ignore (binding t lay)
 let name t = t.name
 let keys t = t.keys
 let actions t = t.actions
-let default t = t.default
 let max_size t = t.max_size
 
 (* [to_seq_values], not [fold]: a body may be shared with handles on
@@ -1017,14 +1016,6 @@ let set_stats_enabled t on =
   end
 
 let stats t = t.store.stats
-
-let reset_stats t =
-  match t.store.stats with
-  | None -> ()
-  | Some s ->
-      s.hits <- 0;
-      s.misses <- 0;
-      Array.fill t.store.ehits 0 (Array.length t.store.ehits) 0
 
 let hits_of t ie =
   let h = t.store.ehits in

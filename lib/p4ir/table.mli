@@ -34,7 +34,6 @@ val make :
 val name : t -> string
 val keys : t -> key list
 val actions : t -> Action.t list
-val default : t -> string * Bitval.t list
 val max_size : t -> int
 val entries : t -> entry list
 val size : t -> int
@@ -163,9 +162,6 @@ val bind : t -> Phv.layout -> unit
     read would, and [Invalid_argument] when the field's width is not
     the key's; {!Program.validate} refuses both. *)
 
-val matches : entry -> Bitval.t list -> bool
-(** Does the entry match these key values? (Exposed for testing.) *)
-
 val lookup : t -> Phv.t -> [ `Hit of entry | `Miss ]
 (** Highest priority wins; among equal priorities the longest LPM prefix,
     then earliest insertion.
@@ -224,7 +220,6 @@ val set_stats_enabled : t -> bool -> unit
     them, per-entry hits included. *)
 
 val stats : t -> stats option
-val reset_stats : t -> unit
 val entry_hits : t -> (entry * int) list
 (** Installed entries with their hit counts, insertion order. All zero
     when stats are disabled. *)

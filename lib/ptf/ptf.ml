@@ -58,8 +58,3 @@ let send_expect runtime ~in_port pkt ~expect ?check () =
             match f pkt with
             | Ok () -> Ok outcome
             | Error e -> Error ("content check failed: " ^ e)))
-
-let expect_field name ~pp ~eq expected actual =
-  if eq expected actual then Ok ()
-  else
-    Error (Format.asprintf "%s: expected %a, got %a" name pp expected pp actual)

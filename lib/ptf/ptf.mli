@@ -30,11 +30,3 @@ val send_expect :
   (outcome, string) result
 (** [send] plus verdict assertion plus an optional content check on the
     output frame. All failures become [Error] with a description. *)
-
-val expect_field :
-  string -> pp:(Format.formatter -> 'a -> unit) -> eq:('a -> 'a -> bool) ->
-  'a -> 'a -> (unit, string) result
-(** [expect_field name ~pp ~eq expected actual] — a building block for
-    [check] functions. *)
-
-val pp_expectation : Format.formatter -> expectation -> unit

@@ -29,7 +29,6 @@ let observe t v =
 
 let count t = t.count
 let sum t = t.sum
-let buckets t = Array.copy t.counts
 
 let nonzero t =
   let out = ref [] in

@@ -22,8 +22,6 @@ val bounds : int -> int * int
 val observe : t -> int -> unit
 val count : t -> int
 val sum : t -> int
-val buckets : t -> int array
-(** A copy of the raw bucket counts. *)
 
 val nonzero : t -> (int * int) list
 (** [(bucket index, count)] for the populated buckets, ascending. *)

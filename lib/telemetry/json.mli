@@ -25,10 +25,5 @@ val to_string : ?pretty:bool -> t -> string
     object that would run past 120 columns onto one member per line,
     indented by two spaces, and keeps the rest on one line. *)
 
-val esc : string -> string
-(** Escape for use inside a double-quoted JSON string: quote,
-    backslash, [\n], [\r] and [\t] by name, other control bytes as
-    [\u00XX]. *)
-
 val str : string -> string
 (** A quoted, escaped JSON string literal. *)

@@ -18,6 +18,5 @@ val counters_on : t -> bool
 val journeys_on : t -> bool
 (** [true] for [Journeys] only. *)
 
-val to_string : t -> string
 val of_string : string -> (t, string) result
 val pp : Format.formatter -> t -> unit

@@ -347,6 +347,78 @@ let prop_nat_differential =
            (P4ir.Bitval.to_int64 (P4ir.Phv.get phv Net_hdrs.ip_src)))
         (Nat.reference nat_bindings src))
 
+(* Random tenant -> DSCP assignments over tenants 0..15 (each tenant at
+   most once), against packets of a random tenant and DSCP: the tenant
+   rides in context slot 0 under [ctx_key_tenant], where the classifier
+   writes it, so both assigned and unassigned tenants occur. *)
+let prop_dscp_marker_differential =
+  QCheck.Test.make ~name:"dscp marker vs reference" ~count:300 QCheck.unit
+    (fun () ->
+      let assignments =
+        List.filter_map
+          (fun tenant ->
+            if Random.State.bool st then
+              Some (tenant, Random.State.int st 64)
+            else None)
+          (List.init 16 Fun.id)
+      in
+      let nf = Result.get_ok (Dscp_marker.create assignments ()) in
+      let tenant = Random.State.int st 16 and dscp = Random.State.int st 64 in
+      let tuple =
+        { Netpkt.Flow.src = Netpkt.Ip4.random st; dst = Netpkt.Ip4.random st;
+          proto = Netpkt.Ipv4.proto_tcp; src_port = 1; dst_port = 2 }
+      in
+      let hdr =
+        { Sfc_header.default with
+          context = [| (Sfc_header.ctx_key_tenant, tenant); (0, 0); (0, 0); (0, 0) |] }
+      in
+      let pkt =
+        List.map
+          (function
+            | Netpkt.Pkt.Ipv4 h -> Netpkt.Pkt.Ipv4 { h with Netpkt.Ipv4.dscp }
+            | l -> l)
+          (pkt_for ~sfc:(Some hdr) tuple)
+      in
+      let phv = phv_of_pkt nf pkt in
+      exec nf phv;
+      P4ir.Phv.get_int phv (P4ir.Fieldref.v "ipv4" "dscp")
+      = Dscp_marker.reference assignments ~tenant ~dscp)
+
+(* Up to four random selectors, each side absent or a prefix of length
+   0..32, against packets whose addresses are drawn inside a selector's
+   prefixes or at random, so both tapped and untapped traffic occurs. *)
+let prop_mirror_tap_differential =
+  QCheck.Test.make ~name:"mirror tap vs reference" ~count:300 QCheck.unit
+    (fun () ->
+      let side () =
+        if Random.State.bool st then None
+        else Some (Netpkt.Ip4.prefix (Netpkt.Ip4.random st) (Random.State.int st 33))
+      in
+      let selectors =
+        List.init (Random.State.int st 5) (fun _ ->
+            { Mirror_tap.src = side (); dst = side () })
+      in
+      let nf = Result.get_ok (Mirror_tap.create selectors ()) in
+      let addr pick =
+        match
+          if selectors <> [] && Random.State.bool st then
+            pick (List.nth selectors (Random.State.int st (List.length selectors)))
+          else None
+        with
+        | Some p -> random_ip_in p
+        | None -> Netpkt.Ip4.random st
+      in
+      let src = addr (fun s -> s.Mirror_tap.src)
+      and dst = addr (fun s -> s.Mirror_tap.dst) in
+      let tuple =
+        { Netpkt.Flow.src; dst; proto = Netpkt.Ipv4.proto_tcp; src_port = 1;
+          dst_port = 2 }
+      in
+      let phv = phv_of_pkt nf (pkt_for ~sfc:with_sfc tuple) in
+      exec nf phv;
+      (P4ir.Phv.get_int phv Sfc_header.mirror_flag = 1)
+      = Mirror_tap.reference selectors ~src ~dst)
+
 let test_dscp_marker_uses_context () =
   let nf = Result.get_ok (Dscp_marker.create [ (1, 46); (2, 26) ] ()) in
   let tuple =
@@ -410,6 +482,8 @@ let () =
       ( "extensions",
         [
           qtest prop_nat_differential;
+          qtest prop_dscp_marker_differential;
+          qtest prop_mirror_tap_differential;
           Alcotest.test_case "dscp marker" `Quick test_dscp_marker_uses_context;
           Alcotest.test_case "mirror tap" `Quick test_mirror_tap;
         ] );

@@ -474,6 +474,41 @@ let test_eviction_invalidates_cached_verdict () =
       check Alcotest.string "same backend, byte-identical output" sig_a
         (signature_of (Ok o))
 
+(* TTL aging through the runtime: a store's logical clock moves only
+   through [Runtime.advance_state_time]. A flow idle past the TTL loses
+   its LB session and the session's chip entry; its next packet must
+   re-punt rather than replay the cached verdict, and leave with the
+   same backend and bytes. *)
+let test_runtime_ttl () =
+  let rt =
+    lb_runtime ~engine:(engine ~cache:true ~capacity:64 ~ttl_ns:100L ()) ()
+  in
+  let a = red ~src_octet:9 ~src_port:7000 in
+  let punts = function
+    | Error e -> Alcotest.fail e
+    | Ok (o : Runtime.outcome) ->
+        o.Runtime.counters.Runtime.Counters.cpu_round_trips
+  in
+  check Alcotest.int "a new flow punts" 1 (punts (send rt a));
+  let second = send rt a in
+  check Alcotest.int "its second packet does not" 0 (punts second);
+  check Alcotest.int "its verdict is cached" 1
+    (Flow_cache.length (Option.get (Runtime.flow_cache rt)));
+  check Alcotest.int "nothing expires within the TTL" 0
+    (Runtime.advance_state_time rt 50L);
+  check Alcotest.int "the session expires past it" 1
+    (Runtime.advance_state_time rt 100L);
+  (match
+     Asic.Chip.find_table (Runtime.chip rt)
+       (Compose.nf_table_name ~nf:Nflib.Lb.name Nflib.Lb.table_name)
+   with
+  | Some t -> check Alcotest.int "the chip's session table is empty" 0 (P4ir.Table.size t)
+  | None -> Alcotest.fail "no LB session table");
+  let next = send rt a in
+  check Alcotest.int "the flow punts again" 1 (punts next);
+  check Alcotest.string "same backend, byte-identical output"
+    (signature_of second) (signature_of next)
+
 (* Store counters surface as registry gauges in the stats snapshot. *)
 let test_state_gauges_in_snapshot () =
   let rt =
@@ -628,6 +663,7 @@ let () =
         [
           Alcotest.test_case "eviction invalidates cached verdict" `Quick
             test_eviction_invalidates_cached_verdict;
+          Alcotest.test_case "runtime ttl" `Quick test_runtime_ttl;
           Alcotest.test_case "state gauges in snapshot" `Quick
             test_state_gauges_in_snapshot;
           Alcotest.test_case "state off identical" `Quick
