@@ -332,7 +332,7 @@ let ablation_compose () =
   let id = { Asic.Pipelet.pipeline = 0; kind = Asic.Pipelet.Ingress } in
   List.iter
     (fun (name, layout) ->
-      match Compose.build ~spec ~generic_parser ~id ~layout ~nf_of with
+      match Compose.build ~generic_parser ~id ~layout ~nf_of with
       | Error e -> Format.printf "%-24s error: %s@." name e
       | Ok b -> (
           match Asic.Pipelet.load spec id b.Compose.program with

@@ -138,7 +138,17 @@ let send_cmd =
   in
   let run strategy extended dst src dport in_port trace =
     let compiled = or_die (compile ~strategy ~extended) in
-    let rt = Runtime.create compiled in
+    (* The chip records each pass's control events for the journey
+       recorder only: the trace is the packet's journey, every walk of
+       it, CPU round trips included. *)
+    let engine =
+      {
+        Runtime.Engine.default with
+        telemetry =
+          (if trace then Telemetry.Level.Journeys else Telemetry.Level.Off);
+      }
+    in
+    let rt = Runtime.create ~engine compiled in
     Nflib.Catalog.attach_handlers rt compiled;
     let pkt =
       Netpkt.Pkt.tcp_flow
@@ -152,10 +162,6 @@ let send_cmd =
           dst_port = dport;
         }
     in
-    (* The chip records each pass's control events for the journey
-       recorder only: the trace is the packet's journey, every walk of
-       it, CPU round trips included. *)
-    if trace then Runtime.set_telemetry rt Telemetry.Level.Journeys;
     let sent = Ptf.send rt ~in_port pkt in
     Option.iter
       (fun o ->
@@ -465,7 +471,7 @@ let churn_cmd =
     Cmdliner.Arg.(
       value & opt int 50
       & info [ "op-batch" ] ~docv:"N"
-          ~doc:"Ops submitted per control-plane batch.")
+          ~doc:"Ops applied per control-plane batch.")
   in
   let seed_arg =
     Cmdliner.Arg.(
@@ -497,28 +503,21 @@ let churn_cmd =
       split [] [] 0 trace
     in
     let traffic = mixed_workload packets in
-    (* Live: the producer/consumer path. Each op batch goes through the
-       update queue; the data plane drains and applies it at the next
-       batch boundary, so updates land between packet batches while
-       traffic keeps flowing. *)
+    (* Live: each op batch is applied between packet batches, so
+       updates land while traffic keeps flowing. *)
     let rt = mk () in
-    let q = Runtime.control rt in
     let t0 = Unix.gettimeofday () in
-    List.iter
-      (fun ops ->
-        ignore (Ctrl.submit q ops);
-        ignore (Runtime.process_batch_parallel rt traffic))
-      batches;
-    let wall = Unix.gettimeofday () -. t0 in
     let failed =
-      List.filter (fun (_, r) -> Result.is_error r) (Ctrl.results q)
+      List.concat
+        (List.mapi
+           (fun i ops ->
+             let r = Runtime.apply_ops rt ops in
+             ignore (Runtime.process_batch_parallel rt traffic);
+             match r with Ok _ -> [] | Error e -> [ (i, e) ])
+           batches)
     in
-    List.iter
-      (fun (id, r) ->
-        match r with
-        | Error e -> Format.eprintf "batch %d failed: %s@." id e
-        | Ok _ -> ())
-      failed;
+    let wall = Unix.gettimeofday () -. t0 in
+    List.iter (fun (i, e) -> Format.eprintf "batch %d failed: %s@." i e) failed;
     (* Cold oracle: a fresh runtime, the same trace, no traffic. *)
     let cold = mk () in
     (match Runtime.apply_ops cold trace with
@@ -526,9 +525,29 @@ let churn_cmd =
     | Error e ->
         Format.eprintf "error: cold apply failed: %s@." e;
         exit 1);
-    let live_digest = Ctrl.state_digest (Runtime.chip rt) in
-    let cold_digest = Ctrl.state_digest (Runtime.chip cold) in
-    let ok = failed = [] && Int64.equal live_digest cold_digest in
+    (* Only the tables the trace writes: traffic also fills tables at
+       packet time (the LB's punts install sessions), and the cold
+       oracle carries none. *)
+    let written =
+      List.sort_uniq String.compare
+        (List.filter_map
+           (function Ctrl.Table (name, _) -> Some name | Ctrl.Reg_reset _ -> None)
+           trace)
+    in
+    let entries rt name =
+      match Asic.Chip.find_table (Runtime.chip rt) name with
+      | Some tbl -> P4ir.Table.entries tbl
+      | None -> []
+    in
+    let compared =
+      List.map
+        (fun name ->
+          let live = entries rt name and cold = entries cold name in
+          (name, List.length live, List.length cold, live = cold))
+        written
+    in
+    let identical = List.for_all (fun (_, _, _, same) -> same) compared in
+    let ok = failed = [] && identical in
     Format.printf
       "churn: %d ops in %d batches of <=%d, %d pkts of traffic per batch, \
        domains=%d cache=%b@."
@@ -536,9 +555,11 @@ let churn_cmd =
     Format.printf "wall=%.2fms (%.0f ops/s incl. traffic)@." (wall *. 1000.0)
       (float_of_int ops /. wall);
     print_cache_stats rt;
-    Format.printf "state digest: live=%Lx cold=%Lx identical=%b@." live_digest
-      cold_digest
-      (Int64.equal live_digest cold_digest);
+    List.iter
+      (fun (name, live, cold, same) ->
+        Format.printf "state %s: live=%d cold=%d entries identical=%b@." name
+          live cold same)
+      compared;
     print_state_stats rt;
     if not ok then begin
       Format.eprintf
@@ -619,12 +640,14 @@ let stats_cmd =
   let run strategy extended packets level json n_journeys entries engine
       prometheus jsonl postcards =
     let compiled = or_die (compile ~strategy ~extended) in
-    let rt = Runtime.create ~engine compiled in
-    Nflib.Catalog.attach_handlers rt compiled;
     let level =
       if n_journeys > 0 || postcards then Telemetry.Level.Journeys else level
     in
-    Runtime.set_telemetry rt level;
+    let rt =
+      Runtime.create ~engine:{ engine with Runtime.Engine.telemetry = level }
+        compiled
+    in
+    Nflib.Catalog.attach_handlers rt compiled;
     let stats = Runtime.process_batch_parallel rt (mixed_workload packets) in
     print_batch_errors stats;
     if prometheus || jsonl then begin
@@ -727,9 +750,13 @@ let top_cmd =
     let domains = engine.Runtime.Engine.domains in
     let cache = engine.Runtime.Engine.cache <> Runtime.Engine.Off in
     let compiled = or_die (compile ~strategy ~extended) in
-    let rt = Runtime.create ~engine compiled in
+    let rt =
+      Runtime.create
+        ~engine:
+          { engine with Runtime.Engine.telemetry = Telemetry.Level.Counters }
+        compiled
+    in
     Nflib.Catalog.attach_handlers rt compiled;
-    Runtime.set_telemetry rt Telemetry.Level.Counters;
     let w = Telemetry.Export.Window.create ~capacity:window in
     let traffic = mixed_workload packets in
     let tty = Unix.isatty Unix.stdout in

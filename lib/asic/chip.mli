@@ -116,9 +116,9 @@ val set_telemetry :
     nothing per packet. Observable packet behavior is identical at
     every level; only [Journeys] fills a {!result}'s [hops].
 
-    This is chip-internal plumbing: application code configures
-    telemetry through {!Runtime.set_telemetry} (or the runtime's engine
-    config), which owns the registry the label counters land in. *)
+    This is chip-internal plumbing: application code picks a telemetry
+    level in the runtime's engine ([Runtime.Engine.telemetry]), and the
+    runtime owns the registry the label counters land in. *)
 
 val set_sfc_probe : t -> (P4ir.Phv.t -> Telemetry.Journey.hop_meta) -> unit
 (** Install the per-hop PHV reader used in [Journeys] mode. The default

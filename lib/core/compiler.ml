@@ -137,7 +137,7 @@ let compile input =
       (fun acc id ->
         let* l = acc in
         let* b =
-          Compose.build ~spec:input.spec ~generic_parser ~id
+          Compose.build ~generic_parser ~id
             ~layout:(Layout.layout_of layout id) ~nf_of
         in
         Ok (l @ [ (id, b) ]))

@@ -86,8 +86,6 @@ let bump_index =
       ],
       [] )
 
-let bump_gateways = 1
-
 (* Rename an NF's tables and body to the composed namespace. *)
 let renamed_nf (nf : Nf.t) =
   let rename = nf_table_name ~nf:nf.Nf.name in
@@ -102,24 +100,24 @@ let renamed_nf (nf : Nf.t) =
 let seq_nf_block (nf : Nf.t) body flags_table =
   match nf.Nf.gate with
   | Nf.On_missing_sfc ->
-      ( P4ir.Control.If
+      [
+        P4ir.Control.If
           ( P4ir.Expr.Un (P4ir.Expr.LNot, P4ir.Expr.Valid Sfc_header.name),
             [ P4ir.Control.Label (nf.Nf.name, body); bump_index ],
-            [] )
-        :: [ P4ir.Control.Apply (P4ir.Table.name flags_table) ],
-        1 + bump_gateways )
+            [] );
+        P4ir.Control.Apply (P4ir.Table.name flags_table);
+      ]
   | Nf.Sfc_indexed ->
-      ( [
-          P4ir.Control.Apply_switch
-            ( check_next_name nf.Nf.name,
-              [
-                ( proceed_action,
-                  [ P4ir.Control.Label (nf.Nf.name, body); bump_index ] );
-              ],
-              [] );
-          P4ir.Control.Apply (P4ir.Table.name flags_table);
-        ],
-        bump_gateways )
+      [
+        P4ir.Control.Apply_switch
+          ( check_next_name nf.Nf.name,
+            [
+              ( proceed_action,
+                [ P4ir.Control.Label (nf.Nf.name, body); bump_index ] );
+            ],
+            [] );
+        P4ir.Control.Apply (P4ir.Table.name flags_table);
+      ]
 
 (* Parallel composition: if/else-if ladder, one shared flags check. A
    classifier-style member becomes the no-SFC branch wrapping the whole
@@ -144,20 +142,18 @@ let par_group_block nfs_with_bodies flags_table =
               ladder rest );
         ]
   in
-  let inner = ladder indexed in
-  let wrapped, extra_gateways =
+  let wrapped =
     List.fold_left
-      (fun (block, gw) ((nf : Nf.t), body) ->
-        ( [
-            P4ir.Control.If
-              ( P4ir.Expr.Un (P4ir.Expr.LNot, P4ir.Expr.Valid Sfc_header.name),
-                [ P4ir.Control.Label (nf.Nf.name, body); bump_index ],
-                block );
-          ],
-          gw + 1 ))
-      (inner, 0) classifiers
+      (fun block ((nf : Nf.t), body) ->
+        [
+          P4ir.Control.If
+            ( P4ir.Expr.Un (P4ir.Expr.LNot, P4ir.Expr.Valid Sfc_header.name),
+              [ P4ir.Control.Label (nf.Nf.name, body); bump_index ],
+              block );
+        ])
+      (ladder indexed) classifiers
   in
-  (wrapped @ [ P4ir.Control.Apply (P4ir.Table.name flags_table) ], extra_gateways)
+  wrapped @ [ P4ir.Control.Apply (P4ir.Table.name flags_table) ]
 
 let strip_block =
   let open P4ir.Expr in
@@ -213,10 +209,7 @@ let strip_block =
         [] );
   ]
 
-let strip_gateways = 3
-
-let build ~spec ~generic_parser ~id ~layout ~nf_of =
-  ignore spec;
+let build ~generic_parser ~id ~layout ~nf_of =
   let* nfs =
     List.fold_left
       (fun acc name ->
@@ -263,7 +256,6 @@ let build ~spec ~generic_parser ~id ~layout ~nf_of =
     flags_tables := !flags_tables @ [ t ];
     t
   in
-  let gateways = ref 0 in
   let* group_blocks =
     List.fold_left
       (fun acc (gi, group) ->
@@ -276,30 +268,21 @@ let build ~spec ~generic_parser ~id ~layout ~nf_of =
                   let* b = acc in
                   let nf = nf_by_name name in
                   let flags = fresh_flags name in
-                  let nf_block, gw = seq_nf_block nf (body_of name) flags in
-                  gateways := !gateways + gw;
-                  Ok (b @ nf_block))
+                  Ok (b @ seq_nf_block nf (body_of name) flags))
                 (Ok []) names
             in
             Ok (blocks @ block)
         | Layout.Par names ->
             let flags = fresh_flags (Printf.sprintf "g%d" gi) in
             let members = List.map (fun n -> (nf_by_name n, body_of n)) names in
-            let block, extra_gw = par_group_block members flags in
-            gateways :=
-              !gateways + (List.length names * bump_gateways) + extra_gw;
-            Ok (blocks @ block))
+            Ok (blocks @ par_group_block members flags))
       (Ok [])
       (List.mapi (fun i g -> (i, g)) layout)
   in
   let is_ingress = id.Asic.Pipelet.kind = Asic.Pipelet.Ingress in
   let branching = if is_ingress then Some (make_branching ()) else None in
   let tail =
-    if is_ingress then [ P4ir.Control.Apply branching_name ]
-    else begin
-      gateways := !gateways + strip_gateways;
-      strip_block
-    end
+    if is_ingress then [ P4ir.Control.Apply branching_name ] else strip_block
   in
   let framework_table_list =
     List.map snd check_next_tables
@@ -320,10 +303,17 @@ let build ~spec ~generic_parser ~id ~layout ~nf_of =
           generic_parser.P4ir.Parser_graph.decls)
       Net_hdrs.deparse_order
   in
+  let control = P4ir.Control.make (name ^ "_control") (group_blocks @ tail) in
   let program =
     P4ir.Program.make ~name ~registers:nf_registers ~parser:generic_parser ~tables
-      ~control:(P4ir.Control.make (name ^ "_control") (group_blocks @ tail))
-      ~deparse_order ()
+      ~control ~deparse_order ()
+  in
+  (* The framework's gateways are the composed control's outside the
+     [Label] blocks, each of which holds one NF's body exactly once. *)
+  let nf_gateways =
+    List.fold_left
+      (fun acc nf -> acc + P4ir.Control.gateway_count (Nf.control nf))
+      0 nfs
   in
   let* () = P4ir.Program.validate program in
   Ok
@@ -333,5 +323,5 @@ let build ~spec ~generic_parser ~id ~layout ~nf_of =
       check_next_of =
         List.map (fun (nf, t) -> (nf, P4ir.Table.name t)) check_next_tables;
       branching_table = Option.map P4ir.Table.name branching;
-      framework_gateways = !gateways;
+      framework_gateways = P4ir.Control.gateway_count control - nf_gateways;
     }

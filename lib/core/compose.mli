@@ -37,7 +37,6 @@ val act_to_port : string
 val act_resubmit : string
 
 val build :
-  spec:Asic.Spec.t ->
   generic_parser:P4ir.Parser_graph.t ->
   id:Asic.Pipelet.id ->
   layout:Layout.pipelet_layout ->

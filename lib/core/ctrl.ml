@@ -38,52 +38,6 @@ let apply_all chip ops =
   in
   go 0 ops
 
-(* --- Update queue --- *)
-
-type batch = { id : int; ops : op list; submitted_ns : int64 }
-
-type queue = {
-  mu : Mutex.t;
-  mutable pending_rev : batch list; (* newest first *)
-  mutable next_id : int;
-  mutable results_ : (int * (int, string) result) list; (* newest first *)
-}
-
-let history_cap = 256
-
-let queue () =
-  { mu = Mutex.create (); pending_rev = []; next_id = 0; results_ = [] }
-
-let locked q f =
-  Mutex.lock q.mu;
-  Fun.protect ~finally:(fun () -> Mutex.unlock q.mu) f
-
-let submit q ops =
-  (* Stamp outside the lock — the clock read needs no protection and
-     keeps the critical section minimal. *)
-  let submitted_ns = Telemetry.Tclock.now_ns () in
-  locked q (fun () ->
-      let id = q.next_id in
-      q.next_id <- id + 1;
-      q.pending_rev <- { id; ops; submitted_ns } :: q.pending_rev;
-      id)
-
-let pending q = locked q (fun () -> List.length q.pending_rev)
-
-let drain q =
-  locked q (fun () ->
-      let bs = List.rev q.pending_rev in
-      q.pending_rev <- [];
-      bs)
-
-let note q id r =
-  locked q (fun () ->
-      q.results_ <- (id, r) :: q.results_;
-      if List.length q.results_ > history_cap then
-        q.results_ <- List.filteri (fun i _ -> i < history_cap) q.results_)
-
-let results q = locked q (fun () -> q.results_)
-
 (* --- State digest ---
 
    Canonical serialization of control-plane-visible state into a

@@ -1,14 +1,12 @@
 (** The live control plane: a typed op language over a running chip's
-    tables and registers, and a producer/consumer update queue.
+    tables and registers.
 
-    Modeled on the SONiC redis-channel split between producers (routing
-    daemons, an operator CLI) and the consumer that owns the hardware:
-    producers {!submit} batches of ops to a {!queue} at any time, from
-    any domain; the data-plane owner drains the queue and applies each
-    batch *between* packet batches, so a batch is atomic with respect
-    to traffic — no packet ever observes a half-applied batch.
-    [Runtime.apply_ops] / [Runtime.sync] are the front door; nothing
-    outside tests should mutate a compiled chip's tables directly.
+    The controller applies a batch of ops *between* packet batches, so
+    a batch is atomic with respect to traffic: no packet ever observes
+    a half-applied batch. [Runtime.apply_ops] is the one door for
+    control-plane writes; a CPU handler applies its own op to the chip
+    that punted through {!apply_table}. Nothing outside tests should
+    mutate a compiled chip's tables directly.
 
     Ops address tables and registers by their composed (per-NF
     instance) names, resolved through {!Asic.Chip.find_table} /
@@ -52,50 +50,17 @@ val apply_all : Asic.Chip.t -> op list -> (int, string) result
     batches), not rollback — a failed batch leaves the prefix applied,
     like a partially-accepted P4Runtime write. *)
 
-(** {2 Update queue}
-
-    A mutex-guarded multi-producer queue of op batches. Producers run
-    anywhere (CPU handlers, CLI threads); the single consumer is the
-    runtime that owns the primary chip. *)
-
-type queue
-
-type batch = {
-  id : int;
-  ops : op list;
-  submitted_ns : int64;
-      (** monotonic-clock stamp taken at {!submit} — the consumer's
-          drain latency is measured against it *)
-}
-
-val queue : unit -> queue
-
-val submit : queue -> op list -> int
-(** Enqueue one batch; returns its id (monotone per queue). *)
-
-val pending : queue -> int
-(** Batches waiting to be drained. *)
-
-val drain : queue -> batch list
-(** Atomically take every pending batch, in submission order. *)
-
-val note : queue -> int -> (int, string) result -> unit
-(** Record the outcome of applying batch [id] ([Ok ops_applied] or the
-    error), for producers to inspect. Kept for the last 256 batches. *)
-
-val results : queue -> (int * (int, string) result) list
-(** Recorded outcomes, most recent first. *)
-
 (** {2 State digest}
 
     A canonical digest of a chip's control-plane-visible state: every
     table's entries in insertion order (priority, patterns, action,
     args) and every register's nonzero cells, CRC-32-folded in pipelet
-    order. Two chips that processed the same op history — live under
-    traffic or cold — digest equal; used by [bench runtime --churn] to
-    verify live-applied state against a cold-built runtime. Packet-time
-    state (register writes by traffic) is part of the digest, so
-    compare either before traffic or across runs with identical
-    traffic. *)
+    order. Two chips that applied the same op history digest equal
+    unless traffic wrote state into one of them, for packet-time state
+    is part of the digest: register writes by traffic, and the entries
+    CPU handlers install (an LB session, a NAT binding). So compare
+    chips before traffic or after identical traffic; [dejavu churn],
+    whose live runtime carries traffic and whose cold one does not,
+    compares only the tables its ops wrote, entry by entry. *)
 
 val state_digest : Asic.Chip.t -> int64

@@ -119,8 +119,6 @@ type t = {
   refused : int array;  (* uncacheable runs, by index into [reasons] *)
   plans : plan array;
   mutable plan_next : int;  (* the memo slot the next new plan takes *)
-  tables : P4ir.Table.t list;
-  registers : P4ir.Register.t list;
 }
 
 let stats t = t.stats
@@ -206,7 +204,7 @@ let key_of ~in_port frame =
 
 (* --- Recorder hooks --- *)
 
-let arm t =
+let arm t ~tables ~registers =
   List.iter
     (fun tbl ->
       P4ir.Table.set_on_lookup tbl
@@ -218,7 +216,7 @@ let arm t =
                  if not (List.exists (fun d -> d.dtbl == tbl) r.r_tdeps) then
                    r.r_tdeps <-
                      { dtbl = tbl; tepoch = P4ir.Table.epoch tbl } :: r.r_tdeps)))
-    t.tables;
+    tables;
   List.iter
     (fun reg ->
       let dep r =
@@ -242,17 +240,7 @@ let arm t =
              | Some r ->
                  dep r;
                  r.r_ops <- R_write (reg, idx, v) :: r.r_ops)))
-    t.registers
-
-let detach t =
-  t.recording <- None;
-  t.pending_key <- None;
-  List.iter (fun tbl -> P4ir.Table.set_on_lookup tbl None) t.tables;
-  List.iter
-    (fun reg ->
-      P4ir.Register.set_on_read reg None;
-      P4ir.Register.set_on_write reg None)
-    t.registers
+    registers
 
 (* Small at first and doubled as entries arrive, like [Hashtbl]'s
    buckets: a shard replica's cache that sees a few hundred flows must
@@ -309,12 +297,10 @@ let create ~capacity chip =
       refused = Array.make (Array.length reasons) 0;
       plans = Array.make plan_memo_size no_plan;
       plan_next = 0;
-      tables;
-      registers;
     }
   in
   clear t;
-  arm t;
+  arm t ~tables ~registers;
   t
 
 (* --- Slots and LRU plumbing --- *)

@@ -58,10 +58,6 @@ val create : capacity:int -> Asic.Chip.t -> t
     starts small and grows with occupancy, so creating a cache costs the
     same at any capacity. *)
 
-val detach : t -> unit
-(** Disarm all recorder hooks and drop any pending recording. The cache
-    must not be used afterwards. *)
-
 val capacity : t -> int
 val length : t -> int
 val stats : t -> stats

@@ -8,7 +8,6 @@ type t = {
   registers : P4ir.Register.t list;
   body : P4ir.Control.block;
   gate : gate;
-  state_tables : string list;
 }
 
 let find_table t name =
@@ -23,10 +22,8 @@ let find_register t rname =
     t.registers
 
 let make ~name ~description ~parser ~tables ?(registers = []) ~body
-    ?(gate = Sfc_indexed) ?(state_tables = []) () =
-  let t =
-    { name; description; parser; tables; registers; body; gate; state_tables }
-  in
+    ?(gate = Sfc_indexed) () =
+  let t = { name; description; parser; tables; registers; body; gate } in
   let tnames = List.map P4ir.Table.name tables in
   if List.length (List.sort_uniq String.compare tnames) <> List.length tnames
   then invalid_arg (Printf.sprintf "Nf.make %s: duplicate table names" name);

@@ -24,12 +24,6 @@ type t = {
           deployment (convention: prefix with the NF name) *)
   body : P4ir.Control.block;  (** references unprefixed table names *)
   gate : gate;
-  state_tables : string list;
-      (** the {!State_store} table names this NF's control plane
-          registers when the runtime's state knob is on (convention:
-          ["<nf>.<what>"]) — declarative metadata for operators and
-          docs; registration itself happens in the NF's handler /
-          helper against the runtime's store *)
 }
 
 val make :
@@ -40,7 +34,6 @@ val make :
   ?registers:P4ir.Register.t list ->
   body:P4ir.Control.block ->
   ?gate:gate ->
-  ?state_tables:string list ->
   unit ->
   t
 (** Validates: table names unique, body references only own tables and

@@ -15,11 +15,11 @@ type t = {
 
 let default_ring_capacity = 256
 
-let create ?(ring_capacity = default_ring_capacity) level =
+let create level =
   {
     level;
     reg = Telemetry.Registry.create ();
-    ring = Telemetry.Ring.create ring_capacity;
+    ring = Telemetry.Ring.create default_ring_capacity;
     sink = Telemetry.Int_report.create ();
     next_id = 0;
   }
@@ -65,8 +65,6 @@ let attach ~registry ~level chip =
   Asic.Chip.set_sfc_probe chip sfc_probe
 
 let attach_observer t chip = attach ~registry:t.reg ~level:t.level chip
-
-let detach chip = Asic.Chip.set_telemetry chip Telemetry.Level.Off
 
 (* Coarse error classes for the drop-reason counters; keyed off the
    stable prefixes of the runtime's own error strings. *)

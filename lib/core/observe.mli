@@ -2,17 +2,18 @@
     recorder per observer, chip hook installation, and snapshot/JSON
     export. The journeys it records carry the hops the chip built, one
     per pipelet pass ({!Asic.Chip.result}'s [hops]). The runtime owns
-    an observer when telemetry is on (see {!Runtime.set_telemetry});
-    the hot-path counters it bumps live in this observer's registry. *)
+    an observer when its engine's telemetry is on (see
+    {!Runtime.Engine}); the hot-path counters it bumps live in this
+    observer's registry. *)
 
 type t
 
 val default_ring_capacity : int
-(** 256 — what {!create} uses when [ring_capacity] is omitted. *)
+(** 256 — the flight recorder's depth, in journeys. *)
 
-val create : ?ring_capacity:int -> Telemetry.Level.t -> t
-(** A fresh registry and an empty flight recorder ([ring_capacity]
-    journeys, default {!default_ring_capacity}). *)
+val create : Telemetry.Level.t -> t
+(** A fresh registry and an empty flight recorder of
+    {!default_ring_capacity} journeys. *)
 
 val level : t -> Telemetry.Level.t
 val registry : t -> Telemetry.Registry.t
@@ -27,9 +28,6 @@ val attach_observer : t -> Asic.Chip.t -> unit
     by its own registry: table stats, per-NF label counters
     ([nf.<name>.applies]) and the SFC journey probe. No state is global,
     so per-domain observers each wire their own. *)
-
-val detach : Asic.Chip.t -> unit
-(** Back to [Off]: stats discarded, uninstrumented controls recompiled. *)
 
 val error_class : string -> string
 (** Coarse class of a runtime error message ([cpu_loop], [pass_limit],

@@ -24,11 +24,11 @@ module Counters = struct
     }
 end
 
-(* The whole runtime configuration in one record: how packets execute
-   (exec_mode), how much is observed (telemetry + ring_capacity), how
-   batches parallelize (domains), and whether the exact-match flow
-   cache fronts the pipeline (cache). One [configure] call replaces
-   the scattered per-knob setters. *)
+(* The whole runtime configuration in one record, fixed at [create]:
+   how packets execute (exec_mode), how much is observed (telemetry),
+   how batches parallelize (domains), whether the exact-match flow
+   cache fronts the pipeline (cache), and whether stateful NFs keep
+   their state in bounded stores (state). *)
 module Engine = struct
   type cache = Off | Emc of { capacity : int }
 
@@ -41,7 +41,6 @@ module Engine = struct
     exec_mode : Asic.Chip.exec_mode;
     telemetry : Telemetry.Level.t;
     domains : int;
-    ring_capacity : int;
     cache : cache;
     state : state;
   }
@@ -51,7 +50,6 @@ module Engine = struct
       exec_mode = Asic.Chip.Fast;
       telemetry = Telemetry.Level.Off;
       domains = 1;
-      ring_capacity = Observe.default_ring_capacity;
       cache = Off;
       state = No_state;
     }
@@ -83,8 +81,6 @@ type obs_state = {
   c_gc_minor : int ref;  (* cumulative minor words allocated in batches *)
   c_gc_major : int ref;
   h_ns : Telemetry.Histogram.t;
-  h_queue_depth : Telemetry.Histogram.t;  (* ctrl batches per drain *)
-  h_drain_ns : Telemetry.Histogram.t;  (* submit-to-apply latency *)
   h_alloc_w : Telemetry.Histogram.t;  (* words allocated per packet *)
 }
 
@@ -105,21 +101,17 @@ type t = {
      the branching plan and the layout so per-CPU-reinject dispatch is a
      single hash probe instead of two linear scans. *)
   reinject : (int * int, int) Hashtbl.t;
-  mutable engine : Engine.t;
-  mutable obs : obs_state option;
+  engine : Engine.t;
+  obs : obs_state option;
   (* The exact-match flow cache fronting this runtime's chip; [None]
      when the engine's cache knob is [Off]. Shard replicas get their
      own cache over their own replica chip. *)
-  mutable cache : Flow_cache.t option;
+  cache : Flow_cache.t option;
   (* Bounded state stores, one per shard, persistent across batches
      (unlike replica chips); [||] when the engine's state knob is
      [No_state]. Shard d's replica runtime carries [stores.(d)] alone;
      the primary's handlers bind [stores.(0)]. *)
   mutable stores : State_store.t array;
-  (* Control-plane update queue, drained onto the primary chip at batch
-     boundaries. Shard replicas carry a fresh (never-submitted-to)
-     queue — ops always target the primary. *)
-  ctrl : Ctrl.queue;
 }
 
 let max_cpu_loops = 8
@@ -157,64 +149,27 @@ let chip t = t.chip
 
 (* --- Control plane front door ---
 
-   All runtime table/register mutation funnels through here: [apply_ops]
-   applies a batch to the primary chip immediately (the caller
-   guarantees it is between packet batches — the single-consumer
-   contract), [control]/[submit] let producers on any domain queue
-   batches, and [sync] — called automatically at the top of every
-   packet batch — drains the queue onto the primary chip. Replica
+   All control-plane table/register writes funnel through [apply_ops],
+   applied to the primary chip between packet batches. Replica
    coherence is structural: parallel batches clone per-domain replicas
-   from the primary at batch start, so a drained batch is visible to
-   every shard of the next packet batch and to none of the current
-   one. *)
+   from the primary at batch start, so a batch applied here is visible
+   to every shard of the next packet batch. *)
 
-let apply_ops t ops = Ctrl.apply_all t.chip ops
-let control t = t.ctrl
+let apply_ops t ops =
+  let r = Ctrl.apply_all t.chip ops in
+  (match (t.obs, r) with
+  | Some os, Ok k -> os.c_ctrl_applied := !(os.c_ctrl_applied) + k
+  | Some os, Error _ -> incr os.c_ctrl_failed
+  | None, _ -> ());
+  r
 
-let sync t =
-  let batches = Ctrl.drain t.ctrl in
-  (* Queue-depth histogram: how many batches had piled up per drain —
-     the back-pressure signal for producers. Only non-empty drains are
-     observed; idle batch boundaries would drown the distribution in
-     zeros. *)
-  (match t.obs with
-  | Some os when batches <> [] ->
-      Telemetry.Histogram.observe os.h_queue_depth (List.length batches)
-  | _ -> ());
-  let applied, errs_rev =
-    List.fold_left
-      (fun (n, errs) (b : Ctrl.batch) ->
-        (match t.obs with
-        | None -> ()
-        | Some os ->
-            let waited =
-              Int64.to_int
-                (Int64.sub (Telemetry.Tclock.now_ns ()) b.Ctrl.submitted_ns)
-            in
-            Telemetry.Histogram.observe os.h_drain_ns (max 0 waited));
-        match Ctrl.apply_all t.chip b.Ctrl.ops with
-        | Ok k ->
-            Ctrl.note t.ctrl b.Ctrl.id (Ok k);
-            (match t.obs with
-            | Some os -> os.c_ctrl_applied := !(os.c_ctrl_applied) + k
-            | None -> ());
-            (n + k, errs)
-        | Error e ->
-            Ctrl.note t.ctrl b.Ctrl.id (Error e);
-            (match t.obs with
-            | Some os -> incr os.c_ctrl_failed
-            | None -> ());
-            (n, (b.Ctrl.id, e) :: errs))
-      (0, []) batches
-  in
-  (applied, List.rev errs_rev)
-
-let enable_obs t level ring_capacity =
-  let o = Observe.create ~ring_capacity level in
-  Observe.attach_observer o t.chip;
+(* An observer over [chip] at [level], with its counter refs resolved. *)
+let observe level chip =
+  let o = Observe.create level in
+  Observe.attach_observer o chip;
   let reg = Observe.registry o in
   let c = Telemetry.Registry.counter reg in
-  let n_ports = Asic.Spec.n_eth_ports (Asic.Chip.spec t.chip) in
+  let n_ports = Asic.Spec.n_eth_ports (Asic.Chip.spec chip) in
   (* Bound one by one so registration (= display) order is sensible:
      record fields would evaluate right-to-left. *)
   let c_emitted = c "verdict.emitted" in
@@ -233,39 +188,33 @@ let enable_obs t level ring_capacity =
   let c_gc_minor = c "gc.minor_words" in
   let c_gc_major = c "gc.major_words" in
   let h_ns = Telemetry.Registry.histogram reg "runtime.ns_per_packet" in
-  let h_queue_depth = Telemetry.Registry.histogram reg "ctrl.queue_depth" in
-  let h_drain_ns = Telemetry.Registry.histogram reg "ctrl.drain_ns" in
   let h_alloc_w =
     Telemetry.Registry.histogram reg "runtime.alloc_words_per_packet"
   in
   let rx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.rx" p)) in
   let tx = Array.init n_ports (fun p -> c (Printf.sprintf "port.%d.tx" p)) in
-  t.obs <-
-    Some
-      {
-        o;
-        rx;
-        tx;
-        c_emitted;
-        c_dropped;
-        c_to_cpu;
-        c_errors;
-        c_punts;
-        c_round_trips;
-        c_recircs;
-        c_resubmits;
-        c_cache_hit;
-        c_cache_miss;
-        c_ctrl_applied;
-        c_ctrl_failed;
-        c_suppressed;
-        c_gc_minor;
-        c_gc_major;
-        h_ns;
-        h_queue_depth;
-        h_drain_ns;
-        h_alloc_w;
-      }
+  {
+    o;
+    rx;
+    tx;
+    c_emitted;
+    c_dropped;
+    c_to_cpu;
+    c_errors;
+    c_punts;
+    c_round_trips;
+    c_recircs;
+    c_resubmits;
+    c_cache_hit;
+    c_cache_miss;
+    c_ctrl_applied;
+    c_ctrl_failed;
+    c_suppressed;
+    c_gc_minor;
+    c_gc_major;
+    h_ns;
+    h_alloc_w;
+  }
 
 let primary_store t =
   if Array.length t.stores = 0 then None else Some t.stores.(0)
@@ -294,55 +243,24 @@ let reshard t n =
       bind_handlers t
   | Some _ | None -> ()
 
-let configure t (e : Engine.t) =
-  let e = { e with Engine.domains = max 1 e.Engine.domains } in
-  let prev = t.engine in
-  t.engine <- e;
-  Asic.Chip.set_exec_mode t.chip e.Engine.exec_mode;
-  (* A changed state knob starts from empty stores, mirroring the
-     cache's semantics; [reshard] then builds the new layout. *)
-  if
-    Engine.store_config prev.Engine.state <> Engine.store_config e.Engine.state
-    && Array.length t.stores > 0
-  then begin
-    t.stores <- [||];
-    bind_handlers t
-  end;
-  reshard t e.Engine.domains;
-  (* Re-attach only when an observation knob changed: reconfiguring
-     exec_mode or domains must not wipe accumulated counters. *)
-  let reattach =
-    e.Engine.telemetry <> prev.Engine.telemetry
-    || e.Engine.ring_capacity <> prev.Engine.ring_capacity
-    || (Option.is_none t.obs && e.Engine.telemetry <> Telemetry.Level.Off)
-  in
-  (if reattach then
-     match e.Engine.telemetry with
-     | Telemetry.Level.Off ->
-         Observe.detach t.chip;
-         t.obs <- None
-     | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
-         enable_obs t level e.Engine.ring_capacity);
-  (* Cache transitions: keep an unchanged cache (and its entries and
-     stats) alive; anything else detaches the old recorders before
-     building the replacement, so a chip never carries two sets of
-     hooks. *)
-  match (prev.Engine.cache, e.Engine.cache) with
-  | Engine.Off, Engine.Off -> ()
-  | Engine.Emc { capacity = a }, Engine.Emc { capacity = b }
-    when a = b && Option.is_some t.cache ->
-      ()
-  | _, Engine.Off ->
-      Option.iter Flow_cache.detach t.cache;
-      t.cache <- None
-  | _, Engine.Emc { capacity } ->
-      Option.iter Flow_cache.detach t.cache;
-      t.cache <- Some (Flow_cache.create ~capacity t.chip)
-
 (* The one constructor, behind [create] and [replica_of]: the engine
-   starts as [engine] itself, so [configure] only builds what is
-   missing — observer, cache and, when [stores] is empty, the stores. *)
+   is fixed here, so the observer, the cache and — when [stores] is
+   empty — the stores are built once, in that order after the exec
+   mode. *)
 let make ~compiled ~chip ~handlers ~nf_ids ~reinject ~stores engine =
+  let engine = { engine with Engine.domains = max 1 engine.Engine.domains } in
+  Asic.Chip.set_exec_mode chip engine.Engine.exec_mode;
+  let obs =
+    match engine.Engine.telemetry with
+    | Telemetry.Level.Off -> None
+    | (Telemetry.Level.Counters | Telemetry.Level.Journeys) as level ->
+        Some (observe level chip)
+  in
+  let cache =
+    match engine.Engine.cache with
+    | Engine.Off -> None
+    | Engine.Emc { capacity } -> Some (Flow_cache.create ~capacity chip)
+  in
   let t =
     {
       compiled;
@@ -352,13 +270,12 @@ let make ~compiled ~chip ~handlers ~nf_ids ~reinject ~stores engine =
       nf_ids;
       reinject;
       engine;
-      obs = None;
-      cache = None;
+      obs;
+      cache;
       stores;
-      ctrl = Ctrl.queue ();
     }
   in
-  configure t engine;
+  reshard t engine.Engine.domains;
   bind_handlers t;
   t
 
@@ -367,7 +284,6 @@ let create ?(engine = Engine.default) compiled =
     ~nf_ids:(Hashtbl.create 8) ~reinject:(build_reinject_map compiled)
     ~stores:[||] engine
 
-let engine t = t.engine
 let flow_cache t = t.cache
 let state_stores t = t.stores
 let state_store t = primary_store t
@@ -387,14 +303,6 @@ let default_nf_id name =
     Int64.to_int (Netpkt.Bytes_util.crc16 b ~off:0 ~len:(Bytes.length b))
   in
   if h = 0 then 1 else h
-
-let set_telemetry ?ring_capacity t level =
-  let ring_capacity =
-    match ring_capacity with
-    | Some r -> r
-    | None -> t.engine.Engine.ring_capacity
-  in
-  configure t { t.engine with Engine.telemetry = level; ring_capacity }
 
 let telemetry t = Option.map (fun os -> os.o) t.obs
 
@@ -656,15 +564,11 @@ let gc_words () =
   (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
 
 let process_batch ?each t pkts =
-  (* Batch boundary: drain queued control-plane batches onto this
-     runtime's chip before any packet of this batch runs. Outcomes land
-     in the queue's result log. *)
-  ignore (sync t);
   (* Sequential handlers serve every flow from the shard-0 store, so
      the stores must be one shard here. *)
   reshard t 1;
-  (* Allocation accounting brackets the packet loop (after the ctrl
-     drain, so control-plane work is not billed to packets). The
+  (* Allocation accounting brackets the packet loop (after the
+     re-shard, so store migration is not billed to packets). The
      per-packet figure includes whatever observation itself allocates —
      that is the point: it is the number the zero-alloc work must
      drive down at [Off], and the overhead it pays above it. *)
@@ -830,10 +734,6 @@ let process_batch_parallel ?domains ?each t pkts =
        its state persistence on the primary chip. *)
     process_batch ?each t pkts
   else begin
-    (* Drain queued control ops onto the primary BEFORE replicating:
-       every shard of this batch then clones the same post-update
-       state — the replica-coherence point. *)
-    ignore (sync t);
     (* Re-home the entries first so shard d's packets meet shard d's
        state (and no two domains ever share a store). *)
     reshard t domains;
@@ -902,7 +802,7 @@ let process_batch_parallel ?domains ?each t pkts =
 
 let int_sink t = Option.map (fun os -> Observe.int_sink os.o) t.obs
 
-(* Absolute gauges (cache occupancy, INT flow counts, queue depth) are
+(* Absolute gauges (cache occupancy, store tallies, INT flow counts) are
    written into the registry only here, at snapshot time — never on the
    hot path and never on a shard replica, so [Registry.merge] (which
    sums) cannot double-count them when parallel batches fold replica
@@ -944,7 +844,6 @@ let sync_gauges t =
             g "expirations" s.State_store.expirations)
           (State_store.totals t.stores)
       end;
-      set "ctrl.pending" (Ctrl.pending t.ctrl);
       let sink = Observe.int_sink os.o in
       if Telemetry.Int_report.pushed sink > 0 then begin
         set "int.flows" (Telemetry.Int_report.flows sink);

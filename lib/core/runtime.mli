@@ -26,9 +26,8 @@ module Counters : sig
   }
 end
 
-(** The runtime's whole configuration as one value — replaces scattered
-    per-knob mutators. Apply with {!configure}; read back with
-    {!engine}. *)
+(** The runtime's whole configuration as one value, fixed at {!create}:
+    a runtime with another engine is another runtime. *)
 module Engine : sig
   (** The exact-match flow cache fronting the pipeline. [Emc] memoizes
       each flow's whole-chain verdict after its first packet (see
@@ -47,12 +46,18 @@ module Engine : sig
 
   type t = {
     exec_mode : Asic.Chip.exec_mode;  (** default [Fast] *)
-    telemetry : Telemetry.Level.t;  (** default [Off] *)
+    telemetry : Telemetry.Level.t;
+        (** default [Off]. [Counters] and [Journeys] instrument the
+            runtime and its chip: per-port rx/tx, verdict and
+            packet-path counters, error-class counters, an
+            ns-per-packet histogram ([runtime.ns_per_packet], two
+            monotonic-clock reads around {!process}), control-op
+            counters ([ctrl.ops_applied], [ctrl.batches_failed]) and —
+            at [Journeys] — a per-packet journey pushed into a flight
+            recorder of {!Observe.default_ring_capacity} entries. *)
     domains : int;
         (** default shard count for {!process_batch_parallel} when its
             [?domains] is omitted; clamped to >= 1 *)
-    ring_capacity : int;
-        (** flight-recorder depth when telemetry is [Journeys] *)
     cache : cache;  (** default [Off] *)
     state : state;  (** default [No_state] *)
   }
@@ -64,21 +69,8 @@ type t
 
 val create : ?engine:Engine.t -> Compiler.t -> t
 (** A runtime over the compiled chip, configured per [engine]
-    (default {!Engine.default}). *)
-
-val configure : t -> Engine.t -> unit
-(** Apply a full configuration: exec mode takes effect immediately;
-    telemetry re-attaches (fresh registry and ring) only when the
-    telemetry level or ring capacity actually changed, so flipping
-    [exec_mode] or [domains] never wipes accumulated counters. The
-    flow cache likewise survives unchanged [cache] knobs; any change
-    detaches the old cache's recorders and starts empty. The state
-    stores survive an unchanged [state] knob at an unchanged shard
-    count; a [domains] change under a live [Bounded] knob re-homes
-    every entry to its new owner shard ({!State_store.migrate} by the
-    canonical 5-tuple shard hint); a knob change starts fresh. *)
-
-val engine : t -> Engine.t
+    (default {!Engine.default}): it sets the chip's exec mode and
+    builds the observer, the flow cache and the state stores once. *)
 
 val flow_cache : t -> Flow_cache.t option
 (** The live flow cache when the engine's [cache] knob is [Emc] —
@@ -86,8 +78,7 @@ val flow_cache : t -> Flow_cache.t option
 
 val state_store : t -> State_store.t option
 (** The primary (shard-0) state store when the engine's [state] knob
-    is [Bounded] — what sequential-path handlers bind, and the store
-    NFs register their tables on for snapshot/warm-restart flows. *)
+    is [Bounded] — what sequential-path handlers bind. *)
 
 val state_stores : t -> State_store.t array
 (** All shard stores in shard order ([||] when [No_state]). Persistent
@@ -154,48 +145,19 @@ val process : t -> in_port:int -> Bytes.t -> (outcome, string) result
 val max_cpu_loops : int
 val chip : t -> Asic.Chip.t
 
-(** {2 Control plane}
-
-    The single front door for runtime table/register mutation: typed
-    {!Ctrl} ops addressed by composed object name, applied to the
-    primary chip between packet batches. Direct [Table.add_entry] on a
-    compiled chip still works (NF constructors use it before traffic
-    starts), but live mutation should flow through here so it is
-    observable, queueable and coherent across shard replicas. *)
+(** {2 Control plane} *)
 
 val apply_ops : t -> Ctrl.op list -> (int, string) result
-(** Apply a batch of ops to the primary chip now, in order, stopping at
-    the first failure ([Ok n] = all [n] applied). The caller must be
-    between packet batches — the runtime's single-consumer contract;
-    epoch bumps make every change visible to the flow cache, and the
-    next parallel batch replicates the updated state to all shards. *)
-
-val control : t -> Ctrl.queue
-(** The runtime's update queue. Producers (CPU handlers, other domains,
-    an operator loop) {!Ctrl.submit} op batches at any time; the
-    runtime drains the queue onto the primary chip at the top of every
-    {!process_batch} / {!process_batch_parallel} call, recording
-    per-batch outcomes in the queue's result log ({!Ctrl.results}). *)
-
-val sync : t -> int * (int * string) list
-(** Drain and apply all pending queue batches immediately (what the
-    batch entry points do): total ops applied, plus per-batch errors as
-    [(batch_id, message)]. A failed batch stops at its first bad op but
-    does not block later batches. *)
+(** The one door for control-plane writes: apply a batch of typed
+    {!Ctrl} ops, addressed by composed object name, to the primary
+    chip now, in order, stopping at the first failure ([Ok n] = all
+    [n] applied). The caller must be between packet batches; epoch
+    bumps make every change visible to the flow cache, and the next
+    parallel batch replicates the updated state to all shards. With
+    telemetry on, an applied batch adds its ops to [ctrl.ops_applied]
+    and a failed one counts in [ctrl.batches_failed]. *)
 
 (** {2 Telemetry} *)
-
-val set_telemetry : ?ring_capacity:int -> t -> Telemetry.Level.t -> unit
-(** The single telemetry front door — shorthand for {!configure} with
-    only the telemetry fields changed. Enabling instruments this
-    runtime and its chip: per-port rx/tx, verdict and packet-path
-    counters, error-class counters, an ns-per-packet histogram
-    ([runtime.ns_per_packet], measured with two monotonic-clock reads
-    around {!process}), and — at [Journeys] — a per-packet journey span
-    pushed into the flight recorder ([ring_capacity] entries). [Off]
-    detaches everything and restores the uninstrumented fast path.
-    ({!Asic.Chip.set_telemetry} is internal plumbing this calls; don't
-    use it directly.) *)
 
 val telemetry : t -> Observe.t option
 
@@ -210,9 +172,9 @@ val int_sink : t -> Telemetry.Int_report.t option
 val snapshot : t -> Telemetry.Registry.snapshot option
 (** The observability front door: sync the chip's live table tallies
     and the absolute gauges — cache occupancy/capacity and validation
-    tallies ([cache.*]), pending ctrl batches ([ctrl.pending]), INT
-    sink sizes ([int.*]) — into the registry, then snapshot it. [None]
-    when telemetry is [Off]. Gauges are written only here (never on
+    tallies ([cache.*]), store tallies ([state.*]), INT sink sizes
+    ([int.*]) — into the registry, then snapshot it. [None] when
+    telemetry is [Off]. Gauges are written only here (never on
     the hot path, never on shard replicas), so parallel registry
     merges cannot double-count them; feed the result to
     {!Telemetry.Export.prometheus} / {!Telemetry.Export.json_lines}. *)
@@ -253,7 +215,9 @@ val process_batch :
     the digest), not raised. [each] observes every packet's result with
     its position in the input list. Under a [Bounded] state knob the
     stores are first re-sharded to one ({!State_store.migrate}), since
-    the sequential handlers serve every flow from the primary store. *)
+    the sequential handlers serve every flow from the primary store.
+    A batch applies no control ops: {!apply_ops} runs between
+    batches. *)
 
 val shard_of_packet : domains:int -> int -> Bytes.t -> int
 (** The flow-affinity shard of an [(in_port, frame)] packet: CRC-32 of
@@ -278,9 +242,8 @@ val process_batch_parallel :
     store). Shard [d] builds its replica on its own domain,
     so the replicas are built in parallel, and then runs one minor
     collection so the replica is promoted before its first packet
-    rather than in the middle of a shard's packets. Queued control ops
-    are drained onto the primary before any shard starts, and the
-    primary is only read while the shards run. After the join, once
+    rather than in the middle of a shard's packets. The primary is
+    only read while the shards run. After the join, once
     their tallies are folded back, the replicas are released
     ({!Asic.Chip.release}): their writes die with them, and the
     primary's next control op writes its tables in place.

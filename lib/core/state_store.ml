@@ -1,7 +1,7 @@
 (* Entries live in one encoded form — key and value as canonical byte
    strings — linked through an intrusive LRU list (head = most
-   recently used). Everything uniform across NFs (snapshot, digest,
-   migration) falls out of that single representation; the typed view
+   recently used). Everything uniform across NFs (digest, migration)
+   falls out of that single representation; the typed view
    is a pair of codecs applied at the edges, off the per-packet fast
    path (punt handlers and control-plane sweeps only). *)
 
@@ -33,8 +33,7 @@ type tbl = {
   mutable tail : entry option;
   tstats : table_stats;
   (* Raw (encoded-form) hooks: replaced by each (re-)registration, so
-     migrated/restored tables keep working hooks until their owner
-     re-binds. *)
+     migrated tables keep working hooks until their owner re-binds. *)
   mutable on_evict_raw : evict_reason -> string -> string -> unit;
   mutable shard_of_raw : string -> int64;
 }
@@ -70,16 +69,6 @@ module Conv = struct
           match int_of_string_opt s with
           | Some i -> Ok i
           | None -> Error ("Conv.int: " ^ s));
-    }
-
-  let int64 =
-    {
-      enc = Int64.to_string;
-      dec =
-        (fun s ->
-          match Int64.of_string_opt s with
-          | Some i -> Ok i
-          | None -> Error ("Conv.int64: " ^ s));
     }
 
   let string = { enc = Fun.id; dec = (fun s -> Ok s) }
@@ -192,7 +181,7 @@ let expired cfg now e =
   cfg.ttl_ns > 0L && Int64.sub now e.touched_ns >= cfg.ttl_ns
 
 (* Insert preserving an explicit stamp — the shared path for live
-   inserts (stamp = now), restore and migration (stamp carried over). *)
+   inserts (stamp = now) and migration (stamp carried over). *)
 let insert_raw t tb ~key ~value ~stamp ~shard =
   (match Hashtbl.find_opt tb.h key with
   | Some e ->
@@ -272,7 +261,7 @@ let table t ~name ~key ~value ?shard_hint ?on_evict () =
      | None -> default_shard
      | Some f -> (
          fun k -> match key.dec k with Ok k -> f k | Error _ -> default_shard k)));
-  (* Adopted (migrated/restored) entries may predate this registration:
+  (* Adopted (migrated) entries may predate this registration:
      re-home them under the authoritative hint. *)
   let rec rehash = function
     | None -> ()
@@ -294,14 +283,6 @@ let find tt k =
   match find_raw tt.store tt.tb (tt.kc.enc k) with
   | None -> None
   | Some v -> ( match tt.vc.dec v with Ok v -> Some v | Error _ -> None)
-
-let remove tt k =
-  let key = tt.kc.enc k in
-  match Hashtbl.find_opt tt.tb.h key with
-  | None -> ()
-  | Some e ->
-      unlink tt.tb e;
-      Hashtbl.remove tt.tb.h key
 
 let length tt = Hashtbl.length tt.tb.h
 
@@ -348,143 +329,6 @@ let totals stores =
     (Hashtbl.fold (fun name (occ, s) l -> (name, occ, s) :: l) acc [])
 
 let per_table t = totals [| t |]
-
-(* --- snapshot / restore --- *)
-
-type snapshot = {
-  snap_now : int64;
-  snap_tables : (string * (string * string * int64) list) list;
-      (* (name, (key, value, touched) oldest-first), names sorted *)
-}
-
-let entries_oldest_first tb =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some e -> go ((e.key, e.value, e.touched_ns) :: acc) e.prev
-  in
-  go [] tb.tail
-
-let snapshot t =
-  {
-    snap_now = t.now_ns;
-    snap_tables =
-      List.map (fun tb -> (tb.tname, entries_oldest_first tb)) (sorted_tbls t);
-  }
-
-let restore t snap =
-  if snap.snap_now > t.now_ns then t.now_ns <- snap.snap_now;
-  List.iter
-    (fun (name, entries) ->
-      let tb = find_or_create_tbl t name in
-      Hashtbl.reset tb.h;
-      tb.head <- None;
-      tb.tail <- None;
-      List.iter
-        (fun (key, value, stamp) ->
-          insert_raw t tb ~key ~value ~stamp ~shard:(tb.shard_of_raw key);
-          (* restore is replacement, not fresh traffic *)
-          tb.tstats.inserts <- tb.tstats.inserts - 1)
-        entries)
-    snap.snap_tables
-
-let hex = "0123456789abcdef"
-
-let hex_of s =
-  let n = String.length s in
-  let b = Bytes.create (2 * n) in
-  for i = 0 to n - 1 do
-    let c = Char.code s.[i] in
-    Bytes.set b (2 * i) hex.[c lsr 4];
-    Bytes.set b ((2 * i) + 1) hex.[c land 0xf]
-  done;
-  Bytes.unsafe_to_string b
-
-let unhex s =
-  let n = String.length s in
-  if n mod 2 <> 0 then Error "odd-length hex"
-  else
-    let digit c =
-      match c with
-      | '0' .. '9' -> Ok (Char.code c - Char.code '0')
-      | 'a' .. 'f' -> Ok (Char.code c - Char.code 'a' + 10)
-      | _ -> Error (Printf.sprintf "bad hex digit %C" c)
-    in
-    let b = Bytes.create (n / 2) in
-    let rec go i =
-      if i >= n / 2 then Ok (Bytes.unsafe_to_string b)
-      else
-        match (digit s.[2 * i], digit s.[(2 * i) + 1]) with
-        | Ok hi, Ok lo ->
-            Bytes.set b i (Char.chr ((hi lsl 4) lor lo));
-            go (i + 1)
-        | Error e, _ | _, Error e -> Error e
-    in
-    go 0
-
-let snapshot_to_string snap =
-  let buf = Buffer.create 1024 in
-  Buffer.add_string buf (Printf.sprintf "statestore v1 %Ld\n" snap.snap_now);
-  List.iter
-    (fun (name, entries) ->
-      Buffer.add_string buf
-        (Printf.sprintf "table %s %d\n" name (List.length entries));
-      List.iter
-        (fun (k, v, stamp) ->
-          Buffer.add_string buf
-            (Printf.sprintf "%s %s %Ld\n" (hex_of k) (hex_of v) stamp))
-        entries)
-    snap.snap_tables;
-  Buffer.contents buf
-
-let snapshot_of_string s =
-  let ( let* ) = Result.bind in
-  let lines = String.split_on_char '\n' s in
-  let lines = List.filter (fun l -> l <> "") lines in
-  match lines with
-  | [] -> Error "State_store.snapshot_of_string: empty"
-  | header :: rest ->
-      let* snap_now =
-        match String.split_on_char ' ' header with
-        | [ "statestore"; "v1"; now ] -> (
-            match Int64.of_string_opt now with
-            | Some n -> Ok n
-            | None -> Error "bad clock")
-        | _ -> Error "State_store.snapshot_of_string: bad header"
-      in
-      let rec tables acc lines =
-        match lines with
-        | [] -> Ok (List.rev acc)
-        | l :: rest -> (
-            match String.split_on_char ' ' l with
-            | [ "table"; name; count ] -> (
-                match int_of_string_opt count with
-                | None -> Error ("bad entry count for table " ^ name)
-                | Some count ->
-                    let rec entries acc n lines =
-                      if n = 0 then Ok (List.rev acc, lines)
-                      else
-                        match lines with
-                        | [] -> Error ("truncated table " ^ name)
-                        | l :: rest -> (
-                            match String.split_on_char ' ' l with
-                            | [ k; v; stamp ] -> (
-                                match
-                                  (unhex k, unhex v, Int64.of_string_opt stamp)
-                                with
-                                | Ok k, Ok v, Some stamp ->
-                                    entries ((k, v, stamp) :: acc) (n - 1) rest
-                                | Error e, _, _ | _, Error e, _ ->
-                                    Error ("table " ^ name ^ ": " ^ e)
-                                | _, _, None ->
-                                    Error ("table " ^ name ^ ": bad stamp"))
-                            | _ -> Error ("table " ^ name ^ ": bad entry line"))
-                    in
-                    let* es, rest = entries [] count rest in
-                    tables ((name, es) :: acc) rest)
-            | _ -> Error ("State_store.snapshot_of_string: bad line: " ^ l))
-      in
-      let* snap_tables = tables [] rest in
-      Ok { snap_now; snap_tables }
 
 (* --- digest and migration --- *)
 

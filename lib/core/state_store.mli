@@ -8,9 +8,10 @@
     once per runtime (per shard, under sharding) from the engine's
     [state] knob. NFs register their tables through {!table} with
     typed codecs ({!conv}); entries are held in a canonical encoded
-    form, which is what makes {!snapshot}/{!restore} (warm restart),
-    {!digest} (live ≡ cold gating) and {!migrate} (re-homing when the
-    shard count changes) uniform across every NF's state.
+    form, which is what makes {!digest} (live ≡ cold gating) and
+    {!migrate} (re-homing when the shard count changes) uniform across
+    every NF's state. Entries enter through {!insert} and leave through
+    eviction — capacity or TTL — and nothing else.
 
     Time is logical and explicit: the store's clock only moves when the
     owner calls {!advance} (the runtime's
@@ -19,12 +20,11 @@
     entries in the same order, and digest gates stay meaningful.
 
     Eviction is observable: a table's [on_evict] callback fires for
-    every capacity eviction and TTL expiration (not for explicit
-    {!remove}), letting the owner mirror the eviction into the data
-    plane — e.g. the LB deletes the evicted flow's session entry
-    through [Ctrl], which bumps the table's epoch and thereby
-    invalidates any cached verdict for that flow. Callbacks must not
-    re-enter the store. *)
+    every capacity eviction and TTL expiration, letting the owner
+    mirror the eviction into the data plane — e.g. the LB deletes the
+    evicted flow's session entry through [Ctrl], which bumps the
+    table's epoch and thereby invalidates any cached verdict for that
+    flow. Callbacks must not re-enter the store. *)
 
 type t
 
@@ -62,7 +62,6 @@ type 'a conv = { enc : 'a -> string; dec : string -> ('a, string) result }
 
 module Conv : sig
   val int : int conv
-  val int64 : int64 conv
   val string : string conv
   val ip4 : Netpkt.Ip4.t conv
   val five_tuple : Netpkt.Flow.five_tuple conv
@@ -94,15 +93,11 @@ val find : ('k, 'v) table -> 'k -> 'v option
 (** Lookup; touches on hit. An entry whose TTL has lapsed is expired
     here ([on_evict Expired]) and reported as a miss. *)
 
-val remove : ('k, 'v) table -> 'k -> unit
-(** Drop an entry without firing [on_evict] — the caller is already
-    acting on it. No-op when absent. *)
-
 val length : ('k, 'v) table -> int
 
 val fold : ('k -> 'v -> 'a -> 'a) -> ('k, 'v) table -> 'a -> 'a
-(** Over live entries, least-recently-used first (the materialization
-    and snapshot order). Entries that fail to decode are skipped. *)
+(** Over live entries, least-recently-used first. Entries that fail to
+    decode are skipped. *)
 
 type table_stats = {
   mutable hits : int;
@@ -123,27 +118,6 @@ val totals : t array -> (string * int * table_stats) list
 val per_table : t -> (string * int * table_stats) list
 (** {!totals} of one store. *)
 
-(** {2 Snapshot / restore (warm restart)} *)
-
-type snapshot
-
-val snapshot : t -> snapshot
-(** The full store in canonical order (tables by name, entries
-    oldest-touched first) with the logical clock — LRU order and TTL
-    stamps survive the round trip. *)
-
-val restore : t -> snapshot -> unit
-(** Replace the contents of every snapshotted table (other tables are
-    untouched); creates tables that do not exist yet — a later
-    {!table} registration adopts them. The clock moves forward to the
-    snapshot's if that is ahead. Entries beyond a table's capacity
-    evict as usual. *)
-
-val snapshot_to_string : snapshot -> string
-val snapshot_of_string : string -> (snapshot, string) result
-(** A stable text serialization of {!snapshot}, so a warm restart can
-    round-trip through a file. *)
-
 (** {2 Digest and migration} *)
 
 val digest : t array -> int64
@@ -159,5 +133,5 @@ val migrate : from:t array -> into:t array -> unit
     stamp-faithful and deterministic. Stamps, values and callbacks
     (where the target lacks a registration) carry over; targets'
     clocks advance to the sources' maximum. Entries beyond a target's
-    capacity evict as usual. What [Runtime.configure] runs when
-    [Engine.domains] changes under a live bounded store. *)
+    capacity evict as usual. What the runtime runs when a batch's shard
+    count differs from its stores' under a [Bounded] state knob. *)

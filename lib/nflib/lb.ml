@@ -76,8 +76,7 @@ let state_table_name = "lb.sessions"
 let create () =
   Ok
     (Nf.make ~name ~description:"L4 load balancer (CRC32 session table)"
-       ~parser:(parser_with_meta ()) ~tables:[ make_table () ] ~body
-       ~state_tables:[ state_table_name ] ())
+       ~parser:(parser_with_meta ()) ~tables:[ make_table () ] ~body ())
 
 let session_hash = Netpkt.Flow.hash_five_tuple
 
@@ -130,9 +129,10 @@ let handler ?sessions ~backends ~table () : Runtime.handler =
       | Some backend -> (
           (* The ledger owns this session but the chip that punted
              missed it — the punt IS the miss (toCpu is the table's
-             default action). That chip is a fresh shard replica or a
-             warm-restarted primary: re-install the *stored* backend,
-             never re-pick, so restarts and re-shards preserve every
+             default action). That chip is a fresh shard replica, or
+             the primary after a sharded batch whose replica installed
+             the session and died with it: re-install the *stored*
+             backend, never re-pick, so re-shards preserve every
              flow's assignment. No duplicate risk — the table missed. *)
           match install_session table tuple backend with
           | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)

@@ -55,7 +55,8 @@ val handler :
     session for its 5-tuple, clear the CPU mark and reinject. Consumes
     packets it cannot parse. With [sessions], the ledger is consulted
     first — an already-owned flow re-installs its *stored* backend (the
-    punting chip missed it: fresh shard replica or warm restart) — and
+    punting chip missed it: a fresh shard replica, or the primary after
+    a sharded batch) — and
     new sessions are written to the ledger before the chip install, so
     chip occupancy never exceeds the ledger bound. *)
 

@@ -75,8 +75,7 @@ let create_dynamic ?max_size () =
     (Nf.make ~name ~description:"dynamic source NAT (punt-allocated bindings)"
        ~parser:(Net_hdrs.base_parser ~name ())
        ~tables:[ make_table_dynamic ?max_size () ]
-       ~body:[ P4ir.Control.Apply table_name ]
-       ~state_tables:[ state_table_name ] ())
+       ~body:[ P4ir.Control.Apply table_name ] ())
 
 (* Deterministic allocation: which public address an internal source
    gets must not depend on arrival order, shard count or restart
@@ -119,8 +118,9 @@ let handler ?bindings ~pool ~table () : Runtime.handler =
       match Option.bind bindings (fun bt -> State_store.find bt src) with
       | Some public ->
           (* Ledger hit but the punting chip missed (the punt is the
-             table's default action): fresh replica or warm restart —
-             re-install the stored public address. *)
+             table's default action): a fresh replica, or the primary
+             after a sharded batch — re-install the stored public
+             address. *)
           install public
       | None ->
           let public = public_of ~pool src in

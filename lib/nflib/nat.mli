@@ -48,6 +48,6 @@ val handler :
     packet's source, record it in the ledger (when given) before
     installing the chip entry, and reinject. The allocation is a pure
     function of the source and the pool (address mod pool size),
-    independent of arrival order, shard count and restart history. A ledger hit re-installs the stored
-    public address (the punting chip missed: fresh shard replica or
-    warm restart). *)
+    independent of arrival order and shard count. A ledger hit
+    re-installs the stored public address (the punting chip missed: a
+    fresh shard replica, or the primary after a sharded batch). *)

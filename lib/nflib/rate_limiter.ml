@@ -80,7 +80,7 @@ let create budgets () =
         ~tables:[ table ]
         ~registers:
           [ P4ir.Register.make ~name:register_name ~size:register_size ~width:32 ]
-        ~body ~state_tables:[ "rl.counts" ] ())
+        ~body ())
     (make_table budgets)
 
 let reset_window compiled =

@@ -27,7 +27,7 @@ let generic_parser =
        (Net_hdrs.base_parser ~with_vlan:true ~name:"dejavu" () :: nfs))
 
 let build id layout =
-  Compose.build ~spec ~generic_parser ~id ~layout ~nf_of
+  Compose.build ~generic_parser ~id ~layout ~nf_of
 
 let test_empty_ingress_has_branching () =
   match build ing0 [] with

@@ -1,8 +1,7 @@
-(* The live control plane: typed ops and their error paths, the
-   producer/consumer update queue, the runtime front door
-   (apply_ops/sync, drain at batch boundaries), flow-cache invalidation
-   scoped to ops' touched tables, and the live-vs-cold digest
-   convergence property for sharded engines. *)
+(* The live control plane: typed ops and their error paths through the
+   runtime's one door ([apply_ops]) and its counters, flow-cache
+   invalidation scoped to ops' touched tables, and the live-vs-cold
+   digest convergence property for sharded engines. *)
 
 open Dejavu_core
 
@@ -160,54 +159,46 @@ let test_reg_reset () =
   check Alcotest.int "counter cleared" 0
     (Nflib.Rate_limiter.count_of compiled ~tenant:5)
 
-(* --- the update queue --- *)
-
-let test_queue_order_and_results () =
-  let q = Ctrl.queue () in
-  let a = Ctrl.submit q [ route_op "172.20.0.0/24" (fun e -> Ctrl.Add e) ] in
-  let b = Ctrl.submit q [ Ctrl.Table (routes, Ctrl.Clear) ] in
-  check Alcotest.bool "distinct ids" true (a <> b);
-  check Alcotest.int "two pending" 2 (Ctrl.pending q);
-  (match Ctrl.drain q with
-  | [ x; y ] ->
-      check Alcotest.int "submission order" a x.Ctrl.id;
-      check Alcotest.int "submission order" b y.Ctrl.id;
-      check Alcotest.int "batch carries its ops" 1 (List.length x.Ctrl.ops)
-  | l -> Alcotest.fail (Printf.sprintf "expected 2 batches, got %d" (List.length l)));
-  check Alcotest.int "drain empties" 0 (Ctrl.pending q);
-  check Alcotest.bool "drain again is empty" true (Ctrl.drain q = []);
-  Ctrl.note q a (Ok 1);
-  Ctrl.note q b (Error "boom");
-  match Ctrl.results q with
-  | (ib, Error "boom") :: (ia, Ok 1) :: _ ->
-      check Alcotest.int "most recent first" b ib;
-      check Alcotest.int "then earlier" a ia
-  | _ -> Alcotest.fail "unexpected results log"
-
-let test_runtime_drains_at_batch_boundary () =
-  let rt = runtime () in
-  let q = Runtime.control rt in
-  let n0 = table_size rt routes in
-  let good = Ctrl.submit q [ route_op "172.24.0.0/24" (fun e -> Ctrl.Add e) ] in
-  let bad = Ctrl.submit q [ route_op "172.25.0.0/24" (fun e -> Ctrl.Del e) ] in
-  let also =
-    Ctrl.submit q [ route_op "172.26.0.0/24" (fun e -> Ctrl.Add e) ]
+(* The one door counts what it applies: at [Counters], an applied
+   batch adds its ops to [ctrl.ops_applied], and a failed batch counts
+   once in [ctrl.batches_failed], its applied prefix in neither. *)
+let test_apply_ops_counted () =
+  let compiled = compile () in
+  let rt =
+    Runtime.create
+      ~engine:
+        { Runtime.Engine.default with telemetry = Telemetry.Level.Counters }
+      compiled
   in
-  (* The data plane drains pending batches before the packet batch; a
-     failed batch is recorded and does not block later batches. *)
-  ignore (Runtime.process_batch rt (quiet_traffic 0 4));
-  check Alcotest.int "queue drained" 0 (Ctrl.pending q);
-  check Alcotest.int "good batches applied" (n0 + 2) (table_size rt routes);
-  let outcome id =
-    match List.assoc_opt id (Ctrl.results q) with
-    | Some r -> r
-    | None -> Alcotest.fail "missing batch outcome"
+  let count name =
+    match List.assoc_opt name (Option.get (Runtime.snapshot rt)) with
+    | Some (Telemetry.Registry.Vcount n) -> n
+    | _ -> Alcotest.fail (name ^ " missing")
   in
-  check Alcotest.bool "good recorded" true (outcome good = Ok 1);
-  check Alcotest.bool "bad recorded" true (Result.is_error (outcome bad));
-  check Alcotest.bool "later batch unaffected" true (outcome also = Ok 1);
-  (* sync with nothing pending is a no-op. *)
-  check Alcotest.bool "idle sync" true (Runtime.sync rt = (0, []))
+  let applied = count "ctrl.ops_applied"
+  and failed = count "ctrl.batches_failed" in
+  let add prefix = route_op prefix (fun e -> Ctrl.Add e) in
+  (match
+     Runtime.apply_ops rt
+       [ add "172.27.0.0/24"; add "172.27.1.0/24"; add "172.27.2.0/24" ]
+   with
+  | Ok n -> check Alcotest.int "three ops applied" 3 n
+  | Error e -> Alcotest.fail e);
+  check Alcotest.int "ops_applied rose by 3" (applied + 3)
+    (count "ctrl.ops_applied");
+  check Alcotest.int "no batch failed" failed (count "ctrl.batches_failed");
+  check Alcotest.bool "a batch naming no table fails" true
+    (Result.is_error
+       (Runtime.apply_ops rt
+          [
+            add "172.27.3.0/24";
+            Ctrl.Table ("no_such_table", Ctrl.Clear);
+            add "172.27.4.0/24";
+          ]));
+  check Alcotest.int "batches_failed rose by 1" (failed + 1)
+    (count "ctrl.batches_failed");
+  check Alcotest.int "ops_applied unchanged" (applied + 3)
+    (count "ctrl.ops_applied")
 
 (* --- flow-cache invalidation by ops --- *)
 
@@ -344,7 +335,7 @@ let prop_live_equals_cold =
           let rt = runtime ~domains ~cache:true () in
           List.iteri
             (fun i ops ->
-              ignore (Ctrl.submit (Runtime.control rt) ops);
+              ignore (Runtime.apply_ops rt ops);
               ignore (Runtime.process_batch_parallel rt (quiet_traffic i 8)))
             (chunk 25 trace);
           Int64.equal (Ctrl.state_digest (Runtime.chip rt)) want
@@ -534,13 +525,8 @@ let () =
           Alcotest.test_case "error paths and partial accept" `Quick
             test_apply_errors;
           Alcotest.test_case "register reset" `Quick test_reg_reset;
-        ] );
-      ( "queue",
-        [
-          Alcotest.test_case "order, drain, results" `Quick
-            test_queue_order_and_results;
-          Alcotest.test_case "drained at batch boundary" `Quick
-            test_runtime_drains_at_batch_boundary;
+          Alcotest.test_case "apply_ops counted at Counters" `Quick
+            test_apply_ops_counted;
         ] );
       ( "cache",
         [

@@ -332,7 +332,7 @@ let frame_of_kind kind i =
       flow ~src:"203.0.113.9" ~dst:Nflib.Catalog.tenant1_vip
         ~src_port:(50000 + (i mod 61)) ~dst_port:80
 
-let runtime_with ?(ring_capacity = 128) mode =
+let runtime_with mode =
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
@@ -343,7 +343,6 @@ let runtime_with ?(ring_capacity = 128) mode =
           Runtime.Engine.default with
           Runtime.Engine.exec_mode = mode;
           telemetry = Telemetry.Level.Journeys;
-          ring_capacity;
         }
       compiled
   in
@@ -386,14 +385,25 @@ let test_int_sink_via_runtime () =
    with
   | Ok metrics -> check Alcotest.bool "exposition non-empty" true (metrics <> [])
   | Error e -> Alcotest.fail ("runtime snapshot failed to round-trip: " ^ e));
-  (* Two shards, each with a flight recorder far smaller than its share
-     of the batch: the merged gauge still counts every packet, not only
-     the journeys the recorders retained. *)
-  let rt = runtime_with ~ring_capacity:4 Asic.Chip.Fast in
-  let n = 60 in
-  ignore
-    (Runtime.process_batch_parallel ~domains:2 rt
-       (List.init n (fun i -> (0, frame_of_kind (i mod 3) i))));
+  (* Two shards, each with a flight recorder smaller than its share of
+     the batch: more packets than both recorders hold together, so the
+     merged gauge counts every packet, not only the journeys the
+     recorders retained. *)
+  let rt = runtime_with Asic.Chip.Fast in
+  let n = (2 * Observe.default_ring_capacity) + 88 in
+  let batch = List.init n (fun i -> (0, frame_of_kind (i mod 3) i)) in
+  List.iter
+    (fun d ->
+      check Alcotest.bool
+        (Printf.sprintf "shard %d overflows its recorder" d)
+        true
+        (List.length
+           (List.filter
+              (fun (p, f) -> Runtime.shard_of_packet ~domains:2 p f = d)
+              batch)
+        > Observe.default_ring_capacity))
+    [ 0; 1 ];
+  ignore (Runtime.process_batch_parallel ~domains:2 rt batch);
   postcards "int.postcards after a 2-domain batch" rt n
 
 (* --- property: fast-mode hop records = reference segmentation --------- *)

@@ -140,13 +140,15 @@ let prop_clear_cpu_mark_matches_reencoding =
       && Bytes.equal cleared (reencoded before))
 
 (* End-to-end: LB sessions stick, and the CPU is consulted once per flow. *)
-let runtime () =
+let runtime ?engine () =
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
-  let rt = Runtime.create compiled in
+  let rt = Runtime.create ?engine compiled in
   Nflib.Catalog.attach_handlers rt compiled;
   rt
+
+let journeys = { Runtime.Engine.default with telemetry = Telemetry.Level.Journeys }
 
 let vip_pkt ~src_port =
   Netpkt.Pkt.tcp_flow
@@ -203,8 +205,7 @@ let test_reinject_loop_bounded () =
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
-  let rt = Runtime.create compiled in
-  Runtime.set_telemetry rt Telemetry.Level.Journeys;
+  let rt = Runtime.create ~engine:journeys compiled in
   Runtime.register_nf_id rt "lb" (Runtime.default_nf_id "lb");
   let count = ref 0 in
   Runtime.on_to_cpu_state rt "lb" (fun _ _ _ bytes ->
@@ -250,8 +251,7 @@ let test_reinject_error_journey () =
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
-  let rt = Runtime.create compiled in
-  Runtime.set_telemetry rt Telemetry.Level.Journeys;
+  let rt = Runtime.create ~engine:journeys compiled in
   Runtime.register_nf_id rt "lb" (Runtime.default_nf_id "lb");
   Runtime.on_to_cpu_state rt "lb" (fun _ _ _ _ ->
       Runtime.Reinject (Bytes.make 8 '\000'));
@@ -284,9 +284,7 @@ let test_batch_fast_matches_reference () =
   (* The compiled fast data plane and the interpretive reference must
      produce byte-identical outputs and identical counters. *)
   let run mode =
-    let rt = runtime () in
-    Runtime.configure rt
-      { (Runtime.engine rt) with Runtime.Engine.exec_mode = mode };
+    let rt = runtime ~engine:{ Runtime.Engine.default with exec_mode = mode } () in
     Runtime.process_batch rt (Fixtures.mixed_workload 48)
   in
   let fast = run Asic.Chip.Fast and reference = run Asic.Chip.Reference in
@@ -417,9 +415,7 @@ let ipv4_off frame =
 
 let test_emitted_checksums_valid () =
   let run mode =
-    let rt = runtime () in
-    Runtime.configure rt
-      { (Runtime.engine rt) with Runtime.Engine.exec_mode = mode };
+    let rt = runtime ~engine:{ Runtime.Engine.default with exec_mode = mode } () in
     let checked = ref 0 in
     List.iter
       (fun (in_port, frame) ->

@@ -1,9 +1,8 @@
 (* The bounded state store: QCheck differential equivalence against an
    unbounded reference model (LRU + TTL + eviction-callback ordering),
-   snapshot/restore round trips, shard migration, and the runtime-level
-   contracts — live re-shard digests equal cold-built ones, and store
-   eviction invalidates the flow cache's memoized verdict for the
-   evicted flow. *)
+   shard migration, and the runtime-level contracts — live re-shard
+   digests equal cold-built ones, and store eviction invalidates the
+   flow cache's memoized verdict for the evicted flow. *)
 
 open Dejavu_core
 
@@ -84,7 +83,7 @@ module Model = struct
   let contents m = List.rev_map (fun (k, v, _) -> (k, v)) m.entries
 end
 
-type op = Insert of int * int | Find of int | Remove of int | Advance of int64
+type op = Insert of int * int | Find of int | Advance of int64
 
 let op_gen =
   QCheck.Gen.(
@@ -92,14 +91,12 @@ let op_gen =
       [
         (5, map2 (fun k v -> Insert (k, v)) (int_bound 15) (int_bound 99));
         (4, map (fun k -> Find k) (int_bound 15));
-        (1, map (fun k -> Remove k) (int_bound 15));
         (2, map (fun n -> Advance (Int64.of_int n)) (int_bound 3));
       ])
 
 let pp_op = function
   | Insert (k, v) -> Printf.sprintf "insert %d %d" k v
   | Find k -> Printf.sprintf "find %d" k
-  | Remove k -> Printf.sprintf "remove %d" k
   | Advance n -> Printf.sprintf "advance %Ld" n
 
 let trace_arb =
@@ -130,10 +127,6 @@ let differential cfg ops =
             Model.insert m k v;
             true
         | Find k -> State_store.find tbl k = Model.find m k
-        | Remove k ->
-            State_store.remove tbl k;
-            Model.remove m k;
-            true
         | Advance ns ->
             let n = State_store.advance store ns in
             let before = List.length m.Model.log in
@@ -203,76 +196,6 @@ let test_ttl_expiry () =
     (State_store.find tbl 2);
   check Alcotest.int "expirations counted" 1
     (State_store.stats tbl).State_store.expirations
-
-(* --- snapshot / restore -------------------------------------------- *)
-
-let build_store ops =
-  let store = State_store.create { State_store.capacity = 16; ttl_ns = 50L } in
-  let tbl =
-    State_store.table store ~name:"flows" ~key:State_store.Conv.int
-      ~value:State_store.Conv.string ()
-  in
-  let tbl2 =
-    State_store.table store ~name:"counts" ~key:State_store.Conv.string
-      ~value:State_store.Conv.int64 ()
-  in
-  List.iter
-    (fun op ->
-      match op with
-      | Insert (k, v) ->
-          State_store.insert tbl k (string_of_int v);
-          State_store.insert tbl2 (string_of_int (k mod 5)) (Int64.of_int v)
-      | Find k -> ignore (State_store.find tbl k)
-      | Remove k -> State_store.remove tbl k
-      | Advance ns -> ignore (State_store.advance store ns))
-    ops;
-  (store, tbl)
-
-let prop_snapshot_string_roundtrip =
-  QCheck.Test.make ~name:"snapshot -> string -> restore is the identity"
-    ~count:200 trace_arb (fun ops ->
-      let store, tbl = build_store ops in
-      let text = State_store.snapshot_to_string (State_store.snapshot store) in
-      let snap =
-        match State_store.snapshot_of_string text with
-        | Ok s -> s
-        | Error e -> QCheck.Test.fail_reportf "parse: %s" e
-      in
-      let fresh =
-        State_store.create { State_store.capacity = 16; ttl_ns = 50L }
-      in
-      State_store.restore fresh snap;
-      let ftbl =
-        State_store.table fresh ~name:"flows" ~key:State_store.Conv.int
-          ~value:State_store.Conv.string ()
-      in
-      State_store.now fresh = State_store.now store
-      && State_store.digest [| fresh |] = State_store.digest [| store |]
-      && State_store.fold (fun k v acc -> (k, v) :: acc) ftbl []
-         = State_store.fold (fun k v acc -> (k, v) :: acc) tbl [])
-
-(* A warm restart continues aging from the snapshot clock: entries old
-   at snapshot time expire on the restored store's first sweep. *)
-let test_restore_preserves_ages () =
-  let store = State_store.create { State_store.capacity = 8; ttl_ns = 10L } in
-  let tbl =
-    State_store.table store ~name:"t" ~key:State_store.Conv.int
-      ~value:State_store.Conv.int ()
-  in
-  State_store.insert tbl 1 10;
-  ignore (State_store.advance store 8L);
-  State_store.insert tbl 2 20;
-  let snap = State_store.snapshot store in
-  let fresh = State_store.create { State_store.capacity = 8; ttl_ns = 10L } in
-  State_store.restore fresh snap;
-  check Alcotest.int "entry 1 expires 2ns after restart" 1
-    (State_store.advance fresh 2L);
-  let ftbl =
-    State_store.table fresh ~name:"t" ~key:State_store.Conv.int
-      ~value:State_store.Conv.int ()
-  in
-  check Alcotest.(option int) "entry 2 still live" (Some 20)
-    (State_store.find ftbl 2)
 
 (* --- migration ----------------------------------------------------- *)
 
@@ -387,10 +310,11 @@ let lb_workload ~flows ~per_flow =
          List.init per_flow (fun _ ->
              red ~src_octet:(1 + (f mod 200)) ~src_port:(2000 + f))))
 
-(* Live re-shard 2 -> 4 -> 1 under a Bounded knob: every transition
-   migrates the session ledger by the canonical 5-tuple hint, and the
-   final union digest equals a cold-built single-store runtime that
-   processed the same traffic — with the flow cache on throughout. *)
+(* Live re-shard 2 -> 4 -> 1 under a Bounded knob, driven by each
+   batch's [~domains]: every transition migrates the session ledger by
+   the canonical 5-tuple hint, and the final union digest equals a
+   cold-built single-store runtime that processed the same traffic —
+   with the flow cache on throughout. *)
 let test_live_reshard_digest_equals_cold () =
   let mk domains =
     lb_runtime ~engine:(engine ~domains ~cache:true ~capacity:4096 ()) ()
@@ -410,14 +334,12 @@ let test_live_reshard_digest_equals_cold () =
   check Alcotest.bool "~domains:1 digest = cold-built digest" true
     (State_store.digest (Runtime.state_stores live)
     = State_store.digest (Runtime.state_stores cold1));
-  Runtime.configure live { (Runtime.engine live) with Runtime.Engine.domains = 4 };
+  ignore (Runtime.process_batch_parallel ~domains:4 live w2);
   check Alcotest.int "migrated to four" 4
     (Array.length (Runtime.state_stores live));
-  ignore (Runtime.process_batch_parallel live w2);
-  Runtime.configure live { (Runtime.engine live) with Runtime.Engine.domains = 1 };
+  ignore (Runtime.process_batch_parallel ~domains:1 live w3);
   check Alcotest.int "migrated to one" 1
     (Array.length (Runtime.state_stores live));
-  ignore (Runtime.process_batch_parallel live w3);
   let cold = mk 1 in
   ignore (Runtime.process_batch_parallel cold (w1 @ w2 @ w3));
   check Alcotest.bool "live re-sharded digest = cold-built digest" true
@@ -645,12 +567,6 @@ let () =
           Alcotest.test_case "eviction callbacks in LRU order" `Quick
             test_eviction_callback_order;
           Alcotest.test_case "ttl expiry" `Quick test_ttl_expiry;
-        ] );
-      ( "snapshot",
-        [
-          qtest prop_snapshot_string_roundtrip;
-          Alcotest.test_case "restore preserves ages" `Quick
-            test_restore_preserves_ages;
         ] );
       ( "migration",
         [

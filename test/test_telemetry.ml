@@ -230,11 +230,16 @@ let frame_of_kind kind i =
       flow ~src:"203.0.113.9" ~dst:Nflib.Catalog.tenant1_vip
         ~src_port:(50000 + (i mod 61)) ~dst_port:80
 
-let fresh_runtime () =
+let fresh_runtime ?(mode = Asic.Chip.Fast) level =
   let compiled =
     Result.get_ok (Compiler.compile (Nflib.Catalog.edge_cloud_input ()))
   in
-  let rt = Runtime.create compiled in
+  let rt =
+    Runtime.create
+      ~engine:
+        { Runtime.Engine.default with exec_mode = mode; telemetry = level }
+      compiled
+  in
   Nflib.Catalog.attach_handlers rt compiled;
   rt
 
@@ -250,11 +255,7 @@ let prop_observation_only =
       pair (small_list (int_bound 2)) (int_bound 1))
     (fun (kinds, journeys) ->
       let workload = List.mapi (fun i k -> (0, frame_of_kind k i)) kinds in
-      let run level =
-        let rt = fresh_runtime () in
-        Runtime.set_telemetry rt level;
-        Runtime.process_batch rt workload
-      in
+      let run level = Runtime.process_batch (fresh_runtime level) workload in
       let off = run Telemetry.Level.Off in
       let on =
         run
@@ -269,10 +270,8 @@ let prop_observation_only =
    interpreter's. *)
 let test_traces_unchanged () =
   let frame = frame_of_kind 0 7 in
-  let walk ?(mode = Asic.Chip.Fast) level =
-    let rt = fresh_runtime () in
-    Runtime.set_telemetry rt level;
-    Asic.Chip.set_exec_mode (Runtime.chip rt) mode;
+  let walk ?mode level =
+    let rt = fresh_runtime ?mode level in
     match Asic.Chip.inject (Runtime.chip rt) ~in_port:0 frame with
     | Ok r -> r.Asic.Chip.hops
     | Error e -> Alcotest.fail e
@@ -297,8 +296,7 @@ let count_of snap name =
   | None -> Alcotest.fail (name ^ " not in snapshot")
 
 let test_counters_content () =
-  let rt = fresh_runtime () in
-  Runtime.set_telemetry rt Telemetry.Level.Counters;
+  let rt = fresh_runtime Telemetry.Level.Counters in
   let n = 30 in
   let workload = List.init n (fun i -> (0, frame_of_kind i i)) in
   let stats = Runtime.process_batch rt workload in
@@ -332,30 +330,17 @@ let test_counters_content () =
   | Some (Telemetry.Registry.Vhist { count; sum; _ }) ->
       check Alcotest.int "histogram count" n count;
       check Alcotest.bool "nonzero time" true (sum > 0)
-  | _ -> Alcotest.fail "runtime.ns_per_packet missing");
-  (* Off detaches: table stats discarded. *)
-  Runtime.set_telemetry rt Telemetry.Level.Off;
-  check Alcotest.bool "telemetry off" true (Runtime.telemetry rt = None);
-  let all_off =
-    List.for_all
-      (fun pl ->
-        List.for_all
-          (fun tbl -> P4ir.Table.stats tbl = None)
-          (Asic.Pipelet.tables pl))
-      (Asic.Chip.pipelets (Runtime.chip rt))
-  in
-  check Alcotest.bool "table stats disabled" true all_off
+  | _ -> Alcotest.fail "runtime.ns_per_packet missing")
 
 (* --- journeys ------------------------------------------------------- *)
 
 let test_journey_capture () =
-  let rt = fresh_runtime () in
-  Runtime.set_telemetry ~ring_capacity:8 rt Telemetry.Level.Journeys;
-  let n = 12 in
+  let rt = fresh_runtime Telemetry.Level.Journeys in
+  let n = Observe.default_ring_capacity + 44 in
   let workload = List.init n (fun i -> (0, frame_of_kind 2 i)) in
   ignore (Runtime.process_batch rt workload);
   let o = Option.get (Runtime.telemetry rt) in
-  check Alcotest.int "ring keeps the last 8" 8
+  check Alcotest.int "ring keeps the last 256" Observe.default_ring_capacity
     (List.length (Observe.journeys o));
   check Alcotest.int "every packet was recorded" n
     (Telemetry.Ring.pushed (Observe.ring o));
@@ -404,7 +389,7 @@ let test_journey_capture () =
 (* --- batch error log ------------------------------------------------- *)
 
 let test_batch_error_log () =
-  let rt = fresh_runtime () in
+  let rt = fresh_runtime Telemetry.Level.Off in
   let bad_port = 999 in
   let good i = (0, frame_of_kind 0 i) in
   let bad i = (bad_port, frame_of_kind 0 i) in
