@@ -207,15 +207,13 @@ let key_of ~in_port frame =
 let arm t ~tables ~registers =
   List.iter
     (fun tbl ->
-      P4ir.Table.set_on_lookup tbl
-        (Some
-           (fun () ->
-             match t.recording with
-             | None -> ()
-             | Some r ->
-                 if not (List.exists (fun d -> d.dtbl == tbl) r.r_tdeps) then
-                   r.r_tdeps <-
-                     { dtbl = tbl; tepoch = P4ir.Table.epoch tbl } :: r.r_tdeps)))
+      P4ir.Table.set_on_lookup tbl (fun () ->
+          match t.recording with
+          | None -> ()
+          | Some r ->
+              if not (List.exists (fun d -> d.dtbl == tbl) r.r_tdeps) then
+                r.r_tdeps <-
+                  { dtbl = tbl; tepoch = P4ir.Table.epoch tbl } :: r.r_tdeps))
     tables;
   List.iter
     (fun reg ->
@@ -224,22 +222,18 @@ let arm t ~tables ~registers =
           r.r_rdeps <-
             { dreg = reg; repoch = P4ir.Register.epoch reg } :: r.r_rdeps
       in
-      P4ir.Register.set_on_read reg
-        (Some
-           (fun idx v ->
-             match t.recording with
-             | None -> ()
-             | Some r ->
-                 dep r;
-                 r.r_ops <- R_read (reg, idx, v) :: r.r_ops));
-      P4ir.Register.set_on_write reg
-        (Some
-           (fun idx v ->
-             match t.recording with
-             | None -> ()
-             | Some r ->
-                 dep r;
-                 r.r_ops <- R_write (reg, idx, v) :: r.r_ops)))
+      P4ir.Register.set_on_read reg (fun idx v ->
+          match t.recording with
+          | None -> ()
+          | Some r ->
+              dep r;
+              r.r_ops <- R_read (reg, idx, v) :: r.r_ops);
+      P4ir.Register.set_on_write reg (fun idx v ->
+          match t.recording with
+          | None -> ()
+          | Some r ->
+              dep r;
+              r.r_ops <- R_write (reg, idx, v) :: r.r_ops))
     registers
 
 (* Small at first and doubled as entries arrive, like [Hashtbl]'s

@@ -554,14 +554,15 @@ let fold_head acc tag port =
 let fold_frame acc b = Netpkt.Bytes_util.crc32_fold acc b ~off:0 ~len:(Bytes.length b)
 
 (* Minor and direct-major words allocated so far on this domain
-   ([Gc.major_words] includes promotions, which the minor count already
+   (major words include promotions, which the minor count already
    holds — subtract them so the pair sums to total words allocated).
-   The minor count is [Gc.minor_words ()], which includes the current
-   minor heap: [quick_stat]'s moves only at a minor collection, so it
-   would read 0 for a batch that fits in the minor heap. *)
+   [Gc.minor_words] includes the current minor heap, and [Gc.counters]
+   the domain's direct major allocations since its last slice:
+   [quick_stat]'s counts move only at a collection, so they would bill
+   a batch for words allocated before it and miss its own. *)
 let gc_words () =
-  let s = Gc.quick_stat () in
-  (Gc.minor_words (), s.Gc.major_words -. s.Gc.promoted_words)
+  let _, promoted, major = Gc.counters () in
+  (Gc.minor_words (), major -. promoted)
 
 let process_batch ?each t pkts =
   (* Sequential handlers serve every flow from the shard-0 store, so

@@ -17,20 +17,23 @@ type table_stats = {
   mutable expirations : int;
 }
 
+(* No box: the stamp is an immediate int, and the LRU neighbours are
+   entries, with the table's sentinel past either end. *)
 type entry = {
   key : string;
   mutable value : string;
-  mutable touched_ns : int64;
-  mutable shard : int64;
-  mutable prev : entry option;  (* toward the MRU head *)
-  mutable next : entry option;  (* toward the LRU tail *)
+  mutable touched : int;  (* the logical clock at the last touch, ns *)
+  mutable prev : entry;  (* toward the MRU head *)
+  mutable next : entry;  (* toward the LRU tail *)
 }
 
 type tbl = {
   tname : string;
   h : (string, entry) Hashtbl.t;
-  mutable head : entry option;
-  mutable tail : entry option;
+  (* The LRU ring's sentinel: [ring.next] is the most recently used
+     entry and [ring.prev] the least; an empty table's sentinel is its
+     own neighbour. *)
+  ring : entry;
   tstats : table_stats;
   (* Raw (encoded-form) hooks: replaced by each (re-)registration, so
      migrated tables keep working hooks until their owner re-binds. *)
@@ -38,9 +41,11 @@ type tbl = {
   mutable shard_of_raw : string -> int64;
 }
 
+(* The clock and the TTL in ns, as ints; the [int64] edges convert. *)
 type t = {
   cfg : config;
-  mutable now_ns : int64;
+  ttl : int;
+  mutable now : int;
   tbls : (string, tbl) Hashtbl.t;
 }
 
@@ -51,12 +56,13 @@ type ('k, 'v) table = { tb : tbl; store : t; kc : 'k conv; vc : 'v conv }
 let create ?(now_ns = 0L) cfg =
   {
     cfg = { cfg with capacity = max 1 cfg.capacity };
-    now_ns;
+    ttl = Int64.to_int cfg.ttl_ns;
+    now = Int64.to_int now_ns;
     tbls = Hashtbl.create 8;
   }
 
 let config t = t.cfg
-let now t = t.now_ns
+let now t = Int64.of_int t.now
 
 (* --- codecs --- *)
 
@@ -128,34 +134,32 @@ let default_shard = crc_of_string
 
 (* --- intrusive LRU list --- *)
 
-let unlink tb e =
-  (match e.prev with Some p -> p.next <- e.next | None -> tb.head <- e.next);
-  (match e.next with Some n -> n.prev <- e.prev | None -> tb.tail <- e.prev);
-  e.prev <- None;
-  e.next <- None
+let unlink e =
+  e.prev.next <- e.next;
+  e.next.prev <- e.prev
 
 let push_front tb e =
-  e.prev <- None;
-  e.next <- tb.head;
-  (match tb.head with Some h -> h.prev <- Some e | None -> tb.tail <- Some e);
-  tb.head <- Some e
+  let s = tb.ring in
+  e.prev <- s;
+  e.next <- s.next;
+  s.next.prev <- e;
+  s.next <- e
 
 let touch tb e now =
-  e.touched_ns <- now;
-  match tb.head with
-  | Some h when h == e -> ()
-  | _ ->
-      unlink tb e;
-      push_front tb e
+  e.touched <- now;
+  if tb.ring.next != e then begin
+    unlink e;
+    push_front tb e
+  end
 
 (* --- raw (encoded-form) operations --- *)
 
 let fresh_tbl name =
+  let rec ring = { key = ""; value = ""; touched = 0; prev = ring; next = ring } in
   {
     tname = name;
     h = Hashtbl.create 64;
-    head = None;
-    tail = None;
+    ring;
     tstats = { hits = 0; misses = 0; inserts = 0; evictions = 0; expirations = 0 };
     on_evict_raw = (fun _ _ _ -> ());
     shard_of_raw = default_shard;
@@ -170,53 +174,47 @@ let find_or_create_tbl t name =
       tb
 
 let evict_entry tb reason e =
-  unlink tb e;
+  unlink e;
   Hashtbl.remove tb.h e.key;
   (match reason with
   | Capacity -> tb.tstats.evictions <- tb.tstats.evictions + 1
   | Expired -> tb.tstats.expirations <- tb.tstats.expirations + 1);
   tb.on_evict_raw reason e.key e.value
 
-let expired cfg now e =
-  cfg.ttl_ns > 0L && Int64.sub now e.touched_ns >= cfg.ttl_ns
+let expired t e = t.ttl > 0 && t.now - e.touched >= t.ttl
+
+(* A key [tb] does not hold, stamped [stamp] and linked at the MRU end
+   after evicting from the LRU end down to capacity. *)
+let add_raw t tb ~key ~value ~stamp =
+  while Hashtbl.length tb.h >= t.cfg.capacity do
+    evict_entry tb Capacity tb.ring.prev
+  done;
+  let e = { key; value; touched = stamp; prev = tb.ring; next = tb.ring } in
+  Hashtbl.add tb.h key e;
+  push_front tb e
 
 (* Insert preserving an explicit stamp — the shared path for live
    inserts (stamp = now) and migration (stamp carried over). *)
-let insert_raw t tb ~key ~value ~stamp ~shard =
+let insert_raw t tb ~key ~value ~stamp =
   (match Hashtbl.find_opt tb.h key with
   | Some e ->
       e.value <- value;
-      e.shard <- shard;
       touch tb e stamp
-  | None ->
-      while Hashtbl.length tb.h >= t.cfg.capacity do
-        match tb.tail with
-        | Some lru -> evict_entry tb Capacity lru
-        | None -> assert false
-      done;
-      let e =
-        { key; value; touched_ns = stamp; shard; prev = None; next = None }
-      in
-      Hashtbl.replace tb.h key e;
-      push_front tb e);
+  | None -> add_raw t tb ~key ~value ~stamp);
   tb.tstats.inserts <- tb.tstats.inserts + 1
 
-let find_raw t tb key =
+(* The live entry under [key], touched, counting a hit; or [None],
+   counting a miss, after expiring a lapsed entry there. *)
+let probe t tb key =
   match Hashtbl.find_opt tb.h key with
-  | None ->
+  | Some e as live when not (expired t e) ->
+      touch tb e t.now;
+      tb.tstats.hits <- tb.tstats.hits + 1;
+      live
+  | found ->
+      Option.iter (evict_entry tb Expired) found;
       tb.tstats.misses <- tb.tstats.misses + 1;
       None
-  | Some e ->
-      if expired t.cfg t.now_ns e then begin
-        evict_entry tb Expired e;
-        tb.tstats.misses <- tb.tstats.misses + 1;
-        None
-      end
-      else begin
-        touch tb e t.now_ns;
-        tb.tstats.hits <- tb.tstats.hits + 1;
-        Some e.value
-      end
 
 let sorted_tbls t =
   List.sort
@@ -224,8 +222,8 @@ let sorted_tbls t =
     (Hashtbl.fold (fun _ tb acc -> tb :: acc) t.tbls [])
 
 let advance t ns =
-  t.now_ns <- Int64.add t.now_ns ns;
-  if t.cfg.ttl_ns <= 0L then 0
+  t.now <- t.now + Int64.to_int ns;
+  if t.ttl <= 0 then 0
   else
     (* LRU order is touch order, so the tail is always the
        oldest-touched entry: sweep from the tail until the first live
@@ -233,13 +231,9 @@ let advance t ns =
     List.fold_left
       (fun total tb ->
         let n = ref 0 in
-        let continue = ref true in
-        while !continue do
-          match tb.tail with
-          | Some e when expired t.cfg t.now_ns e ->
-              evict_entry tb Expired e;
-              incr n
-          | _ -> continue := false
+        while tb.ring.prev != tb.ring && expired t tb.ring.prev do
+          evict_entry tb Expired tb.ring.prev;
+          incr n
         done;
         total + !n)
       0 (sorted_tbls t)
@@ -256,49 +250,57 @@ let table t ~name ~key ~value ?shard_hint ?on_evict () =
            match (key.dec k, value.dec v) with
            | Ok k, Ok v -> f reason k v
            | Error _, _ | _, Error _ -> ())));
+  (* The hint decodes the encoded key: encoding masks ports and
+     proto, and the hint must see what the store keeps. *)
   (tb.shard_of_raw <-
      (match shard_hint with
      | None -> default_shard
      | Some f -> (
          fun k -> match key.dec k with Ok k -> f k | Error _ -> default_shard k)));
-  (* Adopted (migrated) entries may predate this registration:
-     re-home them under the authoritative hint. *)
-  let rec rehash = function
-    | None -> ()
-    | Some e ->
-        e.shard <- tb.shard_of_raw e.key;
-        rehash e.next
-  in
-  rehash tb.head;
   { tb; store = t; kc = key; vc = value }
 
-(* The shard hint decodes the encoded key, not [k]: encoding masks
-   ports and proto, and the hint must see what the store keeps. *)
 let insert tt k v =
-  let key = tt.kc.enc k in
-  insert_raw tt.store tt.tb ~key ~value:(tt.vc.enc v) ~stamp:tt.store.now_ns
-    ~shard:(tt.tb.shard_of_raw key)
+  insert_raw tt.store tt.tb ~key:(tt.kc.enc k) ~value:(tt.vc.enc v) ~stamp:tt.store.now
 
 let find tt k =
-  match find_raw tt.store tt.tb (tt.kc.enc k) with
+  match probe tt.store tt.tb (tt.kc.enc k) with
   | None -> None
-  | Some v -> ( match tt.vc.dec v with Ok v -> Some v | Error _ -> None)
+  | Some e -> Result.to_option (tt.vc.dec e.value)
+
+(* [find], then [insert] on a miss, over one probe: the same tallies,
+   touches and evictions, in the same order. *)
+let find_or_insert tt k v =
+  let t = tt.store and tb = tt.tb in
+  let key = tt.kc.enc k in
+  match probe t tb key with
+  | Some e -> (
+      match tt.vc.dec e.value with
+      | Ok stored -> stored
+      | Error _ ->
+          e.value <- tt.vc.enc v;
+          tb.tstats.inserts <- tb.tstats.inserts + 1;
+          v)
+  | None ->
+      add_raw t tb ~key ~value:(tt.vc.enc v) ~stamp:t.now;
+      tb.tstats.inserts <- tb.tstats.inserts + 1;
+      v
 
 let length tt = Hashtbl.length tt.tb.h
 
 let fold f tt acc =
   (* Oldest first: walk from the LRU tail toward the head. *)
-  let rec go acc = function
-    | None -> acc
-    | Some e ->
-        let acc =
-          match (tt.kc.dec e.key, tt.vc.dec e.value) with
-          | Ok k, Ok v -> f k v acc
-          | Error _, _ | _, Error _ -> acc
-        in
-        go acc e.prev
+  let ring = tt.tb.ring in
+  let rec go acc e =
+    if e == ring then acc
+    else
+      let acc =
+        match (tt.kc.dec e.key, tt.vc.dec e.value) with
+        | Ok k, Ok v -> f k v acc
+        | Error _, _ | _, Error _ -> acc
+      in
+      go acc e.prev
   in
-  go acc tt.tb.tail
+  go acc ring.prev
 
 let stats tt = tt.tb.tstats
 
@@ -371,10 +373,8 @@ let digest stores =
 let migrate ~from ~into =
   let n = Array.length into in
   if n = 0 then invalid_arg "State_store.migrate: empty target";
-  let clock =
-    Array.fold_left (fun acc t -> max acc t.now_ns) 0L from
-  in
-  Array.iter (fun t -> if clock > t.now_ns then t.now_ns <- clock) into;
+  let clock = Array.fold_left (fun acc t -> max acc t.now) 0 from in
+  Array.iter (fun t -> if clock > t.now then t.now <- clock) into;
   (* Group every source entry by table, then replay in touch-stamp
      order (key as tie-break) so each target's LRU order is
      stamp-faithful no matter how the sources interleaved. *)
@@ -386,17 +386,20 @@ let migrate ~from ~into =
   in
   List.iter
     (fun name ->
+      (* Each entry with its shard hash, from its key under the hint
+         of the table that holds it. *)
       let entries =
         Array.to_list from
         |> List.concat_map (fun t ->
                match Hashtbl.find_opt t.tbls name with
                | None -> []
-               | Some tb -> Hashtbl.fold (fun _ e acc -> e :: acc) tb.h [])
+               | Some tb ->
+                   Hashtbl.fold (fun _ e acc -> (e, tb.shard_of_raw e.key) :: acc) tb.h [])
       in
       let entries =
         List.sort
-          (fun a b ->
-            match Int64.compare a.touched_ns b.touched_ns with
+          (fun (a, _) (b, _) ->
+            match Int.compare a.touched b.touched with
             | 0 -> String.compare a.key b.key
             | c -> c)
           entries
@@ -408,10 +411,10 @@ let migrate ~from ~into =
         |> List.find_map (fun t -> Hashtbl.find_opt t.tbls name)
       in
       List.iter
-        (fun e ->
+        (fun (e, shard) ->
           let home =
             Int64.to_int
-              (Int64.rem (Int64.logand e.shard Int64.max_int) (Int64.of_int n))
+              (Int64.rem (Int64.logand shard Int64.max_int) (Int64.of_int n))
           in
           let target = into.(home) in
           let tb =
@@ -427,8 +430,7 @@ let migrate ~from ~into =
                 Hashtbl.replace target.tbls name tb;
                 tb
           in
-          insert_raw target tb ~key:e.key ~value:e.value ~stamp:e.touched_ns
-            ~shard:e.shard;
+          insert_raw target tb ~key:e.key ~value:e.value ~stamp:e.touched;
           (* migration moves entries; it is not fresh traffic *)
           tb.tstats.inserts <- tb.tstats.inserts - 1)
         entries)

@@ -83,7 +83,7 @@ val table :
     owns its flow; the default homes by CRC-32 of the encoded key.
     Re-registering an existing name (each shard replica re-binds its
     NF handlers per batch) adopts the existing entries and replaces
-    the callback and shard hint — entries' homes are recomputed. *)
+    the callback and the shard hint {!migrate} homes entries by. *)
 
 val insert : ('k, 'v) table -> 'k -> 'v -> unit
 (** Insert or overwrite, touching the entry (MRU). At capacity, the
@@ -92,6 +92,11 @@ val insert : ('k, 'v) table -> 'k -> 'v -> unit
 val find : ('k, 'v) table -> 'k -> 'v option
 (** Lookup; touches on hit. An entry whose TTL has lapsed is expired
     here ([on_evict Expired]) and reported as a miss. *)
+
+val find_or_insert : ('k, 'v) table -> 'k -> 'v -> 'v
+(** The stored value, touched; or, when there is none, [v], inserted.
+    One probe of the table, with the tallies, touches, expiry and
+    evictions of {!find} followed on a miss by {!insert}. *)
 
 val length : ('k, 'v) table -> int
 

@@ -125,30 +125,26 @@ let handler ?sessions ~backends ~table () : Runtime.handler =
   match Netpkt.Pkt.five_tuple_of_frame frame with
   | None -> Runtime.Consume
   | Some tuple -> (
-      match Option.bind sessions (fun st -> State_store.find st tuple) with
-      | Some backend -> (
-          (* The ledger owns this session but the chip that punted
-             missed it — the punt IS the miss (toCpu is the table's
-             default action). That chip is a fresh shard replica, or
-             the primary after a sharded batch whose replica installed
-             the session and died with it: re-install the *stored*
-             backend, never re-pick, so re-shards preserve every
-             flow's assignment. No duplicate risk — the table missed. *)
-          match install_session table tuple backend with
-          | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
-          | Error _ -> Runtime.Consume)
-      | None -> (
-          let backend = pick_backend backends tuple in
-          (* Ledger first: inserting may evict the LRU session, whose
-             on_evict deletes its chip entry — freeing the slot before
-             we install, so the chip table never transiently exceeds
-             the bound. *)
-          (match sessions with
-          | Some st -> State_store.insert st tuple backend
-          | None -> ());
-          match install_session table tuple backend with
-          | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
-          | Error _ -> Runtime.Consume))
+      let backend = pick_backend backends tuple in
+      (* On a ledger hit the ledger owns this session but the chip that
+         punted missed it — the punt IS the miss (toCpu is the table's
+         default action). That chip is a fresh shard replica, or the
+         primary after a sharded batch whose replica installed the
+         session and died with it: re-install the *stored* backend,
+         never re-pick, so re-shards preserve every flow's assignment.
+         No duplicate risk — the table missed. On a miss the ledger is
+         written first: inserting may evict the LRU session, whose
+         on_evict deletes its chip entry — freeing the slot before we
+         install, so the chip table never transiently exceeds the
+         bound. *)
+      let backend =
+        match sessions with
+        | Some st -> State_store.find_or_insert st tuple backend
+        | None -> backend
+      in
+      match install_session table tuple backend with
+      | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
+      | Error _ -> Runtime.Consume)
 
 let reference ~sessions tuple =
   match

@@ -107,26 +107,19 @@ let handler ?bindings ~pool ~table () : Runtime.handler =
   | None -> Runtime.Consume
   | Some tuple -> (
       let src = tuple.Netpkt.Flow.src in
-      let install public =
-        match
-          Ctrl.apply_table table
-            (Ctrl.Add (binding_entry { internal = src; public }))
-        with
-        | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
-        | Error _ -> Runtime.Consume
+      (* A ledger hit while the punting chip missed (the punt is the
+         table's default action) is a fresh replica, or the primary
+         after a sharded batch: re-install the stored public address.
+         On a miss, ledger before chip: the insert may evict an LRU
+         binding, whose hook deletes its chip entry first. *)
+      let public =
+        let fresh = public_of ~pool src in
+        match bindings with
+        | Some bt -> State_store.find_or_insert bt src fresh
+        | None -> fresh
       in
-      match Option.bind bindings (fun bt -> State_store.find bt src) with
-      | Some public ->
-          (* Ledger hit but the punting chip missed (the punt is the
-             table's default action): a fresh replica, or the primary
-             after a sharded batch — re-install the stored public
-             address. *)
-          install public
-      | None ->
-          let public = public_of ~pool src in
-          (* Ledger before chip: the insert may evict an LRU binding,
-             whose hook deletes its chip entry first. *)
-          (match bindings with
-          | Some bt -> State_store.insert bt src public
-          | None -> ());
-          install public)
+      match
+        Ctrl.apply_table table (Ctrl.Add (binding_entry { internal = src; public }))
+      with
+      | Ok () -> Runtime.Reinject (Runtime.clear_cpu_mark frame)
+      | Error _ -> Runtime.Consume)

@@ -69,8 +69,8 @@ let clear t =
   t.state.epoch <- t.state.epoch + 1
 
 let epoch t = t.state.epoch
-let set_on_read t f = t.state.on_read <- f
-let set_on_write t f = t.state.on_write <- f
+let set_on_read t f = t.state.on_read <- Some f
+let set_on_write t f = t.state.on_write <- Some f
 
 let fold f t init =
   let acc = ref init in

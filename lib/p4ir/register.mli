@@ -53,11 +53,11 @@ val fold : (int -> Bitval.t -> 'a -> 'a) -> t -> 'a -> 'a
 val epoch : t -> int
 (** Incremented by {!clear}. *)
 
-val set_on_read : t -> (int -> int64 -> unit) option -> unit
-(** Arm (or disarm, with [None]) the read recorder: called by {!read}
-    with the masked index and the raw cell value. *)
+val set_on_read : t -> (int -> int64 -> unit) -> unit
+(** Arm the read recorder, in place of any armed before: called by
+    {!read} with the masked index and the raw cell value. *)
 
-val set_on_write : t -> (int -> int64 -> unit) option -> unit
+val set_on_write : t -> (int -> int64 -> unit) -> unit
 (** Arm the write recorder: called by {!write} with the masked index
     and the stored (width-resized) value. *)
 

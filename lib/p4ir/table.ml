@@ -93,6 +93,18 @@ type ientry = {
   mutable bound : int array;
 }
 
+(* A free slot of a body's entry array, and a lookup's "no match yet". *)
+let none =
+  {
+    e = { priority = min_int; patterns = []; action = ""; args = [] };
+    seq = -1;
+    hit_slot = -1;
+    lpm = 0;
+    ipats = [||];
+    ai = 0;
+    bound = [||];
+  }
+
 (* Index hash finaliser: multiply by an odd 61-bit constant, then fold
    the high half onto the low half. [Hashtbl] picks a bucket from the
    low bits, and the keys a table holds are often equal there — masked
@@ -127,7 +139,7 @@ end)
 
 (* One prefix length of the single-key LPM index. [gmask] is the prefix
    mask over the declared key width; buckets key on the masked value. *)
-type lpm_group = { plen : int; gmask : int; buckets : ientry list ref HI.t }
+type lpm_group = { plen : int; gmask : int; buckets : ientry list HI.t }
 
 (* Staged index, maintained incrementally on insert AND delete:
    - [exact1]: all-[M_exact] entries of a single-key table hashed on
@@ -142,11 +154,13 @@ type lpm_group = { plen : int; gmask : int; buckets : ientry list ref HI.t }
      probed longest-first.
    - [linear]: everything else (ternary, range, wildcards, mixed
      multi-key prefixes) — scanned with precomputed entry data.
-   Deletion unlinks one entry from its partition bucket (and drops
-   emptied buckets / prefix-length groups); no bulk rebuild. *)
+   A bucket is the entry list itself, rewritten with [replace]: a probe
+   reaches its entries in one load. Deletion unlinks one entry from its
+   partition bucket (and drops emptied buckets / prefix-length groups);
+   no bulk rebuild. *)
 type index = {
-  exact1 : ientry list ref HI.t;
-  exact : ientry list ref HA.t;
+  exact1 : ientry list HI.t;
+  exact : ientry list HA.t;
   mutable lpm : lpm_group list; (* sorted by plen, longest first *)
   mutable linear : ientry list;
 }
@@ -168,9 +182,12 @@ type binding = {
    until one side writes. Seqs are unique for the lifetime of a table —
    [clear] and [del_entry] never reset [next_seq], and a private copy
    keeps it — so a replica made with {!copy} can always be paired back
-   entry-for-entry by {!merge_stats_from}, even across churn. *)
+   entry-for-entry by {!merge_stats_from}, even across churn: a slot
+   reused after a delete holds an entry of another seq. *)
 type body = {
-  by_seq : (int, ientry) Hashtbl.t;  (* source of truth, keyed by seq *)
+  (* The installed entries by hit slot, [none] where a slot is free:
+     the source of truth. *)
+  mutable by_slot : ientry array;
   mutable count : int;
   mutable next_seq : int;
   index : index;
@@ -247,7 +264,7 @@ let find_ai acts aname =
 
 let empty_body next_seq =
   {
-    by_seq = Hashtbl.create 32;
+    by_slot = [||];
     count = 0;
     next_seq;
     index = fresh_index ();
@@ -335,11 +352,9 @@ let keys t = t.keys
 let actions t = t.actions
 let max_size t = t.max_size
 
-(* [to_seq_values], not [fold]: a body may be shared with handles on
-   other domains, and [Hashtbl.fold]/[iter] flip a traversal flag in
-   the table they walk. *)
 let ientries_by_seq t =
-  List.of_seq (Hashtbl.to_seq_values t.store.body.by_seq)
+  Array.fold_left (fun acc ie -> if ie == none then acc else ie :: acc) []
+    t.store.body.by_slot
   |> List.sort (fun a b -> compare a.seq b.seq)
 
 let entries t = List.map (fun ie -> ie.e) (ientries_by_seq t)
@@ -448,29 +463,30 @@ let slot_of t patterns =
         S_lpm (prefix_len, gmask, lpm_masked value gmask)
     | _ -> S_linear
 
-let bucket_push tbl find add key ie =
-  match find tbl key with
-  | Some l -> l := ie :: !l
-  | None -> add tbl key (ref [ ie ])
+let bucket_push find replace tbl key ie =
+  replace tbl key (match find tbl key with Some l -> ie :: l | None -> [ ie ])
 
 (* Drop [ie] (by physical identity) from its bucket; remove the binding
    when the bucket empties so stale keys don't accumulate under churn. *)
-let bucket_drop tbl find remove key ie =
+let bucket_drop find replace remove tbl key ie =
   match find tbl key with
   | None -> ()
-  | Some l ->
-      l := List.filter (fun x -> not (x == ie)) !l;
-      if !l = [] then remove tbl key
+  | Some l -> (
+      match List.filter (fun x -> x != ie) l with
+      | [] -> remove tbl key
+      | l -> replace tbl key l)
+
+let lpm_group idx plen = List.find_opt (fun g -> g.plen = plen) idx.lpm
 
 (* Route one installed entry into its index partition. *)
 let index_entry t ie =
   let idx = t.store.index in
   match slot_of t ie.e.patterns with
-  | S_exact1 k -> bucket_push idx.exact1 HI.find_opt HI.add k ie
-  | S_exact k -> bucket_push idx.exact HA.find_opt HA.add k ie
+  | S_exact1 k -> bucket_push HI.find_opt HI.replace idx.exact1 k ie
+  | S_exact k -> bucket_push HA.find_opt HA.replace idx.exact k ie
   | S_lpm (plen, gmask, masked) ->
       let group =
-        match List.find_opt (fun g -> g.plen = plen) idx.lpm with
+        match lpm_group idx plen with
         | Some g -> g
         | None ->
             let g = { plen; gmask; buckets = HI.create 16 } in
@@ -478,46 +494,51 @@ let index_entry t ie =
               List.sort (fun a b -> compare b.plen a.plen) (g :: idx.lpm);
             g
       in
-      bucket_push group.buckets HI.find_opt HI.add masked ie
+      bucket_push HI.find_opt HI.replace group.buckets masked ie
   | S_linear -> idx.linear <- ie :: idx.linear
 
-(* Unlink one installed entry from its partition — the incremental
-   inverse of [index_entry]: one bucket probe, no rebuild of anything
-   else. An emptied LPM prefix-length group is dropped so the probe
-   loop's group list stays proportional to the live prefix lengths. *)
-let unindex_entry t ie =
+(* Unlink one installed entry from the partition [route] names — the
+   route {!locate} found it by: one bucket probe, no rebuild of anything
+   else, and no second walk of the entry's patterns. An emptied LPM
+   prefix-length group is dropped so the probe loop's group list stays
+   proportional to the live prefix lengths. *)
+let unindex_entry t route ie =
   let idx = t.store.index in
-  match slot_of t ie.e.patterns with
-  | S_exact1 k -> bucket_drop idx.exact1 HI.find_opt HI.remove k ie
-  | S_exact k -> bucket_drop idx.exact HA.find_opt HA.remove k ie
+  match route with
+  | S_exact1 k -> bucket_drop HI.find_opt HI.replace HI.remove idx.exact1 k ie
+  | S_exact k -> bucket_drop HA.find_opt HA.replace HA.remove idx.exact k ie
   | S_lpm (plen, _, masked) -> (
-      match List.find_opt (fun g -> g.plen = plen) idx.lpm with
+      match lpm_group idx plen with
       | None -> ()
       | Some g ->
-          bucket_drop g.buckets HI.find_opt HI.remove masked ie;
+          bucket_drop HI.find_opt HI.replace HI.remove g.buckets masked ie;
           if HI.length g.buckets = 0 then
             idx.lpm <- List.filter (fun g' -> not (g' == g)) idx.lpm)
   | S_linear -> idx.linear <- List.filter (fun x -> not (x == ie)) idx.linear
 
-(* Find the installed entry whose match key equals [entry]'s, through
-   the same partition routing an install would take: a hash-bucket
-   probe for exact/LPM shapes, a scan only for the linear partition. *)
-let find_ientry t entry =
-  let pick l = List.find_opt (fun ie -> entry_key_equal ie.e entry) l in
-  let idx = t.store.index in
-  match slot_of t entry.patterns with
-  | S_exact1 k -> (
-      match HI.find_opt idx.exact1 k with Some l -> pick !l | None -> None)
-  | S_exact k -> (
-      match HA.find_opt idx.exact k with Some l -> pick !l | None -> None)
-  | S_lpm (plen, _, masked) -> (
-      match List.find_opt (fun g -> g.plen = plen) idx.lpm with
-      | None -> None
-      | Some g -> (
-          match HI.find_opt g.buckets masked with
-          | Some l -> pick !l
-          | None -> None))
-  | S_linear -> pick idx.linear
+let bucket idx = function
+  | S_exact1 k -> HI.find_opt idx.exact1 k
+  | S_exact k -> HA.find_opt idx.exact k
+  | S_lpm (plen, _, masked) ->
+      Option.bind (lpm_group idx plen) (fun g -> HI.find_opt g.buckets masked)
+  | S_linear -> Some idx.linear
+
+(* The installed entry with [entry]'s match key, in the bucket that
+   [route] — [entry]'s own — names: a hash-bucket probe for exact/LPM
+   shapes, a scan only for the linear partition. In an [exact1] bucket
+   whose key is at least 0 the key fixes every pattern value —
+   [int_key] is injective on the values that fit in 62 bits, and so is
+   [pack] — so the priority alone tells its entries apart, and their
+   cold patterns are never read. Bucket [-1] holds every wider value
+   and compares patterns. *)
+let locate t route entry =
+  let same =
+    match route with
+    | S_exact1 k when k >= 0 -> fun ie -> ie.e.priority = entry.priority
+    | S_exact1 _ | S_exact _ | S_lpm _ | S_linear ->
+        fun ie -> entry_key_equal ie.e entry
+  in
+  Option.bind (bucket t.store.index route) (List.find_opt same)
 
 let validate_shape t entry =
   if List.length entry.patterns <> List.length t.keys then
@@ -546,12 +567,12 @@ let validate_action t entry =
    A {!copy} shares its source's body and counts itself as a holder.
    The first write through a handle that is not its body's only holder
    takes a private copy of the body first; an only holder writes in
-   place. The copy only reads the shared body — [Hashtbl.copy], never
-   [iter] or [fold], which flip a traversal flag in the table they
-   walk — because handles on other domains may be reading it, or
-   copying it, at the same time. *)
+   place. The copy only reads the shared body — the index by
+   [Hashtbl.copy], never [iter] or [fold], which flip a traversal flag
+   in the table they walk — because handles on other domains may be
+   reading it, or copying it, at the same time. *)
 
-(* A private copy of [b]: the seq map copied bucket for bucket, each
+(* A private copy of [b]: the entry array mapped slot by slot, each
    entry a fresh mutable record sharing the shared entry's immutable
    data (entry, lowered patterns, bound arguments, prefix length) and
    keeping its seq and hit slot, and the index copied partition by
@@ -559,17 +580,18 @@ let validate_action t entry =
    del or mod of a duplicated match key picks the entry the source
    would. *)
 let copy_body b =
-  let by_seq = Hashtbl.copy b.by_seq in
-  Hashtbl.filter_map_inplace (fun _ ie -> Some { ie with e = ie.e }) by_seq;
-  let fresh l = List.map (fun ie -> Hashtbl.find by_seq ie.seq) l in
+  let by_slot =
+    Array.map (fun ie -> if ie == none then none else { ie with e = ie.e }) b.by_slot
+  in
+  let fresh l = List.map (fun ie -> by_slot.(ie.hit_slot)) l in
   let buckets copy map_inplace tbl =
     let c = copy tbl in
-    map_inplace (fun _ l -> Some (ref (fresh !l))) c;
+    map_inplace (fun _ l -> Some (fresh l)) c;
     c
   in
   let idx = b.index in
   {
-    by_seq;
+    by_slot;
     count = b.count;
     next_seq = b.next_seq;
     index =
@@ -605,7 +627,7 @@ let own_body t =
 let own_entry t ie =
   let b = t.store.body in
   let b' = own_body t in
-  if b' == b then ie else Hashtbl.find b'.by_seq ie.seq
+  if b' == b then ie else b'.by_slot.(ie.hit_slot)
 
 (* The position of the lowest clear bit of a 32-bit word that has
    one. *)
@@ -613,9 +635,18 @@ let lowest_clear w =
   let rec go k = if w land (1 lsl k) = 0 then k else go (k + 1) in
   go 0
 
-(* The lowest free slot: one bit per slot keeps the allocator at a
-   thirty-second of a word per slot however far the table has shrunk
-   from its peak. *)
+(* [a], or a copy doubled past [i] with [fill] beyond [a]'s cells. *)
+let cover a i fill =
+  if i < Array.length a then a
+  else begin
+    let grown = Array.make (max 16 (2 * i)) fill in
+    Array.blit a 0 grown 0 (Array.length a);
+    grown
+  end
+
+(* The lowest free slot, with the entry array grown to cover it: one
+   bit per slot keeps the allocator at a thirty-second of a word per
+   slot however far the table has shrunk from its peak. *)
 let take_slot b =
   let n = Array.length b.used in
   let i = ref b.low in
@@ -633,6 +664,7 @@ let take_slot b =
   let slot = (i lsl 5) lor lowest_clear w in
   b.used.(i) <- w lor (1 lsl (slot land 31));
   if slot >= b.slots then b.slots <- slot + 1;
+  b.by_slot <- cover b.by_slot slot none;
   slot
 
 let free_slot b slot =
@@ -646,11 +678,7 @@ let zero_hits s slot =
   match s.stats with
   | None -> ()
   | Some _ ->
-      if slot >= Array.length s.ehits then begin
-        let grown = Array.make (max 16 (2 * slot)) 0 in
-        Array.blit s.ehits 0 grown 0 (Array.length s.ehits);
-        s.ehits <- grown
-      end
+      if slot >= Array.length s.ehits then s.ehits <- cover s.ehits slot 0
       else s.ehits.(slot) <- 0
 
 (* Install a validated entry under the next sequence number. The entry
@@ -672,7 +700,7 @@ let install t entry ai =
       bound = Action.bind_ints t.acts.(ai) entry.args;
     }
   in
-  Hashtbl.replace b.by_seq seq ie;
+  b.by_slot.(hit_slot) <- ie;
   b.count <- b.count + 1;
   b.next_seq <- seq + 1;
   index_entry t ie;
@@ -701,7 +729,8 @@ let del_entry t entry =
   match validate_shape t entry with
   | Error _ as e -> e
   | Ok () -> (
-      match find_ientry t entry with
+      let route = slot_of t entry.patterns in
+      match locate t route entry with
       | None ->
           Error
             (Printf.sprintf
@@ -709,9 +738,9 @@ let del_entry t entry =
                entry.priority)
       | Some ie ->
           let ie = own_entry t ie in
-          unindex_entry t ie;
+          unindex_entry t route ie;
           let b = t.store.body in
-          Hashtbl.remove b.by_seq ie.seq;
+          b.by_slot.(ie.hit_slot) <- none;
           free_slot b ie.hit_slot;
           b.count <- b.count - 1;
           t.store.epoch <- t.store.epoch + 1;
@@ -724,7 +753,7 @@ let mod_entry t entry =
       match validate_action t entry with
       | Error e -> Error e
       | Ok ai -> (
-          match find_ientry t entry with
+          match locate t (slot_of t entry.patterns) entry with
           | None ->
               Error
                 (Printf.sprintf
@@ -765,7 +794,7 @@ let clear t =
   s.epoch <- s.epoch + 1
 
 let epoch t = t.store.epoch
-let set_on_lookup t f = t.store.on_lookup <- f
+let set_on_lookup t f = t.store.on_lookup <- Some f
 
 let pattern_matches pattern value =
   match pattern with
@@ -783,24 +812,20 @@ let matches entry values =
 
 (* --- Reference lookup: the pre-index linear scan, kept verbatim as the
    oracle the indexed path is QCheck-equivalence-tested against. The
-   scan order differs (hash-table order) but [better] is a strict total
+   scan order differs (slot order) but [better] is a strict total
    order — sequence numbers are distinct — so the winner is
    order-independent. --- *)
 
 (* Stats hooks shared by both lookup paths: one immediate-field match
-   when telemetry is off. The reference path attributes per-entry hits
-   through the seq store — the interpretive oracle still shares no
-   lookup code with the staged index. *)
-let stat_hit_seq t seq =
+   when telemetry is off. [stat_hit] is inlined: a call per hit costs
+   the indexed path more than the count itself. *)
+let[@inline] stat_hit t ie =
   match t.store.stats with
   | None -> ()
-  | Some s -> (
+  | Some s ->
       s.hits <- s.hits + 1;
-      match Hashtbl.find_opt t.store.body.by_seq seq with
-      | Some ie ->
-          let h = t.store.ehits in
-          h.(ie.hit_slot) <- h.(ie.hit_slot) + 1
-      | None -> ())
+      let h = t.store.ehits in
+      h.(ie.hit_slot) <- h.(ie.hit_slot) + 1
 
 let stat_miss t =
   match t.store.stats with
@@ -810,14 +835,15 @@ let stat_miss t =
 let lookup_reference_values t values =
   (match t.store.on_lookup with Some f -> f () | None -> ());
   let candidates =
-    Seq.fold_left
-      (fun acc ie -> if matches ie.e values then (ie.e, ie.seq) :: acc else acc)
-      [] (Hashtbl.to_seq_values t.store.body.by_seq)
+    Array.fold_left
+      (fun acc ie -> if ie != none && matches ie.e values then ie :: acc else acc)
+      [] t.store.body.by_slot
   in
-  let better (e1, s1) (e2, s2) =
+  let better a b =
+    let e1 = a.e and e2 = b.e in
     if e1.priority <> e2.priority then e1.priority > e2.priority
     else if lpm_len e1 <> lpm_len e2 then lpm_len e1 > lpm_len e2
-    else s1 < s2
+    else a.seq < b.seq
   in
   match candidates with
   | [] ->
@@ -825,8 +851,8 @@ let lookup_reference_values t values =
       `Miss
   | first :: rest ->
       let best = List.fold_left (fun b c -> if better c b then c else b) first rest in
-      stat_hit_seq t (snd best);
-      `Hit (fst best)
+      stat_hit t best;
+      `Hit best.e
 
 let lookup_reference t phv =
   lookup_reference_values t (List.map (fun k -> Phv.get phv k.field) t.keys)
@@ -836,17 +862,6 @@ let lookup_reference t phv =
    Candidates fold into [best], with [none] standing for "no match yet".
    Buckets are probed with [find_opt], not [find]: most probes miss, and
    a raised [Not_found] costs several times a hit's [Some]. *)
-
-let none =
-  {
-    e = { priority = min_int; patterns = []; action = ""; args = [] };
-    seq = -1;
-    hit_slot = -1;
-    lpm = 0;
-    ipats = [||];
-    ai = 0;
-    bound = [||];
-  }
 
 let ibetter a b =
   if a.e.priority <> b.e.priority then a.e.priority > b.e.priority
@@ -877,7 +892,7 @@ let rec probe_lpm groups best v0 =
   | g :: rest ->
       let best =
         match HI.find_opt g.buckets (v0 land g.gmask) with
-        | Some l -> fold_best best !l
+        | Some l -> fold_best best l
         | None -> best
       in
       probe_lpm rest best v0
@@ -887,7 +902,7 @@ let lookup1 t v0 =
   let idx = t.store.index in
   let best =
     match HI.find_opt idx.exact1 v0 with
-    | Some l -> fold_best none !l
+    | Some l -> fold_best none l
     | None -> none
   in
   let best = probe_lpm idx.lpm best v0 in
@@ -897,7 +912,7 @@ let lookupn t raw =
   let idx = t.store.index in
   let best =
     match HA.find_opt idx.exact raw with
-    | Some l -> fold_best none !l
+    | Some l -> fold_best none l
     | None -> none
   in
   let best = if idx.lpm == [] then best else probe_lpm idx.lpm best raw.(0) in
@@ -915,7 +930,7 @@ let lookup_packed t b cells =
   let idx = t.store.index in
   let best =
     match HI.find_opt idx.exact1 !k with
-    | Some l -> fold_best none !l
+    | Some l -> fold_best none l
     | None -> none
   in
   if idx.linear == [] then best
@@ -945,15 +960,7 @@ let lookup_raw t b phv =
 let lookup_ientry t b phv =
   (match t.store.on_lookup with Some f -> f () | None -> ());
   let ie = lookup_raw t b phv in
-  if ie != none then begin
-    match t.store.stats with
-    | None -> ()
-    | Some s ->
-        s.hits <- s.hits + 1;
-        let h = t.store.ehits in
-        h.(ie.hit_slot) <- h.(ie.hit_slot) + 1
-  end
-  else stat_miss t;
+  if ie != none then stat_hit t ie else stat_miss t;
   ie
 
 let lookup t phv =
@@ -1024,24 +1031,23 @@ let hits_of t ie =
 let entry_hits t = List.map (fun ie -> (ie.e, hits_of t ie)) (ientries_by_seq t)
 
 (* Fold a replica's tallies into this table's (both must have stats
-   enabled, else no-op). Per-entry hits are matched by sequence number
-   — a replica made with {!copy} reproduces them, and seqs are never
-   reused within a table — so entries present only on one side
-   (deleted here, or installed on the replica after the copy) are
-   skipped rather than misattributed. Over one shared body both sides
-   resolve a seq to the same record, so to the same slot. *)
+   enabled, else no-op). A replica made with {!copy} keeps every
+   entry's slot, so per-entry hits pair slot by slot, and only where
+   both sides' entries there have the same seq: seqs are never reused
+   within a table, so an entry present only on one side (deleted here,
+   or installed on the replica after the copy, perhaps in a slot a
+   delete freed) is skipped rather than misattributed. *)
 let merge_stats_from t ~src =
   match (t.store.stats, src.store.stats) with
   | Some d, Some s ->
       d.hits <- d.hits + s.hits;
       d.misses <- d.misses + s.misses;
-      let dh = t.store.ehits and body = t.store.body in
-      Seq.iter
-        (fun sie ->
-          match Hashtbl.find_opt body.by_seq sie.seq with
-          | Some ie -> dh.(ie.hit_slot) <- dh.(ie.hit_slot) + hits_of src sie
-          | None -> ())
-        (Hashtbl.to_seq_values src.store.body.by_seq)
+      let dh = t.store.ehits and dst = t.store.body.by_slot in
+      Array.iteri
+        (fun slot sie ->
+          if sie != none && slot < Array.length dst && dst.(slot).seq = sie.seq then
+            dh.(slot) <- dh.(slot) + hits_of src sie)
+        src.store.body.by_slot
   | None, _ | _, None -> ()
 
 (* --- Diagnostics --- *)
@@ -1057,7 +1063,7 @@ let max_bucket_length t =
 let compiled_action t entry =
   match t.store.bnd with
   | None -> None
-  | Some b -> Option.map (fun ie -> b.runs.(ie.ai)) (find_ientry t entry)
+  | Some b -> Option.map (fun ie -> b.runs.(ie.ai)) (locate t (slot_of t entry.patterns) entry)
 
 let key_bits t = List.fold_left (fun acc k -> acc + k.width) 0 t.keys
 

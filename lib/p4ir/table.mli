@@ -114,9 +114,9 @@ val epoch : t -> int
 (** Incremented by every successful mutation: {!add_entry},
     {!del_entry}, {!mod_entry} and {!clear}. *)
 
-val set_on_lookup : t -> (unit -> unit) option -> unit
-(** Arm (or disarm, with [None]) the lookup recorder. The lookup itself
-    is the dependency, so it fires on hits and misses alike. *)
+val set_on_lookup : t -> (unit -> unit) -> unit
+(** Arm the lookup recorder, in place of any armed before. The lookup
+    itself is the dependency, so it fires on hits and misses alike. *)
 
 val copy : t -> t
 (** An independent copy in O(1): same definition, the source's current
@@ -226,9 +226,11 @@ val entry_hits : t -> (entry * int) list
 
 val merge_stats_from : t -> src:t -> unit
 (** Add [src]'s hit/miss tallies and per-entry hits into this table's,
-    matched by sequence number, so entries present on one side only are
-    skipped; over a body both still share, every entry pairs with
-    itself.
+    pairing the entries each side holds in the same slot when they
+    have the same sequence number — a {!copy} keeps every entry's
+    slot, and a slot reused after a delete holds another seq — so
+    entries present on one side only are skipped; over a body both
+    still share, every entry pairs with itself.
     No-op unless both tables have stats enabled. Used to fold a
     {!copy}-based replica's telemetry back into the original after a
     parallel run. *)

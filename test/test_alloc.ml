@@ -434,6 +434,36 @@ let test_uncached_batch () =
     [ (Telemetry.Histogram.bucket_of (int_of_float bracket), 1) ]
     (Telemetry.Histogram.nonzero per_packet)
 
+(* At [Counters] a batch is billed for what its handlers allocate
+   straight into the major heap: here an LB handler that allocates a
+   1,000-word array per punt, over ten new red flows, must add at least
+   10,000 words to [gc.major_words]. The runtime reads the major count
+   from [Gc.counters], which takes in the domain's allocations since
+   its last major slice; [Gc.quick_stat]'s count moves only at a
+   collection, and read 0 for this batch. *)
+let test_direct_major_words () =
+  let compiled = Fixtures.fig2_compiled () in
+  let rt =
+    Runtime.create
+      ~engine:
+        { Runtime.Engine.default with Runtime.Engine.telemetry = Telemetry.Level.Counters }
+      compiled
+  in
+  Runtime.register_nf_id rt Nflib.Lb.name Nflib.Lb.nf_id;
+  Runtime.on_to_cpu_state rt Nflib.Lb.name (fun _ _ _ _ ->
+      ignore (Sys.opaque_identity (Array.make 1000 0));
+      Runtime.Consume);
+  let reg = Observe.registry (Option.get (Runtime.telemetry rt)) in
+  let major = Option.get (Telemetry.Registry.find_counter reg "gc.major_words") in
+  let batch = List.init 10 (fun i -> (0, red_frame ~src_port:(7200 + i))) in
+  Gc.full_major ();
+  let major0 = !major in
+  let stats = Runtime.process_batch rt batch in
+  Alcotest.(check int) "every flow punted and was consumed" 10 stats.Runtime.to_cpu;
+  if !major - major0 < 10 * 1000 then
+    Alcotest.failf "gc.major_words rose by %d over ten 1,000-word arrays"
+      (!major - major0)
+
 (* The CRC-32 kernel reads eight bytes per step through an unboxed
    [int64] and allocates nothing, as the bytewise kernel before it. *)
 let test_crc32 () =
@@ -482,6 +512,8 @@ let () =
           Alcotest.test_case "Flow_cache.lookup hit" `Quick test_cache_hit;
           Alcotest.test_case "batch of cache hits" `Quick test_batch_of_hits;
           Alcotest.test_case "uncached batch" `Quick test_uncached_batch;
+          Alcotest.test_case "direct major words counted" `Quick
+            test_direct_major_words;
           Alcotest.test_case "Bytes_util.crc32_int" `Quick test_crc32;
           Alcotest.test_case "FIB add_entry after a parallel batch" `Quick
             test_add_after_parallel_batch;

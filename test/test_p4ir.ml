@@ -760,10 +760,18 @@ let lookup_key_configs =
     [ { Table.field = fr "m" "b"; kind = Table.Range; width = 16 } ];
   |]
 
-let lookup_pattern_for (k : Table.key) ~v ~m =
+(* With [wide], one exact value in four is wider than 62 bits: each of
+   those lowers to the index key -1 ([Hdr.cell_of_int64]), so the few
+   drawn share one bucket, at widths 63 and 64 alike. *)
+let lookup_pattern_for ?(wide = false) (k : Table.key) ~v ~m =
   let w = k.Table.width in
   let maxv = (1 lsl w) - 1 in
   match k.Table.kind with
+  | Table.Exact when wide && m land 3 = 0 ->
+      Table.M_exact
+        (Bitval.make
+           ~width:(63 + ((m lsr 2) land 1))
+           (Int64.logor 0x4000_0000_0000_0000L (Int64.of_int (v land 3))))
   | Table.Exact -> Table.M_exact (bv w (v land maxv))
   | Table.Lpm ->
       let plen = m mod (w + 1) in
@@ -943,6 +951,75 @@ let test_stats_merge_after_churn () =
   | [ (_, hits) ] -> check Alcotest.int "no cross-generation pairing" 0 hits
   | _ -> Alcotest.fail "expected 1 entry"
 
+(* A copy keeps its source's hit slots, and a delete frees one for the
+   next add: B, added on the replica after A's delete there, takes A's
+   slot under a new seq. The merge pairs slots only where the seqs
+   agree, so B's hits must not land on A's tally. *)
+let test_stats_merge_reused_slot () =
+  let t = mk_table () in
+  let e v arg =
+    { Table.priority = 0; patterns = [ Table.M_exact (bv 8 v) ];
+      action = "set_b"; args = [ bv 16 arg ] }
+  in
+  must_add t (e 1 10);
+  must_add t (e 2 20);
+  Table.set_stats_enabled t true;
+  let replica = Table.copy t in
+  Table.set_stats_enabled replica true;
+  check Alcotest.bool "del A on the replica" true
+    (Result.is_ok (Table.del_entry replica (e 1 0)));
+  must_add replica (e 3 30);
+  let phv = fresh_phv () in
+  List.iter
+    (fun k ->
+      Phv.set_int phv (fr "m" "a") k;
+      check Alcotest.bool "replica hit" true (snd (Table.apply replica phv)))
+    [ 3; 3; 2 ];
+  Table.merge_stats_from t ~src:replica;
+  let key (en : Table.entry) =
+    match en.Table.patterns with [ Table.M_exact v ] -> Bitval.to_int v | _ -> -1
+  in
+  check
+    Alcotest.(list (pair int int))
+    "A keeps its tally, the shared entry takes the replica's" [ (1, 0); (2, 1) ]
+    (List.map (fun (en, n) -> (key en, n)) (Table.entry_hits t))
+
+(* Exact values wider than 62 bits all lower to the index key -1
+   ([Hdr.cell_of_int64]), so two of them share a bucket whose key
+   does not tell them apart: a del or mod of one compares patterns and
+   touches that one only. *)
+let test_wide_exact_values_share_a_bucket () =
+  let t = mk_table () in
+  let e v arg =
+    { Table.priority = 0; patterns = [ Table.M_exact v ]; action = "set_b";
+      args = [ bv 16 arg ] }
+  in
+  let a = Bitval.make ~width:64 0x4000_0000_0000_0001L
+  and b = Bitval.make ~width:63 0x4000_0000_0000_0002L in
+  must_add t (e a 1);
+  must_add t (e b 2);
+  let installed () =
+    List.map
+      (fun (en : Table.entry) ->
+        match (en.Table.patterns, en.Table.args) with
+        | [ Table.M_exact v ], [ arg ] -> (Bitval.to_int64 v, Bitval.to_int arg)
+        | _ -> Alcotest.fail "unexpected entry")
+      (Table.entries t)
+  in
+  let pairs = Alcotest.(list (pair int64 int)) in
+  check Alcotest.bool "mod A" true (Result.is_ok (Table.mod_entry t (e a 3)));
+  check pairs "only A rebound"
+    [ (Bitval.to_int64 a, 3); (Bitval.to_int64 b, 2) ]
+    (installed ());
+  check Alcotest.bool "a third wide value is not installed" true
+    (Result.is_error
+       (Table.del_entry t (e (Bitval.make ~width:64 0x4000_0000_0000_0003L) 0)));
+  check Alcotest.bool "del B" true (Result.is_ok (Table.del_entry t (e b 0)));
+  check pairs "only B gone" [ (Bitval.to_int64 a, 3) ] (installed ());
+  check Alcotest.bool "B is gone" true (Result.is_error (Table.mod_entry t (e b 4)));
+  check Alcotest.bool "del A" true (Result.is_ok (Table.del_entry t (e a 0)));
+  check Alcotest.int "empty" 0 (Table.size t)
+
 (* Disabling stats discards every tally, the per-entry hits included:
    afterwards the table reads as one that never counted. *)
 let test_stats_disable_discards_hits () =
@@ -1003,11 +1080,31 @@ let prop_entry_hits_match_model =
       List.sort compare (List.map (fun (en, n) -> (key en, n)) (Table.entry_hits t))
       = List.sort compare (List.of_seq (Hashtbl.to_seq model)))
 
+(* An entry's match key as the values it stands for: two generated
+   entries have equal keys under {!Table.del_entry}'s identity exactly
+   when these are equal (generated LPM values are already masked to
+   their prefix). *)
+let match_key (e : Table.entry) =
+  let v = Bitval.to_int64 in
+  ( e.Table.priority,
+    List.map
+      (function
+        | Table.M_exact x -> [ 0L; v x ]
+        | Table.M_ternary { value; mask } -> [ 1L; Int64.logand (v value) (v mask); v mask ]
+        | Table.M_lpm { value; prefix_len } -> [ 2L; v value; Int64.of_int prefix_len ]
+        | Table.M_range { lo; hi } -> [ 3L; v lo; v hi ]
+        | Table.M_any -> [ 4L ])
+      e.Table.patterns )
+
 (* Differential property: a random add/del/mod trace maintained
    incrementally must keep the staged index equivalent to the linear
    reference scan after every op — same physical hit entry, so
    priority, longest-prefix and insertion-order tie-breaks survive
-   deletions and in-place rebinds. *)
+   deletions and in-place rebinds. Against a model of the installed
+   match keys, a del or mod succeeds exactly when its key is installed,
+   and a del removes one entry of that key: wide exact values, which
+   share one index bucket and never match a lookup, are told apart
+   there. *)
 let prop_op_trace_matches_reference =
   QCheck.Test.make ~name:"add/del/mod trace: indexed lookup = reference scan"
     ~count:400
@@ -1035,12 +1132,17 @@ let prop_op_trace_matches_reference =
         | `Hit _, `Miss | `Miss, `Hit _ -> false)
         && Table.size t = List.length (Table.entries t)
       in
+      let model = ref [] in
+      let rec remove_one k = function
+        | [] -> []
+        | k' :: rest -> if k' = k then rest else k' :: remove_one k rest
+      in
       List.for_all
         (fun (op, v1, v2, m) ->
           let patterns =
             List.mapi
               (fun i k ->
-                lookup_pattern_for k
+                lookup_pattern_for ~wide:true k
                   ~v:(if i = 0 then v1 else v2)
                   ~m:(m lsr (i * 7)))
               keys
@@ -1051,11 +1153,20 @@ let prop_op_trace_matches_reference =
           in
           (* Dels and mods of absent keys legitimately error; the index
              must stay coherent either way. *)
+          let k = match_key entry in
+          let installed = List.mem k !model in
           (match op mod 4 with
-          | 0 | 1 -> ignore (Table.add_entry t entry)
-          | 2 -> ignore (Table.del_entry t entry)
-          | _ -> ignore (Table.mod_entry t entry));
-          agree ())
+          | 0 | 1 ->
+              model := k :: !model;
+              Result.is_ok (Table.add_entry t entry)
+          | 2 ->
+              let deleted = Result.is_ok (Table.del_entry t entry) in
+              if deleted then model := remove_one k !model;
+              deleted = installed
+          | _ -> Result.is_ok (Table.mod_entry t entry) = installed)
+          && agree ()
+          && List.sort compare (List.map match_key (Table.entries t))
+             = List.sort compare !model)
         raw_ops)
 
 (* --- Index hash --- *)
@@ -1726,6 +1837,10 @@ let () =
             test_table_mod_keeps_tiebreak;
           Alcotest.test_case "stats merge after churn" `Quick
             test_stats_merge_after_churn;
+          Alcotest.test_case "stats merge skips a reused slot" `Quick
+            test_stats_merge_reused_slot;
+          Alcotest.test_case "wide exact values share a bucket" `Quick
+            test_wide_exact_values_share_a_bucket;
           Alcotest.test_case "disabling stats discards hits" `Quick
             test_stats_disable_discards_hits;
           qtest prop_entry_hits_match_model;

@@ -153,6 +153,52 @@ let prop_large_capacity_equals_reference =
     trace_arb
     (differential { State_store.capacity = 1024; ttl_ns = 0L })
 
+(* [find_or_insert] is [find], then [insert] on a miss, over one probe:
+   a store driven by it and one driven by that pair, through the same
+   trace ([Find k] standing for a find-or-insert of [k]'s value), return
+   the same values and end with the same contents, tallies and
+   eviction log. *)
+let prop_find_or_insert_is_find_then_insert =
+  QCheck.Test.make ~name:"find_or_insert = find, then insert on a miss"
+    ~count:300 trace_arb (fun ops ->
+      let cfg = { State_store.capacity = 4; ttl_ns = 5L } in
+      let side () =
+        let store = State_store.create cfg in
+        let log = ref [] in
+        let tbl =
+          State_store.table store ~name:"t" ~key:State_store.Conv.int
+            ~value:State_store.Conv.int
+            ~on_evict:(fun reason k v -> log := (reason, k, v) :: !log)
+            ()
+        in
+        (store, tbl, log)
+      in
+      let s1, t1, log1 = side () and s2, t2, log2 = side () in
+      let agree =
+        List.for_all
+          (function
+            | Insert (k, v) ->
+                State_store.insert t1 k v;
+                State_store.insert t2 k v;
+                true
+            | Find k ->
+                let v = 1000 + k in
+                State_store.find_or_insert t1 k v
+                =
+                (match State_store.find t2 k with
+                | Some stored -> stored
+                | None ->
+                    State_store.insert t2 k v;
+                    v)
+            | Advance ns -> State_store.advance s1 ns = State_store.advance s2 ns)
+          ops
+      in
+      let contents t = State_store.fold (fun k v acc -> (k, v) :: acc) t [] in
+      agree
+      && contents t1 = contents t2
+      && State_store.stats t1 = State_store.stats t2
+      && !log1 = !log2)
+
 (* --- eviction-callback ordering (pinned, not just modeled) --------- *)
 
 let test_eviction_callback_order () =
@@ -471,18 +517,10 @@ let test_state_off_identical () =
     && off.Runtime.to_cpu = on.Runtime.to_cpu
     && off.Runtime.errors = on.Runtime.errors)
 
-(* The store at scale: 20,000 distinct-source flows to the tenant-1 VIP
-   through classifier -> lb -> nat -> router, whose LB sessions (by
-   5-tuple) and NAT bindings (by source address) both live on the
-   store, at capacity 4,096, in batches of 2,048. Each ledger grows one
-   entry per flow up to the bound, then evicts its LRU entry per new
-   flow, and each eviction deletes its chip entry: both ledgers and both
-   chip tables end holding exactly [capacity] entries. Once the store is
-   well saturated (3 x capacity flows seen) the live heap must stay
-   flat: at the end it may exceed the checkpoint by max(10%, 1M words)
-   at most. *)
-let test_scale () =
-  let capacity = 4096 and flows = 20_000 and batch = 2_048 in
+(* classifier -> lb -> nat -> router with the catalog's handlers, whose
+   LB sessions (by 5-tuple) and NAT bindings (by source address) both
+   live on a bounded store of [capacity]. *)
+let lb_nat_runtime ~capacity =
   let registry =
     ( "classifier",
       Nflib.Classifier.create
@@ -506,26 +544,41 @@ let test_scale () =
   in
   let rt = Runtime.create ~engine:(engine ~capacity ()) compiled in
   Nflib.Catalog.attach_handlers rt compiled;
-  (* f's 22 low bits spread over the last three source octets: every
-     flow a distinct source. *)
-  let frame f =
-    ( 0,
-      tcp
-        ~src:
-          (Netpkt.Ip4.of_octets 10
-             (64 + ((f lsr 16) land 0x3f))
-             ((f lsr 8) land 0xff) (f land 0xff))
-        ~dst:Nflib.Catalog.tenant1_vip ~src_port:(40000 + (f mod 16384))
-        ~dst_port:80 )
-  in
-  let live_words () =
-    Gc.full_major ();
-    (Gc.stat ()).Gc.live_words
-  in
+  rt
+
+(* Flow [f] of the tenant-1 VIP: f's 22 low bits spread over the last
+   three source octets, so every flow is a distinct source. *)
+let lb_nat_frame f =
+  ( 0,
+    tcp
+      ~src:
+        (Netpkt.Ip4.of_octets 10
+           (64 + ((f lsr 16) land 0x3f))
+           ((f lsr 8) land 0xff) (f land 0xff))
+      ~dst:Nflib.Catalog.tenant1_vip ~src_port:(40000 + (f mod 16384))
+      ~dst_port:80 )
+
+let live_words () =
+  Gc.full_major ();
+  (Gc.stat ()).Gc.live_words
+
+(* The store at scale: 20,000 distinct-source flows to the tenant-1 VIP
+   through the lb-nat deployment at capacity 4,096, in batches of 2,048.
+   Each ledger grows one entry per flow up to the bound, then evicts
+   its LRU entry per new flow, and each eviction deletes its chip
+   entry: both ledgers and both chip tables end holding exactly
+   [capacity] entries. Once the store is well saturated (3 x capacity
+   flows seen) the live heap must stay flat: at the end it may exceed
+   the checkpoint by max(10%, 1M words) at most. *)
+let test_scale () =
+  let capacity = 4096 and flows = 20_000 and batch = 2_048 in
+  let rt = lb_nat_runtime ~capacity in
   let checkpoint = ref None and errors = ref 0 and seen = ref 0 in
   while !seen < flows do
     let n = min batch (flows - !seen) in
-    let stats = Runtime.process_batch rt (List.init n (fun i -> frame (!seen + i))) in
+    let stats =
+      Runtime.process_batch rt (List.init n (fun i -> lb_nat_frame (!seen + i)))
+    in
     errors := !errors + stats.Runtime.errors;
     seen := !seen + n;
     if !checkpoint = None && !seen >= 3 * capacity then
@@ -554,6 +607,39 @@ let test_scale () =
     Alcotest.failf "live heap grew from %d words at %d flows to %d at %d" saturated at
       final flows
 
+(* What a stored connection holds in the heap: the lb-nat deployment at
+   capacity 2,048, filled with three times as many new connections,
+   each a new LB session and a new NAT binding. The live words beyond
+   the runtime's own before traffic, per stored connection — its LB
+   session in the chip table and the ledger, and its NAT binding in
+   both — measured 125.0 with OCaml 5.1.1. Chip entries kept beside a
+   map by seq, index buckets behind a [ref], and ledger entries with a
+   boxed stamp, a boxed shard hash and [Some] links took 152.0. The
+   budget is the measurement plus 10%. *)
+let words_per_connection_budget = 1.1 *. 125.0
+
+let test_words_per_connection () =
+  let capacity = 2048 in
+  let rt = lb_nat_runtime ~capacity in
+  let before = live_words () and seen = ref 0 in
+  while !seen < 3 * capacity do
+    ignore (Runtime.process_batch rt (List.init 512 (fun i -> lb_nat_frame (!seen + i))));
+    seen := !seen + 512
+  done;
+  let after = live_words () in
+  check Alcotest.int "a full LB ledger" capacity
+    (match
+       List.find_opt
+         (fun (n, _, _) -> n = Nflib.Lb.state_table_name)
+         (State_store.totals (Runtime.state_stores rt))
+     with
+    | Some (_, occupancy, _) -> occupancy
+    | None -> 0);
+  let per = float_of_int (after - before) /. float_of_int capacity in
+  if per > words_per_connection_budget then
+    Alcotest.failf "%.1f live words per stored connection (budget %.1f)" per
+      words_per_connection_budget
+
 let () =
   Alcotest.run "state_store"
     [
@@ -561,6 +647,7 @@ let () =
         [
           qtest prop_bounded_equals_reference;
           qtest prop_large_capacity_equals_reference;
+          qtest prop_find_or_insert_is_find_then_insert;
         ] );
       ( "policy",
         [
@@ -585,5 +672,7 @@ let () =
           Alcotest.test_case "state off identical" `Quick
             test_state_off_identical;
           Alcotest.test_case "scale" `Quick test_scale;
+          Alcotest.test_case "words per stored connection" `Quick
+            test_words_per_connection;
         ] );
     ]
