@@ -395,10 +395,10 @@ let print_cache_stats rt =
       let s = Flow_cache.stats c in
       Format.printf
         "cache: hits=%d misses=%d hit-rate=%.1f%% inserts=%d evictions=%d \
-         stale=%d invalidations=%d uncacheable=%d entries=%d/%d@."
+         invalidations=%d uncacheable=%d entries=%d/%d@."
         s.Flow_cache.hits s.Flow_cache.misses
         (100.0 *. Flow_cache.hit_rate c)
-        s.Flow_cache.inserts s.Flow_cache.evictions s.Flow_cache.stale
+        s.Flow_cache.inserts s.Flow_cache.evictions
         s.Flow_cache.invalidations s.Flow_cache.uncacheable
         (Flow_cache.length c) (Flow_cache.capacity c)
 

@@ -11,9 +11,10 @@
     Ops address tables and registers by their composed (per-NF
     instance) names, resolved through {!Asic.Chip.find_table} /
     {!Asic.Chip.find_register} — the names [Compose.nf_table_name]
-    assigns. Every successful op bumps the touched object's epoch
-    exactly like direct mutation does, so flow-cache invalidation is
-    scoped to the touched tables and needs no extra plumbing.
+    assigns. Every successful table op bumps the table's epoch exactly
+    like direct mutation does, so flow-cache invalidation is scoped to
+    the touched tables and needs no extra plumbing. A register reset
+    invalidates nothing: no cached verdict depends on a register.
 
     Replica coherence under sharding is structural: the parallel
     runtime clones per-domain replicas from the primary chip at each

@@ -3,9 +3,8 @@
    first packet walks the full pipeline, its whole-chain verdict is
    memoized: the rewritten header bytes (as an output prefix the
    payload is re-appended to), the egress port, the modeled latency,
-   and a side-effect plan of every table and register the verdict
-   depended on. Later packets of the flow skip parsing, match-action
-   and deparsing entirely.
+   and a plan of every table the verdict depended on. Later packets of
+   the flow skip parsing, match-action and deparsing entirely.
 
    Correctness rests on three pillars:
 
@@ -17,55 +16,41 @@
      pipeline and pass through unchanged, so they stay out of the key
      and are re-appended on hits.
 
-   - The side-effect plan makes stateful NFs honest. At miss time the
-     armed Table/Register recorders capture which tables were
-     consulted (with their mutation epochs) and every register read
-     and write (with masked index and value, in order). A hit first
-     revalidates: all table epochs unchanged, all register epochs
-     unchanged, and every recorded read still returns the recorded
-     value under a replay of the recorded writes. Only then is the
-     memoized verdict served and the write plan re-applied. Any
-     mismatch — a rate-limiter budget tick, a sketch update, a NAT
-     binding change — drops the entry and falls back to the full
-     pipeline, which re-records.
+   - A cached verdict depends on table state only. At miss time the
+     armed Table recorders capture which tables were consulted, each
+     with its mutation epoch, and a hit is served only while every
+     one is unchanged. A run that reads or writes a register is never
+     cached: the register NFs (the rate limiter, the DDoS sketch)
+     update their cells on every packet, so a verdict recorded against
+     a cell would be stale by the flow's next packet.
 
    - Anything the memoized fast path cannot reproduce is uncacheable:
      CPU punts (and resolved round trips), recirculations, resubmits,
-     mirrored copies, to-CPU verdicts and errors.
+     mirrored copies, register accesses, to-CPU verdicts and errors.
 
-   Invalidation is epoch-based (v1): every successful table mutation
-   or register reset bumps the owner's epoch, and entries die lazily
-   at their next lookup when a recorded epoch mismatches. Eviction is
-   LRU at a fixed capacity. *)
-
-type rop =
-  | R_read of P4ir.Register.t * int * int64
-  | R_write of P4ir.Register.t * int * int64
+   Invalidation is epoch-based: every successful table mutation bumps
+   the table's epoch, and entries die lazily at their next lookup when
+   a recorded epoch mismatches. Eviction is LRU at a fixed capacity. *)
 
 type tdep = { dtbl : P4ir.Table.t; tepoch : int }
-type rdep = { dreg : P4ir.Register.t; repoch : int }
 
-(* The tables and registers a verdict read, each with the epoch it was
-   read at. Flows down one path read the same ones at the same epochs,
-   so entries share their plan through the memo in [t]. *)
-type plan = { tdeps : tdep array; rdeps : rdep array }
+(* The tables a verdict read, each with the epoch it was read at. Flows
+   down one path read the same ones at the same epochs, so entries
+   share their plan through the memo in [t]. *)
+type plan = tdep array
 
 type cverdict = V_emit of { port : int; prefix : Bytes.t } | V_drop
 
-type entry = {
-  verdict : cverdict;
-  latency_ns : float;
-  plan : plan;
-  ops : rop array;  (* register reads and writes, recorded order *)
-}
+type entry = { verdict : cverdict; latency_ns : float; plan : plan }
 
-let no_plan = { tdeps = [||]; rdeps = [||] }
-let no_entry = { verdict = V_drop; latency_ns = 0.0; plan = no_plan; ops = [||] }
+let no_entry = { verdict = V_drop; latency_ns = 0.0; plan = [||] }
 
+(* A miss run in progress: the key it will be cached under, the tables
+   it consulted and whether it touched a register. *)
 type recording = {
+  key : string;
   mutable r_tdeps : tdep list;  (* reversed *)
-  mutable r_rdeps : rdep list;
-  mutable r_ops : rop list;
+  mutable touched_register : bool;
 }
 
 type stats = {
@@ -81,16 +66,16 @@ type stats = {
 (* Why [commit] refused a run, in the order it checks them: the first
    that applies is the one counted. *)
 let reasons =
-  [| "punt"; "recirc"; "resubmit"; "mirror"; "to_cpu"; "payload_rewritten";
-     "dep_mutated" |]
+  [| "punt"; "recirc"; "resubmit"; "mirror"; "register"; "to_cpu";
+     "payload_rewritten" |]
 
 let r_punt = 0
 and r_recirc = 1
 and r_resubmit = 2
 and r_mirror = 3
-and r_to_cpu = 4
-and r_payload = 5
-and r_mutated = 6
+and r_register = 4
+and r_to_cpu = 5
+and r_payload = 6
 
 (* Plans kept for sharing: the most recently committed distinct ones. *)
 let plan_memo_size = 8
@@ -114,7 +99,6 @@ type t = {
   (* Armed between a miss and its commit/abort; the table/register
      hook closures route into it. [None] makes every hook a no-op. *)
   mutable recording : recording option;
-  mutable pending_key : string option;
   stats : stats;
   refused : int array;  (* uncacheable runs, by index into [reasons] *)
   plans : plan array;
@@ -215,26 +199,10 @@ let arm t ~tables ~registers =
                 r.r_tdeps <-
                   { dtbl = tbl; tepoch = P4ir.Table.epoch tbl } :: r.r_tdeps))
     tables;
-  List.iter
-    (fun reg ->
-      let dep r =
-        if not (List.exists (fun d -> d.dreg == reg) r.r_rdeps) then
-          r.r_rdeps <-
-            { dreg = reg; repoch = P4ir.Register.epoch reg } :: r.r_rdeps
-      in
-      P4ir.Register.set_on_read reg (fun idx v ->
-          match t.recording with
-          | None -> ()
-          | Some r ->
-              dep r;
-              r.r_ops <- R_read (reg, idx, v) :: r.r_ops);
-      P4ir.Register.set_on_write reg (fun idx v ->
-          match t.recording with
-          | None -> ()
-          | Some r ->
-              dep r;
-              r.r_ops <- R_write (reg, idx, v) :: r.r_ops))
-    registers
+  let touched () =
+    match t.recording with None -> () | Some r -> r.touched_register <- true
+  in
+  List.iter (fun reg -> P4ir.Register.set_on_access reg touched) registers
 
 (* Small at first and doubled as entries arrive, like [Hashtbl]'s
    buckets: a shard replica's cache that sees a few hundred flows must
@@ -277,7 +245,6 @@ let create ~capacity chip =
       used = 0;
       len = 0;
       recording = None;
-      pending_key = None;
       stats =
         {
           hits = 0;
@@ -289,7 +256,7 @@ let create ~capacity chip =
           evictions = 0;
         };
       refused = Array.make (Array.length reasons) 0;
-      plans = Array.make plan_memo_size no_plan;
+      plans = Array.make plan_memo_size [||];
       plan_next = 0;
     }
   in
@@ -357,79 +324,21 @@ let keys_mru t =
   let rec go acc s = if s < 0 then List.rev acc else go (t.keys.(s) :: acc) t.next.(s) in
   go [] t.head
 
-(* --- Validation and replay --- *)
-
-(* A read is valid when it would see the recorded value again: checked
-   against live register state under an overlay of the recorded writes
-   applied so far, in recorded order — so read-after-own-write chains
-   validate against what the replay will produce, not the pre-state.
-   The two failure modes are distinguished for accounting: an epoch
-   mismatch is a control-plane invalidation (someone mutated a
-   dependency), a read mismatch is packet-time staleness (another flow
-   moved shared register state). *)
-type validity = Valid | Epoch_changed | Read_mismatch
-
-let validate e =
-  let ok = ref true in
-  let { tdeps; rdeps } = e.plan in
-  let n = Array.length tdeps in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let d = tdeps.(!i) in
-    if P4ir.Table.epoch d.dtbl <> d.tepoch then ok := false;
-    incr i
-  done;
-  let n = Array.length rdeps in
-  let i = ref 0 in
-  while !ok && !i < n do
-    let d = rdeps.(!i) in
-    if P4ir.Register.epoch d.dreg <> d.repoch then ok := false;
-    incr i
-  done;
-  if not !ok then Epoch_changed
-  else if Array.length e.ops > 0 then begin
-    let overlay = ref [] in
-    let find reg idx =
-      List.find_opt (fun (r, i, _) -> r == reg && i = idx) !overlay
-    in
-    let n = Array.length e.ops in
-    let i = ref 0 in
-    while !ok && !i < n do
-      (match e.ops.(!i) with
-      | R_read (reg, idx, v) ->
-          let live =
-            match find reg idx with
-            | Some (_, _, ov) -> ov
-            | None -> P4ir.Register.read_raw reg idx
-          in
-          if not (Int64.equal live v) then ok := false
-      | R_write (reg, idx, v) ->
-          overlay :=
-            (reg, idx, v) :: List.filter (fun (r, i, _) -> not (r == reg && i = idx)) !overlay);
-      incr i
-    done;
-    if !ok then Valid else Read_mismatch
-  end
-  else Valid
-
-let replay_writes e =
-  Array.iter
-    (function
-      | R_read _ -> ()
-      | R_write (reg, idx, v) ->
-          P4ir.Register.write reg idx
-            (P4ir.Bitval.make ~width:(P4ir.Register.width reg) v))
-    e.ops
-
 (* --- Lookup / commit / abort --- *)
+
+(* Is every table of [plan] from [i] on still at the epoch it was read
+   at? A top-level function, so a hit's check allocates nothing. *)
+let rec current (plan : plan) i =
+  i = Array.length plan
+  || (let d = plan.(i) in
+      P4ir.Table.epoch d.dtbl = d.tepoch && current plan (i + 1))
 
 type hit = { verdict : Asic.Chip.verdict; latency_ns : float }
 
 let miss t key =
   t.stats.misses <- t.stats.misses + 1;
   (* Arm recording for the full-pipeline run that follows. *)
-  t.pending_key <- Some key;
-  t.recording <- Some { r_tdeps = []; r_rdeps = []; r_ops = [] };
+  t.recording <- Some { key; r_tdeps = []; touched_register = false };
   None
 
 let lookup t ~in_port frame =
@@ -438,40 +347,33 @@ let lookup t ~in_port frame =
      raise is small beside the pipeline walk that follows it. *)
   match Hashtbl.find t.tbl key with
   | exception Not_found -> miss t key
-  | s -> (
+  | s ->
       let e = t.entries.(s) in
-      match validate e with
-      | Valid ->
-          replay_writes e;
-          touch t s;
-          t.stats.hits <- t.stats.hits + 1;
-          let verdict =
-            match e.verdict with
-            | V_drop -> Asic.Chip.Dropped
-            | V_emit { port; prefix } ->
-                let hlen = String.length key - 2 in
-                let plen = Bytes.length frame - hlen in
-                let pxlen = Bytes.length prefix in
-                let out = Bytes.create (pxlen + plen) in
-                Bytes.blit prefix 0 out 0 pxlen;
-                Bytes.blit frame hlen out pxlen plen;
-                Asic.Chip.Emitted { port; frame = out }
-          in
-          Some { verdict; latency_ns = e.latency_ns }
-      | Epoch_changed ->
-          (* A control-plane mutation bumped a dependency's epoch. *)
-          remove t s;
-          t.stats.invalidations <- t.stats.invalidations + 1;
-          miss t key
-      | Read_mismatch ->
-          (* Packet-time staleness: shared register state moved. *)
-          remove t s;
-          t.stats.stale <- t.stats.stale + 1;
-          miss t key)
+      if current e.plan 0 then begin
+        touch t s;
+        t.stats.hits <- t.stats.hits + 1;
+        let verdict =
+          match e.verdict with
+          | V_drop -> Asic.Chip.Dropped
+          | V_emit { port; prefix } ->
+              let hlen = String.length key - 2 in
+              let plen = Bytes.length frame - hlen in
+              let pxlen = Bytes.length prefix in
+              let out = Bytes.create (pxlen + plen) in
+              Bytes.blit prefix 0 out 0 pxlen;
+              Bytes.blit frame hlen out pxlen plen;
+              Asic.Chip.Emitted { port; frame = out }
+        in
+        Some { verdict; latency_ns = e.latency_ns }
+      end
+      else begin
+        (* A table mutation bumped a dependency's epoch. *)
+        remove t s;
+        t.stats.invalidations <- t.stats.invalidations + 1;
+        miss t key
+      end
 
-let abort t =
-  t.recording <- None;
-  t.pending_key <- None
+let abort t = t.recording <- None
 
 (* Does [out] end with the input frame's payload (the bytes past the
    keyed header region)? Required for the prefix+payload reconstruction
@@ -493,33 +395,29 @@ let payload_preserved ~frame ~hlen out =
   let olen = Bytes.length out in
   olen >= plen && same_bytes out (olen - plen) frame hlen plen
 
-let same_tdep (a : tdep) b = a.dtbl == b.dtbl && a.tepoch = b.tepoch
-let same_rdep (a : rdep) b = a.dreg == b.dreg && a.repoch = b.repoch
-let tdep_current d = P4ir.Table.epoch d.dtbl = d.tepoch
-let rdep_current d = P4ir.Register.epoch d.dreg = d.repoch
-
-(* Does a recorded list (most recent dependency first) equal a plan's
-   array, element for element? [same] is a top-level function, so the
-   comparison allocates nothing. *)
-let rec same_deps same l a i =
+(* Does a recorded list (most recent dependency first) equal a plan,
+   element for element? Allocates nothing. *)
+let rec same_plan l (p : plan) i =
   match l with
-  | [] -> i = Array.length a
-  | d :: l -> i < Array.length a && same a.(i) d && same_deps same l a (i + 1)
+  | [] -> i = Array.length p
+  | d :: l ->
+      i < Array.length p
+      && p.(i).dtbl == d.dtbl
+      && p.(i).tepoch = d.tepoch
+      && same_plan l p (i + 1)
 
-(* The memo's plan equal to [r]'s, else a new plan, which takes the
-   memo slot of the oldest. *)
-let rec intern t r k =
+(* The memo's plan equal to the recorded [deps], else a new plan, which
+   takes the memo slot of the oldest. *)
+let rec intern t deps k =
   if k = plan_memo_size then begin
-    let p = { tdeps = Array.of_list r.r_tdeps; rdeps = Array.of_list r.r_rdeps } in
+    let p = Array.of_list deps in
     t.plans.(t.plan_next) <- p;
     t.plan_next <- (t.plan_next + 1) mod plan_memo_size;
     p
   end
   else
     let p = t.plans.(k) in
-    if same_deps same_tdep r.r_tdeps p.tdeps 0 && same_deps same_rdep r.r_rdeps p.rdeps 0
-    then p
-    else intern t r (k + 1)
+    if same_plan deps p 0 then p else intern t deps (k + 1)
 
 let insert t key entry =
   (match Hashtbl.find t.tbl key with
@@ -543,27 +441,17 @@ let refuse t reason =
 
 let commit t ~frame ~(verdict : Asic.Chip.verdict) ~cpu_round_trips ~recircs
     ~resubmits ~mirrored ~latency_ns =
-  match (t.pending_key, t.recording) with
-  | None, _ | _, None -> abort t
-  | Some key, Some r -> (
+  match t.recording with
+  | None -> ()
+  | Some r -> (
       abort t;
-      let hlen = String.length key - 2 in
-      let admit v =
-        if List.for_all tdep_current r.r_tdeps && List.for_all rdep_current r.r_rdeps
-        then
-          insert t key
-            {
-              verdict = v;
-              latency_ns;
-              plan = intern t r 0;
-              ops = Array.of_list (List.rev r.r_ops);
-            }
-        else refuse t r_mutated
-      in
+      let hlen = String.length r.key - 2 in
+      let admit v = insert t r.key { verdict = v; latency_ns; plan = intern t r.r_tdeps 0 } in
       if cpu_round_trips > 0 then refuse t r_punt
       else if recircs > 0 then refuse t r_recirc
       else if resubmits > 0 then refuse t r_resubmit
       else if mirrored then refuse t r_mirror
+      else if r.touched_register then refuse t r_register
       else
         match verdict with
         | Asic.Chip.To_cpu _ -> refuse t r_to_cpu
@@ -585,7 +473,6 @@ let merge_stats ~into src =
   let a = into.stats and b = src.stats in
   a.hits <- a.hits + b.hits;
   a.misses <- a.misses + b.misses;
-  a.stale <- a.stale + b.stale;
   a.invalidations <- a.invalidations + b.invalidations;
   a.uncacheable <- a.uncacheable + b.uncacheable;
   a.inserts <- a.inserts + b.inserts;

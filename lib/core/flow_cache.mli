@@ -5,35 +5,35 @@
     (every byte the chip's parser family can extract), so two frames
     with equal keys are indistinguishable to the match-action pipeline;
     the payload passes through opaquely and is re-appended on hits.
-    Stateful NFs stay correct through a recorded side-effect plan:
-    table dependencies (with mutation epochs), register dependencies
-    (with reset epochs) and the ordered register read/write trace. A
-    hit revalidates the plan against live state — replaying recorded
-    writes over the recorded reads — before serving the memoized
-    verdict and re-applying the writes; any mismatch drops the entry
-    and falls back to the full pipeline.
+    A cached verdict depends on table state only: an entry keeps a
+    table plan, the tables its miss run consulted with their mutation
+    epochs, and a hit is served only while every epoch is unchanged.
+    A run that reads or writes a register is never cached, since the
+    register NFs update their cells on every packet.
 
     Uncacheable outcomes: CPU punts and round trips, recirculations,
-    resubmissions, mirrored copies, to-CPU verdicts, errors, and
-    emitted frames that did not preserve the input payload.
+    resubmissions, mirrored copies, register accesses, to-CPU
+    verdicts, errors, and emitted frames that did not preserve the
+    input payload.
 
     Eviction is LRU at a fixed capacity; invalidation is lazy and
-    epoch-based (a stale entry dies at its next lookup). One cache
-    serves one chip: {!create} arms lookup/access recorders on every
-    table and register of that chip, so per-domain shard replicas each
-    need their own cache over their own replica chip.
+    epoch-based (an entry whose plan is out of date dies at its next
+    lookup). One cache serves one chip: {!create} arms lookup/access
+    recorders on every table and register of that chip, so per-domain
+    shard replicas each need their own cache over their own replica
+    chip.
 
     Memory: an entry lives in a slot of parallel arrays (key, entry,
     and int LRU links), so a hit's LRU touch writes two ints and
-    allocates nothing. Its table and register dependencies are a plan
-    shared with every entry that recorded the same ones at the same
-    epochs, through a memo of the 8 most recent distinct plans; only
-    register read/write traces stay per entry. A full 65,536-entry
-    cache of TCP/IPv4 flows holds 35.5 words (284 bytes) per entry:
-    the key (9), the output prefix (8), the entry with its verdict and
-    latency (10), a hash-table bucket (4) and the slot (4), against
-    90.5 words with per-entry dependency arrays and boxed links. The
-    slot arrays start at 16 and double up to the capacity. *)
+    allocates nothing. Its table plan is shared with every entry that
+    recorded the same tables at the same epochs, through a memo of the
+    8 most recent distinct plans. A full 65,536-entry cache of TCP/IPv4
+    flows holds 34.5 words (276 bytes) per entry: the key (9), the
+    output prefix (8), the entry with its verdict and latency (9), a
+    hash-table bucket (4), the slot (4) and half a word of bucket
+    array, against 90.5 words with per-entry dependency arrays and
+    boxed links. The slot arrays start
+    at 16 and double up to the capacity. *)
 
 type t
 
@@ -41,12 +41,12 @@ type stats = {
   mutable hits : int;
   mutable misses : int;
   mutable stale : int;
-      (** entries dropped on a failed read-replay revalidation —
-          packet-time staleness (shared register state moved) *)
+      (** always 0: no entry depends on register state, so none goes
+          stale between control-plane ops; kept because [bench/perf]
+          builds and prints it *)
   mutable invalidations : int;
-      (** entries dropped on a dependency epoch mismatch — a
-          control-plane mutation (table op, register reset) under the
-          entry *)
+      (** entries dropped on a table epoch mismatch — a table
+          mutation under the entry *)
   mutable uncacheable : int;  (** miss runs that could not be inserted *)
   mutable inserts : int;
   mutable evictions : int;
@@ -67,12 +67,13 @@ val hit_rate : t -> float
 type hit = { verdict : Asic.Chip.verdict; latency_ns : float }
 
 val lookup : t -> in_port:int -> Bytes.t -> hit option
-(** On a validated hit: LRU-touch, replay the write plan and return the
+(** On a hit whose table plan is current: LRU-touch and return the
     reconstructed verdict, allocating only the key, the output frame
     and the hit (25 words for a 54-byte TCP/IPv4 frame). On a miss (or
-    a failed revalidation, which also drops the entry): start recording
-    the side-effect plan for the full-pipeline run the caller is about
-    to perform, to be finished by {!commit} or {!abort}. *)
+    an out-of-date plan, which also drops the entry): start recording
+    the tables and register accesses of the full-pipeline run the
+    caller is about to perform, to be finished by {!commit} or
+    {!abort}. *)
 
 val commit :
   t ->
@@ -85,9 +86,8 @@ val commit :
   latency_ns:float ->
   unit
 (** Finish the recording opened by a {!lookup} miss: insert the entry
-    when the outcome is cacheable (and its dependencies were not
-    mutated mid-run, e.g. by a CPU handler), else count it
-    uncacheable. [frame] is the original input frame. *)
+    when the outcome is cacheable, else count it uncacheable. [frame]
+    is the original input frame. *)
 
 val abort : t -> unit
 (** Discard a pending recording (error outcomes). *)
@@ -95,12 +95,11 @@ val abort : t -> unit
 val uncacheable_by_reason : t -> (string * int) list
 (** [stats.uncacheable] split by why {!commit} refused the run, in the
     order it checks: ["punt"] (a CPU round trip), ["recirc"],
-    ["resubmit"], ["mirror"], ["to_cpu"] (a to-CPU verdict),
-    ["payload_rewritten"] (the output does not end with the input's
-    payload) and ["dep_mutated"] (a dependency's epoch moved during the
-    run, e.g. a CPU handler's install). A run counts under the first
-    that applies, so the counts sum to [stats.uncacheable]. Every
-    reason is listed, zeros included. *)
+    ["resubmit"], ["mirror"], ["register"] (the run read or wrote a
+    register), ["to_cpu"] (a to-CPU verdict) and ["payload_rewritten"]
+    (the output does not end with the input's payload). A run counts
+    under the first that applies, so the counts sum to
+    [stats.uncacheable]. Every reason is listed, zeros included. *)
 
 val merge_stats : into:t -> t -> unit
 (** Fold [src]'s stats tallies, and its refusals by reason, into

@@ -822,7 +822,6 @@ let sync_gauges t =
           set "cache.capacity" (Flow_cache.capacity c);
           set "cache.inserts" s.Flow_cache.inserts;
           set "cache.evictions" s.Flow_cache.evictions;
-          set "cache.stale" s.Flow_cache.stale;
           set "cache.invalidations" s.Flow_cache.invalidations;
           set "cache.uncacheable" s.Flow_cache.uncacheable;
           List.iter

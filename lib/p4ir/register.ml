@@ -1,19 +1,14 @@
-(* Shared mutable side-state: the epoch counts control-plane resets (a
-   flow cache invalidates memoized verdicts against it) and the
-   recorders, when armed, observe every data-plane cell access. Lives
-   in its own mutable record; {!copy} gets a fresh one. *)
-type state = {
-  mutable epoch : int;
-  mutable on_read : (int -> int64 -> unit) option;
-  mutable on_write : (int -> int64 -> unit) option;
-}
-
 (* Cells are 8-byte slots of a [Bytes.t]: the data-plane int accessors
    read and write them through unboxed 64-bit loads and stores, so a
-   register access on the fast path allocates nothing. *)
-type t = { name : string; width : int; cells : Bytes.t; state : state }
-
-let fresh_state () = { epoch = 0; on_read = None; on_write = None }
+   register access on the fast path allocates nothing. The recorder,
+   when armed, is told of every data-plane access; {!copy} starts with
+   none. *)
+type t = {
+  name : string;
+  width : int;
+  cells : Bytes.t;
+  mutable on_access : (unit -> unit) option;
+}
 
 let rec next_pow2 n k = if k >= n then k else next_pow2 n (k * 2)
 
@@ -21,20 +16,15 @@ let make ~name ~size ~width =
   if size < 1 then invalid_arg "Register.make: size must be positive";
   if width < 1 || width > 64 then
     invalid_arg "Register.make: width not in 1..64";
-  {
-    name;
-    width;
-    cells = Bytes.make (8 * next_pow2 size 1) '\000';
-    state = fresh_state ();
-  }
+  { name; width; cells = Bytes.make (8 * next_pow2 size 1) '\000'; on_access = None }
 
 let name t = t.name
 let size t = Bytes.length t.cells / 8
-let width t = t.width
 
 let index_mask t = size t - 1
 let cell t i = Bytes.get_int64_ne t.cells (8 * i)
 let mask t = if t.width >= 64 then -1L else Int64.(sub (shift_left 1L t.width) 1L)
+let accessed t = match t.on_access with Some f -> f () | None -> ()
 
 (* Out-of-range indices wrap through [index_mask], matching the
    hardware (cell counts are powers of two, addresses are masked).
@@ -42,35 +32,25 @@ let mask t = if t.width >= 64 then -1L else Int64.(sub (shift_left 1L t.width) 1
    read, dropped write) makes a wrapped write invisible to its own
    read-back. *)
 let read t i =
-  let i = i land index_mask t in
-  let v = cell t i in
-  (match t.state.on_read with Some f -> f i v | None -> ());
-  Bitval.make ~width:t.width v
+  accessed t;
+  Bitval.make ~width:t.width (cell t (i land index_mask t))
 
 let store t i v =
-  Bytes.set_int64_ne t.cells (8 * i) v;
-  match t.state.on_write with Some f -> f i v | None -> ()
+  accessed t;
+  Bytes.set_int64_ne t.cells (8 * i) v
 
 let write t i v =
   store t (i land index_mask t) (Bitval.to_int64 (Bitval.resize v t.width))
 
 let read_int t i ~width =
-  let i = i land index_mask t in
-  (match t.state.on_read with Some f -> f i (cell t i) | None -> ());
-  Int64.to_int (cell t i) land ((1 lsl width) - 1)
+  accessed t;
+  Int64.to_int (cell t (i land index_mask t)) land ((1 lsl width) - 1)
 
 let write_int t i v =
   store t (i land index_mask t) (Int64.logand (Int64.of_int v) (mask t))
 
-let read_raw t i = cell t (i land index_mask t)
-
-let clear t =
-  Bytes.fill t.cells 0 (Bytes.length t.cells) '\000';
-  t.state.epoch <- t.state.epoch + 1
-
-let epoch t = t.state.epoch
-let set_on_read t f = t.state.on_read <- Some f
-let set_on_write t f = t.state.on_write <- Some f
+let clear t = Bytes.fill t.cells 0 (Bytes.length t.cells) '\000'
+let set_on_access t f = t.on_access <- Some f
 
 let fold f t init =
   let acc = ref init in
@@ -80,10 +60,9 @@ let fold f t init =
   done;
   !acc
 
-(* A copy is a fresh register: private cells, epoch restarted, no
-   recorders — a {!Asic.Chip.replicate} replica must not fire the
-   original's hooks or share its invalidation history. *)
-let copy t = { t with cells = Bytes.copy t.cells; state = fresh_state () }
+(* A copy is a fresh register: private cells and no recorder — a
+   {!Asic.Chip.replicate} replica must not fire the original's hook. *)
+let copy t = { t with cells = Bytes.copy t.cells; on_access = None }
 
 (* Matches Resources.sram_block_bits; kept literal to avoid a module
    cycle (Resources models tables, which use actions, which use

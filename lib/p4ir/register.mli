@@ -10,7 +10,6 @@ val make : name:string -> size:int -> width:int -> t
 
 val name : t -> string
 val size : t -> int
-val width : t -> int
 
 val read : t -> int -> Bitval.t
 (** Out-of-range indices wrap: the index is AND-ed with
@@ -24,7 +23,8 @@ val write : t -> int -> Bitval.t -> unit
 val read_int : t -> int -> width:int -> int
 (** The data-plane read: {!read}'s cell and recorder call, returning the
     cell's low [width] bits (at most 62, the destination field's width)
-    as an immediate int. Allocates nothing unless a recorder is armed. *)
+    as an immediate int. Allocates nothing beyond what an armed recorder
+    does. *)
 
 val write_int : t -> int -> int -> unit
 (** The data-plane write: {!write} from an immediate int (a non-negative
@@ -36,35 +36,18 @@ val index_mask : t -> int
     access paths and hash outputs are AND-ed with this. *)
 
 val clear : t -> unit
-(** Zero every cell and bump the {!epoch} — a control-plane reset that
-    invalidates any state memoized against this register. *)
+(** Zero every cell (a control-plane reset). Fires no recorder. *)
 
 val fold : (int -> Bitval.t -> 'a -> 'a) -> t -> 'a -> 'a
-(** Fold over the nonzero cells (control-plane inspection). *)
+(** Fold over the nonzero cells (control-plane inspection). Fires no
+    recorder. *)
 
-(** {2 Invalidation epoch and access recorders}
-
-    Support for memoization layers (the runtime flow cache): the epoch
-    counts control-plane resets, and the recorders — when armed —
-    observe every data-plane access with the masked index and the raw
-    cell value. {!copy} starts both fresh. When no recorder is armed
-    the access paths pay a single option match. *)
-
-val epoch : t -> int
-(** Incremented by {!clear}. *)
-
-val set_on_read : t -> (int -> int64 -> unit) -> unit
-(** Arm the read recorder, in place of any armed before: called by
-    {!read} with the masked index and the raw cell value. *)
-
-val set_on_write : t -> (int -> int64 -> unit) -> unit
-(** Arm the write recorder: called by {!write} with the masked index
-    and the stored (width-resized) value. *)
-
-val read_raw : t -> int -> int64
-(** The raw cell value at the masked index, without constructing a
-    {!Bitval.t} and without firing the read recorder — for validating
-    memoized reads against live state. *)
+val set_on_access : t -> (unit -> unit) -> unit
+(** Arm the access recorder, in place of any armed before: called by
+    {!read}, {!write}, {!read_int} and {!write_int}, so a memoization
+    layer (the runtime flow cache) can tell a run that touched this
+    register from one that did not. {!copy} starts with none; when
+    none is armed an access pays a single option match. *)
 
 val copy : t -> t
 (** A deep copy: same name and width, private cell array initialized to

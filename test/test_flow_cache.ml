@@ -62,6 +62,14 @@ let cached ?(capacity = 256) () = runtime ~engine:(emc capacity) ()
 
 let cache rt = Option.get (Runtime.flow_cache rt)
 
+let refused rt reason =
+  List.assoc reason (Flow_cache.uncacheable_by_reason (cache rt))
+
+let refusals_sum rt =
+  let c = cache rt in
+  List.fold_left (fun acc (_, n) -> acc + n) 0 (Flow_cache.uncacheable_by_reason c)
+  = (Flow_cache.stats c).Flow_cache.uncacheable
+
 let tcp ~src ~dst ~src_port ~dst_port =
   Netpkt.Pkt.encode
     (Netpkt.Pkt.tcp_flow
@@ -294,35 +302,54 @@ let prop_cached_equals_uncached =
       let c2 = signatures crt second and u2 = signatures urt second in
       c1 = u1 && c2 = u2)
 
+(* Tenant 5's packets: one rate-limited flow (budget 8) through the
+   protected chain, whose DDoS sketch and rate limiter update their
+   registers on every packet. *)
+let tenant5 =
+  List.init 12 (fun i ->
+      (i mod 4, tcp ~src:(ip "203.0.113.50") ~dst:(ip "10.0.5.7") ~src_port:1234
+         ~dst_port:80))
+
+let dropped sigs = List.length (List.filter (String.equal "dropped") sigs)
+
 let test_rate_limiter_budget_with_cache () =
   (* Register-backed NFs must stay exact: tenant 5's budget is 8, so of
-     12 packets exactly 4 drop — with the cache on, same as off. The
-     recorded register reads go stale every packet, so these never
-     become hits; correctness must not depend on caching them. *)
-  let run rt =
-    List.init 12 (fun i ->
-        signature_of
-          (send rt
-             (i mod 4, tcp ~src:(ip "203.0.113.50") ~dst:(ip "10.0.5.7")
-                ~src_port:1234 ~dst_port:80)))
-  in
+     12 packets exactly 4 drop — with the cache on, same as off. A run
+     that touches a register is never cached: the 8 in-budget packets
+     recirculate, and the 4 drops are refused as register runs, so
+     nothing is inserted and nothing goes stale. *)
   let crt = cached () in
-  let c = run crt and u = run (runtime ()) in
+  let c = signatures crt tenant5 and u = signatures (runtime ()) tenant5 in
   check Alcotest.(list string) "cached = uncached, packet for packet" u c;
-  check Alcotest.int "drops = over-budget packets" 4
-    (List.length (List.filter (String.equal "dropped") c));
-  check Alcotest.int "stale register plans never hit" 0
-    (Flow_cache.stats (cache crt)).Flow_cache.hits
+  check Alcotest.int "drops = over-budget packets" 4 (dropped c);
+  let s = Flow_cache.stats (cache crt) in
+  check Alcotest.int "register runs never hit" 0 s.Flow_cache.hits;
+  check Alcotest.int "in-budget packets refused as recirc" 8 (refused crt "recirc");
+  check Alcotest.int "drops refused as register runs" 4 (refused crt "register");
+  check Alcotest.int "nothing inserted" 0 s.Flow_cache.inserts;
+  check Alcotest.int "nothing stale" 0 s.Flow_cache.stale
+
+let test_register_reset_with_cache () =
+  (* A control-plane register reset under the cache: tenant 5 runs past
+     its budget, [rl_counters] is reset on both runtimes, and the budget
+     starts again. No cached verdict depends on a register, so the reset
+     needs no invalidation for cached = uncached to hold. *)
+  let crt = cached () and urt = runtime () in
+  check Alcotest.(list string) "before the reset: cached = uncached"
+    (signatures urt tenant5) (signatures crt tenant5);
+  let reset rt =
+    match Runtime.apply_ops rt [ Ctrl.Reg_reset "rl_counters" ] with
+    | Ok _ -> ()
+    | Error e -> Alcotest.fail e
+  in
+  reset crt;
+  reset urt;
+  let c = signatures crt tenant5 in
+  check Alcotest.(list string) "after the reset: cached = uncached"
+    (signatures urt tenant5) c;
+  check Alcotest.int "the reset restores the budget" 4 (dropped c)
 
 (* --- Refusals by reason --------------------------------------------- *)
-
-let refused rt reason =
-  List.assoc reason (Flow_cache.uncacheable_by_reason (cache rt))
-
-let refusals_sum rt =
-  let c = cache rt in
-  List.fold_left (fun acc (_, n) -> acc + n) 0 (Flow_cache.uncacheable_by_reason c)
-  = (Flow_cache.stats c).Flow_cache.uncacheable
 
 let test_uncacheable_punt () =
   (* An LB flow's first packet makes a CPU round trip: counted under
@@ -602,6 +629,8 @@ let () =
           qtest prop_cached_equals_uncached;
           Alcotest.test_case "rate limiter exact with cache" `Quick
             test_rate_limiter_budget_with_cache;
+          Alcotest.test_case "register reset with cache" `Quick
+            test_register_reset_with_cache;
           Alcotest.test_case "cache off identical" `Quick
             test_cache_off_identical;
           Alcotest.test_case "parallel shards with cache" `Quick
